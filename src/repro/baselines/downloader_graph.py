@@ -15,11 +15,17 @@ adds over a download-only view.
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import Counter
+
 import numpy as np
 
 from repro.core.model import Trace
 from repro.core.payloads import is_downloadable
+from repro.features.topology import (
+    clustering_avg,
+    diameter_and_knearest,
+    und_adjacency,
+)
 
 __all__ = ["DOWNLOADER_FEATURES", "build_download_graph",
            "downloader_features", "extract_matrix"]
@@ -38,67 +44,54 @@ DOWNLOADER_FEATURES = (
 )
 
 
-def build_download_graph(trace: Trace) -> nx.DiGraph:
+def build_download_graph(
+    trace: Trace,
+) -> tuple[list[tuple[str, int, float]], list[tuple[int, int]]]:
     """Build the [12]-style download graph for one trace.
 
-    A node is one downloaded file (URI + type + size annotations).  An
-    edge ``A -> B`` means the conversation that delivered ``A``
-    (identified by its serving host) later led, via referrer lineage, to
-    the download of ``B``.
+    Returns ``(files, edges)``.  Node ``i`` is the ``i``-th downloaded
+    file, annotated ``files[i] = (serving host, size, timestamp)``.  An
+    edge ``(a, b)`` means the conversation that delivered file ``a``
+    (identified by its serving host) later led, via referrer lineage,
+    to the download of ``b``; a file has at most one parent, so the
+    list carries no duplicates.
     """
-    graph = nx.DiGraph()
+    files: list[tuple[str, int, float]] = []
+    edges: list[tuple[int, int]] = []
     # host -> most recent download node served from (or referred by) it
-    last_download_via: dict[str, str] = {}
-    for index, txn in enumerate(trace.transactions):
+    last_download_via: dict[str, int] = {}
+    for txn in trace.transactions:
         if txn.status != 200 or not is_downloadable(txn.payload_type):
             continue
-        node = f"file{index}:{txn.request.uri.split('?')[0]}"
-        graph.add_node(
-            node,
-            host=txn.server,
-            size=txn.payload_size,
-            ptype=txn.payload_type.value,
-            timestamp=txn.timestamp,
-        )
+        node = len(files)
+        files.append((txn.server, txn.payload_size, txn.timestamp))
         ref_host = txn.request.referrer_host
-        parent = last_download_via.get(ref_host) or last_download_via.get(
-            txn.server
-        )
-        if parent is not None and parent != node:
-            graph.add_edge(parent, node)
+        parent = last_download_via.get(ref_host)
+        if parent is None:
+            parent = last_download_via.get(txn.server)
+        if parent is not None:
+            edges.append((parent, node))
         last_download_via[txn.server] = node
         if ref_host:
             last_download_via.setdefault(ref_host, node)
-    return graph
+    return files, edges
 
 
 def downloader_features(trace: Trace) -> np.ndarray:
     """The [12]-style feature vector for one trace."""
-    graph = build_download_graph(trace)
-    order = graph.number_of_nodes()
-    size = graph.number_of_edges()
-    undirected = graph.to_undirected()
+    files, edges = build_download_graph(trace)
+    order = len(files)
+    size = len(edges)
     if order > 1:
-        components = [
-            undirected.subgraph(c)
-            for c in nx.connected_components(undirected)
-        ]
-        diameter = max(
-            (nx.diameter(c) for c in components if c.number_of_nodes() > 1),
-            default=0,
-        )
-        density = nx.density(graph)
-        clustering = nx.average_clustering(undirected)
+        undirected = und_adjacency(order, edges)
+        diameter, _ = diameter_and_knearest(order, undirected)
+        density = size / (order * (order - 1))
+        clustering = clustering_avg(order, undirected)
     else:
-        diameter = 0
-        density = 0.0
-        clustering = 0.0
-    out_degrees = [d for _, d in graph.out_degree()]
-    sizes = [data["size"] for _, data in graph.nodes(data=True)]
-    hosts = {data["host"] for _, data in graph.nodes(data=True)}
-    stamps = sorted(
-        data["timestamp"] for _, data in graph.nodes(data=True)
-    )
+        diameter = density = clustering = 0.0
+    out_degrees = Counter(parent for parent, _ in edges)
+    sizes = [nbytes for _, nbytes, _ in files]
+    stamps = sorted(stamp for _, _, stamp in files)
     if len(stamps) > 1 and stamps[-1] > stamps[0]:
         growth = 60.0 * (len(stamps) - 1) / (stamps[-1] - stamps[0])
     else:
@@ -109,10 +102,10 @@ def downloader_features(trace: Trace) -> np.ndarray:
         float(diameter),
         float(density),
         float(clustering),
-        float(max(out_degrees, default=0)),
+        float(max(out_degrees.values(), default=0)),
         float(sum(sizes)),
         float(np.mean(sizes)) if sizes else 0.0,
-        float(len(hosts)),
+        float(len({host for host, _, _ in files})),
         growth,
     ])
 

@@ -397,8 +397,7 @@ def _print_alert_walkthrough(index: int, event: dict, events: list[dict],
               + ("" if tfe is None
                  else f", {tfe:.3f}s after first infection-stage edge"))
     print(f"  wcg at verdict: {provenance.get('wcg_order')} nodes /"
-          f" {provenance.get('wcg_size')} edges"
-          f" (engine={provenance.get('engine')})")
+          f" {provenance.get('wcg_size')} edges")
     tally = provenance.get("vote_tally")
     if tally:
         print(f"  forest vote: {tally[1]}/{tally[0] + tally[1]} trees"

@@ -11,10 +11,11 @@ ids and every numeric edge attribute lives in a numpy column of an
 :class:`~repro.core.columns.EdgeColumnStore`, grown by amortized
 doubling so the incremental live path stays O(1) per edge.  The object
 API the rest of the repo consumes — :meth:`edges` yielding
-:class:`EdgeData`, :meth:`simple_graph`, :attr:`graph` — is preserved
-as a read-only *view* materialized from the columns, which is what
-keeps every live-vs-batch and sharded differential byte-identical
-across the representation change.
+:class:`EdgeData`, :meth:`hosts`, the counters — is a read-only *view*
+materialized from the columns.  Graph analytics never build a graph
+object: the topology features read the sorted simple-digraph structure
+straight from the pair table (:func:`repro.features.topology.
+structure_key`).
 
 To make the on-the-wire path cheap, the graph maintains running
 aggregates as it mutates:
@@ -37,7 +38,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-import networkx as nx
 import numpy as np
 
 from repro.core.columns import METHODS, REDIRECT_KINDS, EdgeColumnStore
@@ -187,10 +187,6 @@ class WebConversationGraph:
         self._ts_max = -np.inf
         self._sorted_ts: tuple[int, list[float]] | None = None
         self._sorted_req_ts: tuple[int, np.ndarray] | None = None
-        # Stage re-labels do not bump ``version`` (stages are not feature
-        # inputs); the nx back-compat view keys on this epoch too.
-        self._stage_epoch = 0
-        self._nx_cache: tuple[int, int, nx.MultiDiGraph] | None = None
         self.add_node(self.origin, kind=NodeKind.ORIGIN)
         self.add_node(victim, kind=NodeKind.VICTIM)
 
@@ -234,29 +230,6 @@ class WebConversationGraph:
     def edge_store(self) -> EdgeColumnStore:
         """The columnar edge storage (vectorized extraction reads this)."""
         return self._edges
-
-    @property
-    def graph(self) -> nx.MultiDiGraph:
-        """Back-compat ``networkx`` view, rebuilt on demand and cached.
-
-        Node records are shared with the live graph (reads through the
-        view see current annotations); edge attribute records are
-        materialized :class:`EdgeData` copies.
-        """
-        cached = self._nx_cache
-        if cached is not None and cached[0] == self._version \
-                and cached[1] == self._stage_epoch:
-            return cached[2]
-        view = nx.MultiDiGraph()
-        for node_id, host in enumerate(self._host_names):
-            view.add_node(host, data=self._node_records[node_id])
-        names = self._host_names
-        store = self._edges
-        for i in range(len(store)):
-            view.add_edge(names[store.src[i]], names[store.dst[i]],
-                          data=self._edge_at(i))
-        self._nx_cache = (self._version, self._stage_epoch, view)
-        return view
 
     def _intern(self, host: str) -> int:
         node_id = self._host_ids.get(host)
@@ -415,7 +388,6 @@ class WebConversationGraph:
         """Re-label one edge's stage (no ``version`` bump — stages are
         not feature inputs, matching the seed's in-place mutation)."""
         self._edges.set_stage(index, int(stage))
-        self._stage_epoch += 1
 
     def node_data(self, host: str) -> _NodeData:
         """The ``alpha`` record for ``host``."""
@@ -557,34 +529,6 @@ class WebConversationGraph:
             np.any(self._edges.column("stage") == int(Stage.POST_DOWNLOAD))
         )
 
-    def simple_graph(self, include_origin: bool = True) -> nx.DiGraph:
-        """Collapse parallel edges into a simple digraph for analytics.
-
-        Edge multiplicity is preserved as a ``weight`` attribute; graph
-        analytics that are multiplicity-sensitive (degree, volume) read
-        the multigraph instead.
-
-        Nodes and adjacencies are inserted in sorted order, so the
-        projection — and every float computed over it — is a canonical
-        function of the graph's *content*, independent of the order in
-        which the builder happened to insert nodes and edges.  The
-        incremental and batch construction paths interleave insertions
-        differently; this is what keeps their feature vectors
-        bit-identical (see DESIGN.md §9).
-        """
-        simple = nx.DiGraph()
-        for host in sorted(self._host_names):
-            if not include_origin and host == self.origin:
-                continue
-            simple.add_node(host)
-        for source, target in sorted(self._pair_multiplicity):
-            if not include_origin and self.origin in (source, target):
-                continue
-            simple.add_edge(
-                source, target, weight=self._pair_multiplicity[(source, target)]
-            )
-        return simple
-
     def copy(self) -> "WebConversationGraph":
         """Deep-enough copy for incremental what-if evaluation.
 
@@ -609,8 +553,6 @@ class WebConversationGraph:
         clone._ts_max = self._ts_max
         clone._sorted_ts = None
         clone._sorted_req_ts = None
-        clone._stage_epoch = 0
-        clone._nx_cache = None
         clone._node_records = []
         for data in self._node_records:
             copied = _NodeData(kind=data.kind, ip=data.ip)

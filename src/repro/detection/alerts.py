@@ -55,7 +55,6 @@ class AlertProvenance:
             ``first_edge_ts`` — the paper's earliness measure, how far
             into the infection conversation the verdict landed.
         wcg_order / wcg_size: graph dimensions at verdict time.
-        engine: inference engine that produced the score.
         tree_votes: each tree's predicted class label.
         tree_scores: each tree's infection-class probability.
         vote_tally: ``(benign votes, infectious votes)``.
@@ -72,7 +71,6 @@ class AlertProvenance:
     time_from_first_edge: float
     wcg_order: int
     wcg_size: int
-    engine: str
     tree_votes: tuple[int, ...]
     tree_scores: tuple[float, ...]
     vote_tally: tuple[int, int]
@@ -89,7 +87,6 @@ class AlertProvenance:
             "time_from_first_edge": self.time_from_first_edge,
             "wcg_order": self.wcg_order,
             "wcg_size": self.wcg_size,
-            "engine": self.engine,
             "tree_votes": list(self.tree_votes),
             "tree_scores": list(self.tree_scores),
             "vote_tally": list(self.vote_tally),

@@ -334,7 +334,7 @@ class OnTheWireDetector:
         ``extract_batch`` pass over the pending WCGs (safe because the
         flush rule froze them; see :class:`_PendingScore`).  Per-row
         classifier output is independent of the other rows in the
-        matrix (both inference engines are elementwise across rows), so
+        matrix (arena inference is elementwise across rows), so
         each verdict is byte-identical to the single-row call the
         sequential path would have made.
         """
@@ -379,12 +379,11 @@ class OnTheWireDetector:
 
     def _trace_score(self, request: _PendingScore, score: float,
                      batch: int, latency: float | None) -> None:
-        """Emit one ``score`` event (engine, batch size, per-row
-        latency; the latency is wall-clock and thus excluded from the
-        canonical trace form)."""
+        """Emit one ``score`` event (batch size, per-row latency; the
+        latency is wall-clock and thus excluded from the canonical
+        trace form)."""
         data = {
             "score": score,
-            "engine": self.classifier.engine,
             "batch": batch,
             "order": request.wcg_order,
             "size": request.wcg_size,
@@ -530,7 +529,6 @@ class OnTheWireDetector:
             time_from_first_edge=float(now - first_edge_ts),
             wcg_order=int(request.wcg_order),
             wcg_size=int(request.wcg_size),
-            engine=self.classifier.engine,
             tree_votes=explanation["tree_votes"],
             tree_scores=explanation["tree_scores"],
             vote_tally=explanation["vote_tally"],

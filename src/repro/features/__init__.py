@@ -5,7 +5,7 @@ from repro.features.extractor import (
     extract_features,
     extract_matrix,
 )
-from repro.features.graph import graph_features
+from repro.features.graph import scalar_graph_features
 from repro.features.header import header_features
 from repro.features.high_level import high_level_features
 from repro.features.registry import (
@@ -28,10 +28,10 @@ __all__ = [
     "extract_features",
     "extract_matrix",
     "feature_names",
-    "graph_features",
     "header_features",
     "high_level_features",
     "indices_of_groups",
+    "scalar_graph_features",
     "spec_by_name",
     "temporal_features",
 ]

@@ -24,13 +24,6 @@ pass (:func:`repro.features.batch.assemble_rows`) — this is what the
 detector's ``score_batch`` flush, :func:`extract_matrix`, and
 :func:`repro.learning.dataset.dataset_from_graphs` ride.
 
-The topology tier has two engines, switched by the
-``REPRO_TOPOLOGY_ENGINE`` environment variable (or the constructor
-argument): ``fast`` (default) runs the bit-exact structural kernels of
-:mod:`repro.features.topology`; ``object`` runs the original networkx
-walk (:func:`repro.features.graph.topology_features`) and exists as the
-reference the differential tests compare against.
-
 Cache lifetime: the per-graph caches are
 :class:`weakref.WeakKeyDictionary` — entries vanish with their graph —
 and the structural LRU is bounded (``structure_cache_size``, default
@@ -40,7 +33,6 @@ millions of session graphs holds constant extractor state.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 
@@ -51,7 +43,7 @@ from repro.core.model import Trace
 from repro.core.wcg import WebConversationGraph
 from repro.exceptions import FeatureError
 from repro.features.batch import assemble_rows
-from repro.features.graph import scalar_graph_features, topology_features
+from repro.features.graph import scalar_graph_features
 from repro.features.header import header_features
 from repro.features.high_level import high_level_features
 from repro.features.registry import FEATURES, NUM_FEATURES
@@ -66,18 +58,6 @@ __all__ = ["FeatureExtractor", "extract_features", "extract_matrix",
 #: Default bound on the shared structural topology LRU.
 _STRUCTURE_CACHE_SIZE = 4096
 
-_ENGINES = ("fast", "object")
-
-
-def _default_engine() -> str:
-    """Topology engine from ``REPRO_TOPOLOGY_ENGINE`` (default ``fast``)."""
-    engine = os.environ.get("REPRO_TOPOLOGY_ENGINE", "fast").strip().lower()
-    if engine not in _ENGINES:
-        raise FeatureError(
-            f"unknown topology engine {engine!r}; expected one of {_ENGINES}"
-        )
-    return engine
-
 
 class FeatureExtractor:
     """Extractor of the 37 payload-agnostic features.
@@ -89,18 +69,8 @@ class FeatureExtractor:
     """
 
     def __init__(
-        self,
-        topology_engine: str | None = None,
-        structure_cache_size: int = _STRUCTURE_CACHE_SIZE,
+        self, structure_cache_size: int = _STRUCTURE_CACHE_SIZE
     ) -> None:
-        if topology_engine is None:
-            topology_engine = _default_engine()
-        elif topology_engine not in _ENGINES:
-            raise FeatureError(
-                f"unknown topology engine {topology_engine!r}; "
-                f"expected one of {_ENGINES}"
-            )
-        self._engine = topology_engine
         self._vector_cache: "weakref.WeakKeyDictionary[WebConversationGraph, tuple[int, np.ndarray]]" = (
             weakref.WeakKeyDictionary()
         )
@@ -121,11 +91,6 @@ class FeatureExtractor:
         self._c_topo_misses = metrics.counter("features.topology_cache_misses")
         self._c_batch_extracts = metrics.counter("features.batch_extracts")
         self._c_batch_rows = metrics.counter("features.batch_rows")
-
-    @property
-    def topology_engine(self) -> str:
-        """The active topology engine (``fast`` or ``object``)."""
-        return self._engine
 
     @property
     def structure_cache_len(self) -> int:
@@ -216,10 +181,7 @@ class FeatureExtractor:
         else:
             self._c_topo_misses.inc()
             with self._metrics.span("features.topology"):
-                if self._engine == "object":
-                    values = topology_features(wcg)
-                else:
-                    values = structural_topology_features(*key)
+                values = structural_topology_features(*key)
             self._structural[key] = values
             while len(self._structural) > self._structure_cache_size:
                 self._structural.popitem(last=False)

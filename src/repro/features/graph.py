@@ -1,21 +1,17 @@
 """Graph-centric features f7–f25 (Table II, GFs).
 
-Computed over the WCG's simple-digraph projection (parallel edges folded
-into weights) except where the paper's definition is explicitly
-multiplicity-sensitive (size, volume, degree, in/out degree, which read
-the multigraph).
-
 The nineteen features split into two cost tiers:
 
-* :func:`scalar_graph_features` — order/size/degree/density/volume and
-  the degree averages.  All are exact functions of the integer counters
-  the WCG maintains per mutation, so reading them is O(1).
-* :func:`topology_features` — diameter, reciprocity, centralities,
-  connectivity, clustering, k-hop reach.  These run real graph
-  algorithms, but every one of them is *multiplicity-invariant*: it
-  depends only on the node set and the set of distinct host pairs (none
-  consults the ``weight`` attribute).  They therefore only change when
-  ``WebConversationGraph.structure_version`` moves, which is what lets
+* :func:`scalar_graph_features` (this module) — order/size/degree/
+  density/volume and the degree averages.  All are exact functions of
+  the integer counters the WCG maintains per mutation, so reading them
+  is O(1).
+* the topology tier (:mod:`repro.features.topology`) — diameter,
+  reciprocity, centralities, connectivity, clustering, k-hop reach.
+  These run real graph algorithms, but every one of them is
+  *multiplicity-invariant*: it depends only on the node set and the set
+  of distinct host pairs, so it only changes when
+  ``WebConversationGraph.structure_version`` moves — which is what lets
   the extractor cache them across edge-multiplicity-only updates.
 
 Note on ``avg_pagerank``: the mean of PageRank values over all nodes is
@@ -28,100 +24,9 @@ keep the paper-faithful definition.
 
 from __future__ import annotations
 
-import networkx as nx
-import numpy as np
-
 from repro.core.wcg import WebConversationGraph
 
-__all__ = ["graph_features", "scalar_graph_features", "topology_features",
-           "average_node_connectivity_sampled", "avg_nodes_within_k",
-           "sample_connectivity_pairs"]
-
-#: Pair-sample cap for average node connectivity on large graphs.
-_CONNECTIVITY_PAIR_CAP = 120
-
-
-def sample_connectivity_pairs(
-    count: int,
-    pair_cap: int = _CONNECTIVITY_PAIR_CAP,
-    seed: int | None = None,
-) -> list[tuple[int, int]]:
-    """The (i, j) index pairs connectivity averages over, i < j.
-
-    All pairs when there are at most ``pair_cap``; otherwise a seeded
-    sample (default seed derived from ``count``, so the same graph order
-    always draws the same pairs).  Both the object-walk path and the
-    columnar kernels in :mod:`repro.features.topology` route through
-    this one function — sharing the rng stream *and* the enumeration
-    order is what keeps their f20 values bit-identical.
-    """
-    if count < 2:
-        return []
-    pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
-    if len(pairs) <= pair_cap:
-        return pairs
-    if seed is None:
-        seed = count * 2654435761 % (2**32)
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pairs), size=pair_cap, replace=False)
-    return [pairs[int(i)] for i in chosen]
-
-
-def average_node_connectivity_sampled(
-    graph: nx.Graph,
-    pair_cap: int = _CONNECTIVITY_PAIR_CAP,
-    seed: int | None = None,
-) -> float:
-    """Average local node connectivity over (a sample of) node pairs.
-
-    Exact for graphs whose pair count is below ``pair_cap``; otherwise a
-    deterministic sample of pairs is used — seeded from the graph order
-    by default, or from an explicit ``seed`` for reproducible runs.
-
-    The auxiliary flow network and residual network are built once and
-    reused across all pairs — the naive per-pair rebuild dominates WCG
-    feature-extraction time otherwise.
-    """
-    from networkx.algorithms.connectivity import (
-        build_auxiliary_node_connectivity,
-        local_node_connectivity,
-    )
-    from networkx.algorithms.flow import build_residual_network
-
-    nodes = list(graph.nodes)
-    count = len(nodes)
-    if count < 2:
-        return 0.0
-    pairs = [
-        (nodes[a], nodes[b])
-        for a, b in sample_connectivity_pairs(count, pair_cap, seed)
-    ]
-    auxiliary = build_auxiliary_node_connectivity(graph)
-    residual = build_residual_network(auxiliary, "capacity")
-    total = 0.0
-    for a, b in pairs:
-        total += local_node_connectivity(
-            graph, a, b, auxiliary=auxiliary, residual=residual
-        )
-    return total / len(pairs)
-
-
-def avg_nodes_within_k(graph: nx.Graph, k: int = 2) -> float:
-    """Average number of nodes within ``k`` hops of each node (f24)."""
-    if graph.number_of_nodes() == 0:
-        return 0.0
-    total = 0
-    for node in graph.nodes:
-        lengths = nx.single_source_shortest_path_length(graph, node, cutoff=k)
-        total += len(lengths) - 1  # exclude the node itself
-    return total / graph.number_of_nodes()
-
-
-def _mean(values) -> float:
-    collected = list(values)
-    if not collected:
-        return 0.0
-    return float(np.mean(collected))
+__all__ = ["scalar_graph_features"]
 
 
 def scalar_graph_features(wcg: WebConversationGraph) -> dict[str, float]:
@@ -153,63 +58,3 @@ def scalar_graph_features(wcg: WebConversationGraph) -> dict[str, float]:
         # power iteration is pure waste — compute the identity directly.
         "avg_pagerank": 1.0 / order if order > 0 else 0.0,
     }
-
-
-def topology_features(wcg: WebConversationGraph) -> dict[str, float]:
-    """The algorithmic graph features — recompute only on structure change."""
-    simple = wcg.simple_graph()
-    undirected = simple.to_undirected()
-    order = simple.number_of_nodes()
-
-    features: dict[str, float] = {}
-    if order > 1 and nx.is_connected(undirected):
-        features["diameter"] = float(nx.diameter(undirected))
-    elif order > 1:
-        components = (
-            undirected.subgraph(c) for c in nx.connected_components(undirected)
-        )
-        features["diameter"] = float(
-            max(
-                (nx.diameter(c) for c in components if c.number_of_nodes() > 1),
-                default=0,
-            )
-        )
-    else:
-        features["diameter"] = 0.0
-    features["reciprocity"] = (
-        float(nx.overall_reciprocity(simple))
-        if simple.number_of_edges() > 0
-        else 0.0
-    )
-    features["avg_degree_centrality"] = _mean(
-        nx.degree_centrality(simple).values()
-    ) if order > 1 else 0.0
-    features["avg_closeness_centrality"] = _mean(
-        nx.closeness_centrality(simple).values()
-    ) if order > 1 else 0.0
-    features["avg_betweenness_centrality"] = _mean(
-        nx.betweenness_centrality(simple, normalized=True).values()
-    ) if order > 2 else 0.0
-    features["avg_load_centrality"] = _mean(
-        nx.load_centrality(undirected, normalized=True).values()
-    ) if order > 2 else 0.0
-    features["avg_node_centrality"] = average_node_connectivity_sampled(
-        undirected
-    )
-    features["avg_clustering_coefficient"] = (
-        float(nx.average_clustering(undirected)) if order > 2 else 0.0
-    )
-    features["avg_neighbor_degree"] = _mean(
-        nx.average_neighbor_degree(undirected).values()
-    ) if order > 1 else 0.0
-    degree_conn = nx.average_degree_connectivity(undirected)
-    features["avg_degree_connectivity"] = _mean(degree_conn.values())
-    features["avg_k_nearest_neighbors"] = avg_nodes_within_k(undirected, k=2)
-    return features
-
-
-def graph_features(wcg: WebConversationGraph) -> dict[str, float]:
-    """Compute f7–f25 for one WCG (both tiers, uncached)."""
-    features = scalar_graph_features(wcg)
-    features.update(topology_features(wcg))
-    return features

@@ -2,13 +2,14 @@
 
 The eleven expensive graph features (f12, f15–f24) are functions of the
 WCG's *ordered structure* alone: the node count and the set of distinct
-directed host pairs, with nodes taken in sorted-name order (the
-canonical :meth:`~repro.core.wcg.WebConversationGraph.simple_graph`
-projection).  This module computes them from that structure directly —
-integer BFS/flow kernels plus float reductions performed in exactly the
-operation order networkx uses — so the values are **bit-identical** to
-the reference implementation in :func:`repro.features.graph.
-topology_features` while skipping all graph-object construction.
+directed host pairs, with nodes taken in sorted-name order (so the
+result depends on the graph's content, not on the builder's insertion
+order — DESIGN.md §9).  This module computes them from that structure
+directly — integer BFS/flow kernels plus float reductions performed in
+exactly the operation order networkx uses — so the values are
+**bit-identical** to the networkx reference the differential tests run
+(``tests/oracles/topology.py``) while skipping all graph-object
+construction.
 
 Because the inputs are pure structure, results are shared across
 graphs: two WCGs whose rank-pair sets coincide (common under real
@@ -23,8 +24,8 @@ graphs, exact float equality):
 * clustering, neighbor degree, degree connectivity, degree centrality
   accumulate integers and divide in node order.
 * sampled node connectivity is a unit-capacity max-flow (integer
-  values); the pair sample reuses the exact rng stream of
-  :func:`repro.features.graph.average_node_connectivity_sampled`.
+  values); the reference draws its pairs from the same
+  :func:`sample_connectivity_pairs` stream.
 * betweenness (Brandes) and load (Newman) transcribe the networkx
   implementations operation for operation onto flat rank-indexed
   lists — identical because the reference graph's insertion order *is*
@@ -39,9 +40,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.wcg import WebConversationGraph
-from repro.features.graph import sample_connectivity_pairs
 
-__all__ = ["structure_key", "structural_topology_features"]
+__all__ = ["structure_key", "structural_topology_features",
+           "sample_connectivity_pairs", "und_adjacency",
+           "diameter_and_knearest", "clustering_avg"]
+
+#: Pair-sample cap for average node connectivity on large graphs.
+_CONNECTIVITY_PAIR_CAP = 120
 
 
 def structure_key(wcg: WebConversationGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -60,7 +65,7 @@ def structure_key(wcg: WebConversationGraph) -> tuple[int, tuple[tuple[int, int]
     return len(hosts), pairs
 
 
-def _und_adjacency(n: int, pairs) -> list[list[int]]:
+def und_adjacency(n: int, pairs) -> list[list[int]]:
     """Undirected adjacency lists, neighbor order matching
     ``DiGraph.to_undirected()`` on the sorted-insertion projection."""
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -87,7 +92,7 @@ def _bfs_dists(adj: list[list[int]], src: int, n: int) -> list[int]:
     return dist
 
 
-def _diameter_and_knearest(n: int, und: list[list[int]]) -> tuple[float, float]:
+def diameter_and_knearest(n: int, und: list[list[int]]) -> tuple[float, float]:
     """f12 (max component diameter) and f24 (mean nodes within 2 hops),
     sharing one all-sources BFS sweep."""
     if n == 0:
@@ -136,7 +141,7 @@ def _degree_centrality_vals(n: int, pairs) -> list[float]:
     return [d * scale for d in deg]
 
 
-def _clustering_avg(n: int, und: list[list[int]]) -> float:
+def clustering_avg(n: int, und: list[list[int]]) -> float:
     """nx ``average_clustering``: per-node triangle ratio, then mean."""
     nbrs = [set(a) for a in und]
     coeffs = []
@@ -274,6 +279,32 @@ def _load_vals(n: int, und: list[list[int]]) -> list[float]:
     return [b * scale for b in bet]
 
 
+def sample_connectivity_pairs(
+    count: int,
+    pair_cap: int = _CONNECTIVITY_PAIR_CAP,
+    seed: int | None = None,
+) -> list[tuple[int, int]]:
+    """The (i, j) index pairs connectivity averages over, i < j.
+
+    All pairs when there are at most ``pair_cap``; otherwise a seeded
+    sample (default seed derived from ``count``, so the same graph order
+    always draws the same pairs).  Both :func:`_node_connectivity_sampled`
+    and the networkx reference in ``tests/oracles/topology.py`` route
+    through this one function — sharing the rng stream *and* the
+    enumeration order is what keeps their f20 values bit-identical.
+    """
+    if count < 2:
+        return []
+    pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
+    if len(pairs) <= pair_cap:
+        return pairs
+    if seed is None:
+        seed = count * 2654435761 % (2**32)
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(pairs), size=pair_cap, replace=False)
+    return [pairs[int(i)] for i in chosen]
+
+
 def _build_flow_net(n: int, und: list[list[int]]):
     """Node-split unit-capacity flow network as flat arc arrays.
 
@@ -350,10 +381,10 @@ def _maxflow(to, rev, init_cap, adj, cap, s, t, n2, touched, bound) -> int:
 def _node_connectivity_sampled(n: int, und: list[list[int]]) -> float:
     """f20 — mean local node connectivity over the shared pair sample.
 
-    Pair selection goes through :func:`repro.features.graph.
-    sample_connectivity_pairs` with the default order-derived seed, so
-    the columnar and object paths evaluate the *same* pairs and the
-    integer flow totals sum in the same order.
+    Pair selection goes through :func:`sample_connectivity_pairs` with
+    the default order-derived seed, so this kernel and the networkx
+    reference evaluate the *same* pairs and the integer flow totals sum
+    in the same order.
     """
     if n < 2:
         return 0.0
@@ -382,13 +413,13 @@ def structural_topology_features(
 ) -> dict[str, float]:
     """The eleven topology features of one :func:`structure_key`.
 
-    Bit-identical to :func:`repro.features.graph.topology_features` on
-    the WCG the key was taken from (see module docstring for why).
+    Bit-identical to the networkx reference on the WCG the key was
+    taken from (see module docstring for why).
     """
-    und = _und_adjacency(n, pairs)
+    und = und_adjacency(n, pairs)
     features: dict[str, float] = {}
 
-    diameter, knearest = _diameter_and_knearest(n, und)
+    diameter, knearest = diameter_and_knearest(n, und)
     features["diameter"] = diameter
 
     n_directed = len(pairs)
@@ -412,7 +443,7 @@ def structural_topology_features(
             _betweenness_vals(n, pairs)
         )
         features["avg_load_centrality"] = _mean(_load_vals(n, und))
-        features["avg_clustering_coefficient"] = _clustering_avg(n, und)
+        features["avg_clustering_coefficient"] = clustering_avg(n, und)
     else:
         features["avg_betweenness_centrality"] = 0.0
         features["avg_load_centrality"] = 0.0

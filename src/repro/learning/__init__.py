@@ -8,11 +8,7 @@ per split, probability-averaging vote (Section V-A).
 from repro.learning.compiled import CompiledForest, compile_forest
 from repro.learning.crossval import CrossValResult, cross_validate, stratified_kfold
 from repro.learning.dataset import LabeledDataset, train_test_split
-from repro.learning.forest import (
-    EnsembleRandomForest,
-    default_engine,
-    default_max_features,
-)
+from repro.learning.forest import EnsembleRandomForest, default_max_features
 from repro.learning.metrics import (
     ConfusionMatrix,
     auc,
@@ -33,7 +29,7 @@ from repro.learning.grower import (
     grow_tree_presorted,
 )
 from repro.learning.ranking import RankedFeature, gain_ratio, rank_features
-from repro.learning.tree import DecisionTreeClassifier, default_tree_engine
+from repro.learning.tree import DecisionTreeClassifier
 
 __all__ = [
     "ColumnRanks",
@@ -49,9 +45,7 @@ __all__ = [
     "compute_column_ranks",
     "confusion",
     "cross_validate",
-    "default_engine",
     "default_max_features",
-    "default_tree_engine",
     "grow_tree_presorted",
     "evaluate_scores",
     "forest_from_dict",

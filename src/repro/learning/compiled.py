@@ -32,11 +32,12 @@ Layout (a natural extension of the model-format-v2 flat node list):
   so the traversal runs a fixed iteration count with no per-level
   termination scan.
 
-Equivalence contract: every public method is **byte-identical** to the
-object-tree path.  The traversal applies the same IEEE comparison
-(``x <= threshold`` goes left; NaN compares false and goes right), and
-probability averaging accumulates per tree, in tree order, exactly like
-``EnsembleRandomForest.predict_proba`` — adding a pre-scattered row is
+Equivalence contract: every public method is **byte-identical** to
+combining the per-tree object walks (the reference combiner lives in
+``tests/oracles/forest_inference.py``).  The traversal applies the same
+IEEE comparison (``x <= threshold`` goes left; NaN compares false and
+goes right), and probability averaging accumulates per tree, in tree
+order, exactly like that reference — adding a pre-scattered row is
 bytewise the same as scattering then adding, because leaf probabilities
 are non-negative (no ``-0.0 + 0.0`` sign flips) and ``x + 0.0 == x``
 for every such ``x``.  ``tests/learning/test_compiled.py`` pins the
@@ -62,8 +63,8 @@ def compile_tree_arrays(
 
     Args:
         tree: the fitted object tree.
-        columns: forest-class column of each tree-local class (the
-            cached ``searchsorted`` alignment from the forest).
+        columns: forest-class column of each tree-local class
+            (``searchsorted(forest_classes, tree_classes)``).
         n_classes: width of the forest's class axis.
 
     Returns ``(feature, threshold, child, leaf_proba, leaf_vote, depth)``
@@ -126,7 +127,6 @@ class CompiledForest:
             offsets[index] = total
             total += len(feature)
         self.roots = offsets
-        self.node_count = total
         self.feature = np.concatenate([t[0] for t in trees])
         self.threshold = np.concatenate([t[1] for t in trees])
         # Rebase child indices (self-loops included) into the arena.
@@ -185,7 +185,7 @@ class CompiledForest:
         """Probability-averaged class matrix (the paper's ERF vote).
 
         Accumulates per tree in tree order so the result is bytewise
-        what the object path's scatter-and-add produces.
+        what the object walk's scatter-and-add produces.
         """
         X = self._validate(X)
         pos = self._leaves(X)
@@ -247,17 +247,19 @@ class CompiledForest:
 def compile_forest(forest) -> CompiledForest:
     """Compile a fitted :class:`EnsembleRandomForest` into an arena.
 
-    Uses the forest's cached per-tree class-column alignment, so the
-    compiled leaves carry rows already scattered to forest-class
-    columns.
+    A tree fitted on a degenerate bootstrap may have seen fewer classes
+    than the forest; the per-tree ``searchsorted`` alignment is baked
+    into the leaves here, so they carry rows already scattered to
+    forest-class columns.
     """
     if not forest.trees_:
         raise LearningError("cannot compile an unfitted forest")
     n_classes = len(forest._classes)
     n_features = forest.trees_[0].n_features_
-    columns = forest._tree_columns()
     trees = [
-        compile_tree_arrays(tree, columns[index], n_classes)
-        for index, tree in enumerate(forest.trees_)
+        compile_tree_arrays(
+            tree, np.searchsorted(forest._classes, tree._classes), n_classes
+        )
+        for tree in forest.trees_
     ]
     return CompiledForest(forest._classes, n_features, trees)

@@ -10,34 +10,17 @@ paper's tuned hyper-parameters are the defaults here:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from repro.exceptions import LearningError, NotFittedError
-from repro.learning.tree import (
-    _TREE_ENGINES,
-    DecisionTreeClassifier,
-    default_tree_engine,
-)
+from repro.learning.compiled import compile_forest
+from repro.learning.grower import compute_column_ranks
+from repro.learning.tree import DecisionTreeClassifier
 from repro.obs import get_registry
 from repro.parallel import parallel_map
 
-__all__ = ["EnsembleRandomForest", "default_max_features", "default_engine"]
-
-_ENGINES = ("compiled", "object")
-
-
-def default_engine() -> str:
-    """Inference engine used when the constructor is not told otherwise.
-
-    ``"compiled"`` (the default) runs predictions through the
-    struct-of-arrays arena of :mod:`repro.learning.compiled`;
-    ``"object"`` walks the linked ``_Node`` trees.  Both produce
-    byte-identical output — the env override (``REPRO_FOREST_ENGINE``)
-    exists for A/B benchmarking, not behaviour.
-    """
-    return os.environ.get("REPRO_FOREST_ENGINE", "compiled")
+__all__ = ["EnsembleRandomForest", "default_max_features"]
 
 
 def default_max_features(n_features: int) -> int:
@@ -62,13 +45,6 @@ def _bootstrap_indices(y: np.ndarray, n_classes: int, seed: int) -> np.ndarray:
     return sample
 
 
-def _bootstrap_sample(
-    X: np.ndarray, y: np.ndarray, n_classes: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    sample = _bootstrap_indices(y, n_classes, seed)
-    return X[sample], y[sample]
-
-
 #: Per-worker fit context installed by :func:`_init_fit_context`.  The
 #: training matrix (and its presorted rank codes) cross the process
 #: pool once per worker through the pool initializer instead of being
@@ -82,11 +58,10 @@ def _init_fit_context(
     n_classes: int,
     params: dict,
     bootstrap: bool,
-    tree_engine: str,
     ranks,
 ) -> None:
     global _FIT_CONTEXT
-    _FIT_CONTEXT = (X, y, n_classes, params, bootstrap, tree_engine, ranks)
+    _FIT_CONTEXT = (X, y, n_classes, params, bootstrap, ranks)
 
 
 def _clear_fit_context() -> None:
@@ -103,20 +78,17 @@ def _fit_tree(job: tuple) -> DecisionTreeClassifier:
     the matrix is never serialized per tree.
     """
     bootstrap_seed, tree_seed = job
-    X, y, n_classes, params, bootstrap, tree_engine, ranks = _FIT_CONTEXT
+    X, y, n_classes, params, bootstrap, ranks = _FIT_CONTEXT
     if bootstrap:
         sample = _bootstrap_indices(y, n_classes, bootstrap_seed)
         Xb, yb = X[sample], y[sample]
-        if ranks is not None:
-            # The rank codes are row-aligned with X: the bootstrap
-            # restriction is a column gather, far cheaper than the
-            # per-column argsorts they replace.
-            ranks = ranks._replace(codes=ranks.codes[:, sample])
+        # The rank codes are row-aligned with X: the bootstrap
+        # restriction is a column gather, far cheaper than the
+        # per-column argsorts they replace.
+        ranks = ranks._replace(codes=ranks.codes[:, sample])
     else:
         Xb, yb = X, y
-    tree = DecisionTreeClassifier(
-        random_state=tree_seed, engine=tree_engine, **params
-    )
+    tree = DecisionTreeClassifier(random_state=tree_seed, **params)
     return tree.fit(Xb, yb, column_ranks=ranks)
 
 
@@ -135,17 +107,6 @@ class EnsembleRandomForest:
             from it.
         n_jobs: default process count for :meth:`fit` (``None`` = serial,
             ``-1`` = all cores).  Any value yields byte-identical trees.
-        engine: ``"compiled"`` (vectorized arena, the default) or
-            ``"object"`` (linked-node walk); ``None`` reads
-            :func:`default_engine`.  Output is byte-identical either
-            way; the compiled arena is rebuilt automatically on
-            :meth:`fit` and on load.
-        tree_engine: training engine for each tree — ``"presort"``
-            (presorted-partition growth, the default) or ``"legacy"``;
-            ``None`` reads
-            :func:`repro.learning.tree.default_tree_engine`.  Both grow
-            byte-identical trees; with ``"presort"`` the forest
-            presorts the matrix once and every bootstrap reuses it.
     """
 
     def __init__(
@@ -160,21 +121,11 @@ class EnsembleRandomForest:
         bootstrap: bool = True,
         random_state: int | None = None,
         n_jobs: int | None = None,
-        engine: str | None = None,
-        tree_engine: str | None = None,
     ):
         if n_trees < 1:
             raise LearningError("n_trees must be >= 1")
         if voting not in ("average", "majority"):
             raise LearningError(f"unknown voting mode {voting!r}")
-        if engine is None:
-            engine = default_engine()
-        if engine not in _ENGINES:
-            raise LearningError(f"unknown inference engine {engine!r}")
-        if tree_engine is None:
-            tree_engine = default_tree_engine()
-        if tree_engine not in _TREE_ENGINES:
-            raise LearningError(f"unknown tree engine {tree_engine!r}")
         self.n_trees = n_trees
         self.max_features = max_features
         self.max_depth = max_depth
@@ -185,16 +136,11 @@ class EnsembleRandomForest:
         self.bootstrap = bootstrap
         self.random_state = random_state
         self.n_jobs = n_jobs
-        self.engine = engine
-        self.tree_engine = tree_engine
         self.trees_: list[DecisionTreeClassifier] = []
         self._classes: np.ndarray | None = None
         #: Compiled struct-of-arrays arena (repro.learning.compiled);
         #: rebuilt on fit/load, dropped from pickles and rebuilt lazily.
         self._compiled = None
-        #: Per-tree forest-class column alignment, cached because the
-        #: tree set only changes on fit/load (satellite of ISSUE 4).
-        self._tree_cols: list[np.ndarray] | None = None
 
     def fit(
         self, X: np.ndarray, y: np.ndarray, n_jobs: int | None = None
@@ -230,13 +176,9 @@ class EnsembleRandomForest:
             "max_features": k,
             "criterion": self.criterion,
         }
-        ranks = None
-        if self.tree_engine == "presort":
-            # Presort the matrix once; every bootstrap restricts the
-            # rank codes by a column gather inside the worker.
-            from repro.learning.grower import compute_column_ranks
-
-            ranks = compute_column_ranks(X)
+        # Presort the matrix once; every bootstrap restricts the rank
+        # codes by a column gather inside the worker.
+        ranks = compute_column_ranks(X)
         jobs = [
             (int(seeds[index, 0]), int(seeds[index, 1]))
             for index in range(self.n_trees)
@@ -249,38 +191,20 @@ class EnsembleRandomForest:
                 n_jobs=effective,
                 initializer=_init_fit_context,
                 initargs=(X, y, len(self._classes), params,
-                          self.bootstrap, self.tree_engine, ranks),
+                          self.bootstrap, ranks),
             )
         finally:
             # The serial path installs the context in this process.
             _clear_fit_context()
-        # Refit invalidates the previous arena and column cache.
-        self._tree_cols = None
-        self._compiled = None
-        if self.engine == "compiled":
-            self.compile()
+        # Refit replaces the previous arena.
+        self.compile()
         return self
 
     def _check_fitted(self) -> None:
         if not self.trees_:
             raise NotFittedError("fit() must be called before predict")
 
-    # -- compiled-engine plumbing -------------------------------------------
-
-    def _tree_columns(self) -> list[np.ndarray]:
-        """Forest-class column of each tree's local classes, cached.
-
-        A tree fitted on a degenerate bootstrap may have seen fewer
-        classes than the forest; this alignment scatters its output
-        into the right columns.  The tree set only changes on fit/load,
-        so the ``searchsorted`` runs once, not on every predict call.
-        """
-        if self._tree_cols is None or len(self._tree_cols) != len(self.trees_):
-            self._tree_cols = [
-                np.searchsorted(self._classes, tree._classes)
-                for tree in self.trees_
-            ]
-        return self._tree_cols
+    # -- compiled-arena plumbing --------------------------------------------
 
     def compile(self):
         """(Re)build the vectorized inference arena; returns it.
@@ -289,10 +213,7 @@ class EnsembleRandomForest:
         persistence loader; call manually after mutating ``trees_`` in
         place (tests do) to resynchronize.
         """
-        from repro.learning.compiled import compile_forest
-
         self._check_fitted()
-        self._tree_cols = None
         get_registry().counter("forest.arena_rebuilds").inc()
         self._compiled = compile_forest(self)
         return self._compiled
@@ -306,57 +227,30 @@ class EnsembleRandomForest:
         return compiled
 
     # -- pickling -------------------------------------------------------------
-    # Process pools ship forests between workers; the arena and column
-    # cache are derived data, so drop them to keep payloads lean — both
-    # rebuild lazily on first predict.
+    # Process pools ship forests between workers; the arena is derived
+    # data, so drop it to keep payloads lean — it rebuilds lazily on
+    # first predict.
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_compiled"] = None
-        state["_tree_cols"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Forests pickled before the training-engine knob existed.
-        self.__dict__.setdefault("tree_engine", default_tree_engine())
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability matrix.
 
         ``"average"`` voting returns the mean of per-tree probabilistic
-        predictions; ``"majority"`` returns hard-vote fractions.  Both
-        engines produce byte-identical matrices.
+        predictions; ``"majority"`` returns hard-vote fractions.
         """
         self._check_fitted()
         registry = get_registry()
         if registry.enabled:
-            registry.counter("forest.rows_scored." + self.engine).inc(len(X))
+            registry.counter("forest.rows_scored").inc(len(X))
             registry.histogram("forest.batch_rows").observe(len(X))
-        if self.engine == "compiled":
-            compiled = self._compiled_forest()
-            if self.voting == "average":
-                return compiled.predict_proba(X)
-            return compiled.vote_fractions(X)
-        X = np.asarray(X, dtype=np.float64)
-        n_classes = len(self._classes)
-        columns = self._tree_columns()
+        compiled = self._compiled_forest()
         if self.voting == "average":
-            total = np.zeros((len(X), n_classes))
-            for index, tree in enumerate(self.trees_):
-                # Trees may have seen fewer classes in a degenerate
-                # bootstrap; align columns via the cached mapping.
-                total[:, columns[index]] += tree.predict_proba(X)
-            # Normalize by the trees actually present: a payload loaded
-            # from disk may carry fewer trees than n_trees claims.
-            return total / len(self.trees_)
-        votes = np.zeros((len(X), n_classes))
-        row_index = np.arange(len(X))
-        for index, tree in enumerate(self.trees_):
-            # Leaf argmax indices map through the cached alignment —
-            # no per-sample label searchsorted, no (n, C) proba matrix.
-            votes[row_index, columns[index][tree._predict_indices(X)]] += 1
-        return votes / len(self.trees_)
+            return compiled.predict_proba(X)
+        return compiled.vote_fractions(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted class labels."""
@@ -395,13 +289,11 @@ class EnsembleRandomForest:
         * ``feature_path_counts`` — how many split nodes across all
           trees tested each feature on this row's paths.
 
-        Always runs on the compiled arena (one vectorized pass, see
+        One vectorized pass over the compiled arena (see
         :meth:`CompiledForest.explain <repro.learning.compiled.
-        CompiledForest.explain>`) regardless of the configured
-        inference engine, and bypasses the ``forest.rows_scored``
-        instrumentation — explanation must not perturb the scoring
-        metrics.  With ``engine="object"`` the arena is compiled on
-        first use (one visible ``forest.arena_rebuilds`` tick).
+        CompiledForest.explain>`) that bypasses the
+        ``forest.rows_scored`` instrumentation — explanation must not
+        perturb the scoring metrics.
         """
         self._check_fitted()
         compiled = self._compiled_forest()

@@ -1,14 +1,13 @@
 """Presorted-partition tree growth: the exact vectorized training engine.
 
-The legacy grower (``DecisionTreeClassifier`` with ``engine="legacy"``)
+The legacy grower — the original per-node argsort formulation, kept as
+the test reference ``tests.oracles.tree_growth.grow_tree_reference`` —
 re-argsorts every candidate feature column at every tree node with a
 *comparison* sort (float64 timsort), allocates a fresh
 ``(n_samples, n_classes)`` one-hot matrix per feature per node, and
-evaluates the split gain at **every** band position — the last
-object-walk hot path left in the stack after inference went
-struct-of-arrays (DESIGN.md §10) and extraction went columnar (§14).
+evaluates the split gain at **every** band position.
 
-This module replaces all three costs:
+This module avoids all three costs:
 
 * **Presort once.** Each feature column is stable-argsorted **once**
   (per tree, or once per *forest* when the caller passes
@@ -30,8 +29,8 @@ This module replaces all three costs:
 Byte-identity contract: the gain arithmetic — dtype, operation order,
 strict-``>`` tie-breaks across candidate features, first-max tie-breaks
 across split positions, and the threshold-midpoint clamp — is kept
-operation-for-operation identical to ``tree._best_split``, and the RNG
-draw for ``max_features`` candidate sampling happens in the same
+operation-for-operation identical to the legacy ``_best_split``, and the
+RNG draw for ``max_features`` candidate sampling happens in the same
 preorder (node, left subtree, right subtree) position.  The engine
 therefore grows **byte-identical trees** to the legacy grower (proven
 by the differential suite in ``tests/learning/test_grower.py``).
@@ -68,7 +67,6 @@ from repro.learning.tree import _CRITERIA, _Node
 __all__ = [
     "presort_columns",
     "restrict_sorted",
-    "partition_sorted",
     "class_cumulative_counts",
     "ColumnRanks",
     "compute_column_ranks",
@@ -101,23 +99,6 @@ def restrict_sorted(sorted_idx: np.ndarray, keep: np.ndarray) -> np.ndarray:
     n_keep = int(np.count_nonzero(keep))
     mt = keep[sorted_idx].T  # (n_features, n) selection mask
     return sorted_idx.T[mt].reshape(-1, n_keep).T
-
-
-def partition_sorted(
-    sorted_idx: np.ndarray, goes_left: np.ndarray, n_left: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable two-way partition of presorted index columns.
-
-    Splits every column of ``sorted_idx`` into the rows flagged in
-    ``goes_left`` and the rest, preserving each column's sorted order.
-    ``n_left`` is the number of flagged rows present in the columns
-    (each column contains the same row set, so it is shared).
-    """
-    mt = goes_left[sorted_idx].T
-    idx_t = sorted_idx.T
-    left = idx_t[mt].reshape(-1, n_left).T
-    right = idx_t[~mt].reshape(-1, sorted_idx.shape[0] - n_left).T
-    return left, right
 
 
 def class_cumulative_counts(
@@ -244,8 +225,8 @@ def grow_tree_presorted(
     it once per matrix and gathers it through each bootstrap); when
     omitted it is computed here.  Returns the root
     :class:`~repro.learning.tree._Node` of a tree byte-identical to
-    what ``DecisionTreeClassifier._grow`` produces for the same inputs
-    and RNG state.
+    what the legacy reference grower produces for the same inputs and
+    RNG state.
     """
     n_samples, n_features = X.shape
     k = max_features or n_features

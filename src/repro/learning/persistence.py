@@ -10,8 +10,8 @@ Format version 2 stores each tree as a *flat* preorder node list with
 child indices (see :func:`repro.learning.tree.flatten_nodes`).  The
 version-1 nested encoding mirrored the tree shape, so a fully-grown
 tree (default ``max_depth=None``) could exceed the recursion limit of
-both this module's walkers and the stdlib ``json`` encoder/decoder;
-version-1 payloads are still readable.
+the stdlib ``json`` encoder/decoder; version-1 payloads are rejected
+(re-save the model with ``dynaminer train``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.exceptions import LearningError
 from repro.learning.forest import EnsembleRandomForest
 from repro.learning.tree import (
     DecisionTreeClassifier,
-    _Node,
     flatten_nodes,
     unflatten_nodes,
 )
@@ -33,25 +32,6 @@ __all__ = ["forest_to_dict", "forest_from_dict", "save_forest",
            "load_forest"]
 
 _FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
-
-
-def _node_from_dict(data: dict) -> _Node:
-    """Decode the version-1 nested encoding with an explicit stack."""
-    root = _Node()
-    stack = [(data, root)]
-    while stack:
-        payload, node = stack.pop()
-        if "proba" in payload:
-            node.proba = np.array(payload["proba"], dtype=np.float64)
-        else:
-            node.feature = int(payload["feature"])
-            node.threshold = float(payload["threshold"])
-            node.left = _Node()
-            node.right = _Node()
-            stack.append((payload["right"], node.right))
-            stack.append((payload["left"], node.left))
-    return root
 
 
 def _tree_to_dict(tree: DecisionTreeClassifier) -> dict:
@@ -69,10 +49,7 @@ def _tree_from_dict(data: dict) -> DecisionTreeClassifier:
     tree._classes = np.array(data["classes"])
     tree._n_classes = len(tree._classes)
     tree.n_features_ = int(data["n_features"])
-    if "nodes" in data:
-        tree._root = unflatten_nodes(data["nodes"])
-    else:  # version-1 nested encoding
-        tree._root = _node_from_dict(data["root"])
+    tree._root = unflatten_nodes(data["nodes"])
     return tree
 
 
@@ -102,8 +79,11 @@ def forest_from_dict(data: dict) -> EnsembleRandomForest:
     if data.get("model") != "EnsembleRandomForest":
         raise LearningError(f"not a forest payload: {data.get('model')!r}")
     version = data.get("format_version")
-    if version not in _READABLE_VERSIONS:
-        raise LearningError(f"unsupported model format version: {version}")
+    if version != _FORMAT_VERSION:
+        raise LearningError(
+            f"unsupported model format version: {version} "
+            "(re-save the model with `dynaminer train`)"
+        )
     n_trees = int(data["n_trees"])
     trees = data["trees"]
     if len(trees) != n_trees:
@@ -127,10 +107,8 @@ def forest_from_dict(data: dict) -> EnsembleRandomForest:
     forest._classes = np.array(data["classes"])
     forest.trees_ = [_tree_from_dict(t) for t in trees]
     # A loaded model is about to serve the wire: build the vectorized
-    # inference arena now (both v1 and v2 payloads) rather than on the
-    # first live classification.
-    if forest.engine == "compiled":
-        forest.compile()
+    # inference arena now rather than on the first live classification.
+    forest.compile()
     return forest
 
 

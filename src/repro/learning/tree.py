@@ -9,7 +9,6 @@ rather than majority-voting (Section V-A).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,27 +21,9 @@ if TYPE_CHECKING:  # grower imports from this module; keep one-way at runtime
 
 __all__ = [
     "DecisionTreeClassifier",
-    "default_tree_engine",
     "flatten_nodes",
     "unflatten_nodes",
 ]
-
-_TREE_ENGINES = ("presort", "legacy")
-
-
-def default_tree_engine() -> str:
-    """Training engine used when the constructor is not told otherwise.
-
-    ``"presort"`` (the default) grows trees through the
-    presorted-partition engine of :mod:`repro.learning.grower` — each
-    feature column argsorted once (per tree, or per forest) into rank
-    codes, per-node order recovered by linear-time radix passes;
-    ``"legacy"`` keeps the original per-node argsort grower.  Both grow
-    **byte-identical** trees — the env override (``REPRO_TREE_ENGINE``)
-    exists for A/B benchmarking and as a fallback escape hatch, not
-    behaviour.
-    """
-    return os.environ.get("REPRO_TREE_ENGINE", "presort")
 
 
 @dataclass
@@ -138,10 +119,6 @@ class DecisionTreeClassifier:
         max_features: features examined per split (``None`` = all).
         criterion: ``"gini"`` or ``"entropy"``.
         random_state: seed for the per-split feature subsampling.
-        engine: ``"presort"`` (presorted-partition growth, the default)
-            or ``"legacy"`` (per-node argsort); ``None`` reads
-            :func:`default_tree_engine`.  The grown tree is
-            byte-identical either way.
     """
 
     def __init__(
@@ -152,15 +129,9 @@ class DecisionTreeClassifier:
         max_features: int | None = None,
         criterion: str = "gini",
         random_state: int | None = None,
-        engine: str | None = None,
     ):
         if criterion not in _CRITERIA:
             raise LearningError(f"unknown criterion {criterion!r}")
-        if engine is None:
-            engine = default_tree_engine()
-        if engine not in _TREE_ENGINES:
-            raise LearningError(f"unknown tree engine {engine!r}")
-        self.engine = engine
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -187,8 +158,7 @@ class DecisionTreeClassifier:
         :class:`repro.learning.grower.ColumnRanks` whose codes align
         with ``X``'s rows, letting a caller fitting many trees on
         bootstraps of one matrix (the forest) pay the per-column float
-        argsort once instead of per tree.  The legacy engine ignores it
-        (it derives nothing from presorted structure).
+        argsort once instead of per tree.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
@@ -203,84 +173,23 @@ class DecisionTreeClassifier:
         self._classes, encoded = np.unique(y, return_inverse=True)
         self._n_classes = len(self._classes)
         self.n_features_ = X.shape[1]
-        self._impurity = _CRITERIA[self.criterion]
-        self._rng = np.random.default_rng(self.random_state)
-        if self.engine == "presort":
-            # Imported here: grower imports _Node/_CRITERIA from this
-            # module, so the dependency must stay one-way at import time.
-            from repro.learning.grower import grow_tree_presorted
+        # Imported here: grower imports _Node/_CRITERIA from this
+        # module, so the dependency must stay one-way at import time.
+        from repro.learning.grower import grow_tree_presorted
 
-            self._root = grow_tree_presorted(
-                X,
-                encoded,
-                self._n_classes,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                criterion=self.criterion,
-                rng=self._rng,
-                column_ranks=column_ranks,
-            )
-        else:
-            self._root = self._grow(X, encoded, depth=0)
+        self._root = grow_tree_presorted(
+            X,
+            encoded,
+            self._n_classes,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+            criterion=self.criterion,
+            rng=np.random.default_rng(self.random_state),
+            column_ranks=column_ranks,
+        )
         return self
-
-    def _leaf_proba(self, y: np.ndarray) -> np.ndarray:
-        counts = np.bincount(y, minlength=self._n_classes).astype(np.float64)
-        return counts / counts.sum()
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        """Grow a (sub)tree with an explicit work stack (legacy engine).
-
-        Iterative rather than recursive so the default ``max_depth=None``
-        can grow trees deeper than the interpreter recursion limit.  The
-        stack pops in the recursive preorder (node, left subtree, right
-        subtree), so the per-split RNG draws — and hence the grown tree —
-        are identical to what the recursive formulation produced.
-
-        This is the reference grower the presorted-partition engine
-        (:mod:`repro.learning.grower`, the default) is differentially
-        tested against; its arithmetic is the byte-identity contract and
-        must not drift.
-        """
-        root = _Node()
-        stack: list[tuple[np.ndarray, np.ndarray, int, _Node]] = [
-            (X, y, depth, root)
-        ]
-        while stack:
-            X_part, y_part, node_depth, node = stack.pop()
-            n_samples = len(y_part)
-            if (
-                n_samples < self.min_samples_split
-                or (self.max_depth is not None
-                    and node_depth >= self.max_depth)
-                or len(np.unique(y_part)) == 1
-            ):
-                node.proba = self._leaf_proba(y_part)
-                continue
-            split = self._best_split(X_part, y_part)
-            if split is None:
-                node.proba = self._leaf_proba(y_part)
-                continue
-            feature, threshold = split
-            mask = X_part[:, feature] <= threshold
-            if not mask.any() or mask.all():
-                # Degenerate split (can only stem from float pathology).
-                node.proba = self._leaf_proba(y_part)
-                continue
-            node.feature = feature
-            node.threshold = threshold
-            node.left = _Node()
-            node.right = _Node()
-            # Right first so the left child pops (and draws RNG) first.
-            stack.append(
-                (X_part[~mask], y_part[~mask], node_depth + 1, node.right)
-            )
-            stack.append(
-                (X_part[mask], y_part[mask], node_depth + 1, node.left)
-            )
-        return root
 
     # -- pickling ------------------------------------------------------------
     # Process pools ship fitted trees between workers; the nested _Node
@@ -289,7 +198,6 @@ class DecisionTreeClassifier:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_impurity", None)  # module-level fn, rebound on restore
         if state.get("_root") is not None:
             state["_root"] = flatten_nodes(state["_root"])
         return state
@@ -298,86 +206,6 @@ class DecisionTreeClassifier:
         root = state.pop("_root", None)
         self.__dict__.update(state)
         self._root = unflatten_nodes(root) if root is not None else None
-        self._impurity = _CRITERIA[self.criterion]
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> tuple[int, float] | None:
-        n_samples, n_features = X.shape
-        k = self.max_features or n_features
-        k = min(k, n_features)
-        candidates = (
-            self._rng.choice(n_features, size=k, replace=False)
-            if k < n_features
-            else np.arange(n_features)
-        )
-        parent_counts = np.bincount(y, minlength=self._n_classes).astype(float)
-        parent_impurity = self._impurity(parent_counts)
-        best_gain = 1e-12
-        best: tuple[int, float] | None = None
-        min_leaf = self.min_samples_leaf
-        for feature in candidates:
-            column = X[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_col = column[order]
-            sorted_y = y[order]
-            # One-hot cumulative class counts along the sorted column.
-            onehot = np.zeros((n_samples, self._n_classes))
-            onehot[np.arange(n_samples), sorted_y] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            # Valid split positions: between distinct consecutive values.
-            diffs = np.nonzero(np.diff(sorted_col) > 0)[0]
-            if diffs.size == 0:
-                continue
-            positions = diffs[
-                (diffs + 1 >= min_leaf) & (n_samples - diffs - 1 >= min_leaf)
-            ]
-            if positions.size == 0:
-                continue
-            left_counts = cum[positions]
-            right_counts = parent_counts - left_counts
-            left_sizes = (positions + 1).astype(float)
-            right_sizes = n_samples - left_sizes
-            # Vectorized impurity for all positions.
-            if self.criterion == "gini":
-                left_imp = 1.0 - np.sum(
-                    (left_counts / left_sizes[:, None]) ** 2, axis=1
-                )
-                right_imp = 1.0 - np.sum(
-                    (right_counts / right_sizes[:, None]) ** 2, axis=1
-                )
-            else:
-                left_frac = left_counts / left_sizes[:, None]
-                right_frac = right_counts / right_sizes[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    left_imp = -np.nansum(
-                        np.where(left_frac > 0,
-                                 left_frac * np.log2(left_frac), 0.0),
-                        axis=1,
-                    )
-                    right_imp = -np.nansum(
-                        np.where(right_frac > 0,
-                                 right_frac * np.log2(right_frac), 0.0),
-                        axis=1,
-                    )
-            weighted = (
-                left_sizes * left_imp + right_sizes * right_imp
-            ) / n_samples
-            gains = parent_impurity - weighted
-            top = int(np.argmax(gains))
-            if gains[top] > best_gain:
-                best_gain = float(gains[top])
-                position = positions[top]
-                threshold = (
-                    sorted_col[position] + sorted_col[position + 1]
-                ) / 2.0
-                # Adjacent floats can make the midpoint round up to the
-                # upper value; clamp so `<= threshold` keeps the split
-                # non-degenerate.
-                if threshold >= sorted_col[position + 1]:
-                    threshold = sorted_col[position]
-                best = (int(feature), float(threshold))
-        return best
 
     # -- prediction ----------------------------------------------------------
 
@@ -398,33 +226,10 @@ class DecisionTreeClassifier:
             out[index] = node.proba
         return out
 
-    def _predict_indices(self, X: np.ndarray) -> np.ndarray:
-        """Tree-local class index of each row's leaf argmax.
-
-        Walks each row to its leaf and argmaxes the leaf vector in
-        place — no ``(n, n_classes)`` probability matrix is
-        materialized, which matters when the forest's majority-voting
-        branch calls this per tree.  Ties resolve to the first index,
-        i.e. the lowest class label (``_classes`` is sorted).
-        """
-        if self._root is None:
-            raise NotFittedError("fit() must be called before predict")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise LearningError(
-                f"expected shape (*, {self.n_features_}), got {X.shape}"
-            )
-        out = np.empty(len(X), dtype=np.intp)
-        for index, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[index] = node.proba.argmax()
-        return out
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels (ties break to the lowest label)."""
-        return self._classes[self._predict_indices(X)]
+        """Predicted class labels (argmax ties break to the first index,
+        i.e. the lowest label — ``_classes`` is sorted)."""
+        return self._classes[self.predict_proba(X).argmax(axis=1)]
 
     @property
     def depth(self) -> int:

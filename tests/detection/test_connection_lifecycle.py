@@ -100,10 +100,13 @@ class TestLongRunLifecycle:
         assert len(decoder._pairers) == total
 
     def test_live_connections_never_evicted(self):
-        """The cap sheds *new* flows; established ones keep decoding."""
-        decoder = LiveDecoder(policy=OverloadPolicy(
-            max_connections=1, closed_linger=1.0,
-        ))
+        """The cap sheds *new* flows (counted as ``decode.dropped``);
+        established ones keep decoding."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            decoder = LiveDecoder(policy=OverloadPolicy(
+                max_connections=1, closed_linger=1.0,
+            ))
         hosts = HostAllocator()
         ip_a, port_a = hosts.client()
         ip_b, port_b = hosts.client()
@@ -124,6 +127,7 @@ class TestLongRunLifecycle:
             transactions.extend(decoder.feed(packet))
         transactions.extend(decoder.flush())
         assert [t.request.uri for t in transactions] == ["/kept"]
+        assert registry.snapshot()["counters"]["decode.dropped"] > 0
 
 
 class TestSpoofedSyn:

@@ -23,6 +23,7 @@ from repro.obs import (
     use_registry,
 )
 from tests.conftest import make_txn
+from tests.oracles.topology import simple_graph
 
 
 def _merged_capture(small_corpus):
@@ -112,8 +113,8 @@ class TestMetricsAreInert:
         for ours, theirs in zip(obs_txns, base_txns):
             assert ours.request == theirs.request
             assert ours.response == theirs.response
-        base_graph = base_wcg.simple_graph()
-        obs_graph = obs_wcg.simple_graph()
+        base_graph = simple_graph(base_wcg)
+        obs_graph = simple_graph(obs_wcg)
         assert set(obs_graph.nodes) == set(base_graph.nodes)
         assert set(obs_graph.edges) == set(base_graph.edges)
         assert np.array_equal(obs_vector, base_vector)
@@ -185,6 +186,9 @@ class TestCountersMatchGroundTruth:
         ):
             assert counters[name] > 0, name
         assert counters["decode.packets"] == len(packets)
+        assert counters["http.transactions"] == live.transactions_emitted
+        assert counters["http.requests"] >= live.transactions_emitted
+        assert counters["reassembly.segments"] > 0
 
         histograms = snapshot["histograms"]
         for name in (
@@ -197,10 +201,7 @@ class TestCountersMatchGroundTruth:
             assert histograms[name]["count"] > 0, name
             assert histograms[name]["p50"] is not None, name
         assert (histograms["detector.score_latency_seconds"]["min"] or 0) >= 0
+        assert histograms["span.decode.feed"]["count"] == len(packets)
 
-        # Engine-tagged forest counter matches the scoring volume.
-        engine_rows = sum(
-            value for name, value in counters.items()
-            if name.startswith("forest.rows_scored.")
-        )
-        assert engine_rows >= detector.classifications
+        # The forest counter matches the scoring volume.
+        assert counters["forest.rows_scored"] >= detector.classifications

@@ -143,7 +143,6 @@ class TestProvenanceGroundTruth:
             prov = alert.provenance
             assert prov.wcg_order == alert.wcg_order
             assert prov.wcg_size == alert.wcg_size
-            assert prov.engine == trained_model.engine
             # The clue chain starts at (or before) the alerting clue.
             assert prov.clue_chain
             assert prov.clues_total >= len(prov.clue_chain) > 0

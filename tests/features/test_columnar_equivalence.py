@@ -3,13 +3,13 @@
 Three byte-identity properties over the same corpus-derived streams the
 live/batch differential uses:
 
-* **engine parity** — the fast structural topology kernels
-  (``REPRO_TOPOLOGY_ENGINE=fast``) equal the networkx object walk
-  (``object``) on every construction prefix, in-order and shuffled;
+* **reference parity** — the structural topology kernels equal the
+  networkx walk (``tests.oracles.topology``) on every construction
+  prefix, in-order and shuffled, and on random digraphs;
 * **batch parity** — ``extract_batch`` / ``extract_matrix_batch`` rows
   equal per-graph ``extract`` rows, bit for bit;
 * **pair-sample sharing** — the connectivity pair sample is one seeded
-  stream shared by both paths, and an explicit seed reproduces it.
+  stream shared with the reference, and an explicit seed reproduces it.
 
 Plus bounding regressions: the structural topology LRU must hold at
 most its configured entry count no matter how many distinct graphs a
@@ -22,17 +22,26 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import WCGBuilder, build_wcg
+from repro.core.wcg import KIND_REQUEST, WebConversationGraph
 from repro.features.extractor import (
     FeatureExtractor,
     extract_matrix_batch,
 )
-from repro.features.graph import (
-    average_node_connectivity_sampled,
+from repro.features.registry import feature_names
+from repro.features.topology import (
     sample_connectivity_pairs,
+    structural_topology_features,
+    structure_key,
 )
 from repro.synthesis.corpus import ground_truth_corpus
+from tests.oracles.topology import (
+    average_node_connectivity_sampled,
+    topology_features,
+)
 
 _PREFIX_CAP = 24  # transactions per stream (keeps the O(n^2) walk fast)
 
@@ -55,22 +64,50 @@ def _streams():
     "label, txns", _streams(),
     ids=lambda value: value if isinstance(value, str) else "",
 )
-def test_fast_engine_matches_object_walk_per_prefix(label, txns):
-    """The structural kernels equal the networkx reference after every
-    construction prefix — including out-of-order replays."""
+def test_kernels_match_networkx_reference_per_prefix(label, txns):
+    """The extracted topology values equal the networkx reference after
+    every construction prefix — including out-of-order replays (the
+    live graph grows incrementally; the reference sees a fresh batch
+    build of the same prefix)."""
     builder = WCGBuilder()
-    fast = FeatureExtractor(topology_engine="fast")
+    extractor = FeatureExtractor()
     for count in range(1, len(txns) + 1):
         builder.add(txns[count - 1])
-        live = builder.build()
-        fast_vector = fast.extract(live)
-        object_vector = FeatureExtractor(topology_engine="object").extract(
-            build_wcg(txns[:count])
+        by_name = dict(zip(feature_names(), extractor.extract(builder.build())))
+        reference = topology_features(build_wcg(txns[:count]))
+        extracted = {name: by_name[name] for name in reference}
+        assert _bits(extracted) == _bits(reference), (
+            f"divergence after prefix of {count} ({label}): "
+            f"{extracted} != {reference}"
         )
-        assert fast_vector.tobytes() == object_vector.tobytes(), (
-            f"engine divergence after prefix of {count} ({label}): "
-            f"{fast_vector - object_vector}"
-        )
+
+
+def _bits(features):
+    return {name: np.float64(value).tobytes()
+            for name, value in features.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_hosts=st.integers(1, 9),
+    pairs=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30
+    ),
+)
+def test_kernels_match_networkx_reference_on_random_digraphs(n_hosts, pairs):
+    """Shapes the corpus never produces: disconnected components,
+    isolated hosts, dense reciprocal cliques, repeated pairs."""
+    wcg = WebConversationGraph(victim="h0")
+    for host in range(n_hosts):
+        wcg.add_node(f"h{host}")
+    for step, (a, b) in enumerate(pairs):
+        a, b = a % n_hosts, b % n_hosts
+        if a != b:
+            wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_REQUEST,
+                            timestamp=float(step), stage=0)
+    assert _bits(structural_topology_features(*structure_key(wcg))) == (
+        _bits(topology_features(wcg))
+    )
 
 
 def _corpus_graphs(scale=0.05, seed=173):
@@ -119,7 +156,7 @@ class TestPairSampling:
                 != sample_connectivity_pairs(40, pair_cap=50, seed=8))
 
     def test_default_seed_derives_from_count(self):
-        # The order-derived default is what both extraction paths share.
+        # The order-derived default is what kernel and reference share.
         assert (sample_connectivity_pairs(40, pair_cap=50)
                 == sample_connectivity_pairs(
                     40, pair_cap=50, seed=40 * 2654435761 % (2**32)))
@@ -168,11 +205,6 @@ class TestStructuralCacheBounds:
         counters = registry.snapshot()["counters"]
         assert counters["features.topology_cache_misses"] == 1
         assert counters["features.topology_cache_hits"] == 1
-
-    def test_unknown_engine_rejected(self):
-        from repro.exceptions import FeatureError
-        with pytest.raises(FeatureError):
-            FeatureExtractor(topology_engine="quantum")
 
 
 class TestBatchCounters:

@@ -1,20 +1,24 @@
 """Unit tests for the individual feature computations (HLF/GF/HF/TF)."""
 
+from collections import Counter
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.core.builder import build_wcg
 from repro.core.model import HttpMethod, Trace
-from repro.features.graph import (
-    average_node_connectivity_sampled,
-    avg_nodes_within_k,
-    graph_features,
-)
+from repro.features.extractor import FeatureExtractor
+from repro.features.graph import scalar_graph_features
 from repro.features.header import header_features
 from repro.features.high_level import high_level_features
+from repro.features.registry import feature_names
 from repro.features.temporal import temporal_features
 from tests.conftest import make_txn
+from tests.oracles.topology import (
+    average_node_connectivity_sampled,
+    avg_nodes_within_k,
+)
 
 
 @pytest.fixture()
@@ -52,6 +56,11 @@ class TestHighLevelFeatures:
         assert value == pytest.approx((4 + 9) / 2)
 
 
+def graph_features(wcg):
+    """Feature values by name, as the extractor reports them."""
+    return dict(zip(feature_names(), FeatureExtractor().extract(wcg)))
+
+
 class TestGraphFeatures:
     def test_order_and_size(self, wcg):
         features = graph_features(wcg)
@@ -63,9 +72,11 @@ class TestGraphFeatures:
         assert features["volume"] == 2 * wcg.size
 
     def test_degree_is_max_degree(self, wcg):
-        features = graph_features(wcg)
-        degrees = [d for _, d in wcg.graph.degree()]
-        assert features["degree"] == max(degrees)
+        degrees = Counter()
+        for source, target, _ in wcg.edges():
+            degrees[source] += 1
+            degrees[target] += 1
+        assert scalar_graph_features(wcg)["degree"] == max(degrees.values())
 
     def test_avg_pagerank_is_inverse_order(self, wcg):
         # Paper-faithful: mean PageRank == 1/order (module docstring).

@@ -1,6 +1,7 @@
 """Differential tests: compiled arena vs. object-tree traversal.
 
-The compiled engine's contract is *byte-identical* output — not close,
+The arena's contract is *byte-identical* output to combining the
+per-tree object walks (``tests.oracles.forest_inference``) — not close,
 identical — so every comparison here is ``np.array_equal``, never
 ``allclose``.  Inputs cover the adversarial corners named in ISSUE 4:
 degenerate single-leaf trees, trees that saw fewer classes than the
@@ -18,6 +19,7 @@ from repro.learning.compiled import CompiledForest, compile_forest
 from repro.learning.forest import EnsembleRandomForest
 from repro.learning.persistence import forest_from_dict, forest_to_dict
 from repro.learning.tree import DecisionTreeClassifier
+from tests.oracles.forest_inference import predict_proba_reference
 
 
 def _random_problem(seed, n=150, features=8):
@@ -29,52 +31,56 @@ def _random_problem(seed, n=150, features=8):
     return X, y, rng
 
 
-def _pair(seed, **kwargs):
-    """The same forest fitted twice, once per engine (identical trees)."""
+def _fitted(seed, **kwargs):
+    """A fitted forest, its training matrix, and an off-sample probe."""
     X, y, rng = _random_problem(seed)
-    compiled = EnsembleRandomForest(random_state=seed, engine="compiled",
-                                    **kwargs).fit(X, y)
-    objectish = EnsembleRandomForest(random_state=seed, engine="object",
-                                     **kwargs).fit(X, y)
+    forest = EnsembleRandomForest(random_state=seed, **kwargs).fit(X, y)
     probe = rng.normal(size=(64, X.shape[1])) * 2
-    return compiled, objectish, X, probe
+    return forest, X, probe
 
 
-def _assert_identical(compiled, objectish, X):
-    assert np.array_equal(compiled.predict_proba(X),
-                          objectish.predict_proba(X))
-    assert np.array_equal(compiled.predict(X), objectish.predict(X))
-    assert np.array_equal(compiled.decision_scores(X),
-                          objectish.decision_scores(X))
+def _assert_identical(forest, X):
+    """Arena output == the object-walk reference, bit for bit.
+
+    ``predict`` and ``decision_scores`` are pure functions of the
+    probability matrix, so they are checked against the reference
+    matrix too.
+    """
+    reference = predict_proba_reference(forest, X)
+    assert np.array_equal(forest.predict_proba(X), reference)
+    assert np.array_equal(forest.predict(X),
+                          forest._classes[np.argmax(reference, axis=1)])
+    positive = np.flatnonzero(forest._classes == 1)
+    if positive.size:
+        assert np.array_equal(forest.decision_scores(X),
+                              reference[:, positive[0]])
 
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_forests_average(self, seed):
-        compiled, objectish, X, probe = _pair(seed, n_trees=7)
-        _assert_identical(compiled, objectish, X)
-        _assert_identical(compiled, objectish, probe)
+        forest, X, probe = _fitted(seed, n_trees=7)
+        _assert_identical(forest, X)
+        _assert_identical(forest, probe)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_forests_majority(self, seed):
-        compiled, objectish, X, probe = _pair(
-            seed, n_trees=9, voting="majority"
-        )
-        _assert_identical(compiled, objectish, X)
-        _assert_identical(compiled, objectish, probe)
+        forest, X, probe = _fitted(seed, n_trees=9, voting="majority")
+        _assert_identical(forest, X)
+        _assert_identical(forest, probe)
 
     def test_entropy_and_depth_limits(self):
-        compiled, objectish, X, probe = _pair(
+        forest, X, probe = _fitted(
             11, n_trees=5, criterion="entropy", max_depth=3,
             min_samples_leaf=4,
         )
-        _assert_identical(compiled, objectish, probe)
+        _assert_identical(forest, probe)
 
     def test_single_trees_match(self):
         X, y, rng = _random_problem(4)
         tree = DecisionTreeClassifier(random_state=4).fit(X, y)
         forest = EnsembleRandomForest(n_trees=1, bootstrap=False,
-                                      random_state=4, engine="compiled")
+                                      random_state=4)
         forest.fit(X, y)
         probe = rng.normal(size=(40, X.shape[1]))
         # A 1-tree no-bootstrap forest averages exactly one tree.
@@ -82,7 +88,7 @@ class TestDifferential:
                               forest.predict_proba(probe))
 
     def test_nan_and_inf_feature_values(self):
-        compiled, objectish, X, _ = _pair(7, n_trees=6)
+        forest, X, _ = _fitted(7, n_trees=6)
         probe = X[:8].copy()
         probe[0, 0] = np.nan
         probe[1, :] = np.nan
@@ -90,22 +96,21 @@ class TestDifferential:
         probe[3, :] = np.inf
         probe[4, 1] = -np.inf
         probe[5, :] = -np.inf
-        _assert_identical(compiled, objectish, probe)
+        _assert_identical(forest, probe)
 
     def test_batched_rows_equal_single_rows(self):
-        compiled, _, X, _ = _pair(9, n_trees=6)
-        batch = compiled.decision_scores(X)
+        forest, X, _ = _fitted(9, n_trees=6)
+        batch = forest.decision_scores(X)
         singles = np.array([
-            compiled.decision_scores(X[i:i + 1])[0] for i in range(len(X))
+            forest.decision_scores(X[i:i + 1])[0] for i in range(len(X))
         ])
         assert np.array_equal(batch, singles)
 
     def test_empty_batch(self):
-        compiled, objectish, X, _ = _pair(3, n_trees=3)
+        forest, X, _ = _fitted(3, n_trees=3)
         empty = X[:0]
-        assert compiled.predict_proba(empty).shape == (0, 2)
-        assert np.array_equal(compiled.predict_proba(empty),
-                              objectish.predict_proba(empty))
+        assert forest.predict_proba(empty).shape == (0, 2)
+        _assert_identical(forest, empty)
 
 
 class TestDegenerate:
@@ -114,13 +119,10 @@ class TestDegenerate:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 3))
         y = np.zeros(20)
-        compiled = EnsembleRandomForest(n_trees=4, random_state=0,
-                                        engine="compiled").fit(X, y)
-        objectish = EnsembleRandomForest(n_trees=4, random_state=0,
-                                         engine="object").fit(X, y)
-        assert compiled._compiled.depth == 0
-        _assert_identical(compiled, objectish, X)
-        assert np.array_equal(compiled.decision_scores(X), np.zeros(20))
+        forest = EnsembleRandomForest(n_trees=4, random_state=0).fit(X, y)
+        assert forest._compiled.depth == 0
+        _assert_identical(forest, X)
+        assert np.array_equal(forest.decision_scores(X), np.zeros(20))
 
     def test_tree_with_fewer_classes_than_forest(self):
         # A degenerate bootstrap can hand a tree only one class; its
@@ -129,17 +131,12 @@ class TestDegenerate:
         one_class = DecisionTreeClassifier(random_state=1).fit(
             X[y == 1], y[y == 1]
         )
-        compiled = EnsembleRandomForest(n_trees=3, random_state=6,
-                                        engine="compiled").fit(X, y)
-        compiled.trees_[1] = one_class
-        compiled.compile()  # in-place tree swap requires an explicit sync
-        objectish = EnsembleRandomForest(n_trees=3, random_state=6,
-                                         engine="object").fit(X, y)
-        objectish.trees_[1] = one_class
-        objectish._tree_cols = None
-        _assert_identical(compiled, objectish, X)
+        forest = EnsembleRandomForest(n_trees=3, random_state=6).fit(X, y)
+        forest.trees_[1] = one_class
+        forest.compile()  # in-place tree swap requires an explicit sync
+        _assert_identical(forest, X)
         # The class-1-only tree contributes 1/3 to every class-1 score.
-        assert compiled.decision_scores(X).min() >= 1.0 / 3.0
+        assert forest.decision_scores(X).min() >= 1.0 / 3.0
 
     def test_threshold_at_clamp_boundary(self):
         # Adjacent floats make the split midpoint round up to the upper
@@ -152,33 +149,31 @@ class TestDegenerate:
         y = np.array([0, 0, 1, 1])
         tree = DecisionTreeClassifier().fit(X, y)
         assert tree._root.threshold == low  # the clamp fired
-        compiled = EnsembleRandomForest(n_trees=2, bootstrap=False,
-                                        max_features=1, random_state=0,
-                                        engine="compiled").fit(X, y)
-        objectish = EnsembleRandomForest(n_trees=2, bootstrap=False,
-                                         max_features=1, random_state=0,
-                                         engine="object").fit(X, y)
+        forest = EnsembleRandomForest(n_trees=2, bootstrap=False,
+                                      max_features=1,
+                                      random_state=0).fit(X, y)
         probe = np.array([[low], [high],
                           [np.nextafter(low, 0.0)],
                           [np.nextafter(high, 2.0)]])
-        _assert_identical(compiled, objectish, probe)
-        assert np.array_equal(compiled.predict(probe),
+        _assert_identical(forest, probe)
+        assert np.array_equal(forest.predict(probe),
                               np.array([0, 1, 0, 1]))
 
     def test_majority_ties_break_to_lowest_label(self):
         # A perfectly mixed leaf votes for the lowest class label, in
-        # both engines (argmax ties resolve to the first index).
+        # the arena and the reference alike (argmax ties resolve to the
+        # first index).
         X = np.zeros((4, 1))
         y = np.array([0, 0, 1, 1])
-        for engine in ("compiled", "object"):
-            forest = EnsembleRandomForest(
-                n_trees=3, voting="majority", bootstrap=False,
-                max_features=1, random_state=0, engine=engine,
-            ).fit(X, y)
-            assert np.array_equal(forest.predict(X), np.zeros(4))
-            # Every tree's tied leaf votes class 0, unanimously.
-            tiled = np.tile([1.0, 0.0], (4, 1))
-            assert np.array_equal(forest.predict_proba(X), tiled)
+        forest = EnsembleRandomForest(
+            n_trees=3, voting="majority", bootstrap=False,
+            max_features=1, random_state=0,
+        ).fit(X, y)
+        assert np.array_equal(forest.predict(X), np.zeros(4))
+        # Every tree's tied leaf votes class 0, unanimously.
+        tiled = np.tile([1.0, 0.0], (4, 1))
+        assert np.array_equal(forest.predict_proba(X), tiled)
+        assert np.array_equal(predict_proba_reference(forest, X), tiled)
 
     def test_tree_predict_ties_break_to_lowest_label(self):
         X = np.zeros((2, 1))
@@ -198,20 +193,14 @@ class TestLifecycle:
         X2 = X + 5.0
         forest.fit(X2, y)
         assert forest._compiled is not first
-        check = EnsembleRandomForest(n_trees=3, random_state=2,
-                                     engine="object").fit(X2, y)
-        assert np.array_equal(forest.decision_scores(X2),
-                              check.decision_scores(X2))
+        _assert_identical(forest, X2)
 
     def test_stale_arena_guard_on_mutated_trees(self):
         X, y, _ = _random_problem(8)
         forest = EnsembleRandomForest(n_trees=4, random_state=8).fit(X, y)
         forest.trees_ = forest.trees_[:2]
-        check = EnsembleRandomForest(n_trees=4, random_state=8,
-                                     engine="object").fit(X, y)
-        check.trees_ = check.trees_[:2]
-        assert np.array_equal(forest.decision_scores(X),
-                              check.decision_scores(X))
+        # No compile(): the tree-count guard must rebuild the arena.
+        _assert_identical(forest, X)
 
     def test_pickle_roundtrip_drops_and_rebuilds_arena(self):
         X, y, _ = _random_problem(5)
@@ -221,61 +210,17 @@ class TestLifecycle:
         assert clone._compiled is None  # derived data is not shipped
         assert np.array_equal(clone.decision_scores(X), expected)
 
-    def test_tree_columns_cached_until_refit(self):
-        X, y, _ = _random_problem(1)
-        forest = EnsembleRandomForest(n_trees=3, random_state=1,
-                                      engine="object").fit(X, y)
-        forest.predict_proba(X)
-        first = forest._tree_cols
-        assert first is not None
-        forest.predict_proba(X)
-        assert forest._tree_cols is first  # reused, not recomputed
-        forest.fit(X, y)
-        assert forest._tree_cols is not first
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(LearningError, match="engine"):
-            EnsembleRandomForest(engine="quantum")
-
     def test_compile_unfitted_rejected(self):
         with pytest.raises(LearningError, match="unfitted"):
             compile_forest(EnsembleRandomForest())
 
 
 class TestPersistence:
-    def _v1_payload(self, forest):
-        """Re-encode a v2 payload in the version-1 nested format."""
-
-        def nest(nodes, index):
-            node = dict(nodes[index])
-            if "proba" in node:
-                return node
-            node["left"] = nest(nodes, node["left"])
-            node["right"] = nest(nodes, node["right"])
-            return node
-
-        payload = forest_to_dict(forest)
-        payload["format_version"] = 1
-        for tree in payload["trees"]:
-            tree["root"] = nest(tree.pop("nodes"), 0)
-        return payload
-
-    def test_v2_payload_loads_compiled(self):
+    def test_payload_loads_compiled(self):
         X, y, _ = _random_problem(3)
         forest = EnsembleRandomForest(n_trees=3, random_state=3).fit(X, y)
         loaded = forest_from_dict(forest_to_dict(forest))
         assert isinstance(loaded._compiled, CompiledForest)
         assert np.array_equal(loaded.decision_scores(X),
                               forest.decision_scores(X))
-
-    def test_v1_payload_loads_and_compiles(self):
-        # Regression: the arena must build from the nested version-1
-        # encoding too, not just the flat v2 node lists.
-        X, y, _ = _random_problem(3)
-        forest = EnsembleRandomForest(n_trees=3, random_state=3).fit(X, y)
-        loaded = forest_from_dict(self._v1_payload(forest))
-        assert isinstance(loaded._compiled, CompiledForest)
-        _assert_identical(loaded, forest, X)
-        loaded.engine = "object"
-        assert np.array_equal(loaded.decision_scores(X),
-                              forest.decision_scores(X))
+        _assert_identical(loaded, X)

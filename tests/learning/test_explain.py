@@ -77,14 +77,6 @@ class TestExplainRow:
                 float(np.mean(explanation["tree_scores"])), expected
             )
 
-    def test_object_engine_uses_same_arena_path(self, small_dataset):
-        X, y = small_dataset
-        forest = EnsembleRandomForest(n_trees=5, random_state=7,
-                                      engine="object")
-        forest.fit(X, y)
-        explanation = forest.explain_row(X[0])
-        assert explanation == _oracle_explanation(forest, X[0])
-
     def test_plain_python_values(self, trained_model, small_dataset):
         """Provenance pickles across worker processes — no numpy
         scalars may leak out of the explanation."""
@@ -127,7 +119,13 @@ class TestExplainRow:
             forest = EnsembleRandomForest(n_trees=3, random_state=13)
             forest.fit(X, y)
             forest.explain_row(X[0])
-        counters = registry.snapshot()["counters"]
-        assert not any(
-            name.startswith("forest.rows_scored") for name in counters
-        )
+            assert "forest.rows_scored" not in (
+                registry.snapshot()["counters"]
+            )
+            # ...whereas scoring counts exactly the rows it was handed.
+            forest.predict_proba(X[:10])
+            forest.decision_scores(X[:3])
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["forest.rows_scored"] == 13
+        batch_rows = snapshot["histograms"]["forest.batch_rows"]
+        assert (batch_rows["count"], batch_rows["max"]) == (2, 10)

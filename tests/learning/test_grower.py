@@ -1,21 +1,24 @@
 """Differential suite for the presorted-partition training engine.
 
-The presort engine must grow trees **byte-identical** to the legacy
-recursive-partition grower — same structure, same split features, same
-threshold bits, same leaf posterior bits — for every configuration and
-any ``n_jobs``.  These tests pin that contract, plus the kernel helpers
-the engine and the ranking fast path share.
+The presort engine must grow trees **byte-identical** to the reference
+per-node-argsort grower (``tests.oracles.tree_growth``) — same
+structure, same split features, same threshold bits, same leaf
+posterior bits — for every configuration and any ``n_jobs``.  These
+tests pin that contract, plus the kernel helpers the engine and the
+ranking fast path share.
 """
 
-import os
 import pickle
 import sys
 
 import numpy as np
 import pytest
 
-from repro.exceptions import LearningError
-from repro.learning.forest import EnsembleRandomForest
+from repro.learning.forest import (
+    EnsembleRandomForest,
+    _bootstrap_indices,
+    default_max_features,
+)
 from repro.learning.grower import (
     ColumnRanks,
     class_cumulative_counts,
@@ -25,7 +28,8 @@ from repro.learning.grower import (
     restrict_sorted,
 )
 from repro.learning.persistence import forest_from_dict, forest_to_dict
-from repro.learning.tree import DecisionTreeClassifier, default_tree_engine
+from repro.learning.tree import DecisionTreeClassifier
+from tests.oracles.tree_growth import grow_tree_reference
 
 
 def _tree_sig(node):
@@ -56,6 +60,44 @@ def _tree_sig_iter(root):
             stack.append(node.right)
             stack.append(node.left)
     return out
+
+
+def _reference_root(
+    X, y, *, max_depth=None, min_samples_split=2, min_samples_leaf=1,
+    max_features=None, criterion="gini", random_state=None,
+):
+    """What ``DecisionTreeClassifier(**kwargs).fit(X, y)`` must grow."""
+    _, encoded = np.unique(np.asarray(y), return_inverse=True)
+    return grow_tree_reference(
+        np.asarray(X, dtype=np.float64), encoded, int(encoded.max()) + 1,
+        max_depth=max_depth, min_samples_split=min_samples_split,
+        min_samples_leaf=min_samples_leaf, max_features=max_features,
+        criterion=criterion, rng=np.random.default_rng(random_state),
+    )
+
+
+def _reference_forest_sigs(X, y, n_trees, random_state, **tree_kwargs):
+    """Per-tree signatures of the forest ``fit`` must grow.
+
+    Re-derives the forest's documented protocol around the reference
+    grower: the ``(bootstrap_seed, tree_seed)`` pairs drawn up front
+    from ``random_state``, the shared ``_bootstrap_indices`` resampler,
+    and the ``log2(F) + 1`` feature-subset default.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    tree_kwargs.setdefault("max_features", default_max_features(X.shape[1]))
+    seeds = np.random.default_rng(random_state).integers(
+        0, 2**31 - 1, size=(n_trees, 2)
+    )
+    sigs = []
+    for bootstrap_seed, tree_seed in seeds:
+        sample = _bootstrap_indices(y, len(np.unique(y)), int(bootstrap_seed))
+        root = _reference_root(
+            X[sample], y[sample], random_state=int(tree_seed), **tree_kwargs
+        )
+        sigs.append(_tree_sig(root))
+    return sigs
 
 
 def _mixed_data(seed, n_classes=2):
@@ -134,10 +176,10 @@ class TestTreeDifferential:
                 criterion=criterion, max_features=mf,
                 random_state=seed * 13 + 1,
             )
-            legacy = DecisionTreeClassifier(engine="legacy", **kwargs).fit(X, y)
-            presort = DecisionTreeClassifier(engine="presort", **kwargs).fit(X, y)
-            assert _tree_sig(legacy._root) == _tree_sig(presort._root)
-            assert np.array_equal(legacy.predict(X), presort.predict(X))
+            presort = DecisionTreeClassifier(**kwargs).fit(X, y)
+            assert _tree_sig(_reference_root(X, y, **kwargs)) == _tree_sig(
+                presort._root
+            )
 
     @pytest.mark.parametrize("min_samples_leaf", [1, 7])
     @pytest.mark.parametrize("max_depth", [None, 3])
@@ -150,56 +192,50 @@ class TestTreeDifferential:
                 max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                 max_features=2, random_state=seed,
             )
-            legacy = DecisionTreeClassifier(engine="legacy", **kwargs).fit(X, y)
-            presort = DecisionTreeClassifier(engine="presort", **kwargs).fit(X, y)
-            assert _tree_sig(legacy._root) == _tree_sig(presort._root)
+            presort = DecisionTreeClassifier(**kwargs).fit(X, y)
+            assert _tree_sig(_reference_root(X, y, **kwargs)) == _tree_sig(
+                presort._root
+            )
 
     def test_deep_tree_past_recursion_limit(self):
         n = sys.getrecursionlimit() + 50
         X = np.arange(n, dtype=np.float64).reshape(-1, 1)
         y = np.arange(n) % 2
-        legacy = DecisionTreeClassifier(engine="legacy").fit(X, y)
-        presort = DecisionTreeClassifier(engine="presort").fit(X, y)
+        presort = DecisionTreeClassifier().fit(X, y)
         assert presort.depth > sys.getrecursionlimit()
-        assert _tree_sig_iter(legacy._root) == _tree_sig_iter(presort._root)
+        assert _tree_sig_iter(_reference_root(X, y)) == _tree_sig_iter(
+            presort._root
+        )
         assert np.array_equal(presort.predict(X), y)
 
     def test_shared_ranks_match_per_fit_ranks(self):
         X, y = _mixed_data(5)
         ranks = compute_column_ranks(X)
-        a = DecisionTreeClassifier(engine="presort", random_state=3).fit(X, y)
-        b = DecisionTreeClassifier(engine="presort", random_state=3).fit(
+        a = DecisionTreeClassifier(random_state=3).fit(X, y)
+        b = DecisionTreeClassifier(random_state=3).fit(
             X, y, column_ranks=ranks
         )
         assert _tree_sig(a._root) == _tree_sig(b._root)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(LearningError, match="unknown tree engine"):
-            DecisionTreeClassifier(engine="quicksort")
-        with pytest.raises(LearningError, match="unknown tree engine"):
-            EnsembleRandomForest(tree_engine="quicksort")
-
-    def test_env_knob_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_ENGINE", "legacy")
-        assert default_tree_engine() == "legacy"
-        assert DecisionTreeClassifier().engine == "legacy"
-        assert EnsembleRandomForest().tree_engine == "legacy"
-        monkeypatch.delenv("REPRO_TREE_ENGINE")
-        assert default_tree_engine() == "presort"
-
 
 class TestForestDifferential:
     @pytest.mark.parametrize("n_jobs", [None, 4])
-    def test_forests_byte_identical_across_engines_and_jobs(self, n_jobs):
+    @pytest.mark.parametrize("tree_kwargs", [
+        {},
+        {"criterion": "entropy", "max_features": 6},
+        {"max_features": 1, "max_depth": 3},
+        {"min_samples_leaf": 7, "min_samples_split": 10},
+    ], ids=["defaults", "entropy-all", "one-feature-depth3", "stopping"])
+    def test_forests_byte_identical_to_reference_at_any_jobs(
+        self, n_jobs, tree_kwargs
+    ):
         X, y = _mixed_data(11)
-        forests = {}
-        for engine in ("legacy", "presort"):
-            f = EnsembleRandomForest(
-                n_trees=8, random_state=42, tree_engine=engine
-            )
-            f.fit(X, y, n_jobs=n_jobs)
-            forests[engine] = forest_to_dict(f)
-        assert forests["legacy"] == forests["presort"]
+        forest = EnsembleRandomForest(
+            n_trees=8, random_state=42, **tree_kwargs
+        ).fit(X, y, n_jobs=n_jobs)
+        assert [_tree_sig(t._root) for t in forest.trees_] == (
+            _reference_forest_sigs(X, y, 8, 42, **tree_kwargs)
+        )
 
     def test_presort_forest_identical_serial_vs_parallel(self):
         X, y = _mixed_data(12)
@@ -211,9 +247,7 @@ class TestForestDifferential:
 
     def test_pickled_presort_forest_roundtrips_format_v2(self):
         X, y = _mixed_data(13)
-        forest = EnsembleRandomForest(
-            n_trees=5, random_state=21, tree_engine="presort"
-        ).fit(X, y)
+        forest = EnsembleRandomForest(n_trees=5, random_state=21).fit(X, y)
         payload = forest_to_dict(forest)
         assert payload["format_version"] == 2
         revived = pickle.loads(pickle.dumps(forest))
@@ -223,17 +257,6 @@ class TestForestDifferential:
         assert np.array_equal(
             forest.predict_proba(Xt), revived.predict_proba(Xt)
         )
-
-    def test_pre_knob_pickle_gains_default_engine(self):
-        X, y = _mixed_data(15)
-        forest = EnsembleRandomForest(n_trees=3, random_state=5).fit(X, y)
-        state = forest.__getstate__() if hasattr(forest, "__getstate__") \
-            else dict(forest.__dict__)
-        state = dict(state)
-        state.pop("tree_engine", None)
-        revived = EnsembleRandomForest.__new__(EnsembleRandomForest)
-        revived.__setstate__(state)
-        assert revived.tree_engine == default_tree_engine()
 
 
 class TestRankingFastPath:

@@ -109,9 +109,10 @@ class TestPayloadIntegrity:
         assert rebuilt.bootstrap is False
         assert rebuilt.random_state == 9
 
-    def test_version1_nested_payload_still_loads(self, fitted):
-        """Back-compat: models saved by format version 1 must load."""
-        forest, X, _ = fitted
+    def test_version1_nested_payload_rejected_actionably(self, fitted):
+        """Format version 1 (nested trees) is no longer readable; the
+        error must say how to get a loadable model."""
+        forest, _, _ = fitted
 
         def nest(nodes, index):
             node = dict(nodes[index])
@@ -125,7 +126,7 @@ class TestPayloadIntegrity:
         payload["format_version"] = 1
         for tree in payload["trees"]:
             tree["root"] = nest(tree.pop("nodes"), 0)
-        rebuilt = forest_from_dict(payload)
-        assert np.array_equal(
-            rebuilt.decision_scores(X), forest.decision_scores(X)
-        )
+        with pytest.raises(
+            LearningError, match=r"version: 1 .*dynaminer train"
+        ):
+            forest_from_dict(payload)

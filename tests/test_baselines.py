@@ -13,7 +13,11 @@ from repro.baselines.redirect_chain import (
     redirect_features,
 )
 from repro.core.model import Trace, TraceLabel
+from repro.synthesis.corpus import ground_truth_corpus
 from tests.conftest import make_txn
+from tests.oracles.downloader_graph import (
+    downloader_features as downloader_features_networkx,
+)
 
 
 def _download_trace():
@@ -31,12 +35,12 @@ def _download_trace():
 
 class TestDownloaderGraph:
     def test_nodes_are_downloads(self):
-        graph = build_download_graph(_download_trace())
-        assert graph.number_of_nodes() == 2  # exe + zip (html is not)
+        files, _ = build_download_graph(_download_trace())
+        assert len(files) == 2  # exe + zip (html is not)
 
     def test_provenance_edge(self):
-        graph = build_download_graph(_download_trace())
-        assert graph.number_of_edges() == 1
+        _, edges = build_download_graph(_download_trace())
+        assert edges == [(0, 1)]
 
     def test_feature_vector_shape(self):
         vec = downloader_features(_download_trace())
@@ -63,6 +67,12 @@ class TestDownloaderGraph:
         X, y = extract_matrix(tiny_corpus.traces)
         order = X[:, DOWNLOADER_FEATURES.index("dg_order")]
         assert order[y == 1].mean() > order[y == 0].mean()
+
+    def test_rows_equal_networkx_reference(self):
+        corpus = ground_truth_corpus(seed=7, scale=0.05)
+        for trace in corpus.traces:
+            assert (downloader_features(trace).tobytes()
+                    == downloader_features_networkx(trace).tobytes())
 
 
 class TestRedirectChain:

@@ -135,6 +135,17 @@ class TestCliErrors:
         assert main(["detect", pcap, "--model", str(wrong)]) == 2
         assert "cannot load model" in capsys.readouterr().err
 
+    def test_detect_format_v1_model_says_how_to_fix(self, tmp_path, capsys):
+        pcap = self._pcap(tmp_path)
+        old = tmp_path / "v1.json"
+        old.write_text(
+            '{"model": "EnsembleRandomForest", "format_version": 1}'
+        )
+        assert main(["detect", pcap, "--model", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported model format version: 1" in err
+        assert "dynaminer train" in err
+
     def test_detect_missing_capture(self, cli_model, tmp_path, capsys):
         assert main(["detect", str(tmp_path / "missing.pcap"),
                      "--model", cli_model]) == 2
