@@ -26,16 +26,14 @@ retain partial-message state between deliveries, reading each direction
 through the reassembler's consumable view (parse cursor + compaction of
 consumed bytes).  Each payload byte is therefore examined once and
 buffered only while its message is still incomplete, so the per-packet
-cost is O(bytes in the packet) and a whole capture costs O(total bytes)
-— even for one giant connection, where the previous implementation
-re-parsed the entire reassembled buffer on every delivery and blew up
-quadratically.
+cost is O(bytes in the packet) and a whole capture costs O(total bytes),
+even for one giant connection.
 
 Connection state is bounded the same way: a closed, fully drained
 connection lingers for ``OverloadPolicy.closed_linger`` stream-seconds
 (a TIME_WAIT analogue that absorbs trailing ACKs and late
-retransmissions) and is then evicted — reassembler entry, pairer, and
-non-HTTP marker together.  The ``max_connections`` overload cap counts
+retransmissions) and is then evicted whole: its pairer hangs off its
+reassembler entry.  The ``max_connections`` overload cap counts
 *live* connections only, so a long-running tap keeps accepting new
 flows forever instead of strangling once cap-many connections have
 *ever* been seen.
@@ -52,7 +50,8 @@ from repro.detection.alerts import Alert
 from repro.detection.clues import InfectionClue
 from repro.detection.detector import OnTheWireDetector
 from repro.exceptions import HttpParseError, PcapError
-from repro.net.flows import AddressBook, StreamPairer, _segments_of
+from repro.net.flows import AddressBook, StreamPairer, decode_segment
+from repro.net.packets import ACK, SYN, IpFragmentReassembler
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket
 from repro.net.reassembly import (
     DEFAULT_MAX_BUFFERED,
@@ -135,13 +134,12 @@ class LiveDecoder:
         self.linktype = linktype
         self.book = book
         self.policy = policy if policy is not None else OverloadPolicy()
+        #: The connection table; a connection's pairer rides on its
+        #: stream, in ``stream.consumer``.
         self._reassembler = TcpReassembler(
             max_buffered=self.policy.max_buffered_per_direction
         )
-        #: Per-connection incremental pairing state machines.
-        self._pairers: dict[FlowKey, StreamPairer] = {}
-        #: Connections whose payload is not HTTP (skip quietly).
-        self._not_http: set[FlowKey] = set()
+        self._fragments = IpFragmentReassembler()
         #: Closed-and-drained connections awaiting eviction, keyed to
         #: the stream time of their last activity.  Insertion order is
         #: last-activity order (entries are re-appended on post-close
@@ -169,43 +167,47 @@ class LiveDecoder:
         traffic the decoder was never meant to parse, and one mangled
         frame must not stall the wire.
         """
-        emitted: list[HttpTransaction] = []
         self._c_packets.inc()
         self._c_bytes.inc(len(packet.data))
         with self._metrics.span("decode.feed"):
             try:
-                for ts, src, dst, segment in _segments_of(
-                    [packet], self.linktype
-                ):
-                    key = FlowKey.of(src, segment.src_port,
-                                     dst, segment.dst_port)
-                    self._sweep_closed(ts)
-                    if key in self._closed and segment.syn \
-                            and not segment.is_ack:
-                        # TIME_WAIT-style tuple reuse: a fresh SYN means
-                        # a new conversation — release the finished
-                        # one's state now rather than at linger expiry.
-                        self._evict(key)
-                    if (
-                        key not in self._reassembler
-                        and self.live_connections
-                        >= self.policy.max_connections
-                    ):
-                        # Overload shed (OverloadPolicy): refuse to open
-                        # connections past the cap, visibly.
-                        self._c_dropped.inc()
-                        continue
-                    stream = self._reassembler.feed(ts, src, dst, segment)
-                    emitted.extend(self._drain(stream, final=stream.closed))
-                    if stream.closed:
-                        # Mark (or refresh) the linger slot; re-append
-                        # keeps the dict ordered by last activity.
-                        self._closed.pop(key, None)
-                        self._closed[key] = ts
-                    self._g_live.set(self.live_connections)
+                segment = decode_segment(packet.data, self.linktype,
+                                         self._fragments.feed)
             except PcapError:
                 self._c_errors.inc()
-        return emitted
+                return []
+            if segment is None:
+                return []
+            ts = packet.timestamp
+            src, dst, src_port, dst_port, _, _, flags, _, payload = segment
+            key = FlowKey.of(src, src_port, dst, dst_port)
+            if self._closed:
+                self._sweep_closed(ts)
+                if flags & (SYN | ACK) == SYN and key in self._closed:
+                    # TIME_WAIT-style tuple reuse: a fresh SYN means a
+                    # new conversation — release the finished one's
+                    # state now rather than at linger expiry.
+                    self._evict(key)
+            if (
+                self.live_connections >= self.policy.max_connections
+                and key not in self._reassembler
+            ):
+                # Overload shed (OverloadPolicy): refuse to open
+                # connections past the cap, visibly.
+                self._c_dropped.inc()
+                return []
+            stream = self._reassembler.feed(ts, segment, key)
+            # Only payload can make new bytes contiguous: a bare
+            # ACK/SYN/FIN on an open stream has nothing to parse.
+            emitted = (self._drain(stream, final=stream.closed)
+                       if payload or stream.closed else [])
+            if stream.closed:
+                # Mark (or refresh) the linger slot; re-append keeps
+                # the dict ordered by last activity.
+                self._closed.pop(key, None)
+                self._closed[key] = ts
+            self._g_live.set(self.live_connections)
+            return emitted
 
     def flush(self) -> list[HttpTransaction]:
         """End-of-capture: emit whatever is still pending everywhere."""
@@ -226,24 +228,22 @@ class LiveDecoder:
     def _evict(self, key: FlowKey) -> None:
         """Drop every bit of per-connection state for ``key``."""
         self._closed.pop(key, None)
-        self._reassembler.evict(key)
-        self._pairers.pop(key, None)
-        self._not_http.discard(key)
+        # Unlinking the stream <-> pairer cycle frees both at once.
+        self._reassembler.evict(key).consumer = None
         self._c_evicted.inc()
 
     def _drain(self, stream: TcpStream, final: bool) -> list[HttpTransaction]:
-        key = stream.key
-        if key in self._not_http or stream.client is None:
-            return []
-        pairer = self._pairers.get(key)
-        if pairer is None:
-            pairer = self._pairers[key] = StreamPairer(stream, self.book)
+        pairer = stream.consumer
+        if pairer is None and stream.client is not None:
+            pairer = stream.consumer = StreamPairer(stream, self.book)
+        if not pairer:
+            return []  # no client side yet, or payload that is not HTTP
         try:
             return pairer.poll(final=final)
         except HttpParseError:
             # Transactions already emitted from the stream's well-formed
             # prefix stand; the remainder is not HTTP.
-            self._not_http.add(key)
+            stream.consumer = False
             self._c_not_http.inc()
             return []
 
@@ -279,6 +279,8 @@ class DetectionEngine:
         (see :meth:`OnTheWireDetector.process_batch`).
         """
         transactions = self.decoder.feed(packet)
+        if not transactions:
+            return []  # most packets complete nothing: no batch to process
         self.transactions_emitted += len(transactions)
         with self._metrics.span("detector.process_batch"):
             return self.detector.process_batch(transactions)

@@ -56,11 +56,17 @@ class SessionWatch:
         self._clues = ClueDetector(self.policy)
         self._builder = WCGBuilder(victim=self.client)
 
-    def add(self, txn: HttpTransaction) -> InfectionClue | None:
-        """Ingest one transaction; returns a clue if one fires now."""
+    def add(self, txn: HttpTransaction,
+            session_id: str | None = None) -> InfectionClue | None:
+        """Ingest one transaction; returns a clue if one fires now.
+
+        ``session_id`` is ``extract_session_id(txn)`` when the caller
+        (the table's ``route``) has already extracted it.
+        """
         self.transactions.append(txn)
         self._builder.add(txn)
-        session_id = extract_session_id(txn)
+        if session_id is None:
+            session_id = extract_session_id(txn)
         if session_id:
             self.session_ids.add(session_id)
         self.hosts.add(txn.server)
@@ -180,7 +186,7 @@ class SessionTable:
             if self._tracer.enabled:
                 self._tracer.emit("watch", ts=txn.timestamp,
                                   client=txn.client, watch=chosen.key)
-        clue = chosen.add(txn)
+        clue = chosen.add(txn, session_id)
         if clue is not None and self._tracer.enabled:
             self._tracer.emit("clue", ts=clue.timestamp, client=clue.client,
                               watch=chosen.key, **clue.as_primitives())

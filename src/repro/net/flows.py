@@ -43,6 +43,7 @@ from repro.net.packets import (
     decode_ethernet,
     decode_ipv4,
     decode_tcp,
+    decode_tcp_frame,
     encode_tcp_in_ipv4_ethernet,
     ETHERTYPE_IPV4,
 )
@@ -53,6 +54,7 @@ from repro.obs import get_registry
 __all__ = [
     "AddressBook",
     "StreamPairer",
+    "decode_segment",
     "transactions_from_packets",
     "packets_from_trace",
     "trace_from_packets",
@@ -93,35 +95,31 @@ class AddressBook:
         return self._by_ip.get(ip, ip)
 
 
-def _segments_of(packets: list[PcapPacket], linktype: int):
-    """Decode pcap records down to (ts, src_ip, dst_ip, TcpSegment).
+def decode_segment(data: bytes, linktype: int, defragment) -> tuple | None:
+    """Decode one link-layer record down to a flat TCP segment.
 
-    IPv4 fragments are reassembled transparently; a fragmented TCP
-    segment surfaces once, at the arrival time of its completing piece.
-    A record that fails link/IP/TCP decoding is counted
-    (``decode.errors``) and skipped: real taps carry mangled frames, and
-    one of them must not abort the capture — batch and live alike.
+    Returns ``(src, dst, src_port, dst_port, seq, ack, flags, window,
+    payload)``; ``None`` when there is no complete TCP segment (not
+    IPv4, not TCP, or a fragment of a datagram that ``defragment``, an
+    :meth:`IpFragmentReassembler.feed`, is still assembling); raises
+    :class:`PcapError` for a mangled frame.
     """
-    fragments = IpFragmentReassembler()
-    errors = get_registry().counter("decode.errors")
-    for packet in packets:
-        try:
-            data = packet.data
-            if linktype == LINKTYPE_ETHERNET:
-                frame = decode_ethernet(data)
-                if frame.ethertype != ETHERTYPE_IPV4:
-                    continue
-                data = frame.payload
-            elif linktype != LINKTYPE_RAW_IP:
-                continue
-            ip = fragments.feed(decode_ipv4(data))
-            if ip is None or ip.protocol != IPPROTO_TCP:
-                continue
-            segment = decode_tcp(ip.payload)
-        except PcapError:
-            errors.inc()
-            continue
-        yield packet.timestamp, ip.src, ip.dst, segment
+    if linktype == LINKTYPE_ETHERNET:
+        segment = decode_tcp_frame(data)
+        if segment is not None:
+            return segment
+        frame = decode_ethernet(data)
+        if frame.ethertype != ETHERTYPE_IPV4:
+            return None
+        data = frame.payload
+    elif linktype != LINKTYPE_RAW_IP:
+        return None
+    ip = defragment(decode_ipv4(data))
+    if ip is None or ip.protocol != IPPROTO_TCP:
+        return None
+    tcp = decode_tcp(ip.payload)
+    return (ip.src, ip.dst, tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack,
+            tcp.flags, tcp.window, tcp.payload)
 
 
 class StreamPairer:
@@ -133,12 +131,11 @@ class StreamPairer:
     unanswered request, and compacts the direction buffers behind the
     parse cursors.  Requests the server has not answered yet stay queued
     until their response lands or a ``final`` poll (connection close /
-    end of capture) flushes them unanswered — the hold-back bookkeeping
-    the old decoder recomputed by re-parsing is now just this queue.
+    end of capture) flushes them unanswered.
 
-    The batch path (:func:`_pair_stream`) is a single ``poll(final=True)``
-    over a fully reassembled stream, so offline and live decoding share
-    one implementation and cannot disagree.
+    The batch path (:func:`transactions_from_packets`) is a single
+    ``poll(final=True)`` over a fully reassembled stream, so offline and
+    live decoding share one implementation and cannot disagree.
 
     A :class:`HttpParseError` escaping :meth:`poll` means the stream is
     not HTTP (TLS, P2P, corruption); callers should stop polling it.
@@ -171,8 +168,13 @@ class StreamPairer:
         for src, state in stream.directions.items():
             if src != stream.client:
                 server_state = state
-        if client_state is not None:
-            chunk = client_state.take()
+        # A parser is stepped only when its input changed — new bytes,
+        # end of stream or, for responses, new request methods to frame
+        # by: a stalled parser re-stepped over the same input moves
+        # nothing, nor does re-compacting an untouched direction.
+        new_methods = False
+        chunk = client_state.take() if client_state is not None else b""
+        if chunk or (final and client_state is not None):
             if chunk:
                 self._c_feeds.inc()
             raw_requests = self._requests.feed(chunk)
@@ -184,11 +186,12 @@ class StreamPairer:
                 self._unanswered.append(
                     self._build_request(raw_req, client_state)
                 )
+            new_methods = bool(raw_requests)
             client_state.compact(
                 keep_marks_from=self._requests.pending_offset
             )
-        if server_state is not None:
-            chunk = server_state.take()
+        chunk = server_state.take() if server_state is not None else b""
+        if chunk or ((new_methods or final) and server_state is not None):
             if chunk:
                 self._c_feeds.inc()
             raw_responses = self._responses.feed(chunk)
@@ -253,20 +256,6 @@ class StreamPairer:
         )
 
 
-def _pair_stream(
-    stream: TcpStream,
-    book: AddressBook | None,
-) -> list[HttpTransaction]:
-    """Parse one reassembled stream and pair requests with responses."""
-    try:
-        return StreamPairer(stream, book).poll(final=True)
-    except HttpParseError:
-        # Not an HTTP conversation (TLS, P2P, corruption): real captures
-        # carry plenty of those; skip the stream rather than abort the
-        # whole capture.
-        return []
-
-
 def transactions_from_packets(
     packets: list[PcapPacket],
     linktype: int = LINKTYPE_ETHERNET,
@@ -289,11 +278,27 @@ def transactions_from_packets(
         TcpReassembler() if max_buffered is None
         else TcpReassembler(max_buffered=max_buffered)
     )
-    for ts, src, dst, segment in _segments_of(packets, linktype):
-        reassembler.feed(ts, src, dst, segment)
+    # A mangled record is counted and skipped, batch and live alike:
+    # real taps carry them, and one must not abort the capture.
+    defragment = IpFragmentReassembler().feed
+    errors = metrics.counter("decode.errors")
+    for packet in packets:
+        try:
+            segment = decode_segment(packet.data, linktype, defragment)
+        except PcapError:
+            errors.inc()
+            continue
+        if segment is not None:
+            reassembler.feed(packet.timestamp, segment)
     transactions: list[HttpTransaction] = []
     for stream in reassembler.streams():
-        transactions.extend(_pair_stream(stream, book))
+        try:
+            transactions.extend(StreamPairer(stream, book).poll(final=True))
+        except HttpParseError:
+            # Not an HTTP conversation (TLS, P2P, corruption): real
+            # captures carry plenty of those; skip the stream rather
+            # than abort the whole capture.
+            pass
     transactions.sort(key=lambda t: t.timestamp)
     return transactions
 

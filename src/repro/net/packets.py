@@ -9,7 +9,8 @@ frequently contain offloaded-checksum zeros).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.exceptions import PcapError
 
@@ -24,6 +25,7 @@ __all__ = [
     "decode_ethernet",
     "decode_ipv4",
     "decode_tcp",
+    "decode_tcp_frame",
     "encode_tcp_in_ipv4_ethernet",
 ]
 
@@ -33,6 +35,9 @@ IPPROTO_TCP = 6
 _ETH_HEADER = struct.Struct("!6s6sH")
 _IP_HEADER = struct.Struct("!BBHHHBBH4s4s")
 _TCP_HEADER = struct.Struct("!HHIIBBHHH")
+#: The three above back to back, minus the fields no consumer reads, up
+#: to the TCP window: Ethernet II | IPv4 without options | TCP.
+_TCP_FRAME = struct.Struct("!12xH" "BxH2xHxB2x4s4s" "HHIIBBH")
 
 # TCP flag bits.
 FIN = 0x01
@@ -98,24 +103,10 @@ class TcpSegment:
     payload: bytes
     window: int = 65535
 
-    @property
-    def syn(self) -> bool:
-        return bool(self.flags & SYN)
 
-    @property
-    def fin(self) -> bool:
-        return bool(self.flags & FIN)
-
-    @property
-    def rst(self) -> bool:
-        return bool(self.flags & RST)
-
-    @property
-    def is_ack(self) -> bool:
-        return bool(self.flags & ACK)
-
-
+@lru_cache(maxsize=1 << 16)
 def _ip_str(raw: bytes) -> str:
+    # Memoised: a tap sees the same few thousand addresses on every packet.
     return ".".join(str(octet) for octet in raw)
 
 
@@ -187,6 +178,30 @@ def decode_tcp(data: bytes) -> TcpSegment:
     )
 
 
+def decode_tcp_frame(data: bytes) -> tuple | None:
+    """Decode the common frame shape in one unpack.
+
+    Ethernet II / IPv4 without options, not a fragment / TCP with a
+    sane data offset gives ``(src, dst, src_port, dst_port, seq, ack,
+    flags, window, payload)`` as the layered codecs would; any other
+    shape gives ``None``, and the layered codecs say what the frame is.
+    """
+    size = len(data)
+    if size < _TCP_FRAME.size:
+        return None  # (under 54 bytes fails the offset test below)
+    (ethertype, version_ihl, total_len, flags_frag, protocol, src, dst,
+     src_port, dst_port, seq, ack, offset, flags, window,
+     ) = _TCP_FRAME.unpack_from(data)
+    end = 14 + total_len if 20 <= total_len <= size - 14 else size
+    start = 34 + (offset >> 4) * 4
+    if (ethertype != ETHERTYPE_IPV4 or version_ihl != 0x45
+            or flags_frag & 0x3FFF or protocol != IPPROTO_TCP
+            or offset < 0x50 or start > end):
+        return None
+    return (_ip_str(src), _ip_str(dst), src_port, dst_port, seq, ack,
+            flags, window, data[start:end])
+
+
 def encode_tcp_in_ipv4_ethernet(
     src_ip: str,
     dst_ip: str,
@@ -242,7 +257,6 @@ class IpFragmentReassembler:
     def __init__(self, max_pending: int = 256):
         self._pending: dict[tuple, dict[int, bytes]] = {}
         self._final_end: dict[tuple, int] = {}
-        self._order: list[tuple] = []
         self.max_pending = max_pending
 
     def feed(self, packet: Ipv4Packet) -> Ipv4Packet | None:
@@ -255,12 +269,11 @@ class IpFragmentReassembler:
         key = (packet.src, packet.dst, packet.protocol, packet.ident)
         parts = self._pending.get(key)
         if parts is None:
-            parts = {}
-            self._pending[key] = parts
-            self._order.append(key)
-            if len(self._order) > self.max_pending:
-                oldest = self._order.pop(0)
-                self._pending.pop(oldest, None)
+            parts = self._pending[key] = {}
+            if len(self._pending) > self.max_pending:
+                # Dicts keep insertion order: the first key is the oldest.
+                oldest = next(iter(self._pending))
+                del self._pending[oldest]
                 self._final_end.pop(oldest, None)
         parts[packet.frag_offset] = packet.payload
         if not packet.more_fragments:
@@ -281,10 +294,8 @@ class IpFragmentReassembler:
         payload = bytearray(end)
         for offset, chunk in parts.items():
             payload[offset:offset + len(chunk)] = chunk[: end - offset]
-        self._pending.pop(key, None)
-        self._final_end.pop(key, None)
-        if key in self._order:
-            self._order.remove(key)
+        del self._pending[key]
+        del self._final_end[key]
         return Ipv4Packet(
             src=packet.src, dst=packet.dst, protocol=packet.protocol,
             payload=bytes(payload), ttl=packet.ttl, ident=packet.ident,

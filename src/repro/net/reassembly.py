@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.exceptions import TcpReassemblyError
-from repro.net.packets import TcpSegment
+from repro.net.packets import ACK, FIN, RST, SYN
 from repro.obs import get_registry
 
 __all__ = [
@@ -28,15 +29,14 @@ __all__ = [
 _SEQ_MOD = 1 << 32
 #: Refuse to buffer more than this many out-of-order bytes per direction.
 DEFAULT_MAX_BUFFERED = 32 * 1024 * 1024
-_MAX_BUFFERED = DEFAULT_MAX_BUFFERED
 
 
-@dataclass(frozen=True, order=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Canonical (sorted) connection identifier.
 
     A ``FlowKey`` identifies the *connection*, not a direction: both
-    directions of one TCP connection map to the same key.
+    directions of one TCP connection map to the same key.  It is a
+    tuple so the per-packet connection lookup hashes and compares in C.
     """
 
     ip_a: str
@@ -75,6 +75,8 @@ class StreamDirection:
     #: timestamp).  The timestamp rides along so bytes drained later
     #: keep their *true* arrival time in ``marks``.
     pending: dict[int, tuple[bytes, float]] = field(default_factory=dict)
+    #: Running total of the payload bytes held in ``pending``.
+    buffered: int = 0
     #: Out-of-order buffer cap for this direction; exceeding it raises
     #: :class:`TcpReassemblyError` from :meth:`feed`.
     max_buffered: int = DEFAULT_MAX_BUFFERED
@@ -83,7 +85,6 @@ class StreamDirection:
     broken: bool = False
     fin_seen: bool = False
     first_ts: float | None = None
-    last_ts: float | None = None
     #: (absolute stream byte offset, arrival timestamp) marks for
     #: contiguous data, letting the HTTP layer recover per-message
     #: timestamps.
@@ -152,6 +153,7 @@ class StreamDirection:
             entry = self.pending.pop(self.next_seq, None)
             if entry is not None:
                 chunk, arrival = entry
+                self.buffered -= len(chunk)
                 self.marks.append((self.end_offset, arrival))
                 self.data.extend(chunk)
                 self.next_seq = (self.next_seq + len(chunk)) % _SEQ_MOD
@@ -162,6 +164,7 @@ class StreamDirection:
                 if behind >= _SEQ_MOD // 2:
                     continue  # chunk is ahead: still waiting on a hole
                 chunk, arrival = self.pending.pop(seq)
+                self.buffered -= len(chunk)
                 if behind >= len(chunk):
                     continue  # entirely retransmitted data: discard
                 fresh = chunk[behind:]
@@ -175,7 +178,6 @@ class StreamDirection:
         """Insert one segment's payload at sequence ``seq``."""
         if self.first_ts is None:
             self.first_ts = timestamp
-        self.last_ts = timestamp
         if not payload or self.broken:
             return
         if self.next_seq is None:
@@ -196,16 +198,15 @@ class StreamDirection:
             self.next_seq = (self.next_seq + len(payload)) % _SEQ_MOD
             self._drain_pending()
         else:
-            buffered = sum(
-                len(chunk) for chunk, _ in self.pending.values()
-            )
-            if buffered + len(payload) > self.max_buffered:
+            if self.buffered + len(payload) > self.max_buffered:
                 raise TcpReassemblyError(
                     f"out-of-order buffer overflow on {self.src}->{self.dst}"
                 )
             existing = self.pending.get(seq)
-            if existing is None or len(existing[0]) < len(payload):
+            held = len(existing[0]) if existing is not None else 0
+            if held < len(payload):
                 self.pending[seq] = (payload, timestamp)
+                self.buffered += len(payload) - held
 
     @property
     def has_gap(self) -> bool:
@@ -221,6 +222,9 @@ class TcpStream:
     client: tuple[str, int] | None = None
     directions: dict[tuple[str, int], StreamDirection] = field(default_factory=dict)
     closed: bool = False
+    #: The incremental consumer's state, found and evicted with the stream:
+    #: the live decoder's pairer, or ``False`` once the payload is not HTTP.
+    consumer: object = None
 
     def direction(
         self,
@@ -266,10 +270,7 @@ class TcpStream:
         for src in self.directions:
             if src != self.client:
                 return src
-        return (self.key.ip_b, self.key.port_b) if self.client == (
-            self.key.ip_a,
-            self.key.port_a,
-        ) else (self.key.ip_a, self.key.port_a)
+        return self.key[2:] if self.client == self.key[:2] else self.key[:2]
 
     @property
     def start_time(self) -> float:
@@ -309,21 +310,19 @@ class TcpReassembler:
         self._c_payload = metrics.counter("reassembly.payload_bytes")
         self._c_overflows = metrics.counter("reassembly.overflows")
 
-    def feed(
-        self,
-        timestamp: float,
-        src_ip: str,
-        dst_ip: str,
-        segment: TcpSegment,
-    ) -> TcpStream:
-        """Process one segment; returns the (possibly new) owning stream."""
+    def feed(self, timestamp: float, segment: tuple,
+             key: FlowKey | None = None) -> TcpStream:
+        """Process one segment — the flat tuple ``decode_segment``
+        returns; ``key`` its :meth:`FlowKey.of`, if the caller has it —
+        and return the (possibly new) owning stream."""
+        src_ip, dst_ip, src_port, dst_port, seq, _, flags, _, payload = segment
         self._c_segments.inc()
-        if segment.payload:
-            self._c_payload.inc(len(segment.payload))
-        key = FlowKey.of(src_ip, segment.src_port, dst_ip, segment.dst_port)
+        if payload:
+            self._c_payload.inc(len(payload))
+        if key is None:
+            key = FlowKey.of(src_ip, src_port, dst_ip, dst_port)
         stream = self._streams.get(key)
-        if stream is not None and stream.closed and segment.syn \
-                and not segment.is_ack:
+        if stream and stream.closed and flags & (SYN | ACK) == SYN:
             # 4-tuple reuse: a fresh SYN on a finished connection opens a
             # *new* conversation.  Retire the closed stream (batch
             # consumers still drain it via streams()) instead of letting
@@ -332,13 +331,11 @@ class TcpReassembler:
             del self._streams[key]
             stream = None
         if stream is None:
-            stream = TcpStream(key=key)
-            self._streams[key] = stream
+            stream = self._streams[key] = TcpStream(key=key)
             self._c_streams.inc()
-        src = (src_ip, segment.src_port)
-        dst = (dst_ip, segment.dst_port)
-        state = stream.direction(src, dst, max_buffered=self.max_buffered)
-        if segment.syn:
+        src = (src_ip, src_port)
+        state = stream.direction(src, (dst_ip, dst_port), self.max_buffered)
+        if flags & SYN:
             # Adopt the sequence origin only while the direction is
             # fresh: a retransmitted or forged SYN on an *established*
             # stream must not reset next_seq (it would desynchronize
@@ -346,21 +343,21 @@ class TcpReassembler:
             # retransmissions), and must not flip the client
             # designation mid-connection.
             if state.next_seq is None:
-                state.next_seq = (segment.seq + 1) % _SEQ_MOD
+                state.next_seq = (seq + 1) % _SEQ_MOD
             if stream.client is None:
-                stream.client = dst if segment.is_ack else src
+                stream.client = state.dst if flags & ACK else src
         else:
-            if stream.client is None and segment.payload:
+            if stream.client is None and payload:
                 # Mid-capture stream: guess the initiator as the side whose
                 # destination port looks like a service port.
-                if segment.dst_port in (80, 443, 8080, 3128) or (
-                    segment.dst_port < 1024 <= segment.src_port
+                if dst_port in (80, 443, 8080, 3128) or (
+                    dst_port < 1024 <= src_port
                 ):
                     stream.client = src
                 else:
-                    stream.client = dst
+                    stream.client = state.dst
             try:
-                state.feed(segment.seq, segment.payload, timestamp)
+                state.feed(seq, payload, timestamp)
             except TcpReassemblyError:
                 # One hostile connection must not kill the whole tap:
                 # abandon reassembly for this direction (its contiguous
@@ -368,14 +365,15 @@ class TcpReassembler:
                 # the degradation observable instead of fatal.
                 state.broken = True
                 state.pending.clear()
+                state.buffered = 0
                 self._c_overflows.inc()
-        if segment.fin:
+        if flags & FIN:  # the only segment that can finish both sides
             state.fin_seen = True
-        if segment.rst:
-            stream.closed = True
-        if all(d.fin_seen for d in stream.directions.values()) and len(
-            stream.directions
-        ) == 2:
+            if len(stream.directions) == 2 and all(
+                d.fin_seen for d in stream.directions.values()
+            ):
+                stream.closed = True
+        if flags & RST:
             stream.closed = True
         return stream
 

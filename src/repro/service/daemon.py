@@ -32,6 +32,7 @@ is identical for any worker count too.
 from __future__ import annotations
 
 import multiprocessing as mp
+import queue
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -55,6 +56,13 @@ __all__ = ["FleetResult", "ShardedDetectionService", "merge_alerts",
 #: Packets buffered per shard before a batch crosses the queue; large
 #: enough to amortize pickling, small enough to keep workers busy.
 _BATCH_SIZE = 256
+
+#: Batches an inbox holds before ``feed`` blocks.  The router outruns
+#: the engines it feeds, so an unbounded inbox ends up holding most of
+#: the capture in coordinator memory; a bound turns that into
+#: back-pressure on the producer.  Small enough to cap the backlog at a
+#: few MiB per shard, large enough that a worker never runs dry.
+_INBOX_BATCHES = 16
 
 #: Seconds the coordinator waits for each worker's final result.  The
 #: workloads here are bounded captures, so a silent worker means a bug
@@ -236,7 +244,7 @@ class ShardedDetectionService:
         self._outbox = self._ctx.Queue()
         self._pending = [[] for _ in range(self.n_workers)]
         for shard_id in range(self.n_workers):
-            inbox = self._ctx.Queue()
+            inbox = self._ctx.Queue(maxsize=_INBOX_BATCHES)
             process = self._ctx.Process(
                 target=shard_worker,
                 args=(self.spec, shard_id, inbox, self._outbox),
@@ -255,14 +263,26 @@ class ShardedDetectionService:
         self.close()
 
     def feed(self, packet: PcapPacket) -> None:
-        """Route one pcap record to its shard's inbox."""
+        """Route one pcap record to its shard's inbox; blocks while
+        that inbox is full (back-pressure, see ``_INBOX_BATCHES``)."""
         for shard_id, routed in self.router.route(packet):
             self.packets_routed += 1
             batch = self._pending[shard_id]
             batch.append(routed)
             if len(batch) >= self.batch_size:
-                self._inboxes[shard_id].put(batch)
+                self._put(shard_id, batch)
                 self._pending[shard_id] = []
+
+    def _put(self, shard_id: int, batch: list[PcapPacket] | None) -> None:
+        """Hand ``batch`` to a shard; a worker that stopped taking (it
+        takes until the sentinel even after an error) is a bug, surfaced
+        under the same deadline as a missing result."""
+        try:
+            self._inboxes[shard_id].put(batch, timeout=_DRAIN_TIMEOUT)
+        except queue.Full:
+            raise ShardError(
+                f"shard {shard_id} stopped taking packets"
+            ) from None
 
     def feed_many(self, packets: Iterator[PcapPacket]) -> None:
         for packet in packets:
@@ -274,8 +294,8 @@ class ShardedDetectionService:
             raise RuntimeError("service not started")
         for shard_id, batch in enumerate(self._pending):
             if batch:
-                self._inboxes[shard_id].put(batch)
-            self._inboxes[shard_id].put(None)
+                self._put(shard_id, batch)
+            self._put(shard_id, None)
         self._pending = [[] for _ in range(self.n_workers)]
         results: list[ShardResult] = []
         for _ in range(self.n_workers):

@@ -25,16 +25,9 @@ from __future__ import annotations
 import zlib
 
 from repro.exceptions import PcapError
-from repro.net.packets import (
-    ETHERTYPE_IPV4,
-    IPPROTO_TCP,
-    IpFragmentReassembler,
-    Ipv4Packet,
-    decode_ethernet,
-    decode_ipv4,
-    decode_tcp,
-)
-from repro.net.pcap import LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PcapPacket
+from repro.net.flows import decode_segment
+from repro.net.packets import IpFragmentReassembler, Ipv4Packet
+from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket
 
 __all__ = ["PacketRouter", "client_ip_of", "shard_of"]
 
@@ -99,43 +92,34 @@ class PacketRouter:
         self.linktype = linktype
         self._fragments = IpFragmentReassembler()
         self._held: dict[tuple[str, str, int, int], list[PcapPacket]] = {}
+        #: What the record being routed releases (see ``_defragment``).
+        self._pieces: list[PcapPacket] = []
 
     def route(self, packet: PcapPacket) -> list[tuple[int, PcapPacket]]:
         """Assign ``packet`` (and any released fragments) to shards."""
+        self._pieces = [packet]
         try:
-            data = packet.data
-            if self.linktype == LINKTYPE_ETHERNET:
-                frame = decode_ethernet(data)
-                if frame.ethertype != ETHERTYPE_IPV4:
-                    return [(self._fallback(packet), packet)]
-                data = frame.payload
-            elif self.linktype != LINKTYPE_RAW_IP:
-                return [(self._fallback(packet), packet)]
-            ip = decode_ipv4(data)
+            segment = decode_segment(packet.data, self.linktype,
+                                     self._defragment)
         except PcapError:
-            return [(self._fallback(packet), packet)]
-        if ip.is_fragment:
-            key = (ip.src, ip.dst, ip.protocol, ip.ident)
-            self._held.setdefault(key, []).append(packet)
-            completed = self._fragments.feed(ip)
-            if completed is None:
-                return []
-            pieces = self._held.pop(key)
-            shard = self._shard_for(completed, packet)
-            return [(shard, piece) for piece in pieces]
-        return [(self._shard_for(ip, packet), packet)]
+            segment = None
+        if segment is None:
+            # Traffic with no TCP endpoints: a deterministic shard.
+            shard = zlib.crc32(packet.data) % self.n_shards
+        else:
+            src, dst, src_port, dst_port = segment[:4]
+            shard = shard_of(client_ip_of(src, src_port, dst, dst_port),
+                             self.n_shards)
+        return [(shard, piece) for piece in self._pieces]
 
-    def _shard_for(self, ip: Ipv4Packet, original: PcapPacket) -> int:
-        if ip.protocol != IPPROTO_TCP:
-            return self._fallback(original)
-        try:
-            segment = decode_tcp(ip.payload)
-        except PcapError:
-            return self._fallback(original)
-        client = client_ip_of(ip.src, segment.src_port,
-                              ip.dst, segment.dst_port)
-        return shard_of(client, self.n_shards)
-
-    def _fallback(self, packet: PcapPacket) -> int:
-        """Deterministic shard for traffic with no TCP endpoints."""
-        return zlib.crc32(packet.data) % self.n_shards
+    def _defragment(self, ip: Ipv4Packet) -> Ipv4Packet | None:
+        """``decode_segment``'s fragment hook: hold the record being
+        routed with its datagram's other pieces, and release them all
+        (``_pieces``) when it completes the datagram."""
+        if not ip.is_fragment:
+            return ip
+        key = (ip.src, ip.dst, ip.protocol, ip.ident)
+        self._held.setdefault(key, []).append(self._pieces[0])
+        completed = self._fragments.feed(ip)
+        self._pieces = [] if completed is None else self._held.pop(key)
+        return completed

@@ -188,6 +188,7 @@ def shard_worker(spec: EngineSpec, shard_id: int, inbox: Any,
     registry = MetricsRegistry() if spec.metrics else NullRegistry()
     tracer = _shard_tracer(spec)
     result = ShardResult(shard_id=shard_id)
+    batch: Any = ()
     try:
         with use_registry(registry), use_tracer(tracer):
             engine = spec.build_engine()
@@ -216,4 +217,9 @@ def shard_worker(spec: EngineSpec, shard_id: int, inbox: Any,
     except Exception:  # noqa: BLE001 — ferried to the coordinator
         import traceback
         result.error = traceback.format_exc()
+        # The inbox is bounded: keep taking until the sentinel, so the
+        # coordinator never blocks on a dead shard and raises this error
+        # from drain().
+        while batch is not None:
+            batch = inbox.get()
     outbox.put(result)

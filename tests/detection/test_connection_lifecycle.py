@@ -3,8 +3,8 @@
 Before this suite existed, two lifecycle bugs made a long-running tap
 strangle itself:
 
-* closed streams were never evicted from ``TcpReassembler._streams`` /
-  ``LiveDecoder._pairers`` / ``_not_http``, so the ``max_connections``
+* closed streams (and the pairer state hanging off them) were never
+  evicted from ``TcpReassembler._streams``, so the ``max_connections``
   overload cap filled with *dead* connections — after cap-many total
   connections, every new flow was shed forever as ``decode.dropped``;
 * any SYN on an *established* stream overwrote ``next_seq`` and
@@ -73,9 +73,9 @@ class TestLongRunLifecycle:
         assert counters["decode.evicted_connections"] > total - cap
         # Bounded state: only connections inside the linger window
         # (plus the final few never swept) remain tracked.
-        assert len(decoder._pairers) <= cap
+        # The connection table is the only per-connection state: the
+        # pairer rides on its stream and goes with it.
         assert len(decoder._reassembler) <= cap
-        assert len(decoder._not_http) == 0
 
     def test_infinite_linger_retains_all_state(self):
         """Contrast case: with eviction disabled (infinite linger) the
@@ -97,7 +97,8 @@ class TestLongRunLifecycle:
         transactions.extend(decoder.flush())
         assert len(transactions) == total
         assert len(decoder._reassembler) == total
-        assert len(decoder._pairers) == total
+        assert all(stream.consumer is not None
+                   for stream in decoder._reassembler.streams())
 
     def test_live_connections_never_evicted(self):
         """The cap sheds *new* flows (counted as ``decode.dropped``);

@@ -15,9 +15,11 @@ from repro.net.packets import (
     decode_tcp,
     encode_tcp_in_ipv4_ethernet,
 )
-from repro.net.flows import transactions_from_packets
+from repro.detection.live import LiveDecoder
+from repro.net.flows import packets_from_trace, transactions_from_packets
 from repro.net.pcap import PcapPacket
 from repro.core.model import Trace
+from repro.service.sharding import PacketRouter
 from tests.conftest import make_txn
 
 
@@ -103,11 +105,10 @@ class TestPipelineWithFragments:
             offset += mtu_payload
         return fragments
 
-    def test_http_over_fragmented_ip(self):
+    def _fragmented_capture(self):
         trace = Trace(transactions=[
             make_txn(host="frag.com", uri="/page", body=b"F" * 200),
         ])
-        from repro.net.flows import packets_from_trace
         packets, book = packets_from_trace(trace)
         # Fragment every data-bearing frame.
         exploded = []
@@ -118,6 +119,36 @@ class TestPipelineWithFragments:
                                                data=piece))
             else:
                 exploded.append(packet)
+        return exploded, book
+
+    def test_http_over_fragmented_ip(self):
+        exploded, book = self._fragmented_capture()
         transactions = transactions_from_packets(exploded, book=book)
         assert len(transactions) == 1
         assert transactions[0].response.body == b"F" * 200
+
+    def test_live_and_sharded_decode_fragments_like_batch(self):
+        """Regression: the live decoder built a fresh fragment
+        reassembler per packet, so fragments never met and the tap
+        dropped every fragmented datagram (batch 1 transaction, live 0).
+        The router holds a datagram's pieces and releases them together
+        to the owning shard, whose decoder must reassemble them too."""
+        exploded, book = self._fragmented_capture()
+        batch = transactions_from_packets(exploded, book=book)
+
+        def live(packets):
+            decoder = LiveDecoder(book=book)
+            out = [t for packet in packets for t in decoder.feed(packet)]
+            return out + decoder.flush()
+
+        router = PacketRouter(2)
+        shards = [[], []]
+        for packet in exploded:
+            for shard, piece in router.route(packet):
+                shards[shard].append(piece)
+        assert sum(len(shard) for shard in shards) == len(exploded)
+        sharded = live(shards[0]) + live(shards[1])
+        for decoded in (live(exploded), sharded):
+            assert len(decoded) == len(batch) == 1
+            assert decoded[0].request == batch[0].request
+            assert decoded[0].response == batch[0].response

@@ -67,16 +67,11 @@ class TestEncodeDecode:
         assert segment.payload == b"hello"
 
     def test_flags(self):
-        for flags, attr in ((SYN, "syn"), (FIN, "fin"), (RST, "rst")):
+        for flags in (SYN, FIN, RST, ACK, SYN | ACK):
             ip = decode_ipv4(
                 decode_ethernet(self._frame(b"", flags)).payload
             )
-            segment = decode_tcp(ip.payload)
-            assert getattr(segment, attr)
-
-    def test_ack_flag(self):
-        ip = decode_ipv4(decode_ethernet(self._frame(b"", ACK)).payload)
-        assert decode_tcp(ip.payload).is_ack
+            assert decode_tcp(ip.payload).flags == flags
 
     def test_empty_payload(self):
         ip = decode_ipv4(decode_ethernet(self._frame(b"")).payload)

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TcpReassemblyError
-from repro.net.packets import ACK, FIN, PSH, RST, SYN, TcpSegment
+from repro.net.packets import ACK, FIN, PSH, RST, SYN
 from repro.net.reassembly import FlowKey, StreamDirection, TcpReassembler
 
 
-def _segment(src_port=40000, dst_port=80, seq=0, flags=ACK, payload=b""):
-    return TcpSegment(src_port=src_port, dst_port=dst_port, seq=seq,
-                      ack=0, flags=flags, payload=payload)
+def _segment(src="10.0.0.1", dst="10.0.0.2", src_port=40000, dst_port=80,
+             seq=0, flags=ACK, payload=b""):
+    """The flat segment tuple ``decode_segment`` produces."""
+    return (src, dst, src_port, dst_port, seq, 0, flags, 65535, payload)
 
 
 class TestFlowKey:
@@ -30,11 +31,10 @@ class TestFlowKey:
 class TestHandshakeAndDirections:
     def _open_stream(self):
         reassembler = TcpReassembler()
-        reassembler.feed(1.0, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=99, flags=SYN))
-        reassembler.feed(1.1, "10.0.0.2", "10.0.0.1",
-                         _segment(src_port=80, dst_port=40000, seq=499,
-                                  flags=SYN | ACK))
+        reassembler.feed(1.0, _segment(seq=99, flags=SYN))
+        reassembler.feed(1.1, _segment(
+            "10.0.0.2", "10.0.0.1", src_port=80, dst_port=40000, seq=499,
+            flags=SYN | ACK))
         return reassembler
 
     def test_client_identified_by_syn(self):
@@ -45,82 +45,74 @@ class TestHandshakeAndDirections:
 
     def test_in_order_payload(self):
         reassembler = self._open_stream()
-        reassembler.feed(1.2, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, flags=PSH | ACK, payload=b"GET "))
-        reassembler.feed(1.3, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=104, flags=PSH | ACK, payload=b"/ HT"))
+        reassembler.feed(1.2, _segment(seq=100, flags=PSH | ACK,
+                                       payload=b"GET "))
+        reassembler.feed(1.3, _segment(seq=104, flags=PSH | ACK,
+                                       payload=b"/ HT"))
         stream = reassembler.streams()[0]
         assert stream.client_data == b"GET / HT"
 
     def test_out_of_order_payload(self):
         reassembler = self._open_stream()
-        reassembler.feed(1.3, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=104, payload=b"/ HT"))
-        reassembler.feed(1.2, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, payload=b"GET "))
+        reassembler.feed(1.3, _segment(seq=104, payload=b"/ HT"))
+        reassembler.feed(1.2, _segment(seq=100, payload=b"GET "))
         assert reassembler.streams()[0].client_data == b"GET / HT"
 
     def test_retransmission_ignored(self):
         reassembler = self._open_stream()
-        reassembler.feed(1.2, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, payload=b"abcd"))
-        reassembler.feed(1.3, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, payload=b"abcd"))
+        reassembler.feed(1.2, _segment(seq=100, payload=b"abcd"))
+        reassembler.feed(1.3, _segment(seq=100, payload=b"abcd"))
         assert reassembler.streams()[0].client_data == b"abcd"
 
     def test_overlapping_retransmission_trimmed(self):
         reassembler = self._open_stream()
-        reassembler.feed(1.2, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, payload=b"abcd"))
-        reassembler.feed(1.3, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=102, payload=b"cdEF"))
+        reassembler.feed(1.2, _segment(seq=100, payload=b"abcd"))
+        reassembler.feed(1.3, _segment(seq=102, payload=b"cdEF"))
         assert reassembler.streams()[0].client_data == b"abcdEF"
 
     def test_server_data_separate(self):
         reassembler = self._open_stream()
-        reassembler.feed(1.2, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, payload=b"req"))
-        reassembler.feed(1.4, "10.0.0.2", "10.0.0.1",
-                         _segment(src_port=80, dst_port=40000, seq=500,
-                                  payload=b"res"))
+        reassembler.feed(1.2, _segment(seq=100, payload=b"req"))
+        reassembler.feed(1.4, _segment(
+            "10.0.0.2", "10.0.0.1", src_port=80, dst_port=40000, seq=500,
+            payload=b"res"))
         stream = reassembler.streams()[0]
         assert stream.client_data == b"req"
         assert stream.server_data == b"res"
 
     def test_fin_both_sides_closes(self):
         reassembler = self._open_stream()
-        reassembler.feed(1.5, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, flags=FIN | ACK))
+        reassembler.feed(1.5, _segment(seq=100, flags=FIN | ACK))
         stream = reassembler.streams()[0]
         assert not stream.closed
-        reassembler.feed(1.6, "10.0.0.2", "10.0.0.1",
-                         _segment(src_port=80, dst_port=40000, seq=500,
-                                  flags=FIN | ACK))
+        reassembler.feed(1.6, _segment(
+            "10.0.0.2", "10.0.0.1", src_port=80, dst_port=40000, seq=500,
+            flags=FIN | ACK))
         assert stream.closed
 
     def test_rst_closes_immediately(self):
         reassembler = self._open_stream()
-        reassembler.feed(1.5, "10.0.0.2", "10.0.0.1",
-                         _segment(src_port=80, dst_port=40000, seq=500,
-                                  flags=RST))
+        reassembler.feed(1.5, _segment(
+            "10.0.0.2", "10.0.0.1", src_port=80, dst_port=40000, seq=500,
+            flags=RST))
         assert reassembler.streams()[0].closed
 
 
 class TestMidCaptureStreams:
     def test_client_guessed_from_service_port(self):
         reassembler = TcpReassembler()
-        reassembler.feed(1.0, "10.0.0.9", "10.0.0.2",
-                         _segment(seq=7, payload=b"GET / HTTP/1.1\r\n"))
+        reassembler.feed(1.0, _segment(
+            "10.0.0.9", "10.0.0.2", seq=7, payload=b"GET / HTTP/1.1\r\n"))
         stream = reassembler.streams()[0]
         assert stream.client == ("10.0.0.9", 40000)
         assert stream.client_data.startswith(b"GET")
 
     def test_seq_adopted_without_syn(self):
         reassembler = TcpReassembler()
-        reassembler.feed(1.0, "10.0.0.9", "10.0.0.2",
-                         _segment(seq=1000, payload=b"abc"))
-        reassembler.feed(1.1, "10.0.0.9", "10.0.0.2",
-                         _segment(seq=1003, payload=b"def"))
+        reassembler.feed(1.0, _segment(
+            "10.0.0.9", "10.0.0.2", seq=1000, payload=b"abc"))
+        reassembler.feed(1.1, _segment(
+            "10.0.0.9", "10.0.0.2", seq=1003, payload=b"def"))
         assert reassembler.streams()[0].client_data == b"abcdef"
 
 
@@ -298,13 +290,11 @@ class TestOverflowDegrade:
     """Regression: a hostile connection degrades itself, not the tap."""
 
     def _overflow_stream(self, reassembler, client, server):
-        reassembler.feed(1.0, client, server, _segment(seq=99, flags=SYN))
+        reassembler.feed(1.0, _segment(client, server, seq=99, flags=SYN))
         for index in range(40):
-            reassembler.feed(
-                2.0 + index, client, server,
-                _segment(seq=10_000_000 + index * 2_000_000,
-                         payload=b"\x00" * 1_500_000),
-            )
+            reassembler.feed(2.0 + index, _segment(
+                client, server, seq=10_000_000 + index * 2_000_000,
+                payload=b"\x00" * 1_500_000))
 
     def test_reassembler_degrades_instead_of_raising(self):
         from repro.obs import MetricsRegistry, use_registry
@@ -328,29 +318,78 @@ class TestOverflowDegrade:
         direction = stream.direction(stream.client, stream.server)
         before = len(direction.data)
         # Further traffic on the broken direction is ignored quietly.
-        reassembler.feed(99.0, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=100, payload=b"ignored"))
+        reassembler.feed(99.0, _segment(seq=100, payload=b"ignored"))
         assert len(direction.data) == before
         assert direction.pending == {}
 
     def test_other_connections_unaffected(self):
         reassembler = TcpReassembler()
         self._overflow_stream(reassembler, "10.0.0.1", "10.0.0.2")
-        reassembler.feed(50.0, "10.0.0.3", "10.0.0.2",
-                         _segment(src_port=40001, seq=7,
-                                  payload=b"GET / HTTP/1.1\r\n"))
+        reassembler.feed(50.0, _segment(
+            "10.0.0.3", "10.0.0.2", src_port=40001, seq=7,
+            payload=b"GET / HTTP/1.1\r\n"))
         healthy = [s for s in reassembler.streams()
                    if s.client and s.client[0] == "10.0.0.3"]
         assert healthy[0].client_data.startswith(b"GET")
 
     def test_configurable_buffer_cap(self):
         reassembler = TcpReassembler(max_buffered=1024)
-        reassembler.feed(1.0, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=99, flags=SYN))
-        reassembler.feed(2.0, "10.0.0.1", "10.0.0.2",
-                         _segment(seq=10_000, payload=b"\x00" * 2048))
+        reassembler.feed(1.0, _segment(seq=99, flags=SYN))
+        reassembler.feed(2.0, _segment(seq=10_000, payload=b"\x00" * 2048))
         stream = reassembler.streams()[0]
         assert stream.direction(stream.client, stream.server).broken
+
+    def test_running_byte_count_overflows_on_the_same_segment(self):
+        """``buffered`` is a running count of ``pending``'s bytes; the
+        overflow must fire on exactly the segments a re-sum of
+        ``pending`` would refuse, through holes filling, overlaps
+        draining, duplicates replaced by longer ones, and refusals."""
+        rng = np.random.default_rng(5)
+        cap = 8192
+        direction = StreamDirection(src=("a", 1), dst=("b", 2),
+                                    max_buffered=cap)
+        direction.next_seq = 0
+        refused = drained = 0
+        for step in range(4000):
+            seq = (direction.next_seq + int(rng.integers(-300, 9000))) % 2**32
+            if step % 7 == 0 and direction.pending:
+                seq = next(iter(direction.pending))  # duplicate / replace
+            if step % 50 == 0:
+                seq = direction.next_seq  # fill the hole, drain what follows
+            payload = bytes(int(rng.integers(1, 900)))
+            held = sum(len(chunk) for chunk, _ in direction.pending.values())
+            assert direction.buffered == held
+            ahead = 0 < (seq - direction.next_seq) % 2**32 < 2**31
+            contiguous = len(direction.data)
+            try:
+                direction.feed(seq, payload, float(step))
+            except TcpReassemblyError:
+                assert ahead and held + len(payload) > cap
+                refused += 1
+            else:
+                assert not (ahead and held + len(payload) > cap)
+            drained += len(direction.data) > contiguous + len(payload)
+        assert direction.buffered == sum(
+            len(chunk) for chunk, _ in direction.pending.values())
+        assert refused > 50 and drained > 20
+
+    def test_overflow_counter_fires_once_and_releases_the_count(self):
+        from repro.obs import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            reassembler = TcpReassembler(max_buffered=4096)
+            reassembler.feed(1.0, _segment(seq=99, flags=SYN))
+            for index in range(1, 9):
+                reassembler.feed(1.0 + index, _segment(
+                    seq=100 + index * 2000, payload=b"\x00" * 1000))
+                stream = reassembler.streams()[0]
+                direction = stream.direction(stream.client, stream.server)
+                # Four 1000-byte chunks fit under the cap; the fifth is
+                # the one that breaks the direction.
+                assert direction.broken == (index >= 5)
+        assert registry.snapshot()["counters"]["reassembly.overflows"] == 1
+        assert direction.pending == {} and direction.buffered == 0
 
 
 class TestReassemblyProperty:

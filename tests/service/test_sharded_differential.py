@@ -10,12 +10,16 @@ service's own deterministic merge; if the merge contract or the client
 affinity ever regresses, these tests fail on the first divergent field.
 """
 
+import threading
+
 import pytest
 
 from repro.detection.detector import OnTheWireDetector
 from repro.detection.live import LiveDetector
 from repro.loadgen import MIXED, LoadGenerator, WorkloadMix
+from repro.learning.forest import EnsembleRandomForest
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
+from repro.service.daemon import _INBOX_BATCHES, ShardError
 from repro.service.worker import ShardAlert, run_shard
 from repro.service.sharding import PacketRouter
 
@@ -79,6 +83,35 @@ def test_fleet_alerts_byte_identical(workload, reference, trained_model,
     # Frozen dataclasses: == compares every field of every alert.
     assert fleet.alerts == _canonical(ref_alerts)
     assert len(fleet.shards) == workers
+
+
+def test_dead_shard_fails_the_drain_not_the_feed(workload):
+    """The inboxes are bounded, so ``feed`` blocks on a full one: a
+    shard that died has to keep taking its batches, or the coordinator
+    would wait forever instead of raising the shard's error."""
+    packets, _ = workload
+    # Unfitted classifier: the engine fails to build inside the worker.
+    service = ShardedDetectionService(
+        EngineSpec(classifier=EnsembleRandomForest()), workers=1,
+        batch_size=1)
+    service.start()
+    raised = []
+
+    def run():
+        try:
+            service.feed_many(packets[:20 * _INBOX_BATCHES])
+            service.drain()
+        except ShardError as exc:
+            raised.append(str(exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    try:
+        assert not thread.is_alive(), "feed() blocked on a dead shard"
+        assert raised and "must be fitted" in raised[0]
+    finally:
+        service.close()
 
 
 def test_reference_workload_actually_alerts(reference):
