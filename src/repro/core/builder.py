@@ -46,14 +46,6 @@ from repro.obs import get_registry
 __all__ = ["WCGBuilder", "build_wcg"]
 
 
-def _origin_of(transactions: list[HttpTransaction]) -> str:
-    """The enticement origin: referrer host of the earliest transaction."""
-    if not transactions:
-        return ""
-    first = min(transactions, key=lambda t: t.timestamp)
-    return first.request.referrer_host or ""
-
-
 class WCGBuilder:
     """Incremental WCG builder.
 
@@ -172,18 +164,12 @@ class WCGBuilder:
         stage = self._assigner.current_stage(seq)
 
         request = txn.request
-        wcg.add_node(txn.client, kind=NodeKind.VICTIM if txn.client ==
-                     wcg.victim else NodeKind.REMOTE)
-        wcg.add_node(txn.server)
-        wcg.record_uri(txn.server, request.uri)
-        if request.dnt:
-            wcg.dnt = True
-        flash = request.headers.get("X-Flash-Version")
-        if flash:
-            wcg.x_flash_version = flash
+        client, server = request.client, request.host
+        # The request edge goes first: it adds the client and server
+        # nodes (in that order) that everything below annotates.
         request_edge = wcg.append_edge(
-            txn.client,
-            txn.server,
+            client,
+            server,
             kind=KIND_REQUEST,
             timestamp=request.timestamp,
             stage=int(stage),
@@ -193,27 +179,34 @@ class WCGBuilder:
             user_agent=request.user_agent,
         )
         self._c_edges.inc()
+        wcg.record_uri(server, request.uri)
+        if request.dnt:
+            wcg.dnt = True
+        flash = request.headers.get("X-Flash-Version")
+        if flash:
+            wcg.x_flash_version = flash
         response_edge: int | None = None
-        if txn.response is not None:
+        response = txn.response
+        if response is not None:
             ptype = txn.payload_type
-            wcg.record_payload(txn.server, ptype)
+            wcg.record_payload(server, ptype)
             response_edge = wcg.append_edge(
-                txn.server,
-                txn.client,
+                server,
+                client,
                 kind=KIND_RESPONSE,
-                timestamp=txn.response.timestamp,
+                timestamp=response.timestamp,
                 stage=int(stage),
-                status=txn.status,
+                status=response.status,
                 payload_type=ptype,
-                payload_size=txn.payload_size,
+                payload_size=response.body_size,
             )
             self._c_edges.inc()
             if (
-                200 <= txn.status < 300
+                200 <= response.status < 300
                 and is_exploit_type(ptype)
-                and txn.client == wcg.victim
+                and client == wcg.victim
             ):
-                wcg.mark_malicious(txn.server)
+                wcg.mark_malicious(server)
         self._txn_edges.append((request_edge, response_edge))
         self._stamps.append(txn.timestamp)
         self._max_ts = txn.timestamp
@@ -237,7 +230,6 @@ class WCGBuilder:
         # nearest ingested transaction at-or-before their timestamp.
         for redirect in self._inferencer.observe(txn):
             wcg.add_node(redirect.source, kind=NodeKind.REDIRECTOR)
-            wcg.add_node(redirect.target)
             redirect_edge = wcg.append_edge(
                 redirect.source,
                 redirect.target,

@@ -9,6 +9,7 @@ builder (``repro.core.builder``) consumes them.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
@@ -47,15 +48,21 @@ class HttpMethod(enum.Enum):
 
 
 class Headers:
-    """Case-insensitive, order-preserving HTTP header multimap."""
+    """Case-insensitive, order-preserving HTTP header multimap.
 
-    __slots__ = ("_items",)
+    ``version`` counts mutations, so a reader that derived something
+    from the headers (:attr:`HttpRequest.referrer_host`) can tell when
+    to derive it again without the map carrying an index.
+    """
+
+    __slots__ = ("_items", "version")
 
     def __init__(self, items: list[tuple[str, str]] | dict[str, str] | None = None):
         if isinstance(items, dict):
             self._items: list[tuple[str, str]] = list(items.items())
         else:
             self._items = list(items or [])
+        self.version = 0
 
     def get(self, name: str, default: str = "") -> str:
         """First value for ``name`` (case-insensitive), else ``default``."""
@@ -75,15 +82,18 @@ class Headers:
         lowered = name.lower()
         self._items = [(k, v) for k, v in self._items if k.lower() != lowered]
         self._items.append((name, value))
+        self.version += 1
 
     def add(self, name: str, value: str) -> None:
         """Append a header without removing existing occurrences."""
         self._items.append((name, value))
+        self.version += 1
 
     def remove(self, name: str) -> None:
         """Delete all occurrences of ``name``."""
         lowered = name.lower()
         self._items = [(k, v) for k, v in self._items if k.lower() != lowered]
+        self.version += 1
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and any(
@@ -113,7 +123,7 @@ class Headers:
         return list(self._items)
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpRequest:
     """A single HTTP request as observed on the wire.
 
@@ -130,20 +140,34 @@ class HttpRequest:
     headers: Headers = field(default_factory=Headers)
     body: bytes = b""
     version: str = "HTTP/1.1"
+    #: ``(headers, headers.version, referrer, referrer_host)`` as last
+    #: derived: routing, clue and redirect inference and the WCG builder
+    #: each ask for the referrer host of every transaction.  The host is
+    #: interned: a watch retains every message, and they name few hosts.
+    _referrer_facts: tuple[Headers, int, str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _referrer(self) -> tuple[Headers, int, str, str]:
+        facts = self._referrer_facts
+        headers = self.headers
+        if (facts is None or facts[0] is not headers
+                or facts[1] != headers.version):
+            ref = headers.get("Referer")
+            host = urlsplit(ref).netloc.split(":", 1)[0].lower() if ref else ""
+            facts = self._referrer_facts = (headers, headers.version, ref,
+                                            sys.intern(host))
+        return facts
 
     @property
     def referrer(self) -> str:
         """Value of the ``Referer`` header (empty when absent/redacted)."""
-        return self.headers.get("Referer")
+        return self._referrer()[2]
 
     @property
     def referrer_host(self) -> str:
         """Hostname component of the referrer, or empty string."""
-        ref = self.referrer
-        if not ref:
-            return ""
-        host = urlsplit(ref).netloc
-        return host.split(":", 1)[0].lower()
+        return self._referrer()[3]
 
     @property
     def user_agent(self) -> str:
@@ -168,7 +192,7 @@ class HttpRequest:
         return self.headers.get("DNT") == "1"
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpResponse:
     """A single HTTP response paired with a request."""
 
@@ -207,7 +231,7 @@ class HttpResponse:
         return 300 <= self.status < 400 and bool(self.location)
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpTransaction:
     """A request/response pair — the unit the detector consumes.
 

@@ -13,10 +13,13 @@ content type, or magic bytes.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from urllib.parse import urlsplit
 
 __all__ = [
+    "split_uri",
     "PayloadClass",
     "PayloadType",
     "EXPLOIT_EXTENSIONS",
@@ -207,9 +210,29 @@ _MAGIC_BYTES: tuple[tuple[bytes, PayloadType], ...] = (
 )
 
 
+#: What ``urlsplit`` strips or cuts at besides the first ``?``.
+_SPLIT_NEEDS_URLSPLIT = re.compile(r"[#\t\r\n]").search
+
+
+def split_uri(uri: str) -> tuple[str, str]:
+    """``(path, query)`` of a request URI, exactly as ``urlsplit`` gives.
+
+    Nearly every request line is origin-form (``/path?query``), and for
+    one with no fragment and no tab/CR/LF all ``urlsplit`` does is cut
+    at the first ``?``; only the rest (absolute-form, ``//authority``,
+    fragments) pays for the general parser.
+    """
+    if (uri[:1] == "/" and uri[1:2] != "/"
+            and not _SPLIT_NEEDS_URLSPLIT(uri)):
+        path, _, query = uri.partition("?")
+        return path, query
+    parts = urlsplit(uri)
+    return parts.path, parts.query
+
+
 def _extension_of(uri: str) -> str:
     """Return the lower-cased final extension of a URI path, or ``""``."""
-    path = urlsplit(uri).path
+    path = split_uri(uri)[0]
     name = path.rsplit("/", 1)[-1]
     if "." not in name:
         return ""
@@ -234,8 +257,13 @@ def classify_uri(uri: str) -> PayloadType | None:
     return classify_extension(ext)
 
 
+@lru_cache(maxsize=512)
 def classify_content_type(content_type: str) -> PayloadType | None:
-    """Classify a payload from its declared ``Content-Type`` header."""
+    """Classify a payload from its declared ``Content-Type`` header.
+
+    Memoised: a wire carries a few dozen distinct values, every
+    response carries one, and the answer is a prefix scan.
+    """
     value = content_type.split(";", 1)[0].strip().lower()
     if not value:
         return None

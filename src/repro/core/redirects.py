@@ -277,8 +277,7 @@ class RedirectInferencer:
                                 response.timestamp, absolute)
             self._content_targets.add(target)
         if response is not None and response.body:
-            content_type = response.content_type.lower()
-            if any(content_type.startswith(t) for t in _TEXTUAL_TYPES):
+            if response.content_type.lower().startswith(_TEXTUAL_TYPES):
                 body = response.body.decode("utf-8", errors="replace")
                 for kind, url in extract_content_redirects(body):
                     target = _host_of(url, server)
@@ -318,30 +317,31 @@ def redirect_chains(redirects: list[Redirect]) -> list[list[Redirect]]:
     chains are returned in order of their first hop.
     """
     ordered = sorted(redirects, key=lambda r: r.timestamp)
-    used = [False] * len(ordered)
+    # Positions in ``ordered`` of the redirects no chain has taken yet,
+    # by source host and ascending, so extending a chain looks only at
+    # the hops that could follow instead of rescanning ``ordered``.
+    unused: dict[str, list[int]] = {}
+    for index, redirect in enumerate(ordered):
+        unused.setdefault(redirect.source, []).append(index)
+    taken = [False] * len(ordered)
     chains: list[list[Redirect]] = []
-    for start in range(len(ordered)):
-        if used[start]:
+    for start, cursor in enumerate(ordered):
+        if taken[start]:
             continue
-        chain = [ordered[start]]
-        used[start] = True
-        cursor = ordered[start]
-        extended = True
-        while extended:
-            extended = False
-            for index in range(len(ordered)):
-                candidate = ordered[index]
-                if used[index]:
-                    continue
-                if (
-                    candidate.source == cursor.target
-                    and candidate.timestamp >= cursor.timestamp
-                ):
-                    chain.append(candidate)
-                    used[index] = True
-                    cursor = candidate
-                    extended = True
+        # Everything before ``start`` is taken, so it heads its list.
+        unused[cursor.source].pop(0)
+        chain = [cursor]
+        while True:
+            followers = unused.get(cursor.target, ())
+            for position, index in enumerate(followers):
+                if ordered[index].timestamp >= cursor.timestamp:
                     break
+            else:
+                break
+            del followers[position]
+            taken[index] = True
+            cursor = ordered[index]
+            chain.append(cursor)
         chains.append(chain)
     return chains
 

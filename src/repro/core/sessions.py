@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl
 
 from repro.core.model import HttpTransaction
+from repro.core.payloads import split_uri
 
 __all__ = ["extract_session_id", "SessionCluster", "group_sessions"]
 
@@ -27,6 +28,12 @@ _COOKIE_SESSION = re.compile(
     re.IGNORECASE,
 )
 _PATH_SESSION = re.compile(r";jsessionid=([A-Za-z0-9_\-]+)", re.IGNORECASE)
+#: A query names a session parameter only if it spells one out, or
+#: holds an escape (``%xx``, ``+``) that might decode to one; the other
+#: nine in ten are spared ``parse_qsl``.
+_MAY_NAME_SESSION = re.compile(
+    "|".join(_SESSION_PARAM_NAMES) + "|[%+]", re.IGNORECASE
+).search
 
 
 def extract_session_id(txn: HttpTransaction) -> str:
@@ -37,14 +44,18 @@ def extract_session_id(txn: HttpTransaction) -> str:
     response.  Returns ``""`` when no session marker is present.
     """
     uri = txn.request.uri
-    path_match = _PATH_SESSION.search(uri)
-    if path_match:
-        return path_match.group(1)
-    query = urlsplit(uri).query
-    if query:
-        for name, value in parse_qsl(query, keep_blank_values=False):
-            if name.lower() in _SESSION_PARAM_NAMES and value:
-                return value
+    # Most URIs carry neither marker; the substring tests spare them
+    # the regex, the split and the query parse.
+    if ";" in uri:
+        path_match = _PATH_SESSION.search(uri)
+        if path_match:
+            return path_match.group(1)
+    if "?" in uri:
+        query = split_uri(uri)[1]
+        if query and _MAY_NAME_SESSION(query):
+            for name, value in parse_qsl(query, keep_blank_values=False):
+                if name.lower() in _SESSION_PARAM_NAMES and value:
+                    return value
     cookie = txn.request.headers.get("Cookie")
     if cookie:
         cookie_match = _COOKIE_SESSION.search(cookie)

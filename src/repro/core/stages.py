@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 
 from repro.core.model import HttpMethod, HttpTransaction
 from repro.core.payloads import is_exploit_type
@@ -48,31 +47,22 @@ class Stage(enum.IntEnum):
     POST_DOWNLOAD = 2
 
 
-@dataclass(frozen=True)
-class _TxnFacts:
-    """The per-transaction inputs of the stage rules (immutable)."""
-
-    ts: float
-    resp_ts: float
-    method: HttpMethod
-    status: int
-    server: str
-    is_exploit: bool
+#: The per-transaction inputs of the stage rules:
+#: ``(ts, resp_ts, method, status, server, is_exploit)``.
+_TxnFacts = tuple[float, float, HttpMethod, int, str, bool]
 
 
 def _facts_of(txn: HttpTransaction) -> _TxnFacts:
     response = txn.response
-    return _TxnFacts(
-        ts=txn.timestamp,
-        resp_ts=response.timestamp if response is not None else txn.timestamp,
-        method=txn.request.method,
-        status=txn.status,
-        server=txn.server,
-        is_exploit=(
-            response is not None
-            and 200 <= txn.status < 300
-            and is_exploit_type(txn.payload_type)
-        ),
+    return (
+        txn.timestamp,
+        response.timestamp if response is not None else txn.timestamp,
+        txn.request.method,
+        txn.status,
+        txn.server,
+        response is not None
+        and 200 <= txn.status < 300
+        and is_exploit_type(txn.payload_type),
     )
 
 
@@ -139,14 +129,15 @@ class StageAssigner:
     # -- the pure stage rule ------------------------------------------------
 
     def _stage_of(self, facts: _TxnFacts) -> Stage:
+        ts, resp_ts, method, status, server, _ = facts
         first_exploit = self._first_exploit_ts()
-        is_post = facts.method is HttpMethod.POST
+        is_post = method is HttpMethod.POST
 
         # Pre-download: GET + 30x, before any exploit payload landed.
         if (
-            facts.method is HttpMethod.GET
-            and 300 <= facts.status < 400
-            and (first_exploit is None or facts.ts < first_exploit)
+            method is HttpMethod.GET
+            and 300 <= status < 400
+            and (first_exploit is None or ts < first_exploit)
         ):
             return Stage.PRE_DOWNLOAD
 
@@ -154,7 +145,7 @@ class StageAssigner:
         # redirection run-up is still in progress (response before the
         # last qualifying 30x) — these are the landing-page hops.
         last_30x = self._last_30x_ts()
-        if last_30x is not None and facts.resp_ts <= last_30x and not is_post:
+        if last_30x is not None and resp_ts <= last_30x and not is_post:
             return Stage.PRE_DOWNLOAD
 
         # Post-download: POST to a host that served no exploit payload,
@@ -164,11 +155,10 @@ class StageAssigner:
         last_exploit = self._last_exploit_ts()
         if (
             is_post
-            and facts.server not in self._exploit_hosts
-            and (facts.status == 200 or 400 <= facts.status < 500
-                 or facts.status == 0)
+            and server not in self._exploit_hosts
+            and (status == 200 or 400 <= status < 500 or status == 0)
             and last_exploit is not None
-            and facts.ts >= last_exploit
+            and ts >= last_exploit
         ):
             return Stage.POST_DOWNLOAD
 
@@ -193,27 +183,27 @@ class StageAssigner:
         """
         seq = len(self._facts)
         facts = _facts_of(txn)
+        ts, resp_ts, method, status, server, is_exploit = facts
 
         old_first = self._first_exploit_ts()
         old_last = self._last_exploit_ts()
         old_30x = self._last_30x_ts()
 
-        key = (facts.ts, seq)
-        if facts.is_exploit:
+        key = (ts, seq)
+        if is_exploit:
             at = bisect_right(self._exploit_keys, key)
             self._exploit_keys.insert(at, key)
-            self._exploit_resp.insert(at, facts.resp_ts)
-        if facts.method is HttpMethod.GET and 300 <= facts.status < 400:
+            self._exploit_resp.insert(at, resp_ts)
+        if method is HttpMethod.GET and 300 <= status < 400:
             at = bisect_right(self._r30_keys, key)
             self._r30_keys.insert(at, key)
-            self._r30_resp.insert(at, facts.resp_ts)
-        if facts.method is HttpMethod.POST:
-            if (facts.status == 200 or 400 <= facts.status < 500
-                    or facts.status == 0):
+            self._r30_resp.insert(at, resp_ts)
+        if method is HttpMethod.POST:
+            if status == 200 or 400 <= status < 500 or status == 0:
                 insort(self._post_keys, key)
-                self._posts_by_host.setdefault(facts.server, []).append(seq)
+                self._posts_by_host.setdefault(server, []).append(seq)
         else:
-            insort(self._resp_keys, (facts.resp_ts, seq))
+            insort(self._resp_keys, (resp_ts, seq))
 
         affected: set[int] = set()
         new_first = self._first_exploit_ts()
@@ -243,9 +233,9 @@ class StageAssigner:
             else:
                 lo, hi = min(old_last, new_last), max(old_last, new_last)
             affected.update(self._window(self._post_keys, lo, hi))
-        if facts.is_exploit and facts.server not in self._exploit_hosts:
-            self._exploit_hosts.add(facts.server)
-            affected.update(self._posts_by_host.get(facts.server, ()))
+        if is_exploit and server not in self._exploit_hosts:
+            self._exploit_hosts.add(server)
+            affected.update(self._posts_by_host.get(server, ()))
 
         self._facts.append(facts)
         self._stages.append(Stage.DOWNLOAD)

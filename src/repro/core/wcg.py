@@ -228,10 +228,11 @@ class WebConversationGraph:
 
     @property
     def edge_store(self) -> EdgeColumnStore:
-        """The columnar edge storage (vectorized extraction reads this)."""
+        """The columnar edge storage (snapshots and features slice it)."""
         return self._edges
 
     def _intern(self, host: str) -> int:
+        """Id of ``host``, added as a plain remote node when new."""
         node_id = self._host_ids.get(host)
         if node_id is None:
             node_id = self._host_ids[host] = len(self._host_names)
@@ -319,10 +320,8 @@ class WebConversationGraph:
         identical to the seed object path, so every derived feature
         stays bit-identical.
         """
-        self.add_node(source)
-        self.add_node(target)
-        src = self._host_ids[source]
-        dst = self._host_ids[target]
+        src = self._intern(source)
+        dst = self._intern(target)
         index = self._edges.append(
             timestamp=timestamp,
             kind=kind,
@@ -395,8 +394,7 @@ class WebConversationGraph:
 
     def record_uri(self, host: str, uri: str) -> None:
         """Track a URI observed for ``host`` (URIs-per-host annotation)."""
-        self.add_node(host)
-        uris = self.node_data(host).uris
+        uris = self._node_records[self._intern(host)].uris
         if uri in uris:
             return
         if not uris:
@@ -408,8 +406,7 @@ class WebConversationGraph:
 
     def record_payload(self, host: str, ptype: PayloadType) -> None:
         """Track a payload exchanged with ``host``."""
-        self.add_node(host)
-        self.node_data(host).payloads.add(ptype)
+        self._node_records[self._intern(host)].payloads.add(ptype)
 
     # --- views -----------------------------------------------------------
 

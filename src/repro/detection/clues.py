@@ -117,14 +117,12 @@ class ClueDetector:
 
     def __init__(self, policy: CluePolicy | None = None):
         self.policy = policy or CluePolicy()
-        self._window: list[HttpTransaction] = []
         self._inferencer = RedirectInferencer()
         self._chain_length = 0
         self._c_clues = get_registry().counter("detection.clues_fired")
 
     def observe(self, txn: HttpTransaction) -> InfectionClue | None:
         """Ingest one transaction; returns a clue when one is flagged."""
-        self._window.append(txn)
         # Incremental inference: O(this transaction), not O(window).
         # Chain length only changes when a new redirect appears.
         if self._inferencer.observe(txn):
@@ -149,13 +147,7 @@ class ClueDetector:
             )
         return None
 
-    @property
-    def window(self) -> list[HttpTransaction]:
-        """Transactions observed since the last reset."""
-        return list(self._window)
-
     def reset(self) -> None:
         """Clear per-session state."""
-        self._window.clear()
         self._inferencer = RedirectInferencer()
         self._chain_length = 0

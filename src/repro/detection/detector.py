@@ -86,14 +86,14 @@ class _PendingScore:
     """One classification request awaiting the (micro-batched) ERF call.
 
     The WCG reference plus its order/size at request time are captured
-    here; feature extraction itself is deferred to the flush, where all
-    pending rows are assembled in one vectorized
+    here; feature extraction itself is deferred to the flush, where one
     :meth:`~repro.features.extractor.FeatureExtractor.extract_batch`
-    pass.  That deferral is sound because the batching flush rule (no
-    second transaction of the same client routes while one of its
-    watches has a pending score) guarantees the graph cannot mutate
-    between the request and the flush — the extracted row is exactly
-    what request-time extraction would have produced.
+    call fills every pending row.  That deferral is sound because the
+    batching flush rule (no second transaction of the same client
+    routes while one of its watches has a pending score) guarantees the
+    graph cannot mutate between the request and the flush — the
+    extracted row is exactly what request-time extraction would have
+    produced.
     """
 
     watch: SessionWatch
@@ -330,9 +330,9 @@ class OnTheWireDetector:
     def score_batch(self, requests: list[_PendingScore]) -> list[Alert]:
         """Score pending requests as one matrix call; dispatch in order.
 
-        Feature rows are assembled here, in one vectorized
-        ``extract_batch`` pass over the pending WCGs (safe because the
-        flush rule froze them; see :class:`_PendingScore`).  Per-row
+        Feature rows are assembled here, in one ``extract_batch`` call
+        over the pending WCGs (safe because the flush rule froze them;
+        see :class:`_PendingScore`).  Per-row
         classifier output is independent of the other rows in the
         matrix (arena inference is elementwise across rows), so
         each verdict is byte-identical to the single-row call the

@@ -154,15 +154,19 @@ class SessionTable:
 
     def route(self, txn: HttpTransaction) -> SessionWatch:
         """Find (or open) the watch that owns ``txn`` and ingest it."""
-        if txn.timestamp > self._now:
-            self._now = txn.timestamp
+        client = txn.client
+        timestamp = txn.timestamp
+        if timestamp > self._now:
+            self._now = timestamp
         self._routed += 1
         if self._routed % _SWEEP_INTERVAL == 0:
             self.sweep()
         else:
-            self._prune_client(txn.client)
+            self._prune_client(client)
         session_id = extract_session_id(txn)
-        candidates = self._watches.setdefault(txn.client, [])
+        candidates = self._watches.get(client)
+        if candidates is None:
+            candidates = self._watches[client] = []
         chosen: SessionWatch | None = None
         for watch in reversed(candidates):
             if watch.terminated:
@@ -172,11 +176,11 @@ class SessionTable:
                 break
         if chosen is None:
             self._serial += 1
-            ordinal = self._client_serial.get(txn.client, 0) + 1
-            self._client_serial[txn.client] = ordinal
+            ordinal = self._client_serial.get(client, 0) + 1
+            self._client_serial[client] = ordinal
             chosen = SessionWatch(
-                key=f"{txn.client}#{ordinal}",
-                client=txn.client,
+                key=f"{client}#{ordinal}",
+                client=client,
                 policy=self.policy,
             )
             candidates.append(chosen)
@@ -184,8 +188,8 @@ class SessionTable:
             self._c_opened.inc()
             self._g_active.set(self._live)
             if self._tracer.enabled:
-                self._tracer.emit("watch", ts=txn.timestamp,
-                                  client=txn.client, watch=chosen.key)
+                self._tracer.emit("watch", ts=timestamp,
+                                  client=client, watch=chosen.key)
         clue = chosen.add(txn, session_id)
         if clue is not None and self._tracer.enabled:
             self._tracer.emit("clue", ts=clue.timestamp, client=clue.client,
@@ -226,10 +230,19 @@ class SessionTable:
         group = self._watches.get(client)
         if not group:
             return
+        # Every route lands here and almost none finds anything to
+        # drop: look first (``_prunable``, inline), rebuild the list
+        # only when something is.
+        now, horizon = self._now, self.prune_after
+        for watch in group:
+            if watch.terminated or (watch.active_clue is None
+                                    and now - watch.last_ts > horizon):
+                break
+        else:
+            return
         kept = [w for w in group if not self._drop_if_prunable(w)]
         if kept:
-            if len(kept) != len(group):
-                self._watches[client] = kept
+            self._watches[client] = kept
         else:
             del self._watches[client]
             # The client left entirely; forget its ordinal too so the

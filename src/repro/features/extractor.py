@@ -19,10 +19,11 @@ Extraction is tiered for the on-the-wire path:
   scoring an unchanged WCG never re-extracts anything.
 
 :meth:`FeatureExtractor.extract_batch` is the multi-graph entry point:
-cache-fresh rows are reused, the rest are assembled in one vectorized
-pass (:func:`repro.features.batch.assemble_rows`) — this is what the
-detector's ``score_batch`` flush, :func:`extract_matrix`, and
-:func:`repro.learning.dataset.dataset_from_graphs` ride.
+cache-fresh rows are reused and each of the rest is filled by the same
+row routine :meth:`~FeatureExtractor.extract` uses — the detector's
+``score_batch`` flush (one or two rows at a time on a per-transaction
+feed), :func:`extract_matrix` and
+:func:`repro.learning.dataset.dataset_from_graphs` ride it.
 
 Cache lifetime: the per-graph caches are
 :class:`weakref.WeakKeyDictionary` — entries vanish with their graph —
@@ -42,11 +43,10 @@ from repro.core.builder import build_wcg
 from repro.core.model import Trace
 from repro.core.wcg import WebConversationGraph
 from repro.exceptions import FeatureError
-from repro.features.batch import assemble_rows
 from repro.features.graph import scalar_graph_features
 from repro.features.header import header_features
 from repro.features.high_level import high_level_features
-from repro.features.registry import FEATURES, NUM_FEATURES
+from repro.features.registry import FEATURES, NUM_FEATURES, feature_names
 from repro.features.temporal import temporal_features
 from repro.features.topology import structural_topology_features, structure_key
 from repro.obs import get_registry
@@ -57,6 +57,8 @@ __all__ = ["FeatureExtractor", "extract_features", "extract_matrix",
 
 #: Default bound on the shared structural topology LRU.
 _STRUCTURE_CACHE_SIZE = 4096
+
+_FEATURE_NAMES = tuple(feature_names())
 
 
 class FeatureExtractor:
@@ -103,26 +105,29 @@ class FeatureExtractor:
         The returned array is shared with the cache and marked
         read-only; copy it before mutating.
         """
+        return self._row(wcg)
+
+    def _row(self, wcg: WebConversationGraph) -> np.ndarray:
+        """The cached read-only row of ``wcg``, computed when stale."""
         cached = self._vector_cache.get(wcg)
         if cached is not None and cached[0] == wcg.version:
             self._c_vec_hits.inc()
             return cached[1]
         self._c_vec_misses.inc()
-        values: dict[str, float] = {}
-        values.update(high_level_features(wcg))
+        values = high_level_features(wcg)
         values.update(scalar_graph_features(wcg))
         values.update(self._topology(wcg))
         values.update(header_features(wcg))
         values.update(temporal_features(wcg))
-        vector = np.empty(NUM_FEATURES, dtype=np.float64)
-        for index, spec in enumerate(FEATURES):
-            try:
-                vector[index] = values[spec.name]
-            except KeyError:
-                raise FeatureError(
-                    f"extractor produced no value for {spec.fid} ({spec.name})"
-                ) from None
-        if not np.all(np.isfinite(vector)):
+        try:
+            vector = np.array([values[name] for name in _FEATURE_NAMES],
+                              dtype=np.float64)
+        except KeyError as missing:
+            spec = FEATURES[_FEATURE_NAMES.index(missing.args[0])]
+            raise FeatureError(
+                f"extractor produced no value for {spec.fid} ({spec.name})"
+            ) from None
+        if not np.isfinite(vector).all():
             bad = [FEATURES[i].name for i in np.where(~np.isfinite(vector))[0]]
             raise FeatureError(f"non-finite feature values: {bad}")
         vector.flags.writeable = False
@@ -134,38 +139,18 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """The ``(len(graphs), 37)`` matrix, rows in input order.
 
-        Byte-identical per row to :meth:`extract` on the same graph —
-        cache-fresh rows are reused verbatim, stale/new rows go through
-        one vectorized :func:`~repro.features.batch.assemble_rows` pass
-        with topology served from the structural cache.  Returns a
-        fresh writable matrix (rows are *copied* out of the cache).
+        Each row is what :meth:`extract` returns for that graph (one
+        row routine serves both), copied into a fresh writable matrix.
         """
         graphs = list(graphs)
         self._c_batch_extracts.inc()
         self._c_batch_rows.inc(len(graphs))
-        if not graphs:
-            return np.empty((0, NUM_FEATURES), dtype=np.float64)
-        with self._metrics.span("features.extract_batch"):
-            rows: list[np.ndarray | None] = [None] * len(graphs)
-            fresh: list[int] = []
-            for i, wcg in enumerate(graphs):
-                cached = self._vector_cache.get(wcg)
-                if cached is not None and cached[0] == wcg.version:
-                    self._c_vec_hits.inc()
-                    rows[i] = cached[1]
-                else:
-                    self._c_vec_misses.inc()
-                    fresh.append(i)
-            if fresh:
-                fresh_graphs = [graphs[i] for i in fresh]
-                topology_rows = [self._topology(g) for g in fresh_graphs]
-                matrix = assemble_rows(fresh_graphs, topology_rows)
-                for j, i in enumerate(fresh):
-                    row = matrix[j]
-                    row.flags.writeable = False
-                    self._vector_cache[graphs[i]] = (graphs[i].version, row)
-                    rows[i] = row
-            return np.vstack(rows)
+        matrix = np.empty((len(graphs), NUM_FEATURES), dtype=np.float64)
+        if graphs:
+            with self._metrics.span("features.extract_batch"):
+                for index, wcg in enumerate(graphs):
+                    matrix[index] = self._row(wcg)
+        return matrix
 
     def _topology(self, wcg: WebConversationGraph) -> dict[str, float]:
         """The expensive tier: per-graph memo, then the structural LRU."""

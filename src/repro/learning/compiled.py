@@ -7,7 +7,11 @@ Python iterations per call; this module compiles a fitted forest into a
 struct-of-arrays *arena* — one flat node table shared by all trees —
 and traverses it level-wise with vectorized index stepping, so a batch
 costs O(depth) numpy operations regardless of how many rows or trees it
-covers.
+covers.  Those operations cost the same for one row as for a hundred,
+and the live path asks for one row at a time, so up to
+``_ROW_WISE_MAX_ROWS`` rows the same arena is walked row by row in
+plain Python instead (:meth:`CompiledForest.predict_proba` picks by row
+count; both walks produce the same bytes).
 
 Layout (a natural extension of the model-format-v2 flat node list):
 
@@ -52,6 +56,10 @@ from repro.exceptions import LearningError
 from repro.learning.tree import DecisionTreeClassifier, flatten_nodes
 
 __all__ = ["CompiledForest", "compile_forest", "compile_tree_arrays"]
+
+#: Up to this many rows :meth:`CompiledForest.predict_proba` walks the
+#: arena row by row; measured crossover in DESIGN.md §10.
+_ROW_WISE_MAX_ROWS = 4
 
 
 def compile_tree_arrays(
@@ -140,6 +148,10 @@ class CompiledForest:
         #: Leaf lanes gather column 0; the comparison outcome is
         #: irrelevant because both child slots self-loop.
         self.gather_feature = np.maximum(self.feature, 0)
+        #: The arena as plain lists, for the row-wise walk.
+        self._row_arena = (self.roots.tolist(), self.feature.tolist(),
+                           self.threshold.tolist(), self.child.tolist(),
+                           self.leaf_proba.tolist())
 
     # -- traversal -----------------------------------------------------------
 
@@ -188,11 +200,39 @@ class CompiledForest:
         what the object walk's scatter-and-add produces.
         """
         X = self._validate(X)
+        if len(X) <= _ROW_WISE_MAX_ROWS:
+            return self._predict_proba_row_wise(X)
         pos = self._leaves(X)
         total = np.zeros((len(X), len(self.classes)))
         for index in range(self.n_trees):
             total += self.leaf_proba[pos[:, index]]
         return total / self.n_trees
+
+    def _predict_proba_row_wise(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` for a handful of rows, in plain Python.
+
+        The level-wise walk costs ~``6 * depth`` numpy calls however few
+        lanes they move; one row is ``n_trees`` short descents, cheaper
+        as list indexing on floats.  Same comparisons (``NaN <= t`` is
+        False and steps right) and the same float64 additions in the
+        same tree order as the matrix path, so the bytes are equal.
+        """
+        roots, feature, threshold, child, leaf_proba = self._row_arena
+        classes = range(len(self.classes))
+        n_trees = self.n_trees
+        out = np.empty((len(X), len(self.classes)))
+        for index, row in enumerate(X.tolist()):
+            total = [0.0] * len(classes)
+            for node in roots:
+                split = feature[node]
+                while split >= 0:
+                    node = child[2 * node + (row[split] <= threshold[node])]
+                    split = feature[node]
+                proba = leaf_proba[node]
+                for column in classes:
+                    total[column] += proba[column]
+            out[index] = [value / n_trees for value in total]
+        return out
 
     def explain(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decision-path explanation of one row, in one vectorized pass.

@@ -65,12 +65,11 @@ class LabeledDataset:
 def dataset_from_graphs(
     graphs: list, labels: list[float] | np.ndarray
 ) -> LabeledDataset:
-    """A :class:`LabeledDataset` from pre-built WCGs, one matrix pass.
+    """A :class:`LabeledDataset` from pre-built WCGs.
 
-    Rides :func:`repro.features.extractor.extract_matrix_batch`, so the
-    whole design matrix is assembled vectorized (with topology shared
-    across repeated conversation shapes) instead of graph-by-graph —
-    rows are byte-identical to per-graph extraction.
+    Rides :func:`repro.features.extractor.extract_matrix_batch`: one
+    extractor for the whole matrix, so topology is shared across
+    repeated conversation shapes.
     """
     from repro.features.extractor import extract_matrix_batch
     from repro.features.registry import feature_names

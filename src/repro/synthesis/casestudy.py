@@ -19,6 +19,7 @@ expected misses).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,9 @@ def _downloads_in(trace: Trace, malicious: bool,
                 DownloadRecord(
                     host=txn.server, client=txn.client, extension=ext,
                     malicious=malicious, content_borne=content_borne,
-                    sha256=f"{hash((txn.server, uri)) & 0xFFFFFFFFFFFF:012x}",
+                    # Not builtin ``hash()``: salted per process.
+                    sha256=hashlib.sha256(
+                        f"{txn.server}|{uri}".encode()).hexdigest(),
                 )
             )
     return records

@@ -10,6 +10,7 @@ timeouts footnoted under Table V.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.core.model import Trace
@@ -124,7 +125,10 @@ def samples_from_trace(trace: Trace) -> list[PayloadSample]:
 
         if txn.status != 200 or not is_downloadable(ptype):
             continue
-        sha = f"{hash((trace.origin, txn.server, txn.request.uri, index)) & ((1 << 64) - 1):016x}"
+        # Not builtin ``hash()``: str hashing is salted per process.
+        sha = hashlib.sha256(
+            f"{trace.origin}|{txn.server}|{txn.request.uri}|{index}".encode()
+        ).hexdigest()
         is_payload = malicious and (
             is_exploit_type(ptype)
             or (compressed and ptype is PayloadType.ARCHIVE)

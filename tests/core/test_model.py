@@ -82,6 +82,38 @@ class TestHttpRequest:
         assert txn.request.referrer == ""
         assert txn.request.referrer_host == ""
 
+    def test_referrer_facts_refresh_when_headers_change(self):
+        # The referrer pair is derived once per message, so every way
+        # of changing the header after a first read must re-derive it.
+        request = make_txn(referrer="http://first.com/a").request
+        assert request.referrer_host == "first.com"
+        request.headers.set("Referer", "http://Second.com:81/b")
+        assert request.referrer == "http://Second.com:81/b"
+        assert request.referrer_host == "second.com"
+        request.headers.remove("Referer")
+        assert (request.referrer, request.referrer_host) == ("", "")
+        request.headers.add("referer", "http://third.com/")
+        assert request.referrer_host == "third.com"
+        request.headers = Headers({"Referer": "http://fourth.com/"})
+        assert request.referrer_host == "fourth.com"
+        # A same-version map swapped in is still a different map.
+        request.headers = Headers({"Referer": "http://fifth.com/"})
+        assert request.referrer_host == "fifth.com"
+
+    def test_referrer_facts_do_not_leak_into_equality_or_repr(self):
+        a = make_txn(referrer="http://first.com/a").request
+        b = make_txn(referrer="http://first.com/a").request
+        assert a.referrer_host == "first.com"  # a derived, b not yet
+        assert a == b
+        assert "_referrer_facts" not in repr(a)
+
+    def test_messages_carry_no_instance_dict(self):
+        # The derived facts are paid for with ``slots=True``: 22k live
+        # transactions must not each grow a ``__dict__``.
+        txn = make_txn()
+        for message in (txn, txn.request, txn.response):
+            assert not hasattr(message, "__dict__")
+
     def test_uri_length(self):
         txn = make_txn(uri="/abcde")
         assert txn.request.uri_length == 6

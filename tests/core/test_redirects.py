@@ -17,6 +17,7 @@ from repro.core.redirects import (
 )
 from repro.synthesis.obfuscation import ObfuscationStyle, obfuscate_redirect
 from tests.conftest import make_txn
+from tests.oracles.redirect_chains import redirect_chains_reference
 
 
 class TestDeobfuscate:
@@ -218,6 +219,25 @@ class TestChains:
     def test_empty(self):
         assert redirect_chains([]) == []
         assert longest_chain_length([]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"),
+                  st.sampled_from(list(RedirectKind)),
+                  st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.5])),
+        max_size=24,
+    ))
+    def test_indexed_assembly_matches_the_rescan(self, hops):
+        # Few hosts and fewer timestamps: ties, cycles, self-loops and
+        # duplicate hops, where "first candidate in order" is decided
+        # by the stable sort alone.
+        redirects = [Redirect(*hop) for hop in hops]
+        reference = redirect_chains_reference(redirects)
+        chains = redirect_chains(redirects)
+        assert [[id(r) for r in chain] for chain in chains] == (
+            [[id(r) for r in chain] for chain in reference])
+        assert longest_chain_length(redirects) == max(
+            map(len, reference), default=0)
 
     def test_cross_domain_flag(self):
         assert Redirect("a.com", "b.com", RedirectKind.HTTP_30X, 0).cross_domain

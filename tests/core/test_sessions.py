@@ -1,7 +1,61 @@
 """Unit tests for session-ID extraction and session grouping."""
 
+from urllib.parse import urlsplit
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.payloads import split_uri
 from repro.core.sessions import extract_session_id, group_sessions
 from tests.conftest import make_txn
+from tests.oracles.session_id import extract_session_id_reference
+
+# URI fragments chosen to sit on every shortcut ``extract_session_id``
+# and ``split_uri`` take: markers present/absent, names spelt plainly,
+# in odd case, percent- or plus-encoded, case-folding look-alikes, and
+# the characters ``urlsplit`` strips or cuts at.
+_NAMES = st.sampled_from([
+    "sid", "SID", "PHPSESSID", "s%69d", "%73id", "s_id", "s+id", "sess",
+    "session%5Fid", "\u017fid", "\u212Aid", "cfid", "x", "q", "id", "",
+])
+_VALUES = st.sampled_from(["abc123", "", "a%20b", "v+w", "1", "x;y", "a#b"])
+_PAIRS = st.lists(
+    st.tuples(_NAMES, st.sampled_from(["=", ""]), _VALUES).map("".join),
+    max_size=4,
+).map("&".join)
+_PATHS = st.sampled_from([
+    "/", "/a/b.html", "/app;jsessionid=XYZ-1", "/app;JSESSIONID=q_9/x",
+    "/a;jsessionid=", "/a;b=c", "//cdn.example/x", "/a\tb", "/a\rb\n",
+    "", "*", "/a b", "/%3F", "/a#frag", "/a#f?sid=infragment",
+    "http://h.example/p", "http://h.example:8080/p;jsessionid=ABS",
+    "HTTP://U@h/p", "h.example:443", " /lead", "/trail ", "/\x00",
+])
+_URIS = st.builds(
+    lambda path, mark, query, tail: path + mark + query + tail,
+    _PATHS, st.sampled_from(["?", "", "??", "?&"]), _PAIRS,
+    st.sampled_from(["", "#f", "#f?sid=late", "\t", "?sid=second"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(uri=_URIS, cookie=st.sampled_from(["", "sid=fromcookie"]))
+def test_session_id_matches_the_reference(uri, cookie):
+    txn = make_txn(uri=uri,
+                   extra_req_headers={"Cookie": cookie} if cookie else None)
+    assert extract_session_id(txn) == extract_session_id_reference(txn)
+
+
+@settings(max_examples=400, deadline=None)
+@given(uri=st.one_of(_URIS, st.text(max_size=12)))
+def test_split_uri_matches_urlsplit(uri):
+    try:
+        parts = urlsplit(uri)
+    except ValueError:  # e.g. an unbalanced ``//[`` authority
+        with pytest.raises(ValueError):
+            split_uri(uri)
+        return
+    assert split_uri(uri) == (parts.path, parts.query)
 
 
 class TestExtractSessionId:

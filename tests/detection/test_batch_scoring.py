@@ -115,6 +115,51 @@ class TestBatchedEqualsSequential:
         assert via_stream.classifications == sequential.classifications
 
 
+class TestProxyShape:
+    """What a proxy delivers — one transaction per ``process_batch`` —
+    is the shape the scoring and extraction paths are sized for; pin
+    that it really scores a row or two at a time, and changes nothing."""
+
+    @staticmethod
+    def _run(trained_model, feed):
+        from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+
+        registry = MetricsRegistry()
+        with use_registry(registry), use_tracer(Tracer()) as tracer:
+            detector = _fresh(trained_model)
+            feed(detector)
+            detector.finalize()
+            alerts = list(detector.alerts)
+            scores = [(e.seq, e.watch, e.data["score"])
+                      for e in tracer.events() if e.kind == "score"]
+        return alerts, sorted(scores), registry.snapshot()
+
+    @pytest.mark.parametrize("kind", ["single", "interleaved"])
+    def test_batch_of_one_feed_scores_a_row_or_two(self, trained_model,
+                                                   streams, kind):
+        stream = streams[kind]
+
+        def per_transaction(detector):
+            for txn in stream:
+                detector.process_batch([txn])
+
+        alerts, scores, snapshot = self._run(trained_model, per_transaction)
+        stream_alerts, stream_scores, _ = self._run(
+            trained_model, lambda detector: detector.process_stream(stream))
+        assert alerts and scores  # the episode does clue and score
+        rows = snapshot["histograms"]["forest.batch_rows"]
+        assert rows["count"] >= len(scores) / 2
+        assert rows["max"] <= 2
+        assert ([a.score for a in alerts]
+                == [a.score for a in stream_alerts])
+        assert ([(a.client, a.timestamp, a.session_key) for a in alerts]
+                == [(a.client, a.timestamp, a.session_key)
+                    for a in stream_alerts])
+        # Every score ever requested, not only the alerting ones.
+        assert ([score for _, _, score in scores]
+                == [score for _, _, score in stream_scores])
+
+
 class TestScoreBatchUnit:
     def test_empty_batch_is_noop(self, trained_model):
         detector = _fresh(trained_model)

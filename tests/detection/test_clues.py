@@ -71,11 +71,20 @@ class TestClueDetector:
         assert clue is None
 
     def test_reset_clears_window(self):
-        detector = ClueDetector()
+        """The window is the redirect chain: gone after ``reset()``."""
+        policy = CluePolicy(redirect_threshold=2, exploit_shortcut=False)
+        archive = make_txn(host="c.com", uri="/x.zip", ts=3.0,
+                           content_type="application/zip")
+        detector = ClueDetector(policy)
         detector.observe(_redirect_txn("a.com", "b.com", 1.0))
-        assert len(detector.window) == 1
+        detector.observe(_redirect_txn("b.com", "c.com", 2.0))
         detector.reset()
-        assert detector.window == []
+        assert detector.observe(archive) is None
+        # Not because the archive never clues: without the reset it does.
+        detector.reset()
+        detector.observe(_redirect_txn("a.com", "b.com", 1.0))
+        detector.observe(_redirect_txn("b.com", "c.com", 2.0))
+        assert detector.observe(archive) is not None
 
 
 class TestPayloadRisk:

@@ -111,3 +111,58 @@ class TestSessionTable:
         table.route(make_txn(host="z.org", ts=2.0))
         keys = [w.key for w in table.watches()]
         assert len(set(keys)) == len(keys)
+
+
+def _rebuilding_prune_client(self, client):
+    """``SessionTable._prune_client`` before it looked first: rebuild
+    the client's list on every call, dropping as it goes."""
+    group = self._watches.get(client)
+    if not group:
+        return
+    kept = [w for w in group if not self._drop_if_prunable(w)]
+    if kept:
+        if len(kept) != len(group):
+            self._watches[client] = kept
+    else:
+        del self._watches[client]
+        self._client_serial.pop(client, None)
+
+
+class TestPruneEventsUnchanged:
+    def test_same_prunes_in_the_same_order_on_mixed(self, trained_model,
+                                                    monkeypatch):
+        """Scan-then-rebuild must drop exactly the watches the rebuild-
+        always version dropped, at the same routes: same ``prune``
+        events in the same emission order, same counter."""
+        from repro.detection.detector import DetectorConfig, OnTheWireDetector
+        from repro.loadgen import MIXED, LoadGenerator
+        from repro.net.flows import transactions_from_packets
+        from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+
+        generator = LoadGenerator(seed=23, mix=MIXED, concurrency=8)
+        txns = transactions_from_packets(generator.capture(6000),
+                                         book=generator.book)
+
+        def run():
+            registry = MetricsRegistry()
+            with use_registry(registry), use_tracer(Tracer()) as tracer:
+                # A horizon far inside the ~10 min stream, so the
+                # per-route prune (not just the sweep) has work to do.
+                detector = OnTheWireDetector(trained_model, config=DetectorConfig(
+                    idle_gap=5.0, prune_after=20.0))
+                for txn in txns:
+                    detector.process_batch([txn])
+                detector.finalize()
+                events = sorted(tracer.events(), key=lambda e: e.seq)
+            return ([e.canonical() for e in events],
+                    registry.snapshot()["counters"])
+
+        events, counters = run()
+        monkeypatch.setattr(SessionTable, "_prune_client",
+                            _rebuilding_prune_client)
+        reference_events, reference_counters = run()
+        prunes = [e for e in events if e["kind"] == "prune"]
+        assert len(prunes) > 50
+        assert counters["session.watches_pruned"] == len(prunes)
+        assert events == reference_events
+        assert counters == reference_counters

@@ -7,7 +7,8 @@ live/batch differential uses:
   networkx walk (``tests.oracles.topology``) on every construction
   prefix, in-order and shuffled, and on random digraphs;
 * **batch parity** — ``extract_batch`` / ``extract_matrix_batch`` rows
-  equal per-graph ``extract`` rows, bit for bit;
+  equal per-graph ``extract`` rows and the vectorised assembly they
+  replaced (``tests.oracles.feature_assembly``), bit for bit;
 * **pair-sample sharing** — the connectivity pair sample is one seeded
   stream shared with the reference, and an explicit seed reproduces it.
 
@@ -26,7 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import WCGBuilder, build_wcg
-from repro.core.wcg import KIND_REQUEST, WebConversationGraph
+from repro.core.wcg import (
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    WebConversationGraph,
+)
 from repro.features.extractor import (
     FeatureExtractor,
     extract_matrix_batch,
@@ -38,6 +43,7 @@ from repro.features.topology import (
     structure_key,
 )
 from repro.synthesis.corpus import ground_truth_corpus
+from tests.oracles.feature_assembly import assemble_rows
 from tests.oracles.topology import (
     average_node_connectivity_sampled,
     topology_features,
@@ -115,6 +121,52 @@ def _corpus_graphs(scale=0.05, seed=173):
     return [build_wcg(trace) for trace in corpus.traces]
 
 
+def _assembled(graphs):
+    """The vectorised oracle's matrix for ``graphs``."""
+    return assemble_rows(
+        graphs,
+        [structural_topology_features(*structure_key(g)) for g in graphs],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_hosts=st.integers(1, 9),
+    pairs=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8),
+                  st.sampled_from([0, 200, 302, 404, 503])),
+        max_size=30,
+    ),
+    origin=st.sampled_from(["", "h0", "search.example"]),
+)
+def test_rows_match_vectorised_oracle_on_random_digraphs(n_hosts, pairs,
+                                                         origin):
+    """Row routine vs the matrix oracle where the corpus does not go:
+    edgeless graphs, a victim that is its own origin, zero denominators
+    in every guarded ratio."""
+    wcg = WebConversationGraph(victim="h0", origin=origin)
+    for host in range(n_hosts):
+        wcg.add_node(f"h{host}")
+    for step, (a, b, status) in enumerate(pairs):
+        a, b = a % n_hosts, b % n_hosts
+        if a == b:
+            continue
+        if status:
+            wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_RESPONSE,
+                            timestamp=step * 0.37, stage=0, status=status)
+        else:
+            wcg.record_uri(f"h{b}", f"/p{step}")
+            wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_REQUEST,
+                            timestamp=step * 0.37, stage=0, method="GET",
+                            uri_length=len(f"/p{step}"),
+                            referrer="r" * (step % 2))
+    extractor = FeatureExtractor()
+    batch = extractor.extract_batch([wcg, wcg])
+    assert batch[0].tobytes() == batch[1].tobytes()
+    assert batch[:1].tobytes() == _assembled([wcg]).tobytes()
+    assert extractor.extract(wcg).tobytes() == batch[0].tobytes()
+
+
 class TestBatchParity:
     def test_batch_rows_equal_scalar_rows(self):
         graphs = _corpus_graphs()
@@ -124,6 +176,19 @@ class TestBatchParity:
         )
         assert matrix.shape == reference.shape
         assert matrix.tobytes() == reference.tobytes()
+        assert matrix.tobytes() == _assembled(graphs).tobytes()
+
+    def test_live_prefix_rows_equal_the_oracle(self):
+        """The detector's shape: one growing graph, re-extracted after
+        every transaction, in order and shuffled."""
+        extractor = FeatureExtractor()
+        for _, txns in _streams():
+            builder = WCGBuilder()
+            for txn in txns:
+                builder.add(txn)
+                wcg = builder.build()
+                assert (extractor.extract_batch([wcg]).tobytes()
+                        == _assembled([wcg]).tobytes())
 
     def test_module_level_batch_matches(self):
         graphs = _corpus_graphs(scale=0.02)

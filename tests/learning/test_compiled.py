@@ -182,6 +182,80 @@ class TestDegenerate:
         assert np.array_equal(tree.predict(X), np.array([3, 3]))
 
 
+def _both_walks(compiled, X, monkeypatch):
+    """``predict_proba`` of ``X`` forced down each of the two walks."""
+    from repro.learning import compiled as module
+
+    monkeypatch.setattr(module, "_ROW_WISE_MAX_ROWS", len(X))
+    row_wise = compiled.predict_proba(X)
+    monkeypatch.setattr(module, "_ROW_WISE_MAX_ROWS", -1)
+    level_wise = compiled.predict_proba(X)
+    return row_wise, level_wise
+
+
+class TestRowWiseWalk:
+    """The few-row walk == the level-wise walk == the object reference,
+    bytes, whichever side of the row-count crossover a batch falls."""
+
+    @staticmethod
+    def _adversarial_probe(forest, X):
+        """16 rows: plain, NaN/±inf, and cells sitting on thresholds."""
+        compiled = forest._compiled_forest()
+        probe = X[:16].copy()
+        probe[1, 0] = np.nan
+        probe[2, :] = np.nan
+        probe[3, 2] = np.inf
+        probe[4, :] = np.inf
+        probe[5, 1] = -np.inf
+        probe[6, :] = -np.inf
+        # Every split of the first trees, hit exactly (`<=` goes left)
+        # and one ulp above (goes right).
+        splits = np.flatnonzero(compiled.feature >= 0)
+        for row, node in zip(range(7, 16), splits):
+            threshold = compiled.threshold[node]
+            probe[row, compiled.feature[node]] = (
+                threshold if row % 2 else np.nextafter(threshold, np.inf))
+        return probe
+
+    @pytest.mark.parametrize("voting", ["average", "majority"])
+    @pytest.mark.parametrize("rows", range(17))
+    def test_every_row_count_matches_both_walks(self, rows, voting,
+                                                monkeypatch):
+        forest, X, _ = _fitted(13, n_trees=7, voting=voting)
+        probe = self._adversarial_probe(forest, X)[:rows]
+        reference = predict_proba_reference(forest, probe)
+        row_wise, level_wise = _both_walks(forest._compiled_forest(),
+                                           probe, monkeypatch)
+        assert row_wise.tobytes() == reference.tobytes()
+        assert level_wise.tobytes() == reference.tobytes()
+        monkeypatch.undo()
+        # And through the public entry point, wherever the constant sits.
+        assert forest.predict_proba(probe).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5, 16])
+    def test_degenerate_bootstrap_forest(self, rows, monkeypatch):
+        # One tree saw a single class, one is a lone leaf.
+        X, y, _ = _random_problem(6)
+        forest = EnsembleRandomForest(n_trees=4, random_state=6).fit(X, y)
+        forest.trees_[1] = DecisionTreeClassifier(random_state=1).fit(
+            X[y == 1], y[y == 1])
+        forest.trees_[2] = DecisionTreeClassifier(max_depth=0).fit(X, y)
+        forest.compile()
+        probe = self._adversarial_probe(forest, X)[:rows]
+        reference = predict_proba_reference(forest, probe)
+        row_wise, level_wise = _both_walks(forest._compiled_forest(),
+                                           probe, monkeypatch)
+        assert row_wise.tobytes() == reference.tobytes()
+        assert level_wise.tobytes() == reference.tobytes()
+
+    def test_the_crossover_is_live_on_both_sides(self):
+        # The dispatch must actually pick each walk: a constant at 0 or
+        # at infinity would pass every equality above with one engine.
+        from repro.learning.compiled import _ROW_WISE_MAX_ROWS
+
+        assert 1 <= _ROW_WISE_MAX_ROWS <= 16
+
+
 class TestLifecycle:
     def test_fit_autocompiles_and_refit_invalidates(self):
         X, y, rng = _random_problem(2)

@@ -1,11 +1,13 @@
-"""Vectorized multi-graph feature assembly (DESIGN.md §14).
+"""Reference feature assembly: the vectorised matrix pass that was
+``repro.features.batch`` until ``extract_batch`` started filling rows
+through the scalar row routine (DESIGN.md §14).
 
 :func:`assemble_rows` builds the ``(n_graphs, 37)`` design matrix in one
 pass: the cheap tiers (high-level, scalar-graph, header, temporal) are
 gathered into integer arrays — one element per graph — and reduced with
 guarded ``np.divide`` columns instead of per-graph python dict
 construction; the topology tier arrives precomputed (cached per
-structure by the extractor) and is scattered into its columns.
+structure by the caller) and is scattered into its columns.
 
 Bit-identity contract: every cell equals what the scalar path
 (:meth:`repro.features.extractor.FeatureExtractor.extract`) produces for

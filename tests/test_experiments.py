@@ -5,6 +5,10 @@ roughly what factor — on a small corpus so the suite stays fast.  The
 full-scale regeneration lives in ``benchmarks/``.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import (
@@ -135,6 +139,27 @@ class TestCaseStudy1:
         # The content-borne PDF: clean at capture, flagged by day 11.
         assert results["pdf_story"]["day0"] == 0
         assert results["pdf_story"]["day11"] >= 3
+
+    def test_forensic_numbers_ignore_the_hash_seed(self):
+        """Sample ids once came from builtin ``hash()`` of strings, so
+        which engines flagged the PDF — and ~1 run in 4 whether the
+        shape above held — changed with the interpreter's hash salt."""
+        script = (
+            "from repro.experiments import case_study1\n"
+            f"r = case_study1.run({SEED}, {SCALE})\n"
+            "print(sorted(d.sha256 for d in r['session'].downloads),"
+            " r['pdf_story'], r['vt_flagged_at_capture'],"
+            " r['replay'].alert_count)\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
+        assert "'day0': 0" in outputs.pop()
 
 
 class TestTable6:

@@ -41,3 +41,9 @@ def test_no_engine_switch_left_under_src():
         if knob in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def test_the_vectorised_extraction_twin_stays_gone():
+    # ``features/batch.py`` duplicated the row routine for matrices; its
+    # body is the oracle ``tests/oracles/feature_assembly.py`` now.
+    assert not (SRC / "repro" / "features" / "batch.py").exists()
