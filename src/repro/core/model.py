@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from repro.core.payloads import PayloadType, classify
+from repro.core.payloads import PayloadType, authority_host, classify
 
 __all__ = [
     "HttpMethod",
@@ -41,10 +41,10 @@ class HttpMethod(enum.Enum):
     @classmethod
     def of(cls, verb: str) -> "HttpMethod":
         """Parse a request verb, mapping unknown verbs to ``OTHER``."""
-        try:
-            return cls(verb.upper())
-        except ValueError:
-            return cls.OTHER
+        return _METHODS.get(verb) or _METHODS.get(verb.upper(), cls.OTHER)
+
+
+_METHODS = {method.value: method for method in HttpMethod}
 
 
 class Headers:
@@ -68,7 +68,8 @@ class Headers:
         """First value for ``name`` (case-insensitive), else ``default``."""
         lowered = name.lower()
         for key, value in self._items:
-            if key.lower() == lowered:
+            # Identity settles interned names; first match either way wins.
+            if key == name or key.lower() == lowered:
                 return value
         return default
 
@@ -154,7 +155,7 @@ class HttpRequest:
         if (facts is None or facts[0] is not headers
                 or facts[1] != headers.version):
             ref = headers.get("Referer")
-            host = urlsplit(ref).netloc.split(":", 1)[0].lower() if ref else ""
+            host = authority_host(urlsplit(ref).netloc) if ref else ""
             facts = self._referrer_facts = (headers, headers.version, ref,
                                             sys.intern(host))
         return facts

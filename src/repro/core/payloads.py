@@ -19,6 +19,7 @@ from functools import lru_cache
 from urllib.parse import urlsplit
 
 __all__ = [
+    "authority_host",
     "split_uri",
     "PayloadClass",
     "PayloadType",
@@ -228,6 +229,14 @@ def split_uri(uri: str) -> tuple[str, str]:
         return path, query
     parts = urlsplit(uri)
     return parts.path, parts.query
+
+
+def authority_host(authority: str) -> str:
+    """Lower-cased host of a ``host[:port]`` authority ([v6] brackets kept):
+    the one rule for request host, referrer host and redirect target."""
+    if authority[:1] == "[" and "]" in authority:
+        return authority[:authority.index("]") + 1].lower()
+    return authority.split(":", 1)[0].lower()
 
 
 def _extension_of(uri: str) -> str:

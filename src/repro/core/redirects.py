@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from urllib.parse import urljoin, urlsplit
 
 from repro.core.model import HttpTransaction
+from repro.core.payloads import authority_host
 
 __all__ = [
     "RedirectKind",
@@ -78,7 +79,7 @@ def _host_of(url: str, base_host: str = "") -> str:
     """Hostname of ``url`` (resolving relative URLs against base_host)."""
     parsed = urlsplit(url)
     if parsed.netloc:
-        return parsed.netloc.split(":", 1)[0].lower()
+        return authority_host(parsed.netloc)
     return base_host.lower()
 
 

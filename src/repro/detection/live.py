@@ -167,47 +167,61 @@ class LiveDecoder:
         traffic the decoder was never meant to parse, and one mangled
         frame must not stall the wire.
         """
+        if not self._metrics.enabled:
+            return self._feed(packet)
         self._c_packets.inc()
         self._c_bytes.inc(len(packet.data))
         with self._metrics.span("decode.feed"):
-            try:
-                segment = decode_segment(packet.data, self.linktype,
-                                         self._fragments.feed)
-            except PcapError:
-                self._c_errors.inc()
-                return []
-            if segment is None:
-                return []
-            ts = packet.timestamp
-            src, dst, src_port, dst_port, _, _, flags, _, payload = segment
-            key = FlowKey.of(src, src_port, dst, dst_port)
-            if self._closed:
-                self._sweep_closed(ts)
-                if flags & (SYN | ACK) == SYN and key in self._closed:
-                    # TIME_WAIT-style tuple reuse: a fresh SYN means a
-                    # new conversation — release the finished one's
-                    # state now rather than at linger expiry.
-                    self._evict(key)
-            if (
-                self.live_connections >= self.policy.max_connections
-                and key not in self._reassembler
-            ):
-                # Overload shed (OverloadPolicy): refuse to open
-                # connections past the cap, visibly.
-                self._c_dropped.inc()
-                return []
-            stream = self._reassembler.feed(ts, segment, key)
-            # Only payload can make new bytes contiguous: a bare
-            # ACK/SYN/FIN on an open stream has nothing to parse.
-            emitted = (self._drain(stream, final=stream.closed)
-                       if payload or stream.closed else [])
-            if stream.closed:
-                # Mark (or refresh) the linger slot; re-append keeps
-                # the dict ordered by last activity.
-                self._closed.pop(key, None)
-                self._closed[key] = ts
-            self._g_live.set(self.live_connections)
-            return emitted
+            emitted = self._feed(packet)
+        self._g_live.set(self.live_connections)
+        return emitted
+
+    def _feed(self, packet: PcapPacket) -> list[HttpTransaction]:
+        try:
+            segment = decode_segment(packet.data, self.linktype,
+                                     self._fragments.feed)
+        except PcapError:
+            self._c_errors.inc()
+            return []
+        if segment is None:
+            return []
+        ts = packet.timestamp
+        src, dst, src_port, dst_port, _, _, flags, _, payload = segment
+        key = FlowKey.of(src, src_port, dst, dst_port)
+        closed, reassembler = self._closed, self._reassembler
+        if closed:
+            # Evict connections past their linger; the first key is the oldest.
+            linger = self.policy.closed_linger
+            while closed:
+                for oldest in closed:
+                    break
+                if ts - closed[oldest] < linger:
+                    break
+                self._evict(oldest)
+            if flags & (SYN | ACK) == SYN and key in closed:
+                # TIME_WAIT-style tuple reuse: a fresh SYN means a
+                # new conversation — release the finished one's
+                # state now rather than at linger expiry.
+                self._evict(key)
+        if (
+            len(reassembler) - len(closed) >= self.policy.max_connections
+            and key not in reassembler
+        ):
+            # Overload shed (OverloadPolicy): refuse to open
+            # connections past the cap, visibly.
+            self._c_dropped.inc()
+            return []
+        stream = reassembler.feed(ts, segment, key)
+        # Only payload can make new bytes contiguous: a bare
+        # ACK/SYN/FIN on an open stream has nothing to parse.
+        emitted = (self._drain(stream, final=stream.closed)
+                   if payload or stream.closed else [])
+        if stream.closed:
+            # Mark (or refresh) the linger slot; re-append keeps
+            # the dict ordered by last activity.
+            closed.pop(key, None)
+            closed[key] = ts
+        return emitted
 
     def flush(self) -> list[HttpTransaction]:
         """End-of-capture: emit whatever is still pending everywhere."""
@@ -215,15 +229,6 @@ class LiveDecoder:
         for stream in self._reassembler.streams():
             emitted.extend(self._drain(stream, final=True))
         return emitted
-
-    def _sweep_closed(self, now: float) -> None:
-        """Evict closed connections whose linger window has elapsed."""
-        linger = self.policy.closed_linger
-        while self._closed:
-            key, marked = next(iter(self._closed.items()))
-            if now - marked < linger:
-                break
-            self._evict(key)
 
     def _evict(self, key: FlowKey) -> None:
         """Drop every bit of per-connection state for ``key``."""

@@ -12,23 +12,27 @@ from repro.synthesis.entities import TRUSTED_VENDORS
 
 __all__ = ["VendorWhitelist"]
 
+#: Verdicts remembered before the memo starts over: a tap sees the same
+#: hosts again and again, but a scan of unique names must not grow it.
+_MEMO_CAP = 4096
+
 
 class VendorWhitelist:
     """Domain-suffix host whitelist with O(labels) lookups.
 
     A host matches when it equals a whitelisted entry or is a subdomain
     of one; matching is on whole domain labels, so ``evil-google.com``
-    never matches ``google.com``.  Entries live in one deduplicated set
-    and each lookup probes only the host's own label suffixes, keeping
-    ``trusted()`` independent of whitelist size — the previous
-    implementation scanned every suffix entry per transaction and let
-    repeated ``add()`` calls grow that scan without bound.  The default
-    list covers the major OS/app-store/software repositories the paper's
-    deployment trusted.
+    never matches ``google.com``.  Entries live in one deduplicated set,
+    a lookup probes only the host's own label suffixes (so its cost is
+    independent of whitelist size) and its verdict is remembered per
+    host until the next ``add()``.  The default list covers the major
+    OS/app-store/software repositories the paper's deployment trusted.
     """
 
     def __init__(self, hosts: tuple[str, ...] | list[str] = TRUSTED_VENDORS):
         self._domains: set[str] = set()
+        #: host as asked -> verdict; dropped whole by ``add``.
+        self._verdicts: dict[str, bool] = {}
         for host in hosts:
             self.add(host)
 
@@ -37,14 +41,20 @@ class VendorWhitelist:
         cleaned = host.lower().strip(".")
         if cleaned:
             self._domains.add(cleaned)
+            self._verdicts.clear()
 
     def trusted(self, host: str) -> bool:
         """True when ``host`` is whitelisted."""
-        labels = host.lower().strip(".").split(".")
-        return any(
-            ".".join(labels[start:]) in self._domains
-            for start in range(len(labels))
-        )
+        verdict = self._verdicts.get(host)
+        if verdict is None:
+            if len(self._verdicts) >= _MEMO_CAP:
+                self._verdicts.clear()
+            labels = host.lower().strip(".").split(".")
+            verdict = self._verdicts[host] = any(
+                ".".join(labels[start:]) in self._domains
+                for start in range(len(labels))
+            )
+        return verdict
 
     def filter(self, transactions: list[HttpTransaction]) -> list[HttpTransaction]:
         """Drop transactions whose server is trusted."""

@@ -24,6 +24,7 @@ from repro.core.model import (
     HttpTransaction,
     Trace,
 )
+from repro.core.payloads import authority_host
 from repro.exceptions import HttpParseError, PcapError
 from repro.net.http1 import (
     RawHttpRequest,
@@ -150,6 +151,7 @@ class StreamPairer:
                                          await_methods=True)
         self._unanswered: deque[HttpRequest] = deque()
         metrics = get_registry()
+        self._counted = metrics.enabled
         self._c_feeds = metrics.counter("http.parser_feeds")
         self._c_requests = metrics.counter("http.requests")
         self._c_responses = metrics.counter("http.responses")
@@ -163,10 +165,12 @@ class StreamPairer:
         if stream.client is None:
             return []
         out: list[HttpTransaction] = []
-        client_state = stream.directions.get(stream.client)
-        server_state = None
-        for src, state in stream.directions.items():
-            if src != stream.client:
+        counted = self._counted  # a disabled registry costs no calls
+        client_state = server_state = None
+        for src, state in stream.directions.items():  # one entry or two
+            if src == stream.client:
+                client_state = state
+            else:
                 server_state = state
         # A parser is stepped only when its input changed — new bytes,
         # end of stream or, for responses, new request methods to frame
@@ -175,13 +179,14 @@ class StreamPairer:
         new_methods = False
         chunk = client_state.take() if client_state is not None else b""
         if chunk or (final and client_state is not None):
-            if chunk:
+            if chunk and counted:
                 self._c_feeds.inc()
             raw_requests = self._requests.feed(chunk)
             if final:
                 raw_requests.extend(self._requests.finish())
+            if counted:
+                self._c_requests.inc(len(raw_requests))
             for raw_req in raw_requests:
-                self._c_requests.inc()
                 self._methods.append(raw_req.method)
                 self._unanswered.append(
                     self._build_request(raw_req, client_state)
@@ -192,13 +197,14 @@ class StreamPairer:
             )
         chunk = server_state.take() if server_state is not None else b""
         if chunk or ((new_methods or final) and server_state is not None):
-            if chunk:
+            if chunk and counted:
                 self._c_feeds.inc()
             raw_responses = self._responses.feed(chunk)
             if final:
                 raw_responses.extend(self._responses.finish(closed=True))
+            if counted:
+                self._c_responses.inc(len(raw_responses))
             for raw_res in raw_responses:
-                self._c_responses.inc()
                 if not self._unanswered:
                     # Responses outrunning requests are dropped: a
                     # pairing mismatch worth watching on a live tap.
@@ -220,7 +226,7 @@ class StreamPairer:
                     HttpTransaction(request=self._unanswered.popleft(),
                                     response=None)
                 )
-        if out:
+        if out and counted:
             self._c_transactions.inc(len(out))
         return out
 
@@ -235,7 +241,8 @@ class StreamPairer:
         return HttpRequest(
             method=HttpMethod.of(raw_req.method),
             uri=raw_req.uri,
-            host=server_name.split(":", 1)[0],
+            # Lower-case, like every host it is compared with (evasion).
+            host=authority_host(server_name),
             client=client_name,
             timestamp=client_state.timestamp_at(raw_req.offset),
             headers=raw_req.headers,

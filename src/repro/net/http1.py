@@ -19,6 +19,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 
 from repro.core.model import Headers
 from repro.exceptions import HttpParseError
@@ -37,6 +38,13 @@ __all__ = [
 _CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
 _MAX_HEADER_BYTES = 64 * 1024
+#: What ``bytes.strip()`` strips: ``str.strip()`` also eats \x1c-\x1f, \x85, \xa0.
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+#: :func:`_framing`'s answer for ``Transfer-Encoding: chunked``.
+_CHUNKED = -1
+#: Parser state at end of stream -> what :meth:`finish` reports cut off.
+_TRUNCATED = {"chunk-size": "chunk size line", "chunk-data": "chunk body",
+              "chunk-term": "chunk body", "chunk-trailers": "chunk trailers"}
 
 
 @dataclass
@@ -65,42 +73,53 @@ class RawHttpResponse:
     offset: int = 0
 
 
-def _split_headers(block: bytes) -> tuple[str, Headers]:
-    """Split a header block into (start line, Headers)."""
-    lines = block.split(_CRLF)
-    start = lines[0].decode("latin-1")
+def _split_headers(block: bytes | bytearray) -> tuple[str, Headers]:
+    """Split a header block into (start line, Headers): one decode, and
+    names interned — a tap sees few, and a watch retains every message."""
+    lines = block.decode("latin-1").split("\r\n")
+    start = lines.pop(0)
     items: list[tuple[str, str]] = []
-    for line in lines[1:]:
+    for line in lines:
         if not line:
             continue
-        if line[:1] in (b" ", b"\t") and items:
+        if line[0] in " \t" and items:
             # Obsolete header folding: append to the previous value.
             name, value = items[-1]
-            items[-1] = (name, value + " " + line.strip().decode("latin-1"))
+            items[-1] = (name, value + " " + line.strip(_ASCII_WHITESPACE))
             continue
-        if b":" not in line:
-            raise HttpParseError(f"malformed header line: {line[:60]!r}")
-        name, _, value = line.partition(b":")
-        items.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise HttpParseError(
+                f"malformed header line: {line[:60].encode('latin-1')!r}"
+            )
+        items.append((intern(name.strip()), value.strip()))
     return start, Headers(items)
 
 
-def _body_length(headers: Headers) -> int | None:
-    """Declared body length, or None when unspecified."""
-    declared = headers.get("Content-Length")
-    if declared:
-        try:
-            length = int(declared)
-        except ValueError as exc:
-            raise HttpParseError(f"bad Content-Length: {declared!r}") from exc
-        if length < 0:
-            raise HttpParseError(f"negative Content-Length: {length}")
-        return length
-    return None
-
-
-def _is_chunked(headers: Headers) -> bool:
-    return "chunked" in headers.get("Transfer-Encoding", "").lower()
+def _framing(headers: Headers) -> int | None:
+    """Body framing the headers declare, read in one scan:
+    :data:`_CHUNKED` (which outranks any ``Content-Length``, malformed
+    ones included), else the declared length, else ``None``.  Of a
+    repeated header the first occurrence counts; a name is case-folded
+    only when its length says it could match."""
+    declared = encoding = None
+    for name, value in headers:
+        size = len(name)
+        if size == 14 and declared is None and name.lower() == "content-length":
+            declared = value
+        elif size == 17 and encoding is None and name.lower() == "transfer-encoding":
+            encoding = value
+    if encoding and "chunked" in encoding.lower():
+        return _CHUNKED
+    if not declared:
+        return None
+    try:
+        length = int(declared)
+    except ValueError as exc:
+        raise HttpParseError(f"bad Content-Length: {declared!r}") from exc
+    if length < 0:
+        raise HttpParseError(f"negative Content-Length: {length}")
+    return length
 
 
 class _IncrementalParser:
@@ -127,9 +146,11 @@ class _IncrementalParser:
         self._state = "headers"
         #: Absolute stream offset where the current message starts.
         self._msg_offset = 0
+        #: The message whose body is being framed, and how many came before.
+        self._pending: RawHttpRequest | RawHttpResponse | None = None
+        self._count = 0
         self._body = bytearray()
         self._need = 0
-        self._chunk_remaining = 0
         self._finishing = False
         self._done = False
 
@@ -158,21 +179,20 @@ class _IncrementalParser:
         if data:
             self._buf += data
         out: list = []
-        while self._step(out):
+        steps = self._steps  # per class, filled in below the steps
+        while steps[self._state](self, out):
             pass
         return out
 
     def _terminate(self) -> None:
         """Raise the batch-identical truncation error for a cut-off tail."""
-        state = self._state
-        if state == "chunk-size":
-            raise HttpParseError("truncated chunk size line")
-        if state in ("chunk-data", "chunk-term"):
-            raise HttpParseError("truncated chunk body")
-        if state == "chunk-trailers":
-            raise HttpParseError("truncated chunk trailers")
-        # "headers" / "body" / "body-close": a trailing message cut off
-        # by capture truncation is silently dropped.
+        cut = _TRUNCATED.get(self._state)
+        if cut:
+            raise HttpParseError(f"truncated {cut}")
+        # Any other state: a trailing message cut off by capture
+        # truncation is silently dropped ("frame" included: the method
+        # never resolved, _step_frame framed it with none under
+        # _finishing, and the framed body was then cut off).
 
     def _finish(self) -> list:
         """Declare end-of-stream; returns messages completable at EOF."""
@@ -180,7 +200,8 @@ class _IncrementalParser:
             return []
         self._finishing = True
         out: list = []
-        while self._step(out):
+        steps = self._steps
+        while steps[self._state](self, out):
             pass
         self._done = True
         self._terminate()
@@ -188,33 +209,19 @@ class _IncrementalParser:
 
     # -- state machine ------------------------------------------------------
 
-    def _step(self, out: list) -> bool:
-        state = self._state
-        if state == "headers":
-            return self._step_headers(out)
-        if state == "body":
-            return self._step_body(out)
-        if state == "chunk-size":
-            return self._step_chunk_size()
-        if state == "chunk-data":
-            return self._step_chunk_data()
-        if state == "chunk-term":
-            return self._step_chunk_term()
-        if state == "chunk-trailers":
-            return self._step_chunk_trailers(out)
-        return self._step_extra(out)
-
     def _step_headers(self, out: list) -> bool:
         if not self._buf:
             return False
         self._msg_offset = self._base
         end = self._buf.find(_HEADER_END, self._scan)
+        # One limit however the block arrives: fed a byte at a time, the
+        # buffer is 3 bytes past ``end`` just before the terminator lands.
+        if (len(self._buf) if end < 0 else end + 3) > _MAX_HEADER_BYTES:
+            raise HttpParseError(f"oversized {self._kind} header block")
         if end < 0:
-            if len(self._buf) > _MAX_HEADER_BYTES:
-                raise HttpParseError(f"unterminated {self._kind} header block")
             self._scan = max(0, len(self._buf) - 3)
             return False
-        block = bytes(self._buf[:end])
+        block = self._buf[:end]
         self._consume(end + 4)
         start, headers = _split_headers(block)
         return self._begin_message(start, headers, out)
@@ -222,8 +229,16 @@ class _IncrementalParser:
     def _begin_message(self, start: str, headers: Headers, out: list) -> bool:
         raise NotImplementedError
 
-    def _step_extra(self, out: list) -> bool:
-        raise HttpParseError(f"corrupt {self._kind} parser state: {self._state}")
+    def _start_body(self, length: int | None, out: list) -> bool:
+        """Enter the state that frames a body of :func:`_framing` ``length``."""
+        if length == _CHUNKED:
+            self._state = "chunk-size"
+        elif length:
+            self._state = "body"
+            self._need = length
+        else:
+            self._emit(b"", out)
+        return True
 
     def _step_body(self, out: list) -> bool:
         take = min(len(self._buf), self._need)
@@ -236,7 +251,7 @@ class _IncrementalParser:
         self._emit(bytes(self._body), out)
         return True
 
-    def _step_chunk_size(self) -> bool:
+    def _step_chunk_size(self, out: list) -> bool:
         line_end = self._buf.find(_CRLF, self._scan)
         if line_end < 0:
             self._scan = max(0, len(self._buf) - 1)
@@ -253,22 +268,22 @@ class _IncrementalParser:
             self._state = "chunk-trailers"
             return True
         self._consume(line_end + 2)
-        self._chunk_remaining = size
+        self._need = size
         self._state = "chunk-data"
         return True
 
-    def _step_chunk_data(self) -> bool:
-        take = min(len(self._buf), self._chunk_remaining)
+    def _step_chunk_data(self, out: list) -> bool:
+        take = min(len(self._buf), self._need)
         if take:
             self._body += self._buf[:take]
             self._consume(take)
-            self._chunk_remaining -= take
-        if self._chunk_remaining:
+            self._need -= take
+        if self._need:
             return False
         self._state = "chunk-term"
         return True
 
-    def _step_chunk_term(self) -> bool:
+    def _step_chunk_term(self, out: list) -> bool:
         if len(self._buf) < 2:
             return False
         if self._buf[:2] != _CRLF:
@@ -278,11 +293,8 @@ class _IncrementalParser:
         return True
 
     def _step_chunk_trailers(self, out: list) -> bool:
-        # _buf[0:2] is the CRLF that closed the zero-size line.
-        if len(self._buf) >= 4 and self._buf[2:4] == _CRLF:
-            self._consume(4)
-            self._emit(bytes(self._body), out)
-            return True
+        # _buf[0:2] is the CRLF that closed the zero-size line, so with
+        # no trailers the terminator is found at 0.
         end = self._buf.find(_HEADER_END, self._scan)
         if end >= 0:
             self._consume(end + 4)
@@ -292,7 +304,22 @@ class _IncrementalParser:
         return False
 
     def _emit(self, body: bytes, out: list) -> None:
-        raise NotImplementedError
+        message = self._pending
+        message.body = body
+        out.append(message)
+        self._pending = None
+        self._count += 1
+        self._state = "headers"
+        self._msg_offset = self._base
+
+    _steps = {
+        "headers": _step_headers,
+        "body": _step_body,
+        "chunk-size": _step_chunk_size,
+        "chunk-data": _step_chunk_data,
+        "chunk-term": _step_chunk_term,
+        "chunk-trailers": _step_chunk_trailers,
+    }
 
 
 class RequestParser(_IncrementalParser):
@@ -306,10 +333,6 @@ class RequestParser(_IncrementalParser):
 
     _kind = "request"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._pending: RawHttpRequest | None = None
-
     def _begin_message(self, start: str, headers: Headers, out: list) -> bool:
         parts = start.split(" ", 2)
         if len(parts) < 3 or not parts[2].startswith("HTTP/"):
@@ -318,24 +341,7 @@ class RequestParser(_IncrementalParser):
         self._pending = RawHttpRequest(method, uri, version, headers, b"",
                                        offset=self._msg_offset)
         self._body = bytearray()
-        if _is_chunked(headers):
-            self._state = "chunk-size"
-            return True
-        length = _body_length(headers) or 0
-        if length == 0:
-            self._emit(b"", out)
-            return True
-        self._state = "body"
-        self._need = length
-        return True
-
-    def _emit(self, body: bytes, out: list) -> None:
-        message = self._pending
-        message.body = body
-        out.append(message)
-        self._pending = None
-        self._state = "headers"
-        self._msg_offset = self._base
+        return self._start_body(_framing(headers), out)
 
     def finish(self) -> list[RawHttpRequest]:
         """End of the client stream; idempotent."""
@@ -361,10 +367,8 @@ class ResponseParser(_IncrementalParser):
     def __init__(self, request_methods: list[str] | None = None,
                  await_methods: bool = False) -> None:
         super().__init__()
-        self._pending: RawHttpResponse | None = None
         self._methods = request_methods
         self._await = await_methods
-        self._count = 0
         self._closed = False
 
     def _begin_message(self, start: str, headers: Headers, out: list) -> bool:
@@ -383,13 +387,6 @@ class ResponseParser(_IncrementalParser):
         self._state = "frame"
         return True
 
-    def _step_extra(self, out: list) -> bool:
-        if self._state == "frame":
-            return self._step_frame(out)
-        if self._state == "body-close":
-            return self._step_body_close(out)
-        return super()._step_extra(out)
-
     def _step_frame(self, out: list) -> bool:
         """Pick the body framing, which may need the request's method."""
         if self._methods and self._count < len(self._methods):
@@ -401,24 +398,12 @@ class ResponseParser(_IncrementalParser):
         if method == "HEAD":
             self._emit(b"", out)
             return True
-        headers = self._pending.headers
-        if _is_chunked(headers):
-            self._state = "chunk-size"
-            return True
-        length = _body_length(headers)
-        if length is None:
-            status = self._pending.status
-            if status < 200 or status in (204, 304):
-                self._emit(b"", out)
-                return True
+        length = _framing(self._pending.headers)
+        status = self._pending.status
+        if length is None and status >= 200 and status not in (204, 304):
             self._state = "body-close"
             return True
-        if length == 0:
-            self._emit(b"", out)
-            return True
-        self._state = "body"
-        self._need = length
-        return True
+        return self._start_body(length, out)
 
     def _step_body_close(self, out: list) -> bool:
         if self._buf:
@@ -429,24 +414,6 @@ class ResponseParser(_IncrementalParser):
             return True
         return False  # cannot delimit until the connection closes
 
-    def _terminate(self) -> None:
-        if self._state == "frame":
-            # Method never resolved (more responses than requests): the
-            # batch parser frames with an empty method, which _step_frame
-            # already did under _finishing — reaching here means the
-            # framed body was then truncated and dropped.
-            return
-        super()._terminate()
-
-    def _emit(self, body: bytes, out: list) -> None:
-        message = self._pending
-        message.body = body
-        out.append(message)
-        self._pending = None
-        self._count += 1
-        self._state = "headers"
-        self._msg_offset = self._base
-
     def finish(self, closed: bool = True) -> list[RawHttpResponse]:
         """End of the server stream; idempotent.
 
@@ -456,6 +423,9 @@ class ResponseParser(_IncrementalParser):
         """
         self._closed = closed
         return self._finish()
+
+    _steps = {**_IncrementalParser._steps, "frame": _step_frame,
+              "body-close": _step_body_close}
 
 
 def parse_requests(data: bytes) -> list[RawHttpRequest]:

@@ -13,8 +13,7 @@ module is the entry point of our equivalent pipeline:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from repro.exceptions import PcapError
 from repro.obs import get_registry
@@ -40,22 +39,18 @@ _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 
 
-@dataclass(frozen=True)
-class PcapPacket:
+class PcapPacket(NamedTuple):
     """One captured packet: a timestamp and its link-layer bytes.
 
     ``timestamp`` is seconds since the epoch (float, sub-second resolution
     preserved from the capture's tick unit).  ``orig_len`` is the original
     on-the-wire length; ``data`` may be truncated to the capture snaplen.
+    ``-1`` stands for ``len(data)`` (:class:`PcapWriter` resolves it).
     """
 
     timestamp: float
     data: bytes
     orig_len: int = -1
-
-    def __post_init__(self) -> None:
-        if self.orig_len < 0:
-            object.__setattr__(self, "orig_len", len(self.data))
 
 
 class PcapReader:
@@ -87,31 +82,33 @@ class PcapReader:
         self._stream = stream
         self._record = struct.Struct(self._endian + "IIII")
         metrics = get_registry()
+        self._counted = metrics.enabled
         self._c_records = metrics.counter("pcap.records")
         self._c_bytes = metrics.counter("pcap.bytes")
 
     def __iter__(self) -> Iterator[PcapPacket]:
+        read = self._stream.read
+        unpack, header_size = self._record.unpack, self._record.size
+        tick, snaplen, counted = self._tick, self.snaplen, self._counted
+        new = tuple.__new__
         while True:
-            header = self._stream.read(self._record.size)
+            header = read(header_size)
             if not header:
                 return
-            if len(header) < self._record.size:
+            if len(header) < header_size:
                 raise PcapError("truncated pcap record header")
-            ts_sec, ts_frac, incl_len, orig_len = self._record.unpack(header)
-            if incl_len > self.snaplen and self.snaplen:
+            ts_sec, ts_frac, incl_len, orig_len = unpack(header)
+            if incl_len > snaplen and snaplen:
                 raise PcapError(
-                    f"record length {incl_len} exceeds snaplen {self.snaplen}"
+                    f"record length {incl_len} exceeds snaplen {snaplen}"
                 )
-            data = self._stream.read(incl_len)
+            data = read(incl_len)
             if len(data) < incl_len:
                 raise PcapError("truncated pcap record body")
-            self._c_records.inc()
-            self._c_bytes.inc(incl_len)
-            yield PcapPacket(
-                timestamp=ts_sec + ts_frac * self._tick,
-                data=data,
-                orig_len=orig_len,
-            )
+            if counted:
+                self._c_records.inc()
+                self._c_bytes.inc(incl_len)
+            yield new(PcapPacket, (ts_sec + ts_frac * tick, data, orig_len))
 
 
 class PcapWriter:
@@ -138,8 +135,9 @@ class PcapWriter:
         if ts_usec >= 1_000_000:  # rounding spill-over
             ts_sec += 1
             ts_usec -= 1_000_000
+        orig_len = packet.orig_len if packet.orig_len >= 0 else len(packet.data)
         self._stream.write(
-            _RECORD_HEADER.pack(ts_sec, ts_usec, len(data), packet.orig_len)
+            _RECORD_HEADER.pack(ts_sec, ts_usec, len(data), orig_len)
         )
         self._stream.write(data)
 

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _SEQ_MOD = 1 << 32
+_INF = float("inf")
 #: Refuse to buffer more than this many out-of-order bytes per direction.
 DEFAULT_MAX_BUFFERED = 32 * 1024 * 1024
 
@@ -47,9 +48,10 @@ class FlowKey(NamedTuple):
     @classmethod
     def of(cls, src_ip: str, src_port: int, dst_ip: str, dst_port: int) -> "FlowKey":
         """Build the canonical key for a segment's endpoints."""
-        if (src_ip, src_port) <= (dst_ip, dst_port):
-            return cls(src_ip, src_port, dst_ip, dst_port)
-        return cls(dst_ip, dst_port, src_ip, src_port)
+        # Once per packet: tuple.__new__ skips the generated __new__.
+        if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
+            return tuple.__new__(cls, (src_ip, src_port, dst_ip, dst_port))
+        return tuple.__new__(cls, (dst_ip, dst_port, src_ip, src_port))
 
 
 @dataclass
@@ -97,7 +99,7 @@ class StreamDirection:
 
     def timestamp_at(self, offset: int) -> float:
         """Arrival time of the segment containing stream ``offset``."""
-        index = bisect.bisect_right(self.marks, (offset, float("inf")))
+        index = bisect.bisect_right(self.marks, (offset, _INF))
         if index:
             return self.marks[index - 1][1]
         # Compare against None: a capture legitimately starting at the
@@ -111,12 +113,12 @@ class StreamDirection:
 
     def take(self) -> bytes:
         """Return contiguous bytes past the cursor and advance it."""
+        data = self.data
         start = self.consumed - self.base
-        if start >= len(self.data):
+        if start >= len(data):
             return b""
-        chunk = bytes(self.data[start:])
-        self.consumed = self.end_offset
-        return chunk
+        self.consumed = self.base + len(data)
+        return bytes(data[start:])
 
     def compact(self, keep_marks_from: int | None = None) -> None:
         """Drop already-consumed bytes (and stale marks) from the buffer.
@@ -133,7 +135,7 @@ class StreamDirection:
         floor = self.consumed
         if keep_marks_from is not None:
             floor = min(floor, keep_marks_from)
-        index = bisect.bisect_right(self.marks, (floor, float("inf"))) - 1
+        index = bisect.bisect_right(self.marks, (floor, _INF)) - 1
         if index > 0:
             del self.marks[:index]
 
@@ -193,10 +195,11 @@ class StreamDirection:
             payload = payload[behind:]
             delta = 0
         if delta == 0:
-            self.marks.append((self.end_offset, timestamp))
+            self.marks.append((self.base + len(self.data), timestamp))
             self.data.extend(payload)
             self.next_seq = (self.next_seq + len(payload)) % _SEQ_MOD
-            self._drain_pending()
+            if self.pending:
+                self._drain_pending()
         else:
             if self.buffered + len(payload) > self.max_buffered:
                 raise TcpReassemblyError(
@@ -284,16 +287,8 @@ class TcpStream:
 
 
 class TcpReassembler:
-    """Feeds decoded segments and yields completed / in-progress streams.
-
-    Usage::
-
-        reassembler = TcpReassembler()
-        for ts, src_ip, dst_ip, segment in segments:
-            reassembler.feed(ts, src_ip, dst_ip, segment)
-        for stream in reassembler.streams():
-            ...
-    """
+    """Feeds decoded segments (``feed(timestamp, segment)``) and yields
+    completed / in-progress streams (``streams()``)."""
 
     def __init__(self, max_buffered: int = DEFAULT_MAX_BUFFERED) -> None:
         self._streams: dict[FlowKey, TcpStream] = {}
@@ -305,6 +300,7 @@ class TcpReassembler:
         #: Per-direction out-of-order buffer cap (overload policy knob).
         self.max_buffered = max_buffered
         metrics = get_registry()
+        self._counted = metrics.enabled
         self._c_streams = metrics.counter("reassembly.streams_opened")
         self._c_segments = metrics.counter("reassembly.segments")
         self._c_payload = metrics.counter("reassembly.payload_bytes")
@@ -316,8 +312,8 @@ class TcpReassembler:
         returns; ``key`` its :meth:`FlowKey.of`, if the caller has it —
         and return the (possibly new) owning stream."""
         src_ip, dst_ip, src_port, dst_port, seq, _, flags, _, payload = segment
-        self._c_segments.inc()
-        if payload:
+        if self._counted:
+            self._c_segments.inc()
             self._c_payload.inc(len(payload))
         if key is None:
             key = FlowKey.of(src_ip, src_port, dst_ip, dst_port)
@@ -334,7 +330,10 @@ class TcpReassembler:
             stream = self._streams[key] = TcpStream(key=key)
             self._c_streams.inc()
         src = (src_ip, src_port)
-        state = stream.direction(src, (dst_ip, dst_port), self.max_buffered)
+        state = stream.directions.get(src)
+        if state is None:
+            state = stream.direction(src, (dst_ip, dst_port),
+                                     self.max_buffered)
         if flags & SYN:
             # Adopt the sequence origin only while the direction is
             # fresh: a retransmitted or forged SYN on an *established*

@@ -23,6 +23,8 @@ class TestHttpMethod:
 
     def test_unknown_verb_maps_to_other(self):
         assert HttpMethod.of("BREW") is HttpMethod.OTHER
+        assert HttpMethod.of("other") is HttpMethod.OTHER
+        assert HttpMethod.of("") is HttpMethod.OTHER
 
 
 class TestHeaders:
@@ -33,6 +35,15 @@ class TestHeaders:
 
     def test_get_default(self):
         assert Headers().get("X-Nope", "fallback") == "fallback"
+
+    def test_first_match_wins_over_a_later_exact_case_one(self):
+        # get() tries the exact spelling before folding, in one loop:
+        # the earlier header in another case must still be the answer.
+        headers = Headers([("host", "first"), ("Host", "second"),
+                           ("HOST", "third")])
+        assert headers.get("Host") == "first"
+        assert headers.get("HOST") == "first"
+        assert headers.get_all("Host") == ["first", "second", "third"]
 
     def test_set_replaces_all(self):
         headers = Headers([("X-A", "1"), ("x-a", "2")])

@@ -1,5 +1,6 @@
 """Unit tests for trusted-vendor weeding."""
 
+from repro.detection import whitelist as whitelist_module
 from repro.detection.whitelist import VendorWhitelist
 from tests.conftest import make_txn
 
@@ -67,3 +68,32 @@ class TestVendorWhitelist:
         assert whitelist.trusted("download.microsoft.com")
         assert whitelist.trusted("pypi.org")
         assert len(whitelist) >= 5
+
+
+class TestVerdictMemo:
+    """``trusted()`` remembers its verdict per host; the memo must not
+    outlive an ``add()`` nor grow with the number of hosts seen."""
+
+    def test_add_flips_a_remembered_negative_verdict(self):
+        whitelist = VendorWhitelist(["example.org"])
+        assert not whitelist.trusted("cdn.vendor.example")
+        assert not whitelist.trusted("cdn.vendor.example")  # remembered
+        whitelist.add("Vendor.Example.")
+        assert whitelist.trusted("cdn.vendor.example")
+        assert whitelist.trusted("CDN.vendor.example")
+
+    def test_memo_is_keyed_by_the_host_as_asked(self):
+        whitelist = VendorWhitelist(["example.org"])
+        assert whitelist.trusted("A.Example.ORG.")
+        assert not whitelist.trusted("a.example.org.evil")
+        assert whitelist.trusted("A.Example.ORG.")
+
+    def test_memo_never_exceeds_its_cap(self):
+        whitelist = VendorWhitelist(["example.org"])
+        cap = whitelist_module._MEMO_CAP
+        for index in range(10_000):
+            trusted = whitelist.trusted(f"h{index}.example.org")
+            assert trusted
+            assert not whitelist.trusted(f"h{index}.example.net")
+            assert len(whitelist._verdicts) <= cap
+        assert len(whitelist) == 1

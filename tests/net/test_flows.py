@@ -188,3 +188,65 @@ class TestOrphanResponseDraining:
         assert len(recovered) == 1  # the request pairs with response #1
         assert recovered[0].status == 200
         assert counters["http.orphan_responses"] == 2
+
+
+class TestHostFolding:
+    """Regression (evasion): the request host kept the ``Host:`` header's
+    case while referrer hosts, redirect targets and the whitelist are
+    lower-case, so ``Host: Evil.Example`` followed by ``Referer:
+    http://Evil.Example/x`` left no referrer hop and split the watch."""
+
+    @staticmethod
+    def _two_hops(host: str):
+        from repro.loadgen import RawConnection
+
+        packets = []
+        wires = [
+            (b"GET /landing HTTP/1.1\r\nHost: %s\r\n\r\n" % host.encode()),
+            (b"GET /x HTTP/1.1\r\nHost: next.example\r\n"
+             b"Referer: http://%s/landing\r\n\r\n" % host.encode()),
+        ]
+        for index, wire in enumerate(wires):
+            conn = RawConnection("172.31.0.9", 50100 + index,
+                                 f"198.51.100.{20 + index}")
+            start = 10.0 + index
+            packets.extend(conn.open(start))
+            packets.extend(conn.send(start + 0.1, True, wire))
+            packets.extend(conn.send(
+                start + 0.2, False,
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"))
+            packets.extend(conn.close(start + 0.3))
+        return transactions_from_packets(packets)
+
+    @pytest.mark.parametrize("host", ["evil.example", "Evil.Example",
+                                      "EVIL.EXAMPLE:8080"])
+    def test_referrer_redirect_survives_host_case(self, host):
+        from repro.core.redirects import RedirectInferencer, RedirectKind
+
+        first, second = self._two_hops(host)
+        assert first.server == "evil.example"
+        inferencer = RedirectInferencer()
+        assert inferencer.observe(first) == []
+        (hop,) = inferencer.observe(second)
+        assert (hop.source, hop.target, hop.kind) == (
+            "evil.example", "next.example", RedirectKind.REFERRER)
+
+    def test_watch_clusters_on_the_referrer_whatever_its_case(self):
+        from repro.detection.monitor import SessionTable
+
+        table = SessionTable()
+        first, second = self._two_hops("Evil.Example")
+        watch = table.route(first)
+        assert watch.matches(second, "", table.idle_gap)
+        assert table.route(second) is watch
+        assert watch.hosts == {"evil.example", "next.example"}
+
+    @pytest.mark.parametrize("header, host", [
+        ("[2001:DB8::1]:8080", "[2001:db8::1]"),
+        ("[::1]", "[::1]"),
+        ("Example.COM:80", "example.com"),
+    ])
+    def test_port_is_split_off_a_bracketed_ipv6_literal(self, header, host):
+        first, second = self._two_hops(header)
+        assert first.server == host
+        assert second.request.referrer_host == host

@@ -1,6 +1,7 @@
 """Unit + property tests for the pcap file format codec."""
 
 import io
+import pickle
 import struct
 
 import pytest
@@ -157,3 +158,48 @@ class TestFileHelpers:
         packets = list(PcapReader(buffer))
         assert packets[0].data == b"long"
         assert packets[0].orig_len == 8
+
+
+class TestPcapPacketContract:
+    """``PcapPacket`` is a ``NamedTuple`` since the tap stopped paying a
+    frozen dataclass per packet; what callers relied on still holds."""
+
+    def test_immutable_hashable_and_unpacks(self):
+        packet = PcapPacket(1.5, b"abc", 9)
+        with pytest.raises(AttributeError):
+            packet.data = b"other"
+        assert {packet: 1}[PcapPacket(timestamp=1.5, data=b"abc",
+                                      orig_len=9)] == 1
+        timestamp, data, orig_len = packet
+        assert (timestamp, data, orig_len) == (1.5, b"abc", 9)
+        assert packet._replace(timestamp=2.0).timestamp == 2.0
+
+    def test_orig_len_default_means_len_of_data(self):
+        packet = PcapPacket(timestamp=1.0, data=b"abcde")
+        assert packet.orig_len == -1
+        _, (decoded,) = _roundtrip([packet])
+        assert decoded.orig_len == 5
+        assert decoded == PcapPacket(1.0, b"abcde", 5)
+
+    def test_pickle_round_trip(self):
+        packets = [PcapPacket(1.0, b"a"), PcapPacket(2.5, b"bc", 1500)]
+        restored = pickle.loads(pickle.dumps(packets))
+        assert restored == packets
+        assert all(type(p) is PcapPacket for p in restored)
+
+    def test_file_round_trip_preserves_orig_len(self, tmp_path):
+        path = str(tmp_path / "capture.pcap")
+        originals = [
+            PcapPacket(1.0, b"aaa"),                 # default: len(data)
+            PcapPacket(2.0, b"bbbb", orig_len=1514),  # cut by a snaplen
+            PcapPacket(3.0, b"", orig_len=0),
+        ]
+        assert write_pcap(path, iter(originals)) == 3
+        _, packets = read_pcap(path)
+        assert [(p.data, p.orig_len) for p in packets] == [
+            (b"aaa", 3), (b"bbbb", 1514), (b"", 0)]
+        assert all(type(p) is PcapPacket for p in packets)
+        # Read back and written again, the records do not change.
+        again = str(tmp_path / "again.pcap")
+        write_pcap(again, packets)
+        assert read_pcap(again)[1] == packets
