@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import OnTheWireDetector
-from repro.detection.proxy import TrafficReplay
 from repro.experiments.context import trained_classifier
 from repro.synthesis.casestudy import forensic_streaming_session
 from repro.vtsim.engines import DAY, PayloadSample
@@ -35,11 +34,11 @@ def main() -> None:
     detector = OnTheWireDetector(
         classifier, policy=CluePolicy(redirect_threshold=3)
     )
-    report = TrafficReplay(detector).run(session.trace)
-    print(f"  -> {report.alert_count} alerts "
-          f"({report.classifications} classifier consultations over "
-          f"{report.watches} watched sessions)")
-    for alert in report.alerts:
+    alerts = detector.replay(session.trace.transactions)
+    print(f"  -> {len(alerts)} alerts "
+          f"({detector.classifications} classifier consultations over "
+          f"{detector.watch_count()} watched sessions)")
+    for alert in alerts:
         print(f"     alert: {alert.clue.server} "
               f"({alert.clue.payload_type.value}), score={alert.score:.2f}, "
               f"WCG {alert.wcg_order} nodes / {alert.wcg_size} edges")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import OnTheWireDetector
-from repro.detection.proxy import ProxySimulator
 from repro.experiments.context import trained_classifier
 from repro.synthesis.casestudy import enterprise_live_session
 
@@ -33,9 +32,9 @@ def main() -> None:
         classifier, policy=CluePolicy(redirect_threshold=3)
     )
     print("Running the proxy ...")
-    report = ProxySimulator(detector).run([session.trace])
+    alerts = detector.replay(session.trace.transactions)
 
-    print(f"\nTable VI-style summary ({report.alert_count} alerts total):")
+    print(f"\nTable VI-style summary ({len(alerts)} alerts total):")
     header = f"{'':24s}" + "".join(f"{h:>14s}" for h in HOSTS)
     print(header)
     by_host: dict[str, dict[str, int]] = {h: {} for h in HOSTS}
@@ -49,7 +48,7 @@ def main() -> None:
         print(row)
     row = f"{'DynaMiner alerts':24s}"
     for host in HOSTS:
-        row += f"{len(report.alerts_for(host)):>14d}"
+        row += f"{sum(a.client == host for a in alerts):>14d}"
     print(row)
 
     pdf_misses = [

@@ -38,17 +38,15 @@ def main() -> None:
     print("\n== 3. On-the-wire detection, transaction by transaction ==")
     for trace in unseen.infections[:3]:
         live = OnTheWireDetector(detector.classifier)
-        alerts = live.process_stream(trace.transactions)
-        live.finalize()
-        verdict = "ALERT" if live.alerts or alerts else "missed"
+        alerts = live.replay(trace.transactions)
+        verdict = "ALERT" if alerts else "missed"
         stealth = " (stealth episode)" if trace.meta.get("stealth") else ""
         print(f"   {trace.family:12s} {len(trace.transactions):3d} txns "
               f"-> {verdict}{stealth}")
     for trace in unseen.benign[:3]:
         live = OnTheWireDetector(detector.classifier)
-        alerts = live.process_stream(trace.transactions)
-        live.finalize()
-        verdict = "false alert!" if live.alerts or alerts else "clean"
+        alerts = live.replay(trace.transactions)
+        verdict = "false alert!" if alerts else "clean"
         print(f"   benign/{trace.meta.get('scenario', '?'):10s} "
               f"{len(trace.transactions):3d} txns -> {verdict}")
 

@@ -14,7 +14,7 @@ Public API tour:
 * :mod:`repro.learning` — from-scratch CART + probability-averaging
   Ensemble Random Forest, metrics, CV, gain-ratio ranking.
 * :mod:`repro.detection` — the on-the-wire detector (clues, session
-  watches, vendor weeding, alerts, replay drivers).
+  watches, vendor weeding, alerts, the live packet engine).
 * :mod:`repro.obs` — pipeline observability: metrics registry, timing
   spans, structured logging, JSON-lines stats snapshots (DESIGN.md §11).
 * :mod:`repro.vtsim` — simulated VirusTotal baseline with signature lag.
@@ -26,7 +26,7 @@ Quickstart::
     from repro import quick_detector
     detector, corpus = quick_detector(scale=0.2)
     for trace in corpus.infections[:3]:
-        alerts = detector.process_stream(trace.transactions)
+        alerts = detector.replay(trace.transactions)
         print(trace.family, "->", len(alerts), "alert(s)")
 """
 

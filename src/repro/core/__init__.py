@@ -20,7 +20,7 @@ from repro.core.redirects import (
     longest_chain_length,
     redirect_chains,
 )
-from repro.core.sessions import SessionCluster, extract_session_id, group_sessions
+from repro.core.sessions import extract_session_id
 from repro.core.stages import Stage, assign_stages
 from repro.core.wcg import EdgeData, EdgeKind, NodeKind, WebConversationGraph
 
@@ -38,7 +38,6 @@ __all__ = [
     "Redirect",
     "RedirectInferencer",
     "RedirectKind",
-    "SessionCluster",
     "Stage",
     "Trace",
     "TraceLabel",
@@ -49,10 +48,8 @@ __all__ = [
     "classify",
     "deobfuscate",
     "extract_session_id",
-    "group_sessions",
     "infer_redirects",
     "is_exploit_type",
     "longest_chain_length",
     "redirect_chains",
-    "build_wcg",
 ]

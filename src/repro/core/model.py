@@ -11,9 +11,13 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
-from repro.core.payloads import PayloadType, authority_host, classify
+from repro.core.payloads import (
+    PayloadType,
+    authority_host,
+    classify,
+    url_parts,
+)
 
 __all__ = [
     "HttpMethod",
@@ -155,7 +159,7 @@ class HttpRequest:
         if (facts is None or facts[0] is not headers
                 or facts[1] != headers.version):
             ref = headers.get("Referer")
-            host = authority_host(urlsplit(ref).netloc) if ref else ""
+            host = authority_host(url_parts(ref).netloc) if ref else ""
             facts = self._referrer_facts = (headers, headers.version, ref,
                                             sys.intern(host))
         return facts

@@ -16,7 +16,9 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
+
+from repro.obs import get_registry
 
 __all__ = [
     "authority_host",
@@ -227,8 +229,23 @@ def split_uri(uri: str) -> tuple[str, str]:
             and not _SPLIT_NEEDS_URLSPLIT(uri)):
         path, _, query = uri.partition("?")
         return path, query
-    parts = urlsplit(uri)
+    parts = url_parts(uri)
     return parts.path, parts.query
+
+
+def url_parts(url: str) -> SplitResult:
+    """``urlsplit`` for a URL taken off the wire; never raises.
+
+    One that ``urlsplit`` rejects (``http://[::1/x``: an IPv6 bracket
+    left open) is counted (``http.bad_urls``) and read as having no
+    host, the whole string its path — the one value for a request URI,
+    a ``Referer``, a ``Location`` and a content-redirect URL alike.
+    """
+    try:
+        return urlsplit(url)
+    except ValueError:
+        get_registry().counter("http.bad_urls").inc()
+        return SplitResult("", "", url, "", "")
 
 
 def authority_host(authority: str) -> str:

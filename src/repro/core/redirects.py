@@ -18,10 +18,10 @@ import binascii
 import enum
 import re
 from dataclasses import dataclass
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urljoin
 
 from repro.core.model import HttpTransaction
-from repro.core.payloads import authority_host
+from repro.core.payloads import authority_host, url_parts
 
 __all__ = [
     "RedirectKind",
@@ -77,7 +77,7 @@ def _registered_domain(host: str) -> str:
 
 def _host_of(url: str, base_host: str = "") -> str:
     """Hostname of ``url`` (resolving relative URLs against base_host)."""
-    parsed = urlsplit(url)
+    parsed = url_parts(url)
     if parsed.netloc:
         return authority_host(parsed.netloc)
     return base_host.lower()
@@ -272,7 +272,12 @@ class RedirectInferencer:
         server = txn.server
         response = txn.response
         if response is not None and response.is_redirect:
-            absolute = urljoin(f"http://{server}/", response.location)
+            try:
+                absolute = urljoin(f"http://{server}/", response.location)
+            except ValueError:
+                # ``Location: http://[::1/x`` (``_host_of`` counts it and
+                # the hop stays on ``server``), or a base like ``Host: [``.
+                absolute = response.location
             target = _host_of(absolute, server)
             fresh += self._emit(server, target, RedirectKind.HTTP_30X,
                                 response.timestamp, absolute)

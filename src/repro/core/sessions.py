@@ -10,13 +10,12 @@ client juggles several session IDs at once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from urllib.parse import parse_qsl
 
 from repro.core.model import HttpTransaction
 from repro.core.payloads import split_uri
 
-__all__ = ["extract_session_id", "SessionCluster", "group_sessions"]
+__all__ = ["extract_session_id"]
 
 _SESSION_PARAM_NAMES = (
     "sessionid", "session_id", "session", "sid", "phpsessid", "jsessionid",
@@ -68,74 +67,3 @@ def extract_session_id(txn: HttpTransaction) -> str:
             if cookie_match:
                 return cookie_match.group(1)
     return ""
-
-
-@dataclass
-class SessionCluster:
-    """One candidate conversation: a client's related transactions."""
-
-    client: str
-    transactions: list[HttpTransaction] = field(default_factory=list)
-    session_ids: set[str] = field(default_factory=set)
-    hosts: set[str] = field(default_factory=set)
-    last_ts: float = 0.0
-
-    def add(self, txn: HttpTransaction, session_id: str) -> None:
-        """Append a transaction and update cluster membership indexes."""
-        self.transactions.append(txn)
-        if session_id:
-            self.session_ids.add(session_id)
-        self.hosts.add(txn.server)
-        ref = txn.request.referrer_host
-        if ref:
-            self.hosts.add(ref)
-        self.last_ts = max(self.last_ts, txn.timestamp)
-
-
-def group_sessions(
-    transactions: list[HttpTransaction],
-    idle_gap: float = 60.0,
-) -> list[SessionCluster]:
-    """Cluster a transaction stream into per-session groups.
-
-    Clustering is per client.  A transaction joins an existing cluster of
-    the same client when any of these hold (the paper's heuristic order):
-
-    1. it carries a session ID already seen in the cluster;
-    2. its referrer host (or target host) is already a member host of the
-       cluster and it arrives within ``idle_gap`` seconds of the
-       cluster's last activity;
-    3. otherwise it opens a new cluster.
-
-    Returns clusters ordered by first-transaction timestamp.
-    """
-    ordered = sorted(transactions, key=lambda t: t.timestamp)
-    clusters: list[SessionCluster] = []
-    by_client: dict[str, list[SessionCluster]] = {}
-    for txn in ordered:
-        session_id = extract_session_id(txn)
-        candidates = by_client.setdefault(txn.client, [])
-        chosen: SessionCluster | None = None
-        if session_id:
-            for cluster in candidates:
-                if session_id in cluster.session_ids:
-                    chosen = cluster
-                    break
-        if chosen is None:
-            ref_host = txn.request.referrer_host
-            for cluster in reversed(candidates):
-                if txn.timestamp - cluster.last_ts > idle_gap:
-                    continue
-                if ref_host and ref_host in cluster.hosts:
-                    chosen = cluster
-                    break
-                if txn.server in cluster.hosts:
-                    chosen = cluster
-                    break
-        if chosen is None:
-            chosen = SessionCluster(client=txn.client)
-            candidates.append(chosen)
-            clusters.append(chosen)
-        chosen.add(txn, session_id)
-    clusters.sort(key=lambda c: c.transactions[0].timestamp)
-    return clusters

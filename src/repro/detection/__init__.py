@@ -9,14 +9,8 @@ from repro.detection.clues import (
     payload_risk_from_corpus,
 )
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
-from repro.detection.latency import (
-    EpisodeLatency,
-    latency_summary,
-    measure_latency,
-)
 from repro.detection.live import LiveDecoder, LiveDetector
 from repro.detection.monitor import SessionTable, SessionWatch
-from repro.detection.proxy import ProxySimulator, ReplayReport, TrafficReplay
 from repro.detection.training import clue_time_prefix, training_matrix
 from repro.detection.whitelist import VendorWhitelist
 
@@ -27,21 +21,15 @@ __all__ = [
     "CluePolicy",
     "DEFAULT_RISKY_TYPES",
     "DetectorConfig",
-    "EpisodeLatency",
     "InfectionClue",
     "LiveDecoder",
     "LiveDetector",
     "ListSink",
     "OnTheWireDetector",
-    "ProxySimulator",
-    "ReplayReport",
     "SessionTable",
     "SessionWatch",
-    "TrafficReplay",
     "VendorWhitelist",
     "clue_time_prefix",
-    "latency_summary",
-    "measure_latency",
     "training_matrix",
     "payload_risk_from_corpus",
 ]

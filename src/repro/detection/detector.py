@@ -8,8 +8,8 @@ meaningful update.  An infectious verdict raises an :class:`Alert` and
 terminates the session; a benign verdict keeps the watch open until the
 session stops growing.
 
-Detector state is bounded: per-watch scoring bookkeeping is dropped the
-moment a watch terminates, the session table prunes closed and stale
+Detector state is bounded: per-watch scoring bookkeeping lives on the
+watch and goes with it, the session table prunes closed and stale
 watches (see :mod:`repro.detection.monitor`), and the per-client alert
 cooldown map is swept once it outgrows ``alert_state_cap``.  Scoring
 itself leans on the WCG's version counters — an unchanged graph is never
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -128,13 +129,7 @@ class OnTheWireDetector:
                                    idle_gap=self.config.idle_gap,
                                    prune_after=self.config.prune_after)
         self._extractor = FeatureExtractor()
-        self._updates_since_score: dict[str, int] = {}
-        self._scored_order: dict[str, int] = {}
-        self._scored_version: dict[str, int] = {}
         self._last_alert_ts: dict[str, float] = {}
-        #: Per-watch (edge count, structure version) last surfaced to
-        #: the tracer; only populated while tracing is enabled.
-        self._traced_wcg: dict[str, tuple[int, int]] = {}
         self._tracer = get_tracer()
         self.transactions_seen = 0
         self.transactions_weeded = 0
@@ -152,45 +147,19 @@ class OnTheWireDetector:
 
     # -- stream interface ---------------------------------------------------
 
-    def process(self, txn: HttpTransaction) -> Alert | None:
-        """Ingest one transaction; returns an alert if one fires."""
-        self.transactions_seen += 1
-        self._c_txns.inc()
-        if self.config.use_whitelist and self.whitelist.trusted(txn.server):
-            self.transactions_weeded += 1
-            self._c_weeded.inc()
-            return None
-        watch = self._table.route(txn)
-        if watch.alerted or watch.terminated:
-            return None
-        if watch.active_clue is None:
-            return None  # nothing suspicious yet; keep accumulating
-        if not self._should_score(watch, txn):
-            return None
-        return self._score(watch, txn.timestamp)
-
-    def process_stream(self, transactions: list[HttpTransaction]) -> list[Alert]:
-        """Replay an ordered stream; returns all alerts raised.
-
-        Routes through :meth:`process_batch`, so consecutive
-        classifications of *different* clients coalesce into matrix
-        calls; alerts, scores, and counters are byte-identical to
-        calling :meth:`process` per transaction.
-        """
-        return self.process_batch(transactions)
-
     def process_batch(self, transactions: list[HttpTransaction]) -> list[Alert]:
         """Ingest the transactions of one decoder batch/tick.
 
         Classification requests accumulate and are scored as **one**
         classifier matrix call (:meth:`score_batch`) instead of one
-        single-row call each.  Semantics are identical to sequential
-        :meth:`process` because pending scores are flushed before any
-        transaction of a client that already has one is routed: a
-        transaction can only mutate (or be routed by) its own client's
-        watches, so at every flush point each pending watch's WCG, the
-        cooldown map, and the routing structures are exactly what the
-        sequential path saw.  Alerts dispatch in request order.
+        single-row call each.  Semantics are identical to feeding the
+        transactions one batch each, because pending scores are flushed
+        before any transaction of a client that already has one is
+        routed: a transaction can only mutate (or be routed by) its own
+        client's watches, so at every flush point each pending watch's
+        WCG, the cooldown map, and the routing structures are exactly
+        what the one-at-a-time feed saw.  Alerts dispatch in request
+        order.
         """
         alerts: list[Alert] = []
         pending: list[_PendingScore] = []
@@ -220,44 +189,51 @@ class OnTheWireDetector:
         alerts.extend(self.score_batch(pending))
         return alerts
 
-    def finalize(self, now: float | None = None) -> list[SessionWatch]:
-        """Expire idle watches (end-of-capture); returns what was closed.
+    def finalize(self) -> list[Alert]:
+        """Close every watch (end-of-capture); returns the alerts raised.
 
         Every clue-active watch gets one last classification before it
         closes — the WCG "stops growing" verdict of Section V-B.  The
         final verdicts are computed as one classifier matrix call and
         dispatched in table order, so cross-watch cooldown suppression
-        behaves exactly as the sequential walk did.
+        behaves exactly as a sequential walk would.
         """
-        if now is None:
-            stamps = [w.last_ts for w in self._table.watches()]
-            now = max(stamps, default=0.0) + self.config.idle_gap + 1.0
+        watches = self._table.watches()
         requests = []
-        for watch in self._table.watches():
+        for watch in watches:
             if watch.active_clue is not None and not watch.alerted \
                     and not watch.terminated:
                 request = self._request_score(watch, watch.last_ts)
                 if request is not None:
                     requests.append(request)
-        self.score_batch(requests)
-        expired = self._table.expire(now)
-        for watch in expired:
-            self._forget(watch.key)
-        return expired
+        alerts = self.score_batch(requests)
+        last = max((watch.last_ts for watch in watches), default=0.0)
+        self._table.expire(last + self.config.idle_gap + 1.0)
+        return alerts
+
+    def replay(self, transactions: Iterable[HttpTransaction]) -> list[Alert]:
+        """Replay a recorded stream in timestamp order, to its end.
+
+        The forensic / proxy deployment of the case studies: a stable
+        sort on the timestamp (several hosts' captures merge into one
+        proxy stream), one :meth:`process_batch`, then :meth:`finalize`.
+        Returns every alert, the end-of-capture verdicts included.
+        """
+        ordered = sorted(transactions, key=lambda txn: txn.timestamp)
+        return self.process_batch(ordered) + self.finalize()
 
     # -- scoring ------------------------------------------------------------
 
     def _should_score(self, watch: SessionWatch, txn: HttpTransaction) -> bool:
         """Re-score on clue trigger, graph growth, risky payload, or
         periodically."""
-        count = self._updates_since_score.get(watch.key, 0) + 1
-        self._updates_since_score[watch.key] = count
+        watch.updates_since_score += 1
+        count = watch.updates_since_score
         if count == 1:  # first score right after the clue fired
             return True
         if is_exploit_type(txn.payload_type):
             return True
-        wcg = watch.wcg()
-        if wcg.order > self._scored_order.get(watch.key, 0):
+        if watch.wcg().order > watch.scored_order:
             return True  # a new host joined the conversation
         return count % self.config.reclassify_interval == 0
 
@@ -271,16 +247,16 @@ class OnTheWireDetector:
         the watch untouched until the batched classifier call lands.
         """
         wcg = watch.wcg()
-        if self._scored_version.get(watch.key) == wcg.version:
+        if watch.scored_version == wcg.version:
             # Nothing feature-bearing changed since the last score, and
             # that score did not alert (the watch would be terminated) —
             # the verdict is already known to be sub-threshold.
             return None
         self.classifications += 1
         self._c_scores.inc()
-        self._updates_since_score[watch.key] = 1
-        self._scored_order[watch.key] = wcg.order
-        self._scored_version[watch.key] = wcg.version
+        watch.updates_since_score = 1
+        watch.scored_order = wcg.order
+        watch.scored_version = wcg.version
         if self._tracer.enabled:
             self._trace_growth(watch, wcg, now)
         return _PendingScore(watch=watch, now=now, wcg=wcg,
@@ -303,7 +279,7 @@ class OnTheWireDetector:
         """
         store = wcg.edge_store
         size = len(store)
-        last_size, last_structure = self._traced_wcg.get(watch.key, (0, -1))
+        last_size, last_structure = watch.traced_wcg
         if size > last_size:
             stamps = store.column("timestamp")
             kinds = store.column("kind")
@@ -325,7 +301,7 @@ class OnTheWireDetector:
                 order=int(wcg.order), size=int(size),
                 structure_version=int(structure),
             )
-        self._traced_wcg[watch.key] = (size, structure)
+        watch.traced_wcg = (size, structure)
 
     def score_batch(self, requests: list[_PendingScore]) -> list[Alert]:
         """Score pending requests as one matrix call; dispatch in order.
@@ -394,20 +370,6 @@ class OnTheWireDetector:
                           client=request.watch.client,
                           watch=request.watch.key, **data)
 
-    def _score(self, watch: SessionWatch, now: float) -> Alert | None:
-        """Request, score, and dispatch one watch immediately."""
-        request = self._request_score(watch, now)
-        if request is None:
-            return None
-        vector = self._extractor.extract(request.wcg)
-        scores, latency = self._timed_scores(vector[None, :])
-        score = float(scores[0])
-        self._c_batches.inc()
-        self._h_batch_size.observe(1)
-        if self._tracer.enabled:
-            self._trace_score(request, score, 1, latency)
-        return self._dispatch(request, score, vector)
-
     def _dispatch(self, request: _PendingScore, score: float,
                   row: np.ndarray) -> Alert | None:
         """Apply the verdict: threshold, cooldown, alert, terminate.
@@ -437,7 +399,6 @@ class OnTheWireDetector:
             self._last_alert_ts[watch.client] = max(last, now)
             watch.alerted = True
             watch.terminated = True
-            self._forget(watch.key)
             if traced:
                 self._tracer.emit(
                     "verdict", ts=now, client=watch.client,
@@ -464,7 +425,6 @@ class OnTheWireDetector:
         )
         watch.alerted = True
         watch.terminated = True  # DynaMiner terminates infectious sessions
-        self._forget(watch.key)
         self._c_alerts.inc()
         if traced:
             self._tracer.emit(
@@ -535,13 +495,6 @@ class OnTheWireDetector:
             feature_path_counts=explanation["feature_path_counts"],
         )
 
-    def _forget(self, key: str) -> None:
-        """Drop per-watch scoring state once the watch is closed."""
-        self._updates_since_score.pop(key, None)
-        self._scored_order.pop(key, None)
-        self._scored_version.pop(key, None)
-        self._traced_wcg.pop(key, None)
-
     def _sweep_alert_state(self) -> None:
         """Bound the per-client cooldown map.
 
@@ -590,13 +543,8 @@ class OnTheWireDetector:
             and not watch.alerted and not watch.terminated
         ]
 
-    def tracked_state_size(self) -> tuple[int, int, int]:
-        """(live watches, per-watch score entries, cooldown entries) —
-        the three containers the boundedness regression test pins."""
-        return (
-            len(self._table.watches()),
-            len(self._updates_since_score)
-            + len(self._scored_order)
-            + len(self._scored_version),
-            len(self._last_alert_ts),
-        )
+    def tracked_state_size(self) -> tuple[int, int]:
+        """(live watches, cooldown entries) — the two containers the
+        boundedness regression test pins; per-watch scoring state lives
+        on the watches themselves."""
+        return len(self._table.watches()), len(self._last_alert_ts)

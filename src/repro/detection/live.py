@@ -11,14 +11,11 @@ this module provides that incremental path:
     both sides have been reassembled (unanswered requests flush when
     their connection closes or at :meth:`LiveDecoder.flush`).
 
-``DetectionEngine``
-    the pure per-shard engine: a :class:`LiveDecoder` glued to an
-    :class:`~repro.detection.detector.OnTheWireDetector`, no I/O — the
-    unit :mod:`repro.service` runs one of per worker process.
-
 ``LiveDetector``
-    the thin single-process front over one :class:`DetectionEngine`,
-    adding optional telemetry reporting.
+    the packet-in, alert-out engine: a :class:`LiveDecoder` glued to an
+    :class:`~repro.detection.detector.OnTheWireDetector` — what the
+    single-process tap is, and the unit :mod:`repro.service` runs one
+    of per worker process.
 
 Decoding is incremental end to end: every connection owns a
 :class:`~repro.net.flows.StreamPairer` whose resumable HTTP parsers
@@ -61,8 +58,7 @@ from repro.net.reassembly import (
 )
 from repro.obs import PipelineStatsReporter, get_registry, write_trace
 
-__all__ = ["OverloadPolicy", "LiveDecoder", "DetectionEngine",
-           "LiveDetector", "WatchSnapshot"]
+__all__ = ["OverloadPolicy", "LiveDecoder", "LiveDetector", "WatchSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -253,25 +249,37 @@ class LiveDecoder:
             return []
 
 
-class DetectionEngine:
-    """Pure per-shard detection engine: packets in, alerts out, no I/O.
+class LiveDetector:
+    """The detection engine: packets in, alerts out.
 
-    Owns exactly the state one shard needs — the decoder (reassembler +
-    pairing state), the detector (session table, WCGs, classifier) —
-    and nothing else: no reporter, no files, no queues.  ``feed`` /
-    ``finish`` is the whole contract, which is what lets
-    :mod:`repro.service` run one engine per worker process and merge
-    their outputs deterministically, and what keeps the single-process
-    :class:`LiveDetector` byte-identical to a one-shard fleet.
+    Owns exactly the state one tap (or one shard) needs — the decoder
+    (reassembler + pairing state) and the detector (session table,
+    WCGs, classifier).  ``feed`` / ``finish`` is the whole contract,
+    which is what lets :mod:`repro.service` run one engine per worker
+    process and merge their outputs deterministically, byte-identical
+    to the single-process tap.
+
+    The two I/O hooks are optional and cost an ``is not None`` when
+    absent: ``reporter`` attaches a
+    :class:`~repro.obs.PipelineStatsReporter` whose interval snapshots
+    tick from the packet loop (:meth:`feed`) with a final one emitted by
+    :meth:`finish`, so a deployed tap streams its own telemetry without
+    any extra wiring.  ``trace_out`` (a path or file-like object) makes
+    :meth:`finish` drain the detector's tracer to JSON lines — a no-op
+    unless tracing was enabled before the detector was built.
     """
 
     def __init__(self, detector: OnTheWireDetector,
                  linktype: int = LINKTYPE_ETHERNET,
                  book: AddressBook | None = None,
-                 policy: OverloadPolicy | None = None):
+                 reporter: PipelineStatsReporter | None = None,
+                 policy: OverloadPolicy | None = None,
+                 trace_out=None):
         self.detector = detector
         self.decoder = LiveDecoder(linktype=linktype, book=book,
                                    policy=policy)
+        self.reporter = reporter
+        self.trace_out = trace_out
         self.transactions_emitted = 0
         self._metrics = get_registry()
 
@@ -284,21 +292,29 @@ class DetectionEngine:
         (see :meth:`OnTheWireDetector.process_batch`).
         """
         transactions = self.decoder.feed(packet)
-        if not transactions:
-            return []  # most packets complete nothing: no batch to process
-        self.transactions_emitted += len(transactions)
-        with self._metrics.span("detector.process_batch"):
-            return self.detector.process_batch(transactions)
+        if transactions:  # most packets complete nothing: no batch
+            self.transactions_emitted += len(transactions)
+            with self._metrics.span("detector.process_batch"):
+                alerts = self.detector.process_batch(transactions)
+        else:
+            alerts = []
+        if self.reporter is not None:
+            self.reporter.maybe_emit()
+        return alerts
 
     def finish(self) -> list[Alert]:
-        """Flush the decoder and finalize the detector's watches."""
+        """Flush the decoder and finalize the detector's watches;
+        drains the trace to ``trace_out`` when one was configured."""
         transactions = self.decoder.flush()
         self.transactions_emitted += len(transactions)
         alerts = self.detector.process_batch(transactions)
-        before = len(self.detector.alerts)
         with self._metrics.span("detector.finalize"):
-            self.detector.finalize()
-        alerts.extend(self.detector.alerts[before:])
+            alerts.extend(self.detector.finalize())
+        if self.reporter is not None:
+            self.reporter.finalize()
+        tracer = self.detector.tracer
+        if self.trace_out is not None and tracer.enabled:
+            write_trace(tracer.drain(), self.trace_out)
         return alerts
 
     def snapshot_watches(self) -> list["WatchSnapshot"]:
@@ -334,59 +350,3 @@ class DetectionEngine:
             ))
         snapshots.sort(key=lambda s: (s.client, s.key))
         return snapshots
-
-
-class LiveDetector:
-    """Packet-in, alert-out wrapper around the on-the-wire detector.
-
-    A thin front over one :class:`DetectionEngine`: the engine does the
-    work, this class adds the I/O the engine deliberately lacks —
-    ``reporter`` optionally attaches a
-    :class:`~repro.obs.PipelineStatsReporter` whose interval snapshots
-    tick from the packet loop (:meth:`feed`) with a final one emitted by
-    :meth:`finish`, so a deployed tap streams its own telemetry without
-    any extra wiring.  ``trace_out`` (a path or file-like object) makes
-    :meth:`finish` drain the detector's tracer to JSON lines — a no-op
-    unless tracing was enabled before the detector was built.
-    """
-
-    def __init__(self, detector: OnTheWireDetector,
-                 linktype: int = LINKTYPE_ETHERNET,
-                 book: AddressBook | None = None,
-                 reporter: PipelineStatsReporter | None = None,
-                 policy: OverloadPolicy | None = None,
-                 trace_out=None):
-        self.engine = DetectionEngine(detector, linktype=linktype,
-                                      book=book, policy=policy)
-        self.reporter = reporter
-        self.trace_out = trace_out
-
-    @property
-    def detector(self) -> OnTheWireDetector:
-        return self.engine.detector
-
-    @property
-    def decoder(self) -> LiveDecoder:
-        return self.engine.decoder
-
-    @property
-    def transactions_emitted(self) -> int:
-        return self.engine.transactions_emitted
-
-    def feed(self, packet: PcapPacket) -> list[Alert]:
-        """Ingest one packet; returns alerts raised by it (if any)."""
-        alerts = self.engine.feed(packet)
-        if self.reporter is not None:
-            self.reporter.maybe_emit()
-        return alerts
-
-    def finish(self) -> list[Alert]:
-        """Flush the decoder and finalize the detector's watches;
-        drains the trace to ``trace_out`` when one was configured."""
-        alerts = self.engine.finish()
-        if self.reporter is not None:
-            self.reporter.finalize()
-        tracer = self.detector.tracer
-        if self.trace_out is not None and tracer.enabled:
-            write_trace(tracer.drain(), self.trace_out)
-        return alerts

@@ -3,8 +3,7 @@
 A :class:`SessionWatch` owns one candidate conversation: its transaction
 list, its incremental WCG builder, and its clue detector.  The
 :class:`SessionTable` clusters an interleaved multi-client stream into
-watches using session IDs with the referrer/timestamp fallback heuristic
-— the streaming counterpart of :func:`repro.core.sessions.group_sessions`.
+watches using session IDs with the referrer/timestamp fallback heuristic.
 
 The table's memory is bounded: terminated watches are dropped from the
 routing structures (``route()`` would only skip over them), and watches
@@ -51,6 +50,14 @@ class SessionWatch:
     active_clue: InfectionClue | None = None
     alerted: bool = False
     terminated: bool = False
+    #: The detector's scoring bookkeeping for this watch: transactions
+    #: since the last score request, and the WCG order / version that
+    #: request saw.
+    updates_since_score: int = 0
+    scored_order: int = 0
+    scored_version: int | None = None
+    #: (edge count, structure version) last surfaced to the tracer.
+    traced_wcg: tuple[int, int] = (0, -1)
 
     def __post_init__(self) -> None:
         self._clues = ClueDetector(self.policy)

@@ -15,7 +15,6 @@ import numpy as np
 from repro.analytics.report import format_table
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
-from repro.detection.proxy import TrafficReplay
 from repro.experiments.context import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
@@ -109,11 +108,11 @@ def run_threshold_sweep(
             classifier,
             policy=CluePolicy(redirect_threshold=threshold),
         )
-        report_ = TrafficReplay(detector).run(session.trace)
+        alerts = detector.replay(session.trace.transactions)
         results[threshold] = {
-            "alerts": report_.alert_count,
-            "classifications": report_.classifications,
-            "watches": report_.watches,
+            "alerts": len(alerts),
+            "classifications": detector.classifications,
+            "watches": detector.watch_count(),
         }
     return results
 
@@ -155,7 +154,7 @@ def run_whitelist(seed: int = DEFAULT_SEED,
             }),
         )
         extra.append(HttpTransaction(request, response))
-    merged = sorted(base + extra, key=lambda t: t.timestamp)
+    merged = base + extra  # replay() sorts by timestamp
 
     classifier = trained_classifier(seed, scale)
     results = {}
@@ -165,11 +164,11 @@ def run_whitelist(seed: int = DEFAULT_SEED,
             policy=CluePolicy(redirect_threshold=3),
             config=DetectorConfig(use_whitelist=use_whitelist),
         )
-        report_ = TrafficReplay(detector).run(merged)
+        alerts = detector.replay(merged)
         results["on" if use_whitelist else "off"] = {
-            "alerts": report_.alert_count,
-            "weeded": report_.weeded,
-            "classifications": report_.classifications,
+            "alerts": len(alerts),
+            "weeded": detector.transactions_weeded,
+            "classifications": detector.classifications,
         }
     return results
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
-from repro.detection.proxy import TrafficReplay
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, trained_classifier
 from repro.synthesis.casestudy import forensic_streaming_session
 from repro.vtsim.engines import DAY, PayloadSample
@@ -29,8 +28,7 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
         policy=CluePolicy(redirect_threshold=3),
         config=DetectorConfig(),
     )
-    replay = TrafficReplay(detector)
-    result = replay.run(session.trace)
+    alerts = detector.replay(session.trace.transactions)
 
     # Submit every downloaded payload to the simulated VirusTotal at
     # capture time, then resubmit the content-borne PDF 11 days later.
@@ -62,8 +60,8 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
     )
     return {
         "session": session,
-        "replay": result,
-        "alerts": result.alerts,
+        "detector": detector,
+        "alerts": alerts,
         "vt_flagged_at_capture": vt_flagged_now,
         "pdf_story": pdf_story,
         "downloads": len(session.downloads),
@@ -76,10 +74,10 @@ def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE) -> str:
     r = run(seed, scale)
     lines = [
         "Case Study 1 (reproduced): forensic detection on streaming replay",
-        f"stream transactions: {r['replay'].transactions}"
+        f"stream transactions: {r['detector'].transactions_seen}"
         f" (paper: 3,011)",
         f"downloads observed: {r['downloads']} (paper: 32)",
-        f"DynaMiner alerts: {r['replay'].alert_count}"
+        f"DynaMiner alerts: {len(r['alerts'])}"
         f" on {r['infectious_episodes']} infectious episodes (paper: 5)",
         f"VirusTotal flagged at capture: {r['vt_flagged_at_capture']}"
         f" (paper: 4 of the 5 DynaMiner-alerted payloads)",

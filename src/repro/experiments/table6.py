@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.analytics.report import format_table
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
-from repro.detection.proxy import ProxySimulator
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, trained_classifier
 from repro.synthesis.casestudy import enterprise_live_session
 from repro.vtsim.engines import DAY, PayloadSample
@@ -32,8 +31,7 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
         policy=CluePolicy(redirect_threshold=3),
         config=DetectorConfig(),
     )
-    proxy = ProxySimulator(detector)
-    result = proxy.run([session.trace])
+    alerts = detector.replay(session.trace.transactions)
 
     per_host_downloads: dict[str, dict[str, int]] = {
         host: {} for host in _HOSTS
@@ -43,7 +41,8 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
         counts[record.extension] = counts.get(record.extension, 0) + 1
 
     per_host_alerts = {
-        host: len(result.alerts_for(host)) for host in _HOSTS
+        host: sum(alert.client == host for alert in alerts)
+        for host in _HOSTS
     }
 
     # VirusTotal on all downloads (post-hoc, as the authors did): it
@@ -67,10 +66,10 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
                 content_pdf_flagged += 1
     return {
         "session": session,
-        "replay": result,
+        "alerts": alerts,
         "per_host_downloads": per_host_downloads,
         "per_host_alerts": per_host_alerts,
-        "total_alerts": result.alert_count,
+        "total_alerts": len(alerts),
         "total_downloads": len(session.downloads),
         "vt_flagged": vt_flagged,
         "content_pdf_flagged_by_vt": content_pdf_flagged,

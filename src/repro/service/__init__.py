@@ -1,6 +1,6 @@
 """Sharded multi-worker live detection service (ROADMAP item 1).
 
-One :class:`~repro.detection.live.DetectionEngine` scales to one core;
+One :class:`~repro.detection.live.LiveDetector` scales to one core;
 DynaMiner's deployment story (paper Section V) needs an edge tap that
 keeps up with "millions of users".  This package is the horizontal
 layer: a coordinator hashes packets across N worker processes by the

@@ -3,7 +3,7 @@
 :class:`ShardedDetectionService` is the long-running daemon shape from
 ROADMAP item 1: packets stream in, a :class:`~repro.service.sharding.
 PacketRouter` hashes each one to its client's shard, N worker processes
-each run a private :class:`~repro.detection.live.DetectionEngine`, and
+each run a private :class:`~repro.detection.live.LiveDetector`, and
 the coordinator merges their alert streams and metric snapshots into
 one deterministic fleet view.
 
@@ -144,7 +144,7 @@ def merge_watch_snapshots(
     merged list is a disjoint union; the canonical sort makes it
     identical for any worker count (the sharded differential compares
     it against the single-process engine's
-    :meth:`~repro.detection.live.DetectionEngine.snapshot_watches`).
+    :meth:`~repro.detection.live.LiveDetector.snapshot_watches`).
     """
     merged = [snap for watches in shard_watches for snap in watches]
     merged.sort(key=lambda s: (s.client, s.key))

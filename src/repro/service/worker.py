@@ -1,7 +1,7 @@
 """The per-process unit of the sharded service: one shard, one engine.
 
 A worker process owns exactly one
-:class:`~repro.detection.live.DetectionEngine` — its own TCP
+:class:`~repro.detection.live.LiveDetector` — its own TCP
 reassembler, HTTP pairing state, session table, WCGs, and alert
 cooldown — built inside the process from a picklable
 :class:`EngineSpec`.  Nothing is shared between workers: the client
@@ -16,13 +16,15 @@ the pool works under both ``fork`` and ``spawn`` start methods.
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable
 
 from repro.detection.alerts import Alert
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
-from repro.detection.live import DetectionEngine, OverloadPolicy, WatchSnapshot
+from repro.detection.live import LiveDetector, OverloadPolicy, WatchSnapshot
 from repro.learning.forest import EnsembleRandomForest
 from repro.net.flows import AddressBook
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket
@@ -76,8 +78,8 @@ class EngineSpec:
     #: Trace sampling mode (``"full"`` or ``"alerts"``).
     trace_sample: str = "full"
 
-    def build_engine(self) -> DetectionEngine:
-        return DetectionEngine(
+    def build_engine(self) -> LiveDetector:
+        return LiveDetector(
             OnTheWireDetector(
                 self.classifier,
                 policy=self.clue_policy,
@@ -132,9 +134,9 @@ def run_shard(spec: EngineSpec, shard_id: int,
               packets: Iterable[PcapPacket]) -> ShardResult:
     """Run one shard's packet stream through a fresh engine, in-process.
 
-    This is the whole shard lifecycle — build, feed, finish, summarize
-    — shared by the worker-process loop (:func:`shard_worker`) and by
-    tests that want a shard without a pool around it.
+    This is the whole shard lifecycle — build, feed, snapshot, finish,
+    summarize — used by the worker-process loop (:func:`shard_worker`)
+    and by tests that want a shard without a pool around it.
     """
     registry = MetricsRegistry() if spec.metrics else NullRegistry()
     tracer = _shard_tracer(spec)
@@ -176,7 +178,7 @@ def _shard_tracer(spec: EngineSpec):
 
 def shard_worker(spec: EngineSpec, shard_id: int, inbox: Any,
                  outbox: Any) -> None:
-    """Worker-process main loop: drain packet batches until sentinel.
+    """Worker-process main: :func:`run_shard` over the drained inbox.
 
     ``inbox`` delivers ``list[PcapPacket]`` batches in wire order (one
     queue per worker preserves per-shard ordering) and a final ``None``
@@ -185,41 +187,15 @@ def shard_worker(spec: EngineSpec, shard_id: int, inbox: Any,
     ``error`` field instead of killing the process silently — the
     coordinator turns it back into a raise.
     """
-    registry = MetricsRegistry() if spec.metrics else NullRegistry()
-    tracer = _shard_tracer(spec)
-    result = ShardResult(shard_id=shard_id)
-    batch: Any = ()
+    batches = iter(inbox.get, None)
     try:
-        with use_registry(registry), use_tracer(tracer):
-            engine = spec.build_engine()
-            while True:
-                batch = inbox.get()
-                if batch is None:
-                    break
-                for packet in batch:
-                    result.packets += 1
-                    for alert in engine.feed(packet):
-                        result.alerts.append(
-                            ShardAlert(shard_id, len(result.alerts), alert)
-                        )
-            if spec.snapshot_watches:
-                result.watches = engine.snapshot_watches()
-            for alert in engine.finish():
-                result.alerts.append(
-                    ShardAlert(shard_id, len(result.alerts), alert)
-                )
-        result.transactions = engine.transactions_emitted
-        result.classifications = engine.detector.classifications
-        result.transactions_weeded = engine.detector.transactions_weeded
-        result.watches_opened = engine.detector.watch_count()
-        result.snapshot = registry.snapshot()
-        result.trace = tracer.drain()
+        result = run_shard(spec, shard_id, chain.from_iterable(batches))
     except Exception:  # noqa: BLE001 — ferried to the coordinator
-        import traceback
-        result.error = traceback.format_exc()
+        result = ShardResult(shard_id=shard_id, error=traceback.format_exc())
         # The inbox is bounded: keep taking until the sentinel, so the
         # coordinator never blocks on a dead shard and raises this error
-        # from drain().
-        while batch is not None:
-            batch = inbox.get()
+        # from drain().  (A no-op when the sentinel was already taken —
+        # the iterator is spent, it does not read the queue again.)
+        for _ in batches:
+            pass
     outbox.put(result)

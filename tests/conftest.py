@@ -17,6 +17,8 @@ from repro.core.model import (
     Trace,
     TraceLabel,
 )
+from repro.detection.detector import DetectorConfig, OnTheWireDetector
+from repro.detection.monitor import SessionTable, SessionWatch
 from repro.features.extractor import extract_matrix
 from repro.learning.forest import EnsembleRandomForest
 from repro.synthesis.corpus import ground_truth_corpus
@@ -58,6 +60,34 @@ def make_txn(
         body=body,
     )
     return HttpTransaction(request=request, response=response)
+
+
+def cluster_sessions(transactions, idle_gap: float = 60.0
+                     ) -> list[SessionWatch]:
+    """The watches ``SessionTable`` clusters a stream into (fed in
+    timestamp order), in the order they opened."""
+    table = SessionTable(idle_gap=idle_gap)
+    watches: dict[int, SessionWatch] = {}
+    for txn in sorted(transactions, key=lambda t: t.timestamp):
+        watch = table.route(txn)
+        watches.setdefault(id(watch), watch)
+    return list(watches.values())
+
+
+def first_alert(classifier, trace, threshold: float = 0.5):
+    """``(seconds, progress)`` of an episode's first alert — stream time
+    since the episode began, share of its transactions already seen —
+    or ``None`` when it was missed; read off the timestamps of the
+    alerts ``replay()`` returns."""
+    stamps = sorted(t.timestamp for t in trace.transactions)
+    detector = OnTheWireDetector(
+        classifier, config=DetectorConfig(alert_threshold=threshold))
+    alerts = detector.replay(trace.transactions)
+    if not alerts:
+        return None
+    first = min(alert.timestamp for alert in alerts)
+    return (first - stamps[0],
+            sum(ts <= first for ts in stamps) / len(stamps))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
-"""Unit tests for session-ID extraction and session grouping."""
+"""Unit tests for session-ID extraction and session grouping (the
+clustering cases run on the one clusterer, ``SessionTable.route``)."""
 
 from urllib.parse import urlsplit
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.payloads import split_uri
-from repro.core.sessions import extract_session_id, group_sessions
-from tests.conftest import make_txn
+from repro.core.sessions import extract_session_id
+from tests.conftest import cluster_sessions, make_txn
 from tests.oracles.session_id import extract_session_id_reference
 
 # URI fragments chosen to sit on every shortcut ``extract_session_id``
@@ -95,7 +96,7 @@ class TestGroupSessions:
             make_txn(host="a.com", uri="/1?sid=S", ts=1.0),
             make_txn(host="b.com", uri="/2?sid=S", ts=200.0),  # past idle gap
         ]
-        clusters = group_sessions(txns, idle_gap=60.0)
+        clusters = cluster_sessions(txns, idle_gap=60.0)
         assert len(clusters) == 1
 
     def test_referrer_within_gap_groups(self):
@@ -103,21 +104,21 @@ class TestGroupSessions:
             make_txn(host="a.com", ts=1.0),
             make_txn(host="b.com", ts=10.0, referrer="http://a.com/"),
         ]
-        assert len(group_sessions(txns)) == 1
+        assert len(cluster_sessions(txns)) == 1
 
     def test_idle_gap_splits(self):
         txns = [
             make_txn(host="a.com", ts=1.0),
             make_txn(host="a.com", ts=500.0),
         ]
-        assert len(group_sessions(txns, idle_gap=60.0)) == 2
+        assert len(cluster_sessions(txns, idle_gap=60.0)) == 2
 
     def test_different_clients_never_group(self):
         txns = [
             make_txn(host="a.com", ts=1.0, client="alice"),
             make_txn(host="a.com", ts=2.0, client="bob"),
         ]
-        clusters = group_sessions(txns)
+        clusters = cluster_sessions(txns)
         assert len(clusters) == 2
         assert {c.client for c in clusters} == {"alice", "bob"}
 
@@ -126,21 +127,21 @@ class TestGroupSessions:
             make_txn(host="a.com", uri="/1", ts=1.0),
             make_txn(host="a.com", uri="/2", ts=5.0),
         ]
-        assert len(group_sessions(txns)) == 1
+        assert len(cluster_sessions(txns)) == 1
 
     def test_unrelated_host_opens_new_cluster(self):
         txns = [
             make_txn(host="a.com", ts=1.0),
             make_txn(host="z.org", ts=2.0),  # no referrer, new host
         ]
-        assert len(group_sessions(txns)) == 2
+        assert len(cluster_sessions(txns)) == 2
 
     def test_clusters_ordered_by_first_timestamp(self):
         txns = [
             make_txn(host="late.com", ts=100.0),
             make_txn(host="early.com", ts=1.0),
         ]
-        clusters = group_sessions(txns)
+        clusters = cluster_sessions(txns)
         assert clusters[0].transactions[0].server == "early.com"
 
     def test_cluster_collects_session_ids_and_hosts(self):
@@ -149,10 +150,10 @@ class TestGroupSessions:
             make_txn(host="b.com", uri="/2?sid=S2", ts=2.0,
                      referrer="http://a.com/1"),
         ]
-        clusters = group_sessions(txns)
+        clusters = cluster_sessions(txns)
         assert len(clusters) == 1
         assert clusters[0].session_ids == {"S1", "S2"}
         assert {"a.com", "b.com"} <= clusters[0].hosts
 
     def test_empty_input(self):
-        assert group_sessions([]) == []
+        assert cluster_sessions([]) == []

@@ -3,8 +3,10 @@
 ``process_batch`` defers classifier calls so the watches dirtied within
 a decoder batch score as one matrix call.  The contract is that nothing
 observable changes: alerts (every field, scores bytewise), counters,
-and retained state must match a detector fed the same stream one
-transaction at a time through ``process``.
+traces and retained state must match a detector fed the same stream one
+transaction at a time, as ``process_batch([txn])`` — the sequential
+path (every score is requested, extracted and dispatched before the
+next transaction routes).
 """
 
 import numpy as np
@@ -23,22 +25,16 @@ def _fresh(trained_model, **config_kwargs):
     )
 
 
-def _sequential_replay(detector, stream):
-    alerts = []
-    for txn in stream:
-        alert = detector.process(txn)
-        if alert is not None:
-            alerts.append(alert)
-    detector.finalize()
-    return alerts
-
-
 def _batched_replay(detector, stream, chunk):
     alerts = []
     for start in range(0, len(stream), chunk):
         alerts.extend(detector.process_batch(stream[start:start + chunk]))
-    detector.finalize()
+    alerts.extend(detector.finalize())
     return alerts
+
+
+def _sequential_replay(detector, stream):
+    return _batched_replay(detector, stream, 1)
 
 
 def _assert_same_outcome(sequential, batched, alerts_a, alerts_b):
@@ -73,7 +69,7 @@ def streams(small_corpus):
 
 class TestBatchedEqualsSequential:
     @pytest.mark.parametrize("kind", ["single", "interleaved", "benign"])
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 10_000])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 10_000])
     def test_alerts_and_counters_match(self, trained_model, streams,
                                        kind, chunk):
         stream = streams[kind]
@@ -104,15 +100,15 @@ class TestBatchedEqualsSequential:
         _assert_same_outcome(sequential, batched, alerts_a, alerts_b)
         assert sequential._last_alert_ts == batched._last_alert_ts
 
-    def test_process_stream_is_batched(self, trained_model, streams):
+    def test_replay_is_the_whole_stream_as_one_batch(self, trained_model,
+                                                     streams):
         stream = streams["single"]
-        via_stream = _fresh(trained_model)
-        alerts_a = via_stream.process_stream(stream)
-        via_stream.finalize()
+        replayed = _fresh(trained_model)
+        alerts_a = replayed.replay(reversed(stream))  # it sorts, stably
         sequential = _fresh(trained_model)
-        alerts_b = _sequential_replay(sequential, stream)
-        assert alerts_a == alerts_b
-        assert via_stream.classifications == sequential.classifications
+        alerts_b = _sequential_replay(
+            sequential, sorted(stream, key=lambda t: t.timestamp))
+        _assert_same_outcome(sequential, replayed, alerts_b, alerts_a)
 
 
 class TestProxyShape:
@@ -130,9 +126,18 @@ class TestProxyShape:
             feed(detector)
             detector.finalize()
             alerts = list(detector.alerts)
-            scores = [(e.seq, e.watch, e.data["score"])
-                      for e in tracer.events() if e.kind == "score"]
-        return alerts, sorted(scores), registry.snapshot()
+            events = tracer.events()
+        scores = sorted((e.seq, e.watch, e.data["score"])
+                        for e in events if e.kind == "score")
+        # Canonical trace form: minus the wall clock and the two data
+        # keys that record how scores happened to coalesce.
+        canonical = [
+            (e.kind, e.ts, e.client, e.watch,
+             {k: v for k, v in e.data.items()
+              if k not in ("latency_s", "batch")})
+            for e in events
+        ]
+        return alerts, scores, registry.snapshot(), canonical
 
     @pytest.mark.parametrize("kind", ["single", "interleaved"])
     def test_batch_of_one_feed_scores_a_row_or_two(self, trained_model,
@@ -143,9 +148,11 @@ class TestProxyShape:
             for txn in stream:
                 detector.process_batch([txn])
 
-        alerts, scores, snapshot = self._run(trained_model, per_transaction)
-        stream_alerts, stream_scores, _ = self._run(
-            trained_model, lambda detector: detector.process_stream(stream))
+        alerts, scores, snapshot, trace = self._run(trained_model,
+                                                    per_transaction)
+        stream_alerts, stream_scores, stream_snapshot, stream_trace = \
+            self._run(trained_model,
+                      lambda detector: detector.process_batch(stream))
         assert alerts and scores  # the episode does clue and score
         rows = snapshot["histograms"]["forest.batch_rows"]
         assert rows["count"] >= len(scores) / 2
@@ -158,6 +165,15 @@ class TestProxyShape:
         # Every score ever requested, not only the alerting ones.
         assert ([score for _, _, score in scores]
                 == [score for _, _, score in stream_scores])
+        assert alerts == stream_alerts
+        assert trace == stream_trace
+        # Same work, however it coalesced: every counter but the number
+        # of classifier calls.
+        coalescing = {"detector.score_batches_flushed"}
+        assert ({k: v for k, v in snapshot["counters"].items()
+                 if k not in coalescing}
+                == {k: v for k, v in stream_snapshot["counters"].items()
+                    if k not in coalescing})
 
 
 class TestScoreBatchUnit:

@@ -3,7 +3,8 @@
 The seed implementation never dropped anything: terminated watches sat
 in ``SessionTable._watches`` forever (``route()`` re-scanned them per
 transaction), and the detector's per-watch scoring dicts and per-client
-cooldown map only ever grew.  On a long-lived wire tap that is a slow
+cooldown map only ever grew.  (The scoring bookkeeping has since moved
+onto the watch itself, so it is bounded exactly as the watches are.)  On a long-lived wire tap that is a slow
 memory leak and a slowly degrading hot path.  These tests stream many
 short sessions from many clients over a long simulated capture and pin
 that every state container stays small while the opened-watch counter
@@ -66,18 +67,16 @@ class TestDetectorStateBounded:
                 stream.extend(
                     _benign_session(client, base_ts, f"site-{index}.example")
                 )
-        detector.process_stream(stream)
+        detector.process_batch(stream)
         return detector, config
 
     def test_long_multi_session_stream(self, trained_model):
         sessions = 400
         detector, config = self._run(trained_model, sessions)
-        live_watches, score_entries, cooldown_entries = \
-            detector.tracked_state_size()
+        live_watches, cooldown_entries = detector.tracked_state_size()
         # Retained state is bounded by the prune horizon and the sweep
         # cadence, never by how many sessions flowed through.
         assert live_watches <= 300, live_watches
-        assert score_entries <= 12, score_entries
         assert cooldown_entries <= config.alert_state_cap + 8
         # Accounting semantics survive pruning: watches *opened* keeps
         # counting even though most watches are long gone.
@@ -85,9 +84,8 @@ class TestDetectorStateBounded:
         assert len(detector.alerts) >= 10
 
         detector.finalize()
-        live_watches, score_entries, _ = detector.tracked_state_size()
+        live_watches, _ = detector.tracked_state_size()
         assert live_watches == 0
-        assert score_entries == 0
 
     def test_state_does_not_scale_with_stream_length(self, trained_model):
         # The sharp version of boundedness: doubling the stream must not
@@ -105,10 +103,19 @@ class TestDetectorStateBounded:
     def test_forgets_scoring_state_on_alert(self, trained_model):
         config = DetectorConfig(alert_threshold=0.2, alert_cooldown=10.0)
         detector = OnTheWireDetector(trained_model, config=config)
-        detector.process_stream(_infection_burst("one", 10.0, "victim"))
+        detector.process_batch(_infection_burst("one", 10.0, "victim"))
         assert len(detector.alerts) == 1
-        _, score_entries, _ = detector.tracked_state_size()
-        assert score_entries == 0  # dropped the moment the watch closed
+        # The scoring state is the alerted watch's own: the client's
+        # next transaction prunes that watch, state and all, and the
+        # watch it opens inherits nothing.
+        follow_up = make_txn(host="later.example", ts=15.0, client="victim")
+        detector.process_batch([follow_up])
+        watches = detector._table.watches()
+        assert not any(watch.alerted for watch in watches)
+        fresh = watches[-1]
+        assert fresh.hosts == {"later.example"}
+        assert (fresh.updates_since_score, fresh.scored_order,
+                fresh.scored_version) == (0, 0, None)
 
 
 class TestSessionTablePruning:

@@ -39,7 +39,7 @@ class TestStreaming:
         infection = next(
             t for t in small_corpus.infections if not t.meta.get("stealth")
         )
-        alerts = detector.process_stream(infection.transactions)
+        alerts = detector.process_batch(infection.transactions)
         detector.finalize()
         assert len(detector.alerts) >= 1 or len(alerts) >= 1
 
@@ -51,13 +51,13 @@ class TestStreaming:
             if t.meta.get("scenario") in ("search", "social", "alexa")
         ][:15]
         for trace in scenarios:
-            false_alerts += len(detector.process_stream(trace.transactions))
+            false_alerts += len(detector.process_batch(trace.transactions))
         assert false_alerts <= 1
 
     def test_whitelisted_traffic_weeded(self, detector):
         txn = make_txn(host="download.microsoft.com", uri="/x.exe",
                        content_type="application/x-msdownload")
-        assert detector.process(txn) is None
+        assert detector.process_batch([txn]) == []
         assert detector.transactions_weeded == 1
         assert detector.watch_count() == 0
 
@@ -66,21 +66,21 @@ class TestStreaming:
             trained_model, config=DetectorConfig(use_whitelist=False)
         )
         txn = make_txn(host="download.microsoft.com")
-        detector.process(txn)
+        detector.process_batch([txn])
         assert detector.transactions_weeded == 0
         assert detector.watch_count() == 1
 
     def test_no_clue_no_classification(self, detector):
-        detector.process(make_txn(host="ok.com"))
-        detector.process(make_txn(host="ok.com", uri="/style.css", ts=101.0,
-                                  content_type="text/css"))
+        detector.process_batch([make_txn(host="ok.com")])
+        detector.process_batch([make_txn(host="ok.com", uri="/style.css",
+                                         ts=101.0, content_type="text/css")])
         assert detector.classifications == 0
 
     def test_alert_terminates_session(self, detector, small_corpus):
         infection = next(
             t for t in small_corpus.infections if not t.meta.get("stealth")
         )
-        alerts = detector.process_stream(infection.transactions)
+        alerts = detector.process_batch(infection.transactions)
         detector.finalize()
         all_alerts = detector.alerts
         if all_alerts:
@@ -93,7 +93,7 @@ class TestStreaming:
         infection = next(
             t for t in small_corpus.infections if not t.meta.get("stealth")
         )
-        detector.process_stream(infection.transactions)
+        detector.process_batch(infection.transactions)
         detector.finalize()
         assert detector.alerts, "expected at least one alert"
         alert = detector.alerts[0]
@@ -104,12 +104,12 @@ class TestStreaming:
 
     def test_transactions_seen_counter(self, detector, small_corpus):
         trace = small_corpus.benign[0]
-        detector.process_stream(trace.transactions)
+        detector.process_batch(trace.transactions)
         assert detector.transactions_seen == len(trace.transactions)
 
     def test_interleaved_clients_separate_watches(self, detector):
-        detector.process(make_txn(host="a.com", client="alice", ts=1.0))
-        detector.process(make_txn(host="a.com", client="bob", ts=1.5))
+        detector.process_batch([make_txn(host="a.com", client="alice", ts=1.0)])
+        detector.process_batch([make_txn(host="a.com", client="bob", ts=1.5)])
         assert detector.watch_count() == 2
 
 

@@ -39,11 +39,9 @@ class TestAlertCooldown:
         stream = _infection_burst("one", 10.0)
         # A second, unrelated burst 60 s later (same client).
         stream += _infection_burst("two", 70.0)
-        alerts = detector.process_stream(
-            sorted(stream, key=lambda t: t.timestamp)
-        )
-        detector.finalize()
-        assert len(detector.alerts) == 1  # second burst inside cooldown
+        alerts = detector.replay(stream)
+        assert len(alerts) == 1  # second burst inside cooldown
+        assert detector.alerts == alerts
 
     def test_separated_incidents_both_alert(self, trained_model):
         detector = OnTheWireDetector(
@@ -52,11 +50,9 @@ class TestAlertCooldown:
         )
         stream = _infection_burst("one", 10.0)
         stream += _infection_burst("two", 500.0)
-        alerts = detector.process_stream(
-            sorted(stream, key=lambda t: t.timestamp)
-        )
-        detector.finalize()
-        assert len(detector.alerts) == 2
+        alerts = detector.replay(stream)
+        assert len(alerts) == 2
+        assert detector.alerts == alerts
 
     def test_skewed_clock_stays_in_cooldown(self, trained_model):
         # A second fragment of the same incident arriving with *earlier*
@@ -70,7 +66,7 @@ class TestAlertCooldown:
         stream = _infection_burst("one", 1000.0)
         # Same client, second burst stamped 10 minutes in the past.
         stream += _infection_burst("two", 400.0)
-        detector.process_stream(stream)  # delivery order, not time order
+        detector.process_batch(stream)  # delivery order, not time order
         detector.finalize()
         assert len(detector.alerts) == 1
 
@@ -85,7 +81,7 @@ class TestAlertCooldown:
         stream = _infection_burst("one", 1000.0)
         stream += _infection_burst("two", 400.0)     # suppressed
         stream += _infection_burst("three", 1500.0)  # new incident
-        detector.process_stream(stream)
+        detector.process_batch(stream)
         detector.finalize()
         assert len(detector.alerts) == 2
 
@@ -96,7 +92,7 @@ class TestAlertCooldown:
         )
         stream = _infection_burst("one", 10.0, client="alice")
         stream += _infection_burst("two", 20.0, client="bob")
-        detector.process_stream(sorted(stream, key=lambda t: t.timestamp))
+        detector.process_batch(sorted(stream, key=lambda t: t.timestamp))
         detector.finalize()
         clients = {a.client for a in detector.alerts}
         assert clients == {"alice", "bob"}
@@ -108,7 +104,7 @@ class TestThreshold:
             trained_model,
             config=DetectorConfig(alert_threshold=1.01),
         )
-        detector.process_stream(_infection_burst("x", 1.0))
+        detector.process_batch(_infection_burst("x", 1.0))
         detector.finalize()
         assert detector.alerts == []
 
@@ -117,7 +113,7 @@ class TestThreshold:
             trained_model,
             config=DetectorConfig(alert_threshold=0.0),
         )
-        alerts = detector.process_stream(_infection_burst("x", 1.0))
+        alerts = detector.process_batch(_infection_burst("x", 1.0))
         assert alerts  # first scored WCG trips a zero threshold
 
 
@@ -126,7 +122,7 @@ class TestScoringEconomy:
                                                 small_corpus):
         detector = OnTheWireDetector(trained_model)
         trace = small_corpus.infections[0]
-        detector.process_stream(trace.transactions)
+        detector.process_batch(trace.transactions)
         detector.finalize()
         assert detector.classifications <= len(trace.transactions) + \
             detector.watch_count()
@@ -137,6 +133,6 @@ class TestScoringEconomy:
             trained_model, sink=sink,
             config=DetectorConfig(alert_threshold=0.2),
         )
-        detector.process_stream(_infection_burst("y", 1.0))
+        detector.process_batch(_infection_burst("y", 1.0))
         detector.finalize()
         assert len(sink) >= 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.model import Trace
+from repro.detection.alerts import AlertSink
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.detection.live import LiveDecoder, LiveDetector
 from repro.net.flows import packets_from_trace, transactions_from_packets
@@ -103,6 +104,33 @@ class TestLiveDetector:
         alerts.extend(live.finish())
         assert alerts
         assert live.transactions_emitted == len(infection.transactions)
+
+    def test_custom_sink_survives_end_of_capture(self, trained_model,
+                                                 small_corpus):
+        # finish() used to read ``detector.alerts`` — ListSink only — so
+        # a tap wired to a real pager raised DetectionError at the end
+        # of the capture.
+        class PagerSink(AlertSink):
+            def __init__(self):
+                self.paged = []
+
+            def emit(self, alert):
+                self.paged.append(alert)
+
+        infection = next(
+            t for t in small_corpus.infections if not t.meta.get("stealth")
+        )
+        packets, book = _capture(infection)
+        sink = PagerSink()
+        live = LiveDetector(
+            OnTheWireDetector(trained_model, sink=sink,
+                              config=DetectorConfig(alert_threshold=0.5)),
+            book=book,
+        )
+        returned = [alert for packet in packets
+                    for alert in live.feed(packet)]
+        returned += live.finish()
+        assert returned and returned == sink.paged
 
     def test_clean_on_benign_capture(self, trained_model, small_corpus):
         benign = next(

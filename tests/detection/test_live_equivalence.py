@@ -214,7 +214,7 @@ class TestDetectorEquivalence:
         live_alerts.extend(live.finish())
 
         batch_detector = OnTheWireDetector(trained_model, config=config)
-        batch_detector.process_stream(
+        batch_detector.process_batch(
             transactions_from_packets(packets, book=book)
         )
         batch_detector.finalize()

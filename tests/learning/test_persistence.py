@@ -59,7 +59,7 @@ class TestRoundTrip:
         infection = next(
             t for t in small_corpus.infections if not t.meta.get("stealth")
         )
-        detector.process_stream(infection.transactions)
+        detector.process_batch(infection.transactions)
         detector.finalize()
         assert detector.alerts
 

@@ -10,7 +10,7 @@ count.
 import numpy as np
 
 from repro.detection.detector import OnTheWireDetector
-from repro.detection.live import DetectionEngine
+from repro.detection.live import LiveDetector
 from repro.loadgen import MIXED, LoadGenerator
 from repro.service.daemon import merge_watch_snapshots
 from repro.service.sharding import PacketRouter
@@ -26,7 +26,7 @@ def _workload():
 
 
 def _reference_snapshots(trained_model, packets, book):
-    engine = DetectionEngine(OnTheWireDetector(trained_model), book=book)
+    engine = LiveDetector(OnTheWireDetector(trained_model), book=book)
     for packet in packets:
         engine.feed(packet)
     return engine.snapshot_watches()
@@ -65,7 +65,7 @@ def test_snapshots_off_by_default(trained_model):
 def test_snapshot_fields_agree_with_column_slices(trained_model):
     """Snapshot numbers must equal direct reductions over the columns."""
     packets, book = _workload()
-    engine = DetectionEngine(OnTheWireDetector(trained_model), book=book)
+    engine = LiveDetector(OnTheWireDetector(trained_model), book=book)
     for packet in packets:
         engine.feed(packet)
     snapshots = engine.snapshot_watches()

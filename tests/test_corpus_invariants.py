@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core.model import TraceLabel
 from repro.core.payloads import PayloadType, is_downloadable, is_exploit_type
-from repro.core.sessions import group_sessions
 from repro.core.stages import Stage, assign_stages
 from repro.synthesis.benign import BenignGenerator
 from repro.synthesis.corpus import ground_truth_corpus
 from repro.synthesis.families import EXPLOIT_KIT_FAMILIES
 from repro.synthesis.infection import EpisodeConfig, InfectionGenerator
+from tests.conftest import cluster_sessions
 
 
 class TestInfectionEpisodeInvariants:
@@ -76,7 +76,7 @@ class TestInfectionEpisodeInvariants:
         """Property: grouping partitions the stream losslessly."""
         rng = np.random.default_rng(seed)
         trace = BenignGenerator(rng).generate_session()
-        clusters = group_sessions(trace.transactions)
+        clusters = cluster_sessions(trace.transactions)
         regrouped = sum(len(c.transactions) for c in clusters)
         assert regrouped == len(trace.transactions)
 

@@ -132,10 +132,10 @@ class TestTable5:
 class TestCaseStudy1:
     def test_forensic_shape(self):
         results = case_study1.run(SEED, SCALE)
-        assert results["replay"].transactions == 3011
+        assert results["detector"].transactions_seen == 3011
         # 5 infectious episodes; DynaMiner alerts on most of them.
         assert results["infectious_episodes"] == 5
-        assert 3 <= results["replay"].alert_count <= 8
+        assert 3 <= len(results["alerts"]) <= 8
         # The content-borne PDF: clean at capture, flagged by day 11.
         assert results["pdf_story"]["day0"] == 0
         assert results["pdf_story"]["day11"] >= 3
@@ -149,7 +149,7 @@ class TestCaseStudy1:
             f"r = case_study1.run({SEED}, {SCALE})\n"
             "print(sorted(d.sha256 for d in r['session'].downloads),"
             " r['pdf_story'], r['vt_flagged_at_capture'],"
-            " r['replay'].alert_count)\n"
+            " len(r['alerts']))\n"
         )
         outputs = set()
         for hash_seed in ("0", "1", "4242"):

@@ -6,7 +6,6 @@ import pytest
 import repro
 from repro.core.builder import build_wcg
 from repro.detection.detector import OnTheWireDetector
-from repro.detection.proxy import TrafficReplay
 from repro.features.extractor import FeatureExtractor, extract_matrix
 from repro.learning.forest import EnsembleRandomForest
 from repro.learning.metrics import evaluate_scores
@@ -59,8 +58,7 @@ class TestWirePipeline:
         assert len(transactions) == len(infection.transactions)
 
         detector = OnTheWireDetector(trained_model)
-        report = TrafficReplay(detector).run(transactions)
-        assert report.alert_count >= 1
+        assert len(detector.replay(transactions)) >= 1
 
     def test_wcg_equivalence_across_the_wire(self, small_corpus):
         trace = small_corpus.infections[0]
@@ -106,6 +104,4 @@ class TestQuickDetector:
         infection = next(
             t for t in corpus.infections if not t.meta.get("stealth")
         )
-        alerts = detector.process_stream(infection.transactions)
-        detector.finalize()
-        assert detector.alerts or alerts
+        assert detector.replay(infection.transactions)

@@ -47,3 +47,82 @@ def test_the_vectorised_extraction_twin_stays_gone():
     # ``features/batch.py`` duplicated the row routine for matrices; its
     # body is the oracle ``tests/oracles/feature_assembly.py`` now.
     assert not (SRC / "repro" / "features" / "batch.py").exists()
+
+
+# -- one detection front (PR 22) -------------------------------------------
+
+_GONE_NAMES = ("DetectionEngine", "process_stream", "TrafficReplay",
+               "ProxySimulator", "ReplayReport", "measure_latency",
+               "group_sessions", "SessionCluster")
+
+
+def test_the_replay_twins_and_the_latency_harness_stay_gone():
+    detection = SRC / "repro" / "detection"
+    assert not (detection / "proxy.py").exists()
+    assert not (detection / "latency.py").exists()
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _GONE_NAMES
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_a_shard_runs_the_same_engine_type_as_the_tap(trained_model):
+    from repro.detection.live import LiveDetector
+    from repro.service import EngineSpec
+
+    assert type(EngineSpec(trained_model).build_engine()) is LiveDetector
+
+
+class _Inbox:
+    """A ``queue.Queue`` stand-in that records whether it was drained."""
+
+    def __init__(self, batches):
+        self.items = list(batches) + [None]
+
+    def get(self):
+        return self.items.pop(0)
+
+
+def _run_failing_worker(monkeypatch, trained_model, method):
+    from repro.detection.live import LiveDetector
+    from repro.net.pcap import PcapPacket
+    from repro.service import EngineSpec
+    from repro.service.worker import shard_worker
+
+    calls = []
+
+    def explode(self, *args):
+        calls.append(args)
+        if method == "finish" or len(calls) == 2:
+            raise RuntimeError("engine broke")
+        return []
+
+    monkeypatch.setattr(LiveDetector, method, explode)
+    packet = PcapPacket(timestamp=1.0, data=b"\x00" * 60)
+    inbox = _Inbox([[packet, packet], [packet], [packet, packet]])
+    posted = []
+    outbox = type("Outbox", (), {"put": staticmethod(posted.append)})
+    shard_worker(EngineSpec(trained_model), 3, inbox, outbox)
+    return inbox, posted, calls
+
+
+def test_a_worker_that_dies_mid_stream_still_drains_and_reports(
+        monkeypatch, trained_model):
+    inbox, (result,), calls = _run_failing_worker(
+        monkeypatch, trained_model, "feed")
+    assert len(calls) == 2  # died on the second packet of five
+    assert result.shard_id == 3 and "engine broke" in result.error
+    assert inbox.items == []  # took everything up to the sentinel
+
+
+def test_a_worker_that_dies_in_finish_reports_without_reading_on(
+        monkeypatch, trained_model):
+    inbox, (result,), _ = _run_failing_worker(
+        monkeypatch, trained_model, "finish")
+    assert result.shard_id == 3 and "engine broke" in result.error
+    # The sentinel was already taken; a further get() would block a
+    # real queue forever (here: IndexError on the empty list).
+    assert inbox.items == []
