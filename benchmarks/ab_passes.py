@@ -12,11 +12,14 @@ read-only), both children read the same input files, and single passes
 alternate between them, so a slow regime hits both sides; pass-level
 ratios repeat to about +-3%.
 
-Prints, per side, min and median wall and CPU microseconds per item,
-the median of the per-pair ratios and whether every pass of both sides
-produced the same digest; exits 1 when they did not, or a pass failed
-operations.  With ``--a`` and ``--b`` left at this checkout it is an
-A/A run: the ratio it prints is the noise floor.
+Prints, per side, min and median wall and CPU microseconds per item and
+peak resident MiB (``VmHWM``, restarted before every pass, so a memory
+claim is checked pass against pass like a speed claim; the sharded
+workload's worker processes are not in it), the median of the per-pair
+ratios and whether every pass of both sides produced the same digest;
+exits 1 when they did not, or a pass failed operations.  With ``--a``
+and ``--b`` left at this checkout it is an A/A run: the ratios it
+prints are the noise floor.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: Record key -> what the summary calls it.
+COLUMNS = {"wall_us": "wall us/item", "cpu_us": "cpu us/item",
+           "rss_mib": "peak RSS MiB"}
+
 
 def _use_checkout(root: str):
     """Import ``root``'s program and ledger workloads, nothing of ours."""
@@ -42,18 +49,32 @@ def _use_checkout(root: str):
     return workloads
 
 
+def _restart_peak_rss() -> None:
+    """Begin a new resident-set high-water mark (``VmHWM``) at the
+    current resident size, so each pass reports its own peak.  Where
+    the kernel refuses, the mark stays the child's lifetime peak."""
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        pass
+
+
 def child(root: str, workload: str, seed: int, workdir: str) -> None:
     """One pass per line read on stdin, its record as one JSON line."""
     workloads = _use_checkout(root)
+    from benchmarks.ledger.run_one import peak_rss_kib  # the ledger's own
     ctx = workloads.load(workload, seed, workdir)
     for _ in sys.stdin:
         gc.collect()
+        _restart_peak_rss()
         record = workloads.open_pass(ctx).run()
         items = record["items"]
         cpu = sum(record["cpus"]) + record.get("children_cpu", 0.0)
         print(json.dumps({
             "wall_us": sum(record["walls"]) / items * 1e6,
             "cpu_us": cpu / items * 1e6,
+            "rss_mib": peak_rss_kib() / 1024.0,
             "digest": record["digest"], "failed": record["failed"],
         }), flush=True)
 
@@ -127,14 +148,14 @@ def main() -> int:
 
     for side, rows in records.items():
         print(f"{side} {roots[side]}")
-        for column in ("wall_us", "cpu_us"):
+        for column, label in COLUMNS.items():
             values = [row[column] for row in rows]
-            print(f"  {column}/item  min {min(values):8.2f}  "
+            print(f"  {label:12}  min {min(values):8.2f}  "
                   f"median {statistics.median(values):8.2f}")
-    for column in ("wall_us", "cpu_us"):
+    for column, label in COLUMNS.items():
         a, b = ([row[column] for row in records[side]] for side in "AB")
         ratios = [x / y for x, y in zip(a, b)]
-        print(f"A/B {column}: paired-pass median "
+        print(f"A/B {label}: paired-pass median "
               f"{statistics.median(ratios):.3f}, of minima "
               f"{min(a) / min(b):.3f}")
     rows = records["A"] + records["B"]

@@ -437,16 +437,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 2
     final = snapshots[-1]
     print(f"{len(snapshots)} snapshot(s) in {args.stats}")
-    counters = final.get("counters", {})
-    if counters:
-        print("counters (cumulative):")
-        for name in sorted(counters):
-            print(f"  {name}: {counters[name]}")
-    rates = final.get("rates", {})
-    if rates:
-        print("rates (final interval):")
-        for name in sorted(rates):
-            print(f"  {name}: {rates[name]:.1f}")
+    for section, title, form in (("counters", "cumulative", "{}"),
+                                 ("gauges", "last snapshot", "{:.10g}"),
+                                 ("rates", "final interval", "{:.1f}")):
+        values = final.get(section, {})
+        if values:
+            print(f"{section} ({title}):")
+            for name in sorted(values):
+                print(f"  {name}: " + form.format(values[name]))
     histograms = final.get("histograms", {})
     if histograms:
         print("histograms:")

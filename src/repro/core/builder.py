@@ -27,7 +27,7 @@ differential tests in ``tests/detection/test_wcg_incremental_equivalence.py``).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 
 from repro.core.model import HttpTransaction, Trace
 from repro.core.redirects import RedirectInferencer
@@ -61,12 +61,17 @@ class WCGBuilder:
     classification and update").
     """
 
+    __slots__ = ("_victim", "_origin", "transactions", "_wcg", "_assigner",
+                 "_inferencer", "_stamps", "_txn_edges", "_redirect_keys",
+                 "_max_ts", "_c_ingested", "_c_edges", "_c_replays")
+
     def __init__(self, victim: str | None = None, origin: str | None = None):
         self._victim = victim
         self._origin = origin
-        self._transactions: list[HttpTransaction] = []
-        # Added but not yet ingested; drained on the next build().
-        self._pending: list[HttpTransaction] = []
+        #: Every transaction fed, in feed order — the one history.
+        #: ``build`` ingests those past ``len(_txn_edges)``, so
+        #: appending here *is* :meth:`add`.
+        self.transactions: list[HttpTransaction] = []
         self._wcg: WebConversationGraph | None = None
         self._assigner: StageAssigner | None = None
         self._inferencer: RedirectInferencer | None = None
@@ -76,9 +81,8 @@ class WCGBuilder:
         # Per-seq (request edge index, response edge index | None) for
         # columnar stage re-labelling through ``set_edge_stage``.
         self._txn_edges: list[tuple[int, int | None]] = []
-        # Redirect edge indices in add order + a (timestamp, index) key
-        # list kept sorted for windowed re-staging.
-        self._redirect_edges: list[int] = []
+        # (timestamp, edge index) of every redirect edge, kept sorted
+        # for windowed re-staging.
         self._redirect_keys: list[tuple[float, int]] = []
         self._max_ts = float("-inf")
         metrics = get_registry()
@@ -87,59 +91,41 @@ class WCGBuilder:
         self._c_replays = metrics.counter("wcg.out_of_order_replays")
 
     def add(self, txn: HttpTransaction) -> None:
-        """Record one transaction; graph work is deferred to :meth:`build`.
-
-        Most watched sessions are never scored (no clue ever fires), so
-        the expensive part — edge appends, stage bookkeeping, redirect
-        inference — runs lazily when the graph is actually requested.
-        ``add`` itself is a constant-time append.
-        """
-        self._transactions.append(txn)
-        self._pending.append(txn)
+        """Record one transaction (a constant-time append); the graph
+        work — edge appends, stage bookkeeping, redirect inference — is
+        deferred to :meth:`build`."""
+        self.transactions.append(txn)
 
     def extend(self, transactions: list[HttpTransaction]) -> None:
         """Append many transactions at once."""
-        for txn in transactions:
-            self.add(txn)
-
-    @property
-    def transaction_count(self) -> int:
-        """Number of transactions fed so far."""
-        return len(self._transactions)
+        self.transactions.extend(transactions)
 
     def build(self) -> WebConversationGraph:
         """Return the live annotated WCG, ingesting any pending adds."""
-        self._drain()
+        for txn in self.transactions[len(self._txn_edges):]:
+            if self._wcg is not None and txn.timestamp < self._max_ts:
+                # Late (out-of-order) arrival: the canonical feed order
+                # is the stable timestamp sort, so replay from scratch.
+                # Live capture emits at response completion, which is
+                # almost always in request order, so this path is rare.
+                self._replay()
+                break
+            self._ingest(txn)
         if self._wcg is None:
             raise GraphConstructionError("no transactions to build a WCG from")
         return self._wcg
 
     # -- incremental machinery ---------------------------------------------
 
-    def _drain(self) -> None:
-        """Ingest the pending transactions into the live graph."""
-        pending, self._pending = self._pending, []
-        for txn in pending:
-            if self._wcg is not None and txn.timestamp < self._max_ts:
-                # Late (out-of-order) arrival: the canonical feed order
-                # is the stable timestamp sort, so replay from scratch
-                # (``_transactions`` already holds every pending txn).
-                # Live capture emits at response completion, which is
-                # almost always in request order, so this path is rare.
-                self._replay()
-                return
-            self._ingest(txn)
-
     def _replay(self) -> None:
         """Re-ingest everything in stable timestamp order."""
         self._c_replays.inc()
-        ordered = sorted(self._transactions, key=lambda t: t.timestamp)
+        ordered = sorted(self.transactions, key=lambda t: t.timestamp)
         self._wcg = None
         self._assigner = None
         self._inferencer = None
         self._stamps = []
         self._txn_edges = []
-        self._redirect_edges = []
         self._redirect_keys = []
         self._max_ts = float("-inf")
         for txn in ordered:
@@ -240,21 +226,16 @@ class WCGBuilder:
                 cross_domain=redirect.cross_domain,
             )
             self._c_edges.inc()
-            index = len(self._redirect_edges)
-            self._redirect_edges.append(redirect_edge)
             # In-order ingest ⇒ the new key sorts at (or near) the end.
-            key = (redirect.timestamp, index)
-            at = bisect_right(self._redirect_keys, key)
-            self._redirect_keys.insert(at, key)
+            insort(self._redirect_keys, (redirect.timestamp, redirect_edge))
 
         # Re-stage redirect edges whose governing transaction may have
         # changed: any at-or-after the earliest re-labelled (or new)
         # transaction timestamp.  Earlier redirects are governed by
         # transactions whose stages did not move.
         start = bisect_left(self._redirect_keys, (relabel_floor, -1))
-        for stamp, index in self._redirect_keys[start:]:
-            wcg.set_edge_stage(self._redirect_edges[index],
-                               self._stage_at(stamp))
+        for stamp, redirect_edge in self._redirect_keys[start:]:
+            wcg.set_edge_stage(redirect_edge, self._stage_at(stamp))
 
     def _stage_at(self, ts: float) -> Stage:
         """Stage of the nearest transaction at or before ``ts``.
@@ -309,6 +290,5 @@ def build_wcg(
     else:
         transactions = source
     builder = WCGBuilder(victim=victim, origin=origin)
-    for txn in sorted(transactions, key=lambda t: t.timestamp):
-        builder.add(txn)
+    builder.extend(sorted(transactions, key=lambda t: t.timestamp))
     return builder.build()

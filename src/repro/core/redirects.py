@@ -193,8 +193,10 @@ def extract_content_redirects(body: str) -> list[tuple[RedirectKind, str]]:
 
     Results are memoized per body: the streaming detector re-infers
     redirects over a growing window, and re-deobfuscating every body on
-    each growth step dominated its runtime.
+    each growth step dominated its runtime.  The keys *are* the bodies,
+    so the memo is bounded by the characters it retains.
     """
+    global _content_cache_chars
     cached = _CONTENT_CACHE.get(body)
     if cached is not None:
         return list(cached)
@@ -215,18 +217,28 @@ def extract_content_redirects(body: str) -> list[tuple[RedirectKind, str]]:
         if url not in seen:
             seen.add(url)
             results.append((kind, url))
-    if len(_CONTENT_CACHE) >= _CONTENT_CACHE_CAP:
-        _CONTENT_CACHE.clear()  # simple bound; bodies repeat within runs
-    _CONTENT_CACHE[body] = tuple(results)
+    if len(body) <= _MEMO_BODY_CHARS:
+        _content_cache_chars += len(body)
+        if (len(_CONTENT_CACHE) >= _CONTENT_CACHE_CAP
+                or _content_cache_chars > _CONTENT_CACHE_CHARS):
+            _CONTENT_CACHE.clear()  # simple bound; bodies repeat within runs
+            _content_cache_chars = len(body)
+        _CONTENT_CACHE[body] = tuple(results)
     return results
 
 
 _TEXTUAL_TYPES = ("text/html", "text/javascript", "application/javascript",
                   "application/x-javascript", "application/xhtml")
 
-#: Memo for extract_content_redirects (body -> results).
+#: Memo for extract_content_redirects (body -> results): at most
+#: ``_CONTENT_CACHE_CAP`` keys holding ``_CONTENT_CACHE_CHARS`` characters,
+#: none longer than ``_MEMO_BODY_CHARS`` (longer bodies are not kept).
 _CONTENT_CACHE: dict[str, tuple] = {}
 _CONTENT_CACHE_CAP = 4096
+_CONTENT_CACHE_CHARS = 8 << 20
+_MEMO_BODY_CHARS = 64 << 10
+_content_cache_chars = 0
+_NO_TARGETS: frozenset[str] = frozenset()
 
 
 class RedirectInferencer:
@@ -248,22 +260,26 @@ class RedirectInferencer:
     update.
     """
 
+    __slots__ = ("_seen", "_visited_hosts", "_content_targets")
+
     def __init__(self) -> None:
-        self.redirects: list[Redirect] = []
-        self._seen: set[tuple[str, str, RedirectKind]] = set()
+        # Small for the common watch, which never sees a redirect: one
+        # dict is dedup index and ordered result list; no set until used.
+        self._seen: dict[tuple[str, str, RedirectKind], Redirect] = {}
         self._visited_hosts: set[str] = set()
-        self._content_targets: set[str] = set()
+        self._content_targets = _NO_TARGETS
+
+    @property
+    def redirects(self) -> list[Redirect]:
+        """Every redirect inferred so far, in the order found."""
+        return list(self._seen.values())
 
     def _emit(self, source: str, target: str, kind: RedirectKind,
               ts: float, url: str = "") -> list[Redirect]:
-        if not source or not target or source == target:
-            return []
         key = (source, target, kind)
-        if key in self._seen:
+        if not source or not target or source == target or key in self._seen:
             return []
-        self._seen.add(key)
-        redirect = Redirect(source, target, kind, ts, url)
-        self.redirects.append(redirect)
+        redirect = self._seen[key] = Redirect(source, target, kind, ts, url)
         return [redirect]
 
     def observe(self, txn: HttpTransaction) -> list[Redirect]:
@@ -281,7 +297,7 @@ class RedirectInferencer:
             target = _host_of(absolute, server)
             fresh += self._emit(server, target, RedirectKind.HTTP_30X,
                                 response.timestamp, absolute)
-            self._content_targets.add(target)
+            self._content_targets |= {target}
         if response is not None and response.body:
             if response.content_type.lower().startswith(_TEXTUAL_TYPES):
                 body = response.body.decode("utf-8", errors="replace")
@@ -289,7 +305,7 @@ class RedirectInferencer:
                     target = _host_of(url, server)
                     fresh += self._emit(server, target, kind,
                                         response.timestamp, url)
-                    self._content_targets.add(target)
+                    self._content_targets |= {target}
         ref_host = txn.request.referrer_host
         if (
             ref_host

@@ -115,6 +115,8 @@ class ClueDetector:
     redirect-inference heuristics do, but incrementally.
     """
 
+    __slots__ = ("policy", "_inferencer", "_chain_length", "_c_clues")
+
     def __init__(self, policy: CluePolicy | None = None):
         self.policy = policy or CluePolicy()
         self._inferencer = RedirectInferencer()

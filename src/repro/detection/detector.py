@@ -73,9 +73,10 @@ class DetectorConfig:
     #: terminating "the corresponding session" (Section V-B) means one
     #: incident-level alert, not one per fragment.
     alert_cooldown: float = 180.0
-    #: Idle horizon after which clue-less session watches are dropped
-    #: from the table.  ``None`` = the table default,
-    #: ``max(20 * idle_gap, 1200)``.
+    #: Idle horizon after which clue-less session watches *that carry
+    #: a session ID* are dropped from the table (``None`` = the table
+    #: default, ``max(20 * idle_gap, 1200)``); those without one go
+    #: after ``min(2 * idle_gap, prune_after)`` — see ``SessionTable``.
     prune_after: float | None = None
     #: Once the per-client cooldown map exceeds this many entries, drop
     #: the clients whose last alert is several cooldown windows old.
@@ -198,16 +199,13 @@ class OnTheWireDetector:
         dispatched in table order, so cross-watch cooldown suppression
         behaves exactly as a sequential walk would.
         """
-        watches = self._table.watches()
         requests = []
-        for watch in watches:
-            if watch.active_clue is not None and not watch.alerted \
-                    and not watch.terminated:
-                request = self._request_score(watch, watch.last_ts)
-                if request is not None:
-                    requests.append(request)
+        for watch in self.active_watches():
+            request = self._request_score(watch, watch.last_ts)
+            if request is not None:
+                requests.append(request)
         alerts = self.score_batch(requests)
-        last = max((watch.last_ts for watch in watches), default=0.0)
+        last = max((w.last_ts for w in self._table.watches()), default=0.0)
         self._table.expire(last + self.config.idle_gap + 1.0)
         return alerts
 

@@ -6,11 +6,11 @@ list, its incremental WCG builder, and its clue detector.  The
 watches using session IDs with the referrer/timestamp fallback heuristic.
 
 The table's memory is bounded: terminated watches are dropped from the
-routing structures (``route()`` would only skip over them), and watches
-that never produced an infection clue are closed once they have been
-idle longer than ``prune_after`` — on a busy wire, benign conversations
-vastly outnumber suspicious ones, and keeping them around forever made
-both the per-client scan and the process footprint grow without limit.
+routing structures (``route()`` would only skip over them), and a watch
+that never produced an infection clue is retired once nothing can reach
+it — idle past ``2 * idle_gap`` when it carries no session ID (one gap
+is the last moment ``matches`` accepts a transaction, the second an
+allowance for late completions), past ``prune_after`` when it does.
 Clue-active watches are never auto-pruned; they stay until the detector
 delivers their final verdict (alert, cooldown suppression, or the
 end-of-capture classification in ``finalize``).
@@ -35,15 +35,16 @@ __all__ = ["SessionWatch", "SessionTable"]
 _SWEEP_INTERVAL = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionWatch:
     """State of one watched conversation."""
 
     key: str
     client: str
     policy: CluePolicy
+    #: The one history; the builder :meth:`wcg` makes shares this list.
     transactions: list[HttpTransaction] = field(default_factory=list)
-    session_ids: set[str] = field(default_factory=set)
+    session_ids: frozenset[str] = frozenset()
     hosts: set[str] = field(default_factory=set)
     last_ts: float = 0.0
     #: Set when a clue fired and the WCG is under classifier watch.
@@ -58,10 +59,11 @@ class SessionWatch:
     scored_version: int | None = None
     #: (edge count, structure version) last surfaced to the tracer.
     traced_wcg: tuple[int, int] = (0, -1)
+    _clues: ClueDetector = field(init=False, repr=False)
+    _builder: WCGBuilder | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._clues = ClueDetector(self.policy)
-        self._builder = WCGBuilder(victim=self.client)
 
     def add(self, txn: HttpTransaction,
             session_id: str | None = None) -> InfectionClue | None:
@@ -71,11 +73,10 @@ class SessionWatch:
         (the table's ``route``) has already extracted it.
         """
         self.transactions.append(txn)
-        self._builder.add(txn)
         if session_id is None:
             session_id = extract_session_id(txn)
-        if session_id:
-            self.session_ids.add(session_id)
+        if session_id and session_id not in self.session_ids:
+            self.session_ids |= {session_id}
         self.hosts.add(txn.server)
         ref = txn.request.referrer_host
         if ref:
@@ -87,9 +88,13 @@ class SessionWatch:
         return clue
 
     def wcg(self) -> WebConversationGraph:
-        """The live WCG for this session — grown in place on every
-        :meth:`add`, so repeated calls return the same (current) graph
-        object and downstream caches can key on its version counters."""
+        """The live WCG for this session — one graph object, grown in
+        place, so downstream caches can key on its version counters.
+        The builder is made on the first call (most watches are never
+        asked) and takes the history over."""
+        if self._builder is None:
+            self._builder = WCGBuilder(victim=self.client)
+            self._builder.transactions = self.transactions
         return self._builder.build()
 
     def matches(self, txn: HttpTransaction, session_id: str,
@@ -118,46 +123,50 @@ class SessionWatch:
 
 
 class SessionTable:
-    """Clusters a live transaction stream into per-session watches."""
+    """Clusters a live transaction stream into per-session watches.
+
+    ``prune_after`` bounds clue-less watches a session ID can still
+    reach, ``min(2 * idle_gap, prune_after)`` the rest (DESIGN §9)."""
 
     def __init__(self, policy: CluePolicy | None = None,
                  idle_gap: float = 60.0,
                  prune_after: float | None = None):
         self.policy = policy or CluePolicy()
         self.idle_gap = idle_gap
-        #: Idle horizon after which a clue-less watch is closed and
-        #: dropped.  Far larger than ``idle_gap`` so the session-ID
-        #: match (which ignores the idle gap) keeps working across
-        #: realistic pauses; bounded so it cannot keep working forever.
+        #: Idle horizon after which a clue-less watch with a session ID
+        #: is closed and dropped.  Far larger than ``idle_gap`` so the
+        #: session-ID match (which ignores the idle gap) keeps working
+        #: across realistic pauses; bounded so it cannot forever.
         self.prune_after = (
             prune_after if prune_after is not None
             else max(20.0 * idle_gap, 1200.0)
         )
+        #: The same without one: ``matches`` rejects everything past
+        #: one ``idle_gap``; the second allows for late completions.
+        self._retire_after = min(2.0 * idle_gap, self.prune_after)
         self._watches: dict[str, list[SessionWatch]] = {}
-        self._serial = 0
+        #: Total watches ever opened (pruning does not decrease this).
+        self.opened_count = 0
         #: Per-client watch ordinals.  Watch keys are numbered within
         #: their client rather than globally so a key depends only on
         #: that client's own transaction stream — the property that
         #: lets a client-sharded fleet (repro.service) reproduce the
         #: single-process alert stream byte for byte.
         self._client_serial: dict[str, int] = {}
-        self._closed = 0
         self._now = float("-inf")
         self._routed = 0
         #: Watches currently retained (routing candidates); mirrors
         #: ``sum(len(group) for group in self._watches.values())``.
         self._live = 0
         metrics = get_registry()
+        self._metered = metrics.enabled
         self._c_opened = metrics.counter("session.watches_opened")
         self._c_pruned = metrics.counter("session.watches_pruned")
         self._c_sweeps = metrics.counter("session.sweeps")
+        self._c_late = metrics.counter("session.late_transactions")
         self._g_active = metrics.gauge("session.active_watches")
+        self._g_retained = metrics.gauge("session.retained_transactions")
         self._tracer = get_tracer()
-
-    @property
-    def opened_count(self) -> int:
-        """Total watches ever opened (pruning does not decrease this)."""
-        return self._serial
 
     def route(self, txn: HttpTransaction) -> SessionWatch:
         """Find (or open) the watch that owns ``txn`` and ingest it."""
@@ -165,6 +174,8 @@ class SessionTable:
         timestamp = txn.timestamp
         if timestamp > self._now:
             self._now = timestamp
+        elif self._now - timestamp > self.idle_gap:
+            self._c_late.inc()  # past the retirement allowance (DESIGN §9)
         self._routed += 1
         if self._routed % _SWEEP_INTERVAL == 0:
             self.sweep()
@@ -174,22 +185,16 @@ class SessionTable:
         candidates = self._watches.get(client)
         if candidates is None:
             candidates = self._watches[client] = []
-        chosen: SessionWatch | None = None
-        for watch in reversed(candidates):
-            if watch.terminated:
-                continue
-            if watch.matches(txn, session_id, self.idle_gap):
-                chosen = watch
+        idle_gap = self.idle_gap
+        for chosen in reversed(candidates):
+            if not chosen.terminated and chosen.matches(txn, session_id,
+                                                        idle_gap):
                 break
-        if chosen is None:
-            self._serial += 1
+        else:
+            self.opened_count += 1
             ordinal = self._client_serial.get(client, 0) + 1
             self._client_serial[client] = ordinal
-            chosen = SessionWatch(
-                key=f"{client}#{ordinal}",
-                client=client,
-                policy=self.policy,
-            )
+            chosen = SessionWatch(f"{client}#{ordinal}", client, self.policy)
             candidates.append(chosen)
             self._live += 1
             self._c_opened.inc()
@@ -198,6 +203,8 @@ class SessionTable:
                 self._tracer.emit("watch", ts=timestamp,
                                   client=client, watch=chosen.key)
         clue = chosen.add(txn, session_id)
+        if self._metered:
+            self._g_retained.inc()
         if clue is not None and self._tracer.enabled:
             self._tracer.emit("clue", ts=clue.timestamp, client=clue.client,
                               watch=chosen.key, **clue.as_primitives())
@@ -226,12 +233,10 @@ class SessionTable:
     # -- pruning ----------------------------------------------------------
 
     def _prunable(self, watch: SessionWatch) -> bool:
-        if watch.terminated:
-            return True
-        return (
-            watch.active_clue is None
-            and self._now - watch.last_ts > self.prune_after
-        )
+        idle = self._now - watch.last_ts
+        return watch.terminated or (
+            watch.active_clue is None and idle > self._retire_after
+            and (idle > self.prune_after or not watch.session_ids))
 
     def _prune_client(self, client: str) -> None:
         group = self._watches.get(client)
@@ -240,10 +245,12 @@ class SessionTable:
         # Every route lands here and almost none finds anything to
         # drop: look first (``_prunable``, inline), rebuild the list
         # only when something is.
-        now, horizon = self._now, self.prune_after
+        now, retire, horizon = self._now, self._retire_after, self.prune_after
         for watch in group:
-            if watch.terminated or (watch.active_clue is None
-                                    and now - watch.last_ts > horizon):
+            idle = now - watch.last_ts
+            if watch.terminated or (
+                    watch.active_clue is None and idle > retire
+                    and (idle > horizon or not watch.session_ids)):
                 break
         else:
             return
@@ -255,18 +262,18 @@ class SessionTable:
             # The client left entirely; forget its ordinal too so the
             # table stays bounded by *active* clients.  If the client
             # returns its keys restart at #1, which is fine — alert
-            # session keys only disambiguate concurrent watches.
+            # session keys only disambiguate concurrent watches (and
+            # the tracer resets a recycled key's timeline).
             self._client_serial.pop(client, None)
 
     def _drop_if_prunable(self, watch: SessionWatch) -> bool:
         if not self._prunable(watch):
             return False
-        if not watch.terminated:
-            watch.terminated = True
-        self._closed += 1
+        watch.terminated = True
         self._live -= 1
         self._c_pruned.inc()
         self._g_active.set(self._live)
+        self._g_retained.dec(len(watch.transactions))
         if self._tracer.enabled:
             # Stamped with the watch's own last stream time, not the
             # table clock: `self._now` advances with whatever clients

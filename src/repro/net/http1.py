@@ -337,9 +337,8 @@ class RequestParser(_IncrementalParser):
         parts = start.split(" ", 2)
         if len(parts) < 3 or not parts[2].startswith("HTTP/"):
             raise HttpParseError(f"bad request line: {start!r}")
-        method, uri, version = parts
-        self._pending = RawHttpRequest(method, uri, version, headers, b"",
-                                       offset=self._msg_offset)
+        self._pending = RawHttpRequest(parts[0], parts[1], intern(parts[2]),
+                                       headers, b"", offset=self._msg_offset)
         self._body = bytearray()
         return self._start_body(_framing(headers), out)
 
@@ -375,7 +374,7 @@ class ResponseParser(_IncrementalParser):
         parts = start.split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
             raise HttpParseError(f"bad status line: {start!r}")
-        version = parts[0]
+        version = intern(parts[0])
         try:
             status = int(parts[1])
         except ValueError as exc:

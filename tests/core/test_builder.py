@@ -143,7 +143,7 @@ class TestIncrementalBuilder:
     def test_transaction_count(self, simple_trace):
         builder = WCGBuilder()
         builder.extend(simple_trace.transactions)
-        assert builder.transaction_count == 4
+        assert len(builder.transactions) == 4
 
     def test_explicit_victim_and_origin(self):
         builder = WCGBuilder(victim="me", origin="facebook.com")

@@ -120,6 +120,44 @@ class TestExtractContentRedirects:
         assert any(u == url for _, u in found), (style, snippet)
 
 
+class TestContentMemoBounded:
+    """The memo's keys are whole decoded bodies: it used to hold up to
+    4 096 of them whatever their size (4 GB of one-megabyte pages)."""
+
+    @staticmethod
+    def _page(index: int, chars: int) -> str:
+        head = f'<iframe src="http://t{index}.example/land"></iframe>'
+        return head + "lorem ipsum dolor " * (chars // 18)
+
+    def test_retained_key_bytes_stay_under_the_cap(self):
+        from repro.core import redirects
+
+        peak = 0
+        for index in range(150):  # 9.4M chars of distinct 63k pages
+            page = self._page(index, 63_000)
+            expected = [(RedirectKind.IFRAME, f"http://t{index}.example/land")]
+            assert extract_content_redirects(page) == expected
+            assert extract_content_redirects(page) == expected  # memo hit
+            retained = sum(map(len, redirects._CONTENT_CACHE))
+            assert redirects._content_cache_chars == retained
+            peak = max(peak, retained)
+        assert 4_000_000 < peak <= redirects._CONTENT_CACHE_CHARS == 8 << 20
+
+    def test_large_bodies_are_mined_but_not_kept(self):
+        from repro.core import redirects
+
+        before = dict(redirects._CONTENT_CACHE)
+        for index in range(4):
+            page = self._page(1000 + index, 300_000)
+            assert len(page) > redirects._MEMO_BODY_CHARS
+            for _ in range(2):
+                assert extract_content_redirects(page) == [
+                    (RedirectKind.IFRAME, f"http://t{1000 + index}.example/land")
+                ]
+            assert page not in redirects._CONTENT_CACHE
+        assert redirects._CONTENT_CACHE == before
+
+
 class TestInferRedirects:
     def test_http_30x(self, simple_trace):
         redirects = infer_redirects(simple_trace.transactions)

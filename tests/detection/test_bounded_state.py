@@ -13,10 +13,15 @@ keeps the old accounting semantics.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 from repro.core.model import HttpMethod
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
-from repro.detection.monitor import SessionTable
+from repro.detection.live import LiveDecoder
+from repro.detection.monitor import SessionTable, SessionWatch
+from repro.loadgen import HOSTILE, LoadGenerator
 from tests.conftest import make_txn
 
 
@@ -159,3 +164,62 @@ class TestSessionTablePruning:
             extra_req_headers={"Cookie": "PHPSESSID=abc123"},
         ))
         assert second is first
+
+
+def _traced_bytes_per_item(build) -> float:
+    """tracemalloc bytes still allocated, per item of the list
+    ``build()`` returns, once everything else it made is collected."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) >= 500
+    return (after - before) / len(kept)
+
+
+class TestByteBudgets:
+    """What one live client costs, in bytes (DESIGN §9).  The budgets
+    are the measured sizes plus a few percent, so an attribute dict, an
+    eager builder or a per-message string copy creeping back fails."""
+
+    def test_idle_clueless_watch_shell_fits_one_kib(self):
+        """The watch minus its transactions: slots, key, one history
+        list, the host sets and a clue detector — no WCG builder until
+        a graph is asked for.  Was 2 196 B with the eager builder and
+        four attribute dicts."""
+        count = 500
+        policy = CluePolicy()
+        txns = [make_txn(host=f"h{i}.example", ts=float(i), client=f"c{i}")
+                for i in range(count)]
+        for txn in txns:  # the referrer memo is the transaction's own
+            assert txn.request.referrer_host == ""
+
+        def build():
+            watches = []
+            for txn in txns:
+                watch = SessionWatch(f"{txn.client}#1", txn.client, policy)
+                watch.add(txn)
+                watches.append(watch)
+            return watches
+
+        assert _traced_bytes_per_item(build) <= 1024
+
+    def test_retained_wire_decoded_transaction_budget(self):
+        """A transaction as the tap hands it to the watch that retains
+        it, on the HOSTILE mix (bodies ~44 B, so this is the envelope:
+        two messages, their header lists, URI and host).  Was 1 222 B
+        with a fresh ``'HTTP/1.1'`` per message."""
+        generator = LoadGenerator(seed=23, mix=HOSTILE, concurrency=8)
+        packets = generator.capture(6000)
+
+        def build():
+            decoder = LiveDecoder(book=generator.book)
+            kept = [txn for packet in packets for txn in decoder.feed(packet)]
+            return kept + decoder.flush()
+
+        assert _traced_bytes_per_item(build) <= 1150

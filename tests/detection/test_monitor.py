@@ -4,6 +4,7 @@ from repro.core.model import HttpMethod
 from repro.detection.clues import CluePolicy
 from repro.detection.monitor import SessionTable, SessionWatch
 from tests.conftest import make_txn
+from tests.oracles.session_prune import rebuilding_prune_client
 
 
 class TestSessionWatch:
@@ -113,19 +114,25 @@ class TestSessionTable:
         assert len(set(keys)) == len(keys)
 
 
-def _rebuilding_prune_client(self, client):
-    """``SessionTable._prune_client`` before it looked first: rebuild
-    the client's list on every call, dropping as it goes."""
-    group = self._watches.get(client)
-    if not group:
-        return
-    kept = [w for w in group if not self._drop_if_prunable(w)]
-    if kept:
-        if len(kept) != len(group):
-            self._watches[client] = kept
-    else:
-        del self._watches[client]
-        self._client_serial.pop(client, None)
+class TestRetainedTransactionsGauge:
+    def test_gauge_is_what_the_retained_watches_hold(self):
+        from repro.obs import MetricsRegistry, use_registry
+
+        with use_registry(MetricsRegistry()) as registry:
+            table = SessionTable(idle_gap=5.0)
+            for index in range(300):
+                table.route(make_txn(host=f"h{index % 7}.com",
+                                     ts=float(index),
+                                     client=f"c{index % 40}"))
+            held = sum(len(w.transactions) for w in table.watches())
+            gauges = registry.snapshot()["gauges"]
+            assert gauges["session.retained_transactions"] == held
+            assert 0 < held < 300  # some watches were retired on the way
+            assert gauges["session.active_watches"] == len(table.watches())
+            table.expire(now=1000.0)
+            gauges = registry.snapshot()["gauges"]
+        assert gauges["session.retained_transactions"] == 0
+        assert gauges["session.active_watches"] == 0
 
 
 class TestPruneEventsUnchanged:
@@ -159,7 +166,7 @@ class TestPruneEventsUnchanged:
 
         events, counters = run()
         monkeypatch.setattr(SessionTable, "_prune_client",
-                            _rebuilding_prune_client)
+                            rebuilding_prune_client)
         reference_events, reference_counters = run()
         prunes = [e for e in events if e["kind"] == "prune"]
         assert len(prunes) > 50

@@ -253,6 +253,13 @@ class TestCliTracing:
         assert "snapshot(s)" in out
         assert "decode.packets" in out
         assert "histograms:" in out
+        # The table's memory, side by side: watches held, transactions
+        # held in them, and how many arrived past the retirement
+        # allowance.  The capture finished, so nothing is held.
+        assert "  session.late_transactions: 0\n" in out
+        assert "gauges (last snapshot):" in out
+        assert "  session.active_watches: 0\n" in out
+        assert "  session.retained_transactions: 0\n" in out
 
     def test_stats_handles_fleet_lines(self, tmp_path, capsys):
         import json
