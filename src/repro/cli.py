@@ -219,9 +219,9 @@ def _load_model_or_fail(path: str, log):
     except FileNotFoundError:
         log.error("model file not found: %s (create one with"
                   " `dynaminer train --out %s`)", path, path)
-    except (OSError, ValueError, KeyError, TypeError, LearningError) as exc:
-        # json.JSONDecodeError is a ValueError; a structurally wrong
-        # payload surfaces as KeyError/TypeError from the rebuilder.
+    except (OSError, ValueError, LearningError) as exc:
+        # json.JSONDecodeError is a ValueError; JSON that is not a
+        # forest is a LearningError.
         log.error("cannot load model %s: %s", path, exc)
     return None
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from repro.core.model import Trace
 from repro.core.payloads import is_downloadable
-from repro.features.extractor import extract_trace_features
-from repro.features.registry import NUM_FEATURES
-from repro.parallel import parallel_map
+from repro.features.extractor import extract_matrix
 
 __all__ = ["clue_time_prefix", "training_matrix"]
 
@@ -58,23 +56,16 @@ def training_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) over full traces plus (optionally) clue-time prefixes.
 
-    ``n_jobs`` fans per-trace feature extraction out over a process pool
-    (``-1`` = all cores); the row order is unaffected.
+    Unlabelled traces are skipped; ``n_jobs`` is
+    :func:`repro.features.extractor.extract_matrix`'s.
     """
     expanded: list[Trace] = []
-    labels: list[float] = []
     for trace in traces:
         if trace.label is None:
             continue
-        label = 1.0 if trace.is_infection else 0.0
         expanded.append(trace)
-        labels.append(label)
         if augment_prefixes:
             prefix = clue_time_prefix(trace)
             if prefix is not None:
                 expanded.append(prefix)
-                labels.append(label)
-    if not expanded:
-        return np.empty((0, NUM_FEATURES)), np.empty(0)
-    rows = parallel_map(extract_trace_features, expanded, n_jobs=n_jobs)
-    return np.vstack(rows), np.array(labels)
+    return extract_matrix(expanded, n_jobs=n_jobs)

@@ -31,8 +31,7 @@ __all__ = ["run_voting", "run_forest_sweep", "run_threshold_sweep",
 
 
 def run_voting(seed: int = DEFAULT_SEED,
-               scale: float = DEFAULT_SCALE, k: int = 10,
-               n_jobs: int | None = None) -> dict:
+               scale: float = DEFAULT_SCALE, k: int = 10) -> dict:
     """Probability averaging vs majority voting, 10-fold CV.
 
     With fully-grown trees every leaf is pure and the two voting rules
@@ -40,13 +39,12 @@ def run_voting(seed: int = DEFAULT_SEED,
     leaves carry calibrated probabilities) — the regime where the
     paper's Section V-A variance argument applies.
     """
-    jobs = default_n_jobs() if n_jobs is None else n_jobs
     X, y = cached_features(seed, scale)
     results = {}
     for mode in ("average", "majority"):
         # partial, not a lambda: the factory crosses process boundaries.
         cv = cross_validate(
-            X, y, k=k, seed=seed, n_jobs=jobs,
+            X, y, k=k, seed=seed, n_jobs=default_n_jobs(),
             model_factory=partial(
                 EnsembleRandomForest, n_trees=20, voting=mode,
                 min_samples_leaf=5, random_state=seed,
@@ -64,10 +62,8 @@ def run_forest_sweep(
     scale: float = DEFAULT_SCALE,
     tree_counts: tuple[int, ...] = (5, 10, 20, 40),
     k: int = 5,
-    n_jobs: int | None = None,
 ) -> dict:
     """Sweep N_t and N_f around the paper's tuned configuration."""
-    jobs = default_n_jobs() if n_jobs is None else n_jobs
     X, y = cached_features(seed, scale)
     n_features = X.shape[1]
     paper_nf = default_max_features(n_features)
@@ -79,7 +75,7 @@ def run_forest_sweep(
                 f"Nf={'log2+1' if max_features == paper_nf else 'all'}"
             )
             cv = cross_validate(
-                X, y, k=k, seed=seed, n_jobs=jobs,
+                X, y, k=k, seed=seed, n_jobs=default_n_jobs(),
                 model_factory=partial(
                     EnsembleRandomForest, n_trees=n_trees,
                     max_features=max_features, random_state=seed,
@@ -174,10 +170,9 @@ def run_whitelist(seed: int = DEFAULT_SEED,
 
 
 def report_voting(seed: int = DEFAULT_SEED,
-                  scale: float = DEFAULT_SCALE,
-                  n_jobs: int | None = None) -> str:
+                  scale: float = DEFAULT_SCALE) -> str:
     """Printable voting-mode ablation."""
-    results = run_voting(seed, scale, n_jobs=n_jobs)
+    results = run_voting(seed, scale)
     rows = [
         [mode, m["tpr"], m["fpr"], m["f_score"], m["fpr_std"]]
         for mode, m in results.items()
@@ -190,10 +185,9 @@ def report_voting(seed: int = DEFAULT_SEED,
 
 
 def report_forest_sweep(seed: int = DEFAULT_SEED,
-                        scale: float = DEFAULT_SCALE,
-                        n_jobs: int | None = None) -> str:
+                        scale: float = DEFAULT_SCALE) -> str:
     """Printable N_t/N_f sweep."""
-    results = run_forest_sweep(seed, scale, n_jobs=n_jobs)
+    results = run_forest_sweep(seed, scale)
     rows = [
         [label, m["tpr"], m["fpr"], m["f_score"]]
         for label, m in results.items()

@@ -24,9 +24,9 @@ __all__ = ["run", "report"]
 
 
 def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-        k: int = 10, n_jobs: int | None = None) -> dict[str, dict[str, float]]:
+        k: int = 10) -> dict[str, dict[str, float]]:
     """10-fold CV per abstraction; returns metrics keyed by system."""
-    jobs = default_n_jobs() if n_jobs is None else n_jobs
+    jobs = default_n_jobs()
     corpus = cached_ground_truth(seed, scale)
     results: dict[str, dict[str, float]] = {}
 
@@ -47,10 +47,9 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
     return results
 
 
-def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-           n_jobs: int | None = None) -> str:
+def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE) -> str:
     """Printable abstraction comparison."""
-    results = run(seed, scale, n_jobs=n_jobs)
+    results = run(seed, scale)
     rows = [
         [system, m["tpr"], m["fpr"], m["f_score"], m["roc_area"]]
         for system, m in results.items()

@@ -15,30 +15,22 @@ from repro.analytics.report import format_table
 from repro.experiments.context import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
+    cached_features,
     cached_ground_truth,
     default_n_jobs,
 )
-from repro.features.extractor import extract_trace_features
-from repro.parallel import parallel_map
 from repro.learning.forest import EnsembleRandomForest
 
 __all__ = ["run", "report"]
 
 
 def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-        threshold: float = 0.5,
-        n_jobs: int | None = None) -> dict[str, dict[str, float]]:
+        threshold: float = 0.5) -> dict[str, dict[str, float]]:
     """Leave-one-family-out detection rates."""
-    jobs = default_n_jobs() if n_jobs is None else n_jobs
     corpus = cached_ground_truth(seed, scale)
-
-    # Extract once, index by trace.
-    rows = parallel_map(extract_trace_features, corpus.traces, n_jobs=jobs)
-    vectors = dict(enumerate(rows))
+    X, y = cached_features(seed, scale)  # row i is corpus.traces[i]
 
     results: dict[str, dict[str, float]] = {}
-    benign_idx = [i for i, t in enumerate(corpus.traces)
-                  if not t.is_infection]
     for family in corpus.families:
         held_out = [i for i, t in enumerate(corpus.traces)
                     if t.family == family]
@@ -46,15 +38,9 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
                      if t.family != family]
         if len(held_out) < 2:
             continue
-        X_train = np.vstack([vectors[i] for i in train_idx])
-        y_train = np.array([
-            1.0 if corpus.traces[i].is_infection else 0.0
-            for i in train_idx
-        ])
         model = EnsembleRandomForest(n_trees=20, random_state=seed)
-        model.fit(X_train, y_train, n_jobs=jobs)
-        X_test = np.vstack([vectors[i] for i in held_out])
-        scores = model.decision_scores(X_test)
+        model.fit(X[train_idx], y[train_idx], n_jobs=default_n_jobs())
+        scores = model.decision_scores(X[held_out])
         detected = int(np.sum(scores >= threshold))
         results[family] = {
             "episodes": float(len(held_out)),
@@ -65,10 +51,9 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
     return results
 
 
-def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-           n_jobs: int | None = None) -> str:
+def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE) -> str:
     """Printable leave-one-family-out table."""
-    results = run(seed, scale, n_jobs=n_jobs)
+    results = run(seed, scale)
     rows = [
         [family, int(m["episodes"]), int(m["detected"]),
          f"{m['tpr']:.1%}", f"{m['mean_score']:.2f}"]

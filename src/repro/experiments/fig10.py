@@ -24,14 +24,13 @@ __all__ = ["run", "operating_points", "report"]
 
 
 def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-        k: int = 10, n_jobs: int | None = None) -> dict:
+        k: int = 10) -> dict:
     """Compute pooled out-of-fold ROC points and the area under them."""
-    jobs = default_n_jobs() if n_jobs is None else n_jobs
     X, y = cached_features(seed, scale)
     scores = np.zeros(len(y))
     for train_idx, test_idx in stratified_kfold(y, k=k, seed=seed):
         model = EnsembleRandomForest(n_trees=20, random_state=seed)
-        model.fit(X[train_idx], y[train_idx], n_jobs=jobs)
+        model.fit(X[train_idx], y[train_idx], n_jobs=default_n_jobs())
         scores[test_idx] = model.decision_scores(X[test_idx])
     fpr, tpr, thresholds = roc_curve(y, scores)
     return {
@@ -46,14 +45,13 @@ def operating_points(
     seed: int = DEFAULT_SEED,
     scale: float = DEFAULT_SCALE,
     thresholds: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9),
-    n_jobs: int | None = None,
 ) -> dict[float, dict[str, float]]:
     """TPR/FPR at concrete alert thresholds — the deployment dial.
 
     The ROC curve shows what is *achievable*; a deployment must pick a
     threshold.  Returns the operating point for each candidate.
     """
-    data = run(seed, scale, n_jobs=n_jobs)
+    data = run(seed, scale)
     points = {}
     for threshold in thresholds:
         # Last curve point whose threshold is still >= the candidate.
@@ -67,10 +65,9 @@ def operating_points(
     return points
 
 
-def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-           n_jobs: int | None = None) -> str:
+def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE) -> str:
     """ASCII rendition of the Figure 10 ROC curve."""
-    data = run(seed, scale, n_jobs=n_jobs)
+    data = run(seed, scale)
     lines = [f"Fig. 10 (reproduced): ROC curve, AUC = {data['auc']:.4f}"]
     # Sample ~12 evenly spaced curve points for the log.
     fpr, tpr = data["fpr"], data["tpr"]
@@ -81,8 +78,7 @@ def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
     for index in picks:
         lines.append(f"{fpr[index]:.4f}  {tpr[index]:.4f}")
     lines.append("operating points (threshold: TPR @ FPR):")
-    for threshold, point in operating_points(seed, scale,
-                                             n_jobs=n_jobs).items():
+    for threshold, point in operating_points(seed, scale).items():
         lines.append(
             f"  {threshold:.1f}: TPR {point['tpr']:.3f} @ "
             f"FPR {point['fpr']:.3f}"

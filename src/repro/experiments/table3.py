@@ -30,26 +30,21 @@ SUBSETS: dict[str, list[int] | None] = {
 
 
 def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-        k: int = 10, n_jobs: int | None = None) -> dict[str, dict[str, float]]:
-    """Run the three-row ablation; returns metrics per subset.
-
-    ``n_jobs`` parallelizes the CV folds (``None`` = the experiment
-    default); the metrics are byte-identical for any value.
-    """
-    jobs = default_n_jobs() if n_jobs is None else n_jobs
+        k: int = 10) -> dict[str, dict[str, float]]:
+    """Run the three-row ablation; returns metrics per subset."""
     X, y = cached_features(seed, scale)
     results: dict[str, dict[str, float]] = {}
     for label, indices in SUBSETS.items():
         cv = cross_validate(X, y, k=k, seed=seed, feature_indices=indices,
-                            n_jobs=jobs)
+                            n_jobs=default_n_jobs())
         results[label] = cv.summary()
     return results
 
 
 def report(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
-           k: int = 10, n_jobs: int | None = None) -> str:
+           k: int = 10) -> str:
     """Printable Table III reproduction."""
-    results = run(seed, scale, k, n_jobs=n_jobs)
+    results = run(seed, scale, k)
     rows = [
         [label, m["tpr"], m["fpr"], m["f_score"], m["roc_area"]]
         for label, m in results.items()

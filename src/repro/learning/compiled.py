@@ -2,9 +2,10 @@
 
 The on-the-wire stage queries the ERF on every meaningful WCG update
 (Section VI), so classifier latency sits directly on the live detection
-path.  Walking linked ``_Node`` objects costs O(rows x trees x depth)
-Python iterations per call; this module compiles a fitted forest into a
-struct-of-arrays *arena* — one flat node table shared by all trees —
+path.  Walking each tree's node table row by row costs O(rows x trees
+x depth) Python iterations per call; this module compiles a fitted
+forest into a struct-of-arrays *arena* — one node table shared by all
+trees —
 and traverses it level-wise with vectorized index stepping, so a batch
 costs O(depth) numpy operations regardless of how many rows or trees it
 covers.  Those operations cost the same for one row as for a hundred,
@@ -13,11 +14,11 @@ and the live path asks for one row at a time, so up to
 plain Python instead (:meth:`CompiledForest.predict_proba` picks by row
 count; both walks produce the same bytes).
 
-Layout (a natural extension of the model-format-v2 flat node list):
+Layout (the per-tree :class:`repro.learning.tree.NodeTable`, widened):
 
-* every tree is flattened preorder (:func:`repro.learning.tree.flatten_nodes`)
-  and appended to the arena; child indices are rebased by the tree's
-  node offset, so they index straight into the arena;
+* every tree's table is appended to the arena as it stands; child
+  indices are rebased by the tree's node offset, so they index
+  straight into the arena;
 * ``feature[i] == -1`` marks a leaf; ``gather_feature`` clamps leaves
   to column 0 so the traversal can gather unconditionally;
 * children pack into one array addressed ``child[2*i + go_left]``
@@ -37,7 +38,7 @@ Layout (a natural extension of the model-format-v2 flat node list):
   termination scan.
 
 Equivalence contract: every public method is **byte-identical** to
-combining the per-tree object walks (the reference combiner lives in
+combining the per-tree table walks (the reference combiner lives in
 ``tests/oracles/forest_inference.py``).  The traversal applies the same
 IEEE comparison (``x <= threshold`` goes left; NaN compares false and
 goes right), and probability averaging accumulates per tree, in tree
@@ -53,61 +54,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import LearningError
-from repro.learning.tree import DecisionTreeClassifier, flatten_nodes
+from repro.learning.tree import DecisionTreeClassifier
 
-__all__ = ["CompiledForest", "compile_forest", "compile_tree_arrays"]
+__all__ = ["CompiledForest", "compile_forest"]
 
 #: Up to this many rows :meth:`CompiledForest.predict_proba` walks the
 #: arena row by row; measured crossover in DESIGN.md §10.
 _ROW_WISE_MAX_ROWS = 4
-
-
-def compile_tree_arrays(
-    tree: DecisionTreeClassifier,
-    columns: np.ndarray,
-    n_classes: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Flat struct-of-arrays form of one fitted tree.
-
-    Args:
-        tree: the fitted object tree.
-        columns: forest-class column of each tree-local class
-            (``searchsorted(forest_classes, tree_classes)``).
-        n_classes: width of the forest's class axis.
-
-    Returns ``(feature, threshold, child, leaf_proba, leaf_vote, depth)``
-    with tree-local node indices (the arena rebases ``child``).
-    """
-    if tree._root is None:
-        raise LearningError("cannot compile an unfitted tree")
-    nodes = flatten_nodes(tree._root)
-    count = len(nodes)
-    feature = np.full(count, -1, dtype=np.intp)
-    threshold = np.zeros(count, dtype=np.float64)
-    # child[2*i] = right, child[2*i + 1] = left; leaves self-loop.
-    child = np.repeat(np.arange(count, dtype=np.intp), 2)
-    leaf_proba = np.zeros((count, n_classes), dtype=np.float64)
-    leaf_vote = np.zeros(count, dtype=np.intp)
-    # Preorder puts every parent before its children, so one forward
-    # sweep settles node depths.
-    level = np.zeros(count, dtype=np.intp)
-    depth = 0
-    for index, node in enumerate(nodes):
-        proba = node.get("proba")
-        if proba is None:
-            feature[index] = node["feature"]
-            threshold[index] = node["threshold"]
-            child[2 * index] = node["right"]
-            child[2 * index + 1] = node["left"]
-            level[node["left"]] = level[node["right"]] = level[index] + 1
-        else:
-            leaf_proba[index, columns] = proba
-            # argmax ties resolve to the first index — the lowest
-            # tree-local class, hence the lowest class label.
-            leaf_vote[index] = columns[int(np.argmax(proba))]
-            if level[index] > depth:
-                depth = int(level[index])
-    return feature, threshold, child, leaf_proba, leaf_vote, depth
 
 
 class CompiledForest:
@@ -119,32 +72,36 @@ class CompiledForest:
     """
 
     def __init__(
-        self,
-        classes: np.ndarray,
-        n_features: int,
-        trees: list[tuple],
+        self, classes: np.ndarray, trees: list[DecisionTreeClassifier]
     ):
-        if not trees:
-            raise LearningError("cannot compile an empty forest")
         self.classes = np.asarray(classes)
-        self.n_features = int(n_features)
+        self.n_features = trees[0].n_features_
         self.n_trees = len(trees)
-        offsets = np.zeros(self.n_trees, dtype=np.intp)
-        total = 0
-        for index, (feature, *_rest) in enumerate(trees):
-            offsets[index] = total
-            total += len(feature)
-        self.roots = offsets
-        self.feature = np.concatenate([t[0] for t in trees])
-        self.threshold = np.concatenate([t[1] for t in trees])
-        # Rebase child indices (self-loops included) into the arena.
-        self.child = np.concatenate(
-            [t[2] + offsets[i] for i, t in enumerate(trees)]
-        )
-        self.leaf_proba = np.vstack([t[3] for t in trees])
-        # Vote columns index classes, not nodes — no rebasing.
-        self.leaf_vote = np.concatenate([t[4] for t in trees])
-        self.depth = max(t[5] for t in trees)
+        tables = [tree._fitted() for tree in trees]
+        sizes = [len(table.feature) for table in tables]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        self.feature = np.concatenate([t.feature for t in tables])
+        self.threshold = np.concatenate([t.threshold for t in tables])
+        # child[2*i] = right, child[2*i + 1] = left, rebased into the
+        # arena; leaves self-loop in the table already.
+        self.child = np.concatenate([
+            np.stack((t.right, t.left), axis=1).reshape(-1) + root
+            for t, root in zip(tables, self.roots)
+        ])
+        self.leaf_proba = np.zeros((len(self.feature), len(self.classes)))
+        self.leaf_vote = np.zeros(len(self.feature), dtype=np.intp)
+        for tree, table, root in zip(trees, tables, self.roots):
+            # A tree fitted on a degenerate bootstrap may have seen
+            # fewer classes than the forest: its posterior columns are
+            # scattered to the forest's here, once.
+            columns = np.searchsorted(self.classes, tree._classes)
+            rows = slice(root, root + len(table.feature))
+            self.leaf_proba[rows, columns] = table.proba
+            # argmax ties resolve to the first index — the lowest
+            # tree-local class, hence the lowest class label (split
+            # rows are never read).
+            self.leaf_vote[rows] = columns[table.proba.argmax(axis=1)]
+        self.depth = max(tree.depth for tree in trees)
         #: Leaf lanes gather column 0; the comparison outcome is
         #: irrelevant because both child slots self-loop.
         self.gather_feature = np.maximum(self.feature, 0)
@@ -165,7 +122,7 @@ class CompiledForest:
         deepest path, measured at compile time) lands every lane on its
         leaf — O(depth) numpy operations for the whole batch, with no
         per-level termination scan.  NaN feature values compare False
-        and step right, identical to the object walk's
+        and step right, identical to the table walk's
         ``row[feature] <= threshold`` branch.
         """
         rows = X.shape[0]
@@ -197,7 +154,7 @@ class CompiledForest:
         """Probability-averaged class matrix (the paper's ERF vote).
 
         Accumulates per tree in tree order so the result is bytewise
-        what the object walk's scatter-and-add produces.
+        what the per-tree walks' scatter-and-add produces.
         """
         X = self._validate(X)
         if len(X) <= _ROW_WISE_MAX_ROWS:
@@ -285,21 +242,7 @@ class CompiledForest:
 
 
 def compile_forest(forest) -> CompiledForest:
-    """Compile a fitted :class:`EnsembleRandomForest` into an arena.
-
-    A tree fitted on a degenerate bootstrap may have seen fewer classes
-    than the forest; the per-tree ``searchsorted`` alignment is baked
-    into the leaves here, so they carry rows already scattered to
-    forest-class columns.
-    """
+    """Compile a fitted :class:`EnsembleRandomForest` into an arena."""
     if not forest.trees_:
         raise LearningError("cannot compile an unfitted forest")
-    n_classes = len(forest._classes)
-    n_features = forest.trees_[0].n_features_
-    trees = [
-        compile_tree_arrays(
-            tree, np.searchsorted(forest._classes, tree._classes), n_classes
-        )
-        for tree in forest.trees_
-    ]
-    return CompiledForest(forest._classes, n_features, trees)
+    return CompiledForest(forest._classes, forest.trees_)

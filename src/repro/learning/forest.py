@@ -105,8 +105,6 @@ class EnsembleRandomForest:
             (kept for the ablation bench).
         random_state: master seed; tree seeds and bootstrap draws derive
             from it.
-        n_jobs: default process count for :meth:`fit` (``None`` = serial,
-            ``-1`` = all cores).  Any value yields byte-identical trees.
     """
 
     def __init__(
@@ -120,7 +118,6 @@ class EnsembleRandomForest:
         voting: str = "average",
         bootstrap: bool = True,
         random_state: int | None = None,
-        n_jobs: int | None = None,
     ):
         if n_trees < 1:
             raise LearningError("n_trees must be >= 1")
@@ -135,7 +132,6 @@ class EnsembleRandomForest:
         self.voting = voting
         self.bootstrap = bootstrap
         self.random_state = random_state
-        self.n_jobs = n_jobs
         self.trees_: list[DecisionTreeClassifier] = []
         self._classes: np.ndarray | None = None
         #: Compiled struct-of-arrays arena (repro.learning.compiled);
@@ -148,11 +144,11 @@ class EnsembleRandomForest:
         """Fit the ensemble; returns self.
 
         Args:
-            n_jobs: per-tree fitting processes (overrides the
-                constructor's ``n_jobs``).  Both the bootstrap seed and
-                the split seed of tree *i* are drawn up front from the
-                master ``random_state``, so every ``n_jobs`` value —
-                serial included — grows byte-identical trees.
+            n_jobs: per-tree fitting processes (``None`` = serial,
+                ``-1`` = all cores).  Both the bootstrap seed and the
+                split seed of tree *i* are drawn up front from the
+                master ``random_state``, so every value — serial
+                included — grows byte-identical trees.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
@@ -183,12 +179,11 @@ class EnsembleRandomForest:
             (int(seeds[index, 0]), int(seeds[index, 1]))
             for index in range(self.n_trees)
         ]
-        effective = n_jobs if n_jobs is not None else self.n_jobs
         try:
             self.trees_ = parallel_map(
                 _fit_tree,
                 jobs,
-                n_jobs=effective,
+                n_jobs=n_jobs,
                 initializer=_init_fit_context,
                 initargs=(X, y, len(self._classes), params,
                           self.bootstrap, ranks),

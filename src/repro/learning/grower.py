@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.learning.tree import _CRITERIA, _Node
+from repro.learning.tree import NodeTable
 
 __all__ = [
     "presort_columns",
@@ -72,8 +72,6 @@ __all__ = [
     "compute_column_ranks",
     "grow_tree_presorted",
 ]
-
-_NEG_INF = float("-inf")
 
 
 def presort_columns(X: np.ndarray) -> np.ndarray:
@@ -189,6 +187,12 @@ def compute_column_ranks(X: np.ndarray) -> ColumnRanks:
     return ColumnRanks(ranks, values)
 
 
+def _entropy(counts: np.ndarray) -> float:
+    fractions = counts / counts.sum()
+    nonzero = fractions[fractions > 0]
+    return float(-np.sum(nonzero * np.log2(nonzero)))
+
+
 def _reduce_classes(stacked: np.ndarray) -> np.ndarray:
     """Sum a ``(C, B)`` array over classes, matching legacy bit-order.
 
@@ -216,22 +220,20 @@ def grow_tree_presorted(
     criterion: str,
     rng: np.random.Generator,
     column_ranks: np.ndarray | None = None,
-) -> _Node:
+) -> NodeTable:
     """Grow a CART tree with the presorted-partition engine.
 
     ``X`` must be float64 and ``y`` integer class codes in
     ``[0, n_classes)``.  ``column_ranks`` optionally supplies the
     :func:`compute_column_ranks` output for ``X`` (the forest computes
     it once per matrix and gathers it through each bootstrap); when
-    omitted it is computed here.  Returns the root
-    :class:`~repro.learning.tree._Node` of a tree byte-identical to
-    what the legacy reference grower produces for the same inputs and
-    RNG state.
+    omitted it is computed here.  Returns the tree as a
+    :class:`~repro.learning.tree.NodeTable`, byte-identical to what the
+    legacy reference grower produces for the same inputs and RNG state.
     """
     n_samples, n_features = X.shape
     k = max_features or n_features
     k = min(k, n_features)
-    impurity = _CRITERIA[criterion]
     is_gini = criterion == "gini"
     subsample = k < n_features
     # min_samples_leaf <= 0 behaves exactly like 1 in the legacy filter
@@ -268,24 +270,38 @@ def grow_tree_presorted(
     sizes = np.arange(1, n_samples + 1, dtype=count_dtype)
     ar_k = np.arange(k)[:, None]
 
-    root = _Node()
-    # Each entry owns its row-id array (ascending original order — the
-    # exact legacy ``indices`` protocol) and exact class counts
-    # (carried down by subtraction — no per-node bincount); popping
-    # right-last keeps the preorder (and hence the RNG draw order) of
-    # the legacy grower.
-    stack: list[tuple[np.ndarray, np.ndarray, int, _Node]] = [
-        (np.arange(n_samples, dtype=idx_dtype), root_counts, 0, root)
+    # The node table, one list per column.  Each stack entry owns its
+    # row-id array (ascending original order — the exact legacy
+    # ``indices`` protocol), exact class counts (carried down by
+    # subtraction — no per-node bincount) and the parent's child slot
+    # to patch (a throwaway one for the root); popping right-last keeps
+    # the preorder (and hence the RNG draw order) of the legacy grower,
+    # so the pop order *is* the table's row order.
+    feature: list[int] = []
+    thresholds: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    proba: list[np.ndarray] = []
+    no_proba = np.zeros(C)
+    stack: list[tuple[np.ndarray, np.ndarray, int, list[int], int]] = [
+        (np.arange(n_samples, dtype=idx_dtype), root_counts, 0, [0], 0)
     ]
     while stack:
-        rows, counts, depth, node = stack.pop()
+        rows, counts, depth, slots, parent = stack.pop()
+        node = slots[parent] = len(feature)
+        # A leaf until a split is found: every ``continue`` below
+        # leaves this row as it is.
+        feature.append(-1)
+        thresholds.append(0.0)
+        left.append(node)
+        right.append(node)
+        proba.append(counts / counts.sum())
         n_node = rows.shape[0]
         if (
             n_node < min_samples_split
             or (max_depth is not None and depth >= max_depth)
             or np.count_nonzero(counts) == 1
         ):
-            node.proba = counts / counts.sum()
             continue
         # The legacy grower draws candidates before discovering there is
         # no valid split, so the draw must precede the band check too.
@@ -299,7 +315,6 @@ def grow_tree_presorted(
         lo = min_leaf - 1
         hi = n_node - min_leaf
         if hi <= lo:
-            node.proba = counts / counts.sum()
             continue
 
         # Per-candidate sorted view of the node, recovered from the
@@ -348,7 +363,6 @@ def grow_tree_presorted(
         # position-ascending) boundary list.
         flat = bd.ravel().nonzero()[0]
         if flat.size == 0:
-            node.proba = counts / counts.sum()
             continue
         P = hi - lo
         jf, pf = np.divmod(flat, P)
@@ -366,7 +380,7 @@ def grow_tree_presorted(
             fr = counts / n_node
             parent_impurity = float(1.0 - (fr * fr).sum())
         else:
-            parent_impurity = impurity(counts)
+            parent_impurity = _entropy(counts)
         # int + 1.0 promotes to float64 in one pass; the positions are
         # far below 2**53, so the value equals (pos + 1) cast exactly.
         left_sizes = pos + 1.0
@@ -403,7 +417,6 @@ def grow_tree_presorted(
         # are simply absent, matching the legacy None-split skip).
         a = int(gains.argmax())
         if not gains[a] > 1e-12:
-            node.proba = counts / counts.sum()
             continue
         best_j = int(jf[a])
         best_p = int(pos[a])
@@ -411,30 +424,35 @@ def grow_tree_presorted(
         # Decode the winning boundary's endpoint values from the rank
         # table (first sorted occurrence of each tie class — bit-equal
         # to the legacy endpoint reads; see compute_column_ranks).
-        feature = int(candidates[best_j])
-        v_lo = rank_values[feature, sorted_keys[best_j, best_p]]
-        v_hi = rank_values[feature, sorted_keys[best_j, best_p + 1]]
+        split = int(candidates[best_j])
+        v_lo = rank_values[split, sorted_keys[best_j, best_p]]
+        v_hi = rank_values[split, sorted_keys[best_j, best_p + 1]]
         threshold = (v_lo + v_hi) / 2.0
         # Adjacent floats can make the midpoint round up to the upper
         # value; clamp so `<= threshold` keeps the split non-degenerate.
         if threshold >= v_hi:
             threshold = v_lo
-        node.feature = feature
-        node.threshold = float(threshold)
-        node.left = _Node()
-        node.right = _Node()
+        feature[node] = split
+        thresholds[node] = float(threshold)
+        proba[node] = no_proba
 
         # Partition exactly like the legacy recursion: the float column
         # against the threshold over the node's rows (NaNs compare
         # False and go right), children keeping ascending row order.
-        col_vals = XT[feature][rows]
+        col_vals = XT[split][rows]
         mask = col_vals <= threshold
         left_rows = rows[mask]
         right_rows = rows[~mask]
         left_counts = cm[:, best_j, best_p].astype(np.float64)
         # Right first so the left child pops (and draws RNG) first.
         stack.append(
-            (right_rows, counts - left_counts, depth + 1, node.right)
+            (right_rows, counts - left_counts, depth + 1, right, node)
         )
-        stack.append((left_rows, left_counts, depth + 1, node.left))
-    return root
+        stack.append((left_rows, left_counts, depth + 1, left, node))
+    return NodeTable(
+        np.array(feature, dtype=np.intp),
+        np.array(thresholds),
+        np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp),
+        np.array(proba),
+    )

@@ -6,12 +6,20 @@ so the trained ERF must serialize.  The format is plain JSON (no
 pickle: model files routinely cross trust boundaries) and versioned for
 forward compatibility.
 
-Format version 2 stores each tree as a *flat* preorder node list with
-child indices (see :func:`repro.learning.tree.flatten_nodes`).  The
-version-1 nested encoding mirrored the tree shape, so a fully-grown
-tree (default ``max_depth=None``) could exceed the recursion limit of
-the stdlib ``json`` encoder/decoder; version-1 payloads are rejected
-(re-save the model with ``dynaminer train``).
+Format version 2 stores each tree as its node table
+(:class:`repro.learning.tree.NodeTable`), one JSON object per row: a
+leaf carries ``proba``, a split carries ``feature`` / ``threshold`` and
+the row indices of its ``left`` / ``right`` children.  The version-1
+nested encoding mirrored the tree shape, so a fully-grown tree (default
+``max_depth=None``) could exceed the recursion limit of the stdlib
+``json`` encoder/decoder; version-1 payloads are rejected (re-save the
+model with ``dynaminer train``).
+
+Nothing read from a file is trusted: :func:`forest_from_dict` turns
+every structural surprise into :class:`LearningError` and has each tree
+:meth:`~repro.learning.tree.DecisionTreeClassifier.validate` itself
+before anything walks it, so a model that loads cannot hang, index out
+of range or raise while scoring because of its own contents.
 """
 
 from __future__ import annotations
@@ -22,11 +30,7 @@ import numpy as np
 
 from repro.exceptions import LearningError
 from repro.learning.forest import EnsembleRandomForest
-from repro.learning.tree import (
-    DecisionTreeClassifier,
-    flatten_nodes,
-    unflatten_nodes,
-)
+from repro.learning.tree import DecisionTreeClassifier, NodeTable
 
 __all__ = ["forest_to_dict", "forest_from_dict", "save_forest",
            "load_forest"]
@@ -35,21 +39,48 @@ _FORMAT_VERSION = 2
 
 
 def _tree_to_dict(tree: DecisionTreeClassifier) -> dict:
-    if tree._root is None:
-        raise LearningError("cannot serialize an unfitted tree")
+    feature, threshold, left, right, proba = (
+        column.tolist() for column in tree._fitted()
+    )
     return {
         "classes": [float(c) for c in tree._classes],
         "n_features": tree.n_features_,
-        "nodes": flatten_nodes(tree._root),
+        "nodes": [
+            {"proba": proba[row]} if split < 0 else
+            {"feature": split, "threshold": threshold[row],
+             "left": left[row], "right": right[row]}
+            for row, split in enumerate(feature)
+        ],
     }
 
 
 def _tree_from_dict(data: dict) -> DecisionTreeClassifier:
+    """One tree's payload as a node table (the caller validates it)."""
     tree = DecisionTreeClassifier()
-    tree._classes = np.array(data["classes"])
-    tree._n_classes = len(tree._classes)
+    tree._classes = np.array(data["classes"], dtype=np.float64)
     tree.n_features_ = int(data["n_features"])
-    tree._root = unflatten_nodes(data["nodes"])
+    nodes = data["nodes"]
+    leaves = [row for row, node in enumerate(nodes) if "proba" in node]
+    splits = [row for row, node in enumerate(nodes) if "proba" not in node]
+    links = [[nodes[row][key] for key in ("feature", "left", "right")]
+             for row in splits]
+    columns = np.array(links, dtype=np.intp).reshape(-1, 3)
+    posteriors = np.array([nodes[row]["proba"] for row in leaves],
+                          dtype=np.float64)
+    if columns.tolist() != links:  # numpy truncates 2.5 without complaint
+        raise LearningError("node index that is not an integer")
+    count = len(nodes)
+    feature = np.full(count, -1, dtype=np.intp)
+    left = np.arange(count)  # a leaf points at itself
+    right = np.arange(count)
+    threshold = np.zeros(count)
+    # Posteriors of the wrong rank (scalars, nested lists, no leaf at
+    # all) either fail to assign or give a table validate() refuses.
+    proba = np.zeros((count, *posteriors.shape[1:]))
+    feature[splits], left[splits], right[splits] = columns.T
+    threshold[splits] = [nodes[row]["threshold"] for row in splits]
+    proba[leaves] = posteriors
+    tree.nodes_ = NodeTable(feature, threshold, left, right, proba)
     return tree
 
 
@@ -74,8 +105,7 @@ def forest_to_dict(forest: EnsembleRandomForest) -> dict:
     }
 
 
-def forest_from_dict(data: dict) -> EnsembleRandomForest:
-    """Rebuild a forest from :func:`forest_to_dict` output."""
+def _read_forest(data: dict) -> EnsembleRandomForest:
     if data.get("model") != "EnsembleRandomForest":
         raise LearningError(f"not a forest payload: {data.get('model')!r}")
     version = data.get("format_version")
@@ -104,8 +134,27 @@ def forest_from_dict(data: dict) -> EnsembleRandomForest:
         bootstrap=bool(data.get("bootstrap", True)),
         random_state=None if random_state is None else int(random_state),
     )
-    forest._classes = np.array(data["classes"])
+    forest._classes = np.array(data["classes"], dtype=np.float64)
     forest.trees_ = [_tree_from_dict(t) for t in trees]
+    return forest
+
+
+def forest_from_dict(data: dict) -> EnsembleRandomForest:
+    """Rebuild a forest from :func:`forest_to_dict` output; raises
+    :class:`LearningError`, and nothing else, for any other payload."""
+    try:
+        forest = _read_forest(data)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
+        raise LearningError(f"malformed model payload: {exc!r}") from exc
+    if not np.array_equal(forest._classes, np.unique(forest._classes)):
+        raise LearningError("forest classes are not sorted and distinct")
+    for tree in forest.trees_:
+        tree.validate()
+        if (tree.n_features_ != forest.trees_[0].n_features_
+                or not np.isin(tree._classes, forest._classes).all()):
+            raise LearningError(
+                "a tree disagrees with its forest on features or classes")
     # A loaded model is about to serve the wire: build the vectorized
     # inference arena now rather than on the first live classification.
     forest.compile()

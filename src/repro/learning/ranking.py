@@ -156,7 +156,6 @@ def rank_features(
     names: list[str],
     k: int = 10,
     seed: int = 0,
-    criterion: str = "binary",
 ) -> list[RankedFeature]:
     """Rank all feature columns by gain ratio under k-fold CV.
 
@@ -164,36 +163,19 @@ def rank_features(
     features ranked (1 = best).  Returns features ordered by mean rank,
     each carrying ``mean ± std`` for both the gain ratio and the rank —
     exactly the Table IV columns.
-
-    ``criterion`` selects the discretization: ``"binary"`` (single best
-    threshold; fast) or ``"mdl"`` (full Fayyad-Irani recursion, the
-    Weka-faithful variant — see :mod:`repro.learning.discretize`).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n_features = X.shape[1]
     if len(names) != n_features:
         raise ValueError("names length must match feature count")
-    if criterion == "binary":
-        measure = None
-        sorted_idx = presort_columns(X)
-    elif criterion == "mdl":
-        from repro.learning.discretize import mdl_gain_ratio
-        measure = mdl_gain_ratio
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    sorted_idx = presort_columns(X)
     ratios = np.zeros((k, n_features))
     ranks = np.zeros((k, n_features))
     for fold_index, (train_idx, _) in enumerate(
         stratified_kfold(y, k=k, seed=seed)
     ):
-        if measure is None:
-            fold_ratios = _fold_gain_ratios(X, sorted_idx, y, train_idx)
-        else:
-            fold_ratios = np.array(
-                [measure(X[train_idx, j], y[train_idx])
-                 for j in range(n_features)]
-            )
+        fold_ratios = _fold_gain_ratios(X, sorted_idx, y, train_idx)
         ratios[fold_index] = fold_ratios
         # Rank 1 = highest gain ratio; ties broken by column order.
         order = np.argsort(-fold_ratios, kind="stable")

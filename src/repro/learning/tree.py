@@ -9,8 +9,7 @@ rather than majority-voting (Section V-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -19,94 +18,28 @@ from repro.exceptions import LearningError, NotFittedError
 if TYPE_CHECKING:  # grower imports from this module; keep one-way at runtime
     from repro.learning.grower import ColumnRanks
 
-__all__ = [
-    "DecisionTreeClassifier",
-    "flatten_nodes",
-    "unflatten_nodes",
-]
+__all__ = ["DecisionTreeClassifier", "NodeTable"]
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves carry a class-probability vector."""
+class NodeTable(NamedTuple):
+    """A fitted tree: one row per node, parents before their children.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    proba: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.proba is not None
-
-
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    fractions = counts / total
-    return float(1.0 - np.sum(fractions**2))
-
-
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    fractions = counts / total
-    nonzero = fractions[fractions > 0]
-    return float(-np.sum(nonzero * np.log2(nonzero)))
-
-
-_CRITERIA = {"gini": _gini, "entropy": _entropy}
-
-
-def flatten_nodes(root: _Node) -> list[dict]:
-    """Flatten a node chain to a preorder list with child indices.
-
-    The nested ``_Node`` structure nests as deep as the tree, so both
-    ``pickle`` and ``json`` blow the interpreter recursion limit on
-    fully-grown trees; this flat encoding (leaves carry ``proba``,
-    internal nodes carry ``left``/``right`` list indices) has constant
-    nesting depth whatever the tree shape.
+    The only form a fitted tree takes in memory — the grower appends
+    rows in preorder (root is row 0), the model file lists them in row
+    order, the inference arena concatenates them.  Nesting depth is
+    constant whatever the tree shape, so a chain deeper than the
+    interpreter's recursion limit pickles and serializes like any other.
     """
-    nodes: list[dict] = []
-    stack: list[tuple[_Node, int, str]] = [(root, -1, "")]
-    while stack:
-        node, parent_pos, side = stack.pop()
-        pos = len(nodes)
-        if parent_pos >= 0:
-            nodes[parent_pos][side] = pos
-        if node.is_leaf:
-            nodes.append({"proba": [float(p) for p in node.proba]})
-        else:
-            nodes.append({
-                "feature": int(node.feature),
-                "threshold": float(node.threshold),
-                "left": -1,
-                "right": -1,
-            })
-            stack.append((node.right, pos, "right"))
-            stack.append((node.left, pos, "left"))
-    return nodes
 
-
-def unflatten_nodes(nodes: list[dict]) -> _Node:
-    """Rebuild a node chain from :func:`flatten_nodes` output."""
-    if not nodes:
-        raise LearningError("empty node list")
-    built = [
-        _Node(proba=np.array(data["proba"], dtype=np.float64))
-        if "proba" in data
-        else _Node(feature=int(data["feature"]),
-                   threshold=float(data["threshold"]))
-        for data in nodes
-    ]
-    for data, node in zip(nodes, built):
-        if "proba" not in data:
-            node.left = built[data["left"]]
-            node.right = built[data["right"]]
-    return built[0]
+    #: Split feature per node; ``-1`` marks a leaf.
+    feature: np.ndarray
+    #: ``x[feature] <= threshold`` steps left (NaN compares false: right).
+    threshold: np.ndarray
+    #: Child rows; a leaf points at itself.
+    left: np.ndarray
+    right: np.ndarray
+    #: ``(nodes, classes)`` leaf posteriors; zero rows at splits.
+    proba: np.ndarray
 
 
 class DecisionTreeClassifier:
@@ -130,7 +63,7 @@ class DecisionTreeClassifier:
         criterion: str = "gini",
         random_state: int | None = None,
     ):
-        if criterion not in _CRITERIA:
+        if criterion not in ("gini", "entropy"):
             raise LearningError(f"unknown criterion {criterion!r}")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -138,8 +71,8 @@ class DecisionTreeClassifier:
         self.max_features = max_features
         self.criterion = criterion
         self.random_state = random_state
-        self._root: _Node | None = None
-        self._n_classes = 0
+        #: The fitted tree; ``None`` until :meth:`fit` (or a model load).
+        self.nodes_: NodeTable | None = None
         self._classes: np.ndarray | None = None
         self.n_features_: int = 0
 
@@ -171,16 +104,15 @@ class DecisionTreeClassifier:
         if len(X) == 0:
             raise LearningError("cannot fit on an empty dataset")
         self._classes, encoded = np.unique(y, return_inverse=True)
-        self._n_classes = len(self._classes)
         self.n_features_ = X.shape[1]
-        # Imported here: grower imports _Node/_CRITERIA from this
-        # module, so the dependency must stay one-way at import time.
+        # Imported here: grower imports NodeTable from this module, so
+        # the dependency must stay one-way at import time.
         from repro.learning.grower import grow_tree_presorted
 
-        self._root = grow_tree_presorted(
+        self.nodes_ = grow_tree_presorted(
             X,
             encoded,
-            self._n_classes,
+            len(self._classes),
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
@@ -191,39 +123,84 @@ class DecisionTreeClassifier:
         )
         return self
 
-    # -- pickling ------------------------------------------------------------
-    # Process pools ship fitted trees between workers; the nested _Node
-    # chain would recurse in pickle as deep as the tree, so the state
-    # swaps it for the flat encoding.
+    def _fitted(self) -> NodeTable:
+        if self.nodes_ is None:
+            raise NotFittedError("fit() must be called first")
+        return self.nodes_
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        if state.get("_root") is not None:
-            state["_root"] = flatten_nodes(state["_root"])
-        return state
+    def validate(self) -> None:
+        """Reject a table that is not a tree over this tree's features
+        and classes; raises :class:`LearningError`.
 
-    def __setstate__(self, state: dict) -> None:
-        root = state.pop("_root", None)
-        self.__dict__.update(state)
-        self._root = unflatten_nodes(root) if root is not None else None
+        The grower's output passes by construction; a table read from a
+        model file has been checked by nobody, and every walker below
+        (and the inference arena) trusts what this accepts: a split's
+        children lie strictly after it and inside the table, a leaf
+        points at itself, and every row but the root is some split's
+        child exactly once — so the rows form one tree, walks terminate
+        and no row is dead; split features index a real column;
+        thresholds and posteriors are finite, posteriors non-negative
+        rows of the tree's class count.
+        """
+        feature, threshold, left, right, proba = self._fitted()
+        classes = self._classes
+        count = len(feature)
+        own = np.arange(count)
+        is_split = feature >= 0
+        if count == 0:
+            problem = "no nodes"
+        elif not np.where(
+            is_split,
+            (left > own) & (right > own) & (left < count) & (right < count),
+            (left == own) & (right == own),
+        ).all():
+            problem = "child index: a split's must follow it, a leaf has none"
+        elif (np.bincount(
+            np.concatenate([left[is_split], right[is_split]]),
+            minlength=count,
+        )[1:] != 1).any():
+            problem = "node not referenced exactly once"
+        elif feature.max() >= self.n_features_:
+            problem = f"split feature outside [0, {self.n_features_})"
+        elif not np.isfinite(threshold).all():
+            problem = "non-finite threshold"
+        elif classes.ndim != 1 or not (
+            len(classes) and np.array_equal(classes, np.unique(classes))
+        ):
+            problem = "classes not a sorted list of distinct labels"
+        elif proba.shape != (count, len(classes)):
+            problem = (f"posteriors of shape {proba.shape} for {count} nodes"
+                       f" x {len(classes)} classes")
+        elif not (np.isfinite(proba).all() and (proba >= 0).all()):
+            problem = "negative or non-finite posterior"
+        else:
+            return
+        raise LearningError(f"malformed tree: {problem}")
 
     # -- prediction ----------------------------------------------------------
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability matrix, one row per sample."""
-        if self._root is None:
-            raise NotFittedError("fit() must be called before predict")
+        """Class-probability matrix, one row per sample.
+
+        A plain per-row walk of the table — the reference the compiled
+        arena is proven against (``tests/oracles/forest_inference.py``).
+        """
+        table = self._fitted()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise LearningError(
                 f"expected shape (*, {self.n_features_}), got {X.shape}"
             )
-        out = np.empty((len(X), self._n_classes))
-        for index, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[index] = node.proba
+        feature, threshold, left, right = (
+            column.tolist() for column in table[:4]
+        )
+        out = np.empty((len(X), table.proba.shape[1]))
+        for index, row in enumerate(X.tolist()):
+            node = 0
+            while feature[node] >= 0:
+                go_left = row[feature[node]] <= threshold[node]
+                node = left[node] if go_left else right[node]
+            out[index] = table.proba[node]
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -234,46 +211,25 @@ class DecisionTreeClassifier:
     @property
     def depth(self) -> int:
         """Depth of the grown tree (0 for a single leaf)."""
-        if self._root is None:
-            raise NotFittedError("fit() must be called first")
-        deepest = 0
-        stack = [(self._root, 0)]
-        while stack:
-            node, level = stack.pop()
-            if node.is_leaf:
-                deepest = max(deepest, level)
-            else:
-                stack.append((node.left, level + 1))
-                stack.append((node.right, level + 1))
-        return deepest
+        table = self._fitted()
+        left, right = table.left.tolist(), table.right.tolist()
+        # Parents precede their children, so one forward sweep over the
+        # splits settles every node's level.
+        level = [0] * len(left)
+        for node in np.flatnonzero(table.feature >= 0).tolist():
+            level[left[node]] = level[right[node]] = level[node] + 1
+        return max(level)
 
     @property
     def node_count(self) -> int:
         """Total nodes in the grown tree."""
-        if self._root is None:
-            raise NotFittedError("fit() must be called first")
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.append(node.left)
-                stack.append(node.right)
-        return count
+        return len(self._fitted().feature)
 
     def feature_importances(self) -> np.ndarray:
         """Split-frequency importances (how often each feature splits)."""
-        if self._root is None:
-            raise NotFittedError("fit() must be called first")
-        importances = np.zeros(self.n_features_)
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            importances[node.feature] += 1
-            stack.append(node.left)
-            stack.append(node.right)
+        feature = self._fitted().feature
+        importances = np.bincount(
+            feature[feature >= 0], minlength=self.n_features_
+        ).astype(np.float64)
         total = importances.sum()
         return importances / total if total else importances

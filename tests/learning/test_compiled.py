@@ -1,9 +1,9 @@
-"""Differential tests: compiled arena vs. object-tree traversal.
+"""Differential tests: compiled arena vs. per-tree table walks.
 
 The arena's contract is *byte-identical* output to combining the
-per-tree object walks (``tests.oracles.forest_inference``) — not close,
-identical — so every comparison here is ``np.array_equal``, never
-``allclose``.  Inputs cover the adversarial corners named in ISSUE 4:
+per-tree row-by-row walks (``tests.oracles.forest_inference``) — not
+close, identical — so every comparison here is ``np.array_equal``,
+never ``allclose``.  Inputs cover the adversarial corners named in ISSUE 4:
 degenerate single-leaf trees, trees that saw fewer classes than the
 forest, NaN/±inf feature values, and thresholds produced by the
 midpoint clamp in ``tree.py``.
@@ -40,7 +40,7 @@ def _fitted(seed, **kwargs):
 
 
 def _assert_identical(forest, X):
-    """Arena output == the object-walk reference, bit for bit.
+    """Arena output == the per-tree-walk reference, bit for bit.
 
     ``predict`` and ``decision_scores`` are pure functions of the
     probability matrix, so they are checked against the reference
@@ -148,7 +148,7 @@ class TestDegenerate:
         X = np.array([[low], [low], [high], [high]])
         y = np.array([0, 0, 1, 1])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree._root.threshold == low  # the clamp fired
+        assert tree.nodes_.threshold[0] == low  # the clamp fired
         forest = EnsembleRandomForest(n_trees=2, bootstrap=False,
                                       max_features=1,
                                       random_state=0).fit(X, y)
@@ -194,7 +194,7 @@ def _both_walks(compiled, X, monkeypatch):
 
 
 class TestRowWiseWalk:
-    """The few-row walk == the level-wise walk == the object reference,
+    """The few-row walk == the level-wise walk == the per-tree reference,
     bytes, whichever side of the row-count crossover a batch falls."""
 
     @staticmethod

@@ -1,8 +1,8 @@
-"""Forest decision-path explanations vs an object-tree oracle.
+"""Forest decision-path explanations vs a per-tree walk oracle.
 
 ``CompiledForest.explain`` / ``EnsembleRandomForest.explain_row`` power
 alert provenance; they must report exactly the leaves, votes, scores,
-and per-feature split usage an explicit walk of the object trees finds.
+and per-feature split usage an explicit walk of each tree's table finds.
 """
 
 import numpy as np
@@ -12,20 +12,22 @@ from repro.exceptions import LearningError
 from repro.learning.forest import EnsembleRandomForest
 
 
-def _walk_tree(node, row):
-    """Oracle: explicit root-to-leaf walk of one object tree.
+def _walk_tree(table, row):
+    """Oracle: explicit root-to-leaf walk of one tree's node table.
 
     Returns ``(leaf_proba, feature_counts_dict)`` using the same IEEE
     comparison as inference (``x <= threshold`` goes left, NaN right).
     """
     counts: dict[int, int] = {}
-    while not node.is_leaf:
-        counts[node.feature] = counts.get(node.feature, 0) + 1
-        if row[node.feature] <= node.threshold:
-            node = node.left
+    node = 0
+    while table.feature[node] >= 0:
+        feature = int(table.feature[node])
+        counts[feature] = counts.get(feature, 0) + 1
+        if row[feature] <= table.threshold[node]:
+            node = table.left[node]
         else:
-            node = node.right
-    return node.proba, counts
+            node = table.right[node]
+    return table.proba[node], counts
 
 
 def _oracle_explanation(forest, row):
@@ -37,7 +39,7 @@ def _oracle_explanation(forest, row):
     if positive.size:
         column_label = 1
     for index, tree in enumerate(forest.trees_):
-        proba, counts = _walk_tree(tree._root, row)
+        proba, counts = _walk_tree(tree.nodes_, row)
         for feature, count in counts.items():
             totals[feature] += count
         # argmax over tree-local classes, ties to the lowest label.

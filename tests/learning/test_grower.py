@@ -29,37 +29,11 @@ from repro.learning.grower import (
 )
 from repro.learning.persistence import forest_from_dict, forest_to_dict
 from repro.learning.tree import DecisionTreeClassifier
-from tests.oracles.tree_growth import grow_tree_reference
-
-
-def _tree_sig(node):
-    """Recursive byte-level signature of a fitted tree."""
-    if node.proba is not None:
-        return ("leaf", node.proba.tobytes())
-    return (
-        "split",
-        node.feature,
-        np.float64(node.threshold).tobytes(),
-        _tree_sig(node.left),
-        _tree_sig(node.right),
-    )
-
-
-def _tree_sig_iter(root):
-    """Iterative signature for trees deeper than the recursion limit."""
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.proba is not None:
-            out.append(("leaf", node.proba.tobytes()))
-        else:
-            out.append(
-                ("split", node.feature, np.float64(node.threshold).tobytes())
-            )
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+from tests.oracles.tree_growth import (
+    grow_tree_reference,
+    linked_signature,
+    table_signature,
+)
 
 
 def _reference_root(
@@ -96,7 +70,7 @@ def _reference_forest_sigs(X, y, n_trees, random_state, **tree_kwargs):
         root = _reference_root(
             X[sample], y[sample], random_state=int(tree_seed), **tree_kwargs
         )
-        sigs.append(_tree_sig(root))
+        sigs.append(linked_signature(root))
     return sigs
 
 
@@ -177,9 +151,9 @@ class TestTreeDifferential:
                 random_state=seed * 13 + 1,
             )
             presort = DecisionTreeClassifier(**kwargs).fit(X, y)
-            assert _tree_sig(_reference_root(X, y, **kwargs)) == _tree_sig(
-                presort._root
-            )
+            assert linked_signature(
+                _reference_root(X, y, **kwargs)
+            ) == table_signature(presort.nodes_)
 
     @pytest.mark.parametrize("min_samples_leaf", [1, 7])
     @pytest.mark.parametrize("max_depth", [None, 3])
@@ -193,9 +167,9 @@ class TestTreeDifferential:
                 max_features=2, random_state=seed,
             )
             presort = DecisionTreeClassifier(**kwargs).fit(X, y)
-            assert _tree_sig(_reference_root(X, y, **kwargs)) == _tree_sig(
-                presort._root
-            )
+            assert linked_signature(
+                _reference_root(X, y, **kwargs)
+            ) == table_signature(presort.nodes_)
 
     def test_deep_tree_past_recursion_limit(self):
         n = sys.getrecursionlimit() + 50
@@ -203,8 +177,8 @@ class TestTreeDifferential:
         y = np.arange(n) % 2
         presort = DecisionTreeClassifier().fit(X, y)
         assert presort.depth > sys.getrecursionlimit()
-        assert _tree_sig_iter(_reference_root(X, y)) == _tree_sig_iter(
-            presort._root
+        assert linked_signature(_reference_root(X, y)) == table_signature(
+            presort.nodes_
         )
         assert np.array_equal(presort.predict(X), y)
 
@@ -215,7 +189,7 @@ class TestTreeDifferential:
         b = DecisionTreeClassifier(random_state=3).fit(
             X, y, column_ranks=ranks
         )
-        assert _tree_sig(a._root) == _tree_sig(b._root)
+        assert table_signature(a.nodes_) == table_signature(b.nodes_)
 
 
 class TestForestDifferential:
@@ -233,7 +207,7 @@ class TestForestDifferential:
         forest = EnsembleRandomForest(
             n_trees=8, random_state=42, **tree_kwargs
         ).fit(X, y, n_jobs=n_jobs)
-        assert [_tree_sig(t._root) for t in forest.trees_] == (
+        assert [table_signature(t.nodes_) for t in forest.trees_] == (
             _reference_forest_sigs(X, y, 8, 42, **tree_kwargs)
         )
 

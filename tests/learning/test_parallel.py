@@ -91,14 +91,6 @@ class TestParallelDeterminism:
         )
         assert forest_to_dict(serial) == forest_to_dict(par)
 
-    def test_constructor_n_jobs_equivalent(self):
-        X, y = _data()
-        serial = EnsembleRandomForest(n_trees=4, random_state=2).fit(X, y)
-        par = EnsembleRandomForest(
-            n_trees=4, random_state=2, n_jobs=2
-        ).fit(X, y)
-        assert forest_to_dict(serial) == forest_to_dict(par)
-
     def test_cross_validate_byte_identical_to_serial(self):
         X, y = _data()
         serial = cross_validate(X, y, k=4, seed=3)

@@ -118,7 +118,7 @@ class TestFeatureSubsetting:
         for seed in range(20):
             tree = DecisionTreeClassifier(max_features=1,
                                           random_state=seed).fit(X, y)
-            root_features.add(tree._root.feature)
+            root_features.add(int(tree.nodes_.feature[0]))
         assert root_features == {0, 1}
 
     def test_importances_sum_to_one(self):

@@ -1,4 +1,5 @@
-"""Reference forest inference: combine the per-tree object walks — what
+"""Reference forest inference: combine the per-tree table walks
+(``DecisionTreeClassifier.predict_proba``, plain Python per row) — what
 ``EnsembleRandomForest.predict_proba`` computed before the compiled
 arena became the only inference path."""
 

@@ -4,8 +4,10 @@ The paper ranks features with the *gain ratio* metric, which it most
 likely computed in Weka — whose attribute evaluators discretize numeric
 attributes with the Fayyad-Irani MDL method before computing information
 measures.  ``repro.learning.ranking`` uses a single best binary split;
-this module provides the full recursive MDL discretization as the
-higher-fidelity alternative (``rank_features(criterion="mdl")``).
+this is the full recursive MDL discretization, kept as the reference
+that ``tests/learning/test_discretize.py`` checks the shortcut's top
+features against (it was ``repro.learning.discretize`` and a
+``rank_features`` option until no caller outside the tests chose it).
 """
 
 from __future__ import annotations

@@ -6,13 +6,88 @@ grower.  Its arithmetic *is* the byte-identity contract of
 ``tests/learning/test_grower.py`` and must not drift: same dtype, same
 operation order, same RNG draw order (one ``rng.choice`` per attempted
 split, in preorder — node, left subtree, right subtree).
+
+It shares nothing with the code under test: it grows linked nodes of
+its own (production trees are flat :class:`repro.learning.tree.
+NodeTable` rows) and :func:`linked_signature` / :func:`table_signature`
+reduce the two shapes to one comparable form.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.learning.tree import _CRITERIA, _Node
+
+@dataclass
+class _Node:
+    """One linked tree node; leaves carry a class-probability vector."""
+
+    feature: int = -1
+    threshold: float = 0.0
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+    proba: np.ndarray | None = None
+
+
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    fractions = counts / total
+    return float(1.0 - np.sum(fractions**2))
+
+
+def _entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    fractions = counts / total
+    nonzero = fractions[fractions > 0]
+    return float(-np.sum(nonzero * np.log2(nonzero)))
+
+
+_CRITERIA = {"gini": _gini, "entropy": _entropy}
+
+
+def linked_signature(root: _Node) -> list[tuple]:
+    """Byte-level preorder signature of a linked tree (iterative, so a
+    chain deeper than the recursion limit is fine)."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.proba is not None:
+            out.append(("leaf", node.proba.tobytes()))
+        else:
+            out.append(
+                ("split", node.feature, np.float64(node.threshold).tobytes())
+            )
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
+
+
+def table_signature(table) -> list[tuple]:
+    """The same signature read off a node table by following its child
+    links from row 0 — and the links must visit the rows in table order,
+    i.e. the table is the preorder the grower promises."""
+    out = []
+    visited = []
+    stack = [0]
+    while stack:
+        row = stack.pop()
+        visited.append(row)
+        if table.feature[row] < 0:
+            out.append(("leaf", table.proba[row].tobytes()))
+        else:
+            out.append(("split", int(table.feature[row]),
+                        table.threshold[row].tobytes()))
+            stack.append(int(table.right[row]))
+            stack.append(int(table.left[row]))
+    assert visited == list(range(len(table.feature)))
+    return out
 
 
 def grow_tree_reference(

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+import time
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from tests.learning.model_payloads import MALFORMED_EDITS, malformed_model
 
 
 class TestCli:
@@ -145,6 +149,21 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "unsupported model format version: 1" in err
         assert "dynaminer train" in err
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_EDITS))
+    def test_detect_malformed_model(self, defect, tmp_path, capsys):
+        """A model file that is JSON but not a forest (a child cycle, a
+        child or feature index out of range, ...) is one ERROR line and
+        exit 2 — it used to hang, traceback, or load and raise later."""
+        pcap = self._pcap(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malformed_model(defect)))
+        started = time.perf_counter()
+        assert main(["detect", pcap, "--model", str(bad)]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot load model" in err
+        assert "Traceback" not in err
 
     def test_detect_missing_capture(self, cli_model, tmp_path, capsys):
         assert main(["detect", str(tmp_path / "missing.pcap"),

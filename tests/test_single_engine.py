@@ -69,6 +69,42 @@ def test_the_replay_twins_and_the_latency_harness_stay_gone():
     assert offenders == []
 
 
+# -- one form of a fitted tree (PR 24) --------------------------------------
+
+_GONE_TREE_NAMES = ("_Node", "flatten_nodes", "unflatten_nodes", "_root",
+                    "mdl_gain_ratio", "discretize")
+
+
+def test_the_linked_tree_and_its_round_trips_stay_gone():
+    learning = SRC / "repro" / "learning"
+    assert not (learning / "discretize.py").exists()
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(learning.glob("*.py"))
+        for name in _GONE_TREE_NAMES
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_the_one_valued_options_stay_gone():
+    import inspect
+
+    from repro.experiments import ablations, baselines, fig10, table3
+    from repro.experiments import families_breakdown
+    from repro.learning.forest import EnsembleRandomForest
+    from repro.learning.ranking import rank_features
+
+    assert "criterion" not in inspect.signature(rank_features).parameters
+    assert "n_jobs" not in inspect.signature(EnsembleRandomForest).parameters
+    # fit(n_jobs=) is the one way to set it.
+    assert "n_jobs" in inspect.signature(EnsembleRandomForest.fit).parameters
+    drivers = [ablations.run_voting, ablations.run_forest_sweep, fig10.run,
+               table3.run, baselines.run, families_breakdown.run]
+    assert [d for d in drivers
+            if "n_jobs" in inspect.signature(d).parameters] == []
+
+
 def test_a_shard_runs_the_same_engine_type_as_the_tap(trained_model):
     from repro.detection.live import LiveDetector
     from repro.service import EngineSpec
