@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.builder import build_wcg
+from repro.core.builder import WCGBuilder
+from repro.core.redirects import infer_redirects
 from repro.core.stages import Stage
 from repro.core.wcg import EdgeKind, NodeKind
 from repro.features.extractor import extract_features
@@ -28,7 +29,9 @@ def main() -> None:
     trace = generator.generate(
         EpisodeConfig(redirectless=False, with_post_download=True)
     )
-    wcg = build_wcg(trace)
+    builder = WCGBuilder(origin=trace.origin or None)
+    builder.extend(trace.transactions)  # a Trace is in timestamp order
+    wcg = builder.build()
 
     print(f"Angler episode: {len(trace.transactions)} transactions, "
           f"{trace.duration:.1f} s lifetime")
@@ -47,26 +50,44 @@ def main() -> None:
         uris = f", {len(data.uris)} URIs" if data.uris else ""
         print(f"  {host:40s} {marker}{uris}")
 
+    # An edge stores its kind and timestamp: the HTTP details come from
+    # the transactions (each adds its request edge, then its response
+    # edge), the redirect mechanism from redirect inference, and the
+    # stages from the builder.
+    mechanisms = {
+        (redirect.source, redirect.target, redirect.timestamp):
+            redirect.kind.value
+        for redirect in infer_redirects(trace.transactions)
+    }
+    transactions = iter(trace.transactions)
+    edges = []
+    for (source, target, data), stage in zip(wcg.edges(),
+                                             builder.edge_stages()):
+        if data.kind is EdgeKind.REQUEST:
+            txn = next(transactions)
+            detail = (f"{txn.request.method.value} "
+                      f"len(uri)={txn.request.uri_length}")
+        elif data.kind is EdgeKind.RESPONSE:
+            detail = (f"HTTP {txn.status} {txn.payload_type.value} "
+                      f"{txn.payload_size}B")
+        else:
+            mechanism = mechanisms.get((source, target, data.timestamp),
+                                       "origin")
+            detail = f"redirect via {mechanism}"
+        edges.append((stage, source, target, data, detail))
+
     stage_names = {
         Stage.PRE_DOWNLOAD: "pre-download  (redirection run-up)",
         Stage.DOWNLOAD: "download      (exploit delivery)",
         Stage.POST_DOWNLOAD: "post-download (C&C call-backs)",
     }
     for stage, label in stage_names.items():
-        edges = wcg.stage_edges(stage)
-        print(f"\n{label}: {len(edges)} edges")
-        for source, target, data in edges[:6]:
-            detail = ""
-            if data.kind is EdgeKind.REQUEST:
-                detail = f"{data.method} len(uri)={data.uri_length}"
-            elif data.kind is EdgeKind.RESPONSE:
-                ptype = data.payload_type.value if data.payload_type else "-"
-                detail = f"HTTP {data.status} {ptype} {data.payload_size}B"
-            elif data.kind is EdgeKind.REDIRECT:
-                detail = f"redirect via {data.redirect_kind}"
+        in_stage = [edge[1:] for edge in edges if edge[0] is stage]
+        print(f"\n{label}: {len(in_stage)} edges")
+        for source, target, data, detail in in_stage[:6]:
             print(f"  {source} -> {target}  [{data.kind.value}] {detail}")
-        if len(edges) > 6:
-            print(f"  ... and {len(edges) - 6} more")
+        if len(in_stage) > 6:
+            print(f"  ... and {len(in_stage) - 6} more")
 
     print("\nTop-level payload-agnostic features (Table II):")
     vector = extract_features(wcg)

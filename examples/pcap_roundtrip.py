@@ -19,6 +19,7 @@ import tempfile
 import numpy as np
 
 from repro.core.builder import build_wcg
+from repro.core.stages import Stage, assign_stages
 from repro.experiments.context import trained_classifier
 from repro.features.extractor import FeatureExtractor
 from repro.net.flows import packets_from_trace, transactions_from_packets
@@ -57,7 +58,7 @@ def main() -> None:
     wcg = build_wcg(transactions, victim=trace.transactions[0].client)
     print(f"   {wcg}")
     print(f"   post-download dynamics: "
-          f"{wcg.has_post_download_dynamics()}")
+          f"{Stage.POST_DOWNLOAD in assign_stages(transactions)}")
 
     print("5. Classifying ...")
     classifier = trained_classifier(seed=7, scale=0.2)

@@ -67,7 +67,7 @@ def quick_detector(
     from repro.detection.training import training_matrix
 
     corpus = ground_truth_corpus(seed=seed, scale=scale)
-    X, y = training_matrix(corpus.traces, augment_prefixes=True)
+    X, y = training_matrix(corpus.traces)
     classifier = EnsembleRandomForest(n_trees=20, random_state=seed)
     classifier.fit(X, y)
     return OnTheWireDetector(classifier), corpus

@@ -20,6 +20,7 @@ from repro.core.redirects import (
     infer_redirects,
     longest_chain_length,
 )
+from repro.core.stages import Stage, assign_stages
 from repro.synthesis.corpus import Corpus
 
 __all__ = ["FamilyRow", "GlobalProperties", "table1_rows", "global_properties",
@@ -155,7 +156,8 @@ def global_properties(traces: list[Trace]) -> GlobalProperties:
 
 
 def callback_prevalence(traces: list[Trace]) -> float:
-    """Fraction of traces with at least one post-download edge.
+    """Fraction of traces with at least one post-download edge (that
+    is, one post-download transaction: each has a request edge).
 
     The paper confirmed call-back attempts in 708/770 infection traces
     (Section II-D).
@@ -163,6 +165,7 @@ def callback_prevalence(traces: list[Trace]) -> float:
     if not traces:
         return 0.0
     with_callback = sum(
-        1 for trace in traces if build_wcg(trace).has_post_download_dynamics()
+        1 for trace in traces
+        if Stage.POST_DOWNLOAD in assign_stages(trace.transactions)
     )
     return with_callback / len(traces)

@@ -190,8 +190,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     log.info("%d benign + %d infection traces",
              len(corpus.benign), len(corpus.infections))
     log.info("extracting WCG features (full traces + clue-time prefixes) ...")
-    X, y = training_matrix(corpus.traces, augment_prefixes=True,
-                           n_jobs=args.n_jobs)
+    X, y = training_matrix(corpus.traces, n_jobs=args.n_jobs)
     log.info("%d training vectors x %d features", X.shape[0], X.shape[1])
     log.info("training the Ensemble Random Forest (Nt=20, Nf=log2+1) ...")
     model = EnsembleRandomForest(n_trees=20, random_state=args.seed)

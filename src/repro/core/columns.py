@@ -1,44 +1,21 @@
 """Struct-of-arrays edge storage for the WCG (DESIGN.md §14).
 
-The seed representation kept every edge as an :class:`EdgeData` python
-object hanging off a ``networkx.MultiDiGraph`` attribute dict; each
-feature extraction walked those objects graph by graph.  This module is
-the columnar replacement: every numeric edge attribute lives in one
-numpy column, grown by amortized doubling so the incremental live path
-stays O(1) per edge, and feature extraction becomes array reductions
-over column *slices* — mirroring the compiled-forest arena design in
-``repro.learning.compiled``.
-
-Layout (one row per edge, append order = ingest order):
+Every edge is one row across four numpy columns, grown by amortized
+doubling so the incremental live path stays O(1) per edge:
 
 ==============  =========  ====================================
 column          dtype      content
 ==============  =========  ====================================
 ``timestamp``   float64    edge timestamp (seconds)
-``kind``        int8       :class:`EdgeKind` code (0/1/2)
-``stage``       int8       :class:`Stage` value (0/1/2)
+``kind``        int8       edge-kind code (request/response/redirect)
 ``src``/``dst`` int32      interned node ids (WCG host table)
-``method``      int16      interned method string
-``uri_length``  int64      request URI length
-``status``      int16      response status code
-``payload``     int16      :class:`PayloadType` code, -1 = None
-``size``        int64      response payload size (bytes)
-``redirect``    int16      interned redirect-kind string
-``cross``       bool       redirect crossed domains
-``has_ref``     bool       request carried a referrer
 ==============  =========  ====================================
 
-Unbounded strings (referrer, user agent) stay in plain python lists —
-they are carried for the object view only and never vectorized.  Small
-recurring strings (methods, redirect kinds) are interned process-wide
-through :class:`StringTable`.
-
-Mutability contract: columns are append-only except for ``stage``,
-which the builder re-labels in place through :meth:`EdgeColumnStore.
-set_stage` (stage is not a feature input, so no version bump — the same
-semantics the in-place ``EdgeData.stage`` mutation had).  Accessors
-return numpy views of the live prefix; callers must treat them as
-read-only snapshots that are invalidated by the next append.
+Those are the only edge attributes anything reads: the features read
+the graph's running counters, and stages are derived on demand
+(:mod:`repro.core.stages`).  Columns are append-only.  Accessors return
+numpy views of the live prefix; callers must treat them as read-only
+snapshots that are invalidated by the next append.
 """
 
 from __future__ import annotations
@@ -47,78 +24,24 @@ import numpy as np
 
 from repro.obs import get_registry
 
-__all__ = ["EdgeColumnStore", "StringTable"]
+__all__ = ["EdgeColumnStore"]
 
 #: Initial per-column capacity; doubles on exhaustion.
 _INITIAL_CAPACITY = 8
 
 
-class StringTable:
-    """Bidirectional string interner: string <-> small int code.
-
-    Used for the low-cardinality string columns (HTTP methods, redirect
-    kinds).  Codes are dense and assigned in first-seen order, so a
-    table is deterministic for a deterministic input stream.
-    """
-
-    __slots__ = ("_codes", "_strings")
-
-    def __init__(self) -> None:
-        self._codes: dict[str, int] = {}
-        self._strings: list[str] = []
-
-    def code(self, value: str) -> int:
-        """Intern ``value``; returns its stable code."""
-        code = self._codes.get(value)
-        if code is None:
-            code = self._codes[value] = len(self._strings)
-            self._strings.append(value)
-        return code
-
-    def string(self, code: int) -> str:
-        """The string behind ``code``."""
-        return self._strings[code]
-
-    def __len__(self) -> int:
-        return len(self._strings)
-
-
-#: Process-wide interners: method verbs and redirect kinds are tiny,
-#: closed vocabularies — sharing one table across every WCG keeps codes
-#: stable and snapshot copies trivially cheap (codes, not strings).
-METHODS = StringTable()
-REDIRECT_KINDS = StringTable()
-# Pre-intern the empty string at code 0 so default rows need no lookup.
-_EMPTY_METHOD = METHODS.code("")
-_EMPTY_REDIRECT = REDIRECT_KINDS.code("")
-
-
 class EdgeColumnStore:
     """Amortized-doubling struct-of-arrays store for WCG edges."""
 
-    __slots__ = (
-        "_n", "_capacity",
-        "timestamp", "kind", "stage", "src", "dst", "method",
-        "uri_length", "status", "payload", "size", "redirect",
-        "cross", "has_ref", "referrer", "user_agent",
-        "_c_reallocs",
-    )
+    __slots__ = ("_n", "_capacity", "timestamp", "kind", "src", "dst",
+                 "_c_reallocs")
 
-    #: (attribute, dtype) for every numpy-backed column.
+    #: (attribute, dtype) for every column.
     _NUMERIC: tuple[tuple[str, str], ...] = (
         ("timestamp", "f8"),
         ("kind", "i1"),
-        ("stage", "i1"),
         ("src", "i4"),
         ("dst", "i4"),
-        ("method", "i2"),
-        ("uri_length", "i8"),
-        ("status", "i2"),
-        ("payload", "i2"),
-        ("size", "i8"),
-        ("redirect", "i2"),
-        ("cross", "?"),
-        ("has_ref", "?"),
     )
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY):
@@ -126,9 +49,6 @@ class EdgeColumnStore:
         self._capacity = max(1, capacity)
         for name, dtype in self._NUMERIC:
             setattr(self, name, np.zeros(self._capacity, dtype=dtype))
-        # Unbounded strings: object view only, never vectorized.
-        self.referrer: list[str] = []
-        self.user_agent: list[str] = []
         self._c_reallocs = get_registry().counter("wcg.column_reallocs")
 
     def __len__(self) -> int:
@@ -149,51 +69,20 @@ class EdgeColumnStore:
             setattr(self, name, grown)
         self._c_reallocs.inc()
 
-    def append(
-        self,
-        timestamp: float,
-        kind: int,
-        stage: int,
-        src: int,
-        dst: int,
-        method: int = _EMPTY_METHOD,
-        uri_length: int = 0,
-        status: int = 0,
-        payload: int = -1,
-        size: int = 0,
-        redirect: int = _EMPTY_REDIRECT,
-        cross: bool = False,
-        referrer: str = "",
-        user_agent: str = "",
-    ) -> int:
+    def append(self, timestamp: float, kind: int, src: int, dst: int) -> int:
         """Append one edge row; returns its index."""
         if self._n >= self._capacity:
             self._grow()
         i = self._n
         self.timestamp[i] = timestamp
         self.kind[i] = kind
-        self.stage[i] = stage
         self.src[i] = src
         self.dst[i] = dst
-        self.method[i] = method
-        self.uri_length[i] = uri_length
-        self.status[i] = status
-        self.payload[i] = payload
-        self.size[i] = size
-        self.redirect[i] = redirect
-        self.cross[i] = cross
-        self.has_ref[i] = bool(referrer)
-        self.referrer.append(referrer)
-        self.user_agent.append(user_agent)
         self._n = i + 1
         return i
 
-    def set_stage(self, index: int, stage: int) -> None:
-        """Re-label one edge's stage in place (no version semantics)."""
-        self.stage[index] = stage
-
     def column(self, name: str) -> np.ndarray:
-        """Live-prefix view of one numeric column (treat as read-only)."""
+        """Live-prefix view of one column (treat as read-only)."""
         return getattr(self, name)[: self._n]
 
     def copy(self) -> "EdgeColumnStore":
@@ -205,7 +94,5 @@ class EdgeColumnStore:
             col = np.zeros(clone._capacity, dtype=dtype)
             col[: self._n] = getattr(self, name)[: self._n]
             setattr(clone, name, col)
-        clone.referrer = list(self.referrer)
-        clone.user_agent = list(self.user_agent)
         clone._c_reallocs = self._c_reallocs
         return clone

@@ -7,7 +7,7 @@ edges, ``Psi`` response edges, ``Sigma`` redirection edges, ``alpha`` node
 attributes and ``beta`` edge attributes.
 
 Storage is columnar (DESIGN.md §14): hosts are interned to dense node
-ids and every numeric edge attribute lives in a numpy column of an
+ids and each edge is a timestamp, a kind and two node ids in an
 :class:`~repro.core.columns.EdgeColumnStore`, grown by amortized
 doubling so the incremental live path stays O(1) per edge.  The object
 API the rest of the repo consumes — :meth:`edges` yielding
@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.core.columns import METHODS, REDIRECT_KINDS, EdgeColumnStore
+from repro.core.columns import EdgeColumnStore
 from repro.core.payloads import PayloadSummary, PayloadType
-from repro.core.stages import Stage
 
 __all__ = ["NodeKind", "EdgeKind", "EdgeData", "GraphCounters",
            "WebConversationGraph"]
@@ -75,40 +74,18 @@ _KIND_CODE = {EdgeKind.REQUEST: 0, EdgeKind.RESPONSE: 1, EdgeKind.REDIRECT: 2}
 _KIND_OF_CODE = (EdgeKind.REQUEST, EdgeKind.RESPONSE, EdgeKind.REDIRECT)
 KIND_REQUEST, KIND_RESPONSE, KIND_REDIRECT = 0, 1, 2
 
-#: Dense codes for the ``payload`` column; -1 encodes None.
-_PAYLOAD_TYPES = tuple(PayloadType)
-_PAYLOAD_CODE = {ptype: code for code, ptype in enumerate(_PAYLOAD_TYPES)}
 
-_STAGES = tuple(Stage)
+class EdgeData(NamedTuple):
+    """Edge attributes ``beta`` as stored (Section III-C, edge-level).
 
-
-@dataclass
-class EdgeData:
-    """Edge attributes ``beta`` (Section III-C, edge-level).
-
-    ``method``/``uri_length`` are set on request edges;
-    ``status``/``payload_type``/``payload_size`` on response edges;
-    ``redirect_kind``/``cross_domain`` on redirect edges.
-
-    Since the columnar refactor this is a *view record*: :meth:`
-    WebConversationGraph.edges` materializes one per edge from the
-    column store.  Mutating a yielded record does not write back —
-    stage re-labelling goes through
-    :meth:`WebConversationGraph.set_edge_stage`.
+    A *view record* :meth:`WebConversationGraph.edges` materializes from
+    the columns.  The per-edge HTTP attributes (method, status, payload)
+    live on the transactions and in :class:`GraphCounters`; stages are
+    derived on demand (:meth:`repro.core.builder.WCGBuilder.edge_stages`).
     """
 
     kind: EdgeKind
     timestamp: float
-    stage: Stage = Stage.DOWNLOAD
-    method: str = ""
-    uri_length: int = 0
-    status: int = 0
-    payload_type: PayloadType | None = None
-    payload_size: int = 0
-    redirect_kind: str = ""
-    cross_domain: bool = False
-    referrer: str = ""
-    user_agent: str = ""
 
 
 @dataclass
@@ -162,8 +139,8 @@ class WebConversationGraph:
 
     Construction normally goes through
     :class:`repro.core.builder.WCGBuilder`; the mutation API here
-    (``add_node`` / ``add_edge`` / ``append_edge``) is what the builder
-    and the incremental on-the-wire updater drive.
+    (``add_node`` / ``append_edge`` / ``record_*``) is what the builder
+    drives.
     """
 
     def __init__(self, victim: str, origin: str = ""):
@@ -272,73 +249,26 @@ class WebConversationGraph:
         if data.kind in (NodeKind.REMOTE, NodeKind.REDIRECTOR):
             data.kind = NodeKind.MALICIOUS
 
-    def add_edge(self, source: str, target: str, data: EdgeData) -> None:
-        """Add a typed, annotated edge, creating endpoints as needed.
-
-        Object-API wrapper over :meth:`append_edge`; the record is
-        unpacked into the columns (not retained), so later mutation of
-        ``data`` does not write through.
-        """
-        self.append_edge(
-            source,
-            target,
-            kind=_KIND_CODE[data.kind],
-            timestamp=data.timestamp,
-            stage=int(data.stage),
-            method=data.method,
-            uri_length=data.uri_length,
-            status=data.status,
-            payload_type=data.payload_type,
-            payload_size=data.payload_size,
-            redirect_kind=data.redirect_kind,
-            cross_domain=data.cross_domain,
-            referrer=data.referrer,
-            user_agent=data.user_agent,
-        )
-
     def append_edge(
         self,
         source: str,
         target: str,
         kind: int,
         timestamp: float,
-        stage: int,
         method: str = "",
-        uri_length: int = 0,
         status: int = 0,
-        payload_type: PayloadType | None = None,
-        payload_size: int = 0,
-        redirect_kind: str = "",
-        cross_domain: bool = False,
         referrer: str = "",
-        user_agent: str = "",
     ) -> int:
-        """Append one edge into the columns; returns its edge index.
+        """Append one edge, creating endpoints as needed; returns its
+        edge index.
 
-        This is the hot-path entry the builder uses directly — no
-        :class:`EdgeData` allocation per edge.  Counter maintenance is
-        identical to the seed object path, so every derived feature
-        stays bit-identical.
+        ``method`` and ``referrer`` (request edges) and ``status``
+        (response edges) are counted into :class:`GraphCounters`, not
+        stored.
         """
         src = self._intern(source)
         dst = self._intern(target)
-        index = self._edges.append(
-            timestamp=timestamp,
-            kind=kind,
-            stage=stage,
-            src=src,
-            dst=dst,
-            method=METHODS.code(method),
-            uri_length=uri_length,
-            status=status,
-            payload=_PAYLOAD_CODE[payload_type] if payload_type is not None
-            else -1,
-            size=payload_size,
-            redirect=REDIRECT_KINDS.code(redirect_kind),
-            cross=cross_domain,
-            referrer=referrer,
-            user_agent=user_agent,
-        )
+        index = self._edges.append(timestamp, kind, src, dst)
         self._version += 1
 
         degree = self._degrees[src] + 1
@@ -383,11 +313,6 @@ class WebConversationGraph:
             counters.redirect_edges += 1
         return index
 
-    def set_edge_stage(self, index: int, stage: Stage | int) -> None:
-        """Re-label one edge's stage (no ``version`` bump — stages are
-        not feature inputs, matching the seed's in-place mutation)."""
-        self._edges.set_stage(index, int(stage))
-
     def node_data(self, host: str) -> _NodeData:
         """The ``alpha`` record for ``host``."""
         return self._node_records[self._host_ids[host]]
@@ -410,25 +335,6 @@ class WebConversationGraph:
 
     # --- views -----------------------------------------------------------
 
-    def _edge_at(self, i: int) -> EdgeData:
-        """Materialize the :class:`EdgeData` view of edge ``i``."""
-        store = self._edges
-        code = store.payload[i]
-        return EdgeData(
-            kind=_KIND_OF_CODE[store.kind[i]],
-            timestamp=float(store.timestamp[i]),
-            stage=_STAGES[store.stage[i]],
-            method=METHODS.string(store.method[i]),
-            uri_length=int(store.uri_length[i]),
-            status=int(store.status[i]),
-            payload_type=_PAYLOAD_TYPES[code] if code >= 0 else None,
-            payload_size=int(store.size[i]),
-            redirect_kind=REDIRECT_KINDS.string(store.redirect[i]),
-            cross_domain=bool(store.cross[i]),
-            referrer=store.referrer[i],
-            user_agent=store.user_agent[i],
-        )
-
     def edges(self, kind: EdgeKind | None = None) -> Iterator[tuple[str, str, EdgeData]]:
         """Iterate ``(source, target, EdgeData)``, optionally filtered.
 
@@ -438,10 +344,13 @@ class WebConversationGraph:
         store = self._edges
         names = self._host_names
         want = None if kind is None else _KIND_CODE[kind]
-        for i in range(len(store)):
-            if want is None or store.kind[i] == want:
-                yield names[store.src[i]], names[store.dst[i]], \
-                    self._edge_at(i)
+        for src, dst, code, timestamp in zip(
+            store.column("src").tolist(), store.column("dst").tolist(),
+            store.column("kind").tolist(), store.column("timestamp").tolist(),
+        ):
+            if want is None or code == want:
+                yield names[src], names[dst], \
+                    EdgeData(_KIND_OF_CODE[code], timestamp)
 
     def request_edges(self) -> list[tuple[str, str, EdgeData]]:
         """``Phi`` — request edges."""
@@ -509,22 +418,6 @@ class WebConversationGraph:
         if len(self._edges) < 2:
             return 0.0
         return self._ts_max - self._ts_min
-
-    def stage_edges(self, stage: Stage) -> list[tuple[str, str, EdgeData]]:
-        """Edges annotated with the given conversation stage."""
-        store = self._edges
-        names = self._host_names
-        want = int(stage)
-        return [
-            (names[store.src[i]], names[store.dst[i]], self._edge_at(i))
-            for i in np.nonzero(store.column("stage") == want)[0]
-        ]
-
-    def has_post_download_dynamics(self) -> bool:
-        """True when at least one post-download edge exists."""
-        return bool(
-            np.any(self._edges.column("stage") == int(Stage.POST_DOWNLOAD))
-        )
 
     def copy(self) -> "WebConversationGraph":
         """Deep-enough copy for incremental what-if evaluation.

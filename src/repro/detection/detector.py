@@ -270,7 +270,8 @@ class OnTheWireDetector:
         out-of-order replay runs, breaking the tracing-on/off metrics
         identity.  Each event carries the edge's own timestamp from the
         column store, so the reconstructed timeline is stream-accurate
-        even though emission batches at scoring points.  (On the rare
+        even though emission batches at scoring points, and the edge's
+        stage as derived at emission.  (On the rare
         out-of-order replay the store is rebuilt sorted, so the tail
         slice may describe re-ordered edges; the diff is deterministic
         either way.)
@@ -281,7 +282,7 @@ class OnTheWireDetector:
         if size > last_size:
             stamps = store.column("timestamp")
             kinds = store.column("kind")
-            stages = store.column("stage")
+            stages = watch.edge_stages()
             for index in range(last_size, size):
                 self._tracer.emit(
                     "edge",

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.model import HttpTransaction
+from repro.core.stages import Stage
 from repro.detection.alerts import Alert
 from repro.detection.clues import InfectionClue
 from repro.detection.detector import OnTheWireDetector
@@ -65,11 +64,10 @@ __all__ = ["OverloadPolicy", "LiveDecoder", "LiveDetector", "WatchSnapshot"]
 class WatchSnapshot:
     """Cheap, picklable summary of one live clue-active session watch.
 
-    Built from the WCG's column store — the per-watch numbers below are
-    counter reads plus numpy reductions over column *slices* (stage
-    histogram, timestamp extrema), no per-edge object materialization —
-    which is what makes per-shard snapshotting viable on the hot path
-    of :mod:`repro.service` (DESIGN.md §14).
+    Built from the WCG's column store — counter reads plus timestamp
+    extrema over a column *slice* — and the stage histogram of the
+    watch's edge stages, derived when the snapshot is taken
+    (DESIGN.md §14).
 
     Snapshots are value objects: two engines that saw the same client's
     packets produce equal snapshots, which is how the sharded
@@ -321,8 +319,8 @@ class LiveDetector:
         """Summaries of every live clue-active watch, sorted by
         ``(client, key)``.
 
-        Each summary is assembled from the watch WCG's columns (slice
-        reductions, see :class:`WatchSnapshot`); the sort makes the
+        Each summary is assembled from the watch's WCG and edge stages
+        (see :class:`WatchSnapshot`); the sort makes the
         list canonical, so per-shard lists concatenate and re-sort into
         the same fleet view regardless of worker count.
         """
@@ -331,9 +329,7 @@ class LiveDetector:
             wcg = watch.wcg()
             store = wcg.edge_store
             timestamps = store.column("timestamp")
-            stage_hist = np.bincount(
-                store.column("stage"), minlength=3
-            )
+            stages = watch.edge_stages()
             snapshots.append(WatchSnapshot(
                 key=watch.key,
                 client=watch.client,
@@ -345,8 +341,7 @@ class LiveDetector:
                 structure_version=wcg.structure_version,
                 first_edge_ts=float(timestamps.min()) if len(store) else 0.0,
                 last_edge_ts=float(timestamps.max()) if len(store) else 0.0,
-                stage_counts=(int(stage_hist[0]), int(stage_hist[1]),
-                              int(stage_hist[2])),
+                stage_counts=tuple(stages.count(stage) for stage in Stage),
             ))
         snapshots.sort(key=lambda s: (s.client, s.key))
         return snapshots

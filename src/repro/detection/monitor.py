@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.builder import WCGBuilder
 from repro.core.model import HttpMethod, HttpTransaction
 from repro.core.sessions import extract_session_id
+from repro.core.stages import Stage
 from repro.core.wcg import WebConversationGraph
 from repro.detection.clues import ClueDetector, CluePolicy, InfectionClue
 from repro.obs import get_registry, get_tracer
@@ -96,6 +97,12 @@ class SessionWatch:
             self._builder = WCGBuilder(victim=self.client)
             self._builder.transactions = self.transactions
         return self._builder.build()
+
+    def edge_stages(self) -> list[Stage]:
+        """The stage of every edge of :meth:`wcg`, in edge order (for the
+        trace and snapshot readers; see ``WCGBuilder.edge_stages``)."""
+        self.wcg()  # makes the builder on first use
+        return self._builder.edge_stages()
 
     def matches(self, txn: HttpTransaction, session_id: str,
                 idle_gap: float) -> bool:

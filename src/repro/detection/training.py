@@ -50,11 +50,9 @@ def clue_time_prefix(trace: Trace) -> Trace | None:
 
 
 def training_matrix(
-    traces: list[Trace],
-    augment_prefixes: bool = True,
-    n_jobs: int | None = None,
+    traces: list[Trace], n_jobs: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) over full traces plus (optionally) clue-time prefixes.
+    """(X, y) over full traces plus their clue-time prefixes.
 
     Unlabelled traces are skipped; ``n_jobs`` is
     :func:`repro.features.extractor.extract_matrix`'s.
@@ -64,8 +62,7 @@ def training_matrix(
         if trace.label is None:
             continue
         expanded.append(trace)
-        if augment_prefixes:
-            prefix = clue_time_prefix(trace)
-            if prefix is not None:
-                expanded.append(prefix)
+        prefix = clue_time_prefix(trace)
+        if prefix is not None:
+            expanded.append(prefix)
     return extract_matrix(expanded, n_jobs=n_jobs)

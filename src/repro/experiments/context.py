@@ -107,8 +107,7 @@ def trained_classifier(
     from repro.detection.training import training_matrix
 
     corpus = cached_ground_truth(seed, scale)
-    X, y = training_matrix(corpus.traces, augment_prefixes=True,
-                           n_jobs=default_n_jobs())
+    X, y = training_matrix(corpus.traces, n_jobs=default_n_jobs())
     model = EnsembleRandomForest(n_trees=n_trees, random_state=seed)
     model.fit(X, y, n_jobs=default_n_jobs())
     return model

@@ -60,7 +60,7 @@ def _zero_day_classifier(seed: int, scale: float) -> EnsembleRandomForest:
     """
     corpus = ground_truth_corpus(seed=seed, scale=scale,
                                  stealth_fraction=0.0)
-    X, y = training_matrix(corpus.traces, augment_prefixes=True)
+    X, y = training_matrix(corpus.traces)
     model = EnsembleRandomForest(n_trees=20, random_state=seed)
     model.fit(X, y)
     return model

@@ -27,8 +27,8 @@ feed), :func:`extract_matrix` and
 
 Cache lifetime: the per-graph caches are
 :class:`weakref.WeakKeyDictionary` — entries vanish with their graph —
-and the structural LRU is bounded (``structure_cache_size``, default
-4096 entries of eleven floats), so a long-running tap extracting from
+and the structural LRU is bounded (``_STRUCTURE_CACHE_SIZE`` entries
+of eleven floats), so a long-running tap extracting from
 millions of session graphs holds constant extractor state.
 """
 
@@ -55,7 +55,7 @@ from repro.parallel import parallel_map, resolve_n_jobs
 __all__ = ["FeatureExtractor", "extract_features", "extract_matrix",
            "extract_matrix_batch", "extract_trace_features"]
 
-#: Default bound on the shared structural topology LRU.
+#: Bound on the shared structural topology LRU (read at each insert).
 _STRUCTURE_CACHE_SIZE = 4096
 
 _FEATURE_NAMES = tuple(feature_names())
@@ -70,9 +70,7 @@ class FeatureExtractor:
     conversation shape share one topology computation.
     """
 
-    def __init__(
-        self, structure_cache_size: int = _STRUCTURE_CACHE_SIZE
-    ) -> None:
+    def __init__(self) -> None:
         self._vector_cache: "weakref.WeakKeyDictionary[WebConversationGraph, tuple[int, np.ndarray]]" = (
             weakref.WeakKeyDictionary()
         )
@@ -84,7 +82,6 @@ class FeatureExtractor:
         self._structural: "OrderedDict[tuple[int, tuple[tuple[int, int], ...]], dict[str, float]]" = (
             OrderedDict()
         )
-        self._structure_cache_size = max(1, structure_cache_size)
         metrics = get_registry()
         self._metrics = metrics
         self._c_vec_hits = metrics.counter("features.vector_cache_hits")
@@ -168,7 +165,7 @@ class FeatureExtractor:
             with self._metrics.span("features.topology"):
                 values = structural_topology_features(*key)
             self._structural[key] = values
-            while len(self._structural) > self._structure_cache_size:
+            while len(self._structural) > _STRUCTURE_CACHE_SIZE:
                 self._structural.popitem(last=False)
         self._topology_cache[wcg] = (wcg.structure_version, values)
         return values

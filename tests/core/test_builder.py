@@ -105,17 +105,19 @@ class TestBuildWcg:
         assert len(wcg.response_edges()) == 0
 
     def test_edge_attributes(self, simple_trace):
+        # An edge stores its kind and timestamp; the HTTP attributes stay
+        # on the transaction and feed the graph counters.
         wcg = build_wcg(simple_trace)
+        first = simple_trace.transactions[0]
         req = next(
             d for _, t, d in wcg.request_edges() if t == "start.com"
         )
-        assert req.method == "GET"
-        assert req.uri_length >= 1
-        res = next(
-            d for s, _, d in wcg.response_edges() if s == "mid.com"
-            and d.status == 200
-        )
-        assert res.payload_size >= 0
+        assert req == (EdgeKind.REQUEST, first.request.timestamp)
+        res = next(d for s, _, d in wcg.response_edges() if s == "start.com")
+        assert res.timestamp == first.response.timestamp
+        assert wcg.counters.gets == 4
+        assert wcg.counters.status_classes[3] == 1
+        assert wcg.counters.with_referrer == 4
 
 
 class TestIncrementalBuilder:
@@ -168,10 +170,25 @@ class TestStageAnnotation:
             make_txn(host="cnc.xyz", uri="/p.php", ts=3.0,
                      method=HttpMethod.POST, content_type="text/plain"),
         ]
-        wcg = build_wcg(txns)
-        stages_by_target = {}
-        for _, target, data in wcg.request_edges():
-            stages_by_target[target] = data.stage
-        assert stages_by_target["hop.com"] is Stage.PRE_DOWNLOAD
-        assert stages_by_target["ek.pw"] is Stage.DOWNLOAD
-        assert stages_by_target["cnc.xyz"] is Stage.POST_DOWNLOAD
+        builder = WCGBuilder()
+        builder.extend(txns)
+        wcg = builder.build()
+        stages = builder.edge_stages()
+        assert len(stages) == wcg.size
+        stages_by_edge = {
+            (source, target, data.kind): stage
+            for (source, target, data), stage in zip(wcg.edges(), stages)
+        }
+        assert stages_by_edge["victim", "hop.com", EdgeKind.REQUEST] \
+            is Stage.PRE_DOWNLOAD
+        assert stages_by_edge["victim", "ek.pw", EdgeKind.REQUEST] \
+            is Stage.DOWNLOAD
+        assert stages_by_edge["ek.pw", "victim", EdgeKind.RESPONSE] \
+            is Stage.DOWNLOAD
+        assert stages_by_edge["victim", "cnc.xyz", EdgeKind.REQUEST] \
+            is Stage.POST_DOWNLOAD
+        # The origin link, and the 302 stamped at the hop's response.
+        assert stages_by_edge["empty", "hop.com", EdgeKind.REDIRECT] \
+            is Stage.PRE_DOWNLOAD
+        assert stages_by_edge["hop.com", "ek.pw", EdgeKind.REDIRECT] \
+            is Stage.PRE_DOWNLOAD

@@ -1,12 +1,11 @@
-"""Property tests for the resumable stage assigner.
+"""Property tests for stages derived from a growing WCG.
 
-The incremental :class:`StageAssigner` must agree with the original
-batch three-sweep algorithm on *every prefix of every feed order* —
-including the nasty cases where a late-arriving 30x or exploit-20x
-moves a stage boundary backwards or forwards over already-labelled
-transactions.  The three-sweep algorithm is reproduced verbatim below
-as the oracle so the equivalence is checked against the independent
-formulation, not against the code under test.
+``WCGBuilder.edge_stages()`` must agree with the original batch
+three-sweep algorithm and the per-edge rule (``tests.oracles.stages``)
+on *every prefix of every feed order* — including the nasty cases where
+a late-arriving 30x or exploit-20x moves a stage boundary backwards or
+forwards over already-built edges.  The oracle is an independent
+formulation, not the code under test.
 """
 
 from __future__ import annotations
@@ -14,10 +13,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.builder import WCGBuilder
 from repro.core.model import HttpMethod, HttpTransaction
-from repro.core.payloads import is_exploit_type
-from repro.core.stages import Stage, StageAssigner, assign_stages
+from repro.core.stages import Stage, assign_stages
+from repro.core.wcg import EdgeKind
 from tests.conftest import make_txn
+from tests.oracles.stages import edge_stages, three_sweep
 
 _HOSTS = ["a.com", "b.net", "c.org", "d.io"]
 _STATUSES = [200, 204, 301, 302, 304, 404, 500, 0]
@@ -25,72 +26,13 @@ _STATUSES = [200, 204, 301, 302, 304, 404, 500, 0]
 _EXPLOIT_CT = "application/x-msdownload"
 
 
-def _oracle(transactions: list[HttpTransaction]) -> list[Stage]:
-    """The seed batch algorithm, three sweeps over the sorted stream."""
-    if not transactions:
-        return []
-    order = sorted(range(len(transactions)),
-                   key=lambda i: transactions[i].timestamp)
-
-    first_exploit_ts: float | None = None
-    last_exploit_ts: float | None = None
-    exploit_hosts: set[str] = set()
-    for index in order:
-        txn = transactions[index]
-        if txn.response is None:
-            continue
-        if 200 <= txn.status < 300 and is_exploit_type(txn.payload_type):
-            exploit_hosts.add(txn.server)
-            if first_exploit_ts is None:
-                first_exploit_ts = txn.response.timestamp
-            last_exploit_ts = txn.response.timestamp
-
-    last_30x_ts: float | None = None
-    for index in order:
-        txn = transactions[index]
-        if txn.request.method is not HttpMethod.GET:
-            continue
-        if not 300 <= txn.status < 400:
-            continue
-        if first_exploit_ts is not None and txn.timestamp >= first_exploit_ts:
-            continue
-        last_30x_ts = txn.response.timestamp if txn.response else txn.timestamp
-
-    stages: list[Stage] = [Stage.DOWNLOAD] * len(transactions)
-    for index in order:
-        txn = transactions[index]
-        is_post_method = txn.request.method is HttpMethod.POST
-        response_ts = txn.response.timestamp if txn.response else txn.timestamp
-        if (
-            txn.request.method is HttpMethod.GET
-            and 300 <= txn.status < 400
-            and (first_exploit_ts is None or txn.timestamp < first_exploit_ts)
-        ):
-            stages[index] = Stage.PRE_DOWNLOAD
-            continue
-        if (
-            last_30x_ts is not None
-            and response_ts <= last_30x_ts
-            and not is_post_method
-        ):
-            stages[index] = Stage.PRE_DOWNLOAD
-            continue
-        if (
-            is_post_method
-            and txn.server not in exploit_hosts
-            and (txn.status == 200 or 400 <= txn.status < 500
-                 or txn.status == 0)
-            and last_exploit_ts is not None
-            and txn.timestamp >= last_exploit_ts
-        ):
-            stages[index] = Stage.POST_DOWNLOAD
-            continue
-        stages[index] = Stage.DOWNLOAD
-    return stages
-
-
 def _txn_from(spec) -> HttpTransaction:
-    host_index, is_post, status, exploit, ts_units, delay_units = spec
+    (host_index, is_post, status, exploit, ts_units, delay_units,
+     hop, referrer) = spec
+    # A 30x points at another host and a referrer names one, so the
+    # streams carry 30x and referrer redirect edges too.
+    location = {"Location": f"http://{_HOSTS[hop]}/next"} \
+        if 300 <= status < 400 else {}
     return make_txn(
         host=_HOSTS[host_index],
         uri=f"/r/{status}",
@@ -99,6 +41,9 @@ def _txn_from(spec) -> HttpTransaction:
         status=status,
         content_type=_EXPLOIT_CT if exploit else "text/html",
         res_delay=delay_units * 0.25,
+        referrer=f"http://{_HOSTS[referrer]}/" if referrer is not None
+        else "",
+        extra_res_headers=location,
     )
 
 
@@ -109,8 +54,35 @@ _SPEC = st.tuples(
     st.booleans(),                                        # exploit payload?
     st.integers(min_value=0, max_value=30),               # ts (ties likely)
     st.integers(min_value=0, max_value=8),                # response delay
+    st.integers(min_value=0, max_value=len(_HOSTS) - 1),  # 30x target
+    st.none() | st.integers(min_value=0, max_value=len(_HOSTS) - 1),
 )
 _STREAMS = st.lists(_SPEC, min_size=0, max_size=24)
+
+
+def _edges_with_stages(builder: WCGBuilder):
+    wcg = builder.build()
+    return [(data.kind, data.timestamp, stage)
+            for (_, _, data), stage in zip(wcg.edges(), builder.edge_stages())]
+
+
+def _feed(txns) -> WCGBuilder:
+    builder = WCGBuilder()
+    for txn in txns:
+        builder.add(txn)
+    return builder
+
+
+def _request_stage(builder: WCGBuilder, txn: HttpTransaction) -> Stage:
+    """Current stage of ``txn``'s request edge."""
+    wcg = builder.build()
+    (stage,) = [
+        stage for (_, target, data), stage
+        in zip(wcg.edges(), builder.edge_stages())
+        if data.kind is EdgeKind.REQUEST and target == txn.server
+        and data.timestamp == txn.timestamp
+    ]
+    return stage
 
 
 class TestAgainstOracle:
@@ -118,31 +90,31 @@ class TestAgainstOracle:
     @given(_STREAMS)
     def test_batch_wrapper_matches_three_sweep(self, specs):
         txns = [_txn_from(s) for s in specs]
-        assert assign_stages(txns) == _oracle(txns)
+        assert assign_stages(txns) == three_sweep(txns)
 
     @settings(max_examples=120, deadline=None)
-    @given(_STREAMS)
-    def test_every_prefix_matches_cold_rebuild(self, specs):
+    @given(_STREAMS, st.randoms(use_true_random=False))
+    def test_every_prefix_matches_cold_rebuild(self, specs, rnd):
         # Feed in arrival order (arbitrary, out-of-order, tied
-        # timestamps); after every single add the incremental state must
-        # equal the three-sweep run on exactly the fed prefix.
+        # timestamps), then the same stream sorted and shuffled; after
+        # every single add the derived edge stages must equal the oracle
+        # on exactly the fed prefix.
         txns = [_txn_from(s) for s in specs]
-        assigner = StageAssigner()
-        for count, txn in enumerate(txns, start=1):
-            assigner.add(txn)
-            assert assigner.stages() == _oracle(txns[:count]), (
-                f"divergence after prefix of {count}"
-            )
+        shuffled = list(txns)
+        rnd.shuffle(shuffled)
+        for feed in (txns, sorted(txns, key=lambda t: t.timestamp),
+                     shuffled):
+            builder = WCGBuilder()
+            for count, txn in enumerate(feed, start=1):
+                builder.add(txn)
+                assert _edges_with_stages(builder) == \
+                    edge_stages(feed[:count]), (
+                        f"divergence after prefix of {count}"
+                    )
 
 
 class TestBoundaryMoves:
     """Targeted regressions for boundary-moving late arrivals."""
-
-    def _feed(self, txns):
-        assigner = StageAssigner()
-        for txn in txns:
-            assigner.add(txn)
-        return assigner
 
     def test_late_exploit_moves_first_boundary_backward(self):
         # A 30x at t=10 is PRE_DOWNLOAD while no exploit landed; an
@@ -152,9 +124,11 @@ class TestBoundaryMoves:
             make_txn(host="hop.com", ts=10.0, status=302, content_type=""),
             make_txn(host="ek.pw", ts=5.0, content_type=_EXPLOIT_CT),
         ]
-        assigner = self._feed(txns)
-        assert assigner.stages() == _oracle(txns)
-        assert assigner.stages()[0] is Stage.DOWNLOAD
+        builder = _feed(txns[:1])
+        assert _request_stage(builder, txns[0]) is Stage.PRE_DOWNLOAD
+        builder.add(txns[1])
+        assert _edges_with_stages(builder) == edge_stages(txns)
+        assert _request_stage(builder, txns[0]) is Stage.DOWNLOAD
 
     def test_late_exploit_extends_last_boundary(self):
         # A qualifying POST at t=20 is POST_DOWNLOAD after the exploit
@@ -166,13 +140,11 @@ class TestBoundaryMoves:
                      content_type="text/plain"),
             make_txn(host="ek2.pw", ts=30.0, content_type=_EXPLOIT_CT),
         ]
-        assigner = StageAssigner()
-        assigner.add(txns[0])
-        assigner.add(txns[1])
-        assert assigner.current_stage(1) is Stage.POST_DOWNLOAD
-        changes = assigner.add(txns[2])
-        assert (1, Stage.DOWNLOAD) in changes
-        assert assigner.stages() == _oracle(txns)
+        builder = _feed(txns[:2])
+        assert _request_stage(builder, txns[1]) is Stage.POST_DOWNLOAD
+        builder.add(txns[2])
+        assert _request_stage(builder, txns[1]) is Stage.DOWNLOAD
+        assert _edges_with_stages(builder) == edge_stages(txns)
 
     def test_late_30x_extends_pre_download(self):
         # A landing-page 20x fetch at t=12 is DOWNLOAD until a later
@@ -183,13 +155,11 @@ class TestBoundaryMoves:
             make_txn(host="land.com", ts=12.0),
             make_txn(host="hop2.com", ts=15.0, status=302, content_type=""),
         ]
-        assigner = StageAssigner()
-        assigner.add(txns[0])
-        assigner.add(txns[1])
-        assert assigner.current_stage(1) is Stage.DOWNLOAD
-        changes = assigner.add(txns[2])
-        assert (1, Stage.PRE_DOWNLOAD) in changes
-        assert assigner.stages() == _oracle(txns)
+        builder = _feed(txns[:2])
+        assert _request_stage(builder, txns[1]) is Stage.DOWNLOAD
+        builder.add(txns[2])
+        assert _request_stage(builder, txns[1]) is Stage.PRE_DOWNLOAD
+        assert _edges_with_stages(builder) == edge_stages(txns)
 
     def test_exploit_host_disqualifies_posts(self):
         # A POST to a host is POST_DOWNLOAD until that very host turns
@@ -200,13 +170,11 @@ class TestBoundaryMoves:
                      content_type="text/plain"),
             make_txn(host="dual.com", ts=6.0, content_type=_EXPLOIT_CT),
         ]
-        assigner = StageAssigner()
-        assigner.add(txns[0])
-        assigner.add(txns[1])
-        assert assigner.current_stage(1) is Stage.POST_DOWNLOAD
-        changes = assigner.add(txns[2])
-        assert (1, Stage.DOWNLOAD) in changes
-        assert assigner.stages() == _oracle(txns)
+        builder = _feed(txns[:2])
+        assert _request_stage(builder, txns[1]) is Stage.POST_DOWNLOAD
+        builder.add(txns[2])
+        assert _request_stage(builder, txns[1]) is Stage.DOWNLOAD
+        assert _edges_with_stages(builder) == edge_stages(txns)
 
     def test_late_exploit_collapses_last_30x(self):
         # The landing fetch rides on the last-30x boundary; an exploit
@@ -217,10 +185,33 @@ class TestBoundaryMoves:
             make_txn(host="land.com", ts=9.0),
             make_txn(host="ek.pw", ts=8.0, content_type=_EXPLOIT_CT),
         ]
-        assigner = StageAssigner()
-        for txn in txns[:2]:
-            assigner.add(txn)
-        assert assigner.current_stage(1) is Stage.PRE_DOWNLOAD
-        assigner.add(txns[2])
-        assert assigner.stages() == _oracle(txns)
-        assert assigner.current_stage(1) is Stage.DOWNLOAD
+        builder = _feed(txns[:2])
+        assert _request_stage(builder, txns[1]) is Stage.PRE_DOWNLOAD
+        builder.add(txns[2])
+        assert _edges_with_stages(builder) == edge_stages(txns)
+        assert _request_stage(builder, txns[1]) is Stage.DOWNLOAD
+
+
+def test_redirect_takes_its_governing_transactions_stage():
+    # The 302 at t=1 answers at t=3, so its redirect edge is stamped 3 —
+    # after the POST at t=2.  The redirect is staged by the last
+    # transaction stamped at or before it (the DOWNLOAD-stage POST), not
+    # by the PRE_DOWNLOAD 302 that revealed it.
+    hop = make_txn(host="hop.com", ts=1.0, status=302, content_type="",
+                   res_delay=2.0,
+                   extra_res_headers={"Location": "http://ek.pw/g"})
+    post = make_txn(host="form.com", ts=2.0, method=HttpMethod.POST,
+                    content_type="text/plain")
+    builder = _feed([hop, post])
+    wcg = builder.build()
+    stages = dict(
+        ((source, target, data.kind), stage)
+        for (source, target, data), stage
+        in zip(wcg.edges(), builder.edge_stages())
+    )
+    assert stages["victim", "hop.com", EdgeKind.REQUEST] is \
+        Stage.PRE_DOWNLOAD
+    assert stages["victim", "form.com", EdgeKind.REQUEST] is Stage.DOWNLOAD
+    assert stages["hop.com", "ek.pw", EdgeKind.REDIRECT] is Stage.DOWNLOAD
+    assert stages["empty", "hop.com", EdgeKind.REDIRECT] is \
+        Stage.PRE_DOWNLOAD

@@ -2,19 +2,21 @@
 
 import pytest
 
+from repro.core.builder import WCGBuilder
+from repro.core.model import HttpMethod
 from repro.core.payloads import PayloadType
 from repro.core.stages import Stage
 from repro.core.wcg import (
+    KIND_REDIRECT,
+    KIND_REQUEST,
+    KIND_RESPONSE,
     EdgeData,
     EdgeKind,
     NodeKind,
     WebConversationGraph,
 )
+from tests.conftest import make_txn
 from tests.oracles.topology import simple_graph
-
-
-def _edge(kind=EdgeKind.REQUEST, ts=1.0, stage=Stage.DOWNLOAD, **kwargs):
-    return EdgeData(kind=kind, timestamp=ts, stage=stage, **kwargs)
 
 
 class TestConstruction:
@@ -37,15 +39,15 @@ class TestConstruction:
 class TestMutation:
     def test_add_edge_creates_endpoints(self):
         wcg = WebConversationGraph(victim="v")
-        wcg.add_edge("v", "srv.com", _edge())
+        wcg.append_edge("v", "srv.com", kind=KIND_REQUEST, timestamp=1.0)
         assert "srv.com" in wcg.hosts()
         assert wcg.size == 1
 
     def test_parallel_edges_coexist(self):
         wcg = WebConversationGraph(victim="v")
-        wcg.add_edge("v", "s", _edge(ts=1.0))
-        wcg.add_edge("v", "s", _edge(ts=2.0))
-        wcg.add_edge("s", "v", _edge(kind=EdgeKind.RESPONSE, ts=2.1))
+        wcg.append_edge("v", "s", kind=KIND_REQUEST, timestamp=1.0)
+        wcg.append_edge("v", "s", kind=KIND_REQUEST, timestamp=2.0)
+        wcg.append_edge("s", "v", kind=KIND_RESPONSE, timestamp=2.1)
         assert wcg.size == 3
 
     def test_node_kind_sticky_for_victim(self):
@@ -83,20 +85,24 @@ class TestMutation:
 class TestViews:
     def _populated(self):
         wcg = WebConversationGraph(victim="v", origin="google.com")
-        wcg.add_edge("v", "a", _edge(ts=1.0, method="GET"))
-        wcg.add_edge("a", "v", _edge(kind=EdgeKind.RESPONSE, ts=1.1,
-                                     status=200))
-        wcg.add_edge("a", "b", _edge(kind=EdgeKind.REDIRECT, ts=1.2,
-                                     stage=Stage.PRE_DOWNLOAD))
-        wcg.add_edge("v", "b", _edge(ts=2.0, method="POST",
-                                     stage=Stage.POST_DOWNLOAD))
+        wcg.append_edge("v", "a", kind=KIND_REQUEST, timestamp=1.0,
+                        method="GET")
+        wcg.append_edge("a", "v", kind=KIND_RESPONSE, timestamp=1.1,
+                        status=200)
+        wcg.append_edge("a", "b", kind=KIND_REDIRECT, timestamp=1.2)
+        wcg.append_edge("v", "b", kind=KIND_REQUEST, timestamp=2.0,
+                        method="POST")
         return wcg
 
     def test_edge_kind_views(self):
         wcg = self._populated()
         assert len(wcg.request_edges()) == 2
         assert len(wcg.response_edges()) == 1
-        assert len(wcg.redirect_edges()) == 1
+        assert wcg.redirect_edges() == [
+            ("a", "b", EdgeData(EdgeKind.REDIRECT, 1.2))]
+        # Method and status are counted, not stored per edge.
+        assert (wcg.counters.gets, wcg.counters.posts) == (1, 1)
+        assert wcg.counters.status_classes[2] == 1
 
     def test_remote_hosts_excludes_victim_and_origin(self):
         wcg = self._populated()
@@ -108,22 +114,33 @@ class TestViews:
 
     def test_duration_single_edge(self):
         wcg = WebConversationGraph(victim="v")
-        wcg.add_edge("v", "a", _edge(ts=5.0))
+        wcg.append_edge("v", "a", kind=KIND_REQUEST, timestamp=5.0)
         assert wcg.duration == 0.0
 
     def test_stage_edges(self):
-        wcg = self._populated()
-        assert len(wcg.stage_edges(Stage.POST_DOWNLOAD)) == 1
-        assert wcg.has_post_download_dynamics()
+        # Stages are derived per edge by the builder, one per edge.
+        builder = WCGBuilder()
+        builder.extend([
+            make_txn(host="ek.pw", uri="/drop.exe", ts=1.0,
+                     content_type="application/x-msdownload"),
+            make_txn(host="cnc.xyz", ts=2.0, method=HttpMethod.POST,
+                     content_type="text/plain"),
+        ])
+        wcg = builder.build()
+        stages = builder.edge_stages()
+        assert len(stages) == wcg.size
+        post = [(source, target) for (source, target, _), stage
+                in zip(wcg.edges(), stages) if stage is Stage.POST_DOWNLOAD]
+        assert post == [("victim", "cnc.xyz"), ("cnc.xyz", "victim")]
 
     def test_no_post_download(self):
-        wcg = WebConversationGraph(victim="v")
-        wcg.add_edge("v", "a", _edge())
-        assert not wcg.has_post_download_dynamics()
+        builder = WCGBuilder()
+        builder.add(make_txn(host="a.com", method=HttpMethod.POST))
+        assert Stage.POST_DOWNLOAD not in builder.edge_stages()
 
     def test_simple_graph_collapses_multiplicity(self):
         wcg = self._populated()
-        wcg.add_edge("v", "a", _edge(ts=3.0))
+        wcg.append_edge("v", "a", kind=KIND_REQUEST, timestamp=3.0)
         simple = simple_graph(wcg)
         assert simple.number_of_edges() < wcg.size
         assert simple["v"]["a"]["weight"] == 2
@@ -136,7 +153,7 @@ class TestViews:
     def test_copy_is_deep_enough(self):
         wcg = self._populated()
         clone = wcg.copy()
-        clone.add_edge("v", "c", _edge(ts=9.0))
+        clone.append_edge("v", "c", kind=KIND_REQUEST, timestamp=9.0)
         clone.record_uri("a", "/new")
         assert wcg.size == 4
         assert "/new" not in wcg.node_data("a").uris

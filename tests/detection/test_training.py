@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.model import Trace, TraceLabel
 from repro.detection.training import clue_time_prefix, training_matrix
+from repro.features.extractor import extract_matrix
 from repro.features.registry import NUM_FEATURES
 from tests.conftest import make_txn
 
@@ -57,16 +58,22 @@ class TestClueTimePrefix:
 class TestTrainingMatrix:
     def test_augmentation_adds_rows(self, tiny_corpus):
         traces = tiny_corpus.traces[:30]
-        X_plain, y_plain = training_matrix(traces, augment_prefixes=False)
-        X_aug, y_aug = training_matrix(traces, augment_prefixes=True)
+        X_plain, y_plain = extract_matrix(traces)
+        X_aug, y_aug = training_matrix(traces)
         assert len(X_plain) == 30
         assert len(X_aug) > len(X_plain)
         assert X_aug.shape[1] == NUM_FEATURES
+        # Each full trace's row comes first, then its prefix's (if any).
+        prefixes = [clue_time_prefix(trace) for trace in traces]
+        full_rows = np.cumsum([0] + [1 + (p is not None)
+                                     for p in prefixes[:-1]])
+        assert np.array_equal(X_aug[full_rows], X_plain)
+        assert np.array_equal(y_aug[full_rows], y_plain)
 
     def test_augmented_labels_balanced_within_classes(self, tiny_corpus):
         traces = tiny_corpus.traces[:60]
-        _, y_plain = training_matrix(traces, augment_prefixes=False)
-        _, y_aug = training_matrix(traces, augment_prefixes=True)
+        _, y_plain = extract_matrix(traces)
+        _, y_aug = training_matrix(traces)
         # Prefix rows keep roughly the class ratio of the base rows.
         base_ratio = y_plain.mean()
         aug_ratio = y_aug.mean()

@@ -42,12 +42,7 @@ def _fingerprint(wcg: WebConversationGraph):
         for host in wcg.hosts()
     )
     edges = sorted(
-        (
-            source, target, data.kind.value, data.timestamp,
-            data.stage.value, data.method, data.uri_length, data.status,
-            str(data.payload_type), data.payload_size, data.redirect_kind,
-            data.cross_domain, data.referrer, data.user_agent,
-        )
+        (source, target, data.kind.value, data.timestamp)
         for source, target, data in wcg.edges()
     )
     return (

@@ -13,8 +13,8 @@ live/batch differential uses:
   stream shared with the reference, and an explicit seed reproduces it.
 
 Plus bounding regressions: the structural topology LRU must hold at
-most its configured entry count no matter how many distinct graphs a
-long-running extractor sees.
+most ``_STRUCTURE_CACHE_SIZE`` entries no matter how many distinct
+graphs a long-running extractor sees.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.core.wcg import (
     KIND_RESPONSE,
     WebConversationGraph,
 )
+from repro.features import extractor as extractor_module
 from repro.features.extractor import (
     FeatureExtractor,
     extract_matrix_batch,
@@ -110,7 +111,7 @@ def test_kernels_match_networkx_reference_on_random_digraphs(n_hosts, pairs):
         a, b = a % n_hosts, b % n_hosts
         if a != b:
             wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_REQUEST,
-                            timestamp=float(step), stage=0)
+                            timestamp=float(step))
     assert _bits(structural_topology_features(*structure_key(wcg))) == (
         _bits(topology_features(wcg))
     )
@@ -153,12 +154,11 @@ def test_rows_match_vectorised_oracle_on_random_digraphs(n_hosts, pairs,
             continue
         if status:
             wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_RESPONSE,
-                            timestamp=step * 0.37, stage=0, status=status)
+                            timestamp=step * 0.37, status=status)
         else:
             wcg.record_uri(f"h{b}", f"/p{step}")
             wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_REQUEST,
-                            timestamp=step * 0.37, stage=0, method="GET",
-                            uri_length=len(f"/p{step}"),
+                            timestamp=step * 0.37, method="GET",
                             referrer="r" * (step % 2))
     extractor = FeatureExtractor()
     batch = extractor.extract_batch([wcg, wcg])
@@ -241,8 +241,9 @@ class TestPairSampling:
 
 
 class TestStructuralCacheBounds:
-    def test_lru_never_exceeds_its_cap(self):
-        extractor = FeatureExtractor(structure_cache_size=8)
+    def test_lru_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(extractor_module, "_STRUCTURE_CACHE_SIZE", 8)
+        extractor = FeatureExtractor()
         graphs = _corpus_graphs(scale=0.03)
         assert len(graphs) > 8
         for wcg in graphs:

@@ -15,6 +15,7 @@ from repro.loadgen import MIXED, LoadGenerator
 from repro.service.daemon import merge_watch_snapshots
 from repro.service.sharding import PacketRouter
 from repro.service.worker import EngineSpec, run_shard
+from tests.oracles.stages import edge_stages
 
 PACKETS = 4000
 
@@ -72,14 +73,16 @@ def test_snapshot_fields_agree_with_column_slices(trained_model):
     assert snapshots
     by_key = {watch.key: watch for watch in engine.detector.active_watches()}
     for snap in snapshots:
-        wcg = by_key[snap.key].wcg()
+        watch = by_key[snap.key]
+        wcg = watch.wcg()
         store = wcg.edge_store
         assert snap.size == len(store)
         assert sum(snap.stage_counts) == len(store)
         timestamps = store.column("timestamp")
         assert snap.first_edge_ts == float(timestamps.min())
         assert snap.last_edge_ts == float(timestamps.max())
-        stages = store.column("stage")
+        # The histogram is the per-edge rule over the watch's history.
+        stages = [stage for _, _, stage in edge_stages(watch.transactions)]
         assert snap.stage_counts == tuple(
-            int(np.sum(stages == stage)) for stage in (0, 1, 2)
+            int(np.sum(np.array(stages) == stage)) for stage in (0, 1, 2)
         )

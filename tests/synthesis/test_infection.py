@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.builder import build_wcg
 from repro.core.model import HttpMethod, TraceLabel
 from repro.core.payloads import PayloadType, is_exploit_type
 from repro.core.redirects import RedirectKind, infer_redirects
-from repro.core.stages import Stage
+from repro.core.stages import Stage, assign_stages
 from repro.synthesis.families import family_by_name
 from repro.synthesis.infection import EpisodeConfig, InfectionGenerator
 
@@ -51,14 +50,14 @@ class TestEpisodeShape:
     def test_post_download_callbacks_to_fresh_hosts(self, angler_gen):
         # Section II-D: call-back hosts never seen before download.
         trace = angler_gen.generate(EpisodeConfig(with_post_download=True))
-        wcg = build_wcg(trace)
+        stages = assign_stages(trace.transactions)
         post_targets = {
-            target for _, target, data in wcg.request_edges()
-            if data.stage is Stage.POST_DOWNLOAD
+            txn.server for txn, stage in zip(trace.transactions, stages)
+            if stage is Stage.POST_DOWNLOAD
         }
         pre_and_download_targets = {
-            target for _, target, data in wcg.request_edges()
-            if data.stage is not Stage.POST_DOWNLOAD
+            txn.server for txn, stage in zip(trace.transactions, stages)
+            if stage is not Stage.POST_DOWNLOAD
         }
         assert post_targets
         assert not post_targets & pre_and_download_targets

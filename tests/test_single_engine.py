@@ -105,6 +105,37 @@ def test_the_one_valued_options_stay_gone():
             if "n_jobs" in inspect.signature(d).parameters] == []
 
 
+# -- a WCG stores what its readers read -------------------------------------
+
+_GONE_STAGE_NAMES = (
+    "StageAssigner", "_TxnFacts", "_facts_of", "_SEQ_LO", "_SEQ_HI",
+    "_assigner", "_redirect_keys", "_stage_at", "_txn_edges",
+    "set_edge_stage", "set_stage", "stage_edges",
+    "has_post_download_dynamics", "def add_edge",
+    "StringTable", "METHODS", "REDIRECT_KINDS",
+    "augment_prefixes", "structure_cache_size",
+)
+
+
+def test_stored_stages_and_unread_edge_columns_stay_gone():
+    import re
+
+    from repro.core.columns import EdgeColumnStore
+    from repro.core.wcg import EdgeData
+
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _GONE_STAGE_NAMES
+        if re.search(rf"\b{re.escape(name)}\b",
+                     path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    assert [name for name, _ in EdgeColumnStore._NUMERIC] == [
+        "timestamp", "kind", "src", "dst"]
+    assert EdgeData._fields == ("kind", "timestamp")
+
+
 def test_a_shard_runs_the_same_engine_type_as_the_tap(trained_model):
     from repro.detection.live import LiveDetector
     from repro.service import EngineSpec
