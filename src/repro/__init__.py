@@ -64,10 +64,10 @@ def quick_detector(
     trained on.  Intended for quickstarts and demos; real deployments
     should train at ``scale=1.0``.
     """
-    from repro.detection.training import training_matrix
+    from repro.experiments.context import (
+        cached_ground_truth,
+        trained_classifier,
+    )
 
-    corpus = ground_truth_corpus(seed=seed, scale=scale)
-    X, y = training_matrix(corpus.traces)
-    classifier = EnsembleRandomForest(n_trees=20, random_state=seed)
-    classifier.fit(X, y)
-    return OnTheWireDetector(classifier), corpus
+    return (OnTheWireDetector(trained_classifier(seed, scale)),
+            cached_ground_truth(seed, scale))

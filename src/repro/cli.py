@@ -176,25 +176,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.detection.training import training_matrix
-    from repro.learning.forest import EnsembleRandomForest
+    from repro.experiments.context import (
+        cached_ground_truth,
+        set_default_n_jobs,
+        trained_classifier,
+    )
     from repro.learning.persistence import save_forest
     from repro.obs import configure_logging, get_logger
-    from repro.synthesis.corpus import ground_truth_corpus
 
     configure_logging(getattr(args, "log_level", "info"))
     log = get_logger("cli")
+    if args.n_jobs is not None:
+        set_default_n_jobs(args.n_jobs)
     log.info("building ground-truth corpus (seed=%s, scale=%s) ...",
              args.seed, args.scale)
-    corpus = ground_truth_corpus(seed=args.seed, scale=args.scale)
+    corpus = cached_ground_truth(args.seed, args.scale)
     log.info("%d benign + %d infection traces",
              len(corpus.benign), len(corpus.infections))
-    log.info("extracting WCG features (full traces + clue-time prefixes) ...")
-    X, y = training_matrix(corpus.traces, n_jobs=args.n_jobs)
-    log.info("%d training vectors x %d features", X.shape[0], X.shape[1])
-    log.info("training the Ensemble Random Forest (Nt=20, Nf=log2+1) ...")
-    model = EnsembleRandomForest(n_trees=20, random_state=args.seed)
-    model.fit(X, y, n_jobs=args.n_jobs)
+    log.info("training the Ensemble Random Forest (Nt=20, Nf=log2+1) on"
+             " WCG features of full traces + clue-time prefixes ...")
+    model = trained_classifier(args.seed, args.scale)
     try:
         save_forest(model, args.out)
     except OSError as exc:
@@ -335,12 +336,12 @@ def _detect_sharded(args, log, model, linktype, packets, policy,
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Walk each alert's provenance out of a detection-trace JSONL."""
     from repro.features import feature_names
-    from repro.obs import configure_logging, get_logger, read_trace
+    from repro.obs import configure_logging, get_logger, read_jsonl
 
     configure_logging(getattr(args, "log_level", "info"))
     log = get_logger("cli")
     try:
-        events = read_trace(args.trace)
+        events = read_jsonl(args.trace)
     except FileNotFoundError:
         log.error("trace file not found: %s (record one with"
                   " `dynaminer detect ... --trace-out %s`)",
@@ -414,15 +415,12 @@ def _print_alert_walkthrough(index: int, event: dict, events: list[dict],
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Summarize a JSON-lines stats stream (reporter or fleet lines)."""
-    import json
-
-    from repro.obs import configure_logging, get_logger
+    from repro.obs import configure_logging, get_logger, read_jsonl
 
     configure_logging(getattr(args, "log_level", "info"))
     log = get_logger("cli")
     try:
-        with open(args.stats, "r", encoding="utf-8") as handle:
-            lines = [json.loads(line) for line in handle if line.strip()]
+        lines = read_jsonl(args.stats)
     except FileNotFoundError:
         log.error("stats file not found: %s", args.stats)
         return 2

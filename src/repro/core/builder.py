@@ -179,15 +179,13 @@ class WCGBuilder:
             wcg.x_flash_version = flash
         response = txn.response
         if response is not None:
-            ptype = txn.payload_type
-            wcg.record_payload(server, ptype)
             wcg.append_edge(server, client, kind=KIND_RESPONSE,
                             timestamp=response.timestamp,
                             status=response.status)
             self._c_edges.inc()
             if (
                 200 <= response.status < 300
-                and is_exploit_type(ptype)
+                and is_exploit_type(txn.payload_type)
                 and client == wcg.victim
             ):
                 wcg.mark_malicious(server)

@@ -77,11 +77,6 @@ class Headers:
                 return value
         return default
 
-    def get_all(self, name: str) -> list[str]:
-        """All values for ``name`` in original order."""
-        lowered = name.lower()
-        return [value for key, value in self._items if key.lower() == lowered]
-
     def set(self, name: str, value: str) -> None:
         """Replace all occurrences of ``name`` with a single value."""
         lowered = name.lower()

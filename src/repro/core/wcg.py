@@ -41,7 +41,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from repro.core.columns import EdgeColumnStore
-from repro.core.payloads import PayloadSummary, PayloadType
 
 __all__ = ["NodeKind", "EdgeKind", "EdgeData", "GraphCounters",
            "WebConversationGraph"]
@@ -93,9 +92,7 @@ class _NodeData:
     """Node attributes ``alpha`` (Section III-C, node-level)."""
 
     kind: NodeKind = NodeKind.REMOTE
-    ip: str = ""
     uris: set[str] = field(default_factory=set)
-    payloads: PayloadSummary = field(default_factory=PayloadSummary)
 
 
 @dataclass
@@ -220,8 +217,7 @@ class WebConversationGraph:
             self._structure_version += 1
         return node_id
 
-    def add_node(self, host: str, kind: NodeKind = NodeKind.REMOTE,
-                 ip: str = "") -> None:
+    def add_node(self, host: str, kind: NodeKind = NodeKind.REMOTE) -> None:
         """Add (or update) a host node."""
         existing = self._host_ids.get(host)
         if existing is not None:
@@ -232,13 +228,8 @@ class WebConversationGraph:
                 NodeKind.REDIRECTOR,
             ):
                 data.kind = kind
-            if ip and not data.ip:
-                data.ip = ip
             return
-        node_id = self._intern(host)
-        record = self._node_records[node_id]
-        record.kind = kind
-        record.ip = ip
+        self._node_records[self._intern(host)].kind = kind
 
     def mark_malicious(self, host: str) -> None:
         """Designate a node malicious (it served an exploit payload)."""
@@ -329,10 +320,6 @@ class WebConversationGraph:
         self.counters.total_uri_length += len(uri)
         self._version += 1
 
-    def record_payload(self, host: str, ptype: PayloadType) -> None:
-        """Track a payload exchanged with ``host``."""
-        self._node_records[self._intern(host)].payloads.add(ptype)
-
     # --- views -----------------------------------------------------------
 
     def edges(self, kind: EdgeKind | None = None) -> Iterator[tuple[str, str, EdgeData]]:
@@ -367,14 +354,6 @@ class WebConversationGraph:
     def hosts(self) -> list[str]:
         """All node names, origin node included (insertion order)."""
         return list(self._host_names)
-
-    def remote_hosts(self) -> list[str]:
-        """All nodes other than the victim and the origin."""
-        return [
-            host
-            for host in self._host_names
-            if host not in (self.victim, self.origin)
-        ]
 
     @property
     def order(self) -> int:
@@ -443,12 +422,8 @@ class WebConversationGraph:
         clone._ts_max = self._ts_max
         clone._sorted_ts = None
         clone._sorted_req_ts = None
-        clone._node_records = []
-        for data in self._node_records:
-            copied = _NodeData(kind=data.kind, ip=data.ip)
-            copied.uris = set(data.uris)
-            copied.payloads.counts = dict(data.payloads.counts)
-            clone._node_records.append(copied)
+        clone._node_records = [_NodeData(data.kind, set(data.uris))
+                               for data in self._node_records]
         return clone
 
     def __repr__(self) -> str:

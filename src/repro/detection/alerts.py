@@ -139,7 +139,3 @@ class ListSink(AlertSink):
 
     def __len__(self) -> int:
         return len(self.alerts)
-
-    def for_client(self, client: str) -> list[Alert]:
-        """Alerts raised on behalf of one client."""
-        return [a for a in self.alerts if a.client == client]

@@ -43,6 +43,3 @@ class NotFittedError(LearningError):
 class DetectionError(ReproError):
     """Raised when the on-the-wire detector is misconfigured or misused."""
 
-
-class SynthesisError(ReproError):
-    """Raised when a trace generator is given inconsistent parameters."""

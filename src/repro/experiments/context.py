@@ -96,9 +96,9 @@ def cached_validation_features(
 def trained_classifier(
     seed: int = DEFAULT_SEED,
     scale: float = DEFAULT_SCALE,
-    n_trees: int = 20,
 ) -> EnsembleRandomForest:
-    """The paper-configured ERF for on-the-wire deployment.
+    """The paper-configured ERF for on-the-wire deployment — what
+    ``dynaminer train`` saves and :func:`repro.quick_detector` wraps.
 
     Trained on the ground truth *plus clue-time prefix WCGs* (see
     :mod:`repro.detection.training`), so the classifier has seen the
@@ -108,6 +108,6 @@ def trained_classifier(
 
     corpus = cached_ground_truth(seed, scale)
     X, y = training_matrix(corpus.traces, n_jobs=default_n_jobs())
-    model = EnsembleRandomForest(n_trees=n_trees, random_state=seed)
+    model = EnsembleRandomForest(random_state=seed)
     model.fit(X, y, n_jobs=default_n_jobs())
     return model

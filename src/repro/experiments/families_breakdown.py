@@ -38,7 +38,7 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
                      if t.family != family]
         if len(held_out) < 2:
             continue
-        model = EnsembleRandomForest(n_trees=20, random_state=seed)
+        model = EnsembleRandomForest(random_state=seed)
         model.fit(X[train_idx], y[train_idx], n_jobs=default_n_jobs())
         scores = model.decision_scores(X[held_out])
         detected = int(np.sum(scores >= threshold))

@@ -29,7 +29,7 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
     X, y = cached_features(seed, scale)
     scores = np.zeros(len(y))
     for train_idx, test_idx in stratified_kfold(y, k=k, seed=seed):
-        model = EnsembleRandomForest(n_trees=20, random_state=seed)
+        model = EnsembleRandomForest(random_state=seed)
         model.fit(X[train_idx], y[train_idx], n_jobs=default_n_jobs())
         scores[test_idx] = model.decision_scores(X[test_idx])
     fpr, tpr, thresholds = roc_curve(y, scores)

@@ -22,8 +22,7 @@ Extraction is tiered for the on-the-wire path:
 cache-fresh rows are reused and each of the rest is filled by the same
 row routine :meth:`~FeatureExtractor.extract` uses — the detector's
 ``score_batch`` flush (one or two rows at a time on a per-transaction
-feed), :func:`extract_matrix` and
-:func:`repro.learning.dataset.dataset_from_graphs` ride it.
+feed) and :func:`extract_matrix`'s serial path ride it.
 
 Cache lifetime: the per-graph caches are
 :class:`weakref.WeakKeyDictionary` — entries vanish with their graph —
@@ -53,7 +52,7 @@ from repro.obs import get_registry
 from repro.parallel import parallel_map, resolve_n_jobs
 
 __all__ = ["FeatureExtractor", "extract_features", "extract_matrix",
-           "extract_matrix_batch", "extract_trace_features"]
+           "extract_trace_features"]
 
 #: Bound on the shared structural topology LRU (read at each insert).
 _STRUCTURE_CACHE_SIZE = 4096
@@ -178,11 +177,6 @@ class FeatureExtractor:
 def extract_features(wcg: WebConversationGraph) -> np.ndarray:
     """Module-level convenience wrapper around :class:`FeatureExtractor`."""
     return FeatureExtractor().extract(wcg)
-
-
-def extract_matrix_batch(graphs: list[WebConversationGraph]) -> np.ndarray:
-    """One-pass ``(n_graphs, 37)`` matrix for pre-built WCGs."""
-    return FeatureExtractor().extract_batch(graphs)
 
 
 def extract_trace_features(trace: Trace) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.exceptions import LearningError
 
-__all__ = ["LabeledDataset", "dataset_from_graphs", "train_test_split"]
+__all__ = ["LabeledDataset", "train_test_split"]
 
 
 @dataclass
@@ -60,28 +60,6 @@ class LabeledDataset:
         return LabeledDataset(
             X=self.X[rows], y=self.y[rows], feature_names=self.feature_names
         )
-
-
-def dataset_from_graphs(
-    graphs: list, labels: list[float] | np.ndarray
-) -> LabeledDataset:
-    """A :class:`LabeledDataset` from pre-built WCGs.
-
-    Rides :func:`repro.features.extractor.extract_matrix_batch`: one
-    extractor for the whole matrix, so topology is shared across
-    repeated conversation shapes.
-    """
-    from repro.features.extractor import extract_matrix_batch
-    from repro.features.registry import feature_names
-
-    labels = np.asarray(labels)
-    if len(graphs) != len(labels):
-        raise LearningError("graphs and labels length mismatch")
-    return LabeledDataset(
-        X=extract_matrix_batch(list(graphs)),
-        y=labels,
-        feature_names=feature_names(),
-    )
 
 
 def train_test_split(

@@ -262,13 +262,21 @@ class EnsembleRandomForest:
         as the infection probability.
         """
         proba = self.predict_proba(X)
+        column = self._infection_column()
+        if column is None:
+            return np.zeros(len(proba))
+        return proba[:, column]
+
+    def _infection_column(self) -> int | None:
+        """The infection class's column in :meth:`predict_proba`, or
+        ``None`` when the forest never saw class 1 and saw one class
+        only.  A non-0/1 labelling keeps the largest-label convention."""
         positive = np.flatnonzero(self._classes == 1)
         if positive.size:
-            return proba[:, positive[0]]
+            return int(positive[0])
         if len(self._classes) > 1:
-            # Non-0/1 labelling: keep the largest-label convention.
-            return proba[:, -1]
-        return np.zeros(len(proba))
+            return len(self._classes) - 1
+        return None
 
     def explain_row(self, x: np.ndarray) -> dict:
         """Per-tree decision-path explanation of one feature row.
@@ -294,14 +302,7 @@ class EnsembleRandomForest:
         compiled = self._compiled_forest()
         leaves, counts = compiled.explain(x)
         vote_columns = compiled.leaf_vote[leaves]
-        # Infection-class column resolution, as in decision_scores.
-        positive = np.flatnonzero(self._classes == 1)
-        if positive.size:
-            column = int(positive[0])
-        elif len(self._classes) > 1:
-            column = len(self._classes) - 1
-        else:
-            column = None
+        column = self._infection_column()
         if column is None:
             scores = np.zeros(len(leaves))
             infectious = 0

@@ -220,11 +220,6 @@ class DecisionTreeClassifier:
             level[left[node]] = level[right[node]] = level[node] + 1
         return max(level)
 
-    @property
-    def node_count(self) -> int:
-        """Total nodes in the grown tree."""
-        return len(self._fitted().feature)
-
     def feature_importances(self) -> np.ndarray:
         """Split-frequency importances (how often each feature splits)."""
         feature = self._fitted().feature

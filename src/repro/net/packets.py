@@ -244,20 +244,23 @@ def encode_tcp_in_ipv4_ethernet(
     return eth + ip + tcp
 
 
+#: Incomplete datagrams an :class:`IpFragmentReassembler` holds.
+_MAX_PENDING_DATAGRAMS = 256
+
+
 class IpFragmentReassembler:
     """Reassembles fragmented IPv4 datagrams.
 
     Fragments are keyed by ``(src, dst, protocol, ident)``; a datagram
     completes when the no-more-fragments piece has arrived and the byte
     range [0, end) is fully covered.  Incomplete datagrams are dropped
-    when more than ``max_pending`` are in flight (oldest first) — the
-    defence against fragment-flood memory exhaustion.
+    when more than ``_MAX_PENDING_DATAGRAMS`` are in flight (oldest
+    first) — the defence against fragment-flood memory exhaustion.
     """
 
-    def __init__(self, max_pending: int = 256):
+    def __init__(self) -> None:
         self._pending: dict[tuple, dict[int, bytes]] = {}
         self._final_end: dict[tuple, int] = {}
-        self.max_pending = max_pending
 
     def feed(self, packet: Ipv4Packet) -> Ipv4Packet | None:
         """Ingest one packet; returns a completed datagram or ``None``.
@@ -270,7 +273,7 @@ class IpFragmentReassembler:
         parts = self._pending.get(key)
         if parts is None:
             parts = self._pending[key] = {}
-            if len(self._pending) > self.max_pending:
+            if len(self._pending) > _MAX_PENDING_DATAGRAMS:
                 # Dicts keep insertion order: the first key is the oldest.
                 oldest = next(iter(self._pending))
                 del self._pending[oldest]

@@ -75,6 +75,8 @@ class PcapngReader:
         else:
             raise PcapError("bad pcapng byte-order magic")
         block_length = struct.unpack(self._endian + "I", length_raw)[0]
+        if block_length < 28 or block_length % 4:
+            raise PcapError(f"bad pcapng section header length {block_length}")
         # Remaining SHB bytes: version (4) + section length (8) + options
         # + trailing length (4); we already consumed 12 of block_length.
         self._read_exact(block_length - 12 - 4)
@@ -157,6 +159,8 @@ class PcapngReader:
             elif block_type == _SPB_TYPE:
                 if not self._interfaces:
                     raise PcapError("SPB before any interface description")
+                if len(body) < 4:
+                    raise PcapError("truncated simple packet block")
                 original = struct.unpack_from(self._endian + "I", body)[0]
                 snaplen = self._interfaces[0].snaplen or original
                 captured = min(original, snaplen)

@@ -28,7 +28,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
     Span,
-    disable_metrics,
     enable_metrics,
     get_registry,
     metrics_enabled,
@@ -36,22 +35,15 @@ from repro.obs.registry import (
     span,
     use_registry,
 )
-from repro.obs.reporter import (
-    PipelineStatsReporter,
-    parse_snapshots,
-    read_snapshots,
-)
+from repro.obs.reporter import PipelineStatsReporter
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
     TraceEvent,
     Tracer,
-    canonical_events,
-    disable_tracing,
     enable_tracing,
     get_tracer,
-    parse_trace,
-    read_trace,
+    read_jsonl,
     set_tracer,
     tracing_enabled,
     use_tracer,
@@ -67,12 +59,9 @@ __all__ = [
     "set_tracer",
     "use_tracer",
     "enable_tracing",
-    "disable_tracing",
     "tracing_enabled",
-    "canonical_events",
     "write_trace",
-    "read_trace",
-    "parse_trace",
+    "read_jsonl",
     "Counter",
     "Gauge",
     "Histogram",
@@ -84,13 +73,10 @@ __all__ = [
     "set_registry",
     "use_registry",
     "enable_metrics",
-    "disable_metrics",
     "metrics_enabled",
     "span",
     "configure_logging",
     "get_logger",
     "LOGGER_NAME",
     "PipelineStatsReporter",
-    "parse_snapshots",
-    "read_snapshots",
 ]

@@ -52,7 +52,6 @@ __all__ = [
     "set_registry",
     "use_registry",
     "enable_metrics",
-    "disable_metrics",
     "metrics_enabled",
     "span",
 ]
@@ -409,11 +408,6 @@ def enable_metrics() -> MetricsRegistry:
     registry = MetricsRegistry()
     set_registry(registry)
     return registry
-
-
-def disable_metrics() -> None:
-    """Restore the no-op registry."""
-    set_registry(NULL_REGISTRY)
 
 
 @contextmanager

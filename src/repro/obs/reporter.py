@@ -22,7 +22,7 @@ from typing import IO, Callable
 
 from repro.obs.registry import MetricsRegistry, NullRegistry, get_registry
 
-__all__ = ["PipelineStatsReporter", "read_snapshots", "parse_snapshots"]
+__all__ = ["PipelineStatsReporter"]
 
 
 class PipelineStatsReporter:
@@ -133,14 +133,3 @@ class PipelineStatsReporter:
             self._stream.close()
             self._stream = None
             self._owns_stream = False
-
-
-def parse_snapshots(lines: list[str]) -> list[dict]:
-    """Decode JSON-lines snapshot strings (skips blank lines)."""
-    return [json.loads(line) for line in lines if line.strip()]
-
-
-def read_snapshots(path: str) -> list[dict]:
-    """Read every snapshot from a JSON-lines stats file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_snapshots(handle.readlines())

@@ -27,11 +27,11 @@ the sharded service merges per-shard streams under the same
 ``(timestamp, shard_id, seq)`` key as alerts, so any worker count
 yields the identical canonical trace stream (DESIGN.md §16).
 
-Boundedness: per-watch rings cap at ``max_events_per_watch`` (oldest
+Boundedness: per-watch rings cap at ``_MAX_EVENTS_PER_WATCH`` (oldest
 events drop first; the per-watch clue summary is kept out-of-ring so
 provenance never loses its clue chain), closed-watch timelines cap at
-``max_events`` globally, and the per-watch table caps at
-``max_watches`` — a process-wide tracer left on for an entire test
+``_MAX_EVENTS`` globally, and the per-watch table caps at
+``_MAX_WATCHES`` — a process-wide tracer left on for an entire test
 session stays O(1) in memory.
 """
 
@@ -56,12 +56,9 @@ __all__ = [
     "set_tracer",
     "use_tracer",
     "enable_tracing",
-    "disable_tracing",
     "tracing_enabled",
-    "canonical_events",
     "write_trace",
-    "read_trace",
-    "parse_trace",
+    "read_jsonl",
 ]
 
 #: Event kinds emitted by the detection path (DESIGN.md §16).
@@ -80,6 +77,15 @@ _VOLATILE_KEYS = frozenset({"latency_s", "batch"})
 
 #: Clue summaries kept per watch regardless of ring eviction.
 _MAX_CLUES = 32
+
+#: Ring size per live watch.
+_MAX_EVENTS_PER_WATCH = 512
+
+#: Retained closed-watch events (oldest drop first).
+_MAX_EVENTS = 100_000
+
+#: Concurrently tracked watch timelines (the stalest is evicted).
+_MAX_WATCHES = 8192
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,6 @@ class Tracer:
     Args:
         sample: ``"full"`` (every watch timeline) or ``"alerts"``
             (only watches that alerted survive :meth:`close_watch`).
-        max_events_per_watch: ring size per live watch.
-        max_events: cap on retained closed-watch events (oldest drop).
-        max_watches: cap on concurrently tracked watch timelines.
         clock: injectable monotonic clock (tests pin it).
     """
 
@@ -169,17 +172,11 @@ class Tracer:
     def __init__(
         self,
         sample: str = "full",
-        max_events_per_watch: int = 512,
-        max_events: int = 100_000,
-        max_watches: int = 8192,
         clock: Callable[[], float] = time.perf_counter,
     ):
         if sample not in SAMPLE_MODES:
             raise ValueError(f"unknown trace sampling mode {sample!r}")
         self.sample = sample
-        self.max_events_per_watch = max(1, max_events_per_watch)
-        self.max_events = max(1, max_events)
-        self.max_watches = max(1, max_watches)
         self._clock = clock
         self._origin = clock()
         self._watches: dict[str, _WatchTrace] = {}
@@ -229,13 +226,13 @@ class Tracer:
 
     def _open_watch(self, key: str) -> _WatchTrace:
         if key not in self._watches and \
-                len(self._watches) >= self.max_watches:
+                len(self._watches) >= _MAX_WATCHES:
             # Evict the stalest timeline (insertion order) as if its
             # watch closed without alerting.
             evicted = next(iter(self._watches))
             self.dropped_watches += 1
             self.close_watch(evicted, alerted=False)
-        trace = self._watches[key] = _WatchTrace(self.max_events_per_watch)
+        trace = self._watches[key] = _WatchTrace(_MAX_EVENTS_PER_WATCH)
         return trace
 
     def close_watch(self, key: str, alerted: bool) -> None:
@@ -250,7 +247,7 @@ class Tracer:
         self._bound_done()
 
     def _bound_done(self) -> None:
-        overflow = len(self._done) - self.max_events
+        overflow = len(self._done) - _MAX_EVENTS
         if overflow > 0:
             del self._done[:overflow]
             self.dropped_events += overflow
@@ -352,16 +349,11 @@ def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
     return previous
 
 
-def enable_tracing(sample: str = "full", **kwargs) -> Tracer:
+def enable_tracing(sample: str = "full") -> Tracer:
     """Install (and return) a fresh recording tracer."""
-    tracer = Tracer(sample=sample, **kwargs)
+    tracer = Tracer(sample=sample)
     set_tracer(tracer)
     return tracer
-
-
-def disable_tracing() -> None:
-    """Restore the no-op tracer."""
-    set_tracer(NULL_TRACER)
 
 
 @contextmanager
@@ -379,12 +371,6 @@ def use_tracer(
 
 
 # -- JSON-lines I/O ---------------------------------------------------
-
-
-def canonical_events(events: Iterable[TraceEvent]) -> list[dict]:
-    """Deterministic dict stream (wall-clock fields stripped) — what
-    the differential tests compare across worker counts."""
-    return [event.canonical() for event in events]
 
 
 def write_trace(events: Iterable[TraceEvent],
@@ -406,12 +392,9 @@ def write_trace(events: Iterable[TraceEvent],
     return len(lines)
 
 
-def parse_trace(lines: Iterable[str]) -> list[dict]:
-    """Decode JSON-lines trace strings (skips blank lines)."""
-    return [json.loads(line) for line in lines if line.strip()]
-
-
-def read_trace(path: str) -> list[dict]:
-    """Read every event dict from a trace JSONL file."""
+def read_jsonl(path: str) -> list:
+    """Every value in a JSON-lines file — a trace or a stats stream
+    — skipping blank lines.  Raises ``OSError``, or ``ValueError`` on a
+    line that is not JSON."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle.readlines())
+        return [json.loads(line) for line in handle if line.strip()]

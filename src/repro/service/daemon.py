@@ -34,7 +34,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.detection.alerts import Alert
 from repro.detection.live import WatchSnapshot
@@ -223,11 +223,9 @@ class ShardedDetectionService:
     needs (packets of different clients never interact).
     """
 
-    def __init__(self, spec: EngineSpec, workers: int | None = None,
-                 batch_size: int = _BATCH_SIZE):
+    def __init__(self, spec: EngineSpec, workers: int | None = None):
         self.spec = spec
         self.n_workers = resolve_n_jobs(workers)
-        self.batch_size = batch_size
         self.router = PacketRouter(self.n_workers, linktype=spec.linktype)
         self.packets_routed = 0
         self._ctx = mp.get_context()
@@ -269,7 +267,7 @@ class ShardedDetectionService:
             self.packets_routed += 1
             batch = self._pending[shard_id]
             batch.append(routed)
-            if len(batch) >= self.batch_size:
+            if len(batch) >= _BATCH_SIZE:
                 self._put(shard_id, batch)
                 self._pending[shard_id] = []
 
@@ -283,10 +281,6 @@ class ShardedDetectionService:
             raise ShardError(
                 f"shard {shard_id} stopped taking packets"
             ) from None
-
-    def feed_many(self, packets: Iterator[PcapPacket]) -> None:
-        for packet in packets:
-            self.feed(packet)
 
     def drain(self) -> FleetResult:
         """Flush every shard, collect results, merge, shut the pool."""

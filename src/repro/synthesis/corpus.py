@@ -129,18 +129,19 @@ def ground_truth_corpus(
     return corpus
 
 
-def validation_corpus(
-    seed: int = 1301,
-    scale: float = 1.0,
-    drift: float = 0.15,
-) -> Corpus:
+#: Relative jitter of the validation corpus's per-family host and
+#: redirect means (:func:`validation_corpus`).
+_VALIDATION_DRIFT = 0.15
+
+
+def validation_corpus(seed: int = 1301, scale: float = 1.0) -> Corpus:
     """Build the Section VI-B independent test set (7489 + 1500).
 
     The infection side stands in for ThreatGlass intelligence: a draw
     that is disjoint from the ground truth (different seed stream) with
     per-family parameter *drift* — host and redirect means are jittered
-    by up to ``drift`` relative — modelling the distribution shift
-    between the authors' own corpus and ThreatGlass captures.
+    by up to ``_VALIDATION_DRIFT`` relative — modelling the distribution
+    shift between the authors' own corpus and ThreatGlass captures.
     """
     master = np.random.SeedSequence(seed)
     children = master.spawn(len(EXPLOIT_KIT_FAMILIES) + 2)
@@ -166,7 +167,8 @@ def validation_corpus(
     ):
         if count <= 0:
             continue
-        jitter = 1.0 + float(drift_rng.uniform(-drift, drift))
+        jitter = 1.0 + float(drift_rng.uniform(-_VALIDATION_DRIFT,
+                                               _VALIDATION_DRIFT))
         from repro.synthesis.families import Range  # local to avoid cycle noise
 
         drifted = FamilyProfile(

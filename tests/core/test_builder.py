@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.builder import WCGBuilder, build_wcg
 from repro.core.model import HttpMethod, Trace
-from repro.core.payloads import PayloadType
 from repro.core.stages import Stage
 from repro.core.wcg import EdgeKind, NodeKind
 from repro.exceptions import GraphConstructionError
@@ -86,7 +85,9 @@ class TestBuildWcg:
     def test_uri_and_payload_annotations(self, simple_trace):
         wcg = build_wcg(simple_trace)
         assert "/land" in wcg.node_data("mid.com").uris
-        assert wcg.node_data("mid.com").payloads.count(PayloadType.IMAGE) == 1
+        # A payload annotates a node only through its kind: an image
+        # leaves the server a plain remote.
+        assert wcg.node_data("mid.com").kind is NodeKind.REMOTE
 
     def test_dnt_and_flash_graph_annotations(self):
         txns = [

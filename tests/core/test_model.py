@@ -43,18 +43,18 @@ class TestHeaders:
                            ("HOST", "third")])
         assert headers.get("Host") == "first"
         assert headers.get("HOST") == "first"
-        assert headers.get_all("Host") == ["first", "second", "third"]
+        assert [value for _, value in headers] == ["first", "second", "third"]
 
     def test_set_replaces_all(self):
         headers = Headers([("X-A", "1"), ("x-a", "2")])
         headers.set("X-A", "3")
-        assert headers.get_all("x-a") == ["3"]
+        assert headers.items() == [("X-A", "3")]
 
     def test_add_preserves_duplicates(self):
         headers = Headers()
         headers.add("Set-Cookie", "a=1")
         headers.add("Set-Cookie", "b=2")
-        assert headers.get_all("set-cookie") == ["a=1", "b=2"]
+        assert headers.items() == [("Set-Cookie", "a=1"), ("Set-Cookie", "b=2")]
 
     def test_remove(self):
         headers = Headers({"A": "1", "B": "2"})

@@ -120,5 +120,4 @@ class TestListSink:
                       wcg_order=3, wcg_size=5, session_key="c#1")
         sink.emit(alert)
         assert len(sink) == 1
-        assert sink.for_client("c") == [alert]
-        assert sink.for_client("other") == []
+        assert sink.alerts == [alert]

@@ -18,7 +18,6 @@ from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     Tracer,
-    canonical_events,
     use_registry,
     use_tracer,
 )
@@ -123,7 +122,7 @@ class TestTracingIsInert:
         for _ in range(2):
             with use_tracer(Tracer()) as tracer:
                 _run_live(trained_model, packets, book)
-                streams.append(canonical_events(tracer.drain()))
+                streams.append([event.canonical() for event in tracer.drain()])
         assert streams[0] == streams[1]
         kinds = {event["kind"] for event in streams[0]}
         assert {"watch", "clue", "edge", "wcg", "score",

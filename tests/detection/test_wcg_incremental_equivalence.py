@@ -34,10 +34,6 @@ def _fingerprint(wcg: WebConversationGraph):
             host,
             wcg.node_data(host).kind.value,
             tuple(sorted(wcg.node_data(host).uris)),
-            tuple(sorted(
-                (str(k), v)
-                for k, v in wcg.node_data(host).payloads.counts.items()
-            )),
         )
         for host in wcg.hosts()
     )

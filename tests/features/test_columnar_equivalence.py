@@ -6,7 +6,7 @@ live/batch differential uses:
 * **reference parity** — the structural topology kernels equal the
   networkx walk (``tests.oracles.topology``) on every construction
   prefix, in-order and shuffled, and on random digraphs;
-* **batch parity** — ``extract_batch`` / ``extract_matrix_batch`` rows
+* **batch parity** — ``extract_batch`` / ``extract_matrix`` rows
   equal per-graph ``extract`` rows and the vectorised assembly they
   replaced (``tests.oracles.feature_assembly``), bit for bit;
 * **pair-sample sharing** — the connectivity pair sample is one seeded
@@ -33,10 +33,7 @@ from repro.core.wcg import (
     WebConversationGraph,
 )
 from repro.features import extractor as extractor_module
-from repro.features.extractor import (
-    FeatureExtractor,
-    extract_matrix_batch,
-)
+from repro.features.extractor import FeatureExtractor, extract_matrix
 from repro.features.registry import feature_names
 from repro.features.topology import (
     sample_connectivity_pairs,
@@ -191,10 +188,14 @@ class TestBatchParity:
                         == _assembled([wcg]).tobytes())
 
     def test_module_level_batch_matches(self):
-        graphs = _corpus_graphs(scale=0.02)
+        # extract_matrix's serial path: one extract_batch over the
+        # traces' graphs.
+        traces = ground_truth_corpus(seed=173, scale=0.02).traces
+        matrix, _ = extract_matrix(traces)
         assert np.array_equal(
-            extract_matrix_batch(graphs),
-            np.vstack([FeatureExtractor().extract(g) for g in graphs]),
+            matrix,
+            np.vstack([FeatureExtractor().extract(build_wcg(trace))
+                       for trace in traces]),
         )
 
     def test_batch_serves_and_fills_the_vector_cache(self):

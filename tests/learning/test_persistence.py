@@ -266,5 +266,5 @@ class TestRoundTripProperties:
             return
         assert loaded.decision_scores(X).shape == (len(X),)
         assert len(loaded.explain_row(X[0])["tree_votes"]) == 3
-        assert all(t.depth < t.node_count for t in loaded.trees_)
+        assert all(t.depth < len(t.nodes_.feature) for t in loaded.trees_)
         json.dumps(forest_to_dict(loaded))

@@ -41,7 +41,7 @@ class TestFit:
         X, y = _separable(40, seed=3)
         tree = DecisionTreeClassifier(min_samples_leaf=10).fit(X, y)
         # Any leaf's training support must be >= 10: proxy via node count.
-        assert tree.node_count <= 2 * (40 // 10) + 1
+        assert len(tree.nodes_.feature) <= 2 * (40 // 10) + 1
 
     def test_single_class_gives_leaf(self):
         X = np.ones((10, 2))

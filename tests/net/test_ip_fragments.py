@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.net import packets as packets_module
 from repro.net.packets import (
     ACK,
     PSH,
@@ -75,8 +76,9 @@ class TestReassembler:
                                     payload=b"end"))
         assert out2 is not None and out2.payload.startswith(b"2")
 
-    def test_pending_cap_evicts_oldest(self):
-        reasm = IpFragmentReassembler(max_pending=2)
+    def test_pending_cap_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(packets_module, "_MAX_PENDING_DATAGRAMS", 2)
+        reasm = IpFragmentReassembler()
         reasm.feed(_fragment(ident=1, offset=0, more=True, payload=b"x" * 8))
         reasm.feed(_fragment(ident=2, offset=0, more=True, payload=b"y" * 8))
         reasm.feed(_fragment(ident=3, offset=0, more=True, payload=b"z" * 8))

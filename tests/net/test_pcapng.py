@@ -46,6 +46,29 @@ def _spb(data: bytes) -> bytes:
     return _block(0x00000003, struct.pack("<I", len(data)) + data)
 
 
+_SHB_IDB = bytes.fromhex(
+    "0a0d0d0a1c0000004d3c2b1a01000000ffffffffffffffff1c000000"  # SHB
+    "0100000014000000010000000000040014000000"                  # IDB
+)
+
+#: One minimal defect per case, each a whole capture file, with the
+#: error it must raise.
+MALFORMED_CAPTURES = {
+    # A 12-byte SPB has no original-length field.
+    "spb_without_length": (
+        _SHB_IDB + bytes.fromhex("030000000c0000000c000000"),
+        "truncated simple packet block"),
+    # block_length 12 would read(-4), which reads the rest of the file.
+    "shb_shorter_than_28": (
+        bytes.fromhex("0a0d0d0a0c0000004d3c2b1a0c000000" + "00" * 64),
+        "section header length 12"),
+    "shb_not_aligned": (
+        bytes.fromhex("0a0d0d0a1e0000004d3c2b1a01000000ffffffffffffffff"
+                      "00001e000000"),
+        "section header length 30"),
+}
+
+
 class TestPcapngReader:
     def test_basic_read(self):
         stream = io.BytesIO(_shb() + _idb() + _epb(5_000_000, b"hello"))
@@ -97,6 +120,12 @@ class TestPcapngReader:
         stream = io.BytesIO(_shb() + _epb(1, b"x", iface=3))
         with pytest.raises(PcapError, match="unknown interface"):
             list(PcapngReader(stream))
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_CAPTURES))
+    def test_malformed_capture_is_a_pcap_error(self, defect):
+        capture, message = MALFORMED_CAPTURES[defect]
+        with pytest.raises(PcapError, match=message):
+            list(PcapngReader(io.BytesIO(capture)))
 
     def test_block_length_mismatch(self):
         good = _epb(1, b"x")

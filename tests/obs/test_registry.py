@@ -8,7 +8,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    disable_metrics,
     enable_metrics,
     get_registry,
     metrics_enabled,
@@ -175,7 +174,7 @@ class TestRegistrySwap:
         try:
             registry = enable_metrics()
             assert get_registry() is registry and registry.enabled
-            disable_metrics()
+            set_registry(NULL_REGISTRY)
             assert get_registry() is NULL_REGISTRY
         finally:
             set_registry(previous)

@@ -3,12 +3,7 @@
 import io
 import json
 
-from repro.obs import (
-    MetricsRegistry,
-    PipelineStatsReporter,
-    parse_snapshots,
-    read_snapshots,
-)
+from repro.obs import MetricsRegistry, PipelineStatsReporter, read_jsonl
 
 
 class FakeClock:
@@ -33,8 +28,7 @@ class TestReporter:
         assert data["reason"] == "checkpoint"
         assert data["counters"]["events"] == 7
         assert reporter.emitted == 1
-        parsed = parse_snapshots(reporter.lines)
-        assert parsed == [data]
+        assert [json.loads(line) for line in reporter.lines] == [data]
 
     def test_jsonl_roundtrip_through_file(self, tmp_path):
         path = str(tmp_path / "stats.jsonl")
@@ -45,7 +39,7 @@ class TestReporter:
         reporter.emit("interval")
         registry.counter("pkts").inc(2)
         reporter.finalize()
-        snapshots = read_snapshots(path)
+        snapshots = read_jsonl(path)
         assert [s["reason"] for s in snapshots] == ["interval", "finalize"]
         assert [s["counters"]["pkts"] for s in snapshots] == [3, 5]
         assert snapshots[0]["histograms"]["lat"]["count"] == 1
@@ -61,7 +55,7 @@ class TestReporter:
                 registry=MetricsRegistry(), out=path
             )
             reporter.finalize()
-        assert len(read_snapshots(path)) == 2
+        assert len(read_jsonl(path)) == 2
 
     def test_stream_sink_is_not_closed(self):
         stream = io.StringIO()
@@ -70,7 +64,7 @@ class TestReporter:
         )
         reporter.finalize()
         assert not stream.closed
-        assert parse_snapshots(stream.getvalue().splitlines())
+        assert json.loads(stream.getvalue())["reason"] == "finalize"
 
     def test_maybe_emit_honours_interval(self):
         clock = FakeClock()

@@ -8,17 +8,15 @@ import pytest
 from repro.obs import (
     NULL_TRACER,
     Tracer,
-    canonical_events,
-    disable_tracing,
     enable_tracing,
     get_tracer,
-    parse_trace,
-    read_trace,
+    read_jsonl,
     set_tracer,
     tracing_enabled,
     use_tracer,
     write_trace,
 )
+from repro.obs import trace as trace_module
 from repro.obs.trace import _MAX_CLUES, _env_enabled
 
 
@@ -62,8 +60,9 @@ class TestTracer:
         assert summary.clue_count == 0
         assert len(summary.events) == 1
 
-    def test_per_watch_ring_is_bounded(self):
-        tracer = Tracer(max_events_per_watch=4)
+    def test_per_watch_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 4)
+        tracer = Tracer()
         tracer.emit("watch", ts=0.0, client="c", watch="w")
         for i in range(10):
             tracer.emit("score", ts=float(i + 1), client="c", watch="w",
@@ -74,8 +73,9 @@ class TestTracer:
         # The newest events survive.
         assert summary.events[-1].ts == 10.0
 
-    def test_clue_summary_survives_ring_rotation(self):
-        tracer = Tracer(max_events_per_watch=2)
+    def test_clue_summary_survives_ring_rotation(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 2)
+        tracer = Tracer()
         tracer.emit("watch", ts=0.0, client="c", watch="w")
         tracer.emit("clue", ts=1.0, client="c", watch="w",
                     server="evil", payload="exe", chain_length=2)
@@ -97,8 +97,9 @@ class TestTracer:
         assert len(summary.clues) == _MAX_CLUES
         assert summary.clue_count == _MAX_CLUES + 10
 
-    def test_max_watches_evicts_stalest(self):
-        tracer = Tracer(max_watches=2)
+    def test_max_watches_evicts_stalest(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_MAX_WATCHES", 2)
+        tracer = Tracer()
         tracer.emit("watch", ts=0.0, client="a", watch="a#1")
         tracer.emit("watch", ts=1.0, client="b", watch="b#1")
         tracer.emit("watch", ts=2.0, client="c", watch="c#1")
@@ -107,8 +108,9 @@ class TestTracer:
         # The evicted timeline flushed as a non-alerting close.
         assert any(e.watch == "a#1" for e in tracer.events())
 
-    def test_global_done_buffer_is_bounded(self):
-        tracer = Tracer(max_events=5)
+    def test_global_done_buffer_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_MAX_EVENTS", 5)
+        tracer = Tracer()
         for i in range(10):
             tracer.emit("prune", ts=float(i))
         assert tracer.event_count == 5
@@ -169,7 +171,7 @@ class TestCanonicalForm:
         tracer = Tracer(clock=FakeClock())
         tracer.emit("score", ts=1.0, client="c", watch="w",
                     score=0.5, batch=3, latency_s=0.001)
-        canon = canonical_events(tracer.events())
+        canon = [event.canonical() for event in tracer.events()]
         assert canon == [{
             "kind": "score", "ts": 1.0, "client": "c", "watch": "w",
             "data": {"score": 0.5},
@@ -203,7 +205,7 @@ class TestTracerSwap:
             assert tracing_enabled()
             assert get_tracer() is tracer
             assert tracer.sample == "alerts"
-            disable_tracing()
+            set_tracer(NULL_TRACER)
             assert not tracing_enabled()
             assert get_tracer() is NULL_TRACER
         finally:
@@ -233,7 +235,7 @@ class TestTraceIO:
         path = str(tmp_path / "trace.jsonl")
         events = self._sample_events()
         assert write_trace(events, path) == 2
-        loaded = read_trace(path)
+        loaded = read_jsonl(path)
         assert [e["kind"] for e in loaded] == ["watch", "verdict"]
         assert loaded[1]["data"]["score"] == 0.9
 
@@ -242,13 +244,13 @@ class TestTraceIO:
         events = self._sample_events()
         write_trace(events, path)
         write_trace(events, path)
-        assert len(read_trace(path)) == 4
+        assert len(read_jsonl(path)) == 4
 
     def test_stream_sink_not_closed(self):
         stream = io.StringIO()
         write_trace(self._sample_events(), stream)
         assert not stream.closed
-        assert len(parse_trace(stream.getvalue().splitlines())) == 2
+        assert len(stream.getvalue().splitlines()) == 2
 
     def test_lines_are_stable_json(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")

@@ -19,6 +19,7 @@ from repro.detection.live import LiveDetector
 from repro.loadgen import MIXED, LoadGenerator, WorkloadMix
 from repro.learning.forest import EnsembleRandomForest
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
+from repro.service import daemon
 from repro.service.daemon import _INBOX_BATCHES, ShardError
 from repro.service.worker import ShardAlert, run_shard
 from repro.service.sharding import PacketRouter
@@ -85,21 +86,22 @@ def test_fleet_alerts_byte_identical(workload, reference, trained_model,
     assert len(fleet.shards) == workers
 
 
-def test_dead_shard_fails_the_drain_not_the_feed(workload):
+def test_dead_shard_fails_the_drain_not_the_feed(workload, monkeypatch):
     """The inboxes are bounded, so ``feed`` blocks on a full one: a
     shard that died has to keep taking its batches, or the coordinator
     would wait forever instead of raising the shard's error."""
     packets, _ = workload
+    monkeypatch.setattr(daemon, "_BATCH_SIZE", 1)
     # Unfitted classifier: the engine fails to build inside the worker.
     service = ShardedDetectionService(
-        EngineSpec(classifier=EnsembleRandomForest()), workers=1,
-        batch_size=1)
+        EngineSpec(classifier=EnsembleRandomForest()), workers=1)
     service.start()
     raised = []
 
     def run():
         try:
-            service.feed_many(packets[:20 * _INBOX_BATCHES])
+            for packet in packets[:20 * _INBOX_BATCHES]:
+                service.feed(packet)
             service.drain()
         except ShardError as exc:
             raised.append(str(exc))

@@ -14,13 +14,17 @@ import pytest
 from repro.detection.detector import OnTheWireDetector
 from repro.detection.live import LiveDetector
 from repro.loadgen import MIXED, LoadGenerator
-from repro.obs import Tracer, canonical_events, use_tracer
+from repro.obs import Tracer, use_tracer
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
 from repro.service.daemon import merge_traces
 from repro.service.sharding import PacketRouter
 from repro.service.worker import ShardAlert, run_shard
 
 PACKETS = 6000
+
+
+def _canonical(events):
+    return [event.canonical() for event in events]
 
 
 def _canonical_alerts(alerts):
@@ -46,7 +50,7 @@ def reference(workload, trained_model):
             live.feed(packet)
         live.finish()
         trace = merge_traces([(0, tracer.drain())])
-    return live.detector.alerts, canonical_events(trace)
+    return live.detector.alerts, _canonical(trace)
 
 
 def test_reference_actually_alerts_with_provenance(reference):
@@ -81,7 +85,7 @@ def test_in_process_shards_trace_byte_identical(
     fleet_alerts = merge_alerts(shard_alerts)
     # Frozen dataclasses: == compares every field, provenance included.
     assert fleet_alerts == _canonical_alerts(ref_alerts)
-    assert canonical_events(merge_traces(shard_traces)) == ref_trace
+    assert _canonical(merge_traces(shard_traces)) == ref_trace
 
 
 def test_pooled_workers_trace_byte_identical(
@@ -98,7 +102,7 @@ def test_pooled_workers_trace_byte_identical(
             service.feed(packet)
         fleet = service.drain()
     assert fleet.alerts == _canonical_alerts(ref_alerts)
-    assert canonical_events(fleet.trace) == ref_trace
+    assert _canonical(fleet.trace) == ref_trace
 
 
 def test_trace_off_spec_ships_no_events(workload, trained_model):

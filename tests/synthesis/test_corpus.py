@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import TraceLabel
+from repro.synthesis import corpus as corpus_module
 from repro.synthesis.corpus import Corpus, ground_truth_corpus, validation_corpus
 from repro.synthesis.families import EXPLOIT_KIT_FAMILIES
 
@@ -76,9 +77,11 @@ class TestValidationCorpus:
         goon = len(corpus.by_family("Goon"))
         assert angler > goon  # 253/770 vs 19/770 of the mass
 
-    def test_drift_changes_generation(self):
-        base = validation_corpus(seed=1301, scale=0.005, drift=0.0)
-        drifted = validation_corpus(seed=1301, scale=0.005, drift=0.5)
+    def test_drift_changes_generation(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_VALIDATION_DRIFT", 0.0)
+        base = validation_corpus(seed=1301, scale=0.005)
+        monkeypatch.setattr(corpus_module, "_VALIDATION_DRIFT", 0.5)
+        drifted = validation_corpus(seed=1301, scale=0.005)
         sizes_a = [len(t) for t in base.infections]
         sizes_b = [len(t) for t in drifted.infections]
         assert sizes_a != sizes_b

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import EXPERIMENTS, main
 from tests.learning.model_payloads import MALFORMED_EDITS, malformed_model
+from tests.net.test_pcapng import MALFORMED_CAPTURES
 
 
 class TestCli:
@@ -170,6 +171,16 @@ class TestCliErrors:
                      "--model", cli_model]) == 2
         assert "capture file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_CAPTURES))
+    def test_detect_malformed_capture(self, defect, cli_model, tmp_path,
+                                      capsys):
+        bad = tmp_path / "bad.pcapng"
+        bad.write_bytes(MALFORMED_CAPTURES[defect][0])
+        assert main(["detect", str(bad), "--model", cli_model]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "ERROR" in line or "Traceback" in line]
+        assert len(errors) == 1 and "cannot read capture" in errors[0]
+
     def test_train_unwritable_out(self, tmp_path, capsys):
         out = str(tmp_path / "no" / "such" / "dir" / "model.json")
         assert main(["train", "--out", out, "--scale", "0.05",
@@ -196,10 +207,10 @@ class TestCliTracing:
         return trace
 
     def test_detect_trace_out_writes_jsonl(self, cli_model, tmp_path):
-        from repro.obs import read_trace
+        from repro.obs import read_jsonl
 
         trace = self._traced_detect(cli_model, tmp_path)
-        events = read_trace(trace)
+        events = read_jsonl(trace)
         assert events
         kinds = {event["kind"] for event in events}
         assert {"watch", "clue", "score", "verdict"} <= kinds
@@ -210,7 +221,7 @@ class TestCliTracing:
 
     def test_sharded_trace_matches_single_process(self, cli_model,
                                                   tmp_path):
-        from repro.obs import read_trace
+        from repro.obs import read_jsonl
 
         single = self._traced_detect(cli_model, tmp_path)
         sharded_dir = tmp_path / "sharded"
@@ -219,7 +230,7 @@ class TestCliTracing:
                                       extra=("--workers", "2"))
 
         def canon(path):
-            events = read_trace(path)
+            events = read_jsonl(path)
             for event in events:
                 event.pop("mono", None)
                 event["data"].pop("latency_s", None)
@@ -299,7 +310,7 @@ class TestCliTracing:
 
 class TestCliMetrics:
     def test_detect_with_metrics_writes_snapshots(self, cli_model, tmp_path):
-        from repro.obs import get_registry, read_snapshots, set_registry
+        from repro.obs import get_registry, read_jsonl, set_registry
 
         pcap = str(tmp_path / "angler.pcap")
         stats = str(tmp_path / "stats.jsonl")
@@ -313,7 +324,7 @@ class TestCliMetrics:
             # --metrics swaps the process-wide registry; put it back.
             set_registry(previous)
         assert code in (0, 1)
-        snapshots = read_snapshots(stats)
+        snapshots = read_jsonl(stats)
         assert len(snapshots) >= 1
         final = snapshots[-1]
         assert final["reason"] == "finalize"
