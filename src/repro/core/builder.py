@@ -31,13 +31,7 @@ from bisect import bisect_right
 from repro.core.model import HttpTransaction, Trace
 from repro.core.redirects import RedirectInferencer
 from repro.core.stages import Stage, assign_stages
-from repro.core.wcg import (
-    KIND_REDIRECT,
-    KIND_REQUEST,
-    KIND_RESPONSE,
-    NodeKind,
-    WebConversationGraph,
-)
+from repro.core.wcg import EdgeKind, NodeKind, WebConversationGraph
 from repro.core.payloads import is_exploit_type
 from repro.exceptions import GraphConstructionError
 from repro.obs import get_registry
@@ -59,21 +53,19 @@ class WCGBuilder:
     """
 
     __slots__ = ("_victim", "_origin", "transactions", "_wcg", "_inferencer",
-                 "_stamps", "_origin_link", "_c_ingested", "_c_edges",
-                 "_c_replays")
+                 "_origin_link", "_c_ingested", "_c_edges", "_c_replays")
 
     def __init__(self, victim: str | None = None, origin: str | None = None):
         self._victim = victim
         self._origin = origin
         #: Every transaction fed, in feed order — the one history.
-        #: ``build`` ingests those past ``len(_stamps)``, so appending
-        #: here *is* :meth:`add`.
+        #: Each ingested transaction left one request edge, so ``build``
+        #: ingests those past ``len(request_timestamps)`` of its graph
+        #: (non-decreasing: a late arrival replays everything sorted),
+        #: and appending here *is* :meth:`add`.
         self.transactions: list[HttpTransaction] = []
         self._wcg: WebConversationGraph | None = None
         self._inferencer: RedirectInferencer | None = None
-        # Request timestamps in ingest order — non-decreasing, since a
-        # late arrival replays everything sorted.
-        self._stamps: list[float] = []
         # Edge index of the origin link, -1 when the origin is the first
         # host itself.
         self._origin_link = -1
@@ -94,7 +86,8 @@ class WCGBuilder:
 
     def build(self) -> WebConversationGraph:
         """Return the live annotated WCG, ingesting any pending adds."""
-        stamps = self._stamps
+        wcg = self._wcg
+        stamps = [] if wcg is None else wcg.request_timestamps
         for txn in self.transactions[len(stamps):]:
             if stamps and txn.timestamp < stamps[-1]:
                 # Late (out-of-order) arrival: the canonical feed order
@@ -103,7 +96,7 @@ class WCGBuilder:
                 # almost always in request order, so this path is rare.
                 self._replay()
                 break
-            self._ingest(txn)
+            stamps = self._ingest(txn).request_timestamps
         if self._wcg is None:
             raise GraphConstructionError("no transactions to build a WCG from")
         return self._wcg
@@ -117,18 +110,17 @@ class WCGBuilder:
         the stage of the last transaction stamped at or before it
         (``PRE_DOWNLOAD`` when there is none).
         """
-        store = self.build().edge_store
-        stamps = self._stamps
+        wcg = self.build()
+        stamps = wcg.request_timestamps
         # Ingest order is the stable timestamp sort of the history.
         txn_stages = assign_stages(
             sorted(self.transactions, key=lambda t: t.timestamp))
         stages: list[Stage] = []
         seq = -1
-        for kind, timestamp in zip(store.column("kind").tolist(),
-                                   store.column("timestamp").tolist()):
-            if kind == KIND_REQUEST:
+        for kind, timestamp in zip(wcg.edge_kinds, wcg.edge_timestamps):
+            if kind is EdgeKind.REQUEST:
                 seq += 1  # a transaction's edges start with its request
-            if kind != KIND_REDIRECT:
+            if kind is not EdgeKind.REDIRECT:
                 stages.append(txn_stages[seq])
             elif len(stages) == self._origin_link:
                 stages.append(Stage.PRE_DOWNLOAD)
@@ -141,16 +133,19 @@ class WCGBuilder:
     # -- incremental machinery ---------------------------------------------
 
     def _replay(self) -> None:
-        """Re-ingest everything in stable timestamp order."""
+        """Re-ingest everything in stable timestamp order into a new
+        graph that continues the old one's version counters."""
         self._c_replays.inc()
+        previous = self._wcg
         self._wcg = None
         self._inferencer = None
-        self._stamps = []
         for txn in sorted(self.transactions, key=lambda t: t.timestamp):
             self._ingest(txn)
+        self._wcg.succeed(previous)
 
-    def _ingest(self, txn: HttpTransaction) -> None:
-        if self._wcg is None:
+    def _ingest(self, txn: HttpTransaction) -> WebConversationGraph:
+        first = self._wcg is None
+        if first:
             victim = self._victim or txn.client
             origin = (
                 self._origin
@@ -166,7 +161,7 @@ class WCGBuilder:
         client, server = request.client, request.host
         # The request edge goes first: it adds the client and server
         # nodes (in that order) that everything below annotates.
-        wcg.append_edge(client, server, kind=KIND_REQUEST,
+        wcg.append_edge(client, server, kind=EdgeKind.REQUEST,
                         timestamp=request.timestamp,
                         method=request.method.value,
                         referrer=request.referrer)
@@ -179,7 +174,7 @@ class WCGBuilder:
             wcg.x_flash_version = flash
         response = txn.response
         if response is not None:
-            wcg.append_edge(server, client, kind=KIND_RESPONSE,
+            wcg.append_edge(server, client, kind=EdgeKind.RESPONSE,
                             timestamp=response.timestamp,
                             status=response.status)
             self._c_edges.inc()
@@ -190,15 +185,16 @@ class WCGBuilder:
             ):
                 wcg.mark_malicious(server)
 
-        if not self._stamps:
+        if first:
             self._link_origin(wcg, txn)
-        self._stamps.append(txn.timestamp)
 
         for redirect in self._inferencer.observe(txn):
             wcg.add_node(redirect.source, kind=NodeKind.REDIRECTOR)
             wcg.append_edge(redirect.source, redirect.target,
-                            kind=KIND_REDIRECT, timestamp=redirect.timestamp)
+                            kind=EdgeKind.REDIRECT,
+                            timestamp=redirect.timestamp)
             self._c_edges.inc()
+        return wcg
 
     def _link_origin(self, wcg: WebConversationGraph,
                      first: HttpTransaction) -> None:
@@ -208,7 +204,7 @@ class WCGBuilder:
         if wcg.origin == first.server:
             return
         self._origin_link = wcg.append_edge(
-            wcg.origin, first.server, kind=KIND_REDIRECT,
+            wcg.origin, first.server, kind=EdgeKind.REDIRECT,
             timestamp=first.timestamp,
         )
         self._c_edges.inc()

@@ -6,16 +6,14 @@ and one or more remote hosts.  Formally (paper notation) a WCG
 edges, ``Psi`` response edges, ``Sigma`` redirection edges, ``alpha`` node
 attributes and ``beta`` edge attributes.
 
-Storage is columnar (DESIGN.md §14): hosts are interned to dense node
-ids and each edge is a timestamp, a kind and two node ids in an
-:class:`~repro.core.columns.EdgeColumnStore`, grown by amortized
-doubling so the incremental live path stays O(1) per edge.  The object
-API the rest of the repo consumes — :meth:`edges` yielding
+Storage is plain lists (DESIGN.md §14): hosts are interned to dense
+node ids and each edge is one slot in four parallel lists — source id,
+target id, :class:`EdgeKind`, timestamp — so an append is O(1).  The
+object API the rest of the repo consumes — :meth:`edges` yielding
 :class:`EdgeData`, :meth:`hosts`, the counters — is a read-only *view*
-materialized from the columns.  Graph analytics never build a graph
-object: the topology features read the sorted simple-digraph structure
-straight from the pair table (:func:`repro.features.topology.
-structure_key`).
+over those lists.  Graph analytics never build a graph object: the
+topology features read the sorted simple-digraph structure straight
+from the pair table (:func:`repro.features.topology.structure_key`).
 
 To make the on-the-wire path cheap, the graph maintains running
 aggregates as it mutates:
@@ -35,12 +33,9 @@ aggregates as it mutates:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
-
-import numpy as np
-
-from repro.core.columns import EdgeColumnStore
 
 __all__ = ["NodeKind", "EdgeKind", "EdgeData", "GraphCounters",
            "WebConversationGraph"]
@@ -68,17 +63,11 @@ class EdgeKind(enum.Enum):
     REDIRECT = "redir"
 
 
-#: Dense codes for the ``kind`` column and back.
-_KIND_CODE = {EdgeKind.REQUEST: 0, EdgeKind.RESPONSE: 1, EdgeKind.REDIRECT: 2}
-_KIND_OF_CODE = (EdgeKind.REQUEST, EdgeKind.RESPONSE, EdgeKind.REDIRECT)
-KIND_REQUEST, KIND_RESPONSE, KIND_REDIRECT = 0, 1, 2
-
-
 class EdgeData(NamedTuple):
     """Edge attributes ``beta`` as stored (Section III-C, edge-level).
 
     A *view record* :meth:`WebConversationGraph.edges` materializes from
-    the columns.  The per-edge HTTP attributes (method, status, payload)
+    the edge lists.  The per-edge HTTP attributes (method, status, payload)
     live on the transactions and in :class:`GraphCounters`; stages are
     derived on demand (:meth:`repro.core.builder.WCGBuilder.edge_stages`).
     """
@@ -125,11 +114,6 @@ class GraphCounters:
     #: Distinct ``(source, target)`` pairs == simple-digraph edge count.
     distinct_pairs: int = 0
 
-    def copy(self) -> "GraphCounters":
-        clone = replace(self)
-        clone.status_classes = dict(self.status_classes)
-        return clone
-
 
 class WebConversationGraph:
     """An annotated WCG for one client conversation.
@@ -154,13 +138,19 @@ class WebConversationGraph:
         self._node_records: list[_NodeData] = []
         self._degrees: list[int] = []
         self._pair_multiplicity: dict[tuple[str, str], int] = {}
-        self._edges = EdgeColumnStore()
-        # Running timestamp extrema (duration = max - min, identical to
-        # sorted[-1] - sorted[0]); sorted caches built lazily per version.
-        self._ts_min = np.inf
-        self._ts_max = -np.inf
-        self._sorted_ts: tuple[int, list[float]] | None = None
-        self._sorted_req_ts: tuple[int, np.ndarray] | None = None
+        # One slot per edge, in append order; treat the public lists as
+        # read-only.
+        self._sources: list[int] = []
+        self._targets: list[int] = []
+        self.edge_kinds: list[EdgeKind] = []
+        self.edge_timestamps: list[float] = []
+        #: Request-edge timestamps in append order — ascending, because
+        #: the builder ingests in timestamp order.
+        self.request_timestamps: list[float] = []
+        #: Running edge-timestamp extrema (``inf`` / ``-inf`` while the
+        #: graph has no edge).
+        self.ts_min = math.inf
+        self.ts_max = -math.inf
         self.add_node(self.origin, kind=NodeKind.ORIGIN)
         self.add_node(victim, kind=NodeKind.VICTIM)
 
@@ -198,12 +188,14 @@ class WebConversationGraph:
             self._x_flash_version = value
             self._version += 1
 
-    # --- structure -------------------------------------------------------
+    def succeed(self, previous: "WebConversationGraph") -> None:
+        """Continue ``previous``'s version counters, so a cache keyed on
+        them never takes this replacement graph for the one it
+        replaces."""
+        self._version += previous.version
+        self._structure_version += previous.structure_version
 
-    @property
-    def edge_store(self) -> EdgeColumnStore:
-        """The columnar edge storage (snapshots and features slice it)."""
-        return self._edges
+    # --- structure -------------------------------------------------------
 
     def _intern(self, host: str) -> int:
         """Id of ``host``, added as a plain remote node when new."""
@@ -244,7 +236,7 @@ class WebConversationGraph:
         self,
         source: str,
         target: str,
-        kind: int,
+        kind: EdgeKind,
         timestamp: float,
         method: str = "",
         status: int = 0,
@@ -259,7 +251,11 @@ class WebConversationGraph:
         """
         src = self._intern(source)
         dst = self._intern(target)
-        index = self._edges.append(timestamp, kind, src, dst)
+        index = len(self.edge_kinds)
+        self._sources.append(src)
+        self._targets.append(dst)
+        self.edge_kinds.append(kind)
+        self.edge_timestamps.append(timestamp)
         self._version += 1
 
         degree = self._degrees[src] + 1
@@ -278,12 +274,13 @@ class WebConversationGraph:
             self.counters.distinct_pairs += 1
             self._structure_version += 1
 
-        if timestamp < self._ts_min:
-            self._ts_min = timestamp
-        if timestamp > self._ts_max:
-            self._ts_max = timestamp
+        if timestamp < self.ts_min:
+            self.ts_min = timestamp
+        if timestamp > self.ts_max:
+            self.ts_max = timestamp
         counters = self.counters
-        if kind == KIND_REQUEST:
+        if kind is EdgeKind.REQUEST:
+            self.request_timestamps.append(timestamp)
             counters.request_edges += 1
             if method == "GET":
                 counters.gets += 1
@@ -295,7 +292,7 @@ class WebConversationGraph:
                 counters.with_referrer += 1
             else:
                 counters.without_referrer += 1
-        elif kind == KIND_RESPONSE:
+        elif kind is EdgeKind.RESPONSE:
             counters.response_edges += 1
             klass = status // 100
             if klass in counters.status_classes:
@@ -326,18 +323,15 @@ class WebConversationGraph:
         """Iterate ``(source, target, EdgeData)``, optionally filtered.
 
         Yields in edge append order; records are materialized views
-        over the columns (see :class:`EdgeData`).
+        over the edge lists (see :class:`EdgeData`).
         """
-        store = self._edges
         names = self._host_names
-        want = None if kind is None else _KIND_CODE[kind]
-        for src, dst, code, timestamp in zip(
-            store.column("src").tolist(), store.column("dst").tolist(),
-            store.column("kind").tolist(), store.column("timestamp").tolist(),
+        for src, dst, edge_kind, timestamp in zip(
+            self._sources, self._targets, self.edge_kinds,
+            self.edge_timestamps,
         ):
-            if want is None or code == want:
-                yield names[src], names[dst], \
-                    EdgeData(_KIND_OF_CODE[code], timestamp)
+            if kind is None or edge_kind is kind:
+                yield names[src], names[dst], EdgeData(edge_kind, timestamp)
 
     def request_edges(self) -> list[tuple[str, str, EdgeData]]:
         """``Phi`` — request edges."""
@@ -363,68 +357,19 @@ class WebConversationGraph:
     @property
     def size(self) -> int:
         """Number of edges (feature f8)."""
-        return len(self._edges)
+        return len(self.edge_kinds)
 
     @property
     def has_known_origin(self) -> bool:
         """True when the enticement origin was recoverable (feature f1)."""
         return self.origin != EMPTY_ORIGIN
 
-    def timestamps(self) -> list[float]:
-        """All edge timestamps, ascending (sorted lazily, cached per
-        version)."""
-        cached = self._sorted_ts
-        if cached is None or cached[0] != self._version:
-            ordered = np.sort(self._edges.column("timestamp")).tolist()
-            cached = self._sorted_ts = (self._version, ordered)
-        return list(cached[1])
-
-    def request_timestamps(self) -> np.ndarray:
-        """Request-edge timestamps, ascending.  Treat as read-only."""
-        cached = self._sorted_req_ts
-        if cached is None or cached[0] != self._version:
-            store = self._edges
-            stamps = np.sort(
-                store.column("timestamp")[store.column("kind")
-                                          == KIND_REQUEST]
-            )
-            cached = self._sorted_req_ts = (self._version, stamps)
-        return cached[1]
-
     @property
     def duration(self) -> float:
         """Conversation duration in seconds (graph-level annotation)."""
-        if len(self._edges) < 2:
+        if len(self.edge_kinds) < 2:
             return 0.0
-        return self._ts_max - self._ts_min
-
-    def copy(self) -> "WebConversationGraph":
-        """Deep-enough copy for incremental what-if evaluation.
-
-        Columns snapshot as array slice-copies (no per-edge object
-        duplication); node records are duplicated so live-builder
-        annotations do not leak into clones.
-        """
-        clone = WebConversationGraph.__new__(WebConversationGraph)
-        clone.victim = self.victim
-        clone.origin = self.origin
-        clone._dnt = self._dnt
-        clone._x_flash_version = self._x_flash_version
-        clone._version = self._version
-        clone._structure_version = self._structure_version
-        clone.counters = self.counters.copy()
-        clone._host_ids = dict(self._host_ids)
-        clone._host_names = list(self._host_names)
-        clone._degrees = list(self._degrees)
-        clone._pair_multiplicity = dict(self._pair_multiplicity)
-        clone._edges = self._edges.copy()
-        clone._ts_min = self._ts_min
-        clone._ts_max = self._ts_max
-        clone._sorted_ts = None
-        clone._sorted_req_ts = None
-        clone._node_records = [_NodeData(data.kind, set(data.uris))
-                               for data in self._node_records]
-        return clone
+        return self.ts_max - self.ts_min
 
     def __repr__(self) -> str:
         return (

@@ -43,9 +43,6 @@ from repro.obs import get_registry, get_tracer
 
 __all__ = ["DetectorConfig", "OnTheWireDetector"]
 
-#: Edge-kind column codes -> trace-event labels (repro.core.wcg).
-_EDGE_KIND_LABELS = ("request", "response", "redirect")
-
 
 @dataclass
 class DetectorConfig:
@@ -268,20 +265,18 @@ class OnTheWireDetector:
         the builder folds its pending transactions lazily, and forcing
         extra folds just to observe edges would change *when* the
         out-of-order replay runs, breaking the tracing-on/off metrics
-        identity.  Each event carries the edge's own timestamp from the
-        column store, so the reconstructed timeline is stream-accurate
-        even though emission batches at scoring points, and the edge's
-        stage as derived at emission.  (On the rare
-        out-of-order replay the store is rebuilt sorted, so the tail
-        slice may describe re-ordered edges; the diff is deterministic
-        either way.)
+        identity.  Each event carries the edge's own timestamp, so the
+        reconstructed timeline is stream-accurate even though emission
+        batches at scoring points, and the edge's stage as derived at
+        emission.  (On the rare out-of-order replay the graph is rebuilt
+        sorted, so the tail slice may describe re-ordered edges; the
+        diff is deterministic either way.)
         """
-        store = wcg.edge_store
-        size = len(store)
+        size = wcg.size
         last_size, last_structure = watch.traced_wcg
         if size > last_size:
-            stamps = store.column("timestamp")
-            kinds = store.column("kind")
+            stamps = wcg.edge_timestamps
+            kinds = wcg.edge_kinds
             stages = watch.edge_stages()
             for index in range(last_size, size):
                 self._tracer.emit(
@@ -289,7 +284,7 @@ class OnTheWireDetector:
                     ts=float(stamps[index]),
                     client=watch.client,
                     watch=watch.key,
-                    edge=_EDGE_KIND_LABELS[int(kinds[index])],
+                    edge=kinds[index].name.lower(),
                     stage=int(stages[index]),
                     index=index,
                 )
@@ -442,7 +437,7 @@ class OnTheWireDetector:
 
         Clue chains come from the tracer's per-watch summary (kept
         outside the event ring, so they survive ring rotation); timing
-        comes from the WCG's own timestamp column; the forest
+        comes from the WCG's own earliest edge; the forest
         explanation is one vectorized pass over the compiled arena.
         Every field is stream-derived — no wall clock — so provenance
         is identical across runs and worker counts.
@@ -474,10 +469,8 @@ class OnTheWireDetector:
             chain = ()
             clues_total = 0
         first_clue_ts = chain[0].timestamp if chain else now
-        store = request.wcg.edge_store
-        first_edge_ts = (
-            float(store.column("timestamp").min()) if len(store) else now
-        )
+        wcg = request.wcg
+        first_edge_ts = wcg.ts_min if wcg.size else now
         explanation = self.classifier.explain_row(row)
         return AlertProvenance(
             clue_chain=chain,

@@ -64,10 +64,9 @@ __all__ = ["OverloadPolicy", "LiveDecoder", "LiveDetector", "WatchSnapshot"]
 class WatchSnapshot:
     """Cheap, picklable summary of one live clue-active session watch.
 
-    Built from the WCG's column store — counter reads plus timestamp
-    extrema over a column *slice* — and the stage histogram of the
-    watch's edge stages, derived when the snapshot is taken
-    (DESIGN.md §14).
+    Built from the WCG's counters and running timestamp extrema, and
+    the stage histogram of the watch's edge stages, derived when the
+    snapshot is taken (DESIGN.md §14).
 
     Snapshots are value objects: two engines that saw the same client's
     packets produce equal snapshots, which is how the sharded
@@ -327,8 +326,6 @@ class LiveDetector:
         snapshots: list[WatchSnapshot] = []
         for watch in self.detector.active_watches():
             wcg = watch.wcg()
-            store = wcg.edge_store
-            timestamps = store.column("timestamp")
             stages = watch.edge_stages()
             snapshots.append(WatchSnapshot(
                 key=watch.key,
@@ -339,8 +336,8 @@ class LiveDetector:
                 size=wcg.size,
                 version=wcg.version,
                 structure_version=wcg.structure_version,
-                first_edge_ts=float(timestamps.min()) if len(store) else 0.0,
-                last_edge_ts=float(timestamps.max()) if len(store) else 0.0,
+                first_edge_ts=float(wcg.ts_min) if wcg.size else 0.0,
+                last_edge_ts=float(wcg.ts_max) if wcg.size else 0.0,
                 stage_counts=tuple(stages.count(stage) for stage in Stage),
             ))
         snapshots.sort(key=lambda s: (s.client, s.key))

@@ -250,16 +250,8 @@ class SessionTable:
         if not group:
             return
         # Every route lands here and almost none finds anything to
-        # drop: look first (``_prunable``, inline), rebuild the list
-        # only when something is.
-        now, retire, horizon = self._now, self._retire_after, self.prune_after
-        for watch in group:
-            idle = now - watch.last_ts
-            if watch.terminated or (
-                    watch.active_clue is None and idle > retire
-                    and (idle > horizon or not watch.session_ids)):
-                break
-        else:
+        # drop: look first, rebuild the list only when something is.
+        if not any(map(self._prunable, group)):
             return
         kept = [w for w in group if not self._drop_if_prunable(w)]
         if kept:

@@ -7,7 +7,6 @@ application stores / software repositories."
 
 from __future__ import annotations
 
-from repro.core.model import HttpTransaction
 from repro.synthesis.entities import TRUSTED_VENDORS
 
 __all__ = ["VendorWhitelist"]
@@ -55,10 +54,6 @@ class VendorWhitelist:
                 for start in range(len(labels))
             )
         return verdict
-
-    def filter(self, transactions: list[HttpTransaction]) -> list[HttpTransaction]:
-        """Drop transactions whose server is trusted."""
-        return [txn for txn in transactions if not self.trusted(txn.server)]
 
     def __len__(self) -> int:
         return len(self._domains)

@@ -4,12 +4,12 @@ The two features that top the paper's gain-ratio ranking (Table IV):
 infections run machine-paced (short inter-transaction gaps), human
 browsing is think-time-paced.
 
-Request timestamps are kept sorted by the WCG as edges arrive, so no
-re-sort happens here.  f37 deliberately stays on
-``np.mean(np.diff(...))`` rather than the telescoped
-``(max - min) / (n - 1)`` — the two are not bit-identical in float64,
-and the differential tests pin byte-identity between the live and batch
-paths.
+The WCG's ``request_timestamps`` list is already ascending (the
+builder ingests in timestamp order), so no sort happens here.  f37
+deliberately stays on ``np.mean(np.diff(...))`` rather than the
+telescoped ``(max - min) / (n - 1)`` — the two are not bit-identical
+in float64, and the differential tests pin byte-identity between the
+live and batch paths.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["temporal_features"]
 
 def temporal_features(wcg: WebConversationGraph) -> dict[str, float]:
     """Compute f36–f37 for one WCG."""
-    request_stamps = wcg.request_timestamps()
+    request_stamps = wcg.request_timestamps
     total_uris = wcg.counters.total_uris
     duration = wcg.duration
     # f36: average duration to access a single URI.

@@ -66,7 +66,7 @@ class EngineSpec:
     #: Capture per-watch :class:`~repro.detection.live.WatchSnapshot`
     #: summaries (taken after the packet stream drains, before
     #: finalization terminates the watches).  Off by default — the
-    #: summaries are cheap column slices, but most callers only want
+    #: summaries are cheap counter reads, but most callers only want
     #: alerts.
     snapshot_watches: bool = False
     #: Capture a per-shard detection trace (repro.obs.trace) and ship

@@ -62,6 +62,25 @@ def make_txn(
     return HttpTransaction(request=request, response=response)
 
 
+def chain_to_b(**headers):
+    """a.com@1, c.com@2, d.com@3, then b.com@5/6/7 referred by each."""
+    extra = {"extra_req_headers": headers} if headers else {}
+    txns = [make_txn(host=host, uri="/", ts=ts, **extra)
+            for host, ts in (("a.com", 1.0), ("c.com", 2.0), ("d.com", 3.0))]
+    txns += [make_txn(host="b.com", uri=f"/{ts:g}", ts=ts,
+                      referrer=f"http://{ref}/", **extra)
+             for ref, ts in (("a.com", 5.0), ("c.com", 6.0), ("d.com", 7.0))]
+    return txns
+
+
+def late_redirect_to_b(ts, **headers):
+    """a.com's ``/`` again, now a 302 to b.com."""
+    extra = {"extra_req_headers": headers} if headers else {}
+    return make_txn(host="a.com", uri="/", ts=ts, status=302,
+                    content_type="",
+                    extra_res_headers={"Location": "http://b.com/"}, **extra)
+
+
 def cluster_sessions(transactions, idle_gap: float = 60.0
                      ) -> list[SessionWatch]:
     """The watches ``SessionTable`` clusters a stream into (fed in

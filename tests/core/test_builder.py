@@ -7,7 +7,7 @@ from repro.core.model import HttpMethod, Trace
 from repro.core.stages import Stage
 from repro.core.wcg import EdgeKind, NodeKind
 from repro.exceptions import GraphConstructionError
-from tests.conftest import make_txn
+from tests.conftest import chain_to_b, late_redirect_to_b, make_txn
 
 
 class TestBuildWcg:
@@ -142,6 +142,20 @@ class TestIncrementalBuilder:
         assert second is first
         assert second.size > size_before
         assert second.version > version_before
+
+    def test_out_of_order_replay_moves_the_version(self):
+        # The late redirect re-shapes the graph, yet a fresh build of the
+        # longer history happens to count as many mutations as the old
+        # graph did; the replacement must still read as a newer version.
+        builder = WCGBuilder()
+        builder.extend(chain_to_b())
+        before = builder.build()
+        builder.add(late_redirect_to_b(ts=4.0))
+        after = builder.build()
+        assert after.version > before.version
+        assert after.structure_version > before.structure_version
+        assert sorted(after._pair_multiplicity) != sorted(
+            before._pair_multiplicity)
 
     def test_transaction_count(self, simple_trace):
         builder = WCGBuilder()

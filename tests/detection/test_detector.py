@@ -7,7 +7,7 @@ from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.exceptions import DetectionError
 from repro.learning.forest import EnsembleRandomForest
-from tests.conftest import make_txn
+from tests.conftest import chain_to_b, late_redirect_to_b, make_txn
 
 
 @pytest.fixture()
@@ -111,6 +111,25 @@ class TestStreaming:
         detector.process_batch([make_txn(host="a.com", client="alice", ts=1.0)])
         detector.process_batch([make_txn(host="a.com", client="bob", ts=1.5)])
         assert detector.watch_count() == 2
+
+    def test_due_rescore_runs_after_an_out_of_order_replay(self,
+                                                           trained_model):
+        # One session-ID watch, re-scored every second update and never
+        # alerting.  The last transaction makes the re-score due and
+        # arrives late, so the watch's graph is replayed.
+        detector = OnTheWireDetector(trained_model, config=DetectorConfig(
+            alert_threshold=1.5, reclassify_interval=2, use_whitelist=False))
+        clue = make_txn(host="ek.pw", uri="/x.swf", ts=0.5,
+                        content_type="application/x-shockwave-flash",
+                        extra_req_headers={"Cookie": "sid=abc"})
+        for txn in [clue] + chain_to_b(Cookie="sid=abc"):
+            detector.process_batch([txn])
+        (watch,) = detector.active_watches()
+        assert watch.updates_since_score == 1
+        scored, version = detector.classifications, watch.wcg().version
+        detector.process_batch([late_redirect_to_b(4.0, Cookie="sid=abc")])
+        assert watch.wcg().version > version
+        assert detector.classifications == scored + 1
 
 
 class TestListSink:

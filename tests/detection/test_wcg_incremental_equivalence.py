@@ -77,9 +77,8 @@ def test_every_prefix_matches_cold_build(label, txns):
             f"graph divergence after prefix of {count} ({label})"
         )
         assert live.counters == cold.counters
-        assert live.timestamps() == cold.timestamps()
-        assert list(live.request_timestamps()) == \
-            list(cold.request_timestamps())
+        assert live.edge_timestamps == cold.edge_timestamps
+        assert live.request_timestamps == cold.request_timestamps
 
         live_vector = live_extractor.extract(live)
         cold_vector = FeatureExtractor().extract(cold)

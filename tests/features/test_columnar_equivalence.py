@@ -27,11 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import WCGBuilder, build_wcg
-from repro.core.wcg import (
-    KIND_REQUEST,
-    KIND_RESPONSE,
-    WebConversationGraph,
-)
+from repro.core.wcg import EdgeKind, WebConversationGraph
 from repro.features import extractor as extractor_module
 from repro.features.extractor import FeatureExtractor, extract_matrix
 from repro.features.registry import feature_names
@@ -107,7 +103,7 @@ def test_kernels_match_networkx_reference_on_random_digraphs(n_hosts, pairs):
     for step, (a, b) in enumerate(pairs):
         a, b = a % n_hosts, b % n_hosts
         if a != b:
-            wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_REQUEST,
+            wcg.append_edge(f"h{a}", f"h{b}", kind=EdgeKind.REQUEST,
                             timestamp=float(step))
     assert _bits(structural_topology_features(*structure_key(wcg))) == (
         _bits(topology_features(wcg))
@@ -150,11 +146,11 @@ def test_rows_match_vectorised_oracle_on_random_digraphs(n_hosts, pairs,
         if a == b:
             continue
         if status:
-            wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_RESPONSE,
+            wcg.append_edge(f"h{a}", f"h{b}", kind=EdgeKind.RESPONSE,
                             timestamp=step * 0.37, status=status)
         else:
             wcg.record_uri(f"h{b}", f"/p{step}")
-            wcg.append_edge(f"h{a}", f"h{b}", kind=KIND_REQUEST,
+            wcg.append_edge(f"h{a}", f"h{b}", kind=EdgeKind.REQUEST,
                             timestamp=step * 0.37, method="GET",
                             referrer="r" * (step % 2))
     extractor = FeatureExtractor()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.wcg import WebConversationGraph
+from repro.core.wcg import EdgeKind, WebConversationGraph
 from repro.exceptions import FeatureError
 from repro.features.registry import FEATURES, NUM_FEATURES
 
@@ -147,7 +147,8 @@ def assemble_rows(
     matrix[:, _IDX["duration"]] = _guarded_divide(durations, total_uris)
     gaps = np.zeros(n, dtype=np.float64)
     for i, wcg in enumerate(graphs):
-        stamps = wcg.request_timestamps()
+        stamps = sorted(data.timestamp
+                        for _, _, data in wcg.edges(EdgeKind.REQUEST))
         if len(stamps) > 1:
             # Order-sensitive float reduction: must mirror the scalar
             # path's np.mean(np.diff(...)) exactly (see module docstring).

@@ -1,7 +1,7 @@
 """Per-shard watch snapshots: fleet state equals single-process state.
 
-The shard snapshot (DESIGN.md §14) is assembled from WCG column slices,
-and :class:`~repro.detection.live.WatchSnapshot` is a frozen value
+The shard snapshot (DESIGN.md §14) is assembled from WCG counters and
+timestamp extrema, and :class:`~repro.detection.live.WatchSnapshot` is a frozen value
 object — so the differential here is plain ``==``: the merged fleet
 list must equal the single engine's list field for field, at any shard
 count.
@@ -64,7 +64,7 @@ def test_snapshots_off_by_default(trained_model):
 
 
 def test_snapshot_fields_agree_with_column_slices(trained_model):
-    """Snapshot numbers must equal direct reductions over the columns."""
+    """Snapshot numbers must equal direct reductions over the edges."""
     packets, book = _workload()
     engine = LiveDetector(OnTheWireDetector(trained_model), book=book)
     for packet in packets:
@@ -74,13 +74,11 @@ def test_snapshot_fields_agree_with_column_slices(trained_model):
     by_key = {watch.key: watch for watch in engine.detector.active_watches()}
     for snap in snapshots:
         watch = by_key[snap.key]
-        wcg = watch.wcg()
-        store = wcg.edge_store
-        assert snap.size == len(store)
-        assert sum(snap.stage_counts) == len(store)
-        timestamps = store.column("timestamp")
-        assert snap.first_edge_ts == float(timestamps.min())
-        assert snap.last_edge_ts == float(timestamps.max())
+        timestamps = [data.timestamp for _, _, data in watch.wcg().edges()]
+        assert snap.size == len(timestamps)
+        assert sum(snap.stage_counts) == len(timestamps)
+        assert snap.first_edge_ts == min(timestamps)
+        assert snap.last_edge_ts == max(timestamps)
         # The histogram is the per-edge rule over the watch's history.
         stages = [stage for _, _, stage in edge_stages(watch.transactions)]
         assert snap.stage_counts == tuple(

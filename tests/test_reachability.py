@@ -16,12 +16,16 @@ entry that says why it stays.  The scan is stdlib :mod:`ast` only.
   each paper artefact;
 * :data:`README_NAMES`, the library API the README's code blocks show.
 
-*Matching* is by identifier, transitively: a reached body reaches every
-definition that bears a name it mentions (``obj.feed(...)`` reaches
-every ``feed``).  That over-approximates, so the fence can miss dead
-code but never flags live code.  A dunder is reached with its class.
-Imports and ``__all__`` are not uses, so an ``__init__.py`` re-export
-keeps nothing alive, and ``tests/`` is not a root.
+*Matching* is by identifier, transitively: a reached body reaches the
+definitions that bear a name it mentions.  An attribute (``obj.feed``)
+or an identifier in a root file's strings reaches every definition of
+that name, methods included; a bare name (``feed``) reaches only
+top-level definitions, and, in a class's own body, that class's members
+(a dispatch table such as ``_steps = (_start, ...)``).  That still
+over-approximates, so the fence can miss dead code but never flags live
+code.  A dunder is reached with its class.  Imports and ``__all__`` are
+not uses, so an ``__init__.py`` re-export keeps nothing alive, and
+``tests/`` is not a root.
 
 To keep a definition the fence flags, add it to :data:`ALLOWLIST` under
 one of the three headings there.  An entry that is reached or no longer
@@ -118,43 +122,45 @@ def _assigns_all(stmt: ast.stmt) -> bool:
                for t in targets)
 
 
-def _names(nodes, strings: bool = False) -> set[str]:
-    """Identifiers the nodes mention.  An import is not a use, except
-    that ``import x as y`` uses ``x``; with ``strings``, identifiers
-    inside string constants count too."""
-    found: set[str] = set()
+def _names(nodes, strings: bool = False) -> tuple[set[str], set[str]]:
+    """``(bare, attributes)``: the identifiers the nodes mention as
+    plain names and as attributes.  An import is not a use, except that
+    ``import x as y`` uses the bare name ``x``; with ``strings``,
+    identifiers inside string constants count as attributes."""
+    bare: set[str] = set()
+    attributes: set[str] = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                found.add(sub.id)
+                bare.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
+                attributes.add(sub.attr)
             elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-                found.update(alias.name.rpartition(".")[2]
-                             for alias in sub.names if alias.asname)
+                bare.update(alias.name.rpartition(".")[2]
+                            for alias in sub.names if alias.asname)
             elif (strings and isinstance(sub, ast.Constant)
                   and isinstance(sub.value, str)):
-                found.update(_IDENTIFIER.findall(sub.value))
-    return found
+                attributes.update(_IDENTIFIER.findall(sub.value))
+    return bare, attributes
 
 
 class _Definition:
     """One checked definition: its qualified name, file, node and
-    enclosing class, and (for a class) the dunder methods reached with
-    it."""
+    enclosing class, and (for a class) its member definitions."""
 
-    __slots__ = ("qualname", "path", "node", "owner", "dunders")
+    __slots__ = ("qualname", "path", "node", "owner", "members")
 
     def __init__(self, qualname: str, path: Path, node: ast.AST, owner):
         self.qualname = qualname
         self.path = path
         self.node = node
         self.owner = owner
-        self.dunders: list[_Definition] = []
+        self.members: list[_Definition] = []
 
-    def uses(self) -> set[str]:
-        """What reaching this definition reaches: a function's whole
-        node; a class's decorators, bases and non-method statements."""
+    def uses(self) -> tuple[set[str], set[str]]:
+        """What reaching this definition reaches, as ``_names`` returns
+        it: a function's whole node; a class's decorators, bases and
+        non-method statements."""
         node = self.node
         if not isinstance(node, ast.ClassDef):
             return _names([node])
@@ -167,8 +173,8 @@ def _definitions(path: Path, body, prefix: str = "", owner=None):
     for stmt in _flat(body):
         if isinstance(stmt, _DEFS):
             definition = _Definition(prefix + stmt.name, path, stmt, owner)
-            if owner is not None and _is_dunder(stmt.name):
-                owner.dunders.append(definition)
+            if owner is not None:
+                owner.members.append(definition)
             yield definition
             if isinstance(stmt, ast.ClassDef):
                 yield from _definitions(path, stmt.body,
@@ -180,37 +186,52 @@ def scan(src: Path, root_files, root_names=()):
     """``(unreached, defined)`` for the modules under ``src``, both as
     ``qualname -> path``.  An unreached class stands for its members,
     and a dunder is never reported on its own."""
-    by_name: dict[str, list[_Definition]] = {}
+    # An attribute reaches every definition of its name, a bare name
+    # only the top-level ones.
+    by_attribute: dict[str, list[_Definition]] = {}
+    by_bare: dict[str, list[_Definition]] = {}
     definitions: list[_Definition] = []
-    seeds = set(root_names)
+    pending = [(name, True) for name in root_names]
+
+    def mention(names: tuple[set[str], set[str]]) -> None:
+        bare, attributes = names
+        pending.extend((name, False) for name in bare)
+        pending.extend((name, True) for name in attributes)
+
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        seeds |= _names(stmt for stmt in _flat(tree.body)
-                        if not isinstance(stmt, _DEFS)
-                        and not _assigns_all(stmt))
+        mention(_names(stmt for stmt in _flat(tree.body)
+                       if not isinstance(stmt, _DEFS)
+                       and not _assigns_all(stmt)))
         for definition in _definitions(path, tree.body):
             definitions.append(definition)
-            by_name.setdefault(definition.node.name, []).append(definition)
+            name = definition.node.name
+            by_attribute.setdefault(name, []).append(definition)
+            if definition.owner is None:
+                by_bare.setdefault(name, []).append(definition)
     for path in root_files:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        seeds |= _names([tree], strings=True)
+        mention(_names([tree], strings=True))
 
     reached: set[int] = set()
-    seen: set[str] = set()
-    pending = list(seeds)
+    seen: set[tuple[str, bool]] = set()
     while pending:
-        name = pending.pop()
-        if name in seen:
+        key = pending.pop()
+        if key in seen:
             continue
-        seen.add(name)
-        stack = list(by_name.get(name, ()))
+        seen.add(key)
+        name, attribute = key
+        stack = list((by_attribute if attribute else by_bare).get(name, ()))
         while stack:
             definition = stack.pop()
             if id(definition) in reached:
                 continue
             reached.add(id(definition))
-            pending.extend(definition.uses() - seen)
-            stack.extend(definition.dunders)
+            uses = definition.uses()
+            mention(uses)
+            stack.extend(member for member in definition.members
+                         if _is_dunder(member.node.name)
+                         or member.node.name in uses[0])
 
     defined = {d.qualname: d.path for d in definitions}
     unreached = {
@@ -260,9 +281,10 @@ def test_allowlist_reasons_fall_under_a_heading():
 
 
 def test_fence_flags_planted_dead_code(tmp_path):
-    """A planted package: re-exports, ``__all__`` and a recursive self
-    call keep nothing alive; module-level code, a root file and an
-    attribute call do; a dead class is one entry for all its members."""
+    """A planted package: re-exports, ``__all__``, a recursive self
+    call and a local variable named like a method keep nothing alive;
+    module-level code, a root file, an attribute call and a class-body
+    dispatch table do; a dead class is one entry for all its members."""
     files = {
         "src/pkg/__init__.py": """
             from pkg.mod import dead, live
@@ -270,7 +292,8 @@ def test_fence_flags_planted_dead_code(tmp_path):
         """,
         "src/pkg/mod.py": """
             def live():
-                return _helper()
+                count = _helper()
+                return count
 
             def _helper():
                 return 1
@@ -288,6 +311,15 @@ def test_fence_flags_planted_dead_code(tmp_path):
                 def unused(self):
                     return 0
 
+                def count(self):
+                    return 0
+
+            class Parser:
+                def _start(self):
+                    return 0
+
+                _steps = (_start,)
+
             class Crate:
                 def __len__(self):
                     return 0
@@ -301,6 +333,7 @@ def test_fence_flags_planted_dead_code(tmp_path):
             from pkg import live
             live()
             TABLE["box"]().used()
+            Parser._steps
         """,
     }
     for name, text in files.items():
@@ -308,8 +341,9 @@ def test_fence_flags_planted_dead_code(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
     unreached, defined = scan(tmp_path / "src", [tmp_path / "root.py"])
-    assert set(unreached) == {"dead", "Box.unused", "Crate"}
-    assert {"live", "_helper", "Box.__init__", "Crate.open"} <= set(defined)
+    assert set(unreached) == {"dead", "Box.unused", "Box.count", "Crate"}
+    assert {"live", "_helper", "Box.__init__", "Parser._start",
+            "Crate.open"} <= set(defined)
     allowlist = {"dead": "debt (1 test): x", "live": "reference: x",
                  "gone": "state: x"}
     assert stale_entries(allowlist, unreached, defined) == {

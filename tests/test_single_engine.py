@@ -117,23 +117,36 @@ _GONE_STAGE_NAMES = (
 )
 
 
+#: A WCG is its edge lists: the numpy column store and the int kind
+#: codes are gone.
+_GONE_COLUMN_NAMES = (
+    "EdgeColumnStore", "edge_store", "column_reallocs", "KIND_REQUEST",
+    "KIND_RESPONSE", "KIND_REDIRECT", "_KIND_CODE", "_sorted_ts",
+)
+
+
 def test_stored_stages_and_unread_edge_columns_stay_gone():
+    import importlib
     import re
 
-    from repro.core.columns import EdgeColumnStore
+    import pytest
+
     from repro.core.wcg import EdgeData
 
     offenders = [
         f"{path.relative_to(SRC)}: {name}"
         for path in sorted(SRC.rglob("*.py"))
-        for name in _GONE_STAGE_NAMES
+        for name in _GONE_STAGE_NAMES + _GONE_COLUMN_NAMES
         if re.search(rf"\b{re.escape(name)}\b",
                      path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
-    assert [name for name, _ in EdgeColumnStore._NUMERIC] == [
-        "timestamp", "kind", "src", "dst"]
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.core.columns")
     assert EdgeData._fields == ("kind", "timestamp")
+    # No numpy array behind a graph.
+    assert "numpy" not in (SRC / "repro" / "core" / "wcg.py").read_text(
+        encoding="utf-8")
 
 
 def test_a_shard_runs_the_same_engine_type_as_the_tap(trained_model):
