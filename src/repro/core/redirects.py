@@ -267,7 +267,7 @@ class RedirectInferencer:
         # dict is dedup index and ordered result list; no set until used.
         self._seen: dict[tuple[str, str, RedirectKind], Redirect] = {}
         self._visited_hosts: set[str] = set()
-        self._content_targets = _NO_TARGETS
+        self._content_targets: set[str] | frozenset[str] = _NO_TARGETS
 
     @property
     def redirects(self) -> list[Redirect]:
@@ -281,6 +281,13 @@ class RedirectInferencer:
             return []
         redirect = self._seen[key] = Redirect(source, target, kind, ts, url)
         return [redirect]
+
+    def _add_content_target(self, target: str) -> None:
+        # The shared empty frozenset until the first target, then one set.
+        if self._content_targets:
+            self._content_targets.add(target)
+        else:
+            self._content_targets = {target}
 
     def observe(self, txn: HttpTransaction) -> list[Redirect]:
         """Ingest one transaction; returns the redirects it revealed."""
@@ -297,7 +304,7 @@ class RedirectInferencer:
             target = _host_of(absolute, server)
             fresh += self._emit(server, target, RedirectKind.HTTP_30X,
                                 response.timestamp, absolute)
-            self._content_targets |= {target}
+            self._add_content_target(target)
         if response is not None and response.body:
             if response.content_type.lower().startswith(_TEXTUAL_TYPES):
                 body = response.body.decode("utf-8", errors="replace")
@@ -305,7 +312,7 @@ class RedirectInferencer:
                     target = _host_of(url, server)
                     fresh += self._emit(server, target, kind,
                                         response.timestamp, url)
-                    self._content_targets |= {target}
+                    self._add_content_target(target)
         ref_host = txn.request.referrer_host
         if (
             ref_host

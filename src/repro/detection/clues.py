@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.model import HttpTransaction, Trace
 from repro.core.payloads import PayloadType, is_exploit_type
-from repro.core.redirects import (
-    Redirect,
-    RedirectInferencer,
-    longest_chain_length,
-)
+from repro.core.redirects import RedirectInferencer, longest_chain_length
 from repro.obs import get_registry
 
 __all__ = ["InfectionClue", "CluePolicy", "ClueDetector",
@@ -120,22 +116,25 @@ class ClueDetector:
     def __init__(self, policy: CluePolicy | None = None):
         self.policy = policy or CluePolicy()
         self._inferencer = RedirectInferencer()
-        self._chain_length = 0
+        self._chain_length: int | None = 0
         self._c_clues = get_registry().counter("detection.clues_fired")
 
     def observe(self, txn: HttpTransaction) -> InfectionClue | None:
         """Ingest one transaction; returns a clue when one is flagged."""
         # Incremental inference: O(this transaction), not O(window).
-        # Chain length only changes when a new redirect appears.
+        # A new redirect only marks the chain length stale (``None``):
+        # the rule reads it at a risky download, so it is assembled there.
         if self._inferencer.observe(txn):
-            self._chain_length = longest_chain_length(
-                self._inferencer.redirects
-            )
-        chain = self._chain_length
+            self._chain_length = None
         ptype = txn.payload_type
         downloaded = txn.status == 200 and ptype in self.policy.risky_types
         if not downloaded:
             return None
+        chain = self._chain_length
+        if chain is None:
+            chain = self._chain_length = longest_chain_length(
+                self._inferencer.redirects
+            )
         if chain >= self.policy.redirect_threshold or (
             self.policy.exploit_shortcut and is_exploit_type(ptype)
         ):
@@ -148,8 +147,3 @@ class ClueDetector:
                 timestamp=txn.timestamp,
             )
         return None
-
-    def reset(self) -> None:
-        """Clear per-session state."""
-        self._inferencer = RedirectInferencer()
-        self._chain_length = 0

@@ -14,17 +14,19 @@ Extraction is tiered for the on-the-wire path:
   graphs — sessions that repeat a conversation shape (the common case
   under real traffic) pay for it once.  A per-graph weak cache keyed on
   ``structure_version`` short-circuits the key computation for an
-  unchanged graph;
-* the assembled 37-vector is cached per graph keyed on ``version``, so
-  scoring an unchanged WCG never re-extracts anything.
+  unchanged graph.
+
+The assembled 37-vector is not cached: the detector never re-scores an
+unchanged graph (it skips on ``scored_version == version``), so every
+extract it asks for is of a graph that moved.
 
 :meth:`FeatureExtractor.extract_batch` is the multi-graph entry point:
-cache-fresh rows are reused and each of the rest is filled by the same
-row routine :meth:`~FeatureExtractor.extract` uses — the detector's
-``score_batch`` flush (one or two rows at a time on a per-transaction
-feed) and :func:`extract_matrix`'s serial path ride it.
+each row is filled by the same row routine
+:meth:`~FeatureExtractor.extract` uses — the detector's ``score_batch``
+flush (one or two rows at a time on a per-transaction feed) and
+:func:`extract_matrix`'s serial path ride it.
 
-Cache lifetime: the per-graph caches are
+Cache lifetime: the per-graph topology cache is a
 :class:`weakref.WeakKeyDictionary` — entries vanish with their graph —
 and the structural LRU is bounded (``_STRUCTURE_CACHE_SIZE`` entries
 of eleven floats), so a long-running tap extracting from
@@ -70,9 +72,6 @@ class FeatureExtractor:
     """
 
     def __init__(self) -> None:
-        self._vector_cache: "weakref.WeakKeyDictionary[WebConversationGraph, tuple[int, np.ndarray]]" = (
-            weakref.WeakKeyDictionary()
-        )
         self._topology_cache: "weakref.WeakKeyDictionary[WebConversationGraph, tuple[int, dict[str, float]]]" = (
             weakref.WeakKeyDictionary()
         )
@@ -83,8 +82,6 @@ class FeatureExtractor:
         )
         metrics = get_registry()
         self._metrics = metrics
-        self._c_vec_hits = metrics.counter("features.vector_cache_hits")
-        self._c_vec_misses = metrics.counter("features.vector_cache_misses")
         self._c_topo_hits = metrics.counter("features.topology_cache_hits")
         self._c_topo_misses = metrics.counter("features.topology_cache_misses")
         self._c_batch_extracts = metrics.counter("features.batch_extracts")
@@ -96,20 +93,13 @@ class FeatureExtractor:
         return len(self._structural)
 
     def extract(self, wcg: WebConversationGraph) -> np.ndarray:
-        """Feature vector for one WCG, in registry order.
-
-        The returned array is shared with the cache and marked
-        read-only; copy it before mutating.
-        """
+        """Feature vector for one WCG, in registry order (a fresh row)."""
         return self._row(wcg)
 
     def _row(self, wcg: WebConversationGraph) -> np.ndarray:
-        """The cached read-only row of ``wcg``, computed when stale."""
-        cached = self._vector_cache.get(wcg)
-        if cached is not None and cached[0] == wcg.version:
-            self._c_vec_hits.inc()
-            return cached[1]
-        self._c_vec_misses.inc()
+        """The row routine :meth:`extract` and :meth:`extract_batch`
+        share; a batch calls it directly, so instrumentation wrapping
+        ``extract`` does not count a batch as one call per row."""
         values = high_level_features(wcg)
         values.update(scalar_graph_features(wcg))
         values.update(self._topology(wcg))
@@ -126,8 +116,6 @@ class FeatureExtractor:
         if not np.isfinite(vector).all():
             bad = [FEATURES[i].name for i in np.where(~np.isfinite(vector))[0]]
             raise FeatureError(f"non-finite feature values: {bad}")
-        vector.flags.writeable = False
-        self._vector_cache[wcg] = (wcg.version, vector)
         return vector
 
     def extract_batch(

@@ -1,16 +1,23 @@
 """Unit tests for session-ID extraction and session grouping (the
 clustering cases run on the one clusterer, ``SessionTable.route``)."""
 
-from urllib.parse import urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.payloads import split_uri
-from repro.core.sessions import extract_session_id
+from repro.core.sessions import (
+    _SESSION_PARAM_NAMES,
+    _may_name_session,
+    extract_session_id,
+)
 from tests.conftest import cluster_sessions, make_txn
-from tests.oracles.session_id import extract_session_id_reference
+from tests.oracles.session_id import (
+    MAY_NAME_SESSION_REFERENCE,
+    extract_session_id_reference,
+)
 
 # URI fragments chosen to sit on every shortcut ``extract_session_id``
 # and ``split_uri`` take: markers present/absent, names spelt plainly,
@@ -45,6 +52,24 @@ def test_session_id_matches_the_reference(uri, cookie):
     txn = make_txn(uri=uri,
                    extra_req_headers={"Cookie": cookie} if cookie else None)
     assert extract_session_id(txn) == extract_session_id_reference(txn)
+
+
+@settings(max_examples=600, deadline=None)
+@given(query=st.one_of(st.text(), _PAIRS))
+def test_needles_accept_every_query_the_regex_accepted(query):
+    # The regex's only other hits are case-fold look-alikes (``ſid``),
+    # which ``name.lower()`` rejects after ``parse_qsl`` anyway.
+    hits = MAY_NAME_SESSION_REFERENCE.finditer(query)
+    if any(hit.group().isascii() for hit in hits):
+        assert _may_name_session(query)
+    if any(name.lower() in _SESSION_PARAM_NAMES and value
+           for name, value in parse_qsl(query)):
+        assert _may_name_session(query)
+
+
+def test_every_session_name_contains_a_needle():
+    for name in _SESSION_PARAM_NAMES:
+        assert _may_name_session(name) and _may_name_session(name.upper())
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,14 +1,18 @@
 """Unit tests for infection-clue inference."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.payloads import PayloadType
+from repro.core.redirects import longest_chain_length
+from repro.detection import clues
 from repro.detection.clues import (
     ClueDetector,
     CluePolicy,
     payload_risk_from_corpus,
 )
 from tests.conftest import make_txn
+from tests.oracles.clue_rule import EagerClueRule
 
 
 def _redirect_txn(src, dst, ts):
@@ -70,21 +74,31 @@ class TestClueDetector:
         )
         assert clue is None
 
-    def test_reset_clears_window(self):
-        """The window is the redirect chain: gone after ``reset()``."""
-        policy = CluePolicy(redirect_threshold=2, exploit_shortcut=False)
-        archive = make_txn(host="c.com", uri="/x.zip", ts=3.0,
-                           content_type="application/zip")
-        detector = ClueDetector(policy)
-        detector.observe(_redirect_txn("a.com", "b.com", 1.0))
-        detector.observe(_redirect_txn("b.com", "c.com", 2.0))
-        detector.reset()
-        assert detector.observe(archive) is None
-        # Not because the archive never clues: without the reset it does.
-        detector.reset()
-        detector.observe(_redirect_txn("a.com", "b.com", 1.0))
-        detector.observe(_redirect_txn("b.com", "c.com", 2.0))
-        assert detector.observe(archive) is not None
+    def test_chain_is_assembled_only_at_a_risky_download(self, monkeypatch):
+        calls = []
+
+        def counting(redirects):
+            calls.append(len(redirects))
+            return longest_chain_length(redirects)
+
+        monkeypatch.setattr(clues, "longest_chain_length", counting)
+        detector = ClueDetector(CluePolicy(redirect_threshold=3,
+                                           exploit_shortcut=False))
+        for hop in range(200):
+            assert detector.observe(
+                _redirect_txn(f"h{hop}.com", f"h{hop + 1}.com", float(hop))
+            ) is None
+        assert calls == []
+        clue = detector.observe(
+            make_txn(host="h200.com", uri="/x.zip", ts=200.0,
+                     content_type="application/zip")
+        )
+        assert calls == [200]
+        assert clue is not None and clue.chain_length == 200
+        # No new redirect since: the length is not assembled again.
+        detector.observe(make_txn(host="h200.com", uri="/y.zip", ts=201.0,
+                                  content_type="application/zip"))
+        assert calls == [200]
 
 
 class TestPayloadRisk:
@@ -104,3 +118,56 @@ class TestPayloadRisk:
 
     def test_empty_corpus(self):
         assert payload_risk_from_corpus([]) == {}
+
+
+_HOSTS = ("a.com", "b.com", "c.com", "d.com", "e.com")
+_RISKY_TYPES = ("application/zip", "application/pdf",
+                "application/octet-stream")
+_EXPLOIT_TYPES = ("application/x-msdownload", "application/java-archive",
+                  "application/x-shockwave-flash")
+_BENIGN_TYPES = ("text/html", "image/png", "text/css")
+
+
+@st.composite
+def _client_sequence(draw):
+    """One client's transactions: 30x chains, content redirects, referrer
+    hops over repeated hosts, and downloads of every kind of payload."""
+    host = st.sampled_from(_HOSTS)
+    txns = []
+    ts = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        ts += draw(st.sampled_from([0.0, 0.5, 1.0]))
+        shape = draw(st.sampled_from(
+            ["chain", "content", "referrer", "download", "page"]))
+        if shape == "chain":
+            hops = draw(st.lists(host, min_size=1, max_size=7))
+            for source, target in zip(hops, hops[1:]):
+                txns.append(_redirect_txn(source, target, ts))
+                ts += 0.25
+        elif shape == "content":
+            txns.append(make_txn(
+                host=draw(host), ts=ts, content_type="text/html",
+                body=(f'<iframe src="http://{draw(host)}/x"></iframe>'
+                      .encode())))
+        elif shape == "referrer":
+            txns.append(make_txn(host=draw(host), ts=ts,
+                                 referrer=f"http://{draw(host)}/"))
+        else:
+            kinds = (_RISKY_TYPES + _EXPLOIT_TYPES if shape == "download"
+                     else _BENIGN_TYPES)
+            txns.append(make_txn(
+                host=draw(host), uri="/f", ts=ts,
+                status=draw(st.sampled_from([200, 200, 404, 304])),
+                content_type=draw(st.sampled_from(kinds))))
+    return txns
+
+
+@settings(max_examples=300, deadline=None)
+@given(txns=_client_sequence(), threshold=st.integers(0, 5),
+       shortcut=st.booleans())
+def test_lazy_chain_length_matches_the_eager_rule(txns, threshold, shortcut):
+    policy = CluePolicy(redirect_threshold=threshold,
+                        exploit_shortcut=shortcut)
+    lazy, eager = ClueDetector(policy), EagerClueRule(policy)
+    for txn in txns:
+        assert lazy.observe(txn) == eager.observe(txn)

@@ -1,6 +1,7 @@
 """Reference session-id extraction: regex, ``urlsplit`` and ``parse_qsl``
 on every URI — what ``repro.core.sessions.extract_session_id`` did
-before it learned to skip them for URIs that cannot carry a marker."""
+before it learned to skip them for URIs that cannot carry a marker —
+and the case-folding regex prefilter its substring needles replaced."""
 
 import re
 from urllib.parse import parse_qsl, urlsplit
@@ -15,6 +16,11 @@ _COOKIE_SESSION = re.compile(
     re.IGNORECASE,
 )
 _PATH_SESSION = re.compile(r";jsessionid=([A-Za-z0-9_\-]+)", re.IGNORECASE)
+#: A query names a session parameter only if it spells one out, or
+#: holds an escape (``%xx``, ``+``) that might decode to one.
+MAY_NAME_SESSION_REFERENCE = re.compile(
+    "|".join(_SESSION_PARAM_NAMES) + "|[%+]", re.IGNORECASE
+)
 
 
 def extract_session_id_reference(txn) -> str:

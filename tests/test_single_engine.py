@@ -149,6 +149,25 @@ def test_stored_stages_and_unread_edge_columns_stay_gone():
         encoding="utf-8")
 
 
+#: The per-transaction path pays only for what is read: the feature-vector
+#: cache never hit, and substring needles replaced the session regex.
+_GONE_UNREAD_NAMES = ("_vector_cache", "vector_cache_hits",
+                      "_MAY_NAME_SESSION")
+
+
+def test_the_unread_vector_cache_and_session_regex_stay_gone():
+    import re
+
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _GONE_UNREAD_NAMES
+        if re.search(rf"\b{re.escape(name)}\b",
+                     path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def test_a_shard_runs_the_same_engine_type_as_the_tap(trained_model):
     from repro.detection.live import LiveDetector
     from repro.service import EngineSpec
