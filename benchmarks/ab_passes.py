@@ -10,7 +10,10 @@ as long: run-level pairs of one unchanged tree have read 18.3k and
 (its own ``src`` and its own ``benchmarks.ledger.workloads``, imported
 read-only), both children read the same input files, and single passes
 alternate between them, so a slow regime hits both sides; pass-level
-ratios repeat to about +-3%.
+ratios repeat to about +-3%.  Each side builds its input with its own
+set-up code, so a change to what a pickled input holds (the
+``proxy_dense`` transaction stream) is read by the code that wrote it;
+an A/A run builds one input and both children read it.
 
 Prints, per side, min and median wall and CPU microseconds per item and
 peak resident MiB (``VmHWM``, restarted before every pass, so a memory
@@ -119,16 +122,18 @@ def main() -> int:
         return 0
 
     roots = {"A": os.path.abspath(args.a), "B": os.path.abspath(args.b)}
-    workdir = tempfile.mkdtemp(prefix="ab_passes_")
+    workdirs = {root: tempfile.mkdtemp(prefix="ab_passes_")
+                for root in roots.values()}
     children = {}
     try:
-        # One input, built by A's own set-up code, read by both sides.
-        subprocess.run(_command("--build", roots["A"], args, workdir),
-                       check=True)
+        # Each checkout's input built by its own set-up code.
+        for root, workdir in workdirs.items():
+            subprocess.run(_command("--build", root, args, workdir),
+                           check=True)
         children = {
-            side: subprocess.Popen(_command("--child", root, args, workdir),
-                                   stdin=subprocess.PIPE,
-                                   stdout=subprocess.PIPE, text=True)
+            side: subprocess.Popen(
+                _command("--child", root, args, workdirs[root]),
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
             for side, root in roots.items()
         }
         for process in children.values():
@@ -144,7 +149,8 @@ def main() -> int:
                 process.wait(timeout=60)
             except subprocess.TimeoutExpired:
                 process.kill()
-        shutil.rmtree(workdir, ignore_errors=True)
+        for workdir in workdirs.values():
+            shutil.rmtree(workdir, ignore_errors=True)
 
     for side, rows in records.items():
         print(f"{side} {roots[side]}")

@@ -52,75 +52,87 @@ _METHODS = {method.value: method for method in HttpMethod}
 
 
 class Headers:
-    """Case-insensitive, order-preserving HTTP header multimap.
-
-    ``version`` counts mutations, so a reader that derived something
-    from the headers (:attr:`HttpRequest.referrer_host`) can tell when
-    to derive it again without the map carrying an index.
+    """Case-insensitive, order-preserving HTTP header multimap, stored
+    as a tuple of names beside a tuple of values (no pair per header: a
+    watch retains every message).  A mutation replaces both tuples, so
+    :meth:`copy` shares them.  ``version`` counts mutations, so a reader
+    that derived something from the headers (:attr:`HttpRequest.
+    referrer_host`) can tell when to derive it again without an index.
     """
 
-    __slots__ = ("_items", "version")
+    __slots__ = ("_names", "_values", "version")
 
     def __init__(self, items: list[tuple[str, str]] | dict[str, str] | None = None):
-        if isinstance(items, dict):
-            self._items: list[tuple[str, str]] = list(items.items())
-        else:
-            self._items = list(items or [])
+        pairs = items.items() if isinstance(items, dict) else items or ()
+        self._names, self._values = tuple(zip(*pairs)) or ((), ())
         self.version = 0
+
+    @classmethod
+    def _of(cls, names: tuple[str, ...], values: tuple[str, ...]) -> "Headers":
+        """The map stored as ``names`` beside ``values``, as given."""
+        headers = cls.__new__(cls)
+        headers._names, headers._values, headers.version = names, values, 0
+        return headers
 
     def get(self, name: str, default: str = "") -> str:
         """First value for ``name`` (case-insensitive), else ``default``."""
         lowered = name.lower()
-        for key, value in self._items:
+        for key in self._names:
             # Identity settles interned names; first match either way wins.
             if key == name or key.lower() == lowered:
-                return value
+                # No earlier name equals ``key``: it would have matched.
+                return self._values[self._names.index(key)]
         return default
 
     def set(self, name: str, value: str) -> None:
         """Replace all occurrences of ``name`` with a single value."""
-        lowered = name.lower()
-        self._items = [(k, v) for k, v in self._items if k.lower() != lowered]
-        self._items.append((name, value))
-        self.version += 1
+        self.remove(name)  # the one version bump
+        self._names += (name,)
+        self._values += (value,)
 
     def add(self, name: str, value: str) -> None:
         """Append a header without removing existing occurrences."""
-        self._items.append((name, value))
+        self._names += (name,)
+        self._values += (value,)
         self.version += 1
 
     def remove(self, name: str) -> None:
         """Delete all occurrences of ``name``."""
         lowered = name.lower()
-        self._items = [(k, v) for k, v in self._items if k.lower() != lowered]
+        for key in self._names:
+            if key.lower() == lowered:  # rebuild only when one goes
+                kept = [i for i, k in enumerate(self._names) if k.lower() != lowered]
+                self._names = tuple([self._names[i] for i in kept])
+                self._values = tuple([self._values[i] for i in kept])
+                break
         self.version += 1
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and any(
-            key.lower() == name.lower() for key, _ in self._items
+            key.lower() == name.lower() for key in self._names
         )
 
     def __iter__(self):
-        return iter(self._items)
+        return zip(self._names, self._values)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Headers):
             return NotImplemented
-        return self._items == other._items
+        return self._names == other._names and self._values == other._values
 
     def __repr__(self) -> str:
-        return f"Headers({self._items!r})"
+        return f"Headers({self.items()!r})"
 
     def copy(self) -> "Headers":
         """Shallow copy of this header map."""
-        return Headers(list(self._items))
+        return Headers._of(self._names, self._values)
 
     def items(self) -> list[tuple[str, str]]:
         """All ``(name, value)`` pairs in original order."""
-        return list(self._items)
+        return list(self)
 
 
 @dataclass(slots=True)
@@ -178,13 +190,6 @@ class HttpRequest:
     def uri_length(self) -> int:
         """Length of the request URI (edge attribute, Section III-C)."""
         return len(self.uri)
-
-    @property
-    def full_url(self) -> str:
-        """Absolute URL of the request."""
-        if self.uri.startswith("http://") or self.uri.startswith("https://"):
-            return self.uri
-        return f"http://{self.host}{self.uri}"
 
     @property
     def dnt(self) -> bool:
@@ -346,15 +351,9 @@ class Trace:
         """Wall-clock span of the trace in seconds."""
         if not self.transactions:
             return 0.0
-        first = self.transactions[0].timestamp
-        last = max(
-            (
-                txn.response.timestamp if txn.response else txn.timestamp
-                for txn in self.transactions
-            ),
-            default=first,
-        )
-        return max(0.0, last - first)
+        last = max(txn.response.timestamp if txn.response else txn.timestamp
+                   for txn in self.transactions)
+        return max(0.0, last - self.transactions[0].timestamp)
 
     @property
     def is_infection(self) -> bool:

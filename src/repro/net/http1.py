@@ -74,41 +74,42 @@ class RawHttpResponse:
 
 
 def _split_headers(block: bytes | bytearray) -> tuple[str, Headers]:
-    """Split a header block into (start line, Headers): one decode, and
-    names interned — a tap sees few, and a watch retains every message."""
+    """Split a header block into (start line, Headers): one decode, no
+    pair per line, names interned — a watch retains every message."""
     lines = block.decode("latin-1").split("\r\n")
     start = lines.pop(0)
-    items: list[tuple[str, str]] = []
+    names: list[str] = []
+    values: list[str] = []
     for line in lines:
         if not line:
             continue
-        if line[0] in " \t" and items:
+        if line[0] in " \t" and names:
             # Obsolete header folding: append to the previous value.
-            name, value = items[-1]
-            items[-1] = (name, value + " " + line.strip(_ASCII_WHITESPACE))
+            values[-1] += " " + line.strip(_ASCII_WHITESPACE)
             continue
         name, colon, value = line.partition(":")
         if not colon:
             raise HttpParseError(
                 f"malformed header line: {line[:60].encode('latin-1')!r}"
             )
-        items.append((intern(name.strip()), value.strip()))
-    return start, Headers(items)
+        names.append(intern(name.strip()))
+        values.append(value.strip())
+    return start, Headers._of(tuple(names), tuple(values))
 
 
 def _framing(headers: Headers) -> int | None:
-    """Body framing the headers declare, read in one scan:
+    """Body framing the headers declare, read in one scan of the names:
     :data:`_CHUNKED` (which outranks any ``Content-Length``, malformed
     ones included), else the declared length, else ``None``.  Of a
     repeated header the first occurrence counts; a name is case-folded
     only when its length says it could match."""
     declared = encoding = None
-    for name, value in headers:
+    for name in headers._names:  # a first match, so index() finds it
         size = len(name)
         if size == 14 and declared is None and name.lower() == "content-length":
-            declared = value
+            declared = headers._values[headers._names.index(name)]
         elif size == 17 and encoding is None and name.lower() == "transfer-encoding":
-            encoding = value
+            encoding = headers._values[headers._names.index(name)]
     if encoding and "chunked" in encoding.lower():
         return _CHUNKED
     if not declared:
@@ -468,11 +469,7 @@ def serialize_request(req: RawHttpRequest) -> bytes:
     headers.remove("Transfer-Encoding")
     if req.body or req.method in ("POST", "PUT"):
         headers.set("Content-Length", str(len(req.body)))
-    lines = [f"{req.method} {req.uri} {req.version}".encode("latin-1")]
-    lines.extend(
-        f"{name}: {value}".encode("latin-1") for name, value in headers
-    )
-    return _CRLF.join(lines) + _HEADER_END + req.body
+    return _serialize(f"{req.method} {req.uri} {req.version}", headers, req.body)
 
 
 def serialize_response(res: RawHttpResponse) -> bytes:
@@ -480,9 +477,10 @@ def serialize_response(res: RawHttpResponse) -> bytes:
     headers = res.headers.copy()
     headers.remove("Transfer-Encoding")
     headers.set("Content-Length", str(len(res.body)))
-    reason = res.reason or "OK"
-    lines = [f"{res.version} {res.status} {reason}".encode("latin-1")]
-    lines.extend(
-        f"{name}: {value}".encode("latin-1") for name, value in headers
-    )
-    return _CRLF.join(lines) + _HEADER_END + res.body
+    return _serialize(f"{res.version} {res.status} {res.reason or 'OK'}",
+                      headers, res.body)
+
+
+def _serialize(start: str, headers: Headers, body: bytes) -> bytes:
+    lines = [start] + [f"{name}: {value}" for name, value in headers]
+    return "\r\n".join(lines).encode("latin-1") + _HEADER_END + body

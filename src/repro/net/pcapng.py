@@ -94,6 +94,8 @@ class PcapngReader:
             code, length = struct.unpack_from(self._endian + "HH", body,
                                               offset)
             offset += 4
+            if offset + length > len(body):
+                raise PcapError("truncated interface description option")
             value = body[offset:offset + length]
             offset += (length + 3) & ~3  # options pad to 32 bits
             if code == 0:  # opt_endofopt

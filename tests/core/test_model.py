@@ -1,6 +1,8 @@
 """Unit tests for the HTTP domain model."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import (
     Headers,
@@ -13,6 +15,7 @@ from repro.core.model import (
 )
 from repro.core.payloads import PayloadType
 from tests.conftest import make_txn
+from tests.oracles.headers import Headers as PairListHeaders
 
 
 class TestHttpMethod:
@@ -82,6 +85,86 @@ class TestHeaders:
         assert Headers({"A": "1"}) == Headers([("A", "1")])
         assert Headers({"A": "1"}) != Headers({"A": "2"})
 
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.set("A", "2"), lambda h: h.add("A", "3"),
+        lambda h: h.remove("a"), lambda h: h.set("B", "4"),
+    ])
+    def test_mutating_a_copy_leaves_the_original(self, mutate):
+        original = Headers([("A", "1"), ("a", "x")])
+        original.add("C", "5")
+        clone = original.copy()
+        mutate(clone)
+        assert original.items() == [("A", "1"), ("a", "x"), ("C", "5")]
+        assert original.version == 1
+        assert clone.version == 1
+
+
+# Case variants, including the one character whose lower case is two
+# (U+0130 folds to "i" + U+0307), and arbitrary short text.
+_name = st.one_of(
+    st.sampled_from(["Host", "host", "HOST", "Referer", "referer",
+                     "Set-Cookie", "set-cookie", "X-A", "x-a", "",
+                     "\u0130d", "i\u0307d", "I\u0307D"]),
+    st.text(max_size=4),
+)
+_value = st.text(max_size=5)
+_initial = st.one_of(
+    st.none(),
+    st.dictionaries(_name, _value, max_size=4),
+    st.lists(st.tuples(_name, _value), max_size=5),
+)
+_operation = st.one_of(
+    st.tuples(st.just("get"), _name, st.one_of(st.none(), _value)),
+    st.tuples(st.just("set"), _name, _value),
+    st.tuples(st.just("add"), _name, _value),
+    st.tuples(st.just("remove"), _name),
+    st.tuples(st.just("contains"), st.one_of(_name, st.integers())),
+    st.tuples(st.just("copy")),  # onto the other map
+)
+
+
+def _apply(maps, which, operation):
+    headers, kind = maps[which], operation[0]
+    if kind == "get":
+        name, default = operation[1:]
+        return headers.get(name) if default is None else headers.get(name, default)
+    if kind == "contains":
+        return operation[1] in headers
+    if kind == "copy":
+        maps[1 - which] = headers.copy()
+        return None
+    return getattr(headers, kind)(*operation[1:])
+
+
+def _observe(maps):
+    return [(list(h), len(h), h.items(), repr(h), h.version)
+            for h in maps] + [maps[0] == maps[1], maps[0] != maps[1]]
+
+
+class TestHeadersDifferential:
+    """Two names-and-values maps against two pair-list maps
+    (``tests/oracles/headers.py``): every operation returns the same
+    and leaves the same observable state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(initial=st.tuples(_initial, _initial),
+           operations=st.lists(st.tuples(st.integers(0, 1), _operation),
+                               max_size=12))
+    @example(initial=([("\u0130d", "x")], None),
+             operations=[(0, ("get", "i\u0307d", None)),
+                         (0, ("contains", "I\u0307D"))])
+    @example(initial=({"i\u0307d": "y", "Host": "h"}, [("HOST", "z")]),
+             operations=[(0, ("get", "\u0130D", "d")), (1, ("copy",)),
+                         (0, ("remove", "\u0130d")), (0, ("set", "host", "w"))])
+    def test_same_observable_results(self, initial, operations):
+        ours = [Headers(items) for items in initial]
+        reference = [PairListHeaders(items) for items in initial]
+        assert _observe(ours) == _observe(reference)
+        for which, operation in operations:
+            assert (_apply(ours, which, operation)
+                    == _apply(reference, which, operation))
+            assert _observe(ours) == _observe(reference)
+
 
 class TestHttpRequest:
     def test_referrer_host_extraction(self):
@@ -128,14 +211,6 @@ class TestHttpRequest:
     def test_uri_length(self):
         txn = make_txn(uri="/abcde")
         assert txn.request.uri_length == 6
-
-    def test_full_url_relative(self):
-        txn = make_txn(host="h.com", uri="/p")
-        assert txn.request.full_url == "http://h.com/p"
-
-    def test_full_url_absolute(self):
-        txn = make_txn(host="h.com", uri="http://other.com/p")
-        assert txn.request.full_url == "http://other.com/p"
 
     def test_dnt(self):
         txn = make_txn(extra_req_headers={"DNT": "1"})

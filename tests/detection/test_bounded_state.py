@@ -14,6 +14,7 @@ keeps the old accounting semantics.
 from __future__ import annotations
 
 import gc
+import pickle
 import tracemalloc
 
 from repro.core.model import HttpMethod
@@ -21,7 +22,8 @@ from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.detection.live import LiveDecoder
 from repro.detection.monitor import SessionTable, SessionWatch
-from repro.loadgen import HOSTILE, LoadGenerator
+from repro.loadgen import HOSTILE, MIXED, LoadGenerator
+from repro.synthesis.corpus import validation_corpus
 from tests.conftest import make_txn
 
 
@@ -182,6 +184,19 @@ def _traced_bytes_per_item(build) -> float:
     return (after - before) / len(kept)
 
 
+def _retained_bytes_per_transaction(mix) -> float:
+    """What a wire-decoded transaction of ``mix`` retains."""
+    generator = LoadGenerator(seed=23, mix=mix, concurrency=8)
+    packets = generator.capture(6000)
+
+    def build():
+        decoder = LiveDecoder(book=generator.book)
+        kept = [txn for packet in packets for txn in decoder.feed(packet)]
+        return kept + decoder.flush()
+
+    return _traced_bytes_per_item(build)
+
+
 class TestByteBudgets:
     """What one live client costs, in bytes (DESIGN §9).  The budgets
     are the measured sizes plus a few percent, so an attribute dict, an
@@ -212,14 +227,22 @@ class TestByteBudgets:
     def test_retained_wire_decoded_transaction_budget(self):
         """A transaction as the tap hands it to the watch that retains
         it, on the HOSTILE mix (bodies ~44 B, so this is the envelope:
-        two messages, their header lists, URI and host).  Was 1 222 B
-        with a fresh ``'HTTP/1.1'`` per message."""
-        generator = LoadGenerator(seed=23, mix=HOSTILE, concurrency=8)
-        packets = generator.capture(6000)
+        two messages, their header maps, URI and host).  Was 1 222 B
+        with a fresh ``'HTTP/1.1'`` per message, 1 115 B with a pair
+        per header."""
+        assert _retained_bytes_per_transaction(HOSTILE) <= 1025
 
-        def build():
-            decoder = LiveDecoder(book=generator.book)
-            kept = [txn for packet in packets for txn in decoder.feed(packet)]
-            return kept + decoder.flush()
+    def test_retained_wire_decoded_mixed_transaction_budget(self):
+        """The same on the MIXED mix, bodies included.  Was 2 115 B
+        with a pair per header."""
+        assert _retained_bytes_per_transaction(MIXED) <= 1975
 
-        assert _traced_bytes_per_item(build) <= 1150
+    def test_unpickled_synthesized_transaction_budget(self):
+        """A synthesized transaction as a proxy stream read from disk
+        holds it (the ``proxy_dense`` input).  Was 1 211 B with a pair
+        per header."""
+        corpus = validation_corpus(seed=1301, scale=0.02)
+        stream = pickle.dumps(
+            [txn for trace in corpus.traces for txn in trace.transactions],
+            protocol=pickle.HIGHEST_PROTOCOL)
+        assert _traced_bytes_per_item(lambda: pickle.loads(stream)) <= 905

@@ -76,11 +76,16 @@ class TestSplitHeadersDifferential:
     @example(block=b"S\r\nno colon here")
     @example(block=b"S\r\nA:b:c::d\r\n:empty name\r\n:\r\n")
     @example(block=b"S\r\nA: b\nB: bare newline\r\nC: d")
+    @example(block=b"S\r\nA: 1\r\n folded\r\n\tagain\r\nA: 2\r\na:  \r\n more")
     @example(block=b"")
     @example(block=b"S\r\n" + b"x" * 70 + b"\xff no colon")
     def test_same_result_or_same_error(self, block):
-        assert _outcome(http1._split_headers, block) == _outcome(
-            split_headers_reference, block)
+        ours = _outcome(http1._split_headers, block)
+        reference = _outcome(split_headers_reference, block)
+        assert ours == reference
+        if isinstance(ours[1], Headers):  # equal through iteration too
+            assert list(ours[1]) == list(reference[1])
+            assert len(ours[1]) == len(reference[1])
 
     def test_accepts_the_parser_s_bytearray_slice(self):
         block = b"GET / HTTP/1.1\r\nHost: a\r\n folded"

@@ -76,7 +76,41 @@ class TestRoundTrip:
                                                       abs=1e-5)
 
 
+def mutations(capture: bytes):
+    """``capture`` with 1-4 bytes overwritten, or cut short."""
+    edit = st.tuples(st.integers(0, len(capture) - 1),
+                     st.one_of(st.integers(0, 255),
+                               st.sampled_from([0, 1, 4, 9, 0x80, 0xFF])))
+    overwrite = st.lists(edit, min_size=1, max_size=4).map(
+        lambda edits: _overwrite(capture, edits))
+    truncate = st.integers(0, len(capture) - 1).map(lambda at: capture[:at])
+    return st.one_of(overwrite, truncate)
+
+
+def _overwrite(capture: bytes, edits) -> bytes:
+    mutated = bytearray(capture)
+    for at, value in edits:
+        mutated[at] = value
+    return bytes(mutated)
+
+
+def _small_capture() -> bytes:
+    buffer = io.BytesIO()
+    writer = PcapWriter(buffer, snaplen=64)
+    writer.write(PcapPacket(timestamp=1.5, data=b"first"))
+    writer.write(PcapPacket(timestamp=2.0, data=b"second", orig_len=90))
+    return buffer.getvalue()
+
+
 class TestMalformedInput:
+    @settings(max_examples=150, deadline=200)
+    @given(capture=mutations(_small_capture()))
+    def test_mutated_capture_reads_or_is_a_pcap_error(self, capture):
+        try:
+            list(PcapReader(io.BytesIO(capture)))
+        except PcapError:
+            pass
+
     def test_bad_magic(self):
         with pytest.raises(PcapError, match="bad pcap magic"):
             PcapReader(io.BytesIO(b"\x00" * 24))

@@ -4,10 +4,12 @@ import io
 import struct
 
 import pytest
+from hypothesis import given, settings
 
 from repro.exceptions import PcapError
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket, write_pcap
 from repro.net.pcapng import PcapngReader, read_capture, read_pcapng
+from tests.net.test_pcap import mutations
 
 
 def _pad(data: bytes) -> bytes:
@@ -66,7 +68,24 @@ MALFORMED_CAPTURES = {
         bytes.fromhex("0a0d0d0a1e0000004d3c2b1a01000000ffffffffffffffff"
                       "00001e000000"),
         "section header length 30"),
+    # if_tsresol declares one value byte that the block does not carry.
+    "idb_option_past_body": (
+        _SHB_IDB + bytes.fromhex("010000001800000001000000000004000900"
+                                 "010018000000"),
+        "truncated interface description option"),
 }
+
+#: A small capture holding one of each block the reader parses: SHB,
+#: IDB with options (``if_name``, ``if_tsresol``, end), EPB and SPB.
+_SMALL_CAPTURE = (
+    _shb()
+    + _block(0x00000001, struct.pack("<HHI", LINKTYPE_ETHERNET, 0, 96)
+             + struct.pack("<HH", 2, 4) + b"eth0"
+             + struct.pack("<HH", 9, 1) + b"\x06\x00\x00\x00"
+             + struct.pack("<HH", 0, 0))
+    + _epb(1_500_000, b"enhanced")
+    + _spb(b"simple")
+)
 
 
 class TestPcapngReader:
@@ -126,6 +145,20 @@ class TestPcapngReader:
         capture, message = MALFORMED_CAPTURES[defect]
         with pytest.raises(PcapError, match=message):
             list(PcapngReader(io.BytesIO(capture)))
+
+    @settings(max_examples=150, deadline=200)
+    @given(capture=mutations(_SMALL_CAPTURE))
+    def test_mutated_capture_reads_or_is_a_pcap_error(self, capture):
+        try:
+            list(PcapngReader(io.BytesIO(capture)))
+        except PcapError:
+            pass
+
+    def test_small_capture_reads(self):
+        reader = PcapngReader(io.BytesIO(_SMALL_CAPTURE))
+        packets = list(reader)
+        assert [p.data for p in packets] == [b"enhanced", b"simple"]
+        assert packets[0].timestamp == pytest.approx(1.5)
 
     def test_block_length_mismatch(self):
         good = _epb(1, b"x")

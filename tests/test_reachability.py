@@ -88,7 +88,6 @@ ALLOWLIST: dict[str, str] = {
                                                 " test_forest.py",
     "DecisionTreeClassifier.feature_importances": "debt (1 test):"
                                                   " test_tree.py",
-    "HttpRequest.full_url": "debt (2 tests): core/test_model.py",
     "trace_from_packets": "debt (1 test): net/test_flows.py",
     "poisson_at_least": "debt (2 tests): synthesis/test_sampling.py",
 }

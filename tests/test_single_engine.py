@@ -168,6 +168,24 @@ def test_the_unread_vector_cache_and_session_regex_stay_gone():
     assert offenders == []
 
 
+def test_a_header_map_holds_no_pair_per_header():
+    # A retained message costs its header strings, not a tuple per
+    # header: the pair list is the oracle ``tests/oracles/headers.py``.
+    import ast
+    import inspect
+
+    from repro.core.model import Headers
+    from repro.net import http1
+
+    assert "_items" not in Headers.__slots__
+    assert not hasattr(Headers([("A", "1")]), "_items")
+    tree = ast.parse(inspect.getsource(http1._split_headers))
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+    built = [ast.unparse(node) for node in ast.walk(loop)
+             if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load)]
+    assert built == []
+
+
 def test_a_shard_runs_the_same_engine_type_as_the_tap(trained_model):
     from repro.detection.live import LiveDetector
     from repro.service import EngineSpec
