@@ -7,7 +7,6 @@ per split, probability-averaging vote (Section V-A).
 
 from repro.learning.compiled import CompiledForest, compile_forest
 from repro.learning.crossval import CrossValResult, cross_validate, stratified_kfold
-from repro.learning.dataset import LabeledDataset, train_test_split
 from repro.learning.forest import EnsembleRandomForest, default_max_features
 from repro.learning.metrics import (
     ConfusionMatrix,
@@ -38,7 +37,6 @@ __all__ = [
     "CrossValResult",
     "DecisionTreeClassifier",
     "EnsembleRandomForest",
-    "LabeledDataset",
     "RankedFeature",
     "auc",
     "compile_forest",
@@ -57,5 +55,4 @@ __all__ = [
     "roc_auc",
     "roc_curve",
     "stratified_kfold",
-    "train_test_split",
 ]

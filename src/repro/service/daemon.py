@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue
+import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -47,6 +48,7 @@ from repro.service.worker import (
     EngineSpec,
     ShardAlert,
     ShardResult,
+    pack_frames,
     shard_worker,
 )
 
@@ -54,7 +56,7 @@ __all__ = ["FleetResult", "ShardedDetectionService", "merge_alerts",
            "merge_snapshots", "merge_traces", "merge_watch_snapshots"]
 
 #: Packets buffered per shard before a batch crosses the queue; large
-#: enough to amortize pickling, small enough to keep workers busy.
+#: enough to amortize the transfer, small enough to keep workers busy.
 _BATCH_SIZE = 256
 
 #: Batches an inbox holds before ``feed`` blocks.  The router outruns
@@ -69,9 +71,13 @@ _INBOX_BATCHES = 16
 #: (a crash is ferried back as ``ShardResult.error``), not slowness.
 _DRAIN_TIMEOUT = 600.0
 
+#: Seconds a blocked ``put`` / ``get`` waits between checks that the
+#: worker is alive, so a killed worker is a ``ShardError`` this soon.
+_LIVENESS_POLL = 0.1
+
 
 class ShardError(RuntimeError):
-    """A worker process died; carries its traceback."""
+    """A worker process died, stalled, or raised (with its traceback)."""
 
 
 @dataclass
@@ -268,19 +274,46 @@ class ShardedDetectionService:
             batch = self._pending[shard_id]
             batch.append(routed)
             if len(batch) >= _BATCH_SIZE:
-                self._put(shard_id, batch)
+                self._put(shard_id, pack_frames(batch))
                 self._pending[shard_id] = []
 
-    def _put(self, shard_id: int, batch: list[PcapPacket] | None) -> None:
-        """Hand ``batch`` to a shard; a worker that stopped taking (it
-        takes until the sentinel even after an error) is a bug, surfaced
-        under the same deadline as a missing result."""
-        try:
-            self._inboxes[shard_id].put(batch, timeout=_DRAIN_TIMEOUT)
-        except queue.Full:
-            raise ShardError(
-                f"shard {shard_id} stopped taking packets"
-            ) from None
+    def _put(self, shard_id: int, batch: Any) -> None:
+        """Hand ``batch`` to a shard; one that died or stopped taking (it
+        takes until the sentinel even after an error) raises."""
+        deadline = time.monotonic() + _DRAIN_TIMEOUT
+        while True:
+            try:
+                return self._inboxes[shard_id].put(
+                    batch, timeout=_LIVENESS_POLL)
+            except queue.Full:
+                if (self._processes[shard_id].exitcode is not None
+                        or time.monotonic() > deadline):
+                    self._fail(shard_id)
+
+    def _collect(self) -> list[ShardResult]:
+        """Every worker's result, in shard order.  A worker flushes its
+        result before it exits, so a shard seen exited before an empty
+        read of the outbox died without one."""
+        results: dict[int, ShardResult] = {}
+        exited: set[int] = set()
+        deadline = time.monotonic() + _DRAIN_TIMEOUT
+        while len(results) < self.n_workers:
+            try:
+                result = self._outbox.get(timeout=_LIVENESS_POLL)
+                results[result.shard_id] = result
+            except queue.Empty:
+                missing = set(range(self.n_workers)) - results.keys()
+                if exited & missing or time.monotonic() > deadline:
+                    self._fail(min(exited & missing or missing))
+                exited = {shard_id for shard_id in missing
+                          if self._processes[shard_id].exitcode is not None}
+        return [results[shard_id] for shard_id in range(self.n_workers)]
+
+    def _fail(self, shard_id: int) -> None:
+        """Shut every worker down, then raise for ``shard_id``."""
+        code = self._processes[shard_id].exitcode
+        self.close()
+        raise ShardError(f"shard {shard_id} died or stalled (exit {code})")
 
     def drain(self) -> FleetResult:
         """Flush every shard, collect results, merge, shut the pool."""
@@ -288,13 +321,10 @@ class ShardedDetectionService:
             raise RuntimeError("service not started")
         for shard_id, batch in enumerate(self._pending):
             if batch:
-                self._put(shard_id, batch)
+                self._put(shard_id, pack_frames(batch))
             self._put(shard_id, None)
         self._pending = [[] for _ in range(self.n_workers)]
-        results: list[ShardResult] = []
-        for _ in range(self.n_workers):
-            results.append(self._outbox.get(timeout=_DRAIN_TIMEOUT))
-        results.sort(key=lambda r: r.shard_id)
+        results = self._collect()
         self.close()
         for result in results:
             if result.error is not None:
@@ -320,5 +350,8 @@ class ShardedDetectionService:
             if process.is_alive():
                 process.terminate()
             process.join(timeout=5.0)
+        # What a dead shard never took must not hold up interpreter exit.
+        for inbox in self._inboxes:
+            inbox.cancel_join_thread()
         self._processes = []
         self._inboxes = []

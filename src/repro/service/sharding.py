@@ -22,11 +22,13 @@ fragmented segment surfaces at the arrival of its completing piece.
 
 from __future__ import annotations
 
+import struct
 import zlib
 
 from repro.exceptions import PcapError
 from repro.net.flows import decode_segment
-from repro.net.packets import IpFragmentReassembler, Ipv4Packet
+from repro.net.packets import (ETHERTYPE_IPV4, IPPROTO_TCP,
+                                IpFragmentReassembler, Ipv4Packet, _ip_str)
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket
 
 __all__ = ["PacketRouter", "client_ip_of", "shard_of"]
@@ -37,6 +39,13 @@ __all__ = ["PacketRouter", "client_ip_of", "shard_of"]
 #: tap practice and, crucially, *direction-stable*: both directions of
 #: a connection resolve to the same client, so both route identically.
 _SERVICE_PORTS = frozenset({80, 443, 8080, 3128})
+
+#: ``decode_tcp_frame``'s layout up to the TCP data offset, minus what
+#: the router neither tests nor hashes.
+_PEEK = struct.Struct("!12xH" "BxH2xHxB2x4s4s" "HH8xB")
+
+#: Client addresses whose shard the router remembers; cleared when full.
+_MEMO_CAP = 1 << 16
 
 
 def _is_service_port(port: int) -> bool:
@@ -82,7 +91,8 @@ class PacketRouter:
     *no* per-connection state: only a fragment-reassembly scratchpad,
     bounded by in-flight fragmented datagrams (pieces of a datagram
     that never completes are held indefinitely, same as the decoder's
-    own fragment buffer — a real deployment would age them out).
+    own fragment buffer — a real deployment would age them out) and a
+    bounded client-address memo.
     """
 
     def __init__(self, n_shards: int, linktype: int = LINKTYPE_ETHERNET):
@@ -94,18 +104,44 @@ class PacketRouter:
         self._held: dict[tuple[str, str, int, int], list[PcapPacket]] = {}
         #: What the record being routed releases (see ``_defragment``).
         self._pieces: list[PcapPacket] = []
+        #: Raw client address -> shard.
+        self._shards: dict[bytes, int] = {}
 
     def route(self, packet: PcapPacket) -> list[tuple[int, PcapPacket]]:
         """Assign ``packet`` (and any released fragments) to shards."""
+        data = packet.data
+        size = len(data)
+        # What ``decode_tcp_frame`` takes routes on the raw endpoints;
+        # under 54 bytes it takes nothing (the data offset is >= 5).
+        if self.linktype == LINKTYPE_ETHERNET and size >= 54:
+            (ethertype, version_ihl, total_len, flags_frag, protocol, src,
+             dst, src_port, dst_port, offset) = _PEEK.unpack_from(data)
+            end = 14 + total_len if 20 <= total_len <= size - 14 else size
+            if (ethertype == ETHERTYPE_IPV4 and version_ihl == 0x45
+                    and not flags_frag & 0x3FFF and protocol == IPPROTO_TCP
+                    and offset >= 0x50 and 34 + (offset >> 4) * 4 <= end):
+                src_serves = _is_service_port(src_port)
+                if src_serves != _is_service_port(dst_port):
+                    client = dst if src_serves else src
+                elif (_ip_str(src), src_port) <= (_ip_str(dst), dst_port):
+                    client = src  # ``client_ip_of``'s dotted-quad ``min``
+                else:
+                    client = dst
+                shard = self._shards.get(client)
+                if shard is None:
+                    if len(self._shards) >= _MEMO_CAP:
+                        self._shards.clear()
+                    shard = self._shards[client] = shard_of(
+                        _ip_str(client), self.n_shards)
+                return [(shard, packet)]
         self._pieces = [packet]
         try:
-            segment = decode_segment(packet.data, self.linktype,
-                                     self._defragment)
+            segment = decode_segment(data, self.linktype, self._defragment)
         except PcapError:
             segment = None
         if segment is None:
             # Traffic with no TCP endpoints: a deterministic shard.
-            shard = zlib.crc32(packet.data) % self.n_shards
+            shard = zlib.crc32(data) % self.n_shards
         else:
             src, dst, src_port, dst_port = segment[:4]
             shard = shard_of(client_ip_of(src, src_port, dst, dst_port),

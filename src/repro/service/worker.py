@@ -17,9 +17,10 @@ the pool works under both ``fork`` and ``spawn`` start methods.
 from __future__ import annotations
 
 import traceback
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Iterable
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator
 
 from repro.detection.alerts import Alert
 from repro.detection.clues import CluePolicy
@@ -39,8 +40,8 @@ from repro.obs import (
     use_tracer,
 )
 
-__all__ = ["EngineSpec", "ShardAlert", "ShardResult", "run_shard",
-           "shard_worker"]
+__all__ = ["EngineSpec", "ShardAlert", "ShardResult", "pack_frames",
+           "run_shard", "shard_worker", "unpack_frames"]
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,33 @@ def _shard_tracer(spec: EngineSpec):
     return Tracer(sample=spec.trace_sample) if want else NULL_TRACER
 
 
+def pack_frames(packets: list[PcapPacket]) -> tuple:
+    """Records as one inbox batch: timestamp and ``orig_len`` arrays
+    beside the raw frames, which pickle far cheaper than a record each."""
+    timestamps, frames, orig_lens = zip(*packets)
+    return array("d", timestamps), array("q", orig_lens), frames
+
+
+def unpack_frames(batch: tuple) -> Iterator[PcapPacket]:
+    """The records :func:`pack_frames` packed, in order."""
+    timestamps, orig_lens, frames = batch
+    # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``.
+    return map(tuple.__new__, repeat(PcapPacket),
+               zip(timestamps, frames, orig_lens))
+
+
 def shard_worker(spec: EngineSpec, shard_id: int, inbox: Any,
                  outbox: Any) -> None:
     """Worker-process main: :func:`run_shard` over the drained inbox.
 
-    ``inbox`` delivers ``list[PcapPacket]`` batches in wire order (one
+    ``inbox`` delivers :func:`pack_frames` batches in wire order (one
     queue per worker preserves per-shard ordering) and a final ``None``
     sentinel; the worker then posts its :class:`ShardResult` to the
     shared ``outbox``.  Any exception is captured into the result's
     ``error`` field instead of killing the process silently — the
     coordinator turns it back into a raise.
     """
-    batches = iter(inbox.get, None)
+    batches = map(unpack_frames, iter(inbox.get, None))
     try:
         result = run_shard(spec, shard_id, chain.from_iterable(batches))
     except Exception:  # noqa: BLE001 — ferried to the coordinator

@@ -9,9 +9,10 @@ baseline, the eager wire decode — or of something ``src/`` used to
 compute that way and now shortcuts: the vectorised feature-matrix
 assembly, the always-parse session-id extraction, the rescan-per-hop
 redirect chain assembly, the single-horizon session prune, the
-pair-per-header map.  Tests run them **live** against the production path on the
-same inputs (no frozen golden files) and assert byte identity.  Nothing
-here is selectable at run time: production has exactly one
-implementation per layer (``tests/test_single_engine.py`` guards it),
-and networkx is a *dev* dependency because only tests use it.
+pair-per-header map, the decode-every-frame shard router.  Tests run
+them **live** against the production path on the same inputs (no
+frozen golden files) and assert byte identity.  Nothing here is
+selectable at run time: production has exactly one implementation per
+layer (``tests/test_single_engine.py`` guards it), and networkx is a
+*dev* dependency because only tests use it.
 """

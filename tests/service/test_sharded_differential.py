@@ -10,7 +10,12 @@ service's own deterministic merge; if the merge contract or the client
 affinity ever regresses, these tests fail on the first divergent field.
 """
 
+import itertools
+import multiprocessing as mp
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -114,6 +119,74 @@ def test_dead_shard_fails_the_drain_not_the_feed(workload, monkeypatch):
         assert raised and "must be fitted" in raised[0]
     finally:
         service.close()
+
+
+def _killed_worker_raises(service, shard_id, action):
+    """Run ``action(kill)`` and require a ``ShardError`` naming
+    ``shard_id`` within 2 s of ``kill()`` sending its worker
+    ``SIGKILL``, and no worker left alive."""
+    processes = list(service._processes)
+    killed_at, raised = [], []
+
+    def kill():
+        killed_at.append(time.monotonic())
+        os.kill(processes[shard_id].pid, signal.SIGKILL)
+
+    def run():
+        try:
+            action(kill)
+        except ShardError as exc:
+            raised.append((time.monotonic(), str(exc)))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    try:
+        assert not thread.is_alive(), "a dead worker blocked the caller"
+        [(raised_at, message)] = raised
+        assert message.startswith(f"shard {shard_id} died")
+        assert raised_at - killed_at[0] < 2.0
+    finally:
+        service.close()
+    assert not any(process.is_alive() for process in processes)
+
+
+def test_a_worker_killed_mid_feed_fails_the_feed(workload, trained_model,
+                                                 monkeypatch):
+    packets, book = workload
+    monkeypatch.setattr(daemon, "_BATCH_SIZE", 1)
+    service = ShardedDetectionService(
+        EngineSpec(classifier=trained_model, book=book), workers=2)
+    service.start()
+
+    def feed_past_a_kill(kill):
+        stream = itertools.islice(itertools.cycle(packets), 100_000)
+        for index, packet in enumerate(stream):
+            if index == 200:
+                kill()
+            service.feed(packet)
+
+    _killed_worker_raises(service, 1, feed_past_a_kill)
+
+
+@pytest.mark.skipif(mp.get_start_method() != "fork",
+                    reason="the stalled finish() reaches workers by fork")
+def test_a_worker_killed_mid_drain_fails_the_drain(workload, trained_model,
+                                                   monkeypatch):
+    packets, book = workload
+    monkeypatch.setattr(LiveDetector, "finish",
+                        lambda self: time.sleep(60) or [])
+    service = ShardedDetectionService(
+        EngineSpec(classifier=trained_model, book=book), workers=2)
+    service.start()
+    for packet in packets[:500]:
+        service.feed(packet)
+
+    def drain_past_a_kill(kill):
+        threading.Timer(0.3, kill).start()
+        service.drain()
+
+    _killed_worker_raises(service, 0, drain_past_a_kill)
 
 
 def test_reference_workload_actually_alerts(reference):

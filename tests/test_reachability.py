@@ -76,8 +76,6 @@ ALLOWLIST: dict[str, str] = {
                              " reassembled client bytes",
     "TcpStream.server_data": "state: as TcpStream.client_data",
     "StreamDirection.has_gap": "state: the reassembly gap test reads it",
-    "LabeledDataset": "debt (5 tests): tests/learning/test_dataset.py",
-    "train_test_split": "debt (7 tests): tests/learning/test_dataset.py",
     "cms_breakdown": "debt (2 tests): test_exposure_headers.py",
     "payload_risk_from_corpus": "debt (3 tests): detection/test_clues.py",
     "PayloadSummary": "debt (3 tests): core/test_payloads.py; no WCG"

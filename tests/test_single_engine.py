@@ -207,7 +207,7 @@ def _run_failing_worker(monkeypatch, trained_model, method):
     from repro.detection.live import LiveDetector
     from repro.net.pcap import PcapPacket
     from repro.service import EngineSpec
-    from repro.service.worker import shard_worker
+    from repro.service.worker import pack_frames, shard_worker
 
     calls = []
 
@@ -219,7 +219,8 @@ def _run_failing_worker(monkeypatch, trained_model, method):
 
     monkeypatch.setattr(LiveDetector, method, explode)
     packet = PcapPacket(timestamp=1.0, data=b"\x00" * 60)
-    inbox = _Inbox([[packet, packet], [packet], [packet, packet]])
+    inbox = _Inbox([pack_frames(batch) for batch in
+                    ([packet, packet], [packet], [packet, packet])])
     posted = []
     outbox = type("Outbox", (), {"put": staticmethod(posted.append)})
     shard_worker(EngineSpec(trained_model), 3, inbox, outbox)
