@@ -12,7 +12,7 @@ from repro.synthesis.corpus import Corpus
 from repro.synthesis.entities import SEARCH_ENGINES, SOCIAL_SITES
 
 __all__ = ["classify_origin", "exposure_distribution",
-           "per_family_exposure", "cms_breakdown", "EXPOSURE_CATEGORIES"]
+           "per_family_exposure", "EXPOSURE_CATEGORIES"]
 
 #: Figure 1 legend categories, in display order.
 EXPOSURE_CATEGORIES = (
@@ -80,39 +80,3 @@ def per_family_exposure(corpus: Corpus) -> dict[str, dict[str, float]]:
     for family in corpus.families:
         result[family] = exposure_distribution(corpus.by_family(family))
     return result
-
-
-#: CMS fingerprints for the Section II-B "weaponization of compromised
-#: sites" analysis (URI patterns of default installations).
-_CMS_FINGERPRINTS = {
-    "wordpress": ("/wp-content/", "/wp-includes/", "/wp-admin/"),
-    "joomla": ("/components/com_", "/modules/mod_"),
-    "drupal": ("/sites/default/",),
-}
-
-
-def cms_breakdown(traces: list[Trace]) -> dict[str, int]:
-    """Count compromised-site enticements per CMS (Section II-B).
-
-    The paper matched the entry-hop URIs of the 94 compromised-site
-    enticements against default CMS installation paths and found 56/94
-    WordPress.  Returns ``{cms_name: count, "other": count}`` over the
-    infection traces whose enticement was a compromised site.
-    """
-    counts = {name: 0 for name in _CMS_FINGERPRINTS}
-    counts["other"] = 0
-    for trace in traces:
-        if not trace.is_infection:
-            continue
-        if classify_origin(trace) != "compromised":
-            continue
-        first_uri = trace.transactions[0].request.uri if trace.transactions else ""
-        matched = False
-        for name, markers in _CMS_FINGERPRINTS.items():
-            if any(marker in first_uri for marker in markers):
-                counts[name] += 1
-                matched = True
-                break
-        if not matched:
-            counts["other"] += 1
-    return counts

@@ -120,7 +120,7 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
              " (implies --trace; inspect with `dynaminer explain`)",
     )
     parser.add_argument(
-        "--trace-sample", default="full", dest="trace_sample",
+        "--trace-sample", default="full", dest="sample",
         choices=("full", "alerts"),
         help="keep every watch timeline ('full') or only timelines of"
              " watches that alerted ('alerts'; default: full)",
@@ -137,7 +137,7 @@ def _setup_tracing(args: argparse.Namespace) -> None:
     from repro.obs import enable_tracing
 
     if getattr(args, "trace", False) or getattr(args, "trace_out", None):
-        enable_tracing(sample=args.trace_sample)
+        enable_tracing(sample=args.sample)
 
 
 def _cmd_list() -> int:
@@ -292,7 +292,7 @@ def _detect_sharded(args, log, model, linktype, packets, policy,
     """
     import json
 
-    from repro.obs import metrics_enabled, tracing_enabled, write_trace
+    from repro.obs import metrics_enabled, write_trace
     from repro.service import EngineSpec, ShardedDetectionService
 
     spec = EngineSpec(
@@ -301,10 +301,6 @@ def _detect_sharded(args, log, model, linktype, packets, policy,
         detector_config=config,
         linktype=linktype,
         metrics=metrics_enabled(),
-        # None defers to each worker's ambient REPRO_TRACE; the explicit
-        # True covers --trace/--trace-out, which only flip the parent.
-        trace=True if tracing_enabled() else None,
-        trace_sample=getattr(args, "trace_sample", "full"),
     )
     service = ShardedDetectionService(spec, workers=args.workers)
     log.info("sharded detection: %d worker process(es)", service.n_workers)

@@ -1,6 +1,6 @@
 """On-the-wire malware detection (Stage 2 of the DynaMiner pipeline)."""
 
-from repro.detection.alerts import Alert, AlertSink, ListSink
+from repro.detection.alerts import Alert
 from repro.detection.clues import (
     ClueDetector,
     CluePolicy,
@@ -16,7 +16,6 @@ from repro.detection.whitelist import VendorWhitelist
 
 __all__ = [
     "Alert",
-    "AlertSink",
     "ClueDetector",
     "CluePolicy",
     "DEFAULT_RISKY_TYPES",
@@ -24,7 +23,6 @@ __all__ = [
     "InfectionClue",
     "LiveDecoder",
     "LiveDetector",
-    "ListSink",
     "OnTheWireDetector",
     "SessionTable",
     "SessionWatch",

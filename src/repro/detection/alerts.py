@@ -1,13 +1,12 @@
-"""Alert model, provenance records, and sinks for the detector."""
+"""Alert model and provenance records for the detector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.detection.clues import InfectionClue
 
-__all__ = ["Alert", "AlertProvenance", "AlertSink", "ClueRecord",
-           "ListSink"]
+__all__ = ["Alert", "AlertProvenance", "ClueRecord"]
 
 
 @dataclass(frozen=True)
@@ -118,24 +117,3 @@ class Alert:
     wcg_size: int
     session_key: str
     provenance: AlertProvenance | None = None
-
-
-class AlertSink:
-    """Interface for alert consumers."""
-
-    def emit(self, alert: Alert) -> None:
-        """Handle one alert."""
-        raise NotImplementedError
-
-
-@dataclass
-class ListSink(AlertSink):
-    """Collects alerts in memory (tests, benches, examples)."""
-
-    alerts: list[Alert] = field(default_factory=list)
-
-    def emit(self, alert: Alert) -> None:
-        self.alerts.append(alert)
-
-    def __len__(self) -> int:
-        return len(self.alerts)

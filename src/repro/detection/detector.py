@@ -26,13 +26,7 @@ import numpy as np
 
 from repro.core.model import HttpTransaction
 from repro.core.payloads import is_exploit_type
-from repro.detection.alerts import (
-    Alert,
-    AlertProvenance,
-    AlertSink,
-    ClueRecord,
-    ListSink,
-)
+from repro.detection.alerts import Alert, AlertProvenance, ClueRecord
 from repro.detection.clues import CluePolicy
 from repro.detection.monitor import SessionTable, SessionWatch
 from repro.detection.whitelist import VendorWhitelist
@@ -111,7 +105,6 @@ class OnTheWireDetector:
         policy: CluePolicy | None = None,
         config: DetectorConfig | None = None,
         whitelist: VendorWhitelist | None = None,
-        sink: AlertSink | None = None,
     ):
         if not classifier.trees_:
             raise DetectionError("classifier must be fitted before deployment")
@@ -119,10 +112,8 @@ class OnTheWireDetector:
         self.policy = policy or CluePolicy()
         self.config = config or DetectorConfig()
         self.whitelist = whitelist or VendorWhitelist()
-        # NB: an empty ListSink is falsy (it defines __len__), so a
-        # plain `sink or ListSink()` would silently discard the caller's
-        # sink — compare against None explicitly.
-        self.sink = sink if sink is not None else ListSink()
+        #: Every alert raised so far, in emission order.
+        self.alerts: list[Alert] = []
         self._table = SessionTable(policy=self.policy,
                                    idle_gap=self.config.idle_gap,
                                    prune_after=self.config.prune_after)
@@ -197,7 +188,10 @@ class OnTheWireDetector:
         behaves exactly as a sequential walk would.
         """
         requests = []
-        for watch in self.active_watches():
+        for watch in self._table.watches():
+            if (watch.active_clue is None or watch.alerted
+                    or watch.terminated):
+                continue
             request = self._request_score(watch, watch.last_ts)
             if request is not None:
                 requests.append(request)
@@ -428,7 +422,7 @@ class OnTheWireDetector:
                 provenance=provenance.to_dict(),
             )
             self._tracer.close_watch(watch.key, alerted=True)
-        self.sink.emit(alert)
+        self.alerts.append(alert)
         return alert
 
     def _build_provenance(self, request: _PendingScore,
@@ -515,25 +509,9 @@ class OnTheWireDetector:
         :data:`~repro.obs.NULL_TRACER` when tracing is off)."""
         return self._tracer
 
-    @property
-    def alerts(self) -> list[Alert]:
-        """Alerts collected so far (when using the default ListSink)."""
-        if isinstance(self.sink, ListSink):
-            return list(self.sink.alerts)
-        raise DetectionError("alerts are only tracked on a ListSink")
-
     def watch_count(self) -> int:
         """Number of session watches opened so far."""
         return self._table.opened_count
-
-    def active_watches(self) -> list[SessionWatch]:
-        """Live clue-active watches (the ones with a WCG worth
-        snapshotting), in table order."""
-        return [
-            watch for watch in self._table.watches()
-            if watch.active_clue is not None
-            and not watch.alerted and not watch.terminated
-        ]
 
     def tracked_state_size(self) -> tuple[int, int]:
         """(live watches, cooldown entries) — the two containers the

@@ -41,9 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.model import HttpTransaction
-from repro.core.stages import Stage
 from repro.detection.alerts import Alert
-from repro.detection.clues import InfectionClue
 from repro.detection.detector import OnTheWireDetector
 from repro.exceptions import HttpParseError, PcapError
 from repro.net.flows import AddressBook, StreamPairer, decode_segment
@@ -57,34 +55,7 @@ from repro.net.reassembly import (
 )
 from repro.obs import PipelineStatsReporter, get_registry, write_trace
 
-__all__ = ["OverloadPolicy", "LiveDecoder", "LiveDetector", "WatchSnapshot"]
-
-
-@dataclass(frozen=True)
-class WatchSnapshot:
-    """Cheap, picklable summary of one live clue-active session watch.
-
-    Built from the WCG's counters and running timestamp extrema, and
-    the stage histogram of the watch's edge stages, derived when the
-    snapshot is taken (DESIGN.md §14).
-
-    Snapshots are value objects: two engines that saw the same client's
-    packets produce equal snapshots, which is how the sharded
-    differential pins fleet state against the single-process engine.
-    """
-
-    key: str
-    client: str
-    transactions: int
-    clue: InfectionClue | None
-    order: int
-    size: int
-    version: int
-    structure_version: int
-    first_edge_ts: float
-    last_edge_ts: float
-    #: Edge counts per stage (pre-download, download, post-download).
-    stage_counts: tuple[int, int, int]
+__all__ = ["OverloadPolicy", "LiveDecoder", "LiveDetector"]
 
 
 @dataclass(frozen=True)
@@ -313,32 +284,3 @@ class LiveDetector:
         if self.trace_out is not None and tracer.enabled:
             write_trace(tracer.drain(), self.trace_out)
         return alerts
-
-    def snapshot_watches(self) -> list["WatchSnapshot"]:
-        """Summaries of every live clue-active watch, sorted by
-        ``(client, key)``.
-
-        Each summary is assembled from the watch's WCG and edge stages
-        (see :class:`WatchSnapshot`); the sort makes the
-        list canonical, so per-shard lists concatenate and re-sort into
-        the same fleet view regardless of worker count.
-        """
-        snapshots: list[WatchSnapshot] = []
-        for watch in self.detector.active_watches():
-            wcg = watch.wcg()
-            stages = watch.edge_stages()
-            snapshots.append(WatchSnapshot(
-                key=watch.key,
-                client=watch.client,
-                transactions=len(watch.transactions),
-                clue=watch.active_clue,
-                order=wcg.order,
-                size=wcg.size,
-                version=wcg.version,
-                structure_version=wcg.structure_version,
-                first_edge_ts=float(wcg.ts_min) if wcg.size else 0.0,
-                last_edge_ts=float(wcg.ts_max) if wcg.size else 0.0,
-                stage_counts=tuple(stages.count(stage) for stage in Stage),
-            ))
-        snapshots.sort(key=lambda s: (s.client, s.key))
-        return snapshots

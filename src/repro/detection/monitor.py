@@ -100,7 +100,7 @@ class SessionWatch:
 
     def edge_stages(self) -> list[Stage]:
         """The stage of every edge of :meth:`wcg`, in edge order (for the
-        trace and snapshot readers; see ``WCGBuilder.edge_stages``)."""
+        trace reader; see ``WCGBuilder.edge_stages``)."""
         self.wcg()  # makes the builder on first use
         return self._builder.edge_stages()
 

@@ -7,7 +7,6 @@ on its PCAP corpus (scapy is unavailable offline; see DESIGN.md §2).
 from repro.net.flows import (
     AddressBook,
     packets_from_trace,
-    trace_from_packets,
     transactions_from_packets,
 )
 from repro.net.pcap import (
@@ -37,7 +36,6 @@ __all__ = [
     "read_capture",
     "read_pcap",
     "read_pcapng",
-    "trace_from_packets",
     "transactions_from_packets",
     "write_pcap",
 ]

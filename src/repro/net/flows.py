@@ -58,7 +58,6 @@ __all__ = [
     "decode_segment",
     "transactions_from_packets",
     "packets_from_trace",
-    "trace_from_packets",
 ]
 
 
@@ -308,15 +307,6 @@ def transactions_from_packets(
             pass
     transactions.sort(key=lambda t: t.timestamp)
     return transactions
-
-
-def trace_from_packets(
-    packets: list[PcapPacket],
-    linktype: int = LINKTYPE_ETHERNET,
-    book: AddressBook | None = None,
-) -> Trace:
-    """Convenience: decode packets directly into an unlabelled Trace."""
-    return Trace(transactions=transactions_from_packets(packets, linktype, book))
 
 
 class _ConnectionEncoder:

@@ -21,8 +21,7 @@ shards (each counter event happened on exactly one shard); histograms
 sum ``count``/``sum``, combine ``min``/``max``, and compute fleet
 quantiles from the shards' retained sample buffers — exact whenever
 the combined buffer fits under the histogram cap, a deterministic
-decimated approximation beyond it.  (Snapshots predating the sample
-buffers fall back to the old conservative max-of-quantiles estimate.)
+decimated approximation beyond it.
 
 Trace events merge under the same ``(timestamp, shard_id, seq)`` key
 as alerts (:func:`merge_traces`), so the canonical fleet trace stream
@@ -34,11 +33,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.detection.alerts import Alert
-from repro.detection.live import WatchSnapshot
 from repro.net.pcap import PcapPacket
 from repro.obs import TraceEvent
 from repro.obs.registry import decimate_samples, interpolated_quantile
@@ -53,7 +51,7 @@ from repro.service.worker import (
 )
 
 __all__ = ["FleetResult", "ShardedDetectionService", "merge_alerts",
-           "merge_snapshots", "merge_traces", "merge_watch_snapshots"]
+           "merge_snapshots", "merge_traces"]
 
 #: Packets buffered per shard before a batch crosses the queue; large
 #: enough to amortize the transfer, small enough to keep workers busy.
@@ -88,12 +86,9 @@ class FleetResult:
     shards: list[ShardResult]
     snapshot: dict[str, Any]
     packets_routed: int
-    #: Merged pre-finalize watch summaries (``EngineSpec.
-    #: snapshot_watches`` on), canonical ``(client, key)`` order.
-    watches: list[WatchSnapshot] = field(default_factory=list)
     #: Merged fleet trace stream (tracing on), in the canonical
     #: ``(timestamp, shard_id, seq)`` order of :func:`merge_traces`.
-    trace: list[TraceEvent] = field(default_factory=list)
+    trace: list[TraceEvent]
 
     @property
     def transactions(self) -> int:
@@ -141,22 +136,6 @@ def merge_traces(
     return [item[3] for item in stamped]
 
 
-def merge_watch_snapshots(
-    shard_watches: Iterable[list[WatchSnapshot]],
-) -> list[WatchSnapshot]:
-    """Fleet watch view: concatenate and re-sort by ``(client, key)``.
-
-    Client affinity means each watch lives on exactly one shard, so the
-    merged list is a disjoint union; the canonical sort makes it
-    identical for any worker count (the sharded differential compares
-    it against the single-process engine's
-    :meth:`~repro.detection.live.LiveDetector.snapshot_watches`).
-    """
-    merged = [snap for watches in shard_watches for snap in watches]
-    merged.sort(key=lambda s: (s.client, s.key))
-    return merged
-
-
 def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
     """Combine per-shard registry snapshots into one fleet snapshot."""
     enabled = [s for s in snapshots if s.get("enabled")]
@@ -179,28 +158,17 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
                 continue
             into["count"] += hist["count"]
             into["sum"] += hist["sum"]
-            # Empty per-shard histograms report None for the order
-            # statistics; they must not poison shards that observed data.
-            for stat, pick in (("min", min), ("max", max),
-                               ("p50", max), ("p90", max), ("p99", max)):
-                if stat not in into and stat not in hist:
-                    continue
-                seen = [v for v in (into.get(stat), hist.get(stat))
-                        if v is not None]
+            # Empty per-shard histograms report None for min/max; they
+            # must not poison shards that observed data.
+            for stat, pick in (("min", min), ("max", max)):
+                seen = [v for v in (into[stat], hist[stat]) if v is not None]
                 into[stat] = pick(seen) if seen else None
             # Pool retained samples for exact fleet quantiles below.
-            # One sample-less contributor poisons the pool (None) — the
-            # quantiles then stay on the conservative max-of estimate.
-            if into.get("samples") is not None and "samples" in hist:
-                into["samples"] = list(into["samples"]) + list(
-                    hist["samples"]
-                )
-            else:
-                into["samples"] = None
+            into["samples"] = into["samples"] + hist["samples"]
     for hist in merged["histograms"].values():
-        if hist.get("count"):
+        if hist["count"]:
             hist["mean"] = hist["sum"] / hist["count"]
-        samples = hist.pop("samples", None)
+        samples = hist.pop("samples")
         if samples:
             samples = decimate_samples(sorted(samples))
             for stat, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
@@ -270,8 +238,11 @@ class ShardedDetectionService:
         """Route one pcap record to its shard's inbox; blocks while
         that inbox is full (back-pressure, see ``_INBOX_BATCHES``)."""
         for shard_id, routed in self.router.route(packet):
+            try:
+                batch = self._pending[shard_id]
+            except IndexError:  # no pool: never started, or drained
+                raise RuntimeError("service not started") from None
             self.packets_routed += 1
-            batch = self._pending[shard_id]
             batch.append(routed)
             if len(batch) >= _BATCH_SIZE:
                 self._put(shard_id, pack_frames(batch))
@@ -323,7 +294,6 @@ class ShardedDetectionService:
             if batch:
                 self._put(shard_id, pack_frames(batch))
             self._put(shard_id, None)
-        self._pending = [[] for _ in range(self.n_workers)]
         results = self._collect()
         self.close()
         for result in results:
@@ -340,7 +310,6 @@ class ShardedDetectionService:
             shards=results,
             snapshot=snapshot,
             packets_routed=self.packets_routed,
-            watches=merge_watch_snapshots(r.watches for r in results),
             trace=merge_traces((r.shard_id, r.trace) for r in results),
         )
 
@@ -355,3 +324,4 @@ class ShardedDetectionService:
             inbox.cancel_join_thread()
         self._processes = []
         self._inboxes = []
+        self._pending = []

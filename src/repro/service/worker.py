@@ -25,7 +25,7 @@ from typing import Any, Iterable, Iterator
 from repro.detection.alerts import Alert
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
-from repro.detection.live import LiveDetector, OverloadPolicy, WatchSnapshot
+from repro.detection.live import LiveDetector
 from repro.learning.forest import EnsembleRandomForest
 from repro.net.flows import AddressBook
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket
@@ -35,6 +35,7 @@ from repro.obs import (
     NullRegistry,
     TraceEvent,
     Tracer,
+    get_tracer,
     tracing_enabled,
     use_registry,
     use_tracer,
@@ -42,6 +43,12 @@ from repro.obs import (
 
 __all__ = ["EngineSpec", "ShardAlert", "ShardResult", "pack_frames",
            "run_shard", "shard_worker", "unpack_frames"]
+
+
+def _coordinator_trace() -> str | None:
+    """The sample mode of the tracer active where the spec is built, or
+    ``None`` when tracing is off there."""
+    return get_tracer().sample if tracing_enabled() else None
 
 
 @dataclass(frozen=True)
@@ -57,27 +64,18 @@ class EngineSpec:
     classifier: EnsembleRandomForest
     clue_policy: CluePolicy | None = None
     detector_config: DetectorConfig | None = None
-    overload_policy: OverloadPolicy | None = None
     linktype: int = LINKTYPE_ETHERNET
     book: AddressBook | None = None
     #: Collect a per-shard MetricsRegistry snapshot.  Off by default —
     #: matching the process-wide registry convention where telemetry is
     #: opt-in and a disabled registry is a true no-op.
     metrics: bool = False
-    #: Capture per-watch :class:`~repro.detection.live.WatchSnapshot`
-    #: summaries (taken after the packet stream drains, before
-    #: finalization terminates the watches).  Off by default — the
-    #: summaries are cheap counter reads, but most callers only want
-    #: alerts.
-    snapshot_watches: bool = False
-    #: Capture a per-shard detection trace (repro.obs.trace) and ship
-    #: it back on :attr:`ShardResult.trace`.  ``None`` (the default)
-    #: inherits the ambient ``REPRO_TRACE`` setting inside the worker
-    #: process, so env-enabled tracing behaves identically sharded and
-    #: single-process; ``True``/``False`` force it either way.
-    trace: bool | None = None
-    #: Trace sampling mode (``"full"`` or ``"alerts"``).
-    trace_sample: str = "full"
+    #: Per-shard detection trace (repro.obs.trace), shipped back on
+    #: :attr:`ShardResult.trace`: its sampling mode (``"full"`` or
+    #: ``"alerts"``), or ``None`` for off.  The default is the
+    #: coordinator's own tracer, so ``--trace`` / ``REPRO_TRACE`` trace
+    #: the fleet exactly as they trace the single process.
+    trace: str | None = field(default_factory=_coordinator_trace)
 
     def build_engine(self) -> LiveDetector:
         return LiveDetector(
@@ -88,7 +86,6 @@ class EngineSpec:
             ),
             linktype=self.linktype,
             book=self.book,
-            policy=self.overload_policy,
         )
 
 
@@ -113,16 +110,12 @@ class ShardResult:
 
     shard_id: int
     alerts: list[ShardAlert] = field(default_factory=list)
-    packets: int = 0
     transactions: int = 0
     classifications: int = 0
     transactions_weeded: int = 0
     watches_opened: int = 0
     #: Registry snapshot (``EngineSpec.metrics`` on) or the null shape.
     snapshot: dict[str, Any] = field(default_factory=dict)
-    #: Pre-finalize live-watch summaries (``EngineSpec.snapshot_watches``
-    #: on), already in canonical ``(client, key)`` order.
-    watches: list[WatchSnapshot] = field(default_factory=list)
     #: This shard's drained trace events, in ``(ts, seq)`` order — the
     #: coordinator merges per-shard streams under ``(ts, shard_id,
     #: seq)``, the same key as alerts.
@@ -135,23 +128,22 @@ def run_shard(spec: EngineSpec, shard_id: int,
               packets: Iterable[PcapPacket]) -> ShardResult:
     """Run one shard's packet stream through a fresh engine, in-process.
 
-    This is the whole shard lifecycle — build, feed, snapshot, finish,
+    This is the whole shard lifecycle — build, feed, finish,
     summarize — used by the worker-process loop (:func:`shard_worker`)
     and by tests that want a shard without a pool around it.
     """
     registry = MetricsRegistry() if spec.metrics else NullRegistry()
-    tracer = _shard_tracer(spec)
+    # A fresh tracer per shard, never the process-global one: under
+    # ``fork`` that arrives holding the coordinator's events.
+    tracer = Tracer(sample=spec.trace) if spec.trace else NULL_TRACER
     result = ShardResult(shard_id=shard_id)
     with use_registry(registry), use_tracer(tracer):
         engine = spec.build_engine()
         for packet in packets:
-            result.packets += 1
             for alert in engine.feed(packet):
                 result.alerts.append(
                     ShardAlert(shard_id, len(result.alerts), alert)
                 )
-        if spec.snapshot_watches:
-            result.watches = engine.snapshot_watches()
         for alert in engine.finish():
             result.alerts.append(
                 ShardAlert(shard_id, len(result.alerts), alert)
@@ -163,18 +155,6 @@ def run_shard(spec: EngineSpec, shard_id: int,
     result.snapshot = registry.snapshot()
     result.trace = tracer.drain()
     return result
-
-
-def _shard_tracer(spec: EngineSpec):
-    """Resolve the spec's tracing request into a tracer instance.
-
-    A fresh :class:`Tracer` per shard — never the process-global one,
-    which under ``fork`` would arrive pre-loaded with the parent's
-    accumulation.  ``spec.trace=None`` defers to the ambient
-    ``REPRO_TRACE`` state so env-driven tracing traces the fleet too.
-    """
-    want = tracing_enabled() if spec.trace is None else spec.trace
-    return Tracer(sample=spec.trace_sample) if want else NULL_TRACER
 
 
 def pack_frames(packets: list[PcapPacket]) -> tuple:

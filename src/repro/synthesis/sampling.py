@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bounded_sample", "bounded_int", "lognormal_bounded", "poisson_at_least"]
+__all__ = ["bounded_sample", "bounded_int", "lognormal_bounded"]
 
 #: Beta concentration; lower = heavier tails around the pinned mean.
 _CONCENTRATION = 2.0
@@ -68,10 +68,3 @@ def lognormal_bounded(
     mu = np.log(mean) - sigma**2 / 2
     value = float(rng.lognormal(mu, sigma))
     return min(max(value, low), high)
-
-
-def poisson_at_least(
-    rng: np.random.Generator, mean: float, minimum: int = 0
-) -> int:
-    """Poisson draw with a floor — for per-trace payload counts."""
-    return max(minimum, int(rng.poisson(max(mean, 0.0))))

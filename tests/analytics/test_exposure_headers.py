@@ -108,23 +108,3 @@ class TestHeaderElements:
             averages["http_40x"]["benign"]
         assert averages["redirect_chains"]["infection"] > \
             averages["redirect_chains"]["benign"]
-
-
-class TestCmsBreakdown:
-    def test_wordpress_dominates(self, small_corpus):
-        # Section II-B: 56 of 94 compromised-site enticements matched
-        # default WordPress installation URI patterns.
-        from repro.analytics.exposure import cms_breakdown
-
-        counts = cms_breakdown(small_corpus.infections)
-        total = sum(counts.values())
-        if total < 10:
-            import pytest
-            pytest.skip("too few compromised enticements at this scale")
-        assert counts["wordpress"] == max(counts.values())
-        assert counts["wordpress"] / total > 0.4
-
-    def test_benign_contribute_nothing(self, small_corpus):
-        from repro.analytics.exposure import cms_breakdown
-
-        assert sum(cms_breakdown(small_corpus.benign).values()) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.detection.alerts import Alert, ListSink
+from repro.detection.alerts import Alert
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.exceptions import DetectionError
@@ -22,16 +22,6 @@ class TestConstruction:
     def test_requires_fitted_classifier(self):
         with pytest.raises(DetectionError, match="fitted"):
             OnTheWireDetector(EnsembleRandomForest())
-
-    def test_alerts_requires_list_sink(self, trained_model):
-        class NullSink:
-            def emit(self, alert):
-                pass
-
-        detector = OnTheWireDetector(trained_model, sink=NullSink())
-        detector.sink.emit(None)  # interface works
-        with pytest.raises(DetectionError, match="ListSink"):
-            _ = detector.alerts
 
 
 class TestStreaming:
@@ -124,19 +114,9 @@ class TestStreaming:
                         extra_req_headers={"Cookie": "sid=abc"})
         for txn in [clue] + chain_to_b(Cookie="sid=abc"):
             detector.process_batch([txn])
-        (watch,) = detector.active_watches()
+        (watch,) = detector._table.watches()
         assert watch.updates_since_score == 1
         scored, version = detector.classifications, watch.wcg().version
         detector.process_batch([late_redirect_to_b(4.0, Cookie="sid=abc")])
         assert watch.wcg().version > version
         assert detector.classifications == scored + 1
-
-
-class TestListSink:
-    def test_collects_and_filters(self):
-        sink = ListSink()
-        alert = Alert(client="c", score=0.9, clue=None, timestamp=0.0,
-                      wcg_order=3, wcg_size=5, session_key="c#1")
-        sink.emit(alert)
-        assert len(sink) == 1
-        assert sink.alerts == [alert]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.detection.alerts import ListSink
 from repro.detection.clues import CluePolicy
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from tests.conftest import make_txn
@@ -126,13 +125,3 @@ class TestScoringEconomy:
         detector.finalize()
         assert detector.classifications <= len(trace.transactions) + \
             detector.watch_count()
-
-    def test_custom_sink_receives_alerts(self, trained_model):
-        sink = ListSink()
-        detector = OnTheWireDetector(
-            trained_model, sink=sink,
-            config=DetectorConfig(alert_threshold=0.2),
-        )
-        detector.process_batch(_infection_burst("y", 1.0))
-        detector.finalize()
-        assert len(sink) >= 1

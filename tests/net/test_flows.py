@@ -7,7 +7,6 @@ from repro.core.model import HttpMethod, Trace
 from repro.net.flows import (
     AddressBook,
     packets_from_trace,
-    trace_from_packets,
     transactions_from_packets,
 )
 from repro.synthesis.benign import BenignGenerator
@@ -101,7 +100,8 @@ class TestRoundTrip:
     def test_trace_from_packets_convenience(self):
         trace = Trace(transactions=[make_txn()])
         packets, book = packets_from_trace(trace)
-        rebuilt = trace_from_packets(packets, book=book)
+        rebuilt = Trace(
+            transactions=transactions_from_packets(packets, book=book))
         assert len(rebuilt) == 1
 
     def test_payload_type_survives_roundtrip(self):

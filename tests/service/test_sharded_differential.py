@@ -91,6 +91,23 @@ def test_fleet_alerts_byte_identical(workload, reference, trained_model,
     assert len(fleet.shards) == workers
 
 
+def test_feed_outside_a_running_pool_raises(workload, trained_model):
+    """Before ``start()`` and after ``drain()`` there is no worker to
+    take a packet: ``feed`` says so at once instead of buffering it."""
+    packets, book = workload
+    service = ShardedDetectionService(
+        EngineSpec(classifier=trained_model, book=book), workers=1)
+    with pytest.raises(RuntimeError, match="not started"):
+        service.feed(packets[0])
+    with service:
+        for packet in packets[:50]:
+            service.feed(packet)
+        service.drain()
+    with pytest.raises(RuntimeError, match="not started"):
+        service.feed(packets[0])
+    assert service.packets_routed == 50
+
+
 def test_dead_shard_fails_the_drain_not_the_feed(workload, monkeypatch):
     """The inboxes are bounded, so ``feed`` blocks on a full one: a
     shard that died has to keep taking its batches, or the coordinator

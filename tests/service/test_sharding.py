@@ -18,6 +18,13 @@ from repro.service import (
 from repro.service.worker import ShardAlert
 
 
+def _histogram(*values):
+    histogram = Histogram("lat")
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
 class TestClientHeuristic:
     def test_service_port_marks_server(self):
         assert client_ip_of("10.0.0.1", 49152, "198.51.0.1", 80) == "10.0.0.1"
@@ -136,15 +143,13 @@ class TestMergeSnapshots:
         assert merged["gauges"] == {"g": 7}
 
     def test_histograms_combine(self):
-        h1 = {"count": 2, "sum": 10.0, "min": 1.0, "max": 9.0,
-              "mean": 5.0, "p50": 5.0, "p90": 8.0, "p99": 9.0}
-        h2 = {"count": 3, "sum": 6.0, "min": 0.5, "max": 4.0,
-              "mean": 2.0, "p50": 2.0, "p90": 4.0, "p99": 4.0}
+        h1 = _histogram(1.0, 9.0)
+        h2 = _histogram(0.5, 1.5, 4.0)
         merged = merge_snapshots([
             {"enabled": True, "counters": {}, "gauges": {},
-             "histograms": {"lat": h1}},
+             "histograms": {"lat": h1.snapshot()}},
             {"enabled": True, "counters": {}, "gauges": {},
-             "histograms": {"lat": h2}},
+             "histograms": {"lat": h2.snapshot()}},
         ])
         hist = merged["histograms"]["lat"]
         assert hist["count"] == 5
@@ -152,17 +157,17 @@ class TestMergeSnapshots:
         assert hist["min"] == 0.5
         assert hist["max"] == 9.0
         assert hist["mean"] == 16.0 / 5
-        assert hist["p99"] == 9.0  # conservative fleet tail
+        # The fleet tail comes from the pooled samples.
+        assert hist["p99"] == _histogram(1.0, 9.0, 0.5, 1.5, 4.0).quantile(
+            0.99)
 
     def test_empty_histogram_does_not_poison_stats(self):
         # A shard that never observed a sample snapshots its histogram
         # with count=0 and None order statistics; the fleet merge must
         # keep the populated shard's stats (regression: TypeError when
         # min/max compared None against a float under REPRO_METRICS=1).
-        empty = {"count": 0, "sum": 0.0, "min": None, "max": None,
-                 "mean": None, "p50": None, "p90": None, "p99": None}
-        full = {"count": 2, "sum": 10.0, "min": 1.0, "max": 9.0,
-                "mean": 5.0, "p50": 5.0, "p90": 8.0, "p99": 9.0}
+        empty = Histogram("lat").snapshot()
+        full = _histogram(1.0, 9.0).snapshot()
         for ordering in ([empty, full], [full, empty]):
             merged = merge_snapshots([
                 {"enabled": True, "counters": {}, "gauges": {},
@@ -172,7 +177,7 @@ class TestMergeSnapshots:
             assert hist["count"] == 2
             assert hist["min"] == 1.0
             assert hist["max"] == 9.0
-            assert hist["p99"] == 9.0
+            assert hist["p99"] == full["p99"]
             assert hist["mean"] == 5.0
 
     def test_exact_quantiles_from_sample_buffers(self):
@@ -223,24 +228,6 @@ class TestMergeSnapshots:
         hist = merged["histograms"]["lat"]
         assert "samples" not in hist
         assert hist["p50"] == 2.0
-
-    def test_sampleless_contributor_falls_back_to_max_of(self):
-        # Back-compat: a snapshot without a sample buffer poisons the
-        # pool, and the quantiles stay on the conservative estimate.
-        with_samples = {"count": 2, "sum": 3.0, "min": 1.0, "max": 2.0,
-                        "mean": 1.5, "p50": 1.5, "p90": 1.9, "p99": 2.0,
-                        "samples": [1.0, 2.0]}
-        without = {"count": 2, "sum": 18.0, "min": 8.0, "max": 10.0,
-                   "mean": 9.0, "p50": 9.0, "p90": 9.8, "p99": 10.0}
-        merged = merge_snapshots([
-            {"enabled": True, "counters": {}, "gauges": {},
-             "histograms": {"lat": dict(with_samples)}},
-            {"enabled": True, "counters": {}, "gauges": {},
-             "histograms": {"lat": dict(without)}},
-        ])
-        hist = merged["histograms"]["lat"]
-        assert hist["p50"] == 9.0  # max-of, not pooled-exact (≈5.5)
-        assert "samples" not in hist
 
     def test_oversized_pool_decimates_deterministically(self):
         snapshots = []

@@ -14,7 +14,7 @@ import pytest
 from repro.detection.detector import OnTheWireDetector
 from repro.detection.live import LiveDetector
 from repro.loadgen import MIXED, LoadGenerator
-from repro.obs import Tracer, use_tracer
+from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
 from repro.service.daemon import merge_traces
 from repro.service.sharding import PacketRouter
@@ -75,7 +75,7 @@ def test_in_process_shards_trace_byte_identical(
     for packet in packets:
         for shard, routed in router.route(packet):
             per_shard[shard].append(routed)
-    spec = EngineSpec(classifier=trained_model, book=book, trace=True)
+    spec = EngineSpec(classifier=trained_model, book=book, trace="full")
     shard_alerts, shard_traces = [], []
     for shard_id, shard_packets in enumerate(per_shard):
         result = run_shard(spec, shard_id, shard_packets)
@@ -95,7 +95,7 @@ def test_pooled_workers_trace_byte_identical(
     events must survive the queue crossing and merge identically."""
     packets, book = workload
     ref_alerts, ref_trace = reference
-    spec = EngineSpec(classifier=trained_model, book=book, trace=True)
+    spec = EngineSpec(classifier=trained_model, book=book, trace="full")
     service = ShardedDetectionService(spec, workers=2)
     with service:
         for packet in packets:
@@ -107,7 +107,7 @@ def test_pooled_workers_trace_byte_identical(
 
 def test_trace_off_spec_ships_no_events(workload, trained_model):
     packets, book = workload
-    spec = EngineSpec(classifier=trained_model, book=book, trace=False)
+    spec = EngineSpec(classifier=trained_model, book=book, trace=None)
     result = run_shard(spec, 0, packets)
     assert result.error is None
     assert result.trace == []
@@ -115,16 +115,24 @@ def test_trace_off_spec_ships_no_events(workload, trained_model):
 
 
 def test_alerts_sampling_rides_the_spec(workload, trained_model):
-    """``trace_sample="alerts"`` in the spec reaches the shard tracer:
-    only alerting timelines (and global events) come back."""
+    """``trace="alerts"`` in the spec reaches the shard tracer: only
+    alerting timelines (and global events) come back."""
     packets, book = workload
-    spec = EngineSpec(classifier=trained_model, book=book, trace=True,
-                      trace_sample="alerts")
+    spec = EngineSpec(classifier=trained_model, book=book, trace="alerts")
     result = run_shard(spec, 0, packets)
     assert result.error is None
     assert result.trace  # the workload alerts, so timelines survive
     full = run_shard(
-        EngineSpec(classifier=trained_model, book=book, trace=True),
+        EngineSpec(classifier=trained_model, book=book, trace="full"),
         0, packets,
     )
     assert len(result.trace) < len(full.trace)
+
+
+def test_the_default_spec_traces_as_the_coordinator_does(trained_model):
+    """Without ``trace=``, a spec takes the sample mode of the tracer
+    active where it is built, or ``None`` when that one is off."""
+    with use_tracer(Tracer(sample="alerts")):
+        assert EngineSpec(classifier=trained_model).trace == "alerts"
+    with use_tracer(NULL_TRACER):
+        assert EngineSpec(classifier=trained_model).trace is None

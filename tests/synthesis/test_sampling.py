@@ -9,7 +9,6 @@ from repro.synthesis.sampling import (
     bounded_int,
     bounded_sample,
     lognormal_bounded,
-    poisson_at_least,
 )
 
 
@@ -72,13 +71,3 @@ class TestLognormalBounded:
 
     def test_degenerate(self, rng):
         assert lognormal_bounded(rng, 7.0, 7.0, 7.0) == 7.0
-
-
-class TestPoissonAtLeast:
-    def test_floor(self, rng):
-        draws = [poisson_at_least(rng, 0.1, minimum=1) for _ in range(100)]
-        assert min(draws) >= 1
-
-    def test_zero_mean(self, rng):
-        assert poisson_at_least(rng, 0.0) == 0
-        assert poisson_at_least(rng, -5.0) == 0

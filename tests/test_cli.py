@@ -223,12 +223,6 @@ class TestCliTracing:
                                                   tmp_path):
         from repro.obs import read_jsonl
 
-        single = self._traced_detect(cli_model, tmp_path)
-        sharded_dir = tmp_path / "sharded"
-        sharded_dir.mkdir()
-        sharded = self._traced_detect(cli_model, sharded_dir,
-                                      extra=("--workers", "2"))
-
         def canon(path):
             events = read_jsonl(path)
             for event in events:
@@ -237,7 +231,16 @@ class TestCliTracing:
                 event["data"].pop("batch", None)
             return events
 
-        assert canon(sharded) == canon(single)
+        # The workers trace with the sample mode the flags set.
+        for sample in ("full", "alerts"):
+            flags = ("--trace-sample", sample)
+            single_dir = tmp_path / sample
+            sharded_dir = single_dir / "sharded"
+            sharded_dir.mkdir(parents=True)
+            single = self._traced_detect(cli_model, single_dir, extra=flags)
+            sharded = self._traced_detect(cli_model, sharded_dir,
+                                          extra=(*flags, "--workers", "2"))
+            assert canon(sharded) == canon(single)
 
     def test_explain_walks_alert_provenance(self, cli_model, tmp_path,
                                             capsys):

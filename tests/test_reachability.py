@@ -76,7 +76,6 @@ ALLOWLIST: dict[str, str] = {
                              " reassembled client bytes",
     "TcpStream.server_data": "state: as TcpStream.client_data",
     "StreamDirection.has_gap": "state: the reassembly gap test reads it",
-    "cms_breakdown": "debt (2 tests): test_exposure_headers.py",
     "payload_risk_from_corpus": "debt (3 tests): detection/test_clues.py",
     "PayloadSummary": "debt (3 tests): core/test_payloads.py; no WCG"
                       " node stores payload counts any more",
@@ -86,8 +85,6 @@ ALLOWLIST: dict[str, str] = {
                                                 " test_forest.py",
     "DecisionTreeClassifier.feature_importances": "debt (1 test):"
                                                   " test_tree.py",
-    "trace_from_packets": "debt (1 test): net/test_flows.py",
-    "poisson_at_least": "debt (2 tests): synthesis/test_sampling.py",
 }
 
 _HEADING = re.compile(r"(reference|state|debt \(\d+ tests?\)): \S")

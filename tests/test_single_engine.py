@@ -186,6 +186,36 @@ def test_a_header_map_holds_no_pair_per_header():
     assert built == []
 
 
+#: The tap and the fleet hand back only what a caller reads: no watch
+#: snapshots, no pluggable alert sink, one shard-tracing field.
+_GONE_OUTPUT_NAMES = ("WatchSnapshot", "snapshot_watches",
+                      "merge_watch_snapshots", "AlertSink", "ListSink",
+                      "trace_sample", "_shard_tracer", "overload_policy")
+
+
+def test_the_unread_outputs_and_tracing_knobs_stay_gone():
+    import dataclasses
+    import inspect
+    import re
+
+    from repro.detection.detector import OnTheWireDetector
+    from repro.service import EngineSpec, ShardResult
+
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _GONE_OUTPUT_NAMES
+        if re.search(rf"\b{re.escape(name)}\b",
+                     path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    assert [f.name for f in dataclasses.fields(EngineSpec)] == [
+        "classifier", "clue_policy", "detector_config", "linktype", "book",
+        "metrics", "trace"]
+    assert "sink" not in inspect.signature(OnTheWireDetector).parameters
+    assert "packets" not in {f.name for f in dataclasses.fields(ShardResult)}
+
+
 def test_a_shard_runs_the_same_engine_type_as_the_tap(trained_model):
     from repro.detection.live import LiveDetector
     from repro.service import EngineSpec
