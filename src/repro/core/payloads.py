@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from urllib.parse import SplitResult, urlsplit
 
@@ -34,7 +33,6 @@ __all__ = [
     "classify",
     "is_exploit_type",
     "is_downloadable",
-    "PayloadSummary",
 ]
 
 
@@ -368,39 +366,3 @@ def is_downloadable(ptype: PayloadType) -> bool:
         PayloadType.ARCHIVE,
         PayloadType.OCTET,
     )
-
-
-@dataclass
-class PayloadSummary:
-    """Per-node payload count summary (Section III-C, node-level).
-
-    Attributes map payload type value → count of payloads of that type
-    that originate from or are received by the node.
-    """
-
-    counts: dict[str, int]
-
-    def __init__(self) -> None:
-        self.counts = {}
-
-    def add(self, ptype: PayloadType) -> None:
-        """Record one payload of type ``ptype``."""
-        self.counts[ptype.value] = self.counts.get(ptype.value, 0) + 1
-
-    def count(self, ptype: PayloadType) -> int:
-        """Count of payloads recorded for ``ptype``."""
-        return self.counts.get(ptype.value, 0)
-
-    @property
-    def total(self) -> int:
-        """Total payloads recorded across all types."""
-        return sum(self.counts.values())
-
-    @property
-    def exploit_total(self) -> int:
-        """Total exploit + ransomware payloads recorded."""
-        return sum(
-            count
-            for value, count in self.counts.items()
-            if is_exploit_type(PayloadType(value))
-        )

@@ -6,7 +6,6 @@ from repro.detection.clues import (
     CluePolicy,
     DEFAULT_RISKY_TYPES,
     InfectionClue,
-    payload_risk_from_corpus,
 )
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.detection.live import LiveDecoder, LiveDetector
@@ -29,5 +28,4 @@ __all__ = [
     "VendorWhitelist",
     "clue_time_prefix",
     "training_matrix",
-    "payload_risk_from_corpus",
 ]

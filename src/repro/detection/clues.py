@@ -5,26 +5,24 @@ followed by a download of a file type t.  The threshold for l and the
 download likelihood of the payload type x to be infectious are
 determined from a statistical analysis of the ground truth data."
 
-:func:`payload_risk_from_corpus` performs that statistical analysis —
-the per-type likelihood that a downloaded payload type belongs to an
-infection trace — and :class:`ClueDetector` applies the resulting policy
-to a live stream.
+:class:`CluePolicy` holds the resulting thresholds and
+:class:`ClueDetector` applies them to a live stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.model import HttpTransaction, Trace
+from repro.core.model import HttpTransaction
 from repro.core.payloads import PayloadType, is_exploit_type
 from repro.core.redirects import RedirectInferencer, longest_chain_length
 from repro.obs import get_registry
 
 __all__ = ["InfectionClue", "CluePolicy", "ClueDetector",
-           "payload_risk_from_corpus", "DEFAULT_RISKY_TYPES"]
+           "DEFAULT_RISKY_TYPES"]
 
-#: Payload types considered download-risky out of the box (the ground
-#: truth analysis lands on exactly these; see payload_risk_from_corpus).
+#: Payload types considered download-risky out of the box: the exploit,
+#: ransomware, document, archive and opaque-binary download types.
 DEFAULT_RISKY_TYPES: frozenset[PayloadType] = frozenset(
     {
         PayloadType.EXE,
@@ -76,30 +74,6 @@ class CluePolicy:
     redirect_threshold: int = 3
     risky_types: frozenset[PayloadType] = DEFAULT_RISKY_TYPES
     exploit_shortcut: bool = True
-
-
-def payload_risk_from_corpus(traces: list[Trace]) -> dict[PayloadType, float]:
-    """Per-payload-type infection likelihood from labelled traces.
-
-    For each payload type observed as a download, returns
-    ``P(trace is infection | type downloaded)`` — the statistic the paper
-    derives the download-likelihood policy from.
-    """
-    infected: dict[PayloadType, int] = {}
-    total: dict[PayloadType, int] = {}
-    for trace in traces:
-        seen: set[PayloadType] = set()
-        for txn in trace.transactions:
-            if txn.status == 200:
-                seen.add(txn.payload_type)
-        for ptype in seen:
-            total[ptype] = total.get(ptype, 0) + 1
-            if trace.is_infection:
-                infected[ptype] = infected.get(ptype, 0) + 1
-    return {
-        ptype: infected.get(ptype, 0) / count
-        for ptype, count in total.items()
-    }
 
 
 class ClueDetector:

@@ -8,12 +8,21 @@ meaningful update.  An infectious verdict raises an :class:`Alert` and
 terminates the session; a benign verdict keeps the watch open until the
 session stops growing.
 
+Stream time is one watermark, ``OnTheWireDetector.watermark``:
+``process_batch`` advances it with transaction timestamps, a packet tap
+with each packet's, and a shard with the fleet's clock.  Once it passes
+a clue-active watch's ``last_ts + 2 * idle_gap`` the watch has stopped
+growing and gets its final verdict, stamped ``last_ts`` (see
+``SessionTable.expire``).  End of capture (``finalize``) is the
+watermark moved to +∞.
+
 Detector state is bounded: per-watch scoring bookkeeping lives on the
 watch and goes with it, the session table prunes closed and stale
-watches (see :mod:`repro.detection.monitor`), and the per-client alert
-cooldown map is swept once it outgrows ``alert_state_cap``.  Scoring
-itself leans on the WCG's version counters — an unchanged graph is never
-re-extracted or re-scored.
+watches against the watermark (see :mod:`repro.detection.monitor`), and
+a cooldown entry four windows old counts as absent and goes at the next
+sweep (eight windows at the latest).  Scoring itself leans on the WCG's
+version counters — an unchanged graph is never re-extracted or
+re-scored.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ from repro.learning.forest import EnsembleRandomForest
 from repro.obs import get_registry, get_tracer
 
 __all__ = ["DetectorConfig", "OnTheWireDetector"]
+
+#: A cooldown entry this many ``alert_cooldown`` windows behind a
+#: verdict's clock counts as absent (swept or not: the sweep only frees
+#: memory).
+_COOLDOWN_SPANS = 4.0
 
 
 @dataclass
@@ -69,9 +83,6 @@ class DetectorConfig:
     #: default, ``max(20 * idle_gap, 1200)``); those without one go
     #: after ``min(2 * idle_gap, prune_after)`` — see ``SessionTable``.
     prune_after: float | None = None
-    #: Once the per-client cooldown map exceeds this many entries, drop
-    #: the clients whose last alert is several cooldown windows old.
-    alert_state_cap: int = 4096
 
 
 @dataclass
@@ -119,6 +130,12 @@ class OnTheWireDetector:
                                    prune_after=self.config.prune_after)
         self._extractor = FeatureExtractor()
         self._last_alert_ts: dict[str, float] = {}
+        #: Stream time: the largest timestamp advanced to so far.
+        self.watermark = float("-inf")
+        #: No watch stops growing and no cooldown sweep is due before the
+        #: watermark reaches this (a lower bound: lowered when a watch
+        #: turns clue-active or an alert lands, made exact by each scan).
+        self._due = float("inf")
         self._tracer = get_tracer()
         self.transactions_seen = 0
         self.transactions_weeded = 0
@@ -144,16 +161,26 @@ class OnTheWireDetector:
         single-row call each.  Semantics are identical to feeding the
         transactions one batch each, because pending scores are flushed
         before any transaction of a client that already has one is
-        routed: a transaction can only mutate (or be routed by) its own
-        client's watches, so at every flush point each pending watch's
-        WCG, the cooldown map, and the routing structures are exactly
-        what the one-at-a-time feed saw.  Alerts dispatch in request
-        order.
+        routed, and before the watermark retires a watch: a transaction
+        can only mutate (or be routed by) its own client's watches, so
+        at every flush point each pending watch's WCG, the cooldown map,
+        and the routing structures are exactly what the one-at-a-time
+        feed saw.  Alerts dispatch in request order.
         """
         alerts: list[Alert] = []
         pending: list[_PendingScore] = []
         pending_clients: set[str] = set()
+        table = self._table
+        retire_after = table.retire_after
+        watermark = self.watermark  # only this loop moves it
         for txn in transactions:
+            if txn.timestamp > watermark:  # advance(), inlined
+                self.watermark = watermark = txn.timestamp
+                if watermark >= self._due:
+                    alerts.extend(self.score_batch(pending))
+                    pending.clear()
+                    pending_clients.clear()
+                    alerts.extend(self._retire_stopped())
             self.transactions_seen += 1
             self._c_txns.inc()
             if self.config.use_whitelist and self.whitelist.trusted(txn.server):
@@ -164,11 +191,17 @@ class OnTheWireDetector:
                 alerts.extend(self.score_batch(pending))
                 pending.clear()
                 pending_clients.clear()
-            watch = self._table.route(txn)
+            watch = table.route(txn, watermark)
             if watch.alerted or watch.terminated:
                 continue
             if watch.active_clue is None:
                 continue  # nothing suspicious yet; keep accumulating
+            horizon = watch.last_ts + retire_after
+            if horizon < self._due:
+                self._due = horizon
+            # Behind the watermark only if over 2 * idle_gap late.
+            watch.verdict_clock = (horizon if horizon > watermark
+                                   else watermark)
             if not self._should_score(watch, txn):
                 continue
             request = self._request_score(watch, txn.timestamp)
@@ -178,26 +211,19 @@ class OnTheWireDetector:
         alerts.extend(self.score_batch(pending))
         return alerts
 
-    def finalize(self) -> list[Alert]:
-        """Close every watch (end-of-capture); returns the alerts raised.
+    def advance(self, now: float) -> list[Alert]:
+        """Move stream time to ``now``; returns the alerts of the final
+        verdicts it brings (:meth:`_retire_stopped`).  No-op if earlier."""
+        if now <= self.watermark:
+            return []
+        self.watermark = now
+        return self._retire_stopped() if now >= self._due else []
 
-        Every clue-active watch gets one last classification before it
-        closes — the WCG "stops growing" verdict of Section V-B.  The
-        final verdicts are computed as one classifier matrix call and
-        dispatched in table order, so cross-watch cooldown suppression
-        behaves exactly as a sequential walk would.
-        """
-        requests = []
-        for watch in self._table.watches():
-            if (watch.active_clue is None or watch.alerted
-                    or watch.terminated):
-                continue
-            request = self._request_score(watch, watch.last_ts)
-            if request is not None:
-                requests.append(request)
-        alerts = self.score_batch(requests)
-        last = max((w.last_ts for w in self._table.watches()), default=0.0)
-        self._table.expire(last + self.config.idle_gap + 1.0)
+    def finalize(self) -> list[Alert]:
+        """End of capture: :meth:`advance` to +∞, so every clue-active
+        watch gets its final verdict, then drop every watch."""
+        alerts = self.advance(float("inf"))
+        self._table.sweep(self.watermark)
         return alerts
 
     def replay(self, transactions: Iterable[HttpTransaction]) -> list[Alert]:
@@ -210,6 +236,32 @@ class OnTheWireDetector:
         """
         ordered = sorted(transactions, key=lambda txn: txn.timestamp)
         return self.process_batch(ordered) + self.finalize()
+
+    def _retire_stopped(self) -> list[Alert]:
+        """Give every watch that stopped growing (Section V-B) its final
+        verdict, then drop cooldown entries four windows old.
+
+        The verdicts are one classifier matrix call, stamped ``last_ts``
+        and dispatched in ``last_ts`` order (table order on ties), so
+        cross-watch cooldown suppression is still a sequential walk.
+        """
+        now = self.watermark
+        stopped, due = self._table.expire(now)
+        requests = [self._request_score(watch, watch.last_ts)
+                    for watch in stopped]
+        alerts = self.score_batch([r for r in requests if r is not None])
+        span = _COOLDOWN_SPANS * self.config.alert_cooldown
+        stamps = self._last_alert_ts
+        if min(stamps.values(), default=now) + span < now:
+            self._last_alert_ts = stamps = {
+                client: stamp for client, stamp in stamps.items()
+                if stamp + span >= now
+            }
+        # An aged entry is harmless until swept, so a sweep is only
+        # scheduled once the oldest is two spans old: each then drops a
+        # span's worth of alerts, not one.
+        self._due = min(due, min(stamps.values(), default=due) + 2 * span)
+        return alerts
 
     # -- scoring ------------------------------------------------------------
 
@@ -377,6 +429,9 @@ class OnTheWireDetector:
                 )
             return None
         last = self._last_alert_ts.get(watch.client)
+        span = _COOLDOWN_SPANS * self.config.alert_cooldown
+        if last is not None and last + span < watch.verdict_clock:
+            last = None  # aged out, swept or not
         if last is not None and now - last < self.config.alert_cooldown:
             # Same incident: terminate the fragment quietly.  A negative
             # delta (skewed or out-of-order timestamps) counts as inside
@@ -397,7 +452,7 @@ class OnTheWireDetector:
                 self._tracer.close_watch(watch.key, alerted=True)
             return None
         self._last_alert_ts[watch.client] = now
-        self._sweep_alert_state()
+        self._due = min(self._due, now + 2 * span)
         provenance = (
             self._build_provenance(request, row) if traced else None
         )
@@ -480,26 +535,6 @@ class OnTheWireDetector:
             vote_tally=explanation["vote_tally"],
             feature_path_counts=explanation["feature_path_counts"],
         )
-
-    def _sweep_alert_state(self) -> None:
-        """Bound the per-client cooldown map.
-
-        Entries several cooldown windows behind the newest alert can
-        never suppress anything again; drop them once the map outgrows
-        the cap.  (If every entry is recent the map stays large — those
-        entries are still load-bearing.)
-        """
-        if len(self._last_alert_ts) <= self.config.alert_state_cap:
-            return
-        horizon = (
-            max(self._last_alert_ts.values())
-            - 4.0 * self.config.alert_cooldown
-        )
-        self._last_alert_ts = {
-            client: stamp
-            for client, stamp in self._last_alert_ts.items()
-            if stamp >= horizon
-        }
 
     # -- introspection --------------------------------------------------------
 

@@ -15,7 +15,9 @@ this module provides that incremental path:
     the packet-in, alert-out engine: a :class:`LiveDecoder` glued to an
     :class:`~repro.detection.detector.OnTheWireDetector` — what the
     single-process tap is, and the unit :mod:`repro.service` runs one
-    of per worker process.
+    of per worker process.  Each packet first advances the detector's
+    stream watermark to its timestamp, so a watch that stopped growing
+    gets its final verdict mid-stream, not at end of capture.
 
 Decoding is incremental end to end: every connection owns a
 :class:`~repro.net.flows.StreamPairer` whose resumable HTTP parsers
@@ -254,18 +256,24 @@ class LiveDetector:
     def feed(self, packet: PcapPacket) -> list[Alert]:
         """Ingest one packet; returns alerts raised by it (if any).
 
-        The transactions a packet completes form one detector
+        The packet's timestamp advances the stream watermark first
+        (final verdicts of watches that stopped growing before it).
+        The transactions it completes then form one detector
         micro-batch: their classifications coalesce into a single
         classifier matrix call with per-transaction semantics unchanged
         (see :meth:`OnTheWireDetector.process_batch`).
         """
+        timestamp, detector = packet.timestamp, self.detector
+        alerts = []
+        if timestamp > detector.watermark:  # advance(), inlined
+            detector.watermark = timestamp
+            if timestamp >= detector._due:
+                alerts = detector._retire_stopped()
         transactions = self.decoder.feed(packet)
         if transactions:  # most packets complete nothing: no batch
             self.transactions_emitted += len(transactions)
             with self._metrics.span("detector.process_batch"):
-                alerts = self.detector.process_batch(transactions)
-        else:
-            alerts = []
+                alerts += detector.process_batch(transactions)
         if self.reporter is not None:
             self.reporter.maybe_emit()
         return alerts

@@ -5,20 +5,24 @@ list, its incremental WCG builder, and its clue detector.  The
 :class:`SessionTable` clusters an interleaved multi-client stream into
 watches using session IDs with the referrer/timestamp fallback heuristic.
 
-The table's memory is bounded: terminated watches are dropped from the
-routing structures (``route()`` would only skip over them), and a watch
-that never produced an infection clue is retired once nothing can reach
-it — idle past ``2 * idle_gap`` when it carries no session ID (one gap
-is the last moment ``matches`` accepts a transaction, the second an
+The table keeps no clock of its own: every ``route`` and ``sweep`` is
+handed the detector's stream watermark.  Its memory is bounded:
+terminated watches are dropped from the routing structures (``route()``
+would only skip over them), and a watch that never produced an
+infection clue is retired once nothing can reach it — idle past
+``2 * idle_gap`` of the watermark when it carries no session ID (one
+gap is the last moment ``matches`` accepts a transaction, the second an
 allowance for late completions), past ``prune_after`` when it does.
-Clue-active watches are never auto-pruned; they stay until the detector
-delivers their final verdict (alert, cooldown suppression, or the
-end-of-capture classification in ``finalize``).
+Clue-active watches are never auto-pruned: :meth:`SessionTable.expire`
+hands them over for their "stopped growing" verdict and closes them at
+the same horizons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 
 from repro.core.builder import WCGBuilder
 from repro.core.model import HttpMethod, HttpTransaction
@@ -52,12 +56,17 @@ class SessionWatch:
     active_clue: InfectionClue | None = None
     alerted: bool = False
     terminated: bool = False
+    #: Transactions held when ``SessionTable.expire`` last handed the
+    #: watch over for its final verdict.
+    judged: int = 0
     #: The detector's scoring bookkeeping for this watch: transactions
-    #: since the last score request, and the WCG order / version that
-    #: request saw.
+    #: since the last score request, the WCG order / version that
+    #: request saw, and the clock its verdicts age cooldown entries
+    #: against (its horizon, or the watermark it was last routed at).
     updates_since_score: int = 0
     scored_order: int = 0
     scored_version: int | None = None
+    verdict_clock: float = 0.0
     #: (edge count, structure version) last surfaced to the tracer.
     traced_wcg: tuple[int, int] = (0, -1)
     _clues: ClueDetector = field(init=False, repr=False)
@@ -150,7 +159,7 @@ class SessionTable:
         )
         #: The same without one: ``matches`` rejects everything past
         #: one ``idle_gap``; the second allows for late completions.
-        self._retire_after = min(2.0 * idle_gap, self.prune_after)
+        self.retire_after = min(2.0 * idle_gap, self.prune_after)
         self._watches: dict[str, list[SessionWatch]] = {}
         #: Total watches ever opened (pruning does not decrease this).
         self.opened_count = 0
@@ -160,7 +169,6 @@ class SessionTable:
         #: lets a client-sharded fleet (repro.service) reproduce the
         #: single-process alert stream byte for byte.
         self._client_serial: dict[str, int] = {}
-        self._now = float("-inf")
         self._routed = 0
         #: Watches currently retained (routing candidates); mirrors
         #: ``sum(len(group) for group in self._watches.values())``.
@@ -175,19 +183,18 @@ class SessionTable:
         self._g_retained = metrics.gauge("session.retained_transactions")
         self._tracer = get_tracer()
 
-    def route(self, txn: HttpTransaction) -> SessionWatch:
-        """Find (or open) the watch that owns ``txn`` and ingest it."""
+    def route(self, txn: HttpTransaction, now: float) -> SessionWatch:
+        """Find (or open) the watch that owns ``txn`` and ingest it;
+        ``now`` is the stream watermark, ``txn.timestamp`` at the least."""
         client = txn.client
         timestamp = txn.timestamp
-        if timestamp > self._now:
-            self._now = timestamp
-        elif self._now - timestamp > self.idle_gap:
+        if now - timestamp > self.idle_gap:
             self._c_late.inc()  # past the retirement allowance (DESIGN §9)
         self._routed += 1
         if self._routed % _SWEEP_INTERVAL == 0:
-            self.sweep()
+            self.sweep(now)
         else:
-            self._prune_client(client)
+            self._prune_client(client, now)
         session_id = extract_session_id(txn)
         candidates = self._watches.get(client)
         if candidates is None:
@@ -221,39 +228,55 @@ class SessionTable:
         """All retained watches, across clients."""
         return [w for group in self._watches.values() for w in group]
 
-    def expire(self, now: float) -> list[SessionWatch]:
-        """Terminate watches idle past the gap ("the WCG stops growing").
+    def expire(self, now: float) -> tuple[list[SessionWatch], float]:
+        """The clue-active watches that stopped growing before watermark
+        ``now`` (idle past ``retire_after`` since their last verdict),
+        oldest ``last_ts`` first, and the watermark at which this has
+        work again.  The caller owes each its final verdict.
 
-        Returns the watches terminated by this sweep; afterwards every
-        terminated watch is dropped from the routing structures.
+        A clue-active watch is closed when a clue-less one would be
+        pruned: with that verdict, or at ``prune_after`` if a session ID
+        can still reach it (a transaction carrying the ID then joins it
+        and owes it a new verdict).
         """
-        if now > self._now:
-            self._now = now
-        expired = []
+        retire_after = self.retire_after
+        stopped = []
+        due = float("inf")
         for watch in self.watches():
-            if not watch.terminated and now - watch.last_ts > self.idle_gap:
+            if watch.active_clue is None or watch.terminated:
+                continue
+            if watch.judged < len(watch.transactions):  # verdict owed
+                if watch.last_ts + retire_after >= now:
+                    due = min(due, watch.last_ts + retire_after)
+                    continue
+                watch.judged = len(watch.transactions)
+                stopped.append(watch)
+            reach = watch.last_ts + (self.prune_after if watch.session_ids
+                                     else retire_after)
+            if reach < now:
                 watch.terminated = True
-                expired.append(watch)
-        self.sweep()
-        return expired
+            else:
+                due = min(due, reach)
+        stopped.sort(key=attrgetter("last_ts"))
+        return stopped, due
 
     # -- pruning ----------------------------------------------------------
 
-    def _prunable(self, watch: SessionWatch) -> bool:
-        idle = self._now - watch.last_ts
+    def _prunable(self, watch: SessionWatch, now: float) -> bool:
+        idle = now - watch.last_ts
         return watch.terminated or (
-            watch.active_clue is None and idle > self._retire_after
+            watch.active_clue is None and idle > self.retire_after
             and (idle > self.prune_after or not watch.session_ids))
 
-    def _prune_client(self, client: str) -> None:
+    def _prune_client(self, client: str, now: float) -> None:
         group = self._watches.get(client)
         if not group:
             return
         # Every route lands here and almost none finds anything to
         # drop: look first, rebuild the list only when something is.
-        if not any(map(self._prunable, group)):
+        if not any(map(self._prunable, group, repeat(now))):
             return
-        kept = [w for w in group if not self._drop_if_prunable(w)]
+        kept = [w for w in group if not self._drop_if_prunable(w, now)]
         if kept:
             self._watches[client] = kept
         else:
@@ -265,8 +288,8 @@ class SessionTable:
             # the tracer resets a recycled key's timeline).
             self._client_serial.pop(client, None)
 
-    def _drop_if_prunable(self, watch: SessionWatch) -> bool:
-        if not self._prunable(watch):
+    def _drop_if_prunable(self, watch: SessionWatch, now: float) -> bool:
+        if not self._prunable(watch, now):
             return False
         watch.terminated = True
         self._live -= 1
@@ -275,12 +298,11 @@ class SessionTable:
         self._g_retained.dec(len(watch.transactions))
         if self._tracer.enabled:
             # Stamped with the watch's own last stream time, not the
-            # table clock: `self._now` advances with whatever clients
-            # this table happens to host, so a table-clock stamp would
-            # differ between a single-process run and a client-sharded
-            # fleet.  The watch's last_ts depends only on its own
-            # client's stream — the canonical trace stays worker-count
-            # invariant even though *when* the prune runs varies.
+            # watermark: a shard catches up with the fleet clock only
+            # at its own next packet, so *when* the prune runs varies
+            # with the worker count.  The watch's last_ts depends only
+            # on its own client's stream — the canonical trace stays
+            # worker-count invariant.
             self._tracer.emit(
                 "prune", ts=watch.last_ts, client=watch.client,
                 watch=watch.key, alerted=watch.alerted,
@@ -290,8 +312,9 @@ class SessionTable:
             self._tracer.close_watch(watch.key, alerted=watch.alerted)
         return True
 
-    def sweep(self) -> None:
-        """Drop every prunable watch, for all clients."""
+    def sweep(self, now: float) -> None:
+        """Drop every watch prunable at watermark ``now``, for all
+        clients."""
         self._c_sweeps.inc()
         for client in list(self._watches):
-            self._prune_client(client)
+            self._prune_client(client, now)

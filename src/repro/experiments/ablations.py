@@ -46,7 +46,7 @@ def run_voting(seed: int = DEFAULT_SEED,
         cv = cross_validate(
             X, y, k=k, seed=seed, n_jobs=default_n_jobs(),
             model_factory=partial(
-                EnsembleRandomForest, n_trees=20, voting=mode,
+                EnsembleRandomForest, voting=mode,
                 min_samples_leaf=5, random_state=seed,
             ),
         )

@@ -107,9 +107,8 @@ def cross_validate(
     y = np.asarray(y)
     if feature_indices is not None:
         X = X[:, feature_indices]
-    factory = model_factory or partial(
-        EnsembleRandomForest, n_trees=20, random_state=seed
-    )
+    factory = model_factory or partial(EnsembleRandomForest,
+                                       random_state=seed)
     jobs = [
         (X, y, train_idx, test_idx, factory, threshold)
         for train_idx, test_idx in stratified_kfold(y, k=k, seed=seed)

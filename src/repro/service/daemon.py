@@ -202,11 +202,15 @@ class ShardedDetectionService:
         self.n_workers = resolve_n_jobs(workers)
         self.router = PacketRouter(self.n_workers, linktype=spec.linktype)
         self.packets_routed = 0
+        #: The fleet clock, the largest packet timestamp fed so far; every
+        #: record ships with it (see ``worker.run_shard``).
+        self._clock = float("-inf")
         self._ctx = mp.get_context()
         self._processes: list[mp.process.BaseProcess] = []
         self._inboxes: list[Any] = []
         self._outbox: Any = None
-        self._pending: list[list[PcapPacket]] = []
+        #: Per shard: packets routed since its last batch, clock at each.
+        self._pending: list[tuple[list[PcapPacket], list[float]]] = []
 
     # -- lifecycle ----------------------------------------------------
 
@@ -214,7 +218,7 @@ class ShardedDetectionService:
         if self._processes:
             raise RuntimeError("service already started")
         self._outbox = self._ctx.Queue()
-        self._pending = [[] for _ in range(self.n_workers)]
+        self._pending = [([], []) for _ in range(self.n_workers)]
         for shard_id in range(self.n_workers):
             inbox = self._ctx.Queue(maxsize=_INBOX_BATCHES)
             process = self._ctx.Process(
@@ -237,16 +241,19 @@ class ShardedDetectionService:
     def feed(self, packet: PcapPacket) -> None:
         """Route one pcap record to its shard's inbox; blocks while
         that inbox is full (back-pressure, see ``_INBOX_BATCHES``)."""
+        if packet.timestamp > self._clock:
+            self._clock = packet.timestamp
         for shard_id, routed in self.router.route(packet):
             try:
-                batch = self._pending[shard_id]
+                packets, clocks = self._pending[shard_id]
             except IndexError:  # no pool: never started, or drained
                 raise RuntimeError("service not started") from None
             self.packets_routed += 1
-            batch.append(routed)
-            if len(batch) >= _BATCH_SIZE:
-                self._put(shard_id, pack_frames(batch))
-                self._pending[shard_id] = []
+            packets.append(routed)
+            clocks.append(self._clock)
+            if len(packets) >= _BATCH_SIZE:
+                self._put(shard_id, pack_frames(packets, clocks))
+                self._pending[shard_id] = ([], [])
 
     def _put(self, shard_id: int, batch: Any) -> None:
         """Hand ``batch`` to a shard; one that died or stopped taking (it
@@ -290,9 +297,9 @@ class ShardedDetectionService:
         """Flush every shard, collect results, merge, shut the pool."""
         if not self._processes:
             raise RuntimeError("service not started")
-        for shard_id, batch in enumerate(self._pending):
-            if batch:
-                self._put(shard_id, pack_frames(batch))
+        for shard_id, (packets, clocks) in enumerate(self._pending):
+            if packets:
+                self._put(shard_id, pack_frames(packets, clocks))
             self._put(shard_id, None)
         results = self._collect()
         self.close()
@@ -301,14 +308,10 @@ class ShardedDetectionService:
                 raise ShardError(
                     f"shard {result.shard_id} died:\n{result.error}"
                 )
-        alerts = merge_alerts(
-            sa for result in results for sa in result.alerts
-        )
-        snapshot = merge_snapshots([r.snapshot for r in results])
         return FleetResult(
-            alerts=alerts,
+            alerts=merge_alerts(sa for r in results for sa in r.alerts),
             shards=results,
-            snapshot=snapshot,
+            snapshot=merge_snapshots([r.snapshot for r in results]),
             packets_routed=self.packets_routed,
             trace=merge_traces((r.shard_id, r.trace) for r in results),
         )

@@ -4,11 +4,12 @@ A worker process owns exactly one
 :class:`~repro.detection.live.LiveDetector` — its own TCP
 reassembler, HTTP pairing state, session table, WCGs, and alert
 cooldown — built inside the process from a picklable
-:class:`EngineSpec`.  Nothing is shared between workers: the client
-affinity of :mod:`repro.service.sharding` guarantees each engine sees
-every packet of its clients and no packet of anyone else's, which is
-what makes the per-shard alert streams merge into the single-process
-stream byte for byte.
+:class:`EngineSpec`.  Workers share only the stream clock, which
+rides with every record; the client affinity of
+:mod:`repro.service.sharding` guarantees each engine sees every packet
+of its clients and no packet of anyone else's.  Together that makes
+the per-shard alert streams merge into the single-process stream byte
+for byte.
 
 Every function here is module-level (not a closure, not a lambda) so
 the pool works under both ``fork`` and ``spawn`` start methods.
@@ -78,15 +79,9 @@ class EngineSpec:
     trace: str | None = field(default_factory=_coordinator_trace)
 
     def build_engine(self) -> LiveDetector:
-        return LiveDetector(
-            OnTheWireDetector(
-                self.classifier,
-                policy=self.clue_policy,
-                config=self.detector_config,
-            ),
-            linktype=self.linktype,
-            book=self.book,
-        )
+        detector = OnTheWireDetector(self.classifier, policy=self.clue_policy,
+                                     config=self.detector_config)
+        return LiveDetector(detector, linktype=self.linktype, book=self.book)
 
 
 @dataclass(frozen=True)
@@ -125,51 +120,53 @@ class ShardResult:
 
 
 def run_shard(spec: EngineSpec, shard_id: int,
-              packets: Iterable[PcapPacket]) -> ShardResult:
-    """Run one shard's packet stream through a fresh engine, in-process.
+              records: Iterable[tuple[PcapPacket, float]]) -> ShardResult:
+    """The whole shard lifecycle in-process — build, feed, finish,
+    summarize — for the worker loop (:func:`shard_worker`) and for
+    tests that want a shard without a pool around it.
 
-    This is the whole shard lifecycle — build, feed, finish,
-    summarize — used by the worker-process loop (:func:`shard_worker`)
-    and by tests that want a shard without a pool around it.
+    ``records`` pairs each packet with the fleet clock, the largest
+    timestamp fed to the coordinator by then; the engine's watermark
+    goes there first, as the single process's went.
     """
     registry = MetricsRegistry() if spec.metrics else NullRegistry()
     # A fresh tracer per shard, never the process-global one: under
     # ``fork`` that arrives holding the coordinator's events.
     tracer = Tracer(sample=spec.trace) if spec.trace else NULL_TRACER
-    result = ShardResult(shard_id=shard_id)
+    alerts: list[Alert] = []
     with use_registry(registry), use_tracer(tracer):
         engine = spec.build_engine()
-        for packet in packets:
-            for alert in engine.feed(packet):
-                result.alerts.append(
-                    ShardAlert(shard_id, len(result.alerts), alert)
-                )
-        for alert in engine.finish():
-            result.alerts.append(
-                ShardAlert(shard_id, len(result.alerts), alert)
-            )
-    result.transactions = engine.transactions_emitted
-    result.classifications = engine.detector.classifications
-    result.transactions_weeded = engine.detector.transactions_weeded
-    result.watches_opened = engine.detector.watch_count()
-    result.snapshot = registry.snapshot()
-    result.trace = tracer.drain()
-    return result
+        for packet, clock in records:
+            if clock > packet.timestamp:
+                alerts += engine.detector.advance(clock)
+            alerts += engine.feed(packet)
+        alerts += engine.finish()
+    detector = engine.detector
+    return ShardResult(
+        shard_id=shard_id, transactions=engine.transactions_emitted,
+        alerts=[ShardAlert(shard_id, seq, alert)
+                for seq, alert in enumerate(alerts)],
+        classifications=detector.classifications,
+        transactions_weeded=detector.transactions_weeded,
+        watches_opened=detector.watch_count(),
+        snapshot=registry.snapshot(), trace=tracer.drain())
 
 
-def pack_frames(packets: list[PcapPacket]) -> tuple:
-    """Records as one inbox batch: timestamp and ``orig_len`` arrays
-    beside the raw frames, which pickle far cheaper than a record each."""
-    timestamps, frames, orig_lens = zip(*packets)
-    return array("d", timestamps), array("q", orig_lens), frames
+def pack_frames(packets: list[PcapPacket], clocks: list[float]) -> tuple:
+    """Packets and the fleet clock at each as one inbox batch: timestamp
+    and clock arrays beside the raw frames, which pickle far cheaper than
+    a record each.  (No shard reads ``orig_len``; it is not shipped.)"""
+    timestamps, frames, _ = zip(*packets)
+    return array("d", timestamps), array("d", clocks), frames
 
 
-def unpack_frames(batch: tuple) -> Iterator[PcapPacket]:
-    """The records :func:`pack_frames` packed, in order."""
-    timestamps, orig_lens, frames = batch
+def unpack_frames(batch: tuple) -> Iterator[tuple[PcapPacket, float]]:
+    """What :func:`pack_frames` packed, as ``(packet, clock)`` pairs."""
+    timestamps, clocks, frames = batch
     # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``.
-    return map(tuple.__new__, repeat(PcapPacket),
-               zip(timestamps, frames, orig_lens))
+    packets = map(tuple.__new__, repeat(PcapPacket),
+                  zip(timestamps, frames, repeat(-1)))
+    return zip(packets, clocks)
 
 
 def shard_worker(spec: EngineSpec, shard_id: int, inbox: Any,

@@ -21,6 +21,7 @@ from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.detection.monitor import SessionTable, SessionWatch
 from repro.features.extractor import extract_matrix
 from repro.learning.forest import EnsembleRandomForest
+from repro.service.sharding import PacketRouter
 from repro.synthesis.corpus import ground_truth_corpus
 
 
@@ -81,16 +82,38 @@ def late_redirect_to_b(ts, **headers):
                     extra_res_headers={"Location": "http://b.com/"}, **extra)
 
 
+def route_in_order(table: SessionTable, transactions) -> list[SessionWatch]:
+    """Route ``transactions`` in arrival order, each on the watermark the
+    detector would hand the table: the running-max timestamp."""
+    now = float("-inf")
+    watches = []
+    for txn in transactions:
+        now = max(now, txn.timestamp)
+        watches.append(table.route(txn, now))
+    return watches
+
+
+def shard_records(packets, n_shards: int) -> list[list]:
+    """Per shard, the ``(packet, fleet clock)`` pairs the sharded
+    service ships it: routed by client, each paired with the largest
+    timestamp fed so far (``run_shard``'s input)."""
+    router = PacketRouter(n_shards)
+    per_shard: list[list] = [[] for _ in range(n_shards)]
+    clock = float("-inf")
+    for packet in packets:
+        clock = max(clock, packet.timestamp)
+        for shard, routed in router.route(packet):
+            per_shard[shard].append((routed, clock))
+    return per_shard
+
+
 def cluster_sessions(transactions, idle_gap: float = 60.0
                      ) -> list[SessionWatch]:
     """The watches ``SessionTable`` clusters a stream into (fed in
     timestamp order), in the order they opened."""
-    table = SessionTable(idle_gap=idle_gap)
-    watches: dict[int, SessionWatch] = {}
-    for txn in sorted(transactions, key=lambda t: t.timestamp):
-        watch = table.route(txn)
-        watches.setdefault(id(watch), watch)
-    return list(watches.values())
+    ordered = sorted(transactions, key=lambda t: t.timestamp)
+    routed = route_in_order(SessionTable(idle_gap=idle_gap), ordered)
+    return list({id(watch): watch for watch in routed}.values())
 
 
 def first_alert(classifier, trace, threshold: float = 0.5):

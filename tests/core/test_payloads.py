@@ -5,7 +5,6 @@ import pytest
 from repro.core.payloads import (
     EXPLOIT_EXTENSIONS,
     PayloadClass,
-    PayloadSummary,
     PayloadType,
     RANSOMWARE_EXTENSIONS,
     classify,
@@ -151,27 +150,3 @@ class TestPredicates:
         assert is_downloadable(PayloadType.ARCHIVE)
         assert not is_downloadable(PayloadType.CSS)
         assert not is_downloadable(PayloadType.IMAGE)
-
-
-class TestPayloadSummary:
-    def test_add_and_count(self):
-        summary = PayloadSummary()
-        summary.add(PayloadType.EXE)
-        summary.add(PayloadType.EXE)
-        summary.add(PayloadType.HTML)
-        assert summary.count(PayloadType.EXE) == 2
-        assert summary.count(PayloadType.HTML) == 1
-        assert summary.count(PayloadType.JAR) == 0
-
-    def test_totals(self):
-        summary = PayloadSummary()
-        for ptype in (PayloadType.EXE, PayloadType.JAR, PayloadType.HTML,
-                      PayloadType.CRYPT):
-            summary.add(ptype)
-        assert summary.total == 4
-        assert summary.exploit_total == 3  # exe + jar + crypt
-
-    def test_empty_summary(self):
-        summary = PayloadSummary()
-        assert summary.total == 0
-        assert summary.exploit_total == 0

@@ -60,7 +60,6 @@ class TestDetectorStateBounded:
             alert_cooldown=50.0,
             idle_gap=30.0,
             prune_after=120.0,
-            alert_state_cap=64,
         )
         detector = OnTheWireDetector(trained_model, config=config)
         clients = 160
@@ -75,16 +74,17 @@ class TestDetectorStateBounded:
                     _benign_session(client, base_ts, f"site-{index}.example")
                 )
         detector.process_batch(stream)
-        return detector, config
+        return detector
 
     def test_long_multi_session_stream(self, trained_model):
         sessions = 400
-        detector, config = self._run(trained_model, sessions)
+        detector = self._run(trained_model, sessions)
         live_watches, cooldown_entries = detector.tracked_state_size()
         # Retained state is bounded by the prune horizon and the sweep
         # cadence, never by how many sessions flowed through.
         assert live_watches <= 300, live_watches
-        assert cooldown_entries <= config.alert_state_cap + 8
+        # A cooldown entry goes four windows (200 s) after its alert.
+        assert cooldown_entries <= 8
         # Accounting semantics survive pruning: watches *opened* keeps
         # counting even though most watches are long gone.
         assert detector.watch_count() >= sessions * 0.9
@@ -98,8 +98,8 @@ class TestDetectorStateBounded:
         # The sharp version of boundedness: doubling the stream must not
         # grow any retained container (the seed leaked one watch and two
         # dict entries per session).
-        short, _ = self._run(trained_model, 200)
-        long, _ = self._run(trained_model, 400)
+        short = self._run(trained_model, 200)
+        long = self._run(trained_model, 400)
         short_sizes = short.tracked_state_size()
         long_sizes = long.tracked_state_size()
         for short_size, long_size in zip(short_sizes, long_sizes):
@@ -125,29 +125,74 @@ class TestDetectorStateBounded:
                 fresh.scored_version) == (0, 0, None)
 
 
+class TestCooldownSweep:
+    """The cooldown sweep only frees memory: an entry four windows
+    behind the clock a verdict is judged at counts as absent, swept or
+    not, so when sweeps run cannot change an alert."""
+
+    @staticmethod
+    def _lagging_client():
+        """``lag`` alerts; ``bob`` then carries the clock 800 s on; then
+        a second episode of ``lag`` arrives stamped 100 s, inside the
+        cooldown of its first alert but far behind the clock."""
+        stream = _infection_burst("one", 0.0, "lag") + [
+            make_txn(host="one-cnc.xyz", uri=f"/p.php?beat={beat}",
+                     ts=4.0 + beat, client="lag", method=HttpMethod.POST,
+                     content_type="text/plain") for beat in range(8)]
+        stream += [make_txn(host="news.example", ts=10.0 * i, client="bob")
+                   for i in range(2, 81)]
+        stream += _infection_burst("two", 100.0, "lag") + [
+            make_txn(host="two-cnc.xyz", uri=f"/p.php?beat={beat}",
+                     ts=104.0 + beat, client="lag", method=HttpMethod.POST,
+                     content_type="text/plain") for beat in range(8)]
+        stream += [make_txn(host="news.example", ts=800.0 + 10.0 * i,
+                            client="bob") for i in range(1, 40)]
+        return stream
+
+    def _alerts(self, eager: bool):
+        from tests.detection.test_proxy import _AlertsPastTenEdges
+
+        detector = OnTheWireDetector(_AlertsPastTenEdges(), config=DetectorConfig(
+            alert_cooldown=180.0, idle_gap=60.0, reclassify_interval=10_000))
+        alerts = []
+        for txn in self._lagging_client():
+            if eager:  # scan, and so sweep, at every step of the clock
+                detector._due = float("-inf")
+            alerts += detector.process_batch([txn])
+        alerts += detector.finalize()
+        return alerts
+
+    def test_sweeping_early_changes_no_alert(self):
+        lazy, eager = self._alerts(eager=False), self._alerts(eager=True)
+        assert [(a.client, a.timestamp) for a in lazy] == [("lag", 11.0),
+                                                           ("lag", 111.0)]
+        assert eager == lazy
+
+
 class TestSessionTablePruning:
-    def test_expire_drops_terminated_watches(self):
-        table = SessionTable(policy=CluePolicy(), idle_gap=30.0)
-        for index in range(20):
-            table.route(make_txn(host=f"h{index}.com", ts=100.0 + index,
-                                 client=f"c{index}"))
-        assert len(table.watches()) == 20
-        expired = table.expire(now=100.0 + 20 + 31.0)
-        assert len(expired) == 20
-        assert table.watches() == []
-        assert table.opened_count == 20
+    def test_expire_drops_terminated_watches(self, trained_model):
+        detector = OnTheWireDetector(trained_model,
+                                     config=DetectorConfig(idle_gap=30.0))
+        detector.process_batch([
+            make_txn(host=f"h{index}.com", ts=100.0 + index,
+                     client=f"c{index}") for index in range(20)])
+        assert detector.tracked_state_size() == (20, 0)
+        detector.finalize()
+        assert detector.tracked_state_size() == (0, 0)
+        assert detector.watch_count() == 20
 
     def test_idle_clueless_watches_pruned_during_routing(self):
         table = SessionTable(policy=CluePolicy(), idle_gap=30.0,
                              prune_after=100.0)
-        table.route(make_txn(host="old.com", ts=100.0, client="alice"))
+        table.route(make_txn(host="old.com", ts=100.0, client="alice"), 100.0)
         # Time marches on via other clients' traffic; alice's clueless
         # watch falls past the prune horizon and is dropped on her next
         # routed transaction (it gets a fresh watch).
         for index in range(10):
-            table.route(make_txn(host=f"b{index}.com",
-                                 ts=150.0 + index * 10.0, client="bob"))
-        table.route(make_txn(host="new.com", ts=260.0, client="alice"))
+            ts = 150.0 + index * 10.0
+            table.route(make_txn(host=f"b{index}.com", ts=ts, client="bob"),
+                        ts)
+        table.route(make_txn(host="new.com", ts=260.0, client="alice"), 260.0)
         alice = [w for w in table.watches() if w.client == "alice"]
         assert len(alice) == 1
         assert alice[0].hosts == {"new.com"}
@@ -160,11 +205,11 @@ class TestSessionTablePruning:
         first = table.route(make_txn(
             host="app.com", ts=100.0, client="alice",
             extra_req_headers={"Cookie": "PHPSESSID=abc123"},
-        ))
+        ), 100.0)
         second = table.route(make_txn(
             host="app.com", uri="/later", ts=300.0, client="alice",
             extra_req_headers={"Cookie": "PHPSESSID=abc123"},
-        ))
+        ), 300.0)
         assert second is first
 
 

@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 from repro.core.payloads import PayloadType
 from repro.core.redirects import longest_chain_length
 from repro.detection import clues
-from repro.detection.clues import (
-    ClueDetector,
-    CluePolicy,
-    payload_risk_from_corpus,
-)
+from repro.detection.clues import ClueDetector, CluePolicy
 from tests.conftest import make_txn
 from tests.oracles.clue_rule import EagerClueRule
 
@@ -99,25 +95,6 @@ class TestClueDetector:
         detector.observe(make_txn(host="h200.com", uri="/y.zip", ts=201.0,
                                   content_type="application/zip"))
         assert calls == [200]
-
-
-class TestPayloadRisk:
-    def test_risk_from_corpus(self, tiny_corpus):
-        risk = payload_risk_from_corpus(tiny_corpus.traces)
-        # Exploit types seen almost exclusively in infections.
-        if PayloadType.SWF in risk:
-            assert risk[PayloadType.SWF] > 0.9
-        assert risk[PayloadType.JAR] > 0.8
-        # Page furniture is overwhelmingly benign-dominated.
-        assert risk[PayloadType.HTML] < 0.6
-
-    def test_crypt_only_in_infections(self, tiny_corpus):
-        risk = payload_risk_from_corpus(tiny_corpus.traces)
-        if PayloadType.CRYPT in risk:
-            assert risk[PayloadType.CRYPT] == 1.0
-
-    def test_empty_corpus(self):
-        assert payload_risk_from_corpus([]) == {}
 
 
 _HOSTS = ("a.com", "b.com", "c.com", "d.com", "e.com")

@@ -134,3 +134,35 @@ class TestLiveDetector:
             alerts.extend(live.feed(packet))
         alerts.extend(live.finish())
         assert alerts == []
+
+
+class TestNoEndOfCapture:
+    """A deployed tap never reaches end of capture: stream time alone
+    must deliver every verdict ``finish()`` would have."""
+
+    def test_a_tap_that_never_finishes_gets_every_verdict(self,
+                                                          trained_model):
+        from repro.loadgen import MIXED, LoadGenerator
+        from repro.net.pcap import PcapPacket
+
+        generator = LoadGenerator(seed=61, mix=MIXED, concurrency=6)
+        # Cut while a clue-active watch is still inside its idle gap.
+        packets = generator.capture(3500)
+
+        def tap():
+            return LiveDetector(OnTheWireDetector(trained_model),
+                                book=generator.book)
+
+        finished = tap()
+        fed = [a for packet in packets for a in finished.feed(packet)]
+        at_finish = finished.finish()
+        assert at_finish  # a verdict that waits on stream time
+        # One trailing (undecodable) frame past every watch's horizon:
+        # two idle gaps, the second for transactions completing late.
+        later = (max(p.timestamp for p in packets)
+                 + 2 * DetectorConfig().idle_gap)
+        trailer = PcapPacket(timestamp=later + 1.0, data=b"\x00" * 60)
+        never = tap()
+        assert [a for packet in packets for a in never.feed(packet)] == fed
+        assert never.feed(trailer) == at_finish
+        assert never.finish() == []

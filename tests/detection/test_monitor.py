@@ -3,7 +3,7 @@
 from repro.core.model import HttpMethod
 from repro.detection.clues import CluePolicy
 from repro.detection.monitor import SessionTable, SessionWatch
-from tests.conftest import make_txn
+from tests.conftest import make_txn, route_in_order
 from tests.oracles.session_prune import rebuilding_prune_client
 
 
@@ -73,63 +73,125 @@ class TestSessionWatch:
 class TestSessionTable:
     def test_routes_to_same_watch(self):
         table = SessionTable()
-        w1 = table.route(make_txn(host="a.com", ts=1.0))
+        w1 = table.route(make_txn(host="a.com", ts=1.0), 1.0)
         w2 = table.route(make_txn(host="b.com", ts=2.0,
-                                  referrer="http://a.com/"))
+                                  referrer="http://a.com/"), 2.0)
         assert w1 is w2
 
     def test_new_watch_for_unrelated(self):
         table = SessionTable()
-        w1 = table.route(make_txn(host="a.com", ts=1.0))
-        w2 = table.route(make_txn(host="z.org", ts=2.0))
+        w1 = table.route(make_txn(host="a.com", ts=1.0), 1.0)
+        w2 = table.route(make_txn(host="z.org", ts=2.0), 2.0)
         assert w1 is not w2
         assert len(table.watches()) == 2
 
     def test_per_client_isolation(self):
         table = SessionTable()
-        w1 = table.route(make_txn(host="a.com", ts=1.0, client="alice"))
-        w2 = table.route(make_txn(host="a.com", ts=2.0, client="bob"))
+        w1 = table.route(make_txn(host="a.com", ts=1.0, client="alice"), 1.0)
+        w2 = table.route(make_txn(host="a.com", ts=2.0, client="bob"), 2.0)
         assert w1 is not w2
 
     def test_terminated_watch_not_reused(self):
         table = SessionTable()
-        w1 = table.route(make_txn(host="a.com", ts=1.0))
+        w1 = table.route(make_txn(host="a.com", ts=1.0), 1.0)
         w1.terminated = True
-        w2 = table.route(make_txn(host="a.com", ts=2.0))
+        w2 = table.route(make_txn(host="a.com", ts=2.0), 2.0)
         assert w2 is not w1
 
     def test_expire(self):
-        table = SessionTable(idle_gap=60.0)
-        table.route(make_txn(host="a.com", ts=1.0))
-        table.route(make_txn(host="z.org", ts=100.0))
-        expired = table.expire(now=130.0)
-        assert len(expired) == 1
-        assert expired[0].hosts == {"a.com"}
+        """A clue-active watch gets its "stops growing" verdict once the
+        watermark passes ``last_ts + 2 * idle_gap`` (the second gap for
+        late completions) — mid-stream, stamped ``last_ts`` — and is
+        retired; until then it stays open."""
+        from repro.detection.detector import DetectorConfig, OnTheWireDetector
+        from tests.detection.test_bounded_state import _infection_burst
+        from tests.detection.test_proxy import _AlertsPastTenEdges
+
+        detector = OnTheWireDetector(_AlertsPastTenEdges(), config=DetectorConfig(
+            idle_gap=60.0, reclassify_interval=10_000))
+        stream = _infection_burst("one", 10.0, "victim") + [
+            make_txn(host="one-cnc.xyz", uri=f"/p.php?beat={beat}",
+                     ts=14.0 + beat, client="victim",
+                     method=HttpMethod.POST, content_type="text/plain")
+            for beat in range(5)
+        ]
+        assert detector.process_batch(stream) == []
+        assert detector.advance(18.0 + 120.0) == []  # not past it yet
+        (watch,) = detector._table.watches()
+        assert not watch.terminated
+        (alert,) = detector.advance(18.0 + 120.5)
+        assert (alert.timestamp, alert.wcg_size) == (18.0, 20)
+        assert alert.session_key == watch.key and watch.terminated
+        assert detector.finalize() == []  # the verdict was the last one
+        assert detector._table.watches() == []
+
+    def test_expire_hands_over_stopped_watches_oldest_first(self):
+        """``expire`` closes the clue-active watches past the horizon,
+        oldest ``last_ts`` first, and reports the next horizon; clue-less
+        and younger watches stay open."""
+        from tests.detection.test_bounded_state import _infection_burst
+
+        table = SessionTable(idle_gap=10.0)
+        route_in_order(table, _infection_burst("a", 5.0, "late")
+                       + _infection_burst("b", 1.0, "early")
+                       + _infection_burst("c", 40.0, "young")
+                       + [make_txn(host="quiet.com", ts=2.0, client="calm")])
+        stopped, due = table.expire(40.0)
+        assert [w.client for w in stopped] == ["early", "late"]
+        assert all(w.terminated for w in stopped)
+        assert due == 43.0 + 20.0  # "young" stopped growing at 43
+        assert table.expire(40.0) == ([], due)
+
+    def test_a_session_id_keeps_a_judged_watch_reachable(self):
+        """A clue-active watch with a session ID is handed over for its
+        verdict at the same ``2 * idle_gap``, but stays routable until
+        ``prune_after``: a transaction carrying the ID joins it and owes
+        it a new verdict; past ``prune_after`` it is closed."""
+        table = SessionTable(idle_gap=10.0, prune_after=100.0)
+        chain = [make_txn(host="ek.pw", uri="/g?sid=a1b2c3d4e5f6", ts=1.0),
+                 make_txn(host="ek.pw", uri="/drop.exe?sid=a1b2c3d4e5f6",
+                          ts=2.0, referrer="http://ek.pw/g",
+                          content_type="application/x-msdownload")]
+        (watch, again) = route_in_order(table, chain)
+        assert watch is again and watch.active_clue is not None
+        assert watch.session_ids
+        assert table.expire(22.0) == ([], 22.0)  # not idle past 2g yet
+        assert table.expire(23.0) == ([watch], 102.0)
+        assert not watch.terminated
+        back = make_txn(host="elsewhere.net", uri="/p?sid=a1b2c3d4e5f6",
+                        ts=60.0)
+        assert table.route(back, 60.0) is watch
+        assert table.expire(81.0) == ([watch], 160.0)
+        assert table.expire(160.5) == ([], float("inf"))
+        assert watch.terminated
 
     def test_watch_keys_unique(self):
         table = SessionTable()
-        table.route(make_txn(host="a.com", ts=1.0))
-        table.route(make_txn(host="z.org", ts=2.0))
+        table.route(make_txn(host="a.com", ts=1.0), 1.0)
+        table.route(make_txn(host="z.org", ts=2.0), 2.0)
         keys = [w.key for w in table.watches()]
         assert len(set(keys)) == len(keys)
 
 
 class TestRetainedTransactionsGauge:
-    def test_gauge_is_what_the_retained_watches_hold(self):
+    def test_gauge_is_what_the_retained_watches_hold(self, trained_model):
         from repro.obs import MetricsRegistry, use_registry
 
+        from repro.detection.detector import DetectorConfig, OnTheWireDetector
+
         with use_registry(MetricsRegistry()) as registry:
-            table = SessionTable(idle_gap=5.0)
-            for index in range(300):
-                table.route(make_txn(host=f"h{index % 7}.com",
-                                     ts=float(index),
-                                     client=f"c{index % 40}"))
-            held = sum(len(w.transactions) for w in table.watches())
+            detector = OnTheWireDetector(trained_model,
+                                         config=DetectorConfig(idle_gap=5.0))
+            detector.process_batch([
+                make_txn(host=f"h{index % 7}.com", ts=float(index),
+                         client=f"c{index % 40}") for index in range(300)])
+            watches = detector._table.watches()
+            held = sum(len(w.transactions) for w in watches)
             gauges = registry.snapshot()["gauges"]
             assert gauges["session.retained_transactions"] == held
             assert 0 < held < 300  # some watches were retired on the way
-            assert gauges["session.active_watches"] == len(table.watches())
-            table.expire(now=1000.0)
+            assert gauges["session.active_watches"] == len(watches)
+            detector.finalize()
             gauges = registry.snapshot()["gauges"]
         assert gauges["session.retained_transactions"] == 0
         assert gauges["session.active_watches"] == 0

@@ -1,13 +1,14 @@
 """Retiring a watch once nothing can reach it must not change clustering.
 
-``SessionTable`` drops a clue-less watch without a session ID once it
-has been idle ``2 * idle_gap`` (DESIGN §9) instead of ``prune_after``.
-The lemma: a watch retired at clock ``P`` had ``last_ts < P - 2g``, and a
-transaction no later than ``g`` behind the clock has ``ts > last_ts + g``,
-so ``matches`` would have refused it anyway.  ``session.late_transactions``
-counts the transactions outside that precondition; while it reads 0 the
-table must cluster exactly like the single-horizon reference in
-``tests/oracles/session_prune.py``.
+``SessionTable`` drops a watch without a session ID once it has been
+idle ``2 * idle_gap`` (DESIGN §9): a clue-less one instead of at
+``prune_after``, a clue-active one, with its final verdict, instead of
+at end of capture.  The lemma: such a watch retired at clock ``P`` had
+``last_ts < P - 2g``, and a transaction no later than ``g`` behind the
+clock has ``ts > last_ts + g``, so ``matches`` would have refused it
+anyway.  ``session.late_transactions`` counts the transactions outside
+that precondition; while it reads 0 the table must cluster exactly like
+the references in ``tests/oracles/session_prune.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.detection.monitor import SessionTable
 from repro.loadgen import HOSTILE, MIXED, LoadGenerator
 from repro.net.flows import transactions_from_packets
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
-from tests.conftest import make_txn
-from tests.oracles.session_prune import SingleHorizonTable
+from tests.conftest import make_txn, route_in_order
+from tests.oracles.session_prune import EndOfCaptureTable, SingleHorizonTable
 
 
 def _membership(table: SessionTable, arrivals) -> list[int]:
@@ -33,8 +34,10 @@ def _membership(table: SessionTable, arrivals) -> list[int]:
     that opened its watch — the clustering, free of keys and ids."""
     opened_by: dict[int, int] = {}
     members = []
+    now = float("-inf")  # the watermark the detector would hand over
     for index, txn in enumerate(arrivals):
-        watch = table.route(txn)
+        now = max(now, txn.timestamp)
+        watch = table.route(txn, now)
         if len(watch.transactions) == 1:  # just opened (ids recycle)
             opened_by[id(watch)] = index
         members.append(opened_by[id(watch)])
@@ -45,6 +48,33 @@ def _run(table_type, arrivals, idle_gap: float):
     """(membership, counters) of one table over one arrival order."""
     with use_registry(MetricsRegistry()) as registry:
         members = _membership(table_type(idle_gap=idle_gap), arrivals)
+    return members, registry.snapshot()["counters"]
+
+
+def _run_detector(table_type, arrivals, idle_gap: float, classifier):
+    """(membership, counters) of one detector over one arrival order,
+    its session table a ``table_type``.  Nothing alerts, so only the
+    retirement rule can move a transaction."""
+    with use_registry(MetricsRegistry()) as registry:
+        detector = OnTheWireDetector(classifier, config=DetectorConfig(
+            idle_gap=idle_gap, alert_threshold=2.0))
+        detector._table = table = table_type(policy=detector.policy,
+                                             idle_gap=idle_gap)
+        routed = []
+        route = table.route
+
+        def recording(txn, now):
+            routed.append(route(txn, now))
+            return routed[-1]
+
+        table.route = recording
+        detector.process_batch(list(arrivals))
+        detector.finalize()
+    opened_by: dict[int, int] = {}
+    members = []
+    for index, watch in enumerate(routed):
+        opened_by.setdefault(id(watch), index)
+        members.append(opened_by[id(watch)])
     return members, registry.snapshot()["counters"]
 
 
@@ -136,6 +166,66 @@ def _throttled_download():
     return victim + chatter + [payload]
 
 
+def _slow_download():
+    """A redirect chain turns the victim's watch clue-active; another
+    client keeps the clock running past one idle gap (not two); then a
+    download the victim requested inside the gap completes."""
+    victim = [
+        make_txn(host="hop.example", ts=0.0, status=302, content_type="",
+                 client="victim",
+                 extra_res_headers={"Location": "http://ek.example/g"}),
+        make_txn(host="ek.example", uri="/g", ts=1.0, client="victim",
+                 referrer="http://hop.example/"),
+        make_txn(host="ek.example", uri="/drop.exe", ts=2.0, client="victim",
+                 content_type="application/x-msdownload",
+                 referrer="http://ek.example/g"),
+    ]
+    chatter = [make_txn(host="news.example", ts=10.0 * i, client="bob")
+               for i in range(1, 11)]
+    download = make_txn(host="ek.example", uri="/more.exe", ts=45.0,
+                        client="victim", res_delay=55.0,
+                        content_type="application/x-msdownload",
+                        referrer="http://ek.example/g")
+    later = [make_txn(host="news.example", ts=100.0 + 10.0 * i, client="bob")
+             for i in range(1, 11)]
+    return victim + chatter + [download] + later
+
+
+class TestClueActiveRetirement:
+    def test_slow_download_joins_its_clue_active_watch(self, trained_model):
+        """At watermark 100 the chain's watch (``last_ts`` 2) is past one
+        idle gap but not two: the download, requested at 45, still joins
+        it, as it did when the verdict waited for end of capture."""
+        arrivals = _slow_download()
+        members, counters = _run_detector(SessionTable, arrivals, 60.0,
+                                          trained_model)
+        reference, _ = _run_detector(EndOfCaptureTable, arrivals, 60.0,
+                                     trained_model)
+        assert members == reference
+        assert members[13] == 0  # the download, in the chain's watch
+        assert counters.get("session.late_transactions", 0) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["mixed", "hostile", "episodes"]),
+        prefix=st.integers(100, 1500),
+        idle_gap=st.sampled_from([2.0, 5.0, 15.0]),
+        delay_gaps=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_same_clusters_as_end_of_capture_verdicts(
+            self, streams, trained_model, name, prefix, idle_gap, delay_gaps,
+            seed):
+        arrivals = _delayed(streams[name][:prefix], delay_gaps * idle_gap,
+                            seed)
+        members, counters = _run_detector(SessionTable, arrivals, idle_gap,
+                                          trained_model)
+        reference, _ = _run_detector(EndOfCaptureTable, arrivals, idle_gap,
+                                     trained_model)
+        assert counters.get("session.late_transactions", 0) == 0
+        assert members == reference
+
+
 class TestCountedDivergence:
     def test_throttled_download_opens_a_new_watch_and_is_counted(self):
         """The known limit: a payload throttled past ``2 * idle_gap``
@@ -144,7 +234,7 @@ class TestCountedDivergence:
         arrivals = _throttled_download()
         with use_registry(MetricsRegistry()) as registry:
             table = SessionTable(idle_gap=60.0)
-            watches = [table.route(txn) for txn in arrivals]
+            watches = route_in_order(table, arrivals)
         landing, download = watches[1], watches[-1]
         assert watches[0] is landing
         assert download is not landing
@@ -158,7 +248,7 @@ class TestCountedDivergence:
 
     def test_the_reference_kept_them_together(self):
         table = SingleHorizonTable(idle_gap=60.0)
-        watches = [table.route(txn) for txn in _throttled_download()]
+        watches = route_in_order(table, _throttled_download())
         assert watches[-1] is watches[0]
         assert watches[-1].active_clue.chain_length == 1
 

@@ -236,9 +236,9 @@ class TestHostFolding:
 
         table = SessionTable()
         first, second = self._two_hops("Evil.Example")
-        watch = table.route(first)
+        watch = table.route(first, first.timestamp)
         assert watch.matches(second, "", table.idle_gap)
-        assert table.route(second) is watch
+        assert table.route(second, second.timestamp) is watch
         assert watch.hosts == {"evil.example", "next.example"}
 
     @pytest.mark.parametrize("header, host", [

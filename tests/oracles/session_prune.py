@@ -9,13 +9,13 @@ is the old one, so a differential run isolates exactly that rule.
 from repro.detection.monitor import SessionTable
 
 
-def rebuilding_prune_client(self, client: str) -> None:
+def rebuilding_prune_client(self, client: str, now: float) -> None:
     """``SessionTable._prune_client`` before it looked first: rebuild
     the client's list on every call, asking ``_prunable`` per watch."""
     group = self._watches.get(client)
     if not group:
         return
-    kept = [w for w in group if not self._drop_if_prunable(w)]
+    kept = [w for w in group if not self._drop_if_prunable(w, now)]
     if kept:
         self._watches[client] = kept
     else:
@@ -28,10 +28,22 @@ class SingleHorizonTable(SessionTable):
 
     _prune_client = rebuilding_prune_client
 
-    def _prunable(self, watch) -> bool:
+    def _prunable(self, watch, now: float) -> bool:
         if watch.terminated:
             return True
         return (
             watch.active_clue is None
-            and self._now - watch.last_ts > self.prune_after
+            and now - watch.last_ts > self.prune_after
         )
+
+
+class EndOfCaptureTable(SessionTable):
+    """``SessionTable`` closing clue-active watches only at end of
+    capture, as the detector did before stream time gave them their
+    "stops growing" verdict: ``expire`` hands nothing over until the
+    detector's ``finalize`` moves the watermark to +∞."""
+
+    def expire(self, now: float):
+        if now != float("inf"):
+            return [], float("inf")
+        return super().expire(now)

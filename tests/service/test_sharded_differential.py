@@ -27,7 +27,7 @@ from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
 from repro.service import daemon
 from repro.service.daemon import _INBOX_BATCHES, ShardError
 from repro.service.worker import ShardAlert, run_shard
-from repro.service.sharding import PacketRouter
+from tests.conftest import shard_records
 
 
 def _canonical(alerts):
@@ -221,15 +221,10 @@ def test_in_process_shards_also_match(workload, reference, trained_model):
     packets, book = workload
     ref_alerts, _ = reference
     n_shards = 3
-    router = PacketRouter(n_shards)
-    per_shard = [[] for _ in range(n_shards)]
-    for packet in packets:
-        for shard, routed in router.route(packet):
-            per_shard[shard].append(routed)
     spec = EngineSpec(classifier=trained_model, book=book)
     shard_alerts = []
-    for shard_id, shard_packets in enumerate(per_shard):
-        result = run_shard(spec, shard_id, shard_packets)
+    for shard_id, records in enumerate(shard_records(packets, n_shards)):
+        result = run_shard(spec, shard_id, records)
         assert result.error is None
         shard_alerts.extend(result.alerts)
     assert merge_alerts(shard_alerts) == _canonical(ref_alerts)

@@ -17,8 +17,8 @@ from repro.loadgen import MIXED, LoadGenerator
 from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
 from repro.service.daemon import merge_traces
-from repro.service.sharding import PacketRouter
 from repro.service.worker import ShardAlert, run_shard
+from tests.conftest import shard_records
 
 PACKETS = 6000
 
@@ -70,15 +70,10 @@ def test_in_process_shards_trace_byte_identical(
     alerts must match the single-process reference exactly."""
     packets, book = workload
     ref_alerts, ref_trace = reference
-    router = PacketRouter(shards)
-    per_shard = [[] for _ in range(shards)]
-    for packet in packets:
-        for shard, routed in router.route(packet):
-            per_shard[shard].append(routed)
     spec = EngineSpec(classifier=trained_model, book=book, trace="full")
     shard_alerts, shard_traces = [], []
-    for shard_id, shard_packets in enumerate(per_shard):
-        result = run_shard(spec, shard_id, shard_packets)
+    for shard_id, records in enumerate(shard_records(packets, shards)):
+        result = run_shard(spec, shard_id, records)
         assert result.error is None
         shard_alerts.extend(result.alerts)
         shard_traces.append((shard_id, result.trace))
@@ -108,7 +103,7 @@ def test_pooled_workers_trace_byte_identical(
 def test_trace_off_spec_ships_no_events(workload, trained_model):
     packets, book = workload
     spec = EngineSpec(classifier=trained_model, book=book, trace=None)
-    result = run_shard(spec, 0, packets)
+    result = run_shard(spec, 0, shard_records(packets, 1)[0])
     assert result.error is None
     assert result.trace == []
     assert all(sa.alert.provenance is None for sa in result.alerts)
@@ -119,12 +114,13 @@ def test_alerts_sampling_rides_the_spec(workload, trained_model):
     alerting timelines (and global events) come back."""
     packets, book = workload
     spec = EngineSpec(classifier=trained_model, book=book, trace="alerts")
-    result = run_shard(spec, 0, packets)
+    (records,) = shard_records(packets, 1)
+    result = run_shard(spec, 0, records)
     assert result.error is None
     assert result.trace  # the workload alerts, so timelines survive
     full = run_shard(
         EngineSpec(classifier=trained_model, book=book, trace="full"),
-        0, packets,
+        0, records,
     )
     assert len(result.trace) < len(full.trace)
 

@@ -76,9 +76,6 @@ ALLOWLIST: dict[str, str] = {
                              " reassembled client bytes",
     "TcpStream.server_data": "state: as TcpStream.client_data",
     "StreamDirection.has_gap": "state: the reassembly gap test reads it",
-    "payload_risk_from_corpus": "debt (3 tests): detection/test_clues.py",
-    "PayloadSummary": "debt (3 tests): core/test_payloads.py; no WCG"
-                      " node stores payload counts any more",
     "EnsembleRandomForest.predict": "debt (6 tests): the pipeline reads"
                                     " decision_scores",
     "EnsembleRandomForest.feature_importances": "debt (2 tests):"

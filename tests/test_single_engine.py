@@ -249,7 +249,7 @@ def _run_failing_worker(monkeypatch, trained_model, method):
 
     monkeypatch.setattr(LiveDetector, method, explode)
     packet = PcapPacket(timestamp=1.0, data=b"\x00" * 60)
-    inbox = _Inbox([pack_frames(batch) for batch in
+    inbox = _Inbox([pack_frames(batch, [1.0] * len(batch)) for batch in
                     ([packet, packet], [packet], [packet, packet])])
     posted = []
     outbox = type("Outbox", (), {"put": staticmethod(posted.append)})
