@@ -14,12 +14,7 @@ import re
 import numpy as np
 
 from repro.core.model import Trace
-from repro.core.redirects import (
-    Redirect,
-    RedirectKind,
-    infer_redirects,
-    redirect_chains,
-)
+from repro.core.redirects import RedirectKind, infer_redirects, redirect_chains
 
 __all__ = ["REDIRECT_FEATURES", "redirect_features", "extract_matrix"]
 

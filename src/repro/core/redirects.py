@@ -54,7 +54,6 @@ class Redirect:
     target: str
     kind: RedirectKind
     timestamp: float
-    target_url: str = ""
 
     @property
     def cross_domain(self) -> bool:
@@ -275,11 +274,11 @@ class RedirectInferencer:
         return list(self._seen.values())
 
     def _emit(self, source: str, target: str, kind: RedirectKind,
-              ts: float, url: str = "") -> list[Redirect]:
+              ts: float) -> list[Redirect]:
         key = (source, target, kind)
         if not source or not target or source == target or key in self._seen:
             return []
-        redirect = self._seen[key] = Redirect(source, target, kind, ts, url)
+        redirect = self._seen[key] = Redirect(source, target, kind, ts)
         return [redirect]
 
     def _add_content_target(self, target: str) -> None:
@@ -303,7 +302,7 @@ class RedirectInferencer:
                 absolute = response.location
             target = _host_of(absolute, server)
             fresh += self._emit(server, target, RedirectKind.HTTP_30X,
-                                response.timestamp, absolute)
+                                response.timestamp)
             self._add_content_target(target)
         if response is not None and response.body:
             if response.content_type.lower().startswith(_TEXTUAL_TYPES):
@@ -311,7 +310,7 @@ class RedirectInferencer:
                 for kind, url in extract_content_redirects(body):
                     target = _host_of(url, server)
                     fresh += self._emit(server, target, kind,
-                                        response.timestamp, url)
+                                        response.timestamp)
                     self._add_content_target(target)
         ref_host = txn.request.referrer_host
         if (

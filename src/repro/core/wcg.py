@@ -95,8 +95,6 @@ class GraphCounters:
     """
 
     request_edges: int = 0
-    response_edges: int = 0
-    redirect_edges: int = 0
     gets: int = 0
     posts: int = 0
     other_methods: int = 0
@@ -293,12 +291,9 @@ class WebConversationGraph:
             else:
                 counters.without_referrer += 1
         elif kind is EdgeKind.RESPONSE:
-            counters.response_edges += 1
             klass = status // 100
             if klass in counters.status_classes:
                 counters.status_classes[klass] += 1
-        else:
-            counters.redirect_edges += 1
         return index
 
     def node_data(self, host: str) -> _NodeData:
@@ -332,18 +327,6 @@ class WebConversationGraph:
         ):
             if kind is None or edge_kind is kind:
                 yield names[src], names[dst], EdgeData(edge_kind, timestamp)
-
-    def request_edges(self) -> list[tuple[str, str, EdgeData]]:
-        """``Phi`` — request edges."""
-        return list(self.edges(EdgeKind.REQUEST))
-
-    def response_edges(self) -> list[tuple[str, str, EdgeData]]:
-        """``Psi`` — response edges."""
-        return list(self.edges(EdgeKind.RESPONSE))
-
-    def redirect_edges(self) -> list[tuple[str, str, EdgeData]]:
-        """``Sigma`` — redirection edges."""
-        return list(self.edges(EdgeKind.REDIRECT))
 
     def hosts(self) -> list[str]:
         """All node names, origin node included (insertion order)."""

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.model import HttpTransaction
 from repro.core.payloads import is_exploit_type
-from repro.detection.alerts import Alert, AlertProvenance, ClueRecord
+from repro.detection.alerts import Alert
 from repro.detection.clues import CluePolicy
 from repro.detection.monitor import SessionTable, SessionWatch
 from repro.detection.whitelist import VendorWhitelist
@@ -453,9 +453,6 @@ class OnTheWireDetector:
             return None
         self._last_alert_ts[watch.client] = now
         self._due = min(self._due, now + 2 * span)
-        provenance = (
-            self._build_provenance(request, row) if traced else None
-        )
         alert = Alert(
             client=watch.client,
             score=score,
@@ -464,7 +461,6 @@ class OnTheWireDetector:
             wcg_order=request.wcg_order,
             wcg_size=request.wcg_size,
             session_key=watch.key,
-            provenance=provenance,
         )
         watch.alerted = True
         watch.terminated = True  # DynaMiner terminates infectious sessions
@@ -474,20 +470,30 @@ class OnTheWireDetector:
                 "verdict", ts=now, client=watch.client, watch=watch.key,
                 decision="alert", score=score,
                 threshold=self.config.alert_threshold,
-                provenance=provenance.to_dict(),
+                provenance=self._provenance(request, row),
             )
             self._tracer.close_watch(watch.key, alerted=True)
         self.alerts.append(alert)
         return alert
 
-    def _build_provenance(self, request: _PendingScore,
-                          row: np.ndarray) -> AlertProvenance:
-        """Assemble the alert's provenance record.
+    def _provenance(self, request: _PendingScore, row: np.ndarray) -> dict:
+        """Why the alert fired, as its ``verdict`` event carries it
+        (DESIGN.md §16): JSON primitives only.
 
-        Clue chains come from the tracer's per-watch summary (kept
-        outside the event ring, so they survive ring rotation); timing
-        comes from the WCG's own earliest edge; the forest
-        explanation is one vectorized pass over the compiled arena.
+        * ``clue_chain`` — the watch's clues in firing order, each a
+          ``server`` / ``payload_type`` / ``chain_length`` /
+          ``timestamp`` dict, from the tracer's per-watch summary (kept
+          outside the event ring, so it survives ring rotation; the
+          first 32); ``clues_total`` counts every clue the watch fired;
+        * ``first_clue_ts`` / ``first_edge_ts`` — stream time of the
+          first clue and of the WCG's earliest edge;
+          ``time_to_detection`` / ``time_from_first_edge`` — the alert
+          time minus each (the latter is the paper's earliness measure);
+        * ``wcg_order`` / ``wcg_size`` — graph dimensions at verdict time;
+        * ``tree_votes`` / ``tree_scores`` / ``vote_tally`` /
+          ``feature_path_counts`` — the forest explanation of
+          :meth:`~repro.learning.forest.EnsembleRandomForest.explain_row`.
+
         Every field is stream-derived — no wall clock — so provenance
         is identical across runs and worker counts.
         """
@@ -495,46 +501,44 @@ class OnTheWireDetector:
         now = request.now
         summary = self._tracer.watch_summary(watch.key)
         if summary is not None and summary.clues:
-            chain = tuple(
-                ClueRecord(
-                    server=event.data.get("server", ""),
-                    payload_type=event.data.get("payload", ""),
-                    chain_length=int(event.data.get("chain_length", 0)),
-                    timestamp=event.ts,
-                )
+            chain = [
+                {"server": event.data.get("server", ""),
+                 "payload_type": event.data.get("payload", ""),
+                 "chain_length": int(event.data.get("chain_length", 0)),
+                 "timestamp": event.ts}
                 for event in summary.clues
-            )
+            ]
             clues_total = summary.clue_count
         elif watch.active_clue is not None:
             # The tracer was enabled after this watch opened (or its
             # timeline was evicted); fall back to the opening clue.
             clue = watch.active_clue
-            chain = (ClueRecord(server=clue.server,
-                                payload_type=clue.payload_type.value,
-                                chain_length=clue.chain_length,
-                                timestamp=clue.timestamp),)
+            chain = [{"server": clue.server,
+                      "payload_type": clue.payload_type.value,
+                      "chain_length": clue.chain_length,
+                      "timestamp": clue.timestamp}]
             clues_total = 1
         else:
-            chain = ()
+            chain = []
             clues_total = 0
-        first_clue_ts = chain[0].timestamp if chain else now
+        first_clue_ts = chain[0]["timestamp"] if chain else now
         wcg = request.wcg
         first_edge_ts = wcg.ts_min if wcg.size else now
         explanation = self.classifier.explain_row(row)
-        return AlertProvenance(
-            clue_chain=chain,
-            clues_total=int(clues_total),
-            first_clue_ts=float(first_clue_ts),
-            first_edge_ts=float(first_edge_ts),
-            time_to_detection=float(now - first_clue_ts),
-            time_from_first_edge=float(now - first_edge_ts),
-            wcg_order=int(request.wcg_order),
-            wcg_size=int(request.wcg_size),
-            tree_votes=explanation["tree_votes"],
-            tree_scores=explanation["tree_scores"],
-            vote_tally=explanation["vote_tally"],
-            feature_path_counts=explanation["feature_path_counts"],
-        )
+        return {
+            "clue_chain": chain,
+            "clues_total": int(clues_total),
+            "first_clue_ts": float(first_clue_ts),
+            "first_edge_ts": float(first_edge_ts),
+            "time_to_detection": float(now - first_clue_ts),
+            "time_from_first_edge": float(now - first_edge_ts),
+            "wcg_order": int(request.wcg_order),
+            "wcg_size": int(request.wcg_size),
+            "tree_votes": list(explanation["tree_votes"]),
+            "tree_scores": list(explanation["tree_scores"]),
+            "vote_tally": list(explanation["vote_tally"]),
+            "feature_path_counts": list(explanation["feature_path_counts"]),
+        }
 
     # -- introspection --------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.learning.grower import (
     compute_column_ranks,
     grow_tree_presorted,
 )
-from repro.learning.ranking import RankedFeature, gain_ratio, rank_features
+from repro.learning.ranking import RankedFeature, rank_features
 from repro.learning.tree import DecisionTreeClassifier
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "forest_to_dict",
     "load_forest",
     "save_forest",
-    "gain_ratio",
     "rank_features",
     "roc_auc",
     "roc_curve",

@@ -247,11 +247,6 @@ class EnsembleRandomForest:
             return compiled.predict_proba(X)
         return compiled.vote_fractions(X)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels."""
-        proba = self.predict_proba(X)
-        return self._classes[np.argmax(proba, axis=1)]
-
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         """Probability of the infection class (label 1).
 
@@ -317,9 +312,3 @@ class EnsembleRandomForest:
             "vote_tally": (len(self.trees_) - infectious, infectious),
             "feature_path_counts": tuple(int(c) for c in counts),
         }
-
-    def feature_importances(self) -> np.ndarray:
-        """Mean split-frequency importances across trees."""
-        self._check_fitted()
-        stacked = np.vstack([t.feature_importances() for t in self.trees_])
-        return stacked.mean(axis=0)

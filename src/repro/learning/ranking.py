@@ -22,7 +22,7 @@ from repro.learning.grower import (
     restrict_sorted,
 )
 
-__all__ = ["gain_ratio", "RankedFeature", "rank_features"]
+__all__ = ["RankedFeature", "rank_features"]
 
 
 def _entropy_of(labels: np.ndarray) -> float:
@@ -47,9 +47,9 @@ def _ratios_from_boundaries(
 ) -> float:
     """Best gain ratio given a sorted column and its cumulative counts.
 
-    The split-scan arithmetic shared by :func:`gain_ratio` and the
-    presorted CV fast path — kept in one place so the two are identical
-    by construction.
+    The split-scan arithmetic of the presorted CV path; the one-column
+    reference in ``tests/oracles/gain_ratio.py`` calls it too, so the
+    two are identical by construction.
     """
     n = len(sorted_col)
     boundaries = np.nonzero(np.diff(sorted_col) > 0)[0]
@@ -76,26 +76,6 @@ def _ratios_from_boundaries(
     return max(0.0, best)
 
 
-def gain_ratio(column: np.ndarray, y: np.ndarray) -> float:
-    """Gain ratio of the best binary threshold split on ``column``.
-
-    Returns 0 for constant columns or splits with no information gain.
-    """
-    column = np.asarray(column, dtype=np.float64)
-    y = np.asarray(y)
-    n = len(y)
-    if n == 0:
-        return 0.0
-    order = np.argsort(column, kind="stable")
-    sorted_col = column[order]
-    sorted_y = y[order]
-    if not np.any(np.diff(sorted_col) > 0):
-        return 0.0
-    classes, encoded = np.unique(sorted_y, return_inverse=True)
-    cum = class_cumulative_counts(encoded, len(classes))
-    return _ratios_from_boundaries(sorted_col, cum, _entropy_of(sorted_y))
-
-
 def _fold_gain_ratios(
     X: np.ndarray,
     sorted_idx: np.ndarray,
@@ -111,8 +91,9 @@ def _fold_gain_ratios(
     :func:`class_cumulative_counts` — no per-fold per-column re-argsort.
     Within-tie row order may differ from a direct argsort of the fold's
     column, but the scan only reads cumulative counts at tie-class
-    boundaries, so every ratio is bit-identical to
-    ``gain_ratio(X[train_idx, j], y[train_idx])``.
+    boundaries, so every ratio is bit-identical to scoring the fold's
+    column alone after a fresh argsort (``gain_ratio`` in
+    ``tests/oracles/gain_ratio.py``).
     """
     n, n_features = X.shape
     out = np.zeros(n_features)

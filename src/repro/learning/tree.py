@@ -203,11 +203,6 @@ class DecisionTreeClassifier:
             out[index] = table.proba[node]
         return out
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels (argmax ties break to the first index,
-        i.e. the lowest label — ``_classes`` is sorted)."""
-        return self._classes[self.predict_proba(X).argmax(axis=1)]
-
     @property
     def depth(self) -> int:
         """Depth of the grown tree (0 for a single leaf)."""
@@ -219,12 +214,3 @@ class DecisionTreeClassifier:
         for node in np.flatnonzero(table.feature >= 0).tolist():
             level[left[node]] = level[right[node]] = level[node] + 1
         return max(level)
-
-    def feature_importances(self) -> np.ndarray:
-        """Split-frequency importances (how often each feature splits)."""
-        feature = self._fitted().feature
-        importances = np.bincount(
-            feature[feature >= 0], minlength=self.n_features_
-        ).astype(np.float64)
-        total = importances.sum()
-        return importances / total if total else importances

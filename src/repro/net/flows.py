@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.model import (
-    Headers,
     HttpMethod,
     HttpRequest,
     HttpResponse,
@@ -320,7 +319,6 @@ class _ConnectionEncoder:
         seed = zlib.crc32(f"{client_ip}:{client_port}".encode()) & 0xFFFFFF
         self.client_seq = 1000 + seed
         self.server_seq = 2000 + seed
-        self.opened = False
 
     def _frame(
         self, ts: float, from_client: bool, flags: int, payload: bytes = b""
@@ -343,7 +341,6 @@ class _ConnectionEncoder:
 
     def open(self, ts: float) -> list[PcapPacket]:
         """Three-way handshake."""
-        self.opened = True
         return [
             self._frame(ts, True, SYN),
             self._frame(ts + 1e-4, False, SYN | ACK),

@@ -9,10 +9,9 @@ into real pcap files.
 Parsing is *resumable*: :class:`RequestParser` and :class:`ResponseParser`
 retain partial-message state between :meth:`~RequestParser.feed` calls and
 examine each byte exactly once, so a live tap pays O(total bytes) per
-connection no matter how the bytes are sliced into deliveries.  The batch
-:func:`parse_requests` / :func:`parse_responses` entry points are thin
-wrappers over the same machinery (one ``feed`` of the whole buffer plus a
-``finish``), which keeps offline and on-the-wire decoding identical by
+connection no matter how the bytes are sliced into deliveries.  Offline
+and on-the-wire decoding share them: a whole capture is the same
+``feed`` / ``finish`` calls the tap makes, so the two agree by
 construction.
 """
 
@@ -29,8 +28,6 @@ __all__ = [
     "RawHttpResponse",
     "RequestParser",
     "ResponseParser",
-    "parse_requests",
-    "parse_responses",
     "serialize_request",
     "serialize_response",
 ]
@@ -426,41 +423,6 @@ class ResponseParser(_IncrementalParser):
 
     _steps = {**_IncrementalParser._steps, "frame": _step_frame,
               "body-close": _step_body_close}
-
-
-def parse_requests(data: bytes) -> list[RawHttpRequest]:
-    """Parse a client-direction byte stream into pipelined requests.
-
-    A trailing incomplete message (cut off by capture truncation) is
-    silently dropped; a malformed *leading* message raises
-    :class:`HttpParseError`.
-    """
-    parser = RequestParser()
-    requests = parser.feed(data)
-    requests.extend(parser.finish())
-    return requests
-
-
-def parse_responses(
-    data: bytes,
-    closed: bool = True,
-    request_methods: list[str] | None = None,
-) -> list[RawHttpResponse]:
-    """Parse a server-direction byte stream into pipelined responses.
-
-    ``closed`` indicates the connection terminated; a final response with
-    neither ``Content-Length`` nor chunking is then read-until-close.
-
-    ``request_methods`` (when known) positions-matches responses to the
-    requests that elicited them: a response to ``HEAD`` carries headers
-    describing the entity but **no body bytes**, whatever its
-    ``Content-Length`` says (RFC 9110 §9.3.2) — without this the framing
-    of every later response on the connection would shift.
-    """
-    parser = ResponseParser(request_methods=request_methods)
-    responses = parser.feed(data)
-    responses.extend(parser.finish(closed=closed))
-    return responses
 
 
 def serialize_request(req: RawHttpRequest) -> bytes:

@@ -75,10 +75,8 @@ class PcapReader:
         else:
             raise PcapError(f"bad pcap magic: 0x{magic_le:08x}")
         self._tick = 1e-9 if magic == _MAGIC_NSEC else 1e-6
-        fields = struct.unpack(self._endian + "IHHiIII", header)
-        _, self.version_major, self.version_minor = fields[0], fields[1], fields[2]
-        self.snaplen = fields[5]
-        self.linktype = fields[6]
+        self.snaplen, self.linktype = struct.unpack(
+            self._endian + "IHHiIII", header)[5:]
         self._stream = stream
         self._record = struct.Struct(self._endian + "IIII")
         metrics = get_registry()

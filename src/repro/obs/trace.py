@@ -6,8 +6,8 @@ accumulates a ring-buffered timeline of structured :class:`TraceEvent`
 records per session watch — watch opened, clue fired, edge appended,
 structure-version bump, score computed, verdict (alert / cooldown /
 benign), watch pruned — and the detector reads the per-watch clue
-summary back out of it to assemble each alert's provenance record
-(:class:`repro.detection.alerts.AlertProvenance`).
+summary back out of it to assemble the provenance each alert's
+``verdict`` event carries.
 
 The enablement pattern mirrors the registry exactly: components capture
 the active tracer once at construction (:func:`get_tracer`), the
@@ -32,7 +32,9 @@ events drop first; the per-watch clue summary is kept out-of-ring so
 provenance never loses its clue chain), closed-watch timelines cap at
 ``_MAX_EVENTS`` globally, and the per-watch table caps at
 ``_MAX_WATCHES`` — a process-wide tracer left on for an entire test
-session stays O(1) in memory.
+session stays O(1) in memory.  What the caps evict is counted in the
+registry the tracer was built under: ``trace.dropped_events`` and
+``trace.dropped_watches``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator
 
-from repro.obs.registry import _env_enabled
+from repro.obs.registry import _env_enabled, get_registry
 
 __all__ = [
     "TraceEvent",
@@ -182,8 +184,9 @@ class Tracer:
         self._watches: dict[str, _WatchTrace] = {}
         self._done: list[TraceEvent] = []
         self._seq = 0
-        self.dropped_events = 0
-        self.dropped_watches = 0
+        registry = get_registry()
+        self._c_dropped_events = registry.counter("trace.dropped_events")
+        self._c_dropped_watches = registry.counter("trace.dropped_watches")
 
     # -- recording ----------------------------------------------------
 
@@ -216,7 +219,7 @@ class Tracer:
             trace = self._open_watch(watch)
         ring = trace.events
         if len(ring) == ring.maxlen:
-            self.dropped_events += 1  # deque evicts the oldest
+            self._c_dropped_events.inc()  # deque evicts the oldest
         ring.append(event)
         if kind == "clue":
             trace.clue_count += 1
@@ -230,7 +233,7 @@ class Tracer:
             # Evict the stalest timeline (insertion order) as if its
             # watch closed without alerting.
             evicted = next(iter(self._watches))
-            self.dropped_watches += 1
+            self._c_dropped_watches.inc()
             self.close_watch(evicted, alerted=False)
         trace = self._watches[key] = _WatchTrace(_MAX_EVENTS_PER_WATCH)
         return trace
@@ -250,7 +253,7 @@ class Tracer:
         overflow = len(self._done) - _MAX_EVENTS
         if overflow > 0:
             del self._done[:overflow]
-            self.dropped_events += overflow
+            self._c_dropped_events.inc(overflow)
 
     # -- reading ------------------------------------------------------
 
@@ -293,8 +296,6 @@ class NullTracer:
 
     enabled = False
     sample = "full"
-    dropped_events = 0
-    dropped_watches = 0
 
     def emit(self, kind: str, ts: float, client: str = "",
              watch: str = "", **data) -> None:

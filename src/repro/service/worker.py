@@ -67,9 +67,8 @@ class EngineSpec:
     detector_config: DetectorConfig | None = None
     linktype: int = LINKTYPE_ETHERNET
     book: AddressBook | None = None
-    #: Collect a per-shard MetricsRegistry snapshot.  Off by default —
-    #: matching the process-wide registry convention where telemetry is
-    #: opt-in and a disabled registry is a true no-op.
+    #: Collect a per-shard MetricsRegistry snapshot.  Off by default,
+    #: like the process-wide registry (a disabled one is a true no-op).
     metrics: bool = False
     #: Per-shard detection trace (repro.obs.trace), shipped back on
     #: :attr:`ShardResult.trace`: its sampling mode (``"full"`` or
@@ -130,11 +129,12 @@ def run_shard(spec: EngineSpec, shard_id: int,
     goes there first, as the single process's went.
     """
     registry = MetricsRegistry() if spec.metrics else NullRegistry()
-    # A fresh tracer per shard, never the process-global one: under
-    # ``fork`` that arrives holding the coordinator's events.
-    tracer = Tracer(sample=spec.trace) if spec.trace else NULL_TRACER
     alerts: list[Alert] = []
-    with use_registry(registry), use_tracer(tracer):
+    # A fresh tracer per shard (under ``fork`` the process-global one
+    # holds the coordinator's events); its drops count in ``registry``.
+    with use_registry(registry), use_tracer(
+            Tracer(sample=spec.trace) if spec.trace else NULL_TRACER
+    ) as tracer:
         engine = spec.build_engine()
         for packet, clock in records:
             if clock > packet.timestamp:

@@ -33,7 +33,6 @@ from repro.synthesis.entities import (
     NameForge,
     SEARCH_ENGINES,
     SOCIAL_SITES,
-    TRUSTED_VENDORS,
     VIDEO_SITES,
     WEBMAIL_SITES,
 )

@@ -49,12 +49,10 @@ class VirusTotalSim:
         self.engines: list[AvEngine] = build_engine_fleet()
         self.timeout_rate = timeout_rate
         self.min_positives = min_positives
-        self.submissions = 0
         self.timeouts = 0
 
     def scan(self, sample: PayloadSample, at_time: float) -> ScanResult:
         """Scan one sample at a given wall-clock time."""
-        self.submissions += 1
         timed_out = _unit_hash("vt-timeout", sample.sha256,
                                round(at_time / DAY)) < self.timeout_rate
         if timed_out:

@@ -41,8 +41,8 @@ class TestBuildWcg:
 
     def test_request_and_response_edges(self, simple_trace):
         wcg = build_wcg(simple_trace)
-        requests = wcg.request_edges()
-        responses = wcg.response_edges()
+        requests = list(wcg.edges(EdgeKind.REQUEST))
+        responses = list(wcg.edges(EdgeKind.RESPONSE))
         assert len(requests) == 4
         assert len(responses) == 4
         # request edges point victim -> server; responses the other way
@@ -51,12 +51,12 @@ class TestBuildWcg:
 
     def test_redirect_edge_from_30x(self, simple_trace):
         wcg = build_wcg(simple_trace)
-        redirect_pairs = {(s, t) for s, t, _ in wcg.redirect_edges()}
+        redirect_pairs = {(s, t) for s, t, _ in wcg.edges(EdgeKind.REDIRECT)}
         assert ("start.com", "mid.com") in redirect_pairs
 
     def test_origin_linked_to_first_host(self, simple_trace):
         wcg = build_wcg(simple_trace)
-        redirect_pairs = {(s, t) for s, t, d in wcg.redirect_edges()}
+        redirect_pairs = {(s, t) for s, t, d in wcg.edges(EdgeKind.REDIRECT)}
         assert ("google.com", "start.com") in redirect_pairs
 
     def test_malicious_marking(self):
@@ -102,8 +102,8 @@ class TestBuildWcg:
         txn = make_txn(host="dead.ru")
         txn.response = None
         wcg = build_wcg([txn])
-        assert len(wcg.request_edges()) == 1
-        assert len(wcg.response_edges()) == 0
+        assert len(list(wcg.edges(EdgeKind.REQUEST))) == 1
+        assert len(list(wcg.edges(EdgeKind.RESPONSE))) == 0
 
     def test_edge_attributes(self, simple_trace):
         # An edge stores its kind and timestamp; the HTTP attributes stay
@@ -111,10 +111,11 @@ class TestBuildWcg:
         wcg = build_wcg(simple_trace)
         first = simple_trace.transactions[0]
         req = next(
-            d for _, t, d in wcg.request_edges() if t == "start.com"
+            d for _, t, d in wcg.edges(EdgeKind.REQUEST) if t == "start.com"
         )
         assert req == (EdgeKind.REQUEST, first.request.timestamp)
-        res = next(d for s, _, d in wcg.response_edges() if s == "start.com")
+        res = next(d for s, _, d in wcg.edges(EdgeKind.RESPONSE)
+                   if s == "start.com")
         assert res.timestamp == first.response.timestamp
         assert wcg.counters.gets == 4
         assert wcg.counters.status_classes[3] == 1

@@ -82,9 +82,9 @@ class TestViews:
 
     def test_edge_kind_views(self):
         wcg = self._populated()
-        assert len(wcg.request_edges()) == 2
-        assert len(wcg.response_edges()) == 1
-        assert wcg.redirect_edges() == [
+        assert len(list(wcg.edges(EdgeKind.REQUEST))) == 2
+        assert len(list(wcg.edges(EdgeKind.RESPONSE))) == 1
+        assert list(wcg.edges(EdgeKind.REDIRECT)) == [
             ("a", "b", EdgeData(EdgeKind.REDIRECT, 1.2))]
         # Method and status are counted, not stored per edge.
         assert (wcg.counters.gets, wcg.counters.posts) == (1, 1)

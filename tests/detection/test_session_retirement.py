@@ -285,12 +285,14 @@ class TestReturningClient:
             events = [e for e in tracer.events() if e.watch == "victim#1"]
         (alert,) = alerts
         assert alert.session_key == "victim#1"
-        provenance = alert.provenance
-        assert provenance.first_edge_ts >= back_at
-        assert provenance.first_clue_ts >= back_at
-        assert all(clue.timestamp >= back_at
-                   for clue in provenance.clue_chain)
-        assert provenance.wcg_order == alert.wcg_order <= 4
+        (provenance,) = [e.data["provenance"] for e in events
+                         if e.kind == "verdict"
+                         and e.data["decision"] == "alert"]
+        assert provenance["first_edge_ts"] >= back_at
+        assert provenance["first_clue_ts"] >= back_at
+        assert all(clue["timestamp"] >= back_at
+                   for clue in provenance["clue_chain"])
+        assert provenance["wcg_order"] == alert.wcg_order <= 4
         # The timeline under the recycled key: the first watch opens and
         # is pruned before the second one opens.
         kinds = [(e.kind, e.ts >= back_at) for e in sorted(

@@ -2,10 +2,10 @@
 
 The tracing contract (DESIGN.md §16) mirrors the metrics one: running
 the exact same capture with tracing enabled and disabled produces
-byte-identical transactions, alerts (modulo the ``provenance`` field,
-which only exists when traced), scores, and metrics snapshots.  And
-when enabled, every alert must carry a provenance record whose fields
-agree with the pipeline's own ground truth.
+byte-identical transactions, alerts, scores, and metrics snapshots.
+And when enabled, every alert's ``verdict`` event must carry a
+provenance record whose fields agree with the pipeline's own ground
+truth.
 """
 
 import numpy as np
@@ -49,13 +49,11 @@ def _run_live(trained_model, packets, book):
     return detector, live
 
 
-def _alert_tuples(detector):
-    """Every Alert field except provenance (absent when untraced)."""
-    return [
-        (a.client, a.score, a.clue, a.timestamp, a.wcg_order,
-         a.wcg_size, a.session_key)
-        for a in detector.alerts
-    ]
+def _alert_verdicts(events):
+    """The alerts' ``verdict`` events in emission order, which is the
+    order of ``detector.alerts``."""
+    return sorted((e for e in events if e.kind == "verdict"
+                   and e.data["decision"] == "alert"), key=lambda e: e.seq)
 
 
 class TestTracingIsInert:
@@ -71,11 +69,11 @@ class TestTracingIsInert:
         assert obs_detector.transactions_seen == base_detector.transactions_seen
         assert obs_detector.classifications == base_detector.classifications
         assert obs_detector.watch_count() == base_detector.watch_count()
-        assert _alert_tuples(obs_detector) == _alert_tuples(base_detector)
+        assert obs_detector.alerts == base_detector.alerts
         assert base_detector.alerts  # the capture does alert
-        # Untraced alerts carry no provenance; traced ones all do.
-        assert all(a.provenance is None for a in base_detector.alerts)
-        assert all(a.provenance is not None for a in obs_detector.alerts)
+        verdicts = _alert_verdicts(tracer.events())
+        assert len(verdicts) == len(obs_detector.alerts)
+        assert all(event.data["provenance"] for event in verdicts)
         assert tracer.event_count > 0
 
     def test_metrics_identical_on_and_off(self, trained_model, small_corpus):
@@ -138,32 +136,35 @@ class TestProvenanceGroundTruth:
             detector, _ = _run_live(trained_model, packets, book)
         assert detector.alerts
         n_trees = len(trained_model.trees_)
-        for alert in detector.alerts:
-            prov = alert.provenance
-            assert prov.wcg_order == alert.wcg_order
-            assert prov.wcg_size == alert.wcg_size
+        verdicts = _alert_verdicts(tracer.events())
+        for event, alert in zip(verdicts, detector.alerts, strict=True):
+            prov = event.data["provenance"]
+            assert prov["wcg_order"] == alert.wcg_order
+            assert prov["wcg_size"] == alert.wcg_size
             # The clue chain starts at (or before) the alerting clue.
-            assert prov.clue_chain
-            assert prov.clues_total >= len(prov.clue_chain) > 0
-            assert prov.first_clue_ts <= alert.clue.timestamp
-            assert prov.time_to_detection == (
-                alert.timestamp - prov.first_clue_ts
+            chain = prov["clue_chain"]
+            assert chain
+            assert prov["clues_total"] >= len(chain) > 0
+            assert prov["first_clue_ts"] <= alert.clue.timestamp
+            assert prov["time_to_detection"] == (
+                alert.timestamp - prov["first_clue_ts"]
             )
-            assert prov.time_from_first_edge == (
-                alert.timestamp - prov.first_edge_ts
+            assert prov["time_from_first_edge"] == (
+                alert.timestamp - prov["first_edge_ts"]
             )
-            assert prov.first_edge_ts <= alert.timestamp
+            assert prov["first_edge_ts"] <= alert.timestamp
             # Forest explanation is complete and self-consistent.
-            assert len(prov.tree_votes) == n_trees
-            assert len(prov.tree_scores) == n_trees
-            assert sum(prov.vote_tally) == n_trees
-            assert prov.vote_tally[1] == sum(
-                1 for vote in prov.tree_votes if vote == 1
+            assert len(prov["tree_votes"]) == n_trees
+            assert len(prov["tree_scores"]) == n_trees
+            assert sum(prov["vote_tally"]) == n_trees
+            assert prov["vote_tally"][1] == sum(
+                1 for vote in prov["tree_votes"] if vote == 1
             )
-            assert len(prov.feature_path_counts) == 37
-            assert sum(prov.feature_path_counts) > 0
+            assert len(prov["feature_path_counts"]) == 37
+            assert sum(prov["feature_path_counts"]) > 0
             # The mean positive-class probability IS the alert score.
-            assert np.isclose(float(np.mean(prov.tree_scores)), alert.score)
+            assert np.isclose(float(np.mean(prov["tree_scores"])),
+                              alert.score)
 
     def test_alert_verdict_events_embed_provenance(
         self, trained_model, small_corpus
@@ -172,14 +173,13 @@ class TestProvenanceGroundTruth:
         with use_tracer(Tracer()) as tracer:
             detector, _ = _run_live(trained_model, packets, book)
             events = tracer.drain()
-        verdicts = [
-            e for e in events
-            if e.kind == "verdict" and e.data["decision"] == "alert"
-        ]
+        verdicts = _alert_verdicts(events)
         assert len(verdicts) == len(detector.alerts)
         for event, alert in zip(verdicts, detector.alerts):
-            assert event.data["provenance"] == alert.provenance.to_dict()
+            assert (event.ts, event.watch) == (alert.timestamp,
+                                               alert.session_key)
             assert event.data["score"] == alert.score
+            assert event.data["provenance"]["wcg_size"] == alert.wcg_size
 
     def test_provenance_dict_is_json_primitives(
         self, trained_model, small_corpus
@@ -187,9 +187,9 @@ class TestProvenanceGroundTruth:
         import json
 
         packets, book = _merged_capture(small_corpus)
-        with use_tracer(Tracer()):
-            detector, _ = _run_live(trained_model, packets, book)
-        payload = detector.alerts[0].provenance.to_dict()
+        with use_tracer(Tracer()) as tracer:
+            _run_live(trained_model, packets, book)
+        payload = _alert_verdicts(tracer.events())[0].data["provenance"]
         assert json.loads(json.dumps(payload)) == payload
 
 

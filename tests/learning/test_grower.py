@@ -29,6 +29,7 @@ from repro.learning.grower import (
 )
 from repro.learning.persistence import forest_from_dict, forest_to_dict
 from repro.learning.tree import DecisionTreeClassifier
+from tests.oracles.forest_inference import tree_predict
 from tests.oracles.tree_growth import (
     grow_tree_reference,
     linked_signature,
@@ -180,7 +181,7 @@ class TestTreeDifferential:
         assert linked_signature(_reference_root(X, y)) == table_signature(
             presort.nodes_
         )
-        assert np.array_equal(presort.predict(X), y)
+        assert np.array_equal(tree_predict(presort, X), y)
 
     def test_shared_ranks_match_per_fit_ranks(self):
         X, y = _mixed_data(5)
@@ -236,7 +237,8 @@ class TestForestDifferential:
 class TestRankingFastPath:
     def test_fold_ratios_bit_identical_to_gain_ratio(self):
         from repro.learning.crossval import stratified_kfold
-        from repro.learning.ranking import _fold_gain_ratios, gain_ratio
+        from repro.learning.ranking import _fold_gain_ratios
+        from tests.oracles.gain_ratio import gain_ratio
 
         rng = np.random.default_rng(17)
         X = np.round(rng.normal(size=(120, 7)) * 2) / 2

@@ -52,7 +52,8 @@ class TestRoundTrip:
         assert np.array_equal(
             loaded.decision_scores(X), forest.decision_scores(X)
         )
-        assert np.array_equal(loaded.predict(X), forest.predict(X))
+        assert np.array_equal(loaded.predict_proba(X),
+                              forest.predict_proba(X))
 
     def test_voting_mode_preserved(self, fitted, tmp_path):
         _, X, y = fitted

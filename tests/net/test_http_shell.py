@@ -25,18 +25,14 @@ from repro.exceptions import HttpParseError
 from repro.loadgen import RawConnection
 from repro.net import http1
 from repro.net.flows import transactions_from_packets
-from repro.net.http1 import (
-    RequestParser,
-    ResponseParser,
-    parse_requests,
-    parse_responses,
-)
+from repro.net.http1 import RequestParser, ResponseParser
 from repro.obs import MetricsRegistry, use_registry
 from tests.oracles.header_split import (
     body_length_reference,
     is_chunked_reference,
     split_headers_reference,
 )
+from tests.oracles.http_batch import parse_requests, parse_responses
 
 
 def _outcome(call, *args):

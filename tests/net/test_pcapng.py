@@ -5,6 +5,7 @@ import struct
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PcapError
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket, write_pcap
@@ -88,6 +89,59 @@ _SMALL_CAPTURE = (
 )
 
 
+_BLOCK_TYPES = (0x0A0D0D0A, 0x00000001, 0x00000003, 0x00000006, 0x00000BAD)
+#: Where each block type's options start: after its fixed fields.
+_FIXED_FIELDS = {0x0A0D0D0A: 16, 0x00000001: 8}
+
+
+def _split_blocks(capture: bytes) -> list[tuple[int, bytes]]:
+    """A little-endian capture as ``(block type, body)`` pairs."""
+    blocks, at = [], 0
+    while at < len(capture):
+        block_type, length = struct.unpack_from("<II", capture, at)
+        blocks.append((block_type, capture[at + 8:at + length - 4]))
+        at += length
+    return blocks
+
+
+def _option_offsets(block_type: int, body: bytes) -> list[int]:
+    """Where the reader looks for option headers in ``body`` read as a
+    ``block_type`` block (an EPB's options follow its packet bytes)."""
+    if block_type == 0x00000006 and len(body) >= 20:
+        at = 20 + ((struct.unpack_from("<I", body, 12)[0] + 3) & ~3)
+    else:
+        at = _FIXED_FIELDS.get(block_type, 4)
+    offsets = []
+    while at + 4 <= len(body):
+        offsets.append(at)
+        at += 4 + ((struct.unpack_from("<H", body, at + 2)[0] + 3) & ~3)
+    return offsets
+
+
+@st.composite
+def block_mutations(draw, capture: bytes) -> bytes:
+    """``capture`` with one block's type, one option header and the
+    block's length changed together: the body ends where the edit says
+    and both length fields match it, so the damaged block still frames
+    and reaches the parser for its (new) type."""
+    blocks = _split_blocks(capture)
+    index = draw(st.integers(0, len(blocks) - 1))
+    _, body = blocks[index]
+    block_type = draw(st.sampled_from(_BLOCK_TYPES))
+    offsets = _option_offsets(block_type, body)
+    if offsets:
+        at = draw(st.sampled_from(offsets))
+        code = draw(st.sampled_from((9, 0, 2, 0xFFFF)))
+        size = draw(st.sampled_from((1, 0, 4, len(body) - at, 0xFFFF)))
+        body = body[:at] + struct.pack("<HH", code, size) + body[at + 4:]
+        # The body ends just before or just after the option header, at
+        # the end its length gives the value, or where it did.
+        end = draw(st.sampled_from((at + 4, at, at + 4 + size, len(body))))
+        body = body[:end]
+    blocks[index] = (block_type, body)
+    return b"".join(_block(block_type, body) for block_type, body in blocks)
+
+
 class TestPcapngReader:
     def test_basic_read(self):
         stream = io.BytesIO(_shb() + _idb() + _epb(5_000_000, b"hello"))
@@ -149,6 +203,14 @@ class TestPcapngReader:
     @settings(max_examples=150, deadline=200)
     @given(capture=mutations(_SMALL_CAPTURE))
     def test_mutated_capture_reads_or_is_a_pcap_error(self, capture):
+        try:
+            list(PcapngReader(io.BytesIO(capture)))
+        except PcapError:
+            pass
+
+    @settings(max_examples=300, deadline=200)
+    @given(capture=block_mutations(_SMALL_CAPTURE))
+    def test_block_mutation_reads_or_is_a_pcap_error(self, capture):
         try:
             list(PcapngReader(io.BytesIO(capture)))
         except PcapError:

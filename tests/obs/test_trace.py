@@ -13,6 +13,7 @@ from repro.obs import (
     read_jsonl,
     set_tracer,
     tracing_enabled,
+    use_registry,
     use_tracer,
     write_trace,
 )
@@ -62,14 +63,16 @@ class TestTracer:
 
     def test_per_watch_ring_is_bounded(self, monkeypatch):
         monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 4)
-        tracer = Tracer()
+        with use_registry() as registry:
+            tracer = Tracer()
         tracer.emit("watch", ts=0.0, client="c", watch="w")
         for i in range(10):
             tracer.emit("score", ts=float(i + 1), client="c", watch="w",
                         score=0.1)
         summary = tracer.watch_summary("w")
         assert len(summary.events) == 4
-        assert tracer.dropped_events == 7  # 11 emissions, ring of 4
+        # 11 emissions, ring of 4
+        assert registry.counter("trace.dropped_events").value == 7
         # The newest events survive.
         assert summary.events[-1].ts == 10.0
 
@@ -99,22 +102,24 @@ class TestTracer:
 
     def test_max_watches_evicts_stalest(self, monkeypatch):
         monkeypatch.setattr(trace_module, "_MAX_WATCHES", 2)
-        tracer = Tracer()
+        with use_registry() as registry:
+            tracer = Tracer()
         tracer.emit("watch", ts=0.0, client="a", watch="a#1")
         tracer.emit("watch", ts=1.0, client="b", watch="b#1")
         tracer.emit("watch", ts=2.0, client="c", watch="c#1")
-        assert tracer.dropped_watches == 1
+        assert registry.counter("trace.dropped_watches").value == 1
         assert tracer.watch_summary("a#1") is None
         # The evicted timeline flushed as a non-alerting close.
         assert any(e.watch == "a#1" for e in tracer.events())
 
     def test_global_done_buffer_is_bounded(self, monkeypatch):
         monkeypatch.setattr(trace_module, "_MAX_EVENTS", 5)
-        tracer = Tracer()
+        with use_registry() as registry:
+            tracer = Tracer()
         for i in range(10):
             tracer.emit("prune", ts=float(i))
         assert tracer.event_count == 5
-        assert tracer.dropped_events == 5
+        assert registry.counter("trace.dropped_events").value == 5
         assert [e.ts for e in tracer.events()] == [5.0, 6.0, 7.0, 8.0, 9.0]
 
     def test_alerts_sampling_drops_non_alerting_watches(self):

@@ -3,9 +3,10 @@
 The rule: this package holds *reference code only*, imported by tests,
 never by ``src/``.  Each module is the straightforward formulation of
 something ``src/`` computes another way — the per-node-argsort tree
-grower, the per-tree object walk of the forest, the networkx graph
-algorithms behind the topology features and the downloader-graph
-baseline, the eager wire decode — or of something ``src/`` used to
+grower, the per-tree object walk of the forest and one tree's hard
+vote, the networkx graph algorithms behind the topology features and
+the downloader-graph baseline, the eager wire decode, the whole-buffer
+HTTP parse, the one-column gain ratio — or of something ``src/`` used to
 compute that way and now shortcuts: the vectorised feature-matrix
 assembly, the always-parse session-id extraction, the rescan-per-hop
 redirect chain assembly, the single-horizon session prune, the

@@ -1,9 +1,16 @@
 """Reference forest inference: combine the per-tree table walks
 (``DecisionTreeClassifier.predict_proba``, plain Python per row) — what
 ``EnsembleRandomForest.predict_proba`` computed before the compiled
-arena became the only inference path."""
+arena became the only inference path — and one tree's hard vote."""
 
 import numpy as np
+
+
+def tree_predict(tree, X: np.ndarray) -> np.ndarray:
+    """One tree's predicted class labels: the argmax of its
+    ``predict_proba`` rows (ties break to the first index, i.e. the
+    lowest label — ``_classes`` is sorted)."""
+    return tree._classes[tree.predict_proba(X).argmax(axis=1)]
 
 
 def predict_proba_reference(forest, X: np.ndarray) -> np.ndarray:
@@ -21,6 +28,6 @@ def predict_proba_reference(forest, X: np.ndarray) -> np.ndarray:
             columns = np.searchsorted(forest._classes, tree._classes)
             total[:, columns] += tree.predict_proba(X)
         else:
-            votes = np.searchsorted(forest._classes, tree.predict(X))
+            votes = np.searchsorted(forest._classes, tree_predict(tree, X))
             total[rows, votes] += 1
     return total / len(forest.trees_)

@@ -6,7 +6,8 @@ record is decoded by exactly one shard, garbage and fragments included,
 so the sums cannot drift.  Every shard runs on the fleet's stream clock,
 so the ``session.*`` counters add up too.  The counters allowed to
 differ are the ones DESIGN §13 explains: each shard sweeps its own
-session table, and scores and extracts in its own micro-batches.
+session table, and scores and extracts in its own micro-batches; and,
+with tracing on, each shard counts its own tracer's drops.
 """
 
 from __future__ import annotations
@@ -26,14 +27,18 @@ from repro.service.worker import ShardAlert
 
 WIRE = ("decode.", "http.", "reassembly.")
 
-#: Per-shard tables (full sweeps every N routed transactions) and
-#: per-shard micro-batches (batch counts, topology cache traffic).
+#: Per-shard tables (full sweeps every N routed transactions),
+#: per-shard micro-batches (batch counts, topology cache traffic) and
+#: per-shard tracers (bounded per process; a shard's is built under its
+#: registry, a single process's may be the import-time global one).
 PER_SHARD = frozenset({
     "session.sweeps",
     "features.topology_cache_hits",
     "features.topology_cache_misses",
     "features.batch_extracts",
     "detector.score_batches_flushed",
+    "trace.dropped_events",
+    "trace.dropped_watches",
 })
 
 CAPTURES = {"mixed": (61, MIXED, 6000), "hostile": (67, HOSTILE, 5000)}

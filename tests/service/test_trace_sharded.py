@@ -3,8 +3,8 @@
 The merge contract extends to tracing (DESIGN.md §16): over the same
 workload, the merged fleet trace stream in canonical form (wall-clock
 fields stripped) must be byte-identical to the single-process traced
-run at any worker count, and every fleet alert must carry the identical
-provenance record.  The reference stream passes through the same
+run at any worker count, provenance records (on alert ``verdict``
+events) included, and the fleet alerts must equal the reference's.  The reference stream passes through the same
 ``(timestamp, shard_id, seq)`` merge — as a single shard — before the
 positional comparison, mirroring the alert differential.
 """
@@ -15,6 +15,7 @@ from repro.detection.detector import OnTheWireDetector
 from repro.detection.live import LiveDetector
 from repro.loadgen import MIXED, LoadGenerator
 from repro.obs import NULL_TRACER, Tracer, use_tracer
+from repro.obs import trace as trace_module
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
 from repro.service.daemon import merge_traces
 from repro.service.worker import ShardAlert, run_shard
@@ -57,7 +58,11 @@ def test_reference_actually_alerts_with_provenance(reference):
     """Guard against a vacuous differential."""
     ref_alerts, ref_trace = reference
     assert len(ref_alerts) > 0
-    assert all(a.provenance is not None for a in ref_alerts)
+    verdicts = [event["data"] for event in ref_trace
+                if event["kind"] == "verdict"
+                and event["data"]["decision"] == "alert"]
+    assert len(verdicts) == len(ref_alerts)
+    assert all(data["provenance"] for data in verdicts)
     assert len(ref_trace) > len(ref_alerts)
 
 
@@ -66,7 +71,7 @@ def test_in_process_shards_trace_byte_identical(
     workload, reference, trained_model, shards
 ):
     """Route through the in-process shard path at several worker
-    counts; the merged canonical trace and the provenance-bearing
+    counts; the merged canonical trace (provenance included) and the
     alerts must match the single-process reference exactly."""
     packets, book = workload
     ref_alerts, ref_trace = reference
@@ -78,7 +83,6 @@ def test_in_process_shards_trace_byte_identical(
         shard_alerts.extend(result.alerts)
         shard_traces.append((shard_id, result.trace))
     fleet_alerts = merge_alerts(shard_alerts)
-    # Frozen dataclasses: == compares every field, provenance included.
     assert fleet_alerts == _canonical_alerts(ref_alerts)
     assert _canonical(merge_traces(shard_traces)) == ref_trace
 
@@ -106,7 +110,6 @@ def test_trace_off_spec_ships_no_events(workload, trained_model):
     result = run_shard(spec, 0, shard_records(packets, 1)[0])
     assert result.error is None
     assert result.trace == []
-    assert all(sa.alert.provenance is None for sa in result.alerts)
 
 
 def test_alerts_sampling_rides_the_spec(workload, trained_model):
@@ -132,3 +135,16 @@ def test_the_default_spec_traces_as_the_coordinator_does(trained_model):
         assert EngineSpec(classifier=trained_model).trace == "alerts"
     with use_tracer(NULL_TRACER):
         assert EngineSpec(classifier=trained_model).trace is None
+
+
+def test_shard_snapshot_counts_its_tracer_drops(workload, trained_model,
+                                                monkeypatch):
+    """A shard's tracer counts what its bounds evict into the shard's
+    registry, so the drops ride the snapshot to the fleet merge."""
+    monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 4)
+    packets, book = workload
+    spec = EngineSpec(classifier=trained_model, book=book, trace="full",
+                      metrics=True)
+    result = run_shard(spec, 0, shard_records(packets, 1)[0])
+    assert result.error is None
+    assert result.snapshot["counters"]["trace.dropped_events"] > 0

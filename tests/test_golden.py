@@ -10,6 +10,7 @@ be a deliberate decision, not a side effect.
 import pytest
 
 from repro.core.builder import build_wcg
+from repro.core.wcg import EdgeKind
 from repro.features.extractor import extract_features
 from repro.features.registry import feature_names
 
@@ -33,9 +34,10 @@ class TestGoldenWcg:
 
     def test_edge_kinds(self, golden):
         wcg, _ = golden
-        assert len(wcg.request_edges()) == 4
-        assert len(wcg.response_edges()) == 4
-        assert len(wcg.redirect_edges()) == 2  # 302 hop + origin link
+        assert len(list(wcg.edges(EdgeKind.REQUEST))) == 4
+        assert len(list(wcg.edges(EdgeKind.RESPONSE))) == 4
+        # the 302 hop and the origin link
+        assert len(list(wcg.edges(EdgeKind.REDIRECT))) == 2
 
 
 class TestGoldenFeatures:

@@ -1,8 +1,9 @@
 """Reachability fence: ``src/`` holds only what an entry point reaches.
 
-Every top-level function and class and every method under ``src/``
-must be reached from a production root, or carry an :data:`ALLOWLIST`
-entry that says why it stays.  The scan is stdlib :mod:`ast` only.
+Every top-level function and class, every method and every field under
+``src/`` must be reached from a production root, or carry an
+:data:`ALLOWLIST` entry that says why it stays.  The scan is stdlib
+:mod:`ast` only.
 
 *Roots* are the code that runs the pipeline outside the test suite:
 
@@ -17,19 +18,28 @@ entry that says why it stays.  The scan is stdlib :mod:`ast` only.
 * :data:`README_NAMES`, the library API the README's code blocks show.
 
 *Matching* is by identifier, transitively: a reached body reaches the
-definitions that bear a name it mentions.  An attribute (``obj.feed``)
-or an identifier in a root file's strings reaches every definition of
-that name, methods included; a bare name (``feed``) reaches only
-top-level definitions, and, in a class's own body, that class's members
-(a dispatch table such as ``_steps = (_start, ...)``).  That still
-over-approximates, so the fence can miss dead code but never flags live
-code.  A dunder is reached with its class.  Imports and ``__all__`` are
-not uses, so an ``__init__.py`` re-export keeps nothing alive, and
-``tests/`` is not a root.
+definitions that bear a name it mentions.  An attribute (``obj.feed``),
+a ``getattr`` / ``hasattr`` constant or an identifier in a root file's
+strings reaches every definition of that name, methods included; a bare
+name (``feed``) reaches only top-level definitions, and, in a class's
+own body, that class's members (a dispatch table such as ``_steps =
+(_start, ...)``).  A store (``obj.feed = f``, ``obj.hits += 1``) is not
+a mention.  That still over-approximates, so the fence can miss dead
+code but never flags live code.  A dunder is reached with its class.
+Imports and ``__all__`` are not uses, so an ``__init__.py`` re-export
+keeps nothing alive, and ``tests/`` is not a root.
 
-To keep a definition the fence flags, add it to :data:`ALLOWLIST` under
-one of the three headings there.  An entry that is reached or no longer
-defined fails the fence, so the list can only shrink.
+*Fields* of a reached class — dataclass fields, ``__slots__`` entries,
+other class-body assignments and ``self.x = ...`` stores in its methods
+— are reached when reached code mentions their name as an attribute in
+the same sense.  A class whose fields are read by value, position or
+hash (an ``Enum``, a ``NamedTuple``) or that reads its own fields
+reflectively (``fields(self)``, ``asdict(self)``, ``self.__dict__``)
+has all of them read.
+
+To keep a definition or field the fence flags, add it to
+:data:`ALLOWLIST` with a ``state:`` reason.  An entry that is reached
+or no longer defined fails the fence, so the list can only shrink.
 """
 
 from __future__ import annotations
@@ -49,22 +59,10 @@ README_NAMES = (
 )
 
 #: Unreached definitions that stay, as ``qualname -> reason``.  Every
-#: reason starts with one of three headings:
-#:
-#: * ``reference:`` — a reference the differentials compare against;
-#: * ``state:`` — a state accessor a bounded-memory or reassembly test
-#:   reads;
-#: * ``debt (N tests):`` — dead API whose N tests exceed one change's
-#:   removal budget; delete it with its tests.
+#: reason starts ``state:`` — a state accessor a bounded-memory or
+#: reassembly test reads.  Dead code is deleted, and a reference a
+#: differential compares against lives in ``tests/oracles/``.
 ALLOWLIST: dict[str, str] = {
-    "parse_requests": "reference: the batch parser the incremental"
-                      " HTTP parser and the header split are checked"
-                      " against",
-    "parse_responses": "reference: as parse_requests, for responses",
-    "DecisionTreeClassifier.predict": "reference: the per-tree vote of"
-                                      " tests/oracles/forest_inference",
-    "gain_ratio": "reference: the scalar split score the fold kernel"
-                  " _fold_gain_ratios is proven bit-identical to",
     "OnTheWireDetector.tracked_state_size": "state: test_bounded_state"
                                             " asserts it stays flat",
     "FeatureExtractor.structure_cache_len": "state: the structural LRU"
@@ -76,17 +74,15 @@ ALLOWLIST: dict[str, str] = {
                              " reassembled client bytes",
     "TcpStream.server_data": "state: as TcpStream.client_data",
     "StreamDirection.has_gap": "state: the reassembly gap test reads it",
-    "EnsembleRandomForest.predict": "debt (6 tests): the pipeline reads"
-                                    " decision_scores",
-    "EnsembleRandomForest.feature_importances": "debt (2 tests):"
-                                                " test_forest.py",
-    "DecisionTreeClassifier.feature_importances": "debt (1 test):"
-                                                  " test_tree.py",
 }
 
-_HEADING = re.compile(r"(reference|state|debt \(\d+ tests?\)): \S")
+_HEADING = re.compile(r"state: \S")
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: Bases whose fields are read by value, position or hash.
+_WHOLE_VALUE_BASES = {"Enum", "IntEnum", "Flag", "IntFlag", "NamedTuple"}
+#: Calls that read every field of their argument.
+_REFLECTIVE_CALLS = {"fields", "asdict", "astuple", "vars"}
 
 
 def _is_dunder(name: str) -> bool:
@@ -113,19 +109,33 @@ def _assigns_all(stmt: ast.stmt) -> bool:
                for t in targets)
 
 
+def _called(node: ast.Call) -> str | None:
+    """The name a call calls: ``f`` for ``f(...)`` and ``m.f(...)``."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
 def _names(nodes, strings: bool = False) -> tuple[set[str], set[str]]:
     """``(bare, attributes)``: the identifiers the nodes mention as
-    plain names and as attributes.  An import is not a use, except that
-    ``import x as y`` uses the bare name ``x``; with ``strings``,
-    identifiers inside string constants count as attributes."""
+    plain names and as attributes, stores excepted.  A ``getattr`` /
+    ``hasattr`` constant counts as an attribute.  An import is not a
+    use, except that ``import x as y`` uses the bare name ``x``; with
+    ``strings``, identifiers inside string constants count as
+    attributes."""
     bare: set[str] = set()
     attributes: set[str] = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                bare.add(sub.id)
+                if not isinstance(sub.ctx, ast.Store):
+                    bare.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                attributes.add(sub.attr)
+                if not isinstance(sub.ctx, ast.Store):
+                    attributes.add(sub.attr)
+            elif (isinstance(sub, ast.Call)
+                  and _called(sub) in ("getattr", "hasattr")
+                  and len(sub.args) > 1
+                  and isinstance(sub.args[1], ast.Constant)):
+                attributes.add(sub.args[1].value)
             elif isinstance(sub, (ast.Import, ast.ImportFrom)):
                 bare.update(alias.name.rpartition(".")[2]
                             for alias in sub.names if alias.asname)
@@ -133,6 +143,52 @@ def _names(nodes, strings: bool = False) -> tuple[set[str], set[str]]:
                   and isinstance(sub.value, str)):
                 attributes.update(_IDENTIFIER.findall(sub.value))
     return bare, attributes
+
+
+def _reads_itself(node: ast.ClassDef) -> bool:
+    """Whether a class reads its own fields without naming them."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and _called(sub) in _REFLECTIVE_CALLS:
+            if any(getattr(arg, "id", None) == "self" for arg in sub.args):
+                return True
+        elif (isinstance(sub, ast.Attribute)
+              and sub.attr in ("__dict__", "__slots__")
+              and getattr(sub.value, "id", None) == "self"):
+            return True
+    return False
+
+
+def _fields(node: ast.ClassDef) -> set[str]:
+    """The fields a class stores, as names: annotated and plain
+    class-body assignments, ``__slots__`` entries, and attributes its
+    methods store on their first parameter.  None for a class whose
+    fields are all read (see :data:`_WHOLE_VALUE_BASES`,
+    :func:`_reads_itself`); dunders are not fields."""
+    bases = {getattr(base, "id", None) or getattr(base, "attr", None)
+             for base in node.bases}
+    if bases & _WHOLE_VALUE_BASES or _reads_itself(node):
+        return set()
+    names: set[str] = set()
+    for stmt in _flat(node.body):
+        if isinstance(stmt, ast.AnnAssign):
+            names.add(getattr(stmt.target, "id", ""))
+        elif isinstance(stmt, ast.Assign):
+            targets = {getattr(target, "id", "") for target in stmt.targets}
+            names |= targets
+            if "__slots__" in targets and isinstance(
+                    stmt.value, (ast.Tuple, ast.List)):
+                names.update(elt.value for elt in stmt.value.elts
+                             if isinstance(elt, ast.Constant))
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not stmt.args.args:
+                continue
+            this = stmt.args.args[0].arg
+            names.update(
+                sub.attr for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and getattr(sub.value, "id", None) == this)
+    return {name for name in names if name and not _is_dunder(name)}
 
 
 class _Definition:
@@ -174,9 +230,10 @@ def _definitions(path: Path, body, prefix: str = "", owner=None):
 
 
 def scan(src: Path, root_files, root_names=()):
-    """``(unreached, defined)`` for the modules under ``src``, both as
-    ``qualname -> path``.  An unreached class stands for its members,
-    and a dunder is never reported on its own."""
+    """``(unreached, defined)`` for the definitions and fields of the
+    modules under ``src``, both as ``qualname -> path``.  An unreached
+    class stands for its members and fields, and a dunder is never
+    reported on its own."""
     # An attribute reaches every definition of its name, a bare name
     # only the top-level ones.
     by_attribute: dict[str, list[_Definition]] = {}
@@ -231,6 +288,14 @@ def scan(src: Path, root_files, root_names=()):
         and not _is_dunder(d.node.name)
         and (d.owner is None or id(d.owner) in reached)
     }
+    for d in definitions:
+        if not isinstance(d.node, ast.ClassDef):
+            continue
+        for name in _fields(d.node):
+            qualname = f"{d.qualname}.{name}"
+            defined[qualname] = d.path
+            if id(d) in reached and (name, True) not in seen:
+                unreached[qualname] = d.path
     return unreached, defined
 
 
@@ -273,15 +338,22 @@ def test_allowlist_reasons_fall_under_a_heading():
 
 def test_fence_flags_planted_dead_code(tmp_path):
     """A planted package: re-exports, ``__all__``, a recursive self
-    call and a local variable named like a method keep nothing alive;
-    module-level code, a root file, an attribute call and a class-body
-    dispatch table do; a dead class is one entry for all its members."""
+    call, a local variable named like a method and a store named like
+    one keep nothing alive; module-level code, a root file, an attribute
+    call and a class-body dispatch table do; a dead class is one entry
+    for all its members.  A field nothing loads is flagged; a reflective
+    reader, an ``Enum``, a ``NamedTuple``, a ``getattr`` constant and a
+    root file's string keep fields alive."""
     files = {
         "src/pkg/__init__.py": """
             from pkg.mod import dead, live
             __all__ = ["dead", "live", "Box"]
         """,
         "src/pkg/mod.py": """
+            import enum
+            from dataclasses import dataclass, fields
+            from typing import NamedTuple
+
             def live():
                 count = _helper()
                 return count
@@ -295,9 +367,12 @@ def test_fence_flags_planted_dead_code(tmp_path):
             class Box:
                 def __init__(self):
                     self.size = 0
+                    self.spare = []
+                    self.level = 1
+                    self.label = ""
 
                 def used(self):
-                    return self.size
+                    return self.size + getattr(self, "level")
 
                 def unused(self):
                     return 0
@@ -318,6 +393,29 @@ def test_fence_flags_planted_dead_code(tmp_path):
                 def open(self):
                     return 1
 
+            class Meter:
+                def ticks(self):
+                    return 0
+
+            @dataclass
+            class Record:
+                kept: int
+                dead: int = 0
+
+            @dataclass
+            class Mix:
+                share: float = 1.0
+
+                def kinds(self):
+                    return [f.name for f in fields(self)]
+
+            class Colour(enum.Enum):
+                RED = 1
+
+            class Pair(NamedTuple):
+                left: int
+                right: int
+
             TABLE = {"box": Box}
         """,
         "root.py": """
@@ -325,6 +423,12 @@ def test_fence_flags_planted_dead_code(tmp_path):
             live()
             TABLE["box"]().used()
             Parser._steps
+            meter = Meter()
+            meter.ticks += 1
+            Record(1).kept
+            Mix().kinds()
+            Colour(1), Pair(1, 2)
+            FIELDS = ("label",)
         """,
     }
     for name, text in files.items():
@@ -332,10 +436,11 @@ def test_fence_flags_planted_dead_code(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
     unreached, defined = scan(tmp_path / "src", [tmp_path / "root.py"])
-    assert set(unreached) == {"dead", "Box.unused", "Box.count", "Crate"}
+    assert set(unreached) == {"dead", "Box.unused", "Box.count", "Crate",
+                              "Meter.ticks", "Box.spare", "Record.dead"}
     assert {"live", "_helper", "Box.__init__", "Parser._start",
-            "Crate.open"} <= set(defined)
-    allowlist = {"dead": "debt (1 test): x", "live": "reference: x",
-                 "gone": "state: x"}
+            "Crate.open", "Box.size", "Box.level", "Box.label",
+            "Parser._steps", "Record.kept"} <= set(defined)
+    allowlist = {"dead": "state: x", "live": "state: x", "gone": "state: x"}
     assert stale_entries(allowlist, unreached, defined) == {
         "live": "reached now", "gone": "no longer defined"}

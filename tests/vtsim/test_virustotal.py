@@ -39,12 +39,6 @@ class TestScan:
             vt.scan(PayloadSample(sha256=f"s{index}", malicious=False), 0.0)
         assert 10 <= vt.timeouts <= 60
 
-    def test_submissions_counter(self):
-        vt = VirusTotalSim()
-        vt.scan(PayloadSample(sha256="a", malicious=False), 0.0)
-        vt.scan(PayloadSample(sha256="b", malicious=False), 0.0)
-        assert vt.submissions == 2
-
 
 class TestScanTrace:
     def test_infection_trace_flagged(self, tiny_corpus):
