@@ -21,12 +21,14 @@ this module provides that incremental path:
 
 Decoding is incremental end to end: every connection owns a
 :class:`~repro.net.flows.StreamPairer` whose resumable HTTP parsers
-retain partial-message state between deliveries, reading each direction
-through the reassembler's consumable view (parse cursor + compaction of
-consumed bytes).  Each payload byte is therefore examined once and
-buffered only while its message is still incomplete, so the per-packet
-cost is O(bytes in the packet) and a whole capture costs O(total bytes),
-even for one giant connection.
+retain partial-message state between deliveries and frame each
+direction's reassembly buffer in place (the one copy of its bytes).
+Each payload byte is therefore examined once and buffered only while
+its message is still incomplete, so the per-packet cost is O(bytes in
+the packet) and a whole capture costs O(total bytes), even for one
+giant connection.  A connection found not to be HTTP keeps what was
+framed before the rejected bytes and then no payload; FIN / RST still
+close it.
 
 Connection state is bounded the same way: a closed, fully drained
 connection lingers for ``OverloadPolicy.closed_linger`` stream-seconds
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from repro.core.model import HttpTransaction
 from repro.detection.alerts import Alert
 from repro.detection.detector import OnTheWireDetector
-from repro.exceptions import HttpParseError, PcapError
+from repro.exceptions import PcapError
 from repro.net.flows import AddressBook, StreamPairer, decode_segment
 from repro.net.packets import ACK, SYN, IpFragmentReassembler
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket
@@ -207,16 +209,17 @@ class LiveDecoder:
         pairer = stream.consumer
         if pairer is None and stream.client is not None:
             pairer = stream.consumer = StreamPairer(stream, self.book)
-        if not pairer:
-            return []  # no client side yet, or payload that is not HTTP
-        try:
-            return pairer.poll(final=final)
-        except HttpParseError:
-            # Transactions already emitted from the stream's well-formed
-            # prefix stand; the remainder is not HTTP.
-            stream.consumer = False
+        emitted = pairer.poll(final=final) if pairer else []
+        if pairer and pairer.rejected:
+            stream.consumer = pairer = False
             self._c_not_http.inc()
-            return []
+        if pairer is False:
+            # Not HTTP: the transactions framed before the rejected bytes
+            # stand, and no payload is kept (a direction first seen
+            # since included).
+            for state in stream.directions.values():
+                state.abandon()
+        return emitted
 
 
 class LiveDetector:

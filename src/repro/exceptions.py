@@ -21,7 +21,10 @@ class TcpReassemblyError(ReproError):
 
 
 class HttpParseError(ReproError):
-    """Raised when bytes on a TCP stream do not form valid HTTP/1.x."""
+    """Raised when bytes on a TCP stream do not form valid HTTP/1.x;
+    ``completed`` holds the messages framed before the rejected bytes."""
+
+    completed: list = []
 
 
 class GraphConstructionError(ReproError):

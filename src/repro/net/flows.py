@@ -2,7 +2,10 @@
 
 ``transactions_from_packets`` drives the full decode pipeline
 (Ethernet -> IPv4 -> TCP -> reassembly -> HTTP/1.x -> domain model), the
-path the paper's offline analytics takes over its PCAP corpus.
+path the paper's offline analytics takes over its PCAP corpus.  Its HTTP
+stage is :class:`StreamPairer`, the one the live tap polls: the parsers
+build the model's messages straight from the reassembly buffers, and
+the pairer adds the host, client and timestamps and pairs them.
 
 ``packets_from_trace`` is the inverse: it materializes a synthetic
 :class:`~repro.core.model.Trace` as real Ethernet/IPv4/TCP packets, so the
@@ -14,20 +17,12 @@ from __future__ import annotations
 import hashlib
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.model import (
-    HttpMethod,
-    HttpRequest,
-    HttpResponse,
-    HttpTransaction,
-    Trace,
-)
+from repro.core.model import HttpRequest, HttpTransaction, Trace
 from repro.core.payloads import authority_host
 from repro.exceptions import HttpParseError, PcapError
 from repro.net.http1 import (
-    RawHttpRequest,
-    RawHttpResponse,
     RequestParser,
     ResponseParser,
     serialize_request,
@@ -124,30 +119,34 @@ def decode_segment(data: bytes, linktype: int, defragment) -> tuple | None:
 class StreamPairer:
     """Incremental request/response pairing for one reassembled stream.
 
-    Each :meth:`poll` pulls the bytes newly contiguous on either
-    direction through the resumable HTTP parsers (each byte is examined
-    once), pairs every freshly completed response with the oldest
-    unanswered request, and compacts the direction buffers behind the
-    parse cursors.  Requests the server has not answered yet stay queued
-    until their response lands or a ``final`` poll (connection close /
-    end of capture) flushes them unanswered.
+    Each :meth:`poll` steps the resumable HTTP parsers over the bytes
+    newly contiguous on either direction (a parser's ``buffer`` *is* the
+    direction's ``data``), stamps each completed message with what only
+    the connection knows (host, client, timestamps from the arrival
+    marks), and pairs every response with the oldest unanswered request.
+    Unanswered requests stay queued until their response lands or a
+    ``final`` poll (connection close / end of capture) flushes them.
 
     The batch path (:func:`transactions_from_packets`) is a single
     ``poll(final=True)`` over a fully reassembled stream, so offline and
     live decoding share one implementation and cannot disagree.
 
-    A :class:`HttpParseError` escaping :meth:`poll` means the stream is
-    not HTTP (TLS, P2P, corruption); callers should stop polling it.
+    A stream that is not HTTP (TLS, P2P, corruption) sets
+    :attr:`rejected`: that poll still pairs what was framed before the
+    rejected bytes and flushes the queued requests unanswered; callers
+    stop polling the stream then.
     """
 
     def __init__(self, stream: TcpStream, book: AddressBook | None = None):
         self.stream = stream
         self.book = book
-        self._methods: list[str] = []
         self._requests = RequestParser()
-        self._responses = ResponseParser(request_methods=self._methods,
-                                         await_methods=True)
+        self._responses = ResponseParser(
+            request_methods=self._requests.methods, await_methods=True)
+        #: Each direction's ``end`` when its parser last stepped.
+        self._request_end = self._response_end = 0
         self._unanswered: deque[HttpRequest] = deque()
+        self.rejected = False
         metrics = get_registry()
         self._counted = metrics.enabled
         self._c_feeds = metrics.counter("http.parser_feeds")
@@ -173,36 +172,47 @@ class StreamPairer:
         # A parser is stepped only when its input changed — new bytes,
         # end of stream or, for responses, new request methods to frame
         # by: a stalled parser re-stepped over the same input moves
-        # nothing, nor does re-compacting an untouched direction.
+        # nothing, nor does re-trimming an untouched direction's marks.
         new_methods = False
-        chunk = client_state.take() if client_state is not None else b""
-        if chunk or (final and client_state is not None):
-            if chunk and counted:
+        fresh = client_state is not None and (
+            client_state.end != self._request_end)
+        if fresh or (final and client_state is not None):
+            self._request_end = client_state.end
+            if fresh and counted:
                 self._c_feeds.inc()
-            raw_requests = self._requests.feed(chunk)
-            if final:
-                raw_requests.extend(self._requests.finish())
-            if counted:
-                self._c_requests.inc(len(raw_requests))
-            for raw_req in raw_requests:
-                self._methods.append(raw_req.method)
-                self._unanswered.append(
-                    self._build_request(raw_req, client_state)
-                )
-            new_methods = bool(raw_requests)
-            client_state.compact(
-                keep_marks_from=self._requests.pending_offset
-            )
-        chunk = server_state.take() if server_state is not None else b""
-        if chunk or ((new_methods or final) and server_state is not None):
-            if chunk and counted:
+            parser = self._requests
+            requests = self._frame(parser, client_state, final)
+            if requests:
+                if counted:
+                    self._c_requests.inc(len(requests))
+                book = self.book
+                client, server = stream.client[0], stream.server[0]
+                if book is not None:
+                    client, server = book.host_of(client), book.host_of(server)
+                for request, start in zip(requests, parser.starts):
+                    # Lower-case, like every host it is compared with (evasion).
+                    request.host = authority_host(
+                        request.headers.get("Host") or server)
+                    request.client = client
+                    request.timestamp = client_state.timestamp_at(start)
+                    self._unanswered.append(request)
+                parser.starts.clear()
+                new_methods = True
+            client_state.trim_marks(parser.pending_offset)
+        fresh = server_state is not None and (
+            server_state.end != self._response_end)
+        if fresh or ((new_methods or final) and server_state is not None):
+            self._response_end = server_state.end
+            if fresh and counted:
                 self._c_feeds.inc()
-            raw_responses = self._responses.feed(chunk)
-            if final:
-                raw_responses.extend(self._responses.finish(closed=True))
+            parser = self._responses
+            # After a request-side rejection no end of stream frames a
+            # response (read-until-close): only what its bytes delimit.
+            responses = self._frame(parser, server_state,
+                                    final and not self.rejected)
             if counted:
-                self._c_responses.inc(len(raw_responses))
-            for raw_res in raw_responses:
+                self._c_responses.inc(len(responses))
+            for response, start in zip(responses, parser.starts):
                 if not self._unanswered:
                     # Responses outrunning requests are dropped: a
                     # pairing mismatch worth watching on a live tap.
@@ -212,53 +222,33 @@ class StreamPairer:
                     self._c_orphans.inc()
                     continue
                 request = self._unanswered.popleft()
-                response = self._build_response(raw_res, server_state, request)
-                out.append(HttpTransaction(request=request, response=response))
-            server_state.compact(
-                keep_marks_from=self._responses.pending_offset
-            )
-        if final:
+                response.timestamp = max(server_state.timestamp_at(start),
+                                         request.timestamp)
+                out.append(HttpTransaction(request, response))
+            parser.starts.clear()
+            server_state.trim_marks(parser.pending_offset)
+        if final or self.rejected:
             while self._unanswered:
                 self._c_unanswered.inc()
-                out.append(
-                    HttpTransaction(request=self._unanswered.popleft(),
-                                    response=None)
-                )
+                out.append(HttpTransaction(self._unanswered.popleft()))
         if out and counted:
             self._c_transactions.inc(len(out))
         return out
 
-    def _build_request(self, raw_req: RawHttpRequest,
-                       client_state: StreamDirection) -> HttpRequest:
-        stream, book = self.stream, self.book
-        client_ip = stream.client[0]
-        host_header = raw_req.headers.get("Host")
-        server_ip = stream.server[0] if stream.server else ""
-        server_name = host_header or (book.host_of(server_ip) if book else server_ip)
-        client_name = book.host_of(client_ip) if book else client_ip
-        return HttpRequest(
-            method=HttpMethod.of(raw_req.method),
-            uri=raw_req.uri,
-            # Lower-case, like every host it is compared with (evasion).
-            host=authority_host(server_name),
-            client=client_name,
-            timestamp=client_state.timestamp_at(raw_req.offset),
-            headers=raw_req.headers,
-            body=raw_req.body,
-            version=raw_req.version,
-        )
-
-    def _build_response(self, raw_res: RawHttpResponse,
-                        server_state: StreamDirection,
-                        request: HttpRequest) -> HttpResponse:
-        return HttpResponse(
-            status=raw_res.status,
-            timestamp=max(server_state.timestamp_at(raw_res.offset),
-                          request.timestamp),
-            headers=raw_res.headers,
-            body=raw_res.body,
-            version=raw_res.version,
-        )
+    def _frame(self, parser: RequestParser | ResponseParser,
+               state: StreamDirection, final: bool) -> list:
+        """Step ``parser`` over ``state``'s buffer (and its end when
+        ``final``); a rejection keeps the messages framed before it."""
+        parser.buffer = state.data
+        messages = []
+        try:
+            messages = parser.feed(b"")
+            if final:
+                messages += parser.finish()
+        except HttpParseError as exc:
+            self.rejected = True
+            messages += exc.completed
+        return messages
 
 
 def transactions_from_packets(
@@ -297,13 +287,10 @@ def transactions_from_packets(
             reassembler.feed(packet.timestamp, segment)
     transactions: list[HttpTransaction] = []
     for stream in reassembler.streams():
-        try:
-            transactions.extend(StreamPairer(stream, book).poll(final=True))
-        except HttpParseError:
-            # Not an HTTP conversation (TLS, P2P, corruption): real
-            # captures carry plenty of those; skip the stream rather
-            # than abort the whole capture.
-            pass
+        # A stream that is not HTTP (TLS, P2P, corruption) yields what
+        # was framed before its rejected bytes; real captures carry
+        # plenty of those, and one must not abort the whole capture.
+        transactions.extend(StreamPairer(stream, book).poll(final=True))
     transactions.sort(key=lambda t: t.timestamp)
     return transactions
 
@@ -394,26 +381,15 @@ def packets_from_trace(
         req = txn.request
         headers = req.headers.copy()
         headers.set("Host", txn.server)
-        raw_req = RawHttpRequest(
-            method=req.method.value if req.method != HttpMethod.OTHER else "TRACE",
-            uri=req.uri,
-            version=req.version,
-            headers=headers,
-            body=req.body,
-        )
-        packets.extend(encoder.send(req.timestamp, True, serialize_request(raw_req)))
+        packets.extend(encoder.send(
+            req.timestamp, True, serialize_request(replace(req, headers=headers))
+        ))
         if txn.response is not None:
             res = txn.response
-            body = res.body or b"\x00" * min(res.body_size, 2048)
-            raw_res = RawHttpResponse(
-                version=res.version,
-                status=res.status,
-                reason="",
-                headers=res.headers.copy(),
-                body=body,
-            )
+            if not res.body:
+                res = replace(res, body=b"\x00" * min(res.body_size, 2048))
             packets.extend(
-                encoder.send(res.timestamp, False, serialize_response(raw_res))
+                encoder.send(res.timestamp, False, serialize_response(res))
             )
             last_ts[pair] = res.timestamp
         else:

@@ -1,31 +1,35 @@
 """HTTP/1.x wire-format parser and serializer.
 
-Parses reassembled TCP byte streams into request and response message
-sequences (persistent connections supported), handling ``Content-Length``
-bodies, ``Transfer-Encoding: chunked``, and read-until-close responses.
-The serializer is the inverse, used when materializing synthetic traces
+Parses reassembled TCP byte streams into the model's
+:class:`~repro.core.model.HttpRequest` / :class:`~repro.core.model.
+HttpResponse` sequences (persistent connections supported), handling
+``Content-Length`` bodies, ``Transfer-Encoding: chunked``, and
+read-until-close responses.  A parser fills in what the bytes say; the
+host, client and timestamps are the caller's (:class:`~repro.net.flows.
+StreamPairer` knows the connection and the arrival marks).  The
+serializer is the inverse, used when materializing synthetic traces
 into real pcap files.
 
 Parsing is *resumable*: :class:`RequestParser` and :class:`ResponseParser`
 retain partial-message state between :meth:`~RequestParser.feed` calls and
 examine each byte exactly once, so a live tap pays O(total bytes) per
-connection no matter how the bytes are sliced into deliveries.  Offline
-and on-the-wire decoding share them: a whole capture is the same
+connection no matter how the bytes are sliced into deliveries.  A parser
+frames its ``buffer`` in place, deleting each message's bytes as it
+frames them; the tap points ``buffer`` at the reassembler's direction
+buffer, so a direction's in-order bytes exist once.  Offline and
+on-the-wire decoding share the parsers: a whole capture is the same
 ``feed`` / ``finish`` calls the tap makes, so the two agree by
 construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from sys import intern
 
-from repro.core.model import Headers
+from repro.core.model import Headers, HttpMethod, HttpRequest, HttpResponse
 from repro.exceptions import HttpParseError
 
 __all__ = [
-    "RawHttpRequest",
-    "RawHttpResponse",
     "RequestParser",
     "ResponseParser",
     "serialize_request",
@@ -42,32 +46,6 @@ _CHUNKED = -1
 #: Parser state at end of stream -> what :meth:`finish` reports cut off.
 _TRUNCATED = {"chunk-size": "chunk size line", "chunk-data": "chunk body",
               "chunk-term": "chunk body", "chunk-trailers": "chunk trailers"}
-
-
-@dataclass
-class RawHttpRequest:
-    """A parsed request line + headers + body, before domain mapping."""
-
-    method: str
-    uri: str
-    version: str
-    headers: Headers
-    body: bytes
-    #: Byte offset of the message start within its direction's stream.
-    offset: int = 0
-
-
-@dataclass
-class RawHttpResponse:
-    """A parsed status line + headers + body, before domain mapping."""
-
-    version: str
-    status: int
-    reason: str
-    headers: Headers
-    body: bytes
-    #: Byte offset of the message start within its direction's stream.
-    offset: int = 0
 
 
 def _split_headers(block: bytes | bytearray) -> tuple[str, Headers]:
@@ -123,109 +101,112 @@ def _framing(headers: Headers) -> int | None:
 class _IncrementalParser:
     """Resumable framing machinery shared by both message directions.
 
-    The parser buffers only the not-yet-framed tail of the stream (at
-    most the current partial message): framed bytes are deleted as the
-    cursor advances, and repeated ``find`` scans restart from where the
-    previous delivery stopped.  Malformed-content errors (bad start
-    line, bad chunk size, ...) raise :class:`HttpParseError` as soon as
-    the offending bytes arrive; truncation conditions merely pause the
-    parser until more bytes are fed or :meth:`finish` declares the end
-    of the stream.
+    ``buffer`` holds only the not-yet-framed tail of the stream: framed
+    bytes are deleted as the cursor advances, and repeated ``find`` scans
+    restart from where the previous delivery stopped.  Bytes reach it
+    through :meth:`feed`, or its owner appends them (the reassembler's
+    direction buffer) before a ``feed(b"")``.  Malformed content (bad
+    start line, bad chunk size, ...) raises :class:`HttpParseError` as
+    soon as it arrives, carrying the messages framed before it;
+    truncation merely pauses the parser until more bytes are fed or
+    :meth:`finish` declares the end of the stream.
     """
 
     _kind = "message"
 
     def __init__(self) -> None:
-        self._buf = bytearray()
-        #: Absolute stream offset of ``_buf[0]``.
+        self.buffer = bytearray()
+        #: Absolute stream offset of ``buffer[0]``.
         self._base = 0
         #: Buffer-relative restart hint for delimiter scans.
         self._scan = 0
         self._state = "headers"
-        #: Absolute stream offset where the current message starts.
-        self._msg_offset = 0
-        #: The message whose body is being framed, and how many came before.
-        self._pending: RawHttpRequest | RawHttpResponse | None = None
+        #: Absolute stream offset where the current (partial) message
+        #: starts: everything before it is framed, so a caller may drop
+        #: earlier per-offset bookkeeping (e.g. timestamp marks).
+        self.pending_offset = 0
+        #: Stream offsets where the emitted messages start, in emission
+        #: order; the caller clears the list once it has read them.
+        self.starts: list[int] = []
+        #: The framed message's start-line fields and headers, and how
+        #: many messages came before it.
+        self._line: list[str] | tuple[str, int] = []
+        self._headers: Headers | None = None
         self._count = 0
         self._body = bytearray()
         self._need = 0
         self._finishing = False
         self._done = False
 
-    @property
-    def pending_offset(self) -> int:
-        """Absolute stream offset of the current (partial) message.
-
-        Everything before this offset has been fully framed; callers may
-        discard earlier per-offset bookkeeping (e.g. timestamp marks).
-        """
-        return self._msg_offset
-
     # -- byte plumbing ------------------------------------------------------
 
     def _consume(self, count: int) -> None:
-        del self._buf[:count]
+        del self.buffer[:count]
         self._base += count
         self._scan = 0
 
     def feed(self, data: bytes) -> list:
         """Ingest ``data``; returns the messages it completed."""
         if self._done:
-            if data:
+            if data or self.buffer:
                 raise HttpParseError(f"data after {self._kind} stream end")
             return []
         if data:
-            self._buf += data
-        out: list = []
+            self.buffer += data
+        return self._run([])
+
+    def _run(self, out: list) -> list:
         steps = self._steps  # per class, filled in below the steps
-        while steps[self._state](self, out):
-            pass
+        try:
+            while steps[self._state](self, out):
+                pass
+        except HttpParseError as exc:
+            exc.completed = out
+            raise
         return out
 
-    def _terminate(self) -> None:
-        """Raise the batch-identical truncation error for a cut-off tail."""
-        cut = _TRUNCATED.get(self._state)
-        if cut:
-            raise HttpParseError(f"truncated {cut}")
-        # Any other state: a trailing message cut off by capture
-        # truncation is silently dropped ("frame" included: the method
-        # never resolved, _step_frame framed it with none under
-        # _finishing, and the framed body was then cut off).
+    def finish(self) -> list:
+        """Declare end-of-stream; idempotent.  Returns the messages
+        completable at EOF.
 
-    def _finish(self) -> list:
-        """Declare end-of-stream; returns messages completable at EOF."""
+        A stream cut off inside a chunked body raises the batch-identical
+        truncation error; any other cut-off tail is silently dropped
+        ("frame" included: the method never resolved, ``_step_frame``
+        framed it with none under ``_finishing``, and the framed body was
+        then cut off).
+        """
         if self._done:
             return []
         self._finishing = True
-        out: list = []
-        steps = self._steps
-        while steps[self._state](self, out):
-            pass
+        out = self._run([])
         self._done = True
-        self._terminate()
+        del self.buffer[:]  # what is left is the cut-off tail
+        cut = _TRUNCATED.get(self._state)
+        if cut:
+            error = HttpParseError(f"truncated {cut}")
+            error.completed = out
+            raise error
         return out
 
     # -- state machine ------------------------------------------------------
 
     def _step_headers(self, out: list) -> bool:
-        if not self._buf:
+        buf = self.buffer
+        if not buf:
             return False
-        self._msg_offset = self._base
-        end = self._buf.find(_HEADER_END, self._scan)
+        self.pending_offset = self._base
+        end = buf.find(_HEADER_END, self._scan)
         # One limit however the block arrives: fed a byte at a time, the
         # buffer is 3 bytes past ``end`` just before the terminator lands.
-        if (len(self._buf) if end < 0 else end + 3) > _MAX_HEADER_BYTES:
+        if (len(buf) if end < 0 else end + 3) > _MAX_HEADER_BYTES:
             raise HttpParseError(f"oversized {self._kind} header block")
         if end < 0:
-            self._scan = max(0, len(self._buf) - 3)
+            self._scan = max(0, len(buf) - 3)
             return False
-        block = self._buf[:end]
+        block = buf[:end]
         self._consume(end + 4)
-        start, headers = _split_headers(block)
-        return self._begin_message(start, headers, out)
-
-    def _begin_message(self, start: str, headers: Headers, out: list) -> bool:
-        raise NotImplementedError
+        start, self._headers = _split_headers(block)
+        return self._begin_message(start, out)
 
     def _start_body(self, length: int | None, out: list) -> bool:
         """Enter the state that frames a body of :func:`_framing` ``length``."""
@@ -238,23 +219,27 @@ class _IncrementalParser:
             self._emit(b"", out)
         return True
 
-    def _step_body(self, out: list) -> bool:
-        take = min(len(self._buf), self._need)
+    def _step_data(self, out: list) -> bool:
+        """Frame a ``body`` or a chunk's data: ``_need`` more bytes."""
+        take = min(len(self.buffer), self._need)
         if take:
-            self._body += self._buf[:take]
+            self._body += self.buffer[:take]
             self._consume(take)
             self._need -= take
         if self._need:
             return False
-        self._emit(bytes(self._body), out)
+        if self._state == "body":
+            self._emit(bytes(self._body), out)
+        else:
+            self._state = "chunk-term"
         return True
 
     def _step_chunk_size(self, out: list) -> bool:
-        line_end = self._buf.find(_CRLF, self._scan)
+        line_end = self.buffer.find(_CRLF, self._scan)
         if line_end < 0:
-            self._scan = max(0, len(self._buf) - 1)
+            self._scan = max(0, len(self.buffer) - 1)
             return False
-        size_token = bytes(self._buf[:line_end]).split(b";", 1)[0].strip()
+        size_token = bytes(self.buffer[:line_end]).split(b";", 1)[0].strip()
         try:
             size = int(size_token, 16)
         except ValueError as exc:
@@ -270,51 +255,38 @@ class _IncrementalParser:
         self._state = "chunk-data"
         return True
 
-    def _step_chunk_data(self, out: list) -> bool:
-        take = min(len(self._buf), self._need)
-        if take:
-            self._body += self._buf[:take]
-            self._consume(take)
-            self._need -= take
-        if self._need:
-            return False
-        self._state = "chunk-term"
-        return True
-
     def _step_chunk_term(self, out: list) -> bool:
-        if len(self._buf) < 2:
+        if len(self.buffer) < 2:
             return False
-        if self._buf[:2] != _CRLF:
+        if self.buffer[:2] != _CRLF:
             raise HttpParseError("missing chunk terminator")
         self._consume(2)
         self._state = "chunk-size"
         return True
 
     def _step_chunk_trailers(self, out: list) -> bool:
-        # _buf[0:2] is the CRLF that closed the zero-size line, so with
+        # buffer[0:2] is the CRLF that closed the zero-size line, so with
         # no trailers the terminator is found at 0.
-        end = self._buf.find(_HEADER_END, self._scan)
+        end = self.buffer.find(_HEADER_END, self._scan)
         if end >= 0:
             self._consume(end + 4)
             self._emit(bytes(self._body), out)
             return True
-        self._scan = max(0, len(self._buf) - 3)
+        self._scan = max(0, len(self.buffer) - 3)
         return False
 
     def _emit(self, body: bytes, out: list) -> None:
-        message = self._pending
-        message.body = body
-        out.append(message)
-        self._pending = None
+        out.append(self._message(body))
+        self.starts.append(self.pending_offset)
         self._count += 1
         self._state = "headers"
-        self._msg_offset = self._base
+        self.pending_offset = self._base
 
     _steps = {
         "headers": _step_headers,
-        "body": _step_body,
+        "body": _step_data,
         "chunk-size": _step_chunk_size,
-        "chunk-data": _step_chunk_data,
+        "chunk-data": _step_data,
         "chunk-term": _step_chunk_term,
         "chunk-trailers": _step_chunk_trailers,
     }
@@ -323,26 +295,33 @@ class _IncrementalParser:
 class RequestParser(_IncrementalParser):
     """Incremental client-direction parser: feed bytes, get requests.
 
-    ``feed()`` returns the :class:`RawHttpRequest` messages completed by
-    the delivered bytes; :meth:`finish` declares end-of-stream, raising
-    for a stream cut off inside a chunked body (as the batch parser
-    does) and silently dropping a truncated trailing message.
+    ``feed()`` returns the :class:`HttpRequest` messages completed by the
+    delivered bytes, with no host, client or timestamp yet;
+    :meth:`finish` declares end-of-stream.  ``methods`` lists each
+    emitted request's verb as sent: response framing compares it with
+    ``HEAD`` case-sensitively (RFC 9110 §9), which the model's
+    :class:`HttpMethod` cannot.
     """
 
     _kind = "request"
 
-    def _begin_message(self, start: str, headers: Headers, out: list) -> bool:
+    def __init__(self) -> None:
+        super().__init__()
+        self.methods: list[str] = []
+
+    def _begin_message(self, start: str, out: list) -> bool:
         parts = start.split(" ", 2)
         if len(parts) < 3 or not parts[2].startswith("HTTP/"):
             raise HttpParseError(f"bad request line: {start!r}")
-        self._pending = RawHttpRequest(parts[0], parts[1], intern(parts[2]),
-                                       headers, b"", offset=self._msg_offset)
+        self._line = parts
         self._body = bytearray()
-        return self._start_body(_framing(headers), out)
+        return self._start_body(_framing(self._headers), out)
 
-    def finish(self) -> list[RawHttpRequest]:
-        """End of the client stream; idempotent."""
-        return self._finish()
+    def _message(self, body: bytes) -> HttpRequest:
+        verb, uri, version = self._line
+        self.methods.append(verb)
+        return HttpRequest(HttpMethod.of(verb), uri, "", "", 0.0,
+                           self._headers, body, intern(version))
 
 
 class ResponseParser(_IncrementalParser):
@@ -350,13 +329,13 @@ class ResponseParser(_IncrementalParser):
 
     ``request_methods`` is consulted positionally to frame each response
     (a ``HEAD`` response carries no body bytes whatever its
-    ``Content-Length`` says, RFC 9110 §9.3.2).  The list may be shared
-    with a request parser and grow between deliveries; with
+    ``Content-Length`` says, RFC 9110 §9.3.2).  The list may be a
+    request parser's ``methods`` and grow between deliveries; with
     ``await_methods=True`` the parser pauses rather than guess when a
     response outruns the requests seen so far.  A response with neither
     ``Content-Length`` nor chunking is held until :meth:`finish`
     resolves whether the connection closed (read-until-close) or the
-    capture was merely truncated.
+    capture was merely truncated.  Responses come without a timestamp.
     """
 
     _kind = "response"
@@ -368,21 +347,22 @@ class ResponseParser(_IncrementalParser):
         self._await = await_methods
         self._closed = False
 
-    def _begin_message(self, start: str, headers: Headers, out: list) -> bool:
+    def _begin_message(self, start: str, out: list) -> bool:
         parts = start.split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
             raise HttpParseError(f"bad status line: {start!r}")
-        version = intern(parts[0])
         try:
             status = int(parts[1])
         except ValueError as exc:
             raise HttpParseError(f"bad status code: {parts[1]!r}") from exc
-        reason = parts[2] if len(parts) > 2 else ""
-        self._pending = RawHttpResponse(version, status, reason, headers, b"",
-                                        offset=self._msg_offset)
+        self._line = (parts[0], status)
         self._body = bytearray()
         self._state = "frame"
         return True
+
+    def _message(self, body: bytes) -> HttpResponse:
+        return HttpResponse(self._line[1], 0.0, self._headers, body,
+                            intern(self._line[0]))
 
     def _step_frame(self, out: list) -> bool:
         """Pick the body framing, which may need the request's method."""
@@ -395,23 +375,23 @@ class ResponseParser(_IncrementalParser):
         if method == "HEAD":
             self._emit(b"", out)
             return True
-        length = _framing(self._pending.headers)
-        status = self._pending.status
+        length = _framing(self._headers)
+        status = self._line[1]
         if length is None and status >= 200 and status not in (204, 304):
             self._state = "body-close"
             return True
         return self._start_body(length, out)
 
     def _step_body_close(self, out: list) -> bool:
-        if self._buf:
-            self._body += self._buf
-            self._consume(len(self._buf))
+        if self.buffer:
+            self._body += self.buffer
+            self._consume(len(self.buffer))
         if self._finishing and self._closed:
             self._emit(bytes(self._body), out)
             return True
         return False  # cannot delimit until the connection closes
 
-    def finish(self, closed: bool = True) -> list[RawHttpResponse]:
+    def finish(self, closed: bool = True) -> list[HttpResponse]:
         """End of the server stream; idempotent.
 
         ``closed`` marks a real connection teardown: a pending
@@ -419,28 +399,34 @@ class ResponseParser(_IncrementalParser):
         truncation) it is dropped, matching the batch parser.
         """
         self._closed = closed
-        return self._finish()
+        return super().finish()
 
     _steps = {**_IncrementalParser._steps, "frame": _step_frame,
               "body-close": _step_body_close}
 
 
-def serialize_request(req: RawHttpRequest) -> bytes:
-    """Serialize a request back to wire format (Content-Length framing)."""
+def serialize_request(req: HttpRequest) -> bytes:
+    """Serialize a request back to wire format (Content-Length framing).
+
+    An ``OTHER`` method goes out as ``TRACE``; the request's own headers
+    are written, ``Host`` included, so ``req.host`` is not consulted.
+    """
+    method = req.method
+    verb = "TRACE" if method is HttpMethod.OTHER else method.value
     headers = req.headers.copy()
     headers.remove("Transfer-Encoding")
-    if req.body or req.method in ("POST", "PUT"):
+    if req.body or method in (HttpMethod.POST, HttpMethod.PUT):
         headers.set("Content-Length", str(len(req.body)))
-    return _serialize(f"{req.method} {req.uri} {req.version}", headers, req.body)
+    return _serialize(f"{verb} {req.uri} {req.version}", headers, req.body)
 
 
-def serialize_response(res: RawHttpResponse) -> bytes:
-    """Serialize a response back to wire format (Content-Length framing)."""
+def serialize_response(res: HttpResponse) -> bytes:
+    """Serialize a response back to wire format (Content-Length framing);
+    the model keeps no reason phrase, so every status line reads ``OK``."""
     headers = res.headers.copy()
     headers.remove("Transfer-Encoding")
     headers.set("Content-Length", str(len(res.body)))
-    return _serialize(f"{res.version} {res.status} {res.reason or 'OK'}",
-                      headers, res.body)
+    return _serialize(f"{res.version} {res.status} OK", headers, res.body)
 
 
 def _serialize(start: str, headers: Headers, body: bytes) -> bytes:

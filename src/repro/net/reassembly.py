@@ -5,7 +5,9 @@ contiguous byte streams, keyed by connection 4-tuple.  Handles SYN
 handshakes, out-of-order arrival, retransmission/overlap, and FIN/RST
 teardown.  This sits between the packet codecs and the HTTP parser,
 mirroring the deep-packet-inspection step the paper performs on its
-PCAP corpus.
+PCAP corpus.  A direction's in-order bytes live in one buffer,
+``StreamDirection.data``, which the live tap's HTTP parser frames in
+place; offsets into the stream are absolute and counted by ``end``.
 """
 
 from __future__ import annotations
@@ -58,20 +60,20 @@ class FlowKey(NamedTuple):
 class StreamDirection:
     """Reassembly state for one direction of a connection.
 
-    Besides the append side (``feed``), the direction exposes a
-    *consumable read view* for incremental consumers: :meth:`take`
-    returns the contiguous bytes not yet handed out and advances a parse
-    cursor, and :meth:`compact` discards the consumed prefix from the
-    buffer so a long-lived connection holds O(unparsed tail) memory
-    instead of its whole history.  Offsets (``marks``, ``timestamp_at``,
-    the cursor) are *absolute* stream positions and stay valid across
-    compaction.  Batch consumers that never ``take`` see the full stream
-    in ``data``, exactly as before.
+    ``data`` is the direction's one buffer of in-order bytes.  Batch
+    consumers read it whole; an incremental consumer (the live tap's
+    HTTP parser) frames it in place and deletes what it has framed, so
+    a long-lived connection holds O(unparsed tail) memory instead of its
+    whole history.  Offsets (``end``, ``marks``, ``timestamp_at``) are
+    *absolute* stream positions and stay valid however much of ``data``
+    a consumer has deleted.
     """
 
     src: tuple[str, int]
     dst: tuple[str, int]
     data: bytearray = field(default_factory=bytearray)
+    #: Absolute stream offset one past the last in-order byte.
+    end: int = 0
     next_seq: int | None = None
     #: Out-of-order chunks waiting on a hole: seq -> (payload, arrival
     #: timestamp).  The timestamp rides along so bytes drained later
@@ -82,8 +84,8 @@ class StreamDirection:
     #: Out-of-order buffer cap for this direction; exceeding it raises
     #: :class:`TcpReassemblyError` from :meth:`feed`.
     max_buffered: int = DEFAULT_MAX_BUFFERED
-    #: Reassembly abandoned (buffer overflow): the contiguous prefix
-    #: stands, further payload on this direction is ignored.
+    #: Reassembly abandoned (buffer overflow, or a consumer that gave
+    #: up on the payload): further payload on this direction is ignored.
     broken: bool = False
     fin_seen: bool = False
     first_ts: float | None = None
@@ -91,11 +93,6 @@ class StreamDirection:
     #: contiguous data, letting the HTTP layer recover per-message
     #: timestamps.
     marks: list[tuple[int, float]] = field(default_factory=list)
-    #: Absolute stream offset of ``data[0]`` (> 0 once compacted).
-    base: int = 0
-    #: Absolute stream offset of the parse cursor: bytes before it have
-    #: been handed to a consumer via :meth:`take`.
-    consumed: int = 0
 
     def timestamp_at(self, offset: int) -> float:
         """Arrival time of the segment containing stream ``offset``."""
@@ -106,38 +103,22 @@ class StreamDirection:
         # epoch has first_ts == 0.0, which is not "missing".
         return self.first_ts if self.first_ts is not None else 0.0
 
-    @property
-    def end_offset(self) -> int:
-        """Absolute stream offset one past the last contiguous byte."""
-        return self.base + len(self.data)
-
-    def take(self) -> bytes:
-        """Return contiguous bytes past the cursor and advance it."""
-        data = self.data
-        start = self.consumed - self.base
-        if start >= len(data):
-            return b""
-        self.consumed = self.base + len(data)
-        return bytes(data[start:])
-
-    def compact(self, keep_marks_from: int | None = None) -> None:
-        """Drop already-consumed bytes (and stale marks) from the buffer.
-
-        ``keep_marks_from`` preserves timestamp marks at or above that
-        absolute offset (plus the one straddling it) so a consumer can
-        still resolve ``timestamp_at`` for a partially-delivered message
-        whose start it has already buffered elsewhere.
-        """
-        cut = self.consumed - self.base
-        if cut > 0:
-            del self.data[:cut]
-            self.base = self.consumed
-        floor = self.consumed
-        if keep_marks_from is not None:
-            floor = min(floor, keep_marks_from)
-        index = bisect.bisect_right(self.marks, (floor, _INF)) - 1
+    def trim_marks(self, start: int) -> None:
+        """Forget the marks of bytes before ``start`` (a consumer's
+        pending message), keeping the one that straddles it so
+        ``timestamp_at(start)`` still resolves."""
+        index = bisect.bisect_right(self.marks, (start, _INF)) - 1
         if index > 0:
             del self.marks[:index]
+
+    def abandon(self) -> None:
+        """Keep no payload: drop what is held and ignore what comes (FIN
+        and RST tracking are the reassembler's and go on)."""
+        self.broken = True
+        del self.data[:]
+        self.marks.clear()
+        self.pending.clear()
+        self.buffered = 0
 
     def _drain_pending(self) -> None:
         """Move buffered chunks reached by ``next_seq`` into ``data``.
@@ -156,8 +137,9 @@ class StreamDirection:
             if entry is not None:
                 chunk, arrival = entry
                 self.buffered -= len(chunk)
-                self.marks.append((self.end_offset, arrival))
+                self.marks.append((self.end, arrival))
                 self.data.extend(chunk)
+                self.end += len(chunk)
                 self.next_seq = (self.next_seq + len(chunk)) % _SEQ_MOD
                 progressed = True
                 continue
@@ -170,8 +152,9 @@ class StreamDirection:
                 if behind >= len(chunk):
                     continue  # entirely retransmitted data: discard
                 fresh = chunk[behind:]
-                self.marks.append((self.end_offset, arrival))
+                self.marks.append((self.end, arrival))
                 self.data.extend(fresh)
+                self.end += len(fresh)
                 self.next_seq = (self.next_seq + len(fresh)) % _SEQ_MOD
                 progressed = True
                 break
@@ -195,8 +178,9 @@ class StreamDirection:
             payload = payload[behind:]
             delta = 0
         if delta == 0:
-            self.marks.append((self.base + len(self.data), timestamp))
+            self.marks.append((self.end, timestamp))
             self.data.extend(payload)
+            self.end += len(payload)
             self.next_seq = (self.next_seq + len(payload)) % _SEQ_MOD
             if self.pending:
                 self._drain_pending()
@@ -245,11 +229,8 @@ class TcpStream:
 
     @property
     def client_data(self) -> bytes:
-        """Retained bytes sent by the connection initiator (requests).
-
-        This is the full stream unless an incremental consumer has
-        compacted the direction via its read view.
-        """
+        """Retained bytes sent by the connection initiator (requests):
+        the stream minus the prefix a parser has framed."""
         if self.client is None:
             return b""
         state = self.directions.get(self.client)

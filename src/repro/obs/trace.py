@@ -33,8 +33,9 @@ provenance never loses its clue chain), closed-watch timelines cap at
 ``_MAX_EVENTS`` globally, and the per-watch table caps at
 ``_MAX_WATCHES`` — a process-wide tracer left on for an entire test
 session stays O(1) in memory.  What the caps evict is counted in the
-registry the tracer was built under: ``trace.dropped_events`` and
-``trace.dropped_watches``.
+registry active when it is evicted (``trace.dropped_events`` and
+``trace.dropped_watches``), so the import-time ``REPRO_TRACE=1`` tracer
+books its drops wherever metrics are on by then.
 """
 
 from __future__ import annotations
@@ -184,9 +185,6 @@ class Tracer:
         self._watches: dict[str, _WatchTrace] = {}
         self._done: list[TraceEvent] = []
         self._seq = 0
-        registry = get_registry()
-        self._c_dropped_events = registry.counter("trace.dropped_events")
-        self._c_dropped_watches = registry.counter("trace.dropped_watches")
 
     # -- recording ----------------------------------------------------
 
@@ -219,7 +217,9 @@ class Tracer:
             trace = self._open_watch(watch)
         ring = trace.events
         if len(ring) == ring.maxlen:
-            self._c_dropped_events.inc()  # deque evicts the oldest
+            # The deque evicts the oldest; drops are rare, so the active
+            # registry is looked up only then.
+            get_registry().counter("trace.dropped_events").inc()
         ring.append(event)
         if kind == "clue":
             trace.clue_count += 1
@@ -233,7 +233,7 @@ class Tracer:
             # Evict the stalest timeline (insertion order) as if its
             # watch closed without alerting.
             evicted = next(iter(self._watches))
-            self._c_dropped_watches.inc()
+            get_registry().counter("trace.dropped_watches").inc()
             self.close_watch(evicted, alerted=False)
         trace = self._watches[key] = _WatchTrace(_MAX_EVENTS_PER_WATCH)
         return trace
@@ -253,7 +253,7 @@ class Tracer:
         overflow = len(self._done) - _MAX_EVENTS
         if overflow > 0:
             del self._done[:overflow]
-            self._c_dropped_events.inc(overflow)
+            get_registry().counter("trace.dropped_events").inc(overflow)
 
     # -- reading ------------------------------------------------------
 

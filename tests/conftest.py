@@ -107,6 +107,21 @@ def shard_records(packets, n_shards: int) -> list[list]:
     return per_shard
 
 
+def pairing_violations(counters: dict) -> list[str]:
+    """The pairing laws a finished decode's ``http.*`` counters break:
+    every request became a transaction (answered or flushed unanswered),
+    and every response was paired or counted an orphan."""
+    count = lambda name: counters.get(f"http.{name}", 0)  # noqa: E731
+    laws = {
+        "requests == transactions":
+            count("requests") == count("transactions"),
+        "responses == transactions - unanswered_flushed + orphan_responses":
+            count("responses") == count("transactions")
+            - count("unanswered_flushed") + count("orphan_responses"),
+    }
+    return [law for law, holds in laws.items() if not holds]
+
+
 def cluster_sessions(transactions, idle_gap: float = 60.0
                      ) -> list[SessionWatch]:
     """The watches ``SessionTable`` clusters a stream into (fed in

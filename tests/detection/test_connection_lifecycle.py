@@ -225,3 +225,38 @@ class TestTupleReuse:
         ):
             assert ours.request == theirs.request
             assert ours.response == theirs.response
+
+
+class TestAbandonedConnection:
+    """A stream found not to be HTTP keeps no payload while it lives on
+    for its FIN / RST (it used to hold every later byte, and a mark per
+    segment, until close plus ``closed_linger``)."""
+
+    def test_non_http_stream_keeps_no_payload(self):
+        conn = RawConnection("172.31.0.8", 50008, "198.51.100.8",
+                             server_port=443)
+        hello = b"\x16\x03\x01\x02\x00" + b"\x01" * 300 + b"\r\n\r\n"
+        # No handshake: the server's direction is first seen only after
+        # the client's hello was rejected.
+        packets = conn.send(1.0, True, hello)
+        packets += conn.send(1.1, False, b"\x17" * 200 * 1400)
+        packets += conn.send(1.2, True, b"\x17" * 20 * 1400)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            decoder = LiveDecoder()
+            emitted = [t for p in packets for t in decoder.feed(p)]
+        [stream] = decoder._reassembler.streams()
+        assert stream.consumer is False
+        assert len(stream.directions) == 2
+        for state in stream.directions.values():
+            assert len(state.data) <= 1400
+            assert len(state.marks) <= 1
+        # FIN tracking goes on: the close is seen and the stream lingers
+        # as a closed connection, not a live one.
+        for packet in conn.close(1.3):
+            emitted += decoder.feed(packet)
+        assert stream.closed
+        assert decoder.live_connections == 0
+        assert emitted + decoder.flush() == []
+        assert registry.snapshot()["counters"][
+            "decode.non_http_streams"] == 1

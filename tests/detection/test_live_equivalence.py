@@ -11,7 +11,13 @@ same detector.
 
 import pytest
 
-from repro.core.model import Headers, Trace
+from repro.core.model import (
+    Headers,
+    HttpMethod,
+    HttpRequest,
+    HttpResponse,
+    Trace,
+)
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.detection.live import LiveDecoder, LiveDetector
 from repro.net.flows import (
@@ -20,14 +26,20 @@ from repro.net.flows import (
     packets_from_trace,
     transactions_from_packets,
 )
-from repro.net.http1 import (
-    RawHttpRequest,
-    RawHttpResponse,
-    serialize_request,
-    serialize_response,
-)
+from repro.net.http1 import serialize_request, serialize_response
 from repro.net.pcap import PcapPacket
 from tests.conftest import make_txn
+
+
+def _get(uri, host):
+    """A ``GET`` for ``uri`` with ``Host: host``, on the wire."""
+    return serialize_request(HttpRequest(HttpMethod.GET, uri, "", "", 0.0,
+                                         Headers({"Host": host})))
+
+
+def _ok(body):
+    """A ``200`` carrying ``body``, on the wire."""
+    return serialize_response(HttpResponse(200, 0.0, Headers(), body))
 
 
 def _ordered(transactions):
@@ -92,19 +104,8 @@ class TestDecoderEquivalence:
         encoder = _ConnectionEncoder(
             book.ip_of("client"), book.ip_of("pipelined.example"), 40001
         )
-        requests = [
-            serialize_request(RawHttpRequest(
-                "GET", f"/{n}", "HTTP/1.1",
-                Headers({"Host": "pipelined.example"}), b"",
-            ))
-            for n in range(2)
-        ]
-        responses = [
-            serialize_response(RawHttpResponse(
-                "HTTP/1.1", 200, "OK", Headers(), f"body{n}".encode(),
-            ))
-            for n in range(2)
-        ]
+        requests = [_get(f"/{n}", "pipelined.example") for n in range(2)]
+        responses = [_ok(f"body{n}".encode()) for n in range(2)]
         packets = encoder.open(1.0)
         packets += encoder.send(1.1, True, requests[0] + requests[1])
         packets += encoder.send(1.2, False, responses[0] + responses[1])
@@ -121,17 +122,9 @@ class TestDecoderEquivalence:
         encoder = _ConnectionEncoder(
             book.ip_of("client"), book.ip_of("open.example"), 40002
         )
-        request = serialize_request(RawHttpRequest(
-            "GET", "/answered", "HTTP/1.1",
-            Headers({"Host": "open.example"}), b"",
-        ))
-        response = serialize_response(RawHttpResponse(
-            "HTTP/1.1", 200, "OK", Headers(), b"done",
-        ))
-        unanswered = serialize_request(RawHttpRequest(
-            "GET", "/unanswered", "HTTP/1.1",
-            Headers({"Host": "open.example"}), b"",
-        ))
+        request = _get("/answered", "open.example")
+        response = _ok(b"done")
+        unanswered = _get("/unanswered", "open.example")
         packets = encoder.open(1.0)
         packets += encoder.send(1.1, True, request)
         packets += encoder.send(1.2, False, response)
@@ -158,10 +151,7 @@ class TestDecoderEquivalence:
         encoder = _ConnectionEncoder(
             book.ip_of("client"), book.ip_of("legacy.example"), 40003
         )
-        request = serialize_request(RawHttpRequest(
-            "GET", "/stream", "HTTP/1.1",
-            Headers({"Host": "legacy.example"}), b"",
-        ))
+        request = _get("/stream", "legacy.example")
         packets = encoder.open(1.0)
         packets += encoder.send(1.1, True, request)
         packets += encoder.send(

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import Headers
+from repro.core.model import Headers, HttpMethod, HttpRequest, HttpResponse
 from repro.exceptions import HttpParseError
 from repro.net.http1 import (
-    RawHttpRequest,
-    RawHttpResponse,
     RequestParser,
     ResponseParser,
     serialize_request,
@@ -22,7 +20,7 @@ class TestParseRequests:
         data = b"GET /x HTTP/1.1\r\nHost: a.com\r\n\r\n"
         requests = parse_requests(data)
         assert len(requests) == 1
-        assert requests[0].method == "GET"
+        assert requests[0].method is HttpMethod.GET
         assert requests[0].uri == "/x"
         assert requests[0].headers.get("Host") == "a.com"
         assert requests[0].body == b""
@@ -84,7 +82,6 @@ class TestParseResponses:
         data = (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi")
         responses = parse_responses(data)
         assert responses[0].status == 200
-        assert responses[0].reason == "OK"
         assert responses[0].body == b"hi"
 
     def test_redirect_response(self):
@@ -152,9 +149,9 @@ class TestParseResponses:
 
 class TestSerializeRoundTrip:
     def test_request_roundtrip(self):
-        original = RawHttpRequest(
-            method="POST", uri="/submit?x=1", version="HTTP/1.1",
-            headers=Headers({"Host": "a.com", "X-Custom": "v"}),
+        original = HttpRequest(
+            method=HttpMethod.POST, uri="/submit?x=1", host="", client="",
+            timestamp=0.0, headers=Headers({"Host": "a.com", "X-Custom": "v"}),
             body=b"payload",
         )
         parsed = parse_requests(serialize_request(original))[0]
@@ -164,8 +161,8 @@ class TestSerializeRoundTrip:
         assert parsed.headers.get("X-Custom") == "v"
 
     def test_response_roundtrip(self):
-        original = RawHttpResponse(
-            version="HTTP/1.1", status=404, reason="Not Found",
+        original = HttpResponse(
+            status=404, timestamp=0.0,
             headers=Headers({"Content-Type": "text/html"}),
             body=b"<h1>404</h1>",
         )
@@ -174,8 +171,8 @@ class TestSerializeRoundTrip:
         assert parsed.body == original.body
 
     def test_serializer_strips_chunked(self):
-        original = RawHttpResponse(
-            version="HTTP/1.1", status=200, reason="OK",
+        original = HttpResponse(
+            status=200, timestamp=0.0,
             headers=Headers({"Transfer-Encoding": "chunked"}),
             body=b"abc",
         )
@@ -195,14 +192,13 @@ class TestSerializeRoundTrip:
     )
     def test_roundtrip_property(self, uri, body, status):
         """Property: serialize-then-parse is the identity."""
-        request = RawHttpRequest("GET", uri, "HTTP/1.1",
-                                 Headers({"Host": "h"}), body)
+        request = HttpRequest(HttpMethod.GET, uri, "", "", 0.0,
+                              Headers({"Host": "h"}), body)
         parsed_request = parse_requests(serialize_request(request))[0]
         assert parsed_request.uri == uri
         assert parsed_request.body == body
 
-        response = RawHttpResponse("HTTP/1.1", status, "R",
-                                   Headers(), body)
+        response = HttpResponse(status, 0.0, Headers(), body)
         parsed_response = parse_responses(serialize_response(response))[0]
         assert parsed_response.status == status
         assert parsed_response.body == body
@@ -277,16 +273,18 @@ class TestIncrementalParsers:
         done = parser.feed(b"lo")
         assert len(done) == 1
         assert done[0].body == b"hello"
-        assert done[0].offset == 0
+        assert parser.starts == [0]
 
     def test_offsets_are_stream_absolute(self):
         wire = (b"GET /1 HTTP/1.1\r\nHost: a\r\n\r\n"
                 b"GET /2 HTTP/1.1\r\nHost: a\r\n\r\n")
         parser = RequestParser()
-        first = parser.feed(wire[:30])
-        second = parser.feed(wire[30:]) + parser.finish()
-        offsets = [r.offset for r in first + second]
-        assert offsets == [r.offset for r in parse_requests(wire)]
+        parser.feed(wire[:30])
+        parser.feed(wire[30:])
+        parser.finish()
+        whole = RequestParser()
+        whole.feed(wire)
+        assert parser.starts == whole.starts == [0, len(wire) // 2]
 
     def test_read_until_close_deferred_without_close(self):
         parser = ResponseParser()
@@ -319,6 +317,22 @@ class TestIncrementalParsers:
         ) == []
         with pytest.raises(HttpParseError, match="truncated chunk body"):
             parser.finish()
+
+    def test_a_rejection_keeps_the_messages_framed_before_it(self):
+        parser = RequestParser()
+        with pytest.raises(HttpParseError, match="bad request line") as caught:
+            parser.feed(b"GET /a HTTP/1.1\r\n\r\n\x16\x03\x01\r\n\r\n")
+        assert [r.uri for r in caught.value.completed] == ["/a"]
+        # At finish too: the held response frames, then the cut-off
+        # chunked one raises.
+        parser = ResponseParser(request_methods=[], await_methods=True)
+        assert parser.feed(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nff\r\n"
+        ) == []
+        with pytest.raises(HttpParseError, match="truncated") as caught:
+            parser.finish()
+        assert [r.body for r in caught.value.completed] == [b"ok"]
 
     @settings(max_examples=60, deadline=None)
     @given(cuts=st.lists(st.integers(0, 10**6), max_size=12))

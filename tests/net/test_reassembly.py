@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import TcpReassemblyError
 from repro.net.packets import ACK, FIN, PSH, RST, SYN
+from repro.net.http1 import RequestParser
 from repro.net.reassembly import FlowKey, StreamDirection, TcpReassembler
 
 
@@ -173,6 +174,10 @@ class TestTimestampAt:
 
 
 class TestConsumableView:
+    """``data`` is the direction's one buffer of in-order bytes: a
+    parser frames it in place, and offsets stay absolute however much of
+    it the parser has deleted."""
+
     def _loaded(self):
         direction = StreamDirection(src=("a", 1), dst=("b", 2))
         direction.next_seq = 0
@@ -180,43 +185,53 @@ class TestConsumableView:
         direction.feed(5, b"second", 2.0)
         return direction
 
-    def test_take_advances_cursor(self):
+    def test_end_counts_in_order_bytes(self):
         direction = self._loaded()
-        assert direction.take() == b"firstsecond"
-        assert direction.take() == b""
+        assert direction.end == 11
+        direction.feed(16, b"fourth", 4.0)  # behind a hole
+        assert direction.end == 11
         direction.feed(11, b"third", 3.0)
-        assert direction.take() == b"third"
+        assert direction.end == 22
+        assert bytes(direction.data) == b"firstsecondthirdfourth"
 
-    def test_compact_discards_consumed_prefix(self):
-        direction = self._loaded()
-        direction.take()
-        direction.compact()
+    def test_a_parser_frames_the_direction_in_place(self):
+        direction = StreamDirection(src=("a", 1), dst=("b", 2))
+        direction.next_seq = 0
+        parser = RequestParser()
+        parser.buffer = direction.data
+        direction.feed(0, b"GET /a HTTP/1.1\r\n\r\nGET /b HT", 1.0)
+        assert [r.uri for r in parser.feed(b"")] == ["/a"]
+        # The framed message left the one buffer; the partial one waits.
+        assert bytes(direction.data) == b"GET /b HT"
+        assert parser.pending_offset == 19
+        direction.feed(28, b"TP/1.1\r\n\r\n", 2.0)
+        assert [r.uri for r in parser.feed(b"")] == ["/b"]
         assert direction.data == bytearray()
-        assert direction.base == 11
-        direction.feed(11, b"third", 3.0)
-        assert direction.take() == b"third"
-        assert direction.end_offset == 16
+        assert direction.end == 38
+        assert parser.starts == [0, 19]
 
     def test_offsets_stay_absolute_across_compaction(self):
         direction = self._loaded()
-        direction.take()
-        direction.compact(keep_marks_from=5)
+        del direction.data[:7]  # a parser framed "firstse"
+        direction.trim_marks(5)
         # The mark covering offset 5 (and beyond) must survive.
         assert direction.timestamp_at(5) == 2.0
         assert direction.timestamp_at(10) == 2.0
         direction.feed(11, b"third", 3.0)
         assert direction.timestamp_at(11) == 3.0
+        assert bytes(direction.data) == b"condthird"
+        assert direction.end == 16
 
-    def test_compact_keeps_straddling_mark(self):
+    def test_trim_keeps_straddling_mark(self):
         direction = self._loaded()
-        direction.take()
-        direction.compact(keep_marks_from=7)  # mid-"second"
+        direction.trim_marks(7)  # mid-"second"
+        assert direction.marks == [(5, 2.0)]
         assert direction.timestamp_at(7) == 2.0
 
     def test_batch_consumers_unaffected(self):
         direction = self._loaded()
         assert bytes(direction.data) == b"firstsecond"
-        assert direction.base == 0
+        assert direction.end == 11
 
 
 class TestOverlapDrain:

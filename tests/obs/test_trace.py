@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs import (
     NULL_TRACER,
+    MetricsRegistry,
     Tracer,
     enable_tracing,
     get_tracer,
@@ -65,16 +66,28 @@ class TestTracer:
         monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 4)
         with use_registry() as registry:
             tracer = Tracer()
-        tracer.emit("watch", ts=0.0, client="c", watch="w")
-        for i in range(10):
-            tracer.emit("score", ts=float(i + 1), client="c", watch="w",
-                        score=0.1)
+            tracer.emit("watch", ts=0.0, client="c", watch="w")
+            for i in range(10):
+                tracer.emit("score", ts=float(i + 1), client="c", watch="w",
+                            score=0.1)
         summary = tracer.watch_summary("w")
         assert len(summary.events) == 4
         # 11 emissions, ring of 4
         assert registry.counter("trace.dropped_events").value == 7
         # The newest events survive.
         assert summary.events[-1].ts == 10.0
+
+    def test_drops_count_in_the_registry_active_when_they_happen(
+            self, monkeypatch):
+        # The import-time REPRO_TRACE=1 tracer predates any registry a
+        # caller enables later; its drops must still reach that one.
+        monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 2)
+        tracer = Tracer()
+        with use_registry(MetricsRegistry()) as registry:
+            for i in range(5):
+                tracer.emit("score", ts=float(i), client="c", watch="w",
+                            score=0.1)
+        assert registry.counter("trace.dropped_events").value == 3
 
     def test_clue_summary_survives_ring_rotation(self, monkeypatch):
         monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 2)
@@ -104,9 +117,9 @@ class TestTracer:
         monkeypatch.setattr(trace_module, "_MAX_WATCHES", 2)
         with use_registry() as registry:
             tracer = Tracer()
-        tracer.emit("watch", ts=0.0, client="a", watch="a#1")
-        tracer.emit("watch", ts=1.0, client="b", watch="b#1")
-        tracer.emit("watch", ts=2.0, client="c", watch="c#1")
+            tracer.emit("watch", ts=0.0, client="a", watch="a#1")
+            tracer.emit("watch", ts=1.0, client="b", watch="b#1")
+            tracer.emit("watch", ts=2.0, client="c", watch="c#1")
         assert registry.counter("trace.dropped_watches").value == 1
         assert tracer.watch_summary("a#1") is None
         # The evicted timeline flushed as a non-alerting close.
@@ -116,8 +129,8 @@ class TestTracer:
         monkeypatch.setattr(trace_module, "_MAX_EVENTS", 5)
         with use_registry() as registry:
             tracer = Tracer()
-        for i in range(10):
-            tracer.emit("prune", ts=float(i))
+            for i in range(10):
+                tracer.emit("prune", ts=float(i))
         assert tracer.event_count == 5
         assert registry.counter("trace.dropped_events").value == 5
         assert [e.ts for e in tracer.events()] == [5.0, 6.0, 7.0, 8.0, 9.0]

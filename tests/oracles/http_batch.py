@@ -2,15 +2,11 @@
 bytes plus a ``finish`` — what the incremental parsers must equal
 however the same bytes are sliced into deliveries."""
 
-from repro.net.http1 import (
-    RawHttpRequest,
-    RawHttpResponse,
-    RequestParser,
-    ResponseParser,
-)
+from repro.core.model import HttpRequest, HttpResponse
+from repro.net.http1 import RequestParser, ResponseParser
 
 
-def parse_requests(data: bytes) -> list[RawHttpRequest]:
+def parse_requests(data: bytes) -> list[HttpRequest]:
     """Parse a client-direction byte stream into pipelined requests.
 
     A trailing incomplete message (cut off by capture truncation) is
@@ -27,7 +23,7 @@ def parse_responses(
     data: bytes,
     closed: bool = True,
     request_methods: list[str] | None = None,
-) -> list[RawHttpResponse]:
+) -> list[HttpResponse]:
     """Parse a server-direction byte stream into pipelined responses.
 
     ``closed`` indicates the connection terminated; a final response with

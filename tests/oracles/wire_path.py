@@ -13,7 +13,8 @@ transactions out of the same packets.
 from __future__ import annotations
 
 from repro.core.model import HttpTransaction
-from repro.exceptions import HttpParseError, PcapError
+from repro.core.payloads import authority_host
+from repro.exceptions import PcapError
 from repro.net.flows import StreamPairer
 from repro.net.packets import (
     ACK,
@@ -49,10 +50,11 @@ def layered_segment(data: bytes, linktype: int, defragment) -> tuple | None:
 
 
 class EagerPairer(StreamPairer):
-    """``StreamPairer`` that steps both parsers on every poll."""
+    """``StreamPairer`` that steps both parsers on every poll and names
+    each request's endpoints per request."""
 
     def poll(self, final: bool = False) -> list[HttpTransaction]:
-        stream = self.stream
+        stream, book = self.stream, self.book
         if stream.client is None:
             return []
         out: list[HttpTransaction] = []
@@ -62,40 +64,39 @@ class EagerPairer(StreamPairer):
             if src != stream.client:
                 server_state = state
         if client_state is not None:
-            chunk = client_state.take()
-            if chunk:
+            if client_state.end != self._request_end:
                 self._c_feeds.inc()
-            raw_requests = self._requests.feed(chunk)
-            if final:
-                raw_requests.extend(self._requests.finish())
-            for raw_req in raw_requests:
+            self._request_end = client_state.end
+            requests = self._frame(self._requests, client_state, final)
+            for request, start in zip(requests, self._requests.starts):
                 self._c_requests.inc()
-                self._methods.append(raw_req.method)
-                self._unanswered.append(
-                    self._build_request(raw_req, client_state)
-                )
-            client_state.compact(
-                keep_marks_from=self._requests.pending_offset
-            )
+                client_ip, server_ip = stream.client[0], stream.server[0]
+                server_name = request.headers.get("Host") or (
+                    book.host_of(server_ip) if book else server_ip)
+                request.host = authority_host(server_name)
+                request.client = (book.host_of(client_ip) if book
+                                  else client_ip)
+                request.timestamp = client_state.timestamp_at(start)
+                self._unanswered.append(request)
+            self._requests.starts.clear()
+            client_state.trim_marks(self._requests.pending_offset)
         if server_state is not None:
-            chunk = server_state.take()
-            if chunk:
+            if server_state.end != self._response_end:
                 self._c_feeds.inc()
-            raw_responses = self._responses.feed(chunk)
-            if final:
-                raw_responses.extend(self._responses.finish(closed=True))
-            for raw_res in raw_responses:
+            self._response_end = server_state.end
+            responses = self._frame(self._responses, server_state, final)
+            for response, start in zip(responses, self._responses.starts):
                 self._c_responses.inc()
                 if not self._unanswered:
                     self._c_orphans.inc()
                     continue
                 request = self._unanswered.popleft()
-                response = self._build_response(raw_res, server_state, request)
+                response.timestamp = max(server_state.timestamp_at(start),
+                                         request.timestamp)
                 out.append(HttpTransaction(request=request, response=response))
-            server_state.compact(
-                keep_marks_from=self._responses.pending_offset
-            )
-        if final:
+            self._responses.starts.clear()
+            server_state.trim_marks(self._responses.pending_offset)
+        if final or self.rejected:
             while self._unanswered:
                 self._c_unanswered.inc()
                 out.append(
@@ -136,9 +137,8 @@ def eager_live_decode(packets, policy, linktype=LINKTYPE_ETHERNET,
         pairer = pairers.get(key)
         if pairer is None:
             pairer = pairers[key] = EagerPairer(stream, book)
-        try:
-            emitted.extend((index, txn) for txn in pairer.poll(final=final))
-        except HttpParseError:
+        emitted.extend((index, txn) for txn in pairer.poll(final=final))
+        if pairer.rejected:
             not_http.add(key)
 
     for index, packet in enumerate(packets):

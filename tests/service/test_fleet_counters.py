@@ -24,6 +24,7 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
 from repro.service.sharding import client_ip_of
 from repro.service.worker import ShardAlert
+from tests.conftest import pairing_violations
 
 WIRE = ("decode.", "http.", "reassembly.")
 
@@ -87,6 +88,7 @@ def test_fleet_wire_counters_equal_the_single_process(single, trained_model,
     differ = {name for name in expected.keys() | counters.keys()
               if expected.get(name) != counters.get(name)}
     assert differ <= PER_SHARD
+    assert pairing_violations(counters) == []
 
 
 def _client_of(packet) -> str | None:

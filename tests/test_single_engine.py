@@ -274,3 +274,99 @@ def test_a_worker_that_dies_in_finish_reports_without_reading_on(
     # The sentinel was already taken; a further get() would block a
     # real queue forever (here: IndexError on the empty list).
     assert inbox.items == []
+
+
+# -- one buffer and one message type per HTTP direction ----------------------
+
+#: The intermediate messages, their builders and the direction's read view.
+_GONE_WIRE_NAMES = ("RawHttpRequest", "RawHttpResponse", "_build_request",
+                    "_build_response", "keep_marks_from")
+_GONE_DIRECTION_MEMBERS = ("take", "compact", "consumed", "base")
+_WIRE_MODULES = ("net", "detection/live.py", "service")
+
+
+def _identifiers(tree):
+    """Every name a module defines or reads: definitions, parameters,
+    keywords, imports, bare names and attributes."""
+    import ast
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.rsplit(".", 1)[-1]
+
+
+def _members_and_reads(tree):
+    """Class-body definitions (methods, fields) and attribute reads —
+    not local variables, so ``_step_data``'s ``take`` is no member."""
+    import ast
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(
+                        item.target, ast.Name):
+                    yield item.target.id
+                elif isinstance(item, ast.Assign):
+                    yield from (target.id for target in item.targets
+                                if isinstance(target, ast.Name))
+
+
+def test_the_raw_messages_and_the_direction_read_view_stay_gone():
+    import ast
+
+    from repro.net.reassembly import StreamDirection
+
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = path.relative_to(SRC / "repro").as_posix()
+        offenders += [f"{relative}: {name}"
+                      for name in set(_identifiers(tree))
+                      if name in _GONE_WIRE_NAMES]
+        if relative.startswith(_WIRE_MODULES):
+            offenders += [f"{relative}: .{name}"
+                          for name in set(_members_and_reads(tree))
+                          if name in _GONE_DIRECTION_MEMBERS]
+    assert sorted(offenders) == []
+    direction = StreamDirection(src=("a", 1), dst=("b", 2))
+    assert [name for name in _GONE_DIRECTION_MEMBERS
+            if hasattr(direction, name)] == []
+
+
+def test_a_lower_case_head_response_is_framed_by_its_content_length():
+    # Methods are case-sensitive (RFC 9110 §9): only ``HEAD`` elicits a
+    # bodiless response.  The model maps ``head`` to HttpMethod.HEAD, so
+    # framing must read the verb as sent.
+    from repro.core.model import HttpMethod
+    from repro.detection.live import LiveDecoder
+    from repro.loadgen import RawConnection
+    from repro.net.flows import transactions_from_packets
+
+    conn = RawConnection("172.31.0.10", 50010, "198.51.100.10")
+    packets = conn.open(1.0)
+    packets += conn.send(1.1, True, b"head /a HTTP/1.1\r\nHost: h\r\n\r\n"
+                                    b"GET /b HTTP/1.1\r\nHost: h\r\n\r\n")
+    packets += conn.send(1.2, False,
+                         b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+                         b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n")
+    packets += conn.close(1.3)
+    decoder = LiveDecoder()
+    live = [t for p in packets for t in decoder.feed(p)] + decoder.flush()
+    for transactions in (live, transactions_from_packets(packets)):
+        assert [(t.request.method, t.request.uri, t.response.status,
+                 t.response.body) for t in transactions] == [
+            (HttpMethod.HEAD, "/a", 200, b"hello"),
+            (HttpMethod.GET, "/b", 404, b"")]
