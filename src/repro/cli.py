@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.experiments import (
     ablations,
@@ -65,27 +67,35 @@ EXPERIMENTS = {
 }
 
 
-def _setup_observability(args: argparse.Namespace):
-    """Apply the shared observability flags; returns the stats reporter
-    (or ``None`` when metrics are off).
+@contextmanager
+def _observed(args: argparse.Namespace) -> Iterator:
+    """Run a command under the registry the observability flags ask
+    for; yields its stats reporter (``None`` when metrics are off).
 
-    Must run *before* the pipeline is constructed: components capture
-    their instrument handles at ``__init__``.
+    ``--metrics`` (or ``REPRO_METRICS=1``) makes the registry record,
+    and ``--trace`` / ``--trace-out`` give it the ``--trace-sample``
+    mode (``REPRO_TRACE`` sets it otherwise).  Components capture the
+    registry at ``__init__``, so the pipeline is built inside.
     """
     from repro.obs import (
+        MetricsRegistry,
+        NullRegistry,
         PipelineStatsReporter,
         configure_logging,
-        enable_metrics,
-        metrics_enabled,
+        get_registry,
+        use_registry,
     )
 
     configure_logging(getattr(args, "log_level", "info"))
-    if getattr(args, "metrics", False):
-        enable_metrics()
-    if not metrics_enabled():
-        return None
-    out = args.stats_out if args.stats_out else sys.stderr
-    return PipelineStatsReporter(out=out, interval=args.stats_interval)
+    default = get_registry()
+    trace = (args.sample if getattr(args, "trace", False)
+             or getattr(args, "trace_out", None) else default.trace)
+    metered = args.metrics or default.enabled
+    registry = (MetricsRegistry if metered else NullRegistry)(trace=trace)
+    with use_registry(registry):
+        yield (PipelineStatsReporter(
+            out=args.stats_out if args.stats_out else sys.stderr,
+            interval=args.stats_interval) if metered else None)
 
 
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
@@ -127,19 +137,6 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _setup_tracing(args: argparse.Namespace) -> None:
-    """Turn tracing on when the detect flags ask for it.
-
-    Like :func:`_setup_observability`, this must run before the
-    pipeline is constructed — components capture the active tracer at
-    ``__init__``.
-    """
-    from repro.obs import enable_tracing
-
-    if getattr(args, "trace", False) or getattr(args, "trace_out", None):
-        enable_tracing(sample=args.sample)
-
-
 def _cmd_list() -> int:
     print("available experiments:")
     for name in EXPERIMENTS:
@@ -148,12 +145,11 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, reporter) -> int:
     from repro.experiments.context import set_default_n_jobs
     from repro.obs import get_logger
 
     log = get_logger("cli")
-    reporter = _setup_observability(args)
     if args.n_jobs is not None:
         set_default_n_jobs(args.n_jobs)
     if args.experiment == "all":
@@ -226,7 +222,7 @@ def _load_model_or_fail(path: str, log):
     return None
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
+def _cmd_detect(args: argparse.Namespace, reporter) -> int:
     from repro.detection.clues import CluePolicy
     from repro.detection.detector import DetectorConfig, OnTheWireDetector
     from repro.detection.live import LiveDetector
@@ -235,8 +231,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.obs import get_logger
 
     log = get_logger("cli")
-    reporter = _setup_observability(args)
-    _setup_tracing(args)
     model = _load_model_or_fail(args.model, log)
     if model is None:
         return 2
@@ -292,15 +286,16 @@ def _detect_sharded(args, log, model, linktype, packets, policy,
     """
     import json
 
-    from repro.obs import metrics_enabled, write_trace
+    from repro.obs import get_registry, write_trace
     from repro.service import EngineSpec, ShardedDetectionService
 
+    metered = get_registry().enabled
     spec = EngineSpec(
         classifier=model,
         clue_policy=policy,
         detector_config=config,
         linktype=linktype,
-        metrics=metrics_enabled(),
+        metrics=metered,
     )
     service = ShardedDetectionService(spec, workers=args.workers)
     log.info("sharded detection: %d worker process(es)", service.n_workers)
@@ -310,7 +305,7 @@ def _detect_sharded(args, log, model, linktype, packets, policy,
         fleet = service.drain()
     log.info("routed %d packets -> %d HTTP transactions across %d shards",
              fleet.packets_routed, fleet.transactions, len(fleet.shards))
-    if metrics_enabled():
+    if metered:
         line = json.dumps({"fleet": fleet.snapshot}, sort_keys=True)
         if args.stats_out:
             with open(args.stats_out, "a", encoding="utf-8") as handle:
@@ -582,12 +577,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list" or args.command is None:
         return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
+    if args.command in ("run", "detect"):
+        with _observed(args) as reporter:
+            command = _cmd_run if args.command == "run" else _cmd_detect
+            return command(args, reporter)
     if args.command == "train":
         return _cmd_train(args)
-    if args.command == "detect":
-        return _cmd_detect(args)
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "stats":

@@ -42,7 +42,7 @@ from repro.detection.whitelist import VendorWhitelist
 from repro.exceptions import DetectionError
 from repro.features.extractor import FeatureExtractor
 from repro.learning.forest import EnsembleRandomForest
-from repro.obs import get_registry, get_tracer
+from repro.obs import NULL_TRACER, Tracer, get_registry
 
 __all__ = ["DetectorConfig", "OnTheWireDetector"]
 
@@ -125,9 +125,6 @@ class OnTheWireDetector:
         self.whitelist = whitelist or VendorWhitelist()
         #: Every alert raised so far, in emission order.
         self.alerts: list[Alert] = []
-        self._table = SessionTable(policy=self.policy,
-                                   idle_gap=self.config.idle_gap,
-                                   prune_after=self.config.prune_after)
         self._extractor = FeatureExtractor()
         self._last_alert_ts: dict[str, float] = {}
         #: Stream time: the largest timestamp advanced to so far.
@@ -136,12 +133,18 @@ class OnTheWireDetector:
         #: watermark reaches this (a lower bound: lowered when a watch
         #: turns clue-active or an alert lands, made exact by each scan).
         self._due = float("inf")
-        self._tracer = get_tracer()
         self.transactions_seen = 0
         self.transactions_weeded = 0
         self.classifications = 0
         metrics = get_registry()
         self._metrics = metrics
+        #: This detector's own trace, in the mode of the registry it is
+        #: built under (:data:`~repro.obs.NULL_TRACER` when that is off).
+        self.tracer = Tracer(metrics.trace) if metrics.trace else NULL_TRACER
+        self._table = SessionTable(policy=self.policy,
+                                   idle_gap=self.config.idle_gap,
+                                   prune_after=self.config.prune_after,
+                                   tracer=self.tracer)
         self._c_txns = metrics.counter("detector.transactions")
         self._c_weeded = metrics.counter("detector.weeded")
         self._c_scores = metrics.counter("detector.scores_requested")
@@ -298,7 +301,7 @@ class OnTheWireDetector:
         watch.updates_since_score = 1
         watch.scored_order = wcg.order
         watch.scored_version = wcg.version
-        if self._tracer.enabled:
+        if self.tracer.enabled:
             self._trace_growth(watch, wcg, now)
         return _PendingScore(watch=watch, now=now, wcg=wcg,
                              wcg_order=wcg.order, wcg_size=wcg.size)
@@ -325,7 +328,7 @@ class OnTheWireDetector:
             kinds = wcg.edge_kinds
             stages = watch.edge_stages()
             for index in range(last_size, size):
-                self._tracer.emit(
+                self.tracer.emit(
                     "edge",
                     ts=float(stamps[index]),
                     client=watch.client,
@@ -336,7 +339,7 @@ class OnTheWireDetector:
                 )
         structure = wcg.structure_version
         if structure != last_structure:
-            self._tracer.emit(
+            self.tracer.emit(
                 "wcg", ts=now, client=watch.client, watch=watch.key,
                 order=int(wcg.order), size=int(size),
                 structure_version=int(structure),
@@ -363,7 +366,7 @@ class OnTheWireDetector:
         self._c_batches.inc()
         self._h_batch_size.observe(len(requests))
         alerts = []
-        traced = self._tracer.enabled
+        traced = self.tracer.enabled
         for index, (request, score) in enumerate(zip(requests, scores)):
             if traced:
                 self._trace_score(request, float(score), len(requests),
@@ -383,7 +386,7 @@ class OnTheWireDetector:
         call (and reports ``None``).  The histogram observation stays
         metrics-gated — it is a no-op instrument otherwise.
         """
-        if not (self._metrics.enabled or self._tracer.enabled):
+        if not (self._metrics.enabled or self.tracer.enabled):
             return self.classifier.decision_scores(rows), None
         started = time.perf_counter()
         scores = self.classifier.decision_scores(rows)
@@ -406,9 +409,9 @@ class OnTheWireDetector:
         }
         if latency is not None:
             data["latency_s"] = latency
-        self._tracer.emit("score", ts=request.now,
-                          client=request.watch.client,
-                          watch=request.watch.key, **data)
+        self.tracer.emit("score", ts=request.now,
+                         client=request.watch.client,
+                         watch=request.watch.key, **data)
 
     def _dispatch(self, request: _PendingScore, score: float,
                   row: np.ndarray) -> Alert | None:
@@ -419,10 +422,10 @@ class OnTheWireDetector:
         """
         watch = request.watch
         now = request.now
-        traced = self._tracer.enabled
+        traced = self.tracer.enabled
         if score < self.config.alert_threshold:
             if traced:
-                self._tracer.emit(
+                self.tracer.emit(
                     "verdict", ts=now, client=watch.client,
                     watch=watch.key, decision="benign", score=score,
                     threshold=self.config.alert_threshold,
@@ -443,13 +446,13 @@ class OnTheWireDetector:
             watch.alerted = True
             watch.terminated = True
             if traced:
-                self._tracer.emit(
+                self.tracer.emit(
                     "verdict", ts=now, client=watch.client,
                     watch=watch.key, decision="cooldown", score=score,
                     threshold=self.config.alert_threshold,
                     suppressed_by=last,
                 )
-                self._tracer.close_watch(watch.key, alerted=True)
+                self.tracer.close_watch(watch.key, alerted=True)
             return None
         self._last_alert_ts[watch.client] = now
         self._due = min(self._due, now + 2 * span)
@@ -466,13 +469,13 @@ class OnTheWireDetector:
         watch.terminated = True  # DynaMiner terminates infectious sessions
         self._c_alerts.inc()
         if traced:
-            self._tracer.emit(
+            self.tracer.emit(
                 "verdict", ts=now, client=watch.client, watch=watch.key,
                 decision="alert", score=score,
                 threshold=self.config.alert_threshold,
                 provenance=self._provenance(request, row),
             )
-            self._tracer.close_watch(watch.key, alerted=True)
+            self.tracer.close_watch(watch.key, alerted=True)
         self.alerts.append(alert)
         return alert
 
@@ -499,7 +502,7 @@ class OnTheWireDetector:
         """
         watch = request.watch
         now = request.now
-        summary = self._tracer.watch_summary(watch.key)
+        summary = self.tracer.watch_summary(watch.key)
         if summary is not None and summary.clues:
             chain = [
                 {"server": event.data.get("server", ""),
@@ -541,12 +544,6 @@ class OnTheWireDetector:
         }
 
     # -- introspection --------------------------------------------------------
-
-    @property
-    def tracer(self):
-        """The tracer this detector captured at construction (the
-        :data:`~repro.obs.NULL_TRACER` when tracing is off)."""
-        return self._tracer
 
     def watch_count(self) -> int:
         """Number of session watches opened so far."""

@@ -26,9 +26,9 @@ direction's reassembly buffer in place (the one copy of its bytes).
 Each payload byte is therefore examined once and buffered only while
 its message is still incomplete, so the per-packet cost is O(bytes in
 the packet) and a whole capture costs O(total bytes), even for one
-giant connection.  A connection found not to be HTTP keeps what was
-framed before the rejected bytes and then no payload; FIN / RST still
-close it.
+giant connection.  A connection found not to be HTTP, or turned into
+a ``CONNECT`` tunnel, keeps what was framed before the rejected bytes
+and then no payload; FIN / RST still close it.
 
 Connection state is bounded the same way: a closed, fully drained
 connection lingers for ``OverloadPolicy.closed_linger`` stream-seconds

@@ -30,7 +30,7 @@ from repro.core.sessions import extract_session_id
 from repro.core.stages import Stage
 from repro.core.wcg import WebConversationGraph
 from repro.detection.clues import ClueDetector, CluePolicy, InfectionClue
-from repro.obs import get_registry, get_tracer
+from repro.obs import NULL_TRACER, NullTracer, Tracer, get_registry
 
 __all__ = ["SessionWatch", "SessionTable"]
 
@@ -142,11 +142,13 @@ class SessionTable:
     """Clusters a live transaction stream into per-session watches.
 
     ``prune_after`` bounds clue-less watches a session ID can still
-    reach, ``min(2 * idle_gap, prune_after)`` the rest (DESIGN §9)."""
+    reach, ``min(2 * idle_gap, prune_after)`` the rest (DESIGN §9).
+    ``tracer`` is its detector's (watch, clue and prune events)."""
 
     def __init__(self, policy: CluePolicy | None = None,
                  idle_gap: float = 60.0,
-                 prune_after: float | None = None):
+                 prune_after: float | None = None,
+                 tracer: Tracer | NullTracer = NULL_TRACER):
         self.policy = policy or CluePolicy()
         self.idle_gap = idle_gap
         #: Idle horizon after which a clue-less watch with a session ID
@@ -181,7 +183,7 @@ class SessionTable:
         self._c_late = metrics.counter("session.late_transactions")
         self._g_active = metrics.gauge("session.active_watches")
         self._g_retained = metrics.gauge("session.retained_transactions")
-        self._tracer = get_tracer()
+        self._tracer = tracer
 
     def route(self, txn: HttpTransaction, now: float) -> SessionWatch:
         """Find (or open) the watch that owns ``txn`` and ingest it;

@@ -131,8 +131,8 @@ class StreamPairer:
     ``poll(final=True)`` over a fully reassembled stream, so offline and
     live decoding share one implementation and cannot disagree.
 
-    A stream that is not HTTP (TLS, P2P, corruption) sets
-    :attr:`rejected`: that poll still pairs what was framed before the
+    A stream that is not HTTP (TLS, P2P, corruption), or stops being
+    HTTP at a 2xx answer to ``CONNECT``, sets :attr:`rejected`: that poll still pairs what was framed before the
     rejected bytes and flushes the queued requests unanswered; callers
     stop polling the stream then.
     """

@@ -329,7 +329,9 @@ class ResponseParser(_IncrementalParser):
 
     ``request_methods`` is consulted positionally to frame each response
     (a ``HEAD`` response carries no body bytes whatever its
-    ``Content-Length`` says, RFC 9110 §9.3.2).  The list may be a
+    ``Content-Length`` says, RFC 9110 §9.3.2, and a 2xx answer to
+    ``CONNECT`` has none and ends HTTP on the stream: the parser emits
+    it, then rejects the tunnel's bytes).  The list may be a
     request parser's ``methods`` and grow between deliveries; with
     ``await_methods=True`` the parser pauses rather than guess when a
     response outruns the requests seen so far.  A response with neither
@@ -372,11 +374,15 @@ class ResponseParser(_IncrementalParser):
             if self._await and not self._finishing:
                 return False  # the eliciting request has not parsed yet
             method = ""
+        status = self._line[1]
         if method == "HEAD":
             self._emit(b"", out)
             return True
+        if method == "CONNECT" and 200 <= status < 300:
+            # The tunnel's bytes follow, not HTTP (RFC 9110 §9.3.6).
+            self._emit(b"", out)
+            raise HttpParseError("CONNECT tunnel")
         length = _framing(self._headers)
-        status = self._line[1]
         if length is None and status >= 200 and status not in (204, 304):
             self._state = "body-close"
             return True

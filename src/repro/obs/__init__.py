@@ -3,16 +3,18 @@
 The live pipeline is instrumented end to end — decode, reassembly, HTTP
 pairing, session table, clues, WCG building, feature extraction, forest
 inference, alert dispatch — against the process-wide registry from
-:mod:`repro.obs.registry`.  By default that registry is a no-op
-(:data:`NULL_REGISTRY`), so the uninstrumented hot path pays one empty
-method call per event; set ``REPRO_METRICS=1`` (or call
-:func:`enable_metrics` / :func:`use_registry` before constructing the
-pipeline) to record.
+:mod:`repro.obs.registry`, the one process-wide telemetry slot.  By
+default that registry is a no-op (:data:`NULL_REGISTRY`), so the
+uninstrumented hot path pays one empty method call per event; set
+``REPRO_METRICS=1`` (or select a :class:`MetricsRegistry` with
+:func:`use_registry` before constructing the pipeline) to record.
 
-Detection tracing (:mod:`repro.obs.trace`) follows the same pattern:
-``REPRO_TRACE=1`` / :func:`enable_tracing` / :func:`use_tracer` switch
-on per-watch event timelines and alert provenance; the default
-:data:`NULL_TRACER` is a true no-op.
+Detection tracing (:mod:`repro.obs.trace`) rides the same slot: a
+registry's ``trace`` mode (``"full"``, ``"alerts"`` or ``None``;
+``REPRO_TRACE=1`` sets the default) makes every detector built under it
+record per-watch event timelines and alert provenance into a
+:class:`Tracer` of its own; otherwise it uses :data:`NULL_TRACER`, a
+true no-op.
 
 See DESIGN.md §11 for the metric taxonomy, DESIGN.md §16 for the trace
 event taxonomy, and the README's "Observability" and "Tracing & alert
@@ -28,11 +30,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
     Span,
-    enable_metrics,
     get_registry,
-    metrics_enabled,
-    set_registry,
-    span,
     use_registry,
 )
 from repro.obs.reporter import PipelineStatsReporter
@@ -41,12 +39,7 @@ from repro.obs.trace import (
     NullTracer,
     TraceEvent,
     Tracer,
-    enable_tracing,
-    get_tracer,
     read_jsonl,
-    set_tracer,
-    tracing_enabled,
-    use_tracer,
     write_trace,
 )
 
@@ -55,11 +48,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "enable_tracing",
-    "tracing_enabled",
     "write_trace",
     "read_jsonl",
     "Counter",
@@ -70,11 +58,7 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "get_registry",
-    "set_registry",
     "use_registry",
-    "enable_metrics",
-    "metrics_enabled",
-    "span",
     "configure_logging",
     "get_logger",
     "LOGGER_NAME",

@@ -17,10 +17,13 @@ interface:
 
 Sites that live on the hot path capture their instrument handles once
 (at construction) from :func:`get_registry`; the handles then bind to
-whichever registry was active when the component was built.  Enable
-metrics *before* constructing the pipeline — via ``REPRO_METRICS=1`` in
-the environment, :func:`enable_metrics`, or the :func:`use_registry`
-context manager.
+whichever registry was active when the component was built.  The
+registry also carries the detection-trace mode (``trace``): each
+detector builds its own tracer from it at construction.  The active
+registry is the one process-wide telemetry slot.  Select one *before*
+constructing the pipeline — with the :func:`use_registry` context
+manager, or ``REPRO_METRICS=1`` / ``REPRO_TRACE=1`` in the environment,
+which set the import-time default.
 
 Histograms keep a bounded, *deterministically decimated* sample list:
 when the buffer fills, every other sample is dropped and the keep
@@ -49,15 +52,26 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "get_registry",
-    "set_registry",
     "use_registry",
-    "enable_metrics",
-    "metrics_enabled",
-    "span",
 ]
 
 #: Histogram sample-buffer size; beyond it, deterministic decimation.
 _MAX_SAMPLES = 2048
+
+_TRUTHY = ("1", "true", "yes", "on")
+
+
+def _env_enabled(value: str | None) -> bool:
+    """Does a ``REPRO_METRICS`` / ``REPRO_TRACE`` value ask for it?"""
+    return (value or "").strip().lower() in _TRUTHY
+
+
+#: A registry's trace mode when none is given, read once at import:
+#: ``REPRO_TRACE=1`` traces in the ``REPRO_TRACE_SAMPLE`` mode.
+_ENV_TRACE = (
+    os.environ.get("REPRO_TRACE_SAMPLE", "").strip() or "full"
+    if _env_enabled(os.environ.get("REPRO_TRACE")) else None
+)
 
 
 def decimate_samples(samples: list[float],
@@ -291,9 +305,17 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullRegistry:
-    """Disabled-metrics registry: every accessor returns a shared no-op."""
+    """Disabled-metrics registry: every accessor returns a shared no-op.
+
+    ``trace`` is the detection-trace mode of the pipelines built under
+    it (``"full"``, ``"alerts"``, or ``None`` for off), as for
+    :class:`MetricsRegistry`: tracing does not need metrics.
+    """
 
     enabled = False
+
+    def __init__(self, trace: str | None = _ENV_TRACE) -> None:
+        self.trace = trace
 
     def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
@@ -313,11 +335,18 @@ class NullRegistry:
 
 
 class MetricsRegistry:
-    """Named-instrument registry; get-or-create semantics per name."""
+    """Named-instrument registry; get-or-create semantics per name.
+
+    ``trace`` is the detection-trace mode of the pipelines built under
+    it: each detector builds its own :class:`~repro.obs.trace.Tracer`
+    in that sample mode (``"full"`` or ``"alerts"``), or none when it
+    is ``None``.
+    """
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, trace: str | None = _ENV_TRACE) -> None:
+        self.trace = trace
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -365,14 +394,6 @@ class MetricsRegistry:
 
 NULL_REGISTRY = NullRegistry()
 
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def _env_enabled(value: str | None) -> bool:
-    """Does an ``REPRO_METRICS`` value ask for metrics?"""
-    return (value or "").strip().lower() in _TRUTHY
-
-
 _active: MetricsRegistry | NullRegistry = (
     MetricsRegistry() if _env_enabled(os.environ.get("REPRO_METRICS"))
     else NULL_REGISTRY
@@ -384,46 +405,21 @@ def get_registry() -> MetricsRegistry | NullRegistry:
     return _active
 
 
-def metrics_enabled() -> bool:
-    """True when the active registry records anything."""
-    return _active.enabled
-
-
-def set_registry(
-    registry: MetricsRegistry | NullRegistry,
-) -> MetricsRegistry | NullRegistry:
-    """Install ``registry`` as the active one; returns the previous.
-
-    Components capture instrument handles at construction — swap the
-    registry *before* building the pipeline you want observed.
-    """
-    global _active
-    previous = _active
-    _active = registry
-    return previous
-
-
-def enable_metrics() -> MetricsRegistry:
-    """Install (and return) a fresh recording registry."""
-    registry = MetricsRegistry()
-    set_registry(registry)
-    return registry
-
-
 @contextmanager
 def use_registry(
     registry: MetricsRegistry | NullRegistry | None = None,
 ) -> Iterator[MetricsRegistry | NullRegistry]:
     """Scoped registry swap: activate ``registry`` (a fresh one when
-    ``None``), restore the previous on exit."""
+    ``None``), restore the previous on exit.
+
+    Components capture instrument handles and their tracer at
+    construction — swap the registry *before* building the pipeline you
+    want observed.
+    """
+    global _active
     active = MetricsRegistry() if registry is None else registry
-    previous = set_registry(active)
+    previous, _active = _active, active
     try:
         yield active
     finally:
-        set_registry(previous)
-
-
-def span(name: str) -> Span | _NullSpan:
-    """Timing context on the *active* registry (no-op when disabled)."""
-    return _active.span(name)
+        _active = previous

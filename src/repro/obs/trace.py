@@ -9,12 +9,12 @@ benign), watch pruned — and the detector reads the per-watch clue
 summary back out of it to assemble the provenance each alert's
 ``verdict`` event carries.
 
-The enablement pattern mirrors the registry exactly: components capture
-the active tracer once at construction (:func:`get_tracer`), the
-default :class:`NullTracer` makes every emission a single attribute
-load plus a no-op call, and recording is switched on *before* the
-pipeline is built — ``REPRO_TRACE=1`` in the environment,
-:func:`enable_tracing`, or the scoped :func:`use_tracer`.
+Each detector owns its tracer.  It builds one at construction when the
+registry active then carries a trace mode (``trace="full"`` or
+``"alerts"``; ``REPRO_TRACE=1`` sets the default) and shares it with
+its session table; otherwise it uses the shared :data:`NULL_TRACER`,
+whose every emission is one attribute load plus a no-op call.  So two
+pipelines never share a timeline.
 ``tests/detection/test_trace_differential.py`` proves pipeline outputs
 (alerts, graphs, vectors, metrics) are byte-identical either way.
 
@@ -30,36 +30,28 @@ yields the identical canonical trace stream (DESIGN.md §16).
 Boundedness: per-watch rings cap at ``_MAX_EVENTS_PER_WATCH`` (oldest
 events drop first; the per-watch clue summary is kept out-of-ring so
 provenance never loses its clue chain), closed-watch timelines cap at
-``_MAX_EVENTS`` globally, and the per-watch table caps at
-``_MAX_WATCHES`` — a process-wide tracer left on for an entire test
-session stays O(1) in memory.  What the caps evict is counted in the
-registry active when it is evicted (``trace.dropped_events`` and
-``trace.dropped_watches``), so the import-time ``REPRO_TRACE=1`` tracer
-books its drops wherever metrics are on by then.
+``_MAX_EVENTS``, and the per-watch table caps at ``_MAX_WATCHES`` — a
+tracer left on for a whole capture stays O(1) in memory.  What the caps
+evict is counted in ``trace.dropped_events`` and
+``trace.dropped_watches``; the tracer captures both counters at
+construction, from the registry it is built under.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable
 
-from repro.obs.registry import _env_enabled, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = [
     "TraceEvent",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "enable_tracing",
-    "tracing_enabled",
     "write_trace",
     "read_jsonl",
 ]
@@ -185,6 +177,9 @@ class Tracer:
         self._watches: dict[str, _WatchTrace] = {}
         self._done: list[TraceEvent] = []
         self._seq = 0
+        metrics = get_registry()
+        self._c_dropped_events = metrics.counter("trace.dropped_events")
+        self._c_dropped_watches = metrics.counter("trace.dropped_watches")
 
     # -- recording ----------------------------------------------------
 
@@ -216,10 +211,8 @@ class Tracer:
         if kind == "watch" or trace is None:
             trace = self._open_watch(watch)
         ring = trace.events
-        if len(ring) == ring.maxlen:
-            # The deque evicts the oldest; drops are rare, so the active
-            # registry is looked up only then.
-            get_registry().counter("trace.dropped_events").inc()
+        if len(ring) == ring.maxlen:  # the deque evicts the oldest
+            self._c_dropped_events.inc()
         ring.append(event)
         if kind == "clue":
             trace.clue_count += 1
@@ -233,7 +226,7 @@ class Tracer:
             # Evict the stalest timeline (insertion order) as if its
             # watch closed without alerting.
             evicted = next(iter(self._watches))
-            get_registry().counter("trace.dropped_watches").inc()
+            self._c_dropped_watches.inc()
             self.close_watch(evicted, alerted=False)
         trace = self._watches[key] = _WatchTrace(_MAX_EVENTS_PER_WATCH)
         return trace
@@ -253,7 +246,7 @@ class Tracer:
         overflow = len(self._done) - _MAX_EVENTS
         if overflow > 0:
             del self._done[:overflow]
-            get_registry().counter("trace.dropped_events").inc(overflow)
+            self._c_dropped_events.inc(overflow)
 
     # -- reading ------------------------------------------------------
 
@@ -295,7 +288,6 @@ class NullTracer:
     allocation); the shared :data:`NULL_TRACER` is the default."""
 
     enabled = False
-    sample = "full"
 
     def emit(self, kind: str, ts: float, client: str = "",
              watch: str = "", **data) -> None:
@@ -319,56 +311,6 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-_active: Tracer | NullTracer = (
-    Tracer(sample=os.environ.get("REPRO_TRACE_SAMPLE", "full").strip()
-           or "full")
-    if _env_enabled(os.environ.get("REPRO_TRACE"))
-    else NULL_TRACER
-)
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The process-wide active tracer (null when tracing is off)."""
-    return _active
-
-
-def tracing_enabled() -> bool:
-    """True when the active tracer records anything."""
-    return _active.enabled
-
-
-def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
-    """Install ``tracer`` as the active one; returns the previous.
-
-    Components capture the tracer at construction — swap it *before*
-    building the pipeline you want traced.
-    """
-    global _active
-    previous = _active
-    _active = tracer
-    return previous
-
-
-def enable_tracing(sample: str = "full") -> Tracer:
-    """Install (and return) a fresh recording tracer."""
-    tracer = Tracer(sample=sample)
-    set_tracer(tracer)
-    return tracer
-
-
-@contextmanager
-def use_tracer(
-    tracer: Tracer | NullTracer | None = None,
-) -> Iterator[Tracer | NullTracer]:
-    """Scoped tracer swap: activate ``tracer`` (a fresh one when
-    ``None``), restore the previous on exit."""
-    active = Tracer() if tracer is None else tracer
-    previous = set_tracer(active)
-    try:
-        yield active
-    finally:
-        set_tracer(previous)
 
 
 # -- JSON-lines I/O ---------------------------------------------------

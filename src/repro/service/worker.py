@@ -11,8 +11,9 @@ of its clients and no packet of anyone else's.  Together that makes
 the per-shard alert streams merge into the single-process stream byte
 for byte.
 
-Every function here is module-level (not a closure, not a lambda) so
-the pool works under both ``fork`` and ``spawn`` start methods.
+Every function a worker runs is module-level (not a closure, not a
+lambda) so the pool works under both ``fork`` and ``spawn`` start
+methods.
 """
 
 from __future__ import annotations
@@ -31,25 +32,15 @@ from repro.learning.forest import EnsembleRandomForest
 from repro.net.flows import AddressBook
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket
 from repro.obs import (
-    NULL_TRACER,
     MetricsRegistry,
     NullRegistry,
     TraceEvent,
-    Tracer,
-    get_tracer,
-    tracing_enabled,
+    get_registry,
     use_registry,
-    use_tracer,
 )
 
 __all__ = ["EngineSpec", "ShardAlert", "ShardResult", "pack_frames",
            "run_shard", "shard_worker", "unpack_frames"]
-
-
-def _coordinator_trace() -> str | None:
-    """The sample mode of the tracer active where the spec is built, or
-    ``None`` when tracing is off there."""
-    return get_tracer().sample if tracing_enabled() else None
 
 
 @dataclass(frozen=True)
@@ -72,10 +63,12 @@ class EngineSpec:
     metrics: bool = False
     #: Per-shard detection trace (repro.obs.trace), shipped back on
     #: :attr:`ShardResult.trace`: its sampling mode (``"full"`` or
-    #: ``"alerts"``), or ``None`` for off.  The default is the
-    #: coordinator's own tracer, so ``--trace`` / ``REPRO_TRACE`` trace
-    #: the fleet exactly as they trace the single process.
-    trace: str | None = field(default_factory=_coordinator_trace)
+    #: ``"alerts"``), or ``None`` for off.  The default is the trace
+    #: mode of the registry active where the spec is built, so
+    #: ``--trace`` / ``REPRO_TRACE`` trace the fleet exactly as they
+    #: trace the single process.
+    trace: str | None = field(
+        default_factory=lambda: get_registry().trace)
 
     def build_engine(self) -> LiveDetector:
         detector = OnTheWireDetector(self.classifier, policy=self.clue_policy,
@@ -128,13 +121,10 @@ def run_shard(spec: EngineSpec, shard_id: int,
     timestamp fed to the coordinator by then; the engine's watermark
     goes there first, as the single process's went.
     """
-    registry = MetricsRegistry() if spec.metrics else NullRegistry()
+    registry = (MetricsRegistry if spec.metrics else NullRegistry)(
+        trace=spec.trace)
     alerts: list[Alert] = []
-    # A fresh tracer per shard (under ``fork`` the process-global one
-    # holds the coordinator's events); its drops count in ``registry``.
-    with use_registry(registry), use_tracer(
-            Tracer(sample=spec.trace) if spec.trace else NULL_TRACER
-    ) as tracer:
+    with use_registry(registry):
         engine = spec.build_engine()
         for packet, clock in records:
             if clock > packet.timestamp:
@@ -149,7 +139,7 @@ def run_shard(spec: EngineSpec, shard_id: int,
         classifications=detector.classifications,
         transactions_weeded=detector.transactions_weeded,
         watches_opened=detector.watch_count(),
-        snapshot=registry.snapshot(), trace=tracer.drain())
+        snapshot=registry.snapshot(), trace=detector.tracer.drain())
 
 
 def pack_frames(packets: list[PcapPacket], clocks: list[float]) -> tuple:

@@ -118,15 +118,15 @@ class TestProxyShape:
 
     @staticmethod
     def _run(trained_model, feed):
-        from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+        from repro.obs import MetricsRegistry, use_registry
 
-        registry = MetricsRegistry()
-        with use_registry(registry), use_tracer(Tracer()) as tracer:
+        registry = MetricsRegistry(trace="full")
+        with use_registry(registry):
             detector = _fresh(trained_model)
             feed(detector)
             detector.finalize()
             alerts = list(detector.alerts)
-            events = tracer.events()
+        events = detector.tracer.events()
         scores = sorted((e.seq, e.watch, e.data["score"])
                         for e in events if e.kind == "score")
         # Canonical trace form: minus the wall clock and the two data

@@ -206,15 +206,15 @@ class TestPruneEventsUnchanged:
         from repro.detection.detector import DetectorConfig, OnTheWireDetector
         from repro.loadgen import MIXED, LoadGenerator
         from repro.net.flows import transactions_from_packets
-        from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+        from repro.obs import MetricsRegistry, use_registry
 
         generator = LoadGenerator(seed=23, mix=MIXED, concurrency=8)
         txns = transactions_from_packets(generator.capture(6000),
                                          book=generator.book)
 
         def run():
-            registry = MetricsRegistry()
-            with use_registry(registry), use_tracer(Tracer()) as tracer:
+            registry = MetricsRegistry(trace="full")
+            with use_registry(registry):
                 # A horizon far inside the ~10 min stream, so the
                 # per-route prune (not just the sweep) has work to do.
                 detector = OnTheWireDetector(trained_model, config=DetectorConfig(
@@ -222,7 +222,7 @@ class TestPruneEventsUnchanged:
                 for txn in txns:
                     detector.process_batch([txn])
                 detector.finalize()
-                events = sorted(tracer.events(), key=lambda e: e.seq)
+            events = sorted(detector.tracer.events(), key=lambda e: e.seq)
             return ([e.canonical() for e in events],
                     registry.snapshot()["counters"])
 

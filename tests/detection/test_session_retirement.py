@@ -24,7 +24,7 @@ from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.detection.monitor import SessionTable
 from repro.loadgen import HOSTILE, MIXED, LoadGenerator
 from repro.net.flows import transactions_from_packets
-from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+from repro.obs import MetricsRegistry, NullRegistry, use_registry
 from tests.conftest import make_txn, route_in_order
 from tests.oracles.session_prune import EndOfCaptureTable, SingleHorizonTable
 
@@ -278,11 +278,12 @@ class TestReturningClient:
                      client="victim", referrer="http://ek.example/g",
                      content_type="application/x-msdownload"),
         ]
-        with use_tracer(Tracer()) as tracer:
+        with use_registry(NullRegistry(trace="full")):
             detector = OnTheWireDetector(trained_model, config=DetectorConfig(
                 alert_threshold=0.0, idle_gap=30.0))
-            alerts = detector.replay(first_visit + chatter + second_visit)
-            events = [e for e in tracer.events() if e.watch == "victim#1"]
+        alerts = detector.replay(first_visit + chatter + second_visit)
+        events = [e for e in detector.tracer.events()
+                  if e.watch == "victim#1"]
         (alert,) = alerts
         assert alert.session_key == "victim#1"
         (provenance,) = [e.data["provenance"] for e in events

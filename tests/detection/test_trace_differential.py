@@ -14,13 +14,10 @@ from repro.core.model import Trace
 from repro.detection.detector import DetectorConfig, OnTheWireDetector
 from repro.detection.live import LiveDetector
 from repro.net.flows import packets_from_trace
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
-    use_registry,
-    use_tracer,
-)
+from repro.obs import MetricsRegistry, NullRegistry, use_registry
+
+#: Registries that trace every watch, and none.
+TRACED, UNTRACED = NullRegistry(trace="full"), NullRegistry(trace=None)
 
 
 def _merged_capture(small_corpus):
@@ -38,7 +35,7 @@ def _merged_capture(small_corpus):
 
 
 def _run_live(trained_model, packets, book):
-    """One full LiveDetector pass under the currently active tracer."""
+    """One full LiveDetector pass under the active registry."""
     detector = OnTheWireDetector(
         trained_model, config=DetectorConfig(alert_threshold=0.5)
     )
@@ -60,10 +57,11 @@ class TestTracingIsInert:
     def test_outputs_identical_on_and_off(self, trained_model, small_corpus):
         packets, book = _merged_capture(small_corpus)
 
-        with use_tracer(NULL_TRACER):
+        with use_registry(UNTRACED):
             base_detector, base_live = _run_live(trained_model, packets, book)
-        with use_tracer(Tracer()) as tracer:
+        with use_registry(TRACED):
             obs_detector, obs_live = _run_live(trained_model, packets, book)
+        tracer = obs_detector.tracer
 
         assert obs_live.transactions_emitted == base_live.transactions_emitted
         assert obs_detector.transactions_seen == base_detector.transactions_seen
@@ -82,8 +80,8 @@ class TestTracingIsInert:
         detector's own growth diff, never by forcing extra builds)."""
         packets, book = _merged_capture(small_corpus)
 
-        def run():
-            registry = MetricsRegistry()
+        def run(trace):
+            registry = MetricsRegistry(trace=trace)
             with use_registry(registry):
                 _run_live(trained_model, packets, book)
             snap = registry.snapshot()
@@ -95,10 +93,8 @@ class TestTracingIsInert:
                     hist.pop(key, None)
             return snap
 
-        with use_tracer(NULL_TRACER):
-            base = run()
-        with use_tracer(Tracer()):
-            traced = run()
+        base = run(None)
+        traced = run("full")
         base_counters = {
             name: value for name, value in base["counters"].items()
             if not name.startswith("forest.arena_rebuilds")
@@ -107,7 +103,11 @@ class TestTracingIsInert:
             name: value for name, value in traced["counters"].items()
             if not name.startswith("forest.arena_rebuilds")
         }
-        assert traced_counters == base_counters
+        # The tracer's own drop counters exist from its construction;
+        # nothing else differs, and nothing was dropped.
+        assert traced_counters == {**base_counters,
+                                   "trace.dropped_events": 0,
+                                   "trace.dropped_watches": 0}
         assert traced["histograms"] == base["histograms"]
 
     def test_same_capture_same_canonical_trace(
@@ -118,9 +118,10 @@ class TestTracingIsInert:
         packets, book = _merged_capture(small_corpus)
         streams = []
         for _ in range(2):
-            with use_tracer(Tracer()) as tracer:
-                _run_live(trained_model, packets, book)
-                streams.append([event.canonical() for event in tracer.drain()])
+            with use_registry(TRACED):
+                detector, _ = _run_live(trained_model, packets, book)
+            streams.append([event.canonical()
+                            for event in detector.tracer.drain()])
         assert streams[0] == streams[1]
         kinds = {event["kind"] for event in streams[0]}
         assert {"watch", "clue", "edge", "wcg", "score",
@@ -132,8 +133,9 @@ class TestProvenanceGroundTruth:
         self, trained_model, small_corpus
     ):
         packets, book = _merged_capture(small_corpus)
-        with use_tracer(Tracer()) as tracer:
+        with use_registry(TRACED):
             detector, _ = _run_live(trained_model, packets, book)
+        tracer = detector.tracer
         assert detector.alerts
         n_trees = len(trained_model.trees_)
         verdicts = _alert_verdicts(tracer.events())
@@ -170,9 +172,9 @@ class TestProvenanceGroundTruth:
         self, trained_model, small_corpus
     ):
         packets, book = _merged_capture(small_corpus)
-        with use_tracer(Tracer()) as tracer:
+        with use_registry(TRACED):
             detector, _ = _run_live(trained_model, packets, book)
-            events = tracer.drain()
+        events = detector.tracer.drain()
         verdicts = _alert_verdicts(events)
         assert len(verdicts) == len(detector.alerts)
         for event, alert in zip(verdicts, detector.alerts):
@@ -187,9 +189,9 @@ class TestProvenanceGroundTruth:
         import json
 
         packets, book = _merged_capture(small_corpus)
-        with use_tracer(Tracer()) as tracer:
-            _run_live(trained_model, packets, book)
-        payload = _alert_verdicts(tracer.events())[0].data["provenance"]
+        with use_registry(TRACED):
+            detector, _ = _run_live(trained_model, packets, book)
+        payload = _alert_verdicts(detector.tracer.events())[0].data["provenance"]
         assert json.loads(json.dumps(payload)) == payload
 
 
@@ -198,9 +200,9 @@ class TestAlertsSampling:
         self, trained_model, small_corpus
     ):
         packets, book = _merged_capture(small_corpus)
-        with use_tracer(Tracer(sample="alerts")) as tracer:
+        with use_registry(NullRegistry(trace="alerts")):
             detector, _ = _run_live(trained_model, packets, book)
-            events = tracer.drain()
+        events = detector.tracer.drain()
         assert detector.alerts
         alerted = {a.session_key for a in detector.alerts}
         watched = {e.watch for e in events if e.watch}
@@ -211,3 +213,38 @@ class TestAlertsSampling:
             if event.watch:
                 assert event.watch in alerted or event.client in clients
         assert alerted <= watched
+
+
+class TestTraceOwnership:
+    def test_a_pipelines_trace_is_its_own(self):
+        """Two pipelines built in turn under a tracing registry (what
+        ``REPRO_TRACE=1`` gives every pipeline) trace apart: the second
+        one's ``trace_out`` holds its own events only, the same stream
+        the first one recorded over the same capture."""
+        import io
+        import json
+
+        from repro.experiments.context import trained_classifier
+        from repro.loadgen import MIXED, LoadGenerator
+
+        model = trained_classifier(11, 0.1)
+        generator = LoadGenerator(seed=11, mix=MIXED)
+        packets = generator.capture(8000)
+        out = io.StringIO()
+        runs = []
+        for sink in (None, out):
+            with use_registry(TRACED):
+                live = LiveDetector(OnTheWireDetector(model),
+                                    book=generator.book, trace_out=sink)
+            for packet in packets:
+                live.feed(packet)
+            live.finish()
+            runs.append(live.detector)
+        first = [event.canonical() for event in runs[0].tracer.events()]
+        written = [json.loads(line) for line in out.getvalue().splitlines()]
+        for line in written:
+            del line["mono"]
+            for key in ("latency_s", "batch"):
+                line["data"].pop(key, None)
+        assert len(written) == len(first) == 1007
+        assert written == first

@@ -89,8 +89,8 @@ def test_a_stream_turning_non_http_keeps_its_prefix_live_and_batch(cuts):
 
 
 #: Client-side rejections: a response delimited before the client's
-#: non-HTTP bytes pairs, and one only the end of the stream could
-#: delimit (a ``CONNECT`` tunnel's read-until-close) does not.
+#: non-HTTP bytes pairs, and so does a 2xx answer to ``CONNECT``, which
+#: has no body and ends HTTP on the stream.
 CLIENT_TURNS = {
     "answered-then-tls": ([
         (True, b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n"),
@@ -100,7 +100,7 @@ CLIENT_TURNS = {
         (True, b"CONNECT x:443 HTTP/1.1\r\nHost: x\r\n\r\n"),
         (False, b"HTTP/1.1 200 Connection established\r\n\r\n"),
         (True, TLS),
-        (False, b"\x16\x03\x03" * 50)], [("x:443", None)]),
+        (False, b"\x16\x03\x03" * 50)], [("x:443", 200)]),
 }
 
 
@@ -115,6 +115,44 @@ def test_a_client_turning_non_http_decodes_alike(name):
     live, live_counters = _live(packets)
     batch, batch_counters = _batch(packets)
     assert _view(live) == _view(batch) == expected
+    assert pairing_violations(live_counters) == []
+    assert pairing_violations(batch_counters) == []
+
+
+def test_a_tunnel_keeps_at_most_one_segment_live_and_batch():
+    """A 2xx answer to ``CONNECT`` has no body (RFC 9110 §9.3.6): it
+    pairs, and the 2 000 tunnelled 1 400 B segments after it are not
+    HTTP, so no message carries them and the live tap keeps none."""
+    conn = RawConnection("172.31.0.9", 50009, "198.51.100.9")
+    packets = conn.open(1.0)
+    packets += conn.send(1.1, True,
+                         b"CONNECT x:443 HTTP/1.1\r\nHost: x\r\n\r\n")
+    packets += conn.send(1.2, False,
+                         b"HTTP/1.1 200 Connection established\r\n\r\n")
+    packets += conn.send(1.3, False, b"\x17" * 1400 * 2000)
+    packets += conn.close(2.0)
+    held = marks = 0
+    with use_registry(MetricsRegistry()) as registry:
+        decoder = LiveDecoder()
+        live = []
+        for packet in packets:
+            live += decoder.feed(packet)
+            for stream in decoder._reassembler.streams():
+                pairer = stream.consumer
+                body = len(pairer._responses._body) if pairer else 0
+                held = max(held, body + sum(
+                    len(d.data) for d in stream.directions.values()))
+                marks = max(marks, *(len(d.marks)
+                                     for d in stream.directions.values()))
+        live += decoder.flush()
+    live_counters = registry.snapshot()["counters"]
+    batch, batch_counters = _batch(packets)
+    assert _view(live) == _view(batch) == [("x:443", 200)]
+    assert [(t.request, t.response) for t in live] == [
+        (t.request, t.response) for t in batch]
+    assert batch[0].response.body == b""
+    assert held <= 1400 and marks <= 2
+    assert live_counters["decode.non_http_streams"] == 1
     assert pairing_violations(live_counters) == []
     assert pairing_violations(batch_counters) == []
 

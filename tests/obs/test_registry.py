@@ -8,10 +8,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    enable_metrics,
     get_registry,
-    metrics_enabled,
-    set_registry,
     use_registry,
 )
 from repro.obs.registry import (
@@ -159,7 +156,7 @@ class TestRegistrySwap:
         with use_registry() as registry:
             assert get_registry() is registry
             assert isinstance(registry, MetricsRegistry)
-            assert metrics_enabled()
+            assert get_registry().enabled
         assert get_registry() is before
 
     def test_use_registry_restores_on_error(self):
@@ -171,13 +168,13 @@ class TestRegistrySwap:
 
     def test_enable_disable(self):
         previous = get_registry()
-        try:
-            registry = enable_metrics()
+        with use_registry(MetricsRegistry(trace="alerts")) as registry:
             assert get_registry() is registry and registry.enabled
-            set_registry(NULL_REGISTRY)
-            assert get_registry() is NULL_REGISTRY
-        finally:
-            set_registry(previous)
+            assert registry.trace == "alerts"
+            with use_registry(NULL_REGISTRY):
+                assert get_registry() is NULL_REGISTRY
+            assert get_registry() is registry
+        assert get_registry() is previous
 
     def test_snapshot_sorted_and_complete(self):
         registry = MetricsRegistry()

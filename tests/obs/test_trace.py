@@ -5,21 +5,19 @@ import json
 
 import pytest
 
+from repro.detection.detector import OnTheWireDetector
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
+    NullRegistry,
     Tracer,
-    enable_tracing,
-    get_tracer,
     read_jsonl,
-    set_tracer,
-    tracing_enabled,
     use_registry,
-    use_tracer,
     write_trace,
 )
 from repro.obs import trace as trace_module
-from repro.obs.trace import _MAX_CLUES, _env_enabled
+from repro.obs.registry import _env_enabled
+from repro.obs.trace import _MAX_CLUES
 
 
 class FakeClock:
@@ -77,17 +75,19 @@ class TestTracer:
         # The newest events survive.
         assert summary.events[-1].ts == 10.0
 
-    def test_drops_count_in_the_registry_active_when_they_happen(
-            self, monkeypatch):
-        # The import-time REPRO_TRACE=1 tracer predates any registry a
-        # caller enables later; its drops must still reach that one.
+    def test_drops_count_in_the_registry_the_detector_was_built_under(
+            self, monkeypatch, trained_model, small_corpus):
+        # The detector's tracer captures its drop counters at
+        # construction, so its drops reach the pipeline's registry even
+        # when another one is active by the time they happen.
         monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 2)
-        tracer = Tracer()
-        with use_registry(MetricsRegistry()) as registry:
-            for i in range(5):
-                tracer.emit("score", ts=float(i), client="c", watch="w",
-                            score=0.1)
-        assert registry.counter("trace.dropped_events").value == 3
+        with use_registry(MetricsRegistry(trace="full")) as registry:
+            detector = OnTheWireDetector(trained_model)
+        infection = small_corpus.infections[0]
+        with use_registry(MetricsRegistry(trace=None)) as elsewhere:
+            detector.replay(infection.transactions)
+        assert registry.snapshot()["counters"]["trace.dropped_events"] > 0
+        assert "trace.dropped_events" not in elsewhere.snapshot()["counters"]
 
     def test_clue_summary_survives_ring_rotation(self, monkeypatch):
         monkeypatch.setattr(trace_module, "_MAX_EVENTS_PER_WATCH", 2)
@@ -216,25 +216,16 @@ class TestNullTracer:
 
 
 class TestTracerSwap:
-    def test_enable_disable_roundtrip(self):
-        previous = get_tracer()
-        try:
-            tracer = enable_tracing(sample="alerts")
-            assert tracing_enabled()
-            assert get_tracer() is tracer
-            assert tracer.sample == "alerts"
-            set_tracer(NULL_TRACER)
-            assert not tracing_enabled()
-            assert get_tracer() is NULL_TRACER
-        finally:
-            set_tracer(previous)
-
-    def test_use_tracer_restores_previous(self):
-        previous = get_tracer()
-        with use_tracer() as tracer:
-            assert get_tracer() is tracer
-            assert tracer.enabled
-        assert get_tracer() is previous
+    def test_enable_disable_roundtrip(self, trained_model):
+        """The registry a detector is built under picks its tracer: a
+        fresh one in the registry's sample mode, or none at all."""
+        with use_registry(NullRegistry(trace="alerts")):
+            first = OnTheWireDetector(trained_model)
+            second = OnTheWireDetector(trained_model)
+        assert first.tracer.enabled and first.tracer.sample == "alerts"
+        assert first.tracer is not second.tracer
+        with use_registry(NullRegistry(trace=None)):
+            assert OnTheWireDetector(trained_model).tracer is NULL_TRACER
 
     def test_env_parsing(self):
         assert _env_enabled("1") and _env_enabled("true")

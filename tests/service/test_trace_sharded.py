@@ -14,7 +14,7 @@ import pytest
 from repro.detection.detector import OnTheWireDetector
 from repro.detection.live import LiveDetector
 from repro.loadgen import MIXED, LoadGenerator
-from repro.obs import NULL_TRACER, Tracer, use_tracer
+from repro.obs import NullRegistry, use_registry
 from repro.obs import trace as trace_module
 from repro.service import EngineSpec, ShardedDetectionService, merge_alerts
 from repro.service.daemon import merge_traces
@@ -45,12 +45,12 @@ def workload():
 def reference(workload, trained_model):
     """Single-process traced run: alerts + canonical trace stream."""
     packets, book = workload
-    with use_tracer(Tracer()) as tracer:
+    with use_registry(NullRegistry(trace="full")):
         live = LiveDetector(OnTheWireDetector(trained_model), book=book)
-        for packet in packets:
-            live.feed(packet)
-        live.finish()
-        trace = merge_traces([(0, tracer.drain())])
+    for packet in packets:
+        live.feed(packet)
+    live.finish()
+    trace = merge_traces([(0, live.detector.tracer.drain())])
     return live.detector.alerts, _canonical(trace)
 
 
@@ -129,11 +129,11 @@ def test_alerts_sampling_rides_the_spec(workload, trained_model):
 
 
 def test_the_default_spec_traces_as_the_coordinator_does(trained_model):
-    """Without ``trace=``, a spec takes the sample mode of the tracer
-    active where it is built, or ``None`` when that one is off."""
-    with use_tracer(Tracer(sample="alerts")):
+    """Without ``trace=``, a spec takes the trace mode of the registry
+    active where it is built, ``None`` when that one traces nothing."""
+    with use_registry(NullRegistry(trace="alerts")):
         assert EngineSpec(classifier=trained_model).trace == "alerts"
-    with use_tracer(NULL_TRACER):
+    with use_registry(NullRegistry(trace=None)):
         assert EngineSpec(classifier=trained_model).trace is None
 
 

@@ -190,19 +190,15 @@ class TestCliErrors:
 
 class TestCliTracing:
     def _traced_detect(self, cli_model, tmp_path, extra=()):
-        from repro.obs import get_tracer, set_tracer
+        from repro.obs import get_registry
 
         pcap = str(tmp_path / "angler.pcap")
         trace = str(tmp_path / "trace.jsonl")
         assert main(["synth", pcap, "--kind", "Angler", "--seed", "5"]) == 0
-        previous = get_tracer()
-        try:
-            code = main(["detect", pcap, "--model", cli_model,
-                         "--threshold", "0.5", "--trace-out", trace,
-                         *extra])
-        finally:
-            # --trace swaps the process-wide tracer; put it back.
-            set_tracer(previous)
+        previous = get_registry()
+        code = main(["detect", pcap, "--model", cli_model,
+                     "--threshold", "0.5", "--trace-out", trace, *extra])
+        assert get_registry() is previous  # the flags select in scope
         assert code == 1  # the Angler capture alerts
         return trace
 
@@ -268,18 +264,12 @@ class TestCliTracing:
         assert "cannot read trace" in capsys.readouterr().err
 
     def test_stats_summarizes_snapshots(self, cli_model, tmp_path, capsys):
-        from repro.obs import get_registry, set_registry
-
         pcap = str(tmp_path / "angler.pcap")
         stats = str(tmp_path / "stats.jsonl")
         assert main(["synth", pcap, "--kind", "Angler", "--seed", "5"]) == 0
-        previous = get_registry()
-        try:
-            assert main(["detect", pcap, "--model", cli_model,
-                         "--threshold", "0.5", "--metrics",
-                         "--stats-out", stats]) == 1
-        finally:
-            set_registry(previous)
+        assert main(["detect", pcap, "--model", cli_model,
+                     "--threshold", "0.5", "--metrics",
+                     "--stats-out", stats]) == 1
         capsys.readouterr()
         assert main(["stats", stats]) == 0
         out = capsys.readouterr().out
@@ -313,19 +303,16 @@ class TestCliTracing:
 
 class TestCliMetrics:
     def test_detect_with_metrics_writes_snapshots(self, cli_model, tmp_path):
-        from repro.obs import get_registry, read_jsonl, set_registry
+        from repro.obs import get_registry, read_jsonl
 
         pcap = str(tmp_path / "angler.pcap")
         stats = str(tmp_path / "stats.jsonl")
         assert main(["synth", pcap, "--kind", "Angler", "--seed", "5"]) == 0
         previous = get_registry()
-        try:
-            code = main(["detect", pcap, "--model", cli_model,
-                         "--threshold", "0.5", "--metrics",
-                         "--stats-out", stats])
-        finally:
-            # --metrics swaps the process-wide registry; put it back.
-            set_registry(previous)
+        code = main(["detect", pcap, "--model", cli_model,
+                     "--threshold", "0.5", "--metrics",
+                     "--stats-out", stats])
+        assert get_registry() is previous  # --metrics selects in scope
         assert code in (0, 1)
         snapshots = read_jsonl(stats)
         assert len(snapshots) >= 1

@@ -370,3 +370,62 @@ def test_a_lower_case_head_response_is_framed_by_its_content_length():
                  t.response.body) for t in transactions] == [
             (HttpMethod.HEAD, "/a", 200, b"hello"),
             (HttpMethod.GET, "/b", 404, b"")]
+
+
+# -- one telemetry slot ----------------------------------------------------
+
+#: The tracer and registry switches: the active registry, selected with
+#: ``use_registry``, is the one slot, and it carries the trace mode.
+_GONE_TELEMETRY_NAMES = ("get_tracer", "set_tracer", "use_tracer",
+                         "enable_tracing", "tracing_enabled", "set_registry",
+                         "enable_metrics", "metrics_enabled",
+                         "_coordinator_trace")
+
+
+def _import_time_calls(nodes):
+    """Names of the calls a module makes when it runs: everything but
+    function and lambda bodies (decorators and defaults run then)."""
+    import ast
+
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            yield from _import_time_calls(
+                [*node.decorator_list, *arguments.defaults,
+                 *filter(None, arguments.kw_defaults)])
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield getattr(func, "id", None) or getattr(func, "attr", None)
+        yield from _import_time_calls(ast.iter_child_nodes(node))
+
+
+def test_the_tracer_and_registry_switches_stay_gone():
+    import ast
+
+    import repro.obs
+    import repro.obs.registry
+    import repro.obs.trace
+
+    offenders = []
+    globals_in_obs = 0
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = path.relative_to(SRC / "repro").as_posix()
+        offenders += [f"{relative}: {name}"
+                      for name in set(_identifiers(tree))
+                      if name in _GONE_TELEMETRY_NAMES]
+        offenders += [f"{relative}: Tracer() at import"
+                      for name in _import_time_calls([tree])
+                      if name == "Tracer"]
+        if relative.startswith("obs/"):
+            globals_in_obs += sum(isinstance(node, ast.Global)
+                                  for node in ast.walk(tree))
+    assert sorted(offenders) == []
+    assert globals_in_obs == 1  # use_registry's, the one slot
+    modules = (repro.obs, repro.obs.registry, repro.obs.trace)
+    assert [f"{module.__name__}.{name}" for module in modules
+            for name in (*_GONE_TELEMETRY_NAMES, "span", "_active")
+            if hasattr(module, name)] == ["repro.obs.registry._active"]
