@@ -575,6 +575,15 @@ def main(argv: list[str] | None = None) -> int:
     synth_parser.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    from repro.obs import configure_logging, get_logger, get_registry
+
+    try:
+        get_registry()  # the environment's, built on first use
+    except ValueError as exc:
+        configure_logging(getattr(args, "log_level", "info"))
+        get_logger("cli").error("REPRO_TRACE_SAMPLE: %s (use full or alerts)",
+                                exc)
+        return 2
     if args.command == "list" or args.command is None:
         return _cmd_list()
     if args.command in ("run", "detect"):

@@ -10,16 +10,14 @@ StreamPairer` knows the connection and the arrival marks).  The
 serializer is the inverse, used when materializing synthetic traces
 into real pcap files.
 
-Parsing is *resumable*: :class:`RequestParser` and :class:`ResponseParser`
-retain partial-message state between :meth:`~RequestParser.feed` calls and
-examine each byte exactly once, so a live tap pays O(total bytes) per
-connection no matter how the bytes are sliced into deliveries.  A parser
-frames its ``buffer`` in place, deleting each message's bytes as it
-frames them; the tap points ``buffer`` at the reassembler's direction
-buffer, so a direction's in-order bytes exist once.  Offline and
-on-the-wire decoding share the parsers: a whole capture is the same
-``feed`` / ``finish`` calls the tap makes, so the two agree by
-construction.
+Parsing is *resumable*, one scanner per direction: a message stays in
+a parser's ``buffer`` until its end is there, then leaves it in one
+slice, its body copied once.  Scans restart where the previous delivery
+stopped and skip chunk data, so a live tap pays O(total bytes) per
+connection however the bytes are sliced.  The tap points ``buffer`` at
+the reassembler's direction buffer, so a direction's in-order bytes
+exist once.  Offline and on-the-wire decoding make the same ``feed`` /
+``finish`` calls, so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -43,9 +41,8 @@ _MAX_HEADER_BYTES = 64 * 1024
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 #: :func:`_framing`'s answer for ``Transfer-Encoding: chunked``.
 _CHUNKED = -1
-#: Parser state at end of stream -> what :meth:`finish` reports cut off.
-_TRUNCATED = {"chunk-size": "chunk size line", "chunk-data": "chunk body",
-              "chunk-term": "chunk body", "chunk-trailers": "chunk trailers"}
+#: The framing of a response read until the connection closes.
+_CLOSE = -2
 
 
 def _split_headers(block: bytes | bytearray) -> tuple[str, Headers]:
@@ -98,52 +95,44 @@ def _framing(headers: Headers) -> int | None:
     return length
 
 
-class _IncrementalParser:
-    """Resumable framing machinery shared by both message directions.
+class _Scanner:
+    """Resumable framing shared by both message directions.
 
-    ``buffer`` holds only the not-yet-framed tail of the stream: framed
-    bytes are deleted as the cursor advances, and repeated ``find`` scans
-    restart from where the previous delivery stopped.  Bytes reach it
-    through :meth:`feed`, or its owner appends them (the reassembler's
-    direction buffer) before a ``feed(b"")``.  Malformed content (bad
-    start line, bad chunk size, ...) raises :class:`HttpParseError` as
-    soon as it arrives, carrying the messages framed before it;
-    truncation merely pauses the parser until more bytes are fed or
-    :meth:`finish` declares the end of the stream.
+    ``buffer`` starts at the pending message.  Bytes reach it through
+    :meth:`feed`, or its owner appends them (the reassembler's direction
+    buffer) before a ``feed(b"")``; a message leaves it in one slice once
+    its end is there.  Malformed content (bad start line, bad chunk size,
+    ...) raises :class:`HttpParseError` as soon as it arrives, carrying
+    the messages framed before it; a cut-off message waits for more bytes
+    or for :meth:`finish`.
     """
 
     _kind = "message"
 
     def __init__(self) -> None:
         self.buffer = bytearray()
-        #: Absolute stream offset of ``buffer[0]``.
-        self._base = 0
-        #: Buffer-relative restart hint for delimiter scans.
-        self._scan = 0
-        self._state = "headers"
-        #: Absolute stream offset where the current (partial) message
-        #: starts: everything before it is framed, so a caller may drop
-        #: earlier per-offset bookkeeping (e.g. timestamp marks).
+        #: Absolute stream offset of ``buffer[0]``, where the pending
+        #: message starts: everything before it is framed, so a caller may
+        #: drop earlier per-offset bookkeeping (e.g. timestamp marks).
         self.pending_offset = 0
         #: Stream offsets where the emitted messages start, in emission
         #: order; the caller clears the list once it has read them.
         self.starts: list[int] = []
-        #: The framed message's start-line fields and headers, and how
-        #: many messages came before it.
-        self._line: list[str] | tuple[str, int] = []
+        #: Restart hint for the delimiter scan in progress.
+        self._scan = 0
+        #: The pending message's start-line fields and headers once its
+        #: header block is in, and how many messages came before it.
+        self._line: list[str] | tuple[str, int] | None = None
         self._headers: Headers | None = None
         self._count = 0
-        self._body = bytearray()
-        self._need = 0
+        #: Its framing once picked (:func:`_framing`'s answer or
+        #: :data:`_CLOSE`); where its body starts, or how far the chunk
+        #: walk got; and the chunk data spans walked so far.
+        self._length: int | None = None
+        self._at = 0
+        self._spans: list[tuple[int, int]] = []
         self._finishing = False
         self._done = False
-
-    # -- byte plumbing ------------------------------------------------------
-
-    def _consume(self, count: int) -> None:
-        del self.buffer[:count]
-        self._base += count
-        self._scan = 0
 
     def feed(self, data: bytes) -> list:
         """Ingest ``data``; returns the messages it completed."""
@@ -156,9 +145,8 @@ class _IncrementalParser:
         return self._run([])
 
     def _run(self, out: list) -> list:
-        steps = self._steps  # per class, filled in below the steps
         try:
-            while steps[self._state](self, out):
+            while self._next(out):
                 pass
         except HttpParseError as exc:
             exc.completed = out
@@ -170,10 +158,8 @@ class _IncrementalParser:
         completable at EOF.
 
         A stream cut off inside a chunked body raises the batch-identical
-        truncation error; any other cut-off tail is silently dropped
-        ("frame" included: the method never resolved, ``_step_frame``
-        framed it with none under ``_finishing``, and the framed body was
-        then cut off).
+        truncation error; any other cut-off tail is silently dropped (a
+        response whose method never resolved is framed with none).
         """
         if self._done:
             return []
@@ -181,118 +167,112 @@ class _IncrementalParser:
         out = self._run([])
         self._done = True
         del self.buffer[:]  # what is left is the cut-off tail
-        cut = _TRUNCATED.get(self._state)
-        if cut:
+        if self._length == _CHUNKED:
+            spans = self._spans
+            if spans and spans[-1][0] == spans[-1][1]:
+                cut = "chunk trailers"
+            elif spans and spans[-1][1] == self._at:
+                cut = "chunk body"
+            else:
+                cut = "chunk size line"
             error = HttpParseError(f"truncated {cut}")
             error.completed = out
             raise error
         return out
 
-    # -- state machine ------------------------------------------------------
-
-    def _step_headers(self, out: list) -> bool:
+    def _next(self, out: list) -> bool:
+        """Emit the pending message if its end is in ``buffer``."""
         buf = self.buffer
-        if not buf:
-            return False
-        self.pending_offset = self._base
-        end = buf.find(_HEADER_END, self._scan)
-        # One limit however the block arrives: fed a byte at a time, the
-        # buffer is 3 bytes past ``end`` just before the terminator lands.
-        if (len(buf) if end < 0 else end + 3) > _MAX_HEADER_BYTES:
-            raise HttpParseError(f"oversized {self._kind} header block")
+        if self._line is None:
+            if not buf:
+                return False
+            end = buf.find(_HEADER_END, self._scan)
+            # One limit however the block arrives: fed a byte at a time, the
+            # buffer is 3 bytes past ``end`` just before the terminator lands.
+            if (len(buf) if end < 0 else end + 3) > _MAX_HEADER_BYTES:
+                raise HttpParseError(f"oversized {self._kind} header block")
+            if end < 0:
+                self._scan = max(0, len(buf) - 3)
+                return False
+            start, self._headers = _split_headers(buf[:end])
+            self._line = self._start_line(start)
+            self._at = end + 4
+        length = self._length
+        if length is None:
+            length = self._length = self._frame(out)
+            if length is None:
+                return False  # the eliciting request has not parsed yet
+        at = self._at
+        if length >= 0:
+            end = at + length
+            if len(buf) < end:
+                return False
+            spans = ((at, end),)
+        elif length == _CHUNKED:
+            end = self._chunked_end()
+            if end < 0:
+                return False
+            spans = self._spans
+        elif self._finishing and self._closed:  # read until close
+            end = len(buf)
+            spans = ((at, end),)
+        else:
+            return False  # cannot delimit until the connection closes
+        self._emit(end, spans, out)
+        return True
+
+    def _chunked_end(self) -> int:
+        """Resume the walk over the chunk-size lines at ``_at``; returns
+        where the message ends once its trailers are in, else -1."""
+        buf, spans = self.buffer, self._spans
+        while not spans or spans[-1][0] != spans[-1][1]:  # no last chunk
+            at = self._at
+            if spans and spans[-1][1] == at:  # a chunk's data, then CRLF
+                if len(buf) < at + 2:
+                    return -1
+                if buf[at:at + 2] != _CRLF:
+                    raise HttpParseError("missing chunk terminator")
+                at = self._at = at + 2
+            line_end = buf.find(_CRLF, max(at, self._scan))
+            if line_end < 0:
+                self._scan = len(buf) - 1
+                return -1
+            token = bytes(buf[at:line_end]).split(b";", 1)[0].strip()
+            try:
+                size = int(token, 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise HttpParseError(f"bad chunk size: {token!r}")
+            # The last chunk's span is empty and keeps its size line's
+            # CRLF, where the trailer scan starts: a blank line right
+            # after it ends the message.
+            data = line_end + 2 if size else line_end
+            spans.append((data, data + size))
+            self._at = data + size
+        end = buf.find(_HEADER_END, max(self._at, self._scan))
         if end < 0:
-            self._scan = max(0, len(buf) - 3)
-            return False
-        block = buf[:end]
-        self._consume(end + 4)
-        start, self._headers = _split_headers(block)
-        return self._begin_message(start, out)
+            self._scan = len(buf) - 3
+            return -1
+        return end + 4
 
-    def _start_body(self, length: int | None, out: list) -> bool:
-        """Enter the state that frames a body of :func:`_framing` ``length``."""
-        if length == _CHUNKED:
-            self._state = "chunk-size"
-        elif length:
-            self._state = "body"
-            self._need = length
-        else:
-            self._emit(b"", out)
-        return True
-
-    def _step_data(self, out: list) -> bool:
-        """Frame a ``body`` or a chunk's data: ``_need`` more bytes."""
-        take = min(len(self.buffer), self._need)
-        if take:
-            self._body += self.buffer[:take]
-            self._consume(take)
-            self._need -= take
-        if self._need:
-            return False
-        if self._state == "body":
-            self._emit(bytes(self._body), out)
-        else:
-            self._state = "chunk-term"
-        return True
-
-    def _step_chunk_size(self, out: list) -> bool:
-        line_end = self.buffer.find(_CRLF, self._scan)
-        if line_end < 0:
-            self._scan = max(0, len(self.buffer) - 1)
-            return False
-        size_token = bytes(self.buffer[:line_end]).split(b";", 1)[0].strip()
-        try:
-            size = int(size_token, 16)
-        except ValueError as exc:
-            raise HttpParseError(f"bad chunk size: {size_token!r}") from exc
-        if size == 0:
-            # Keep the size line's CRLF: the trailer scan below starts at
-            # it so an immediately-following blank line is recognized.
-            self._consume(line_end)
-            self._state = "chunk-trailers"
-            return True
-        self._consume(line_end + 2)
-        self._need = size
-        self._state = "chunk-data"
-        return True
-
-    def _step_chunk_term(self, out: list) -> bool:
-        if len(self.buffer) < 2:
-            return False
-        if self.buffer[:2] != _CRLF:
-            raise HttpParseError("missing chunk terminator")
-        self._consume(2)
-        self._state = "chunk-size"
-        return True
-
-    def _step_chunk_trailers(self, out: list) -> bool:
-        # buffer[0:2] is the CRLF that closed the zero-size line, so with
-        # no trailers the terminator is found at 0.
-        end = self.buffer.find(_HEADER_END, self._scan)
-        if end >= 0:
-            self._consume(end + 4)
-            self._emit(bytes(self._body), out)
-            return True
-        self._scan = max(0, len(self.buffer) - 3)
-        return False
-
-    def _emit(self, body: bytes, out: list) -> None:
+    def _emit(self, end: int, spans, out: list) -> None:
+        """Slice the pending message, ``end`` bytes, off ``buffer``; its
+        body, the bytes of ``spans``, is copied once."""
+        buf = self.buffer
+        with memoryview(buf) as view:
+            body = b"".join([view[a:b] for a, b in spans])
+        del buf[:end]
         out.append(self._message(body))
         self.starts.append(self.pending_offset)
+        self.pending_offset += end
         self._count += 1
-        self._state = "headers"
-        self.pending_offset = self._base
-
-    _steps = {
-        "headers": _step_headers,
-        "body": _step_data,
-        "chunk-size": _step_chunk_size,
-        "chunk-data": _step_data,
-        "chunk-term": _step_chunk_term,
-        "chunk-trailers": _step_chunk_trailers,
-    }
+        self._line = self._length = None
+        self._scan = 0
+        self._spans = []
 
 
-class RequestParser(_IncrementalParser):
+class RequestParser(_Scanner):
     """Incremental client-direction parser: feed bytes, get requests.
 
     ``feed()`` returns the :class:`HttpRequest` messages completed by the
@@ -309,13 +289,14 @@ class RequestParser(_IncrementalParser):
         super().__init__()
         self.methods: list[str] = []
 
-    def _begin_message(self, start: str, out: list) -> bool:
+    def _start_line(self, start: str) -> list[str]:
         parts = start.split(" ", 2)
         if len(parts) < 3 or not parts[2].startswith("HTTP/"):
             raise HttpParseError(f"bad request line: {start!r}")
-        self._line = parts
-        self._body = bytearray()
-        return self._start_body(_framing(self._headers), out)
+        return parts
+
+    def _frame(self, out: list) -> int:
+        return _framing(self._headers) or 0
 
     def _message(self, body: bytes) -> HttpRequest:
         verb, uri, version = self._line
@@ -324,7 +305,7 @@ class RequestParser(_IncrementalParser):
                            self._headers, body, intern(version))
 
 
-class ResponseParser(_IncrementalParser):
+class ResponseParser(_Scanner):
     """Incremental server-direction parser: feed bytes, get responses.
 
     ``request_methods`` is consulted positionally to frame each response
@@ -349,7 +330,7 @@ class ResponseParser(_IncrementalParser):
         self._await = await_methods
         self._closed = False
 
-    def _begin_message(self, start: str, out: list) -> bool:
+    def _start_line(self, start: str) -> tuple[str, int]:
         parts = start.split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
             raise HttpParseError(f"bad status line: {start!r}")
@@ -357,45 +338,32 @@ class ResponseParser(_IncrementalParser):
             status = int(parts[1])
         except ValueError as exc:
             raise HttpParseError(f"bad status code: {parts[1]!r}") from exc
-        self._line = (parts[0], status)
-        self._body = bytearray()
-        self._state = "frame"
-        return True
+        return parts[0], status
+
+    def _frame(self, out: list) -> int | None:
+        """Pick the body framing, which may need the request's method:
+        ``None`` while it has not parsed yet."""
+        if self._methods and self._count < len(self._methods):
+            method = self._methods[self._count]
+        elif self._await and not self._finishing:
+            return None
+        else:
+            method = ""
+        status = self._line[1]
+        if method == "HEAD":
+            return 0
+        if method == "CONNECT" and 200 <= status < 300:
+            # The tunnel's bytes follow, not HTTP (RFC 9110 §9.3.6).
+            self._emit(self._at, (), out)
+            raise HttpParseError("CONNECT tunnel")
+        length = _framing(self._headers)
+        if length is None and status >= 200 and status not in (204, 304):
+            return _CLOSE
+        return length or 0
 
     def _message(self, body: bytes) -> HttpResponse:
         return HttpResponse(self._line[1], 0.0, self._headers, body,
                             intern(self._line[0]))
-
-    def _step_frame(self, out: list) -> bool:
-        """Pick the body framing, which may need the request's method."""
-        if self._methods and self._count < len(self._methods):
-            method = self._methods[self._count]
-        else:
-            if self._await and not self._finishing:
-                return False  # the eliciting request has not parsed yet
-            method = ""
-        status = self._line[1]
-        if method == "HEAD":
-            self._emit(b"", out)
-            return True
-        if method == "CONNECT" and 200 <= status < 300:
-            # The tunnel's bytes follow, not HTTP (RFC 9110 §9.3.6).
-            self._emit(b"", out)
-            raise HttpParseError("CONNECT tunnel")
-        length = _framing(self._headers)
-        if length is None and status >= 200 and status not in (204, 304):
-            self._state = "body-close"
-            return True
-        return self._start_body(length, out)
-
-    def _step_body_close(self, out: list) -> bool:
-        if self.buffer:
-            self._body += self.buffer
-            self._consume(len(self.buffer))
-        if self._finishing and self._closed:
-            self._emit(bytes(self._body), out)
-            return True
-        return False  # cannot delimit until the connection closes
 
     def finish(self, closed: bool = True) -> list[HttpResponse]:
         """End of the server stream; idempotent.
@@ -406,9 +374,6 @@ class ResponseParser(_IncrementalParser):
         """
         self._closed = closed
         return super().finish()
-
-    _steps = {**_IncrementalParser._steps, "frame": _step_frame,
-              "body-close": _step_body_close}
 
 
 def serialize_request(req: HttpRequest) -> bytes:

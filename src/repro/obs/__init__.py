@@ -4,7 +4,7 @@ The live pipeline is instrumented end to end — decode, reassembly, HTTP
 pairing, session table, clues, WCG building, feature extraction, forest
 inference, alert dispatch — against the process-wide registry from
 :mod:`repro.obs.registry`, the one process-wide telemetry slot.  By
-default that registry is a no-op (:data:`NULL_REGISTRY`), so the
+default that registry is a no-op :class:`NullRegistry`, so the
 uninstrumented hot path pays one empty method call per event; set
 ``REPRO_METRICS=1`` (or select a :class:`MetricsRegistry` with
 :func:`use_registry` before constructing the pipeline) to record.

@@ -23,7 +23,7 @@ detector builds its own tracer from it at construction.  The active
 registry is the one process-wide telemetry slot.  Select one *before*
 constructing the pipeline — with the :func:`use_registry` context
 manager, or ``REPRO_METRICS=1`` / ``REPRO_TRACE=1`` in the environment,
-which set the import-time default.
+which set the default built on first use.
 
 Histograms keep a bounded, *deterministically decimated* sample list:
 when the buffer fills, every other sample is dropped and the keep
@@ -51,6 +51,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
+    "SAMPLE_MODES",
     "get_registry",
     "use_registry",
 ]
@@ -66,12 +67,25 @@ def _env_enabled(value: str | None) -> bool:
     return (value or "").strip().lower() in _TRUTHY
 
 
+#: Trace sample modes: ``"full"`` keeps every watch's timeline;
+#: ``"alerts"`` discards the timelines of watches that close without
+#: alerting.
+SAMPLE_MODES = ("full", "alerts")
+
 #: A registry's trace mode when none is given, read once at import:
 #: ``REPRO_TRACE=1`` traces in the ``REPRO_TRACE_SAMPLE`` mode.
 _ENV_TRACE = (
     os.environ.get("REPRO_TRACE_SAMPLE", "").strip() or "full"
     if _env_enabled(os.environ.get("REPRO_TRACE")) else None
 )
+_ENV_METRICS = _env_enabled(os.environ.get("REPRO_METRICS"))
+
+
+def _trace_mode(trace: str | None) -> str | None:
+    """``trace`` if it is one of :data:`SAMPLE_MODES` or ``None``."""
+    if trace is not None and trace not in SAMPLE_MODES:
+        raise ValueError(f"unknown trace sampling mode {trace!r}")
+    return trace
 
 
 def decimate_samples(samples: list[float],
@@ -315,7 +329,7 @@ class NullRegistry:
     enabled = False
 
     def __init__(self, trace: str | None = _ENV_TRACE) -> None:
-        self.trace = trace
+        self.trace = _trace_mode(trace)
 
     def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
@@ -346,7 +360,7 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self, trace: str | None = _ENV_TRACE) -> None:
-        self.trace = trace
+        self.trace = _trace_mode(trace)
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -392,16 +406,26 @@ class MetricsRegistry:
         }
 
 
-NULL_REGISTRY = NullRegistry()
+#: Records nothing and traces nothing.
+NULL_REGISTRY = NullRegistry(trace=None)
 
-_active: MetricsRegistry | NullRegistry = (
-    MetricsRegistry() if _env_enabled(os.environ.get("REPRO_METRICS"))
-    else NULL_REGISTRY
-)
+#: The active registry; ``None`` until :func:`get_registry` builds the
+#: environment's, so a bad ``REPRO_TRACE_SAMPLE`` raises there, not at
+#: import.
+_active: MetricsRegistry | NullRegistry | None = None
+
+
+def _install(registry: MetricsRegistry | NullRegistry | None):
+    """Make ``registry`` the active one: the slot's one writer."""
+    global _active
+    _active = registry
+    return registry
 
 
 def get_registry() -> MetricsRegistry | NullRegistry:
     """The process-wide active registry (null when metrics are off)."""
+    if _active is None:
+        return _install(MetricsRegistry() if _ENV_METRICS else NullRegistry())
     return _active
 
 
@@ -416,10 +440,10 @@ def use_registry(
     construction — swap the registry *before* building the pipeline you
     want observed.
     """
-    global _active
     active = MetricsRegistry() if registry is None else registry
-    previous, _active = _active, active
+    previous = _active
+    _install(active)
     try:
         yield active
     finally:
-        _active = previous
+        _install(previous)

@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable
 
-from repro.obs.registry import get_registry
+from repro.obs.registry import SAMPLE_MODES, get_registry
 
 __all__ = [
     "TraceEvent",
@@ -58,10 +58,6 @@ __all__ = [
 
 #: Event kinds emitted by the detection path (DESIGN.md §16).
 EVENT_KINDS = ("watch", "clue", "edge", "wcg", "score", "verdict", "prune")
-
-#: Sampling modes: ``"full"`` keeps every watch's timeline; ``"alerts"``
-#: discards the timelines of watches that close without alerting.
-SAMPLE_MODES = ("full", "alerts")
 
 #: Data keys excluded from the canonical (determinism-checked) form
 #: alongside ``mono``: ``latency_s`` is a wall-clock measurement, and

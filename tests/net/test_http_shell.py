@@ -6,10 +6,11 @@ scans it used to do live on in ``tests/oracles/header_split.py``.  These
 differentials fail if a rewritten body drifts: same ``(start, Headers)``
 or same error text on any latin-1 block, same framing or same error on
 any mix of duplicated, mixed-case ``Content-Length`` /
-``Transfer-Encoding``, every parser state reached through the step
-table, whole and one byte at a time.  Plus the two contracts the
-rewrite added: a header block over the limit is refused however it
-arrives, and interned header names do not outlive their messages.
+``Transfer-Encoding``, streams that reach every state of the step table
+the scanner replaced, whole and one byte at a time.  Plus the two
+contracts the rewrite added: a header block over the limit is refused
+however it arrives, and interned header names do not outlive their
+messages.
 """
 
 import gc
@@ -27,6 +28,7 @@ from repro.net import http1
 from repro.net.flows import transactions_from_packets
 from repro.net.http1 import RequestParser, ResponseParser
 from repro.obs import MetricsRegistry, use_registry
+from tests.oracles import http_steps
 from tests.oracles.header_split import (
     body_length_reference,
     is_chunked_reference,
@@ -194,44 +196,50 @@ def _verbs(wire: bytes) -> list[str]:
     return parser.methods
 
 
+def _parse(parser, wire, size, *finish):
+    step = size or len(wire)
+    messages = []
+    for at in range(0, len(wire), step):
+        messages.extend(parser.feed(wire[at:at + step]))
+    return messages + parser.finish(*finish)
+
+
 class TestStepTable:
-    """Each state's step is reached through the table, and the stream
-    parses the same whole, a byte at a time, or awaiting its methods."""
+    """The streams visit every state of the step table the scanner
+    replaced (``tests/oracles/http_steps.py``), and the scanner parses
+    them the same whole, a byte at a time, or awaiting its methods."""
 
     @pytest.mark.parametrize("size", [None, 1])
     def test_requests_visit_every_state(self, size):
         seen = set()
-        parser = _recording(RequestParser, seen)()
-        step = size or len(_REQUESTS)
-        messages = []
-        for at in range(0, len(_REQUESTS), step):
-            messages.extend(parser.feed(_REQUESTS[at:at + step]))
-        messages.extend(parser.finish())
-        assert messages == parse_requests(_REQUESTS)
+        reference = _parse(_recording(http_steps.RequestParser, seen)(),
+                           _REQUESTS, size)
+        parser = RequestParser()
+        messages = _parse(parser, _REQUESTS, size)
+        assert messages == reference == parse_requests(_REQUESTS)
         assert parser.methods == ["GET", "POST", "POST", "HEAD", "GET"]
         assert messages[2].body == b"hello world!"
-        assert seen == set(RequestParser._steps)
+        assert seen == set(http_steps.RequestParser._steps)
 
     @pytest.mark.parametrize("size", [None, 1])
     def test_responses_visit_every_state(self, size):
         methods = _verbs(_REQUESTS)
         seen = set()
-        parser = _recording(ResponseParser, seen)(request_methods=methods)
-        step = size or len(_RESPONSES)
-        messages = []
-        for at in range(0, len(_RESPONSES), step):
-            messages.extend(parser.feed(_RESPONSES[at:at + step]))
-        messages.extend(parser.finish(closed=True))
-        assert messages == parse_responses(_RESPONSES, closed=True,
-                                           request_methods=methods)
+        reference = _parse(
+            _recording(http_steps.ResponseParser, seen)(
+                request_methods=methods), _RESPONSES, size, True)
+        messages = _parse(ResponseParser(request_methods=methods),
+                          _RESPONSES, size, True)
+        assert messages == reference == parse_responses(
+            _RESPONSES, closed=True, request_methods=methods)
         assert [m.body for m in messages] == [
             b"ok", b"", b"wikipedia", b"", b"read until close"]
-        assert seen == set(ResponseParser._steps)
+        assert seen == set(http_steps.ResponseParser._steps)
 
     @pytest.mark.parametrize("size", [None, 1])
     def test_awaited_methods_frame_the_same(self, size):
-        """Responses arrive first; each waits in ``frame`` for its
-        request's method, as on a live connection."""
+        """Responses arrive first; each waits for its request's method,
+        as on a live connection."""
         methods: list[str] = []
         parser = ResponseParser(request_methods=methods, await_methods=True)
         step = size or len(_RESPONSES)
@@ -247,9 +255,22 @@ class TestStepTable:
             _RESPONSES, closed=True,
             request_methods=["GET", "POST", "POST", "HEAD", "GET"])
 
-    def test_tables_name_only_their_own_class_s_states(self):
-        assert set(ResponseParser._steps) - set(RequestParser._steps) == {
-            "frame", "body-close"}
+
+class TestOneSlicePerMessage:
+    def test_a_body_stays_in_the_buffer_until_its_end_is_there(self):
+        """No body accumulator: until the message leaves in one slice,
+        every byte fed is still in ``buffer``, after ``pending_offset``."""
+        body = bytes(range(256)) * 400  # 102 400 B
+        wire = (b"POST /up HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body)) + body
+        parser = RequestParser()
+        messages = []
+        for at in range(0, len(wire), 1400):
+            messages += parser.feed(wire[at:at + 1400])
+            fed = min(at + 1400, len(wire))
+            assert parser.pending_offset + len(parser.buffer) == fed
+        assert [m.body for m in messages] == [body]
+        assert parser.starts == [0] and parser.buffer == b""
 
 
 def _feed(parser, wire, size):

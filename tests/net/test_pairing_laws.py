@@ -138,9 +138,7 @@ def test_a_tunnel_keeps_at_most_one_segment_live_and_batch():
         for packet in packets:
             live += decoder.feed(packet)
             for stream in decoder._reassembler.streams():
-                pairer = stream.consumer
-                body = len(pairer._responses._body) if pairer else 0
-                held = max(held, body + sum(
+                held = max(held, sum(
                     len(d.data) for d in stream.directions.values()))
                 marks = max(marks, *(len(d.marks)
                                      for d in stream.directions.values()))

@@ -166,6 +166,17 @@ class TestRegistrySwap:
                 raise ValueError("x")
         assert get_registry() is before
 
+    @pytest.mark.parametrize("make", [MetricsRegistry, NullRegistry])
+    @pytest.mark.parametrize("trace", ["bogus", "", "FULL", " full", True])
+    def test_an_unknown_trace_mode_is_refused_when_built(self, make, trace):
+        with pytest.raises(ValueError, match="unknown trace sampling mode"):
+            make(trace=trace)
+
+    @pytest.mark.parametrize("make", [MetricsRegistry, NullRegistry])
+    @pytest.mark.parametrize("trace", ["full", "alerts", None])
+    def test_the_sample_modes_and_none_are_taken(self, make, trace):
+        assert make(trace=trace).trace == trace
+
     def test_enable_disable(self):
         previous = get_registry()
         with use_registry(MetricsRegistry(trace="alerts")) as registry:

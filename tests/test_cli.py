@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -165,6 +169,25 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot load model" in err
         assert "Traceback" not in err
+
+    def test_detect_with_an_unknown_trace_sample_env(self, cli_model,
+                                                     tmp_path):
+        """``REPRO_TRACE_SAMPLE`` is read at import, so only a fresh
+        process sees it: one ``repro.cli`` error line and exit 2."""
+        pcap = self._pcap(tmp_path)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "detect", pcap,
+             "--model", cli_model],
+            env={**os.environ, "PYTHONPATH": str(src), "REPRO_TRACE": "1",
+                 "REPRO_TRACE_SAMPLE": "bogus"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "repro.cli" in lines[0]
+        assert "unknown trace sampling mode 'bogus'" in lines[0]
+        assert result.stdout == ""
 
     def test_detect_missing_capture(self, cli_model, tmp_path, capsys):
         assert main(["detect", str(tmp_path / "missing.pcap"),

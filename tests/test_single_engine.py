@@ -306,7 +306,7 @@ def _identifiers(tree):
 
 def _members_and_reads(tree):
     """Class-body definitions (methods, fields) and attribute reads —
-    not local variables, so ``_step_data``'s ``take`` is no member."""
+    not local variables, so a local ``take`` is no member."""
     import ast
 
     for node in ast.walk(tree):
@@ -344,6 +344,32 @@ def test_the_raw_messages_and_the_direction_read_view_stay_gone():
     direction = StreamDirection(src=("a", 1), dst=("b", 2))
     assert [name for name in _GONE_DIRECTION_MEMBERS
             if hasattr(direction, name)] == []
+
+
+# -- one scanner per HTTP direction ----------------------------------------
+
+#: The step table the scanner replaced: its parser class, states, steps
+#: and truncation map, and the body accumulator beside them.
+_GONE_PARSER_NAMES = ("_IncrementalParser", "_TRUNCATED", "_steps",
+                      "_start_body", "_begin_message")
+_GONE_PARSER_MEMBERS = ("_state", "_need", "_body")
+
+
+def test_the_step_table_and_the_body_accumulator_stay_gone():
+    import ast
+
+    offenders = []
+    for path in sorted((SRC / "repro" / "net").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = path.relative_to(SRC / "repro").as_posix()
+        offenders += [f"{relative}: {name}"
+                      for name in set(_identifiers(tree))
+                      if name in _GONE_PARSER_NAMES
+                      or name.startswith("_step_")]
+        offenders += [f"{relative}: .{name}"
+                      for name in set(_members_and_reads(tree))
+                      if name in _GONE_PARSER_MEMBERS]
+    assert sorted(offenders) == []
 
 
 def test_a_lower_case_head_response_is_framed_by_its_content_length():
@@ -424,7 +450,7 @@ def test_the_tracer_and_registry_switches_stay_gone():
             globals_in_obs += sum(isinstance(node, ast.Global)
                                   for node in ast.walk(tree))
     assert sorted(offenders) == []
-    assert globals_in_obs == 1  # use_registry's, the one slot
+    assert globals_in_obs == 1  # _install's, the one slot's one writer
     modules = (repro.obs, repro.obs.registry, repro.obs.trace)
     assert [f"{module.__name__}.{name}" for module in modules
             for name in (*_GONE_TELEMETRY_NAMES, "span", "_active")
