@@ -1,11 +1,14 @@
 """End-to-end flow assembly: pcap packets <-> HTTP transactions.
 
-``transactions_from_packets`` drives the full decode pipeline
-(Ethernet -> IPv4 -> TCP -> reassembly -> HTTP/1.x -> domain model), the
-path the paper's offline analytics takes over its PCAP corpus.  Its HTTP
-stage is :class:`StreamPairer`, the one the live tap polls: the parsers
-build the model's messages straight from the reassembly buffers, and
-the pairer adds the host, client and timestamps and pairs them.
+:class:`LiveDecoder` is the one decode pipeline (Ethernet -> IPv4 ->
+TCP -> reassembly -> HTTP/1.x -> domain model), with one connection
+lifecycle and one :class:`OverloadPolicy`.  The live tap feeds it a
+record at a time and polls as it goes; ``transactions_from_packets``,
+the path the paper's offline analytics takes over its PCAP corpus,
+ingests a whole capture and polls each connection once.  Its HTTP stage
+is :class:`StreamPairer`: the parsers build the model's messages
+straight from the reassembly buffers, and the pairer adds the host,
+client and timestamps and pairs them.
 
 ``packets_from_trace`` is the inverse: it materializes a synthetic
 :class:`~repro.core.model.Trace` as real Ethernet/IPv4/TCP packets, so the
@@ -43,11 +46,19 @@ from repro.net.packets import (
     ETHERTYPE_IPV4,
 )
 from repro.net.pcap import LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PcapPacket
-from repro.net.reassembly import StreamDirection, TcpReassembler, TcpStream
+from repro.net.reassembly import (
+    DEFAULT_MAX_BUFFERED,
+    FlowKey,
+    StreamDirection,
+    TcpReassembler,
+    TcpStream,
+)
 from repro.obs import get_registry
 
 __all__ = [
     "AddressBook",
+    "LiveDecoder",
+    "OverloadPolicy",
     "StreamPairer",
     "decode_segment",
     "transactions_from_packets",
@@ -119,26 +130,27 @@ def decode_segment(data: bytes, linktype: int, defragment) -> tuple | None:
 class StreamPairer:
     """Incremental request/response pairing for one reassembled stream.
 
-    Each :meth:`poll` steps the resumable HTTP parsers over the bytes
-    newly contiguous on either direction (a parser's ``buffer`` *is* the
-    direction's ``data``), stamps each completed message with what only
-    the connection knows (host, client, timestamps from the arrival
-    marks), and pairs every response with the oldest unanswered request.
+    The pairer is the stream's ``consumer`` and is handed the stream on
+    each :meth:`poll` (it keeps no reference back, so the two form no
+    cycle and go with the connection table's entry).  Each poll steps
+    the resumable HTTP parsers over the bytes newly contiguous on either
+    direction (a parser's ``buffer`` *is* the direction's ``data``),
+    stamps each completed message with what only the connection knows
+    (host, client, timestamps from the arrival marks), and pairs every
+    response with the oldest unanswered request.
     Unanswered requests stay queued until their response lands or a
     ``final`` poll (connection close / end of capture) flushes them.
-
-    The batch path (:func:`transactions_from_packets`) is a single
-    ``poll(final=True)`` over a fully reassembled stream, so offline and
-    live decoding share one implementation and cannot disagree.
+    How often a stream is polled is :class:`LiveDecoder`'s schedule:
+    once per touching record on the tap, once in all for a capture.
 
     A stream that is not HTTP (TLS, P2P, corruption), or stops being
-    HTTP at a 2xx answer to ``CONNECT``, sets :attr:`rejected`: that poll still pairs what was framed before the
-    rejected bytes and flushes the queued requests unanswered; callers
-    stop polling the stream then.
+    HTTP at a 2xx answer to ``CONNECT``, sets :attr:`rejected`: that
+    poll still pairs what was framed before the rejected bytes and
+    flushes the queued requests unanswered; callers stop polling the
+    stream then.
     """
 
-    def __init__(self, stream: TcpStream, book: AddressBook | None = None):
-        self.stream = stream
+    def __init__(self, book: AddressBook | None = None):
         self.book = book
         self._requests = RequestParser()
         self._responses = ResponseParser(
@@ -156,9 +168,10 @@ class StreamPairer:
         self._c_orphans = metrics.counter("http.orphan_responses")
         self._c_unanswered = metrics.counter("http.unanswered_flushed")
 
-    def poll(self, final: bool = False) -> list[HttpTransaction]:
-        """Advance parsing; returns transactions completed since last poll."""
-        stream = self.stream
+    def poll(self, stream: TcpStream,
+             final: bool = False) -> list[HttpTransaction]:
+        """Advance parsing of ``stream``; returns the transactions
+        completed since the last poll."""
         if stream.client is None:
             return []
         out: list[HttpTransaction] = []
@@ -251,46 +264,206 @@ class StreamPairer:
         return messages
 
 
+@dataclass(frozen=True)
+class OverloadPolicy:
+    """Explicit load-shedding rules for a saturated tap.
+
+    A live tap cannot apply backpressure to the wire, so overload has to
+    shed *something*; this policy makes the shedding deliberate and
+    observable rather than an exception or an unbounded buffer.  A
+    capture decoded with the same policy degrades the same connections:
+
+    * ``max_connections`` — cap on concurrently tracked *live*
+      connections (closed connections awaiting eviction do not count).
+      Segments that would *open* a connection past the cap are dropped
+      and counted (``decode.dropped``); established connections keep
+      flowing, so a SYN/connection flood degrades new-flow visibility
+      first and never evicts live sessions.
+    * ``max_buffered_per_direction`` — cap on out-of-order bytes held
+      per stream direction.  A direction exceeding it stops being
+      reassembled (its decoded prefix stands) and is counted
+      (``reassembly.overflows``); the rest of the tap is unaffected.
+    * ``closed_linger`` — stream-seconds a closed connection is retained
+      before its state is evicted.  The linger absorbs post-close
+      chatter (trailing ACKs, late retransmissions) exactly like TCP's
+      TIME_WAIT; a fresh SYN reusing the 4-tuple inside the window
+      evicts immediately and starts a new conversation.
+    """
+
+    max_connections: int = 100_000
+    max_buffered_per_direction: int = DEFAULT_MAX_BUFFERED
+    closed_linger: float = 60.0
+
+
+class LiveDecoder:
+    """Incremental pcap-record -> HTTP-transaction decoder.
+
+    Every record takes one ingest step: decode (a mangled frame is
+    counted as ``decode.errors`` and skipped), linger and tuple-reuse
+    eviction, the ``max_connections`` shed and reassembly.  When a
+    connection is polled is the caller's schedule:
+
+    * :meth:`feed` (the tap) polls the connection a record touched, so a
+      transaction surfaces as soon as its response is complete;
+    * :func:`transactions_from_packets` (a capture) ingests every record
+      first and polls each connection once, ``final``: when it is
+      evicted, or at :meth:`flush`.
+
+    A closed connection lingers for ``OverloadPolicy.closed_linger``
+    stream-seconds and is then evicted whole (its pairer hangs off its
+    reassembler entry), so a long-running tap holds state for the
+    connections of one linger window, not for every one it has seen.
+    """
+
+    def __init__(self, linktype: int = LINKTYPE_ETHERNET,
+                 book: AddressBook | None = None,
+                 policy: OverloadPolicy | None = None):
+        self.linktype = linktype
+        self.book = book
+        self.policy = policy if policy is not None else OverloadPolicy()
+        #: The connection table; a connection's pairer rides on its
+        #: stream, in ``stream.consumer``.
+        self._reassembler = TcpReassembler(
+            max_buffered=self.policy.max_buffered_per_direction
+        )
+        #: Its key -> stream dict, for a membership test per record
+        #: without a method call.
+        self._streams = self._reassembler._streams
+        self._defragment = IpFragmentReassembler().feed
+        #: Closed connections awaiting eviction, keyed to the stream
+        #: time of their last activity.  Insertion order is
+        #: last-activity order (entries are re-appended on post-close
+        #: chatter), so the linger sweep pops from the front.
+        self._closed: dict[FlowKey, float] = {}
+        #: Transactions of evicted connections that had never been
+        #: polled (the capture schedule); :meth:`flush` emits them.
+        self._evicted: list[HttpTransaction] = []
+        self._metrics = get_registry()
+        self._counted = self._metrics.enabled
+        self._c_packets = self._metrics.counter("decode.packets")
+        self._c_bytes = self._metrics.counter("decode.bytes")
+        self._c_errors = self._metrics.counter("decode.errors")
+        self._c_dropped = self._metrics.counter("decode.dropped")
+        self._c_not_http = self._metrics.counter("decode.non_http_streams")
+        self._c_evicted = self._metrics.counter("decode.evicted_connections")
+        self._g_live = self._metrics.gauge("decode.live_connections")
+
+    @property
+    def live_connections(self) -> int:
+        """Connections currently tracked and not yet closed."""
+        return len(self._reassembler) - len(self._closed)
+
+    def feed(self, packet: PcapPacket) -> list[HttpTransaction]:
+        """Ingest one pcap record; returns newly completed transactions."""
+        if not self._counted:
+            stream = self._ingest(packet)
+            return self._drain(stream, stream.closed) if stream else []
+        with self._metrics.span("decode.feed"):
+            stream = self._ingest(packet)
+            emitted = self._drain(stream, stream.closed) if stream else []
+        self._g_live.set(self.live_connections)
+        return emitted
+
+    def _ingest(self, packet: PcapPacket) -> TcpStream | None:
+        """One record's ingest step; returns its connection when that has
+        something to poll (new payload, or it is closed)."""
+        if self._counted:
+            self._c_packets.inc()
+            self._c_bytes.inc(len(packet.data))
+        try:
+            segment = decode_segment(packet.data, self.linktype,
+                                     self._defragment)
+        except PcapError:
+            self._c_errors.inc()
+            return None
+        if segment is None:
+            return None
+        ts = packet.timestamp
+        src, dst, src_port, dst_port, _, _, flags, _, payload = segment
+        key = FlowKey.of(src, src_port, dst, dst_port)
+        closed, streams = self._closed, self._streams
+        if closed:
+            # Evict connections past their linger; the first key is the oldest.
+            linger = self.policy.closed_linger
+            while closed:
+                for oldest in closed:
+                    break
+                if ts - closed[oldest] < linger:
+                    break
+                self._evict(oldest)
+            if flags & (SYN | ACK) == SYN and key in closed:
+                # TIME_WAIT-style tuple reuse: a fresh SYN means a
+                # new conversation — release the finished one's
+                # state now rather than at linger expiry.
+                self._evict(key)
+        if (
+            key not in streams
+            and len(streams) - len(closed) >= self.policy.max_connections
+        ):
+            # Overload shed (OverloadPolicy): refuse to open
+            # connections past the cap, visibly.
+            self._c_dropped.inc()
+            return None
+        stream = self._reassembler.feed(ts, segment, key)
+        if stream.closed:
+            # Mark (or refresh) the linger slot; re-append keeps
+            # the dict ordered by last activity.
+            closed.pop(key, None)
+            closed[key] = ts
+            return stream
+        # Only payload can make new bytes contiguous: a bare
+        # ACK/SYN/FIN on an open stream has nothing to parse.
+        return stream if payload else None
+
+    def flush(self) -> list[HttpTransaction]:
+        """End-of-capture: emit whatever is still pending everywhere."""
+        emitted, self._evicted = self._evicted, []
+        for stream in self._reassembler.streams():
+            emitted += self._drain(stream, final=True)
+        return emitted
+
+    def _evict(self, key: FlowKey) -> None:
+        """Drop every bit of per-connection state for ``key``."""
+        self._closed.pop(key, None)
+        stream = self._reassembler.evict(key)
+        if stream.consumer is None:
+            # Never polled (the capture schedule): its one poll is now.
+            self._evicted += self._drain(stream, final=True)
+        self._c_evicted.inc()
+
+    def _drain(self, stream: TcpStream, final: bool) -> list[HttpTransaction]:
+        pairer = stream.consumer
+        if pairer is None and stream.client is not None:
+            pairer = stream.consumer = StreamPairer(self.book)
+        emitted = pairer.poll(stream, final) if pairer else []
+        if pairer and pairer.rejected:
+            stream.consumer = pairer = False
+            self._c_not_http.inc()
+        if pairer is False:
+            # Not HTTP: the transactions framed before the rejected bytes
+            # stand, and no payload is kept (a direction first seen
+            # since included).
+            for state in stream.directions.values():
+                state.abandon()
+        return emitted
+
+
 def transactions_from_packets(
     packets: list[PcapPacket],
     linktype: int = LINKTYPE_ETHERNET,
     book: AddressBook | None = None,
-    max_buffered: int | None = None,
+    policy: OverloadPolicy | None = None,
 ) -> list[HttpTransaction]:
-    """Full pipeline: pcap records -> ordered HTTP transactions.
+    """Full pipeline: pcap records -> HTTP transactions by timestamp.
 
-    ``max_buffered`` caps each direction's out-of-order buffer (the
-    same knob the live tap's overload policy sets), so batch and live
-    decoding of a hostile capture degrade identically.
+    A :class:`LiveDecoder` on the capture schedule: the tap's connection
+    lifecycle, ``policy`` and error path, each connection polled once.
     """
-    metrics = get_registry()
-    if metrics.enabled:
-        metrics.counter("decode.packets").inc(len(packets))
-        metrics.counter("decode.bytes").inc(
-            sum(len(packet.data) for packet in packets)
-        )
-    reassembler = (
-        TcpReassembler() if max_buffered is None
-        else TcpReassembler(max_buffered=max_buffered)
-    )
-    # A mangled record is counted and skipped, batch and live alike:
-    # real taps carry them, and one must not abort the capture.
-    defragment = IpFragmentReassembler().feed
-    errors = metrics.counter("decode.errors")
+    decoder = LiveDecoder(linktype, book, policy)
+    ingest = decoder._ingest
     for packet in packets:
-        try:
-            segment = decode_segment(packet.data, linktype, defragment)
-        except PcapError:
-            errors.inc()
-            continue
-        if segment is not None:
-            reassembler.feed(packet.timestamp, segment)
-    transactions: list[HttpTransaction] = []
-    for stream in reassembler.streams():
-        # A stream that is not HTTP (TLS, P2P, corruption) yields what
-        # was framed before its rejected bytes; real captures carry
-        # plenty of those, and one must not abort the whole capture.
-        transactions.extend(StreamPairer(stream, book).poll(final=True))
+        ingest(packet)
+    transactions = decoder.flush()
     transactions.sort(key=lambda t: t.timestamp)
     return transactions
 

@@ -43,6 +43,7 @@ _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 _CHUNKED = -1
 #: The framing of a response read until the connection closes.
 _CLOSE = -2
+_HEXDIG = b"0123456789abcdefABCDEF"
 
 
 def _split_headers(block: bytes | bytearray) -> tuple[str, Headers]:
@@ -92,6 +93,10 @@ def _framing(headers: Headers) -> int | None:
         raise HttpParseError(f"bad Content-Length: {declared!r}") from exc
     if length < 0:
         raise HttpParseError(f"negative Content-Length: {length}")
+    if not (declared.isascii() and declared.isdigit()):
+        # RFC 9112 takes 1*DIGIT; int() also takes a sign, ``_`` and
+        # non-ASCII digits.
+        raise HttpParseError(f"bad Content-Length: {declared!r}")
     return length
 
 
@@ -238,12 +243,11 @@ class _Scanner:
                 self._scan = len(buf) - 1
                 return -1
             token = bytes(buf[at:line_end]).split(b";", 1)[0].strip()
-            try:
-                size = int(token, 16)
-            except ValueError:
-                size = -1
-            if size < 0:
+            if not token or token.strip(_HEXDIG):
+                # RFC 9112 takes 1*HEXDIG; int() also takes a sign,
+                # ``0x`` and ``_``.
                 raise HttpParseError(f"bad chunk size: {token!r}")
+            size = int(token, 16)
             # The last chunk's span is empty and keeps its size line's
             # CRLF, where the trailer scan starts: a blank line right
             # after it ends the message.

@@ -6,7 +6,7 @@ handshakes, out-of-order arrival, retransmission/overlap, and FIN/RST
 teardown.  This sits between the packet codecs and the HTTP parser,
 mirroring the deep-packet-inspection step the paper performs on its
 PCAP corpus.  A direction's in-order bytes live in one buffer,
-``StreamDirection.data``, which the live tap's HTTP parser frames in
+``StreamDirection.data``, which the decoder's HTTP parser frames in
 place; offsets into the stream are absolute and counted by ``end``.
 """
 
@@ -60,11 +60,10 @@ class FlowKey(NamedTuple):
 class StreamDirection:
     """Reassembly state for one direction of a connection.
 
-    ``data`` is the direction's one buffer of in-order bytes.  Batch
-    consumers read it whole; an incremental consumer (the live tap's
-    HTTP parser) frames it in place and deletes what it has framed, so
-    a long-lived connection holds O(unparsed tail) memory instead of its
-    whole history.  Offsets (``end``, ``marks``, ``timestamp_at``) are
+    ``data`` is the direction's one buffer of in-order bytes.  The
+    decoder's HTTP parser frames it in place and deletes what it has
+    framed, so a long-lived connection polled as it goes (the tap) holds
+    O(unparsed tail) memory instead of its whole history.  Offsets (``end``, ``marks``, ``timestamp_at``) are
     *absolute* stream positions and stay valid however much of ``data``
     a consumer has deleted.
     """
@@ -195,11 +194,6 @@ class StreamDirection:
                 self.pending[seq] = (payload, timestamp)
                 self.buffered += len(payload) - held
 
-    @property
-    def has_gap(self) -> bool:
-        """True when out-of-order data is still waiting on a hole."""
-        return bool(self.pending)
-
 
 @dataclass
 class TcpStream:
@@ -209,8 +203,8 @@ class TcpStream:
     client: tuple[str, int] | None = None
     directions: dict[tuple[str, int], StreamDirection] = field(default_factory=dict)
     closed: bool = False
-    #: The incremental consumer's state, found and evicted with the stream:
-    #: the live decoder's pairer, or ``False`` once the payload is not HTTP.
+    #: The consumer's state, found and evicted with the stream: the
+    #: decoder's pairer, or ``False`` once the payload is not HTTP.
     consumer: object = None
 
     def direction(
@@ -226,25 +220,6 @@ class TcpStream:
                                     max_buffered=max_buffered)
             self.directions[src] = state
         return state
-
-    @property
-    def client_data(self) -> bytes:
-        """Retained bytes sent by the connection initiator (requests):
-        the stream minus the prefix a parser has framed."""
-        if self.client is None:
-            return b""
-        state = self.directions.get(self.client)
-        return bytes(state.data) if state else b""
-
-    @property
-    def server_data(self) -> bytes:
-        """Bytes sent by the accepting side (responses)."""
-        if self.client is None:
-            return b""
-        for src, state in self.directions.items():
-            if src != self.client:
-                return bytes(state.data)
-        return b""
 
     @property
     def server(self) -> tuple[str, int] | None:
@@ -273,11 +248,6 @@ class TcpReassembler:
 
     def __init__(self, max_buffered: int = DEFAULT_MAX_BUFFERED) -> None:
         self._streams: dict[FlowKey, TcpStream] = {}
-        #: Finished streams displaced by a 4-tuple reuse (a fresh SYN on
-        #: a closed connection).  Batch consumers still see them via
-        #: :meth:`streams`; the live tap evicts before reuse can happen,
-        #: so this only grows in batch decoding (bounded by the capture).
-        self._retired: list[TcpStream] = []
         #: Per-direction out-of-order buffer cap (overload policy knob).
         self.max_buffered = max_buffered
         metrics = get_registry()
@@ -299,14 +269,6 @@ class TcpReassembler:
         if key is None:
             key = FlowKey.of(src_ip, src_port, dst_ip, dst_port)
         stream = self._streams.get(key)
-        if stream and stream.closed and flags & (SYN | ACK) == SYN:
-            # 4-tuple reuse: a fresh SYN on a finished connection opens a
-            # *new* conversation.  Retire the closed stream (batch
-            # consumers still drain it via streams()) instead of letting
-            # the new handshake desynchronize its state.
-            self._retired.append(stream)
-            del self._streams[key]
-            stream = None
         if stream is None:
             stream = self._streams[key] = TcpStream(key=key)
             self._c_streams.inc()
@@ -358,22 +320,18 @@ class TcpReassembler:
         return stream
 
     def streams(self) -> list[TcpStream]:
-        """All streams seen so far (retired included), by start time."""
-        return sorted(self._retired + list(self._streams.values()),
-                      key=lambda s: s.start_time)
+        """All tracked streams, by start time."""
+        return sorted(self._streams.values(), key=lambda s: s.start_time)
 
     def evict(self, key: FlowKey) -> TcpStream | None:
         """Remove (and return) one connection's state entirely.
 
-        The live tap's connection-lifecycle management calls this once a
-        stream is closed, fully drained, and past its linger window —
-        without it, ``_streams`` grows by one dead entry per connection
-        for the life of the process.
+        The decoder's connection lifecycle calls this once a stream is
+        closed and past its linger window, or its 4-tuple is reused by a
+        fresh SYN — without it, ``_streams`` grows by one dead entry per
+        connection for the life of the process.
         """
         return self._streams.pop(key, None)
 
     def __len__(self) -> int:
         return len(self._streams)
-
-    def __contains__(self, key: FlowKey) -> bool:
-        return key in self._streams

@@ -226,6 +226,47 @@ class TestTupleReuse:
             assert ours.request == theirs.request
             assert ours.response == theirs.response
 
+    def test_a_capture_polls_the_finished_conversation_at_reuse(self):
+        """The decoder's eviction is the one tuple-reuse rule: a capture,
+        which polls a connection once, polls the finished conversation
+        when the fresh SYN evicts it."""
+        hosts = HostAllocator()
+        ip, port = hosts.client()
+        server = hosts.server()
+        second = RawConnection(ip, port, server)
+        second.client_isn, second.server_isn = 7_000_000, 9_000_000
+        packets = _conversation(RawConnection(ip, port, server), 0.0,
+                                uri="/first")
+        packets += _conversation(second, 1.0, uri="/second")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            batch = transactions_from_packets(packets)
+        assert [(t.request.uri, t.response.body) for t in batch] == [
+            ("/first", b"<html>ok</html>"), ("/second", b"<html>ok</html>")]
+        assert registry.snapshot()["counters"][
+            "decode.evicted_connections"] == 1
+
+
+class TestCaptureSchedule:
+    def test_a_connection_evicted_mid_capture_keeps_its_transactions(self):
+        """A capture polls a connection once: one closed and then
+        linger-evicted before the capture ends is polled at eviction."""
+        hosts = HostAllocator()
+        packets = []
+        for i in range(3):
+            ip, port = hosts.client()
+            conn = RawConnection(ip, port, hosts.server())
+            packets += _conversation(conn, ts=10.0 * i, uri=f"/{i}")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            batch = transactions_from_packets(
+                packets, policy=OverloadPolicy(closed_linger=5.0))
+        assert [(t.request.uri, t.response.status) for t in batch] == [
+            ("/0", 200), ("/1", 200), ("/2", 200)]
+        # The first two were evicted mid-capture, the last at the end.
+        assert registry.snapshot()["counters"][
+            "decode.evicted_connections"] == 2
+
 
 class TestAbandonedConnection:
     """A stream found not to be HTTP keeps no payload while it lives on

@@ -24,7 +24,11 @@ from repro.loadgen import (
     retrans_storm_episode,
     slow_drip_episode,
 )
-from repro.net.flows import AddressBook, transactions_from_packets
+from repro.net.flows import (
+    AddressBook,
+    OverloadPolicy,
+    transactions_from_packets,
+)
 from repro.obs import MetricsRegistry, use_registry
 
 
@@ -141,7 +145,8 @@ class TestEpisodes:
         )
         registry = MetricsRegistry()
         with use_registry(registry):
-            transactions_from_packets(packets, max_buffered=16 * 1024)
+            transactions_from_packets(packets, policy=OverloadPolicy(
+                max_buffered_per_direction=16 * 1024))
         assert registry.snapshot()["counters"]["reassembly.overflows"] == 1
 
 
@@ -194,8 +199,9 @@ class TestLoadGenerator:
         packets = generator.capture(6000)
         registry = MetricsRegistry()
         with use_registry(registry):
-            transactions_from_packets(packets, book=generator.book,
-                                      max_buffered=16 * 1024)
+            transactions_from_packets(
+                packets, book=generator.book,
+                policy=OverloadPolicy(max_buffered_per_direction=16 * 1024))
         counters = registry.snapshot()["counters"]
         assert counters["reassembly.overflows"] > 0
         assert counters["http.orphan_responses"] > 0

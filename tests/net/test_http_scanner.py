@@ -217,6 +217,31 @@ def test_a_negative_chunk_size_is_bad(cut):
     assert parser.pending_offset == 0
 
 
+_CHUNKED_POST = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+_LENGTH_POST = b"POST / HTTP/1.1\r\nContent-Length: %s\r\n\r\n0123456789"
+
+
+@pytest.mark.parametrize("cut", [None, 1])
+@pytest.mark.parametrize("wire, error", [
+    (_LENGTH_POST % b"+10", "bad Content-Length: '+10'"),
+    (_LENGTH_POST % b"1_0", "bad Content-Length: '1_0'"),
+    (_CHUNKED_POST + b"0x5\r\nhello\r\n0\r\n\r\n", "bad chunk size: b'0x5'"),
+    (_CHUNKED_POST + b"+5\r\nhello\r\n0\r\n\r\n", "bad chunk size: b'+5'"),
+    (_CHUNKED_POST + b"0_5\r\nhello\r\n0\r\n\r\n", "bad chunk size: b'0_5'"),
+], ids=["length+10", "length1_0", "chunk0x5", "chunk+5", "chunk0_5"])
+def test_a_number_int_takes_but_rfc_9112_refuses_is_bad(wire, error, cut):
+    # RFC 9112 frames by 1*DIGIT / 1*HEXDIG; each of these is one
+    # int() would read as 10 or 5.  The message before it stands.
+    wire = b"GET /ok HTTP/1.1\r\nHost: h\r\n\r\n" + wire
+    parser = http1.RequestParser()
+    framed = []
+    with pytest.raises(HttpParseError) as caught:
+        for at in range(0, len(wire), cut or len(wire)):
+            framed += parser.feed(wire[at:at + (cut or len(wire))])
+    assert str(caught.value) == error
+    assert [m.uri for m in framed + caught.value.completed] == ["/ok"]
+
+
 @pytest.mark.parametrize("tail, cut", [
     (b"5\r\nhel", "chunk body"),
     (b"5\r\nhello\r", "chunk body"),

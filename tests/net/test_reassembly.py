@@ -17,6 +17,14 @@ def _segment(src="10.0.0.1", dst="10.0.0.2", src_port=40000, dst_port=80,
     return (src, dst, src_port, dst_port, seq, 0, flags, 65535, payload)
 
 
+def _sent(stream, by_client=True):
+    """The in-order bytes one side of ``stream`` has sent."""
+    for src, direction in stream.directions.items():
+        if (src == stream.client) == by_client:
+            return bytes(direction.data)
+    return b""
+
+
 class TestFlowKey:
     def test_canonical_both_directions(self):
         forward = FlowKey.of("1.1.1.1", 40000, "2.2.2.2", 80)
@@ -51,25 +59,25 @@ class TestHandshakeAndDirections:
         reassembler.feed(1.3, _segment(seq=104, flags=PSH | ACK,
                                        payload=b"/ HT"))
         stream = reassembler.streams()[0]
-        assert stream.client_data == b"GET / HT"
+        assert _sent(stream) == b"GET / HT"
 
     def test_out_of_order_payload(self):
         reassembler = self._open_stream()
         reassembler.feed(1.3, _segment(seq=104, payload=b"/ HT"))
         reassembler.feed(1.2, _segment(seq=100, payload=b"GET "))
-        assert reassembler.streams()[0].client_data == b"GET / HT"
+        assert _sent(reassembler.streams()[0]) == b"GET / HT"
 
     def test_retransmission_ignored(self):
         reassembler = self._open_stream()
         reassembler.feed(1.2, _segment(seq=100, payload=b"abcd"))
         reassembler.feed(1.3, _segment(seq=100, payload=b"abcd"))
-        assert reassembler.streams()[0].client_data == b"abcd"
+        assert _sent(reassembler.streams()[0]) == b"abcd"
 
     def test_overlapping_retransmission_trimmed(self):
         reassembler = self._open_stream()
         reassembler.feed(1.2, _segment(seq=100, payload=b"abcd"))
         reassembler.feed(1.3, _segment(seq=102, payload=b"cdEF"))
-        assert reassembler.streams()[0].client_data == b"abcdEF"
+        assert _sent(reassembler.streams()[0]) == b"abcdEF"
 
     def test_server_data_separate(self):
         reassembler = self._open_stream()
@@ -78,8 +86,8 @@ class TestHandshakeAndDirections:
             "10.0.0.2", "10.0.0.1", src_port=80, dst_port=40000, seq=500,
             payload=b"res"))
         stream = reassembler.streams()[0]
-        assert stream.client_data == b"req"
-        assert stream.server_data == b"res"
+        assert _sent(stream) == b"req"
+        assert _sent(stream, by_client=False) == b"res"
 
     def test_fin_both_sides_closes(self):
         reassembler = self._open_stream()
@@ -106,7 +114,7 @@ class TestMidCaptureStreams:
             "10.0.0.9", "10.0.0.2", seq=7, payload=b"GET / HTTP/1.1\r\n"))
         stream = reassembler.streams()[0]
         assert stream.client == ("10.0.0.9", 40000)
-        assert stream.client_data.startswith(b"GET")
+        assert _sent(stream).startswith(b"GET")
 
     def test_seq_adopted_without_syn(self):
         reassembler = TcpReassembler()
@@ -114,7 +122,7 @@ class TestMidCaptureStreams:
             "10.0.0.9", "10.0.0.2", seq=1000, payload=b"abc"))
         reassembler.feed(1.1, _segment(
             "10.0.0.9", "10.0.0.2", seq=1003, payload=b"def"))
-        assert reassembler.streams()[0].client_data == b"abcdef"
+        assert _sent(reassembler.streams()[0]) == b"abcdef"
 
 
 class TestSequenceWraparound:
@@ -136,9 +144,9 @@ class TestSequenceWraparound:
         direction = StreamDirection(src=("a", 1), dst=("b", 2))
         direction.next_seq = 0
         direction.feed(10, b"later", 1.0)
-        assert direction.has_gap
+        assert direction.pending
         direction.feed(0, b"0123456789", 1.1)
-        assert not direction.has_gap
+        assert not direction.pending
         assert bytes(direction.data) == b"0123456789later"
 
     def test_buffer_overflow_guard(self):
@@ -345,7 +353,7 @@ class TestOverflowDegrade:
             payload=b"GET / HTTP/1.1\r\n"))
         healthy = [s for s in reassembler.streams()
                    if s.client and s.client[0] == "10.0.0.3"]
-        assert healthy[0].client_data.startswith(b"GET")
+        assert _sent(healthy[0]).startswith(b"GET")
 
     def test_configurable_buffer_cap(self):
         reassembler = TcpReassembler(max_buffered=1024)

@@ -256,14 +256,15 @@ class TestLiveEqualsEagerPath:
             assert counters["reassembly.overflows"] > 0
 
     def test_unshed_stream_also_equals_batch(self):
-        """Without a connection cap nothing is shed, so the batch decode
-        must hold the same transactions (it has no emission index)."""
+        """Without a connection cap nothing is shed, and the batch decode
+        under the same policy holds the same transactions (it has no
+        emission index)."""
         packets = LoadGenerator(seed=31, mix=HOSTILE, concurrency=6,
                                 overflow_bytes=128 * 1024).capture(4000)
         policy = OverloadPolicy(max_buffered_per_direction=32 * 1024)
         live = [row[1:] for row in _rows(_live_emissions(packets, policy))]
         batch = [row[1:] for row in _rows(
             (0, txn) for txn in transactions_from_packets(
-                packets, max_buffered=32 * 1024))]
+                packets, policy=policy))]
         key = repr
         assert sorted(live, key=key) == sorted(batch, key=key)

@@ -4,6 +4,8 @@ every piece on its own, and find ``Transfer-Encoding`` and
 ``repro.net.http1`` did before ``_split_headers`` decoded the block once
 and ``_framing`` read both headers in one scan."""
 
+import re
+
 from repro.core.model import Headers
 from repro.exceptions import HttpParseError
 
@@ -40,6 +42,8 @@ def body_length_reference(headers: Headers) -> int | None:
             raise HttpParseError(f"bad Content-Length: {declared!r}") from exc
         if length < 0:
             raise HttpParseError(f"negative Content-Length: {length}")
+        if not re.fullmatch("[0-9]+", declared):  # RFC 9112: 1*DIGIT
+            raise HttpParseError(f"bad Content-Length: {declared!r}")
         return length
     return None
 

@@ -53,8 +53,8 @@ class EagerPairer(StreamPairer):
     """``StreamPairer`` that steps both parsers on every poll and names
     each request's endpoints per request."""
 
-    def poll(self, final: bool = False) -> list[HttpTransaction]:
-        stream, book = self.stream, self.book
+    def poll(self, stream, final: bool = False) -> list[HttpTransaction]:
+        book = self.book
         if stream.client is None:
             return []
         out: list[HttpTransaction] = []
@@ -136,8 +136,8 @@ def eager_live_decode(packets, policy, linktype=LINKTYPE_ETHERNET,
             return
         pairer = pairers.get(key)
         if pairer is None:
-            pairer = pairers[key] = EagerPairer(stream, book)
-        emitted.extend((index, txn) for txn in pairer.poll(final=final))
+            pairer = pairers[key] = EagerPairer(book)
+        emitted.extend((index, txn) for txn in pairer.poll(stream, final))
         if pairer.rejected:
             not_http.add(key)
 
@@ -158,7 +158,7 @@ def eager_live_decode(packets, policy, linktype=LINKTYPE_ETHERNET,
             evict(oldest)
         if key in closed and flags & SYN and not flags & ACK:
             evict(key)
-        if (key not in reassembler
+        if (key not in reassembler._streams
                 and len(reassembler) - len(closed) >= policy.max_connections):
             continue
         stream = reassembler.feed(ts, segment)

@@ -70,10 +70,6 @@ ALLOWLIST: dict[str, str] = {
     "Tracer.event_count": "state: the tracer ring-bound tests read it",
     "NullTracer.event_count": "state: the null tracer's half of"
                               " Tracer.event_count",
-    "TcpStream.client_data": "state: the reassembly tests read the"
-                             " reassembled client bytes",
-    "TcpStream.server_data": "state: as TcpStream.client_data",
-    "StreamDirection.has_gap": "state: the reassembly gap test reads it",
 }
 
 _HEADING = re.compile(r"state: \S")

@@ -398,6 +398,31 @@ def test_a_lower_case_head_response_is_framed_by_its_content_length():
             (HttpMethod.GET, "/b", 404, b"")]
 
 
+# -- one decoder -----------------------------------------------------------
+
+
+def test_a_capture_is_decoded_by_the_tap_decoder():
+    import ast
+    import inspect
+
+    from repro.net.flows import transactions_from_packets
+
+    assert "max_buffered" not in inspect.signature(
+        transactions_from_packets).parameters
+    retired, classes = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = path.relative_to(SRC / "repro").as_posix()
+        if relative.startswith("net/") and "_retired" in _identifiers(tree):
+            retired.append(relative)
+        classes += [(node.name, relative) for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and node.name in ("LiveDecoder", "OverloadPolicy")]
+    assert retired == []  # the decoder's eviction is the one reuse rule
+    assert sorted(classes) == [("LiveDecoder", "net/flows.py"),
+                               ("OverloadPolicy", "net/flows.py")]
+
+
 # -- one telemetry slot ----------------------------------------------------
 
 #: The tracer and registry switches: the active registry, selected with
